@@ -57,11 +57,10 @@ class CostContext:
         tracker: DependenceTracker,
         estimation: str = ESTIMATION_GLOBAL,
     ) -> "CostContext":
-        counts = Counter(record.pc for record in tracker.records)
         return cls(
             model=model,
             profiler=profiler,
-            pc_execution_counts=counts,
+            pc_execution_counts=tracker.execution_counts(),
             estimation=estimation,
         )
 

@@ -22,7 +22,6 @@ import dataclasses
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..energy.model import EnergyModel
-from ..isa.opcodes import Opcode
 from ..trace.dependence import DependenceTracker
 
 
@@ -97,19 +96,19 @@ def analyse_dead_stores(
         if previous is not None and not previous[1]:
             never_read[previous[0]] = never_read.get(previous[0], 0) + 1
 
-    for record in tracker.records:
-        if record.opcode is Opcode.ST and record.address is not None:
-            retire(record.address)
-            owner[record.address] = (record.pc, False)
-            consumers.setdefault(record.pc, set())
-            instance_counts[record.pc] = instance_counts.get(record.pc, 0) + 1
-            never_read.setdefault(record.pc, 0)
-        elif record.opcode is Opcode.LD and record.address is not None:
-            current = owner.get(record.address)
+    for _, info, address, _, _ in tracker.memory_accesses():
+        if info.is_store:
+            retire(address)
+            owner[address] = (info.pc, False)
+            consumers.setdefault(info.pc, set())
+            instance_counts[info.pc] = instance_counts.get(info.pc, 0) + 1
+            never_read.setdefault(info.pc, 0)
+        elif info.is_load:
+            current = owner.get(address)
             if current is not None:
                 store_pc, _ = current
-                owner[record.address] = (store_pc, True)
-                consumers[store_pc].add(record.pc)
+                owner[address] = (store_pc, True)
+                consumers[store_pc].add(info.pc)
     for address in list(owner):
         retire(address)
 

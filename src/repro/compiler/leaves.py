@@ -1,6 +1,6 @@
 """Leaf-input classification and replay validation of slice templates.
 
-Two jobs, done in a single scan over the profiled trace:
+Two jobs, both answered at the dynamic instances of the candidate loads:
 
 1. **Liveness classification** (paper section 2.2).  A leaf's register
    input is *live* if, at every observed RCMP point, the architectural
@@ -13,27 +13,36 @@ Two jobs, done in a single scan over the profiled trace:
    table keeps one entry per leaf holding the operands of the leaf's
    *latest* execution, so recomputation is correct only for loads whose
    value equals the template evaluated over those latest operands.  We
-   simulate exactly those semantics over the trace: maintain per-pc latest
-   operand values and the architectural register file, evaluate each
-   candidate template at each dynamic load instance, and reject any
-   candidate with a single mismatch.  (Instances where a checkpoint does
-   not exist yet are fine: the runtime scheduler falls back to the plain
-   load in that case, paper section 3.5.)
+   replay exactly those semantics: at each dynamic load instance,
+   evaluate the candidate template over the latest operand values and
+   the architectural register file, and reject any candidate with a
+   single mismatch.  (Instances where a checkpoint does not exist yet
+   are fine: the runtime scheduler falls back to the plain load in that
+   case, paper section 3.5.)
 
-The scan simulates exactly the semantics the hardware implements, so a
-template that validates here and whose leaves keep checkpointing at
+The replay never walks the trace.  The state right before dynamic
+instruction *t* is a set of last-instance-before-*t* queries over the
+indexes the dependence trace builds while tracing: register *r* holds
+the result of its last value-writing instruction (compute op or load)
+before *t*, a pc's latest operands are those of its last instance
+before *t*, and a load's latest value is the result of its last
+instance before *t*.  Each is one bisection, so the work scales with
+the candidate-load instances, not with the trace length.
+
+The replay simulates exactly the semantics the hardware implements, so
+a template that validates here and whose leaves keep checkpointing at
 runtime recomputes bit-identical values.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
 from ..isa.opcodes import Opcode
 from ..isa.semantics import evaluate
-from ..trace.dependence import SRC_IMM, DependenceTracker
+from ..trace.dependence import DependenceTracker, last_before
 from .rslice import LeafInputKind, TemplateNode
 
 Value = Union[int, float]
@@ -68,7 +77,7 @@ _MISSING = object()
 def classify_and_validate(
     candidates: Dict[int, TemplateNode], tracker: DependenceTracker
 ) -> Dict[int, ValidationReport]:
-    """Classify leaf inputs and validate *candidates* in one trace scan.
+    """Classify leaf inputs and validate *candidates* at every load instance.
 
     ``candidates`` maps a static load pc to its formed template tree.
     Leaf-input kinds are updated **in place** (HIST relaxed to LIVE_REG
@@ -122,7 +131,7 @@ def collect_liveness(
 
 
 class _ReplayScanner:
-    """One-pass replay of Hist/liveness semantics over the trace."""
+    """Replay of Hist/liveness semantics at each candidate-load instance."""
 
     def __init__(
         self,
@@ -133,9 +142,9 @@ class _ReplayScanner:
         self.candidates = candidates
         self.tracker = tracker
         self.collect_only = collect_only
-        self.regfile: Dict[int, Value] = {}
-        self.latest_src_ops: Dict[int, Tuple[Value, ...]] = {}
-        self.latest_load_value: Dict[int, Value] = {}
+        #: Dynamic index of the load instance being replayed; every state
+        #: query answers "right before instruction ``now``".
+        self.now = 0
         # (load_pc, producer_pc, position) -> still-live flag.  Keyed by
         # static pc, so duplicated nodes (diamond dataflow) share flags.
         self.live_ok: Dict[Tuple[int, int, int], bool] = {}
@@ -165,39 +174,58 @@ class _ReplayScanner:
                 report.valid = False
 
     # ------------------------------------------------------------------
-    # The scan.
+    # The replay.
     # ------------------------------------------------------------------
     def run(self) -> Dict[int, ValidationReport]:
-        for record in self.tracker.records:
-            if record.is_load and record.pc in self.candidates:
-                self._check_instance(record)
-            self._update_state(record)
+        for load_pc in self.candidates:
+            info = self.tracker.pc_info(load_pc)
+            if info is None or not info.is_load:
+                continue
+            report = self.reports[load_pc]
+            for now in info.instances:
+                if not self.collect_only and not report.valid:
+                    break
+                self.now = now
+                self._check_instance(load_pc, self.tracker.result(now))
         self._finalise_kinds()
         return self.reports
 
-    def _update_state(self, record) -> None:
-        opcode = record.opcode
-        if opcode.is_compute and record.dest_reg is not None:
-            self.latest_src_ops[record.pc] = tuple(
-                descriptor[1] if descriptor[0] == SRC_IMM else descriptor[3]
-                for descriptor in record.srcs
-            )
-            self.regfile[record.dest_reg] = record.result
-        elif opcode is Opcode.LD:
-            self.latest_load_value[record.pc] = record.result
-            if record.dest_reg is not None:
-                self.regfile[record.dest_reg] = record.result
+    # ------------------------------------------------------------------
+    # Machine state right before instruction ``now``.
+    # ------------------------------------------------------------------
+    def _last_before(self, indices: Sequence[int]) -> Optional[int]:
+        """The last of the ascending dynamic *indices* before ``now``."""
+        return last_before(indices, self.now)
 
-    def _check_instance(self, record) -> None:
+    def _register(self, reg: int) -> Optional[Value]:
+        """Architectural register *reg* (link-register writes not modelled)."""
+        writer = self._last_before(self.tracker.value_writers(reg))
+        return 0 if writer is None else self.tracker.result(writer)
+
+    def _latest_operands(self, pc: int) -> Optional[Tuple[Value, ...]]:
+        """Operands of the latest execution of compute op *pc*, if any."""
+        info = self.tracker.pc_info(pc)
+        if info is None or not info.is_compute or info.dest is None:
+            return None
+        latest = self._last_before(info.instances)
+        return None if latest is None else self.tracker.operands(latest)
+
+    def _latest_load_value(self, pc: int) -> Optional[Value]:
+        """Value the latest execution of load *pc* returned, if any."""
+        info = self.tracker.pc_info(pc)
+        if info is None or not info.is_load:
+            return None
+        latest = self._last_before(info.instances)
+        return None if latest is None else self.tracker.result(latest)
+
+    def _check_instance(self, load_pc: int, loaded: Optional[Value]) -> None:
         if self.collect_only:
-            self._collect_instance(record)
+            self._collect_instance(load_pc)
             return
-        report = self.reports[record.pc]
-        if not report.valid:
-            return
+        report = self.reports[load_pc]
         report.instances_checked += 1
         try:
-            recomputed = self._evaluate(record.pc, self.candidates[record.pc])
+            recomputed = self._evaluate(load_pc, self.candidates[load_pc])
         except _MissingCheckpoint:
             report.missing_checkpoints += 1
             return
@@ -205,14 +233,14 @@ class _ReplayScanner:
             report.mismatches += 1
             report.valid = False
             return
-        if recomputed != record.result:
+        if recomputed != loaded:
             report.mismatches += 1
             report.valid = False
 
     # ------------------------------------------------------------------
     # Collect mode: flat per-node fact gathering (no recursion).
     # ------------------------------------------------------------------
-    def _collect_instance(self, record) -> None:
+    def _collect_instance(self, load_pc: int) -> None:
         """Gather liveness and shallow edge-consistency at one RCMP point.
 
         Shallow consistency of an edge parent->child asks: would cutting
@@ -223,9 +251,8 @@ class _ReplayScanner:
         their own latest operands — which is exactly what Hist supplies —
         so formation may grow through an edge iff this flag holds.
         """
-        load_pc = record.pc
         for node in self.candidates[load_pc].walk():
-            latest = self.latest_src_ops.get(node.pc)
+            latest = self._latest_operands(node.pc)
             if not node.is_checkpoint_load and latest is not None:
                 for leaf_input in node.leaf_inputs:
                     if leaf_input.reg_index is not None:
@@ -237,13 +264,13 @@ class _ReplayScanner:
             ):
                 key = (load_pc, node.pc, position)
                 if node.is_checkpoint_load:
-                    consumed = self.latest_load_value.get(node.pc)
+                    consumed = self._latest_load_value(node.pc)
                 else:
                     consumed = latest[position] if latest is not None else None
                 if consumed is None:
                     continue
                 if reg is not None:
-                    alive = self.regfile.get(reg, 0) == consumed
+                    alive = self._register(reg) == consumed
                     self.live_ok[key] = self.live_ok.get(key, True) and alive
                 shallow = self._shallow_value(child)
                 if shallow is _MISSING:
@@ -254,8 +281,9 @@ class _ReplayScanner:
     def _shallow_value(self, node: TemplateNode):
         """Re-execute *node* once from its own latest checkpointed operands."""
         if node.is_checkpoint_load:
-            return self.latest_load_value.get(node.pc, _MISSING)
-        latest = self.latest_src_ops.get(node.pc)
+            value = self._latest_load_value(node.pc)
+            return _MISSING if value is None else value
+        latest = self._latest_operands(node.pc)
         if latest is None:
             return _MISSING
         if node.opcode is Opcode.LI:
@@ -270,16 +298,17 @@ class _ReplayScanner:
     # ------------------------------------------------------------------
     def _evaluate(self, load_pc: int, node: TemplateNode) -> Value:
         if node.is_checkpoint_load:
-            if node.pc not in self.latest_load_value:
+            value = self._latest_load_value(node.pc)
+            if value is None:
                 raise _MissingCheckpoint(str(node.pc))
-            return self.latest_load_value[node.pc]
+            return value
         arity = len(node.leaf_inputs) + len(node.children)
         operands: List[Optional[Value]] = [None] * arity
         for leaf_input in node.leaf_inputs:
             if leaf_input.reg_index is None:
                 value = leaf_input.const_value
             else:
-                latest = self.latest_src_ops.get(node.pc)
+                latest = self._latest_operands(node.pc)
                 if latest is None:
                     raise _MissingCheckpoint(str(node.pc))
                 value = latest[leaf_input.position]
@@ -293,8 +322,8 @@ class _ReplayScanner:
 
     def _note_liveness(self, load_pc: int, node: TemplateNode, leaf_input, value) -> None:
         key = (load_pc, node.pc, leaf_input.position)
-        current = self.regfile.get(leaf_input.reg_index, 0)
-        alive = current == value
+        assert leaf_input.reg_index is not None
+        alive = self._register(leaf_input.reg_index) == value
         self.live_ok[key] = self.live_ok.get(key, True) and alive
 
     # ------------------------------------------------------------------

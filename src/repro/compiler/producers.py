@@ -26,7 +26,7 @@ can *prove* the recomputation pattern.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..isa.opcodes import Opcode
 from ..trace.dependence import SRC_IMM, SRC_REG, DependenceTracker, DynRecord
@@ -85,14 +85,15 @@ class TemplateExtractor:
         execute to checkpoint itself), or when instances disagree
         structurally.
         """
-        instances = self.tracker.loads_at(load_pc)
-        if not instances:
+        info = self.tracker.pc_info(load_pc)
+        if info is None or not info.is_load:
             return None
+        instances = info.instances
         samples = self._sample(instances)
         trees: List[TemplateNode] = []
-        for record in samples:
+        for index in samples:
             try:
-                trees.append(self._template_for_instance(record))
+                trees.append(self._template_for_instance(self.tracker.record(index)))
             except ExtractionFailure:
                 return None
         signature = trees[-1].structural_signature()
@@ -105,7 +106,7 @@ class TemplateExtractor:
             samples_checked=len(samples),
         )
 
-    def _sample(self, instances: List[DynRecord]) -> List[DynRecord]:
+    def _sample(self, instances: Sequence[int]) -> Sequence[int]:
         """Steady-state sampling: the last instance plus spread late ones.
 
         The template is anchored on the *last* dynamic instance and

@@ -7,9 +7,10 @@ This is the public surface most users want::
     print(result.edp_gain_percent)
 
 :func:`evaluate_policies` reproduces one column group of the paper's
-Figures 3-5: it profiles once, builds the probabilistic binary (shared
-by Compiler/FLC/LLC/C-Oracle) and the all-valid binary (Oracle), runs
-the classic baseline, and measures every requested policy against it.
+Figures 3-5: it profiles once — the profiling run doubles as the classic
+baseline — builds the probabilistic binary (shared by
+Compiler/FLC/LLC/C-Oracle) and the all-valid binary (Oracle), and
+measures every requested policy against the baseline.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from ..isa.program import Program
 from ..machine.cpu import DEFAULT_MAX_INSTRUCTIONS, CPU
 from ..machine.stats import RunStats
 from ..telemetry.runtime import get_telemetry
+from ..trace.recorder import ProfileResult, profile_program
 from .backend import resolve_backend
 from .policies import POLICY_NAMES, Policy, make_policy
 
@@ -128,6 +130,20 @@ def run_classic(
     return ExecutionOutcome(label="classic", stats=stats, account=cpu.account, cpu=cpu)
 
 
+def classic_outcome(profile: ProfileResult) -> ExecutionOutcome:
+    """The classic baseline a profiling run already measured.
+
+    Tracing observes execution without changing it: the profiling CPU
+    retires the same instructions, charges the same energy and time, and
+    ends in the same state as an untraced :func:`run_classic` with the
+    same budget, so evaluation never runs the classic program twice.
+    """
+    cpu = profile.cpu
+    return ExecutionOutcome(
+        label="classic", stats=profile.stats, account=cpu.account, cpu=cpu
+    )
+
+
 def run_amnesic(
     compilation: CompilationResult,
     policy: str | Policy = "FLC",
@@ -171,9 +187,12 @@ def compare(
     model = model or paper_energy_model()
     if policy == "Oracle":
         options = _oracle_options(options)
-    compilation = compile_amnesic(program, model, options=options, backend=backend)
-    classic = run_classic(
+    profile = profile_program(
         program, model, max_instructions=max_instructions, backend=backend
+    )
+    classic = classic_outcome(profile)
+    compilation = compile_amnesic(
+        program, model, profile=profile, options=options, backend=backend
     )
     amnesic = run_amnesic(
         compilation,
@@ -256,14 +275,15 @@ def prepare_evaluation(
     verify: bool = True,
     backend: Optional[str] = None,
 ) -> EvaluationSetup:
-    """Profile, compile, and run the classic baseline once."""
+    """Profile and compile once; the profiling run is the classic baseline."""
     model = model or paper_energy_model()
-    classic = run_classic(
+    profile = profile_program(
         program, model, max_instructions=max_instructions, backend=backend
     )
     probabilistic = compile_amnesic(
         program,
         model,
+        profile=profile,
         options=dataclasses.replace(options, selection=SELECTION_PROBABILISTIC),
         backend=backend,
     )
@@ -273,7 +293,7 @@ def prepare_evaluation(
         options=options,
         max_instructions=max_instructions,
         verify=verify,
-        classic=classic,
+        classic=classic_outcome(profile),
         probabilistic=probabilistic,
         backend=backend,
     )

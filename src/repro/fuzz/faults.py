@@ -1,4 +1,4 @@
-"""Deliberately broken schedulers and batchers for validating the oracle.
+"""Deliberately broken schedulers, batchers and replays for validating the oracle.
 
 A differential fuzzer that has never caught a bug proves nothing.  These
 CPU variants inject known defects so the test suite can assert the whole
@@ -11,6 +11,11 @@ mutation check against new policies.
 
 from __future__ import annotations
 
+import contextlib
+from bisect import bisect_right
+from typing import Iterator, Optional, Sequence
+
+from ..compiler import leaves
 from ..core.amnesic_cpu import AmnesicCPU
 from ..core.hist import HistoryTable
 from ..machine.cpu import CPU
@@ -87,9 +92,40 @@ class LateFlushBatchedAmnesicCPU(_LateFlushMixin, AmnesicCPU):
     """The broken batcher over amnesic binaries."""
 
 
+class LateReplayScanner(leaves._ReplayScanner):
+    """Bug: the leaf replay bisects one instance too far.
+
+    Every state query should see the machine right *before* the load
+    instance it checks; this replay's bisection also admits the instance
+    at the load's own index, so it reads the state *after* the load.
+    The only difference is what the load itself wrote: its destination
+    register, and its own latest value.  A leaf reading that register
+    then looks live exactly when the load refills it with the value the
+    leaf consumed — and at runtime the swapped load no longer executes,
+    so the register still holds whatever clobbered it.
+    """
+
+    def _last_before(self, indices: Sequence[int]) -> Optional[int]:
+        k = bisect_right(indices, self.now)
+        return indices[k - 1] if k else None
+
+
+@contextlib.contextmanager
+def late_replay() -> Iterator[None]:
+    """Compile with :class:`LateReplayScanner` in place of the real replay."""
+    original = leaves._ReplayScanner
+    leaves._ReplayScanner = LateReplayScanner
+    try:
+        yield
+    finally:
+        leaves._ReplayScanner = original
+
+
 __all__ = [
     "EagerFireCPU",
     "LateFlushBatchedAmnesicCPU",
     "LateFlushBatchedCPU",
+    "LateReplayScanner",
     "SkipHistReadCPU",
+    "late_replay",
 ]

@@ -828,12 +828,12 @@ def _check_deadstores(
     # Independent consumer re-derivation: walk the dynamic trace's
     # load->store memory dependences rather than trusting the analysis'
     # own consumer lists.
-    records = compilation.profile.dependence.records
+    tracker = compilation.profile.dependence
     true_consumers: Dict[int, Set[int]] = {}
-    for record in records:
-        if record.is_load and record.mem_producer is not None:
-            store_pc = records[record.mem_producer].pc
-            true_consumers.setdefault(store_pc, set()).add(record.pc)
+    for _, info, _, _, producer in tracker.memory_accesses():
+        if info.is_load and producer is not None:
+            store_pc = tracker.pc_at(producer)
+            true_consumers.setdefault(store_pc, set()).add(info.pc)
     for site in analysis.sites:
         if not site.is_elidable(analysis.swapped_load_pcs):
             continue

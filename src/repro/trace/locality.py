@@ -12,10 +12,13 @@ recomputation still applies.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 from ..isa.opcodes import Opcode
 from .events import InstructionEvent
+
+if TYPE_CHECKING:
+    from .dependence import DependenceTracker
 
 #: History depth of the locality detector (1 = "same as last time").
 DEFAULT_HISTORY_DEPTH = 4
@@ -32,13 +35,32 @@ class ValueLocalityTracker:
         self._hits: Dict[int, int] = {}
         self._total: Dict[int, int] = {}
 
+    @classmethod
+    def from_trace(
+        cls, tracker: "DependenceTracker", history_depth: int = DEFAULT_HISTORY_DEPTH
+    ) -> "ValueLocalityTracker":
+        """The localities this tracer would have measured over *tracker*'s run.
+
+        Each static load is replayed on its own: a load's history only
+        ever sees that load's values, so per-pc order is all that counts.
+        """
+        locality = cls(history_depth)
+        for info in tracker.static_pcs():
+            if not info.is_load:
+                continue
+            for index in info.instances:
+                locality._observe(info.pc, tracker.result(index))
+        return locality
+
     # ------------------------------------------------------------------
     # Tracer interface.
     # ------------------------------------------------------------------
     def on_instruction(self, event: InstructionEvent) -> None:
         if event.opcode is not Opcode.LD:
             return
-        pc, value = event.pc, event.result
+        self._observe(event.pc, event.result)
+
+    def _observe(self, pc: int, value) -> None:
         history = self._history.setdefault(pc, deque(maxlen=self.history_depth))
         self._total[pc] = self._total.get(pc, 0) + 1
         if value in history:

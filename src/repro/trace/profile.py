@@ -14,11 +14,14 @@ for the estimation-accuracy ablation).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
 from ..isa.opcodes import Opcode
 from ..machine.config import LEVELS, Level
 from .events import InstructionEvent
+
+if TYPE_CHECKING:
+    from .dependence import DependenceTracker
 
 
 class LoadProfiler:
@@ -28,14 +31,26 @@ class LoadProfiler:
         self.per_load: Dict[int, Counter] = {}
         self.global_counts: Counter = Counter()
 
+    @classmethod
+    def from_trace(cls, tracker: "DependenceTracker") -> "LoadProfiler":
+        """The histograms this tracer would have built over *tracker*'s run."""
+        profiler = cls()
+        for _, info, _, level, _ in tracker.memory_accesses():
+            if info.is_load and level is not None:
+                profiler._count(info.pc, level)
+        return profiler
+
     # ------------------------------------------------------------------
     # Tracer interface.
     # ------------------------------------------------------------------
     def on_instruction(self, event: InstructionEvent) -> None:
         if event.opcode is not Opcode.LD or event.level is None:
             return
-        self.per_load.setdefault(event.pc, Counter())[event.level] += 1
-        self.global_counts[event.level] += 1
+        self._count(event.pc, event.level)
+
+    def _count(self, pc: int, level: Level) -> None:
+        self.per_load.setdefault(pc, Counter())[level] += 1
+        self.global_counts[level] += 1
 
     # ------------------------------------------------------------------
     # PrLi queries.

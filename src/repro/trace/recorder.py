@@ -1,10 +1,11 @@
-"""Convenience profiling runner combining the standard tracers.
+"""The profiling run: one traced classic execution.
 
 :func:`profile_program` runs one classic execution with the dependence
-tracker, the load profiler, and the value-locality tracker attached —
-the reproduction's equivalent of the paper's "runtime profiler in Pin,
-which collects dependency information for binary generation" plus the
-hit/miss statistics Sniper supplies (section 4).
+tracker attached — the reproduction's equivalent of the paper's "runtime
+profiler in Pin, which collects dependency information for binary
+generation" — and derives the hit/miss statistics Sniper supplies
+(section 4) and the load value localities from the trace's load columns
+afterwards, so the run feeds a single tracer.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import TYPE_CHECKING, Optional
 
 from ..isa.program import Program
 from .dependence import DependenceTracker
-from .events import MultiTracer
 from .locality import ValueLocalityTracker
 from .profile import LoadProfiler
 
@@ -45,7 +45,11 @@ def profile_program(
     max_instructions: Optional[int] = None,
     backend: Optional[str] = None,
 ) -> ProfileResult:
-    """Run *program* classically with all profiling tracers attached.
+    """Run *program* classically under the dependence tracker.
+
+    The run's CPU is kept on the result: its statistics, energy account
+    and final state are exactly those of an untraced classic run with
+    the same budget, so it doubles as the classic baseline.
 
     *backend* selects the execution backend for the profiling run (None
     resolves from the environment).  Backends are trace-equivalent by
@@ -58,18 +62,20 @@ def profile_program(
     from ..telemetry.runtime import get_telemetry
 
     dependence = DependenceTracker()
-    loads = LoadProfiler()
-    locality = ValueLocalityTracker()
     cpu_cls = resolve_backend(backend).cpu_cls
     cpu = cpu_cls(
         program,
         model,
-        tracer=MultiTracer(dependence, loads, locality),
+        tracer=dependence,
         max_instructions=max_instructions or DEFAULT_MAX_INSTRUCTIONS,
     )
     with get_telemetry().span("profile", program=program.name) as span:
         stats = cpu.run()
         span.set(dynamic_instructions=stats.dynamic_instructions)
     return ProfileResult(
-        dependence=dependence, loads=loads, locality=locality, stats=stats, cpu=cpu
+        dependence=dependence,
+        loads=LoadProfiler.from_trace(dependence),
+        locality=ValueLocalityTracker.from_trace(dependence),
+        stats=stats,
+        cpu=cpu,
     )

@@ -18,7 +18,7 @@ import dataclasses
 from collections import Counter
 from typing import Dict, List, Optional
 
-from ..isa.opcodes import Category, Opcode
+from ..isa.opcodes import Category
 from .dependence import DependenceTracker
 
 #: Reuse-distance histogram bucket upper bounds (in distinct lines),
@@ -128,18 +128,18 @@ def summarise_trace(
 ) -> TraceSummary:
     """Summarise a dependence-tracked classic run."""
     mix_counts: Counter = Counter()
+    for info in tracker.static_pcs():
+        mix_counts[info.opcode.category.value] += len(info.instances)
     load_addresses: List[int] = []
     touched: set = set()
     stores = 0
-    for record in tracker.records:
-        mix_counts[record.opcode.category.value] += 1
-        if record.address is not None:
-            touched.add(record.address)
-            if record.opcode is Opcode.LD:
-                load_addresses.append(record.address)
-            elif record.opcode is Opcode.ST:
-                stores += 1
-    total = len(tracker.records)
+    for _, info, address, _, _ in tracker.memory_accesses():
+        touched.add(address)
+        if info.is_load:
+            load_addresses.append(address)
+        elif info.is_store:
+            stores += 1
+    total = len(tracker)
     mix = {
         name: count / total for name, count in mix_counts.items()
     } if total else {}
