@@ -27,7 +27,7 @@ from ..errors import ArithmeticFault, MachineFault, RecomputationMismatch
 from ..isa.instructions import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.operands import HistRef, Imm, Reg, SReg
-from ..isa.semantics import _EVALUATORS, evaluate, wrap_int64
+from ..isa.semantics import evaluate
 from ..machine.cpu import DEFAULT_MAX_INSTRUCTIONS, CPU
 from ..telemetry.runtime import get_telemetry
 from .hist import DEFAULT_HIST_CAPACITY, HistoryTable
@@ -36,25 +36,6 @@ from .policies import Decision, Policy, RcmpContext
 from .sfile import DEFAULT_SFILE_CAPACITY, Renamer, SFile
 
 Value = Union[int, float]
-
-_I64_MAX = (1 << 63) - 1
-_I64_MIN = -(1 << 63)
-
-#: Raw int templates for the wrap-distributive opcodes: for any ints,
-#: ``wrap(a OP b) == evaluator(a, b)`` (mod-2^64 arithmetic distributes
-#: over the input wraps; ``& 63`` and the bitwise ops depend only on the
-#: operands' low bits) — the same proof the fast backend's codegen
-#: relies on, so the slice fast path may skip the per-operand wraps and
-#: only range-check the result.
-_SLICE_INT_OPS = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: lambda a, b: a << (b & 63),
-}
 
 
 class AmnesicCPU(CPU):
@@ -96,17 +77,10 @@ class AmnesicCPU(CPU):
         self.recompute = False
         #: Slice ids that recomputed at least once (Table 5 bookkeeping).
         self.fired_slice_ids: set = set()
-        #: ``{slice_id: runner | None}`` predecoded traversal closures;
-        #: ``None`` marks a slice the fast path must not handle (see
-        #: :meth:`_build_slice_runner`).
-        self._slice_closures: dict = {}
 
     def __getstate__(self):
-        # Slice runners are closures over this instance's hot state —
-        # unpicklable and meaningless in another process.  Drop them;
-        # _traverse_slice rebuilds on demand.
+        # Cached telemetry handles belong to this process's session.
         state = dict(super().__getstate__())
-        state.pop("_slice_closures", None)
         state.pop("_rcmp_meters", None)
         return state
 
@@ -342,172 +316,12 @@ class AmnesicCPU(CPU):
             self.account.charge(group, cost)
 
     def _traverse_slice(self, info: SliceInfo) -> Value:
-        if self.tracer is None and self._timeline is None:
-            # Untraced runs take the predecoded fast path: nothing on
-            # the interpreted path below emits an observable event when
-            # no tracer/timeline is attached, so the closures can bind
-            # operands, evaluators, and memoised costs once per slice.
-            cache = self.__dict__.get("_slice_closures")
-            if cache is None:
-                cache = self.__dict__["_slice_closures"] = {}
-            try:
-                runner = cache[info.slice_id]
-            except KeyError:
-                runner = cache[info.slice_id] = self._build_slice_runner(
-                    info.slice_id
-                )
-            if runner is not None:
-                return runner()
-        return self._traverse_slice_interpreted(info)
+        """The reference traversal, one slice instruction at a time.
 
-    def _build_slice_runner(self, slice_id: int):
-        """Predecode one slice into a traversal closure, or ``None``.
-
-        The closure replays exactly what :meth:`_traverse_slice_interpreted`
-        does for an untraced run — same structure calls in the same
-        order (ibuff fetch, stat counts, Hist reads with their charges,
-        evaluation, Renamer writes, per-element charges, dynamic-index
-        increments) — so state after a traversal, *including* one
-        aborted mid-slice by an :class:`ArithmeticFault`, is identical.
-        Slices the interpreted path would fault on structurally (a
-        non-SReg destination, a missing RTN terminator, an opcode
-        without value semantics) predecode to ``None`` and stay on the
-        interpreted path, which raises at the exact same element.
+        The ``fast-batched`` backend overrides this with one generated
+        function per slice (:mod:`repro.machine.fastpath`), held to this
+        path exactly by the backend-equivalence oracle.
         """
-        region = self.program.slices[slice_id]
-        program = self.program
-        model = self.model
-        stats = self.stats
-        renamer = self.renamer
-        registers = self.registers
-        fetch = self.ibuff.fetch
-        hist_read = self.hist.read
-        count = stats.count_instruction
-        write = renamer.write
-        cpu = self
-        if self.concurrent_offload:
-            def charge(group, cost, _energy=self.account.charge_energy_only):
-                _energy(group, cost.energy_nj)
-        else:
-            charge = self.account.charge
-        hist_cost = model.hist_read_cost()
-
-        def make_reader(src):
-            if isinstance(src, SReg):
-                return lambda: renamer.read(src)
-            if isinstance(src, HistRef):
-                def read_hist(_leaf=src.leaf_id, _slot=src.slot):
-                    value = hist_read(slice_id, _leaf, _slot)
-                    charge(GROUP_HIST, hist_cost)
-                    stats.hist_reads += 1
-                    return value
-                return read_hist
-            if isinstance(src, Reg):
-                if src.index == 0:
-                    return lambda: 0
-                return lambda _i=src.index: registers[_i]
-            if isinstance(src, Imm):
-                return lambda _v=src.value: _v
-            return None
-
-        elements = []
-        for slice_pc in range(region.start, region.end - 1):
-            instruction = program.instruction_at(slice_pc)
-            fn = _EVALUATORS.get(instruction.opcode)
-            if fn is None or not isinstance(instruction.dest, SReg):
-                return None
-            readers = tuple(make_reader(src) for src in instruction.srcs)
-            if any(reader is None for reader in readers):
-                return None
-            category = instruction.category
-            cost = model.slice_instruction_cost(category)
-            dest = instruction.dest
-            opcode = instruction.opcode
-            int_op = _SLICE_INT_OPS.get(opcode)
-            if int_op is not None and len(readers) == 2:
-                def element(_pc=slice_pc, _cat=category, _cost=cost,
-                            _dest=dest, _fn=fn, _op=int_op,
-                            _r0=readers[0], _r1=readers[1]):
-                    fetch(_pc)
-                    count(_cat)
-                    stats.slice_instructions_executed += 1
-                    a = _r0()
-                    b = _r1()
-                    if type(a) is int and type(b) is int:
-                        x = _op(a, b)
-                        if x > _I64_MAX or x < _I64_MIN:
-                            x = wrap_int64(x)
-                    else:
-                        x = _fn(a, b)
-                    write(_dest, x)
-                    charge(GROUP_NONMEM, _cost)
-                    cpu._dynamic_index += 1
-            elif opcode in (Opcode.MOV, Opcode.LI) and len(readers) == 1:
-                # The evaluator is the identity for both.
-                def element(_pc=slice_pc, _cat=category, _cost=cost,
-                            _dest=dest, _r0=readers[0]):
-                    fetch(_pc)
-                    count(_cat)
-                    stats.slice_instructions_executed += 1
-                    write(_dest, _r0())
-                    charge(GROUP_NONMEM, _cost)
-                    cpu._dynamic_index += 1
-            elif len(readers) == 1:
-                def element(_pc=slice_pc, _cat=category, _cost=cost,
-                            _dest=dest, _fn=fn, _r0=readers[0]):
-                    fetch(_pc)
-                    count(_cat)
-                    stats.slice_instructions_executed += 1
-                    write(_dest, _fn(_r0()))
-                    charge(GROUP_NONMEM, _cost)
-                    cpu._dynamic_index += 1
-            elif len(readers) == 2:
-                def element(_pc=slice_pc, _cat=category, _cost=cost,
-                            _dest=dest, _fn=fn, _r0=readers[0],
-                            _r1=readers[1]):
-                    fetch(_pc)
-                    count(_cat)
-                    stats.slice_instructions_executed += 1
-                    write(_dest, _fn(_r0(), _r1()))
-                    charge(GROUP_NONMEM, _cost)
-                    cpu._dynamic_index += 1
-            else:
-                def element(_pc=slice_pc, _cat=category, _cost=cost,
-                            _dest=dest, _fn=fn, _readers=readers):
-                    fetch(_pc)
-                    count(_cat)
-                    stats.slice_instructions_executed += 1
-                    write(_dest, _fn(*[read() for read in _readers]))
-                    charge(GROUP_NONMEM, _cost)
-                    cpu._dynamic_index += 1
-            elements.append(element)
-
-        rtn = program.instruction_at(region.end - 1)
-        if rtn.opcode is not Opcode.RTN:
-            return None
-        elements = tuple(elements)
-        rtn_dest = rtn.dest
-        rtn_category = rtn.category
-        rtn_cost = model.rtn_cost()
-
-        def runner():
-            cpu.recompute = True
-            renamer.begin_slice()
-            try:
-                for element in elements:
-                    element()
-                result = renamer.read(rtn_dest)
-                count(rtn_category)
-                charge(GROUP_AMNESIC, rtn_cost)
-                cpu._dynamic_index += 1
-                return result
-            finally:
-                renamer.end_slice()
-                cpu.recompute = False
-
-        return runner
-
-    def _traverse_slice_interpreted(self, info: SliceInfo) -> Value:
         region = self.program.slices[info.slice_id]
         self.recompute = True
         self.renamer.begin_slice()

@@ -1,4 +1,4 @@
-"""Deliberately broken schedulers, batchers and replays for validating the oracle.
+"""Deliberately broken schedulers, batchers, replays and fast-path code.
 
 A differential fuzzer that has never caught a bug proves nothing.  These
 CPU variants inject known defects so the test suite can assert the whole
@@ -18,6 +18,7 @@ from typing import Iterator, Optional, Sequence
 from ..compiler import leaves
 from ..core.amnesic_cpu import AmnesicCPU
 from ..core.hist import HistoryTable
+from ..machine import fastpath
 from ..machine.cpu import CPU
 from ..machine.fastpath import BatchedExecutionMixin
 
@@ -121,6 +122,30 @@ def late_replay() -> Iterator[None]:
         leaves._ReplayScanner = original
 
 
+@contextlib.contextmanager
+def stale_load_lru() -> Iterator[None]:
+    """Generate fast-path code from an LD description without LRU promotion.
+
+    Bug: an L1 load hit no longer moves its line to the MRU end, so the
+    next miss in that set evicts the line the load just used.  Values
+    and energy of the hit itself are unchanged; the divergence appears
+    only at a later eviction (hit/miss counts, levels, charges, and the
+    cache contents).  Because every fast-path rendering — per-pc
+    functions, traced per-pc functions, fused regions — is generated
+    from the one description, this single edit must break all three.
+    """
+    original = fastpath._FAMILIES["ld"]
+    fastpath._FAMILIES["ld"] = tuple(
+        line for line in original if line != "    _cs.move_to_end(_ln)"
+    )
+    fastpath.clear_codegen_caches()
+    try:
+        yield
+    finally:
+        fastpath._FAMILIES["ld"] = original
+        fastpath.clear_codegen_caches()
+
+
 __all__ = [
     "EagerFireCPU",
     "LateFlushBatchedAmnesicCPU",
@@ -128,4 +153,5 @@ __all__ = [
     "LateReplayScanner",
     "SkipHistReadCPU",
     "late_replay",
+    "stale_load_lru",
 ]

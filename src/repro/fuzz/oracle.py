@@ -1,7 +1,8 @@
 """The differential oracle: amnesic execution must be invisible.
 
-For one spec the oracle runs the classic interpreter, compiles the
-program through the full profile→amnesic-compile pipeline, executes the
+For one spec the oracle profiles the program on the classic interpreter
+(that one run is also the classic baseline), compiles it through the
+full profile→amnesic-compile pipeline, executes the
 binary under every requested scheduler policy with inline verification
 *off* (so a scheduler bug surfaces as divergent architectural state, the
 way it would in production), and checks three families of invariants:
@@ -38,7 +39,7 @@ from ..compiler.amnesic_pass import (
     compile_amnesic,
 )
 from ..core.amnesic_cpu import AmnesicCPU
-from ..core.execution import _oracle_options, run_classic
+from ..core.execution import _oracle_options, classic_outcome
 from ..core.policies import POLICY_NAMES, make_policy
 from ..energy import EnergyModel, EPITable
 from ..energy.account import GROUP_AMNESIC, GROUP_HIST
@@ -50,6 +51,7 @@ from ..machine.config import (
     PAPER_L2_PARAMS,
     PAPER_MEM_PARAMS,
 )
+from ..trace.recorder import profile_program
 from .spec import ProgramSpec, materialize
 
 #: Generated programs are small loops; anything beyond this is a hang.
@@ -172,14 +174,17 @@ def check_program(
     )
     fail = verdict.failures.append
 
-    # Classic baseline.  A fault here is the spec's problem, not the
-    # pipeline's.
+    # Classic baseline: the profiling run, which both compiles share.  A
+    # fault here is the spec's problem, not the pipeline's.
     try:
-        classic = run_classic(program, model, max_instructions=max_instructions)
+        profile = profile_program(
+            program, model, max_instructions=max_instructions
+        )
     except ReproError as error:
         verdict.invalid = True
         verdict.invalid_reason = f"classic: {error}"
         return verdict
+    classic = classic_outcome(profile)
     _check_account(verdict, "classic", classic.account, classic_run=True)
     classic_registers = list(classic.cpu.registers)
     classic_memory = classic.cpu.memory.snapshot()
@@ -190,6 +195,7 @@ def check_program(
         probabilistic = compile_amnesic(
             program,
             model,
+            profile=profile,
             options=dataclasses.replace(
                 options, selection=SELECTION_PROBABILISTIC
             ),
@@ -206,7 +212,7 @@ def check_program(
             all_valid = compile_amnesic(
                 program,
                 model,
-                profile=probabilistic.profile,
+                profile=profile,
                 options=_oracle_options(options),
             )
         except ReproError as error:
@@ -387,7 +393,7 @@ def check_backend_equivalence(
     model: Optional[EnergyModel] = None,
     policies: Sequence[str] = POLICY_NAMES,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    backend: object = "fast",
+    backend: object = "fast-batched",
 ) -> OracleVerdict:
     """Hold a non-classic backend to the classic interpreter, exactly.
 
@@ -401,16 +407,17 @@ def check_backend_equivalence(
     semantics, so every comparison is exact — including float energy
     totals, which the fast backend must accumulate in the classic charge
     order.  Faults count too: a program that faults under classic must
-    fault under fast with the same exception type, message, and pc.
+    fault under the tested backend with the same exception type,
+    message, and pc.
 
     Failures carry kind ``"backend"``; the policy field is ``classic``
     for the plain-interpreter comparison and the policy name for the
     amnesic ones.
 
     ``backend`` picks the backend under test: a registry name
-    (``"fast"``, ``"fast-batched"``) or a ``Backend`` instance — the
-    latter is how the broken-batcher proof tests hand the oracle a
-    deliberately wrong implementation.
+    (``"fast-batched"``) or a ``Backend`` instance — the latter is how
+    the broken-batcher proof tests hand the oracle a deliberately wrong
+    implementation.
     """
     from ..core.backend import BACKENDS, Backend
 

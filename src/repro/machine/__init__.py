@@ -11,12 +11,7 @@ from .config import (
     paper_geometry,
 )
 from .cpu import DEFAULT_MAX_INSTRUCTIONS, CPU
-from .fastpath import (
-    BatchedExecutionMixin,
-    BatchedFastCPU,
-    FastCPU,
-    FastExecutionMixin,
-)
+from .fastpath import BatchedExecutionMixin, BatchedFastCPU
 from .hierarchy import Access, HierarchyStats, MemoryHierarchy
 from .memory import Memory
 from .stats import RunStats
@@ -31,8 +26,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_MAX_INSTRUCTIONS",
     "EvictedLine",
-    "FastCPU",
-    "FastExecutionMixin",
     "HierarchyStats",
     "LEVELS",
     "Level",

@@ -1,61 +1,64 @@
-"""The fast execution backend: predecoded closures over classic semantics.
+"""The fast execution backend: one description per opcode, four renderings.
 
-:class:`FastExecutionMixin` replaces the classic fetch/decode/dispatch
-loop of :class:`~repro.machine.cpu.CPU` with a *predecoded* program: one
-closure per static instruction, specialized at decode time over
+:class:`BatchedExecutionMixin` replaces the classic fetch/decode/dispatch
+loop of :class:`~repro.machine.cpu.CPU` with a predecoded program.  Each
+opcode family the fast path handles (compute, ``LD``, ``ST``, branches,
+``JMP``, ``JAL``, ``JR``, ``NOP``, ``REC``) is *described once*: a tuple
+of Python source lines that mirrors the classic handler statement for
+statement — same value semantics, same fault points and messages, same
+energy charges in the same order, same cache/LRU transitions.  The lines
+are written against placeholders (``$s0`` for the first operand, ``$gl``
+for the load-energy accumulator, ``$tt`` for modeled time, ``$pc`` ...)
+plus three hook lines (``dest``, ``emit``, ``mark``), and one description
+renders four ways:
 
-* the opcode's evaluator / branch condition (no per-dispatch dict walk),
-* the operand kinds (register reads and immediates are resolved to
-  direct indexed reads — no ``isinstance`` chains per dynamic
-  instruction),
-* the branch/jump target pcs (label lookups happen once per static
-  instruction, not once per dynamic one),
-* the energy/latency costs (plain ``float`` pairs instead of a
-  :class:`~repro.energy.account.Cost` allocation per charge).
+* **per-pc functions** — one zero-argument function per static
+  instruction that returns the next pc (``-1`` after ``HALT``), so a
+  straight-line stretch runs with no branch/halt checks.  Each comes
+  from a factory compiled once per opcode shape per process; the pc,
+  operand boxes, costs and targets bind per pc as default parameters,
+  and accumulators are charged where they live;
+* **traced per-pc functions** — the same lines, where the ``emit`` hook
+  builds the exact :class:`~repro.trace.events.InstructionEvent` the
+  classic handler hands the tracer at the point it calls ``_emit``;
+* **fused regions** — statically proven straight-line runs (see
+  :mod:`repro.staticcheck.regions`) concatenated into one generated
+  function, with accumulators hoisted into locals;
+* **fused slices** — the compute description again, fed by Renamer,
+  Hist and register operands, one generated function per RSlice.
 
-Each closure executes one instruction *bit-identically* to the classic
-handler — same value semantics, same energy charges in the same order,
-same cache/LRU state transitions, same fault types, messages, and
-fault-time architectural state — and returns the next pc (or ``-1``
-after ``HALT``).  Straight-line regions therefore run with no
-per-instruction branch/halt checks: the hot loop is an array index, a
-call, and a budget compare.
-
-The semantics/timing/observability contract a backend must honour:
+The contract every rendering honours:
 
 * **Semantics** live in :mod:`repro.isa.semantics` and
-  :class:`~repro.machine.memory.Memory` — closures call the same
-  evaluator lambdas and read/write the same cell dict.
+  :class:`~repro.machine.memory.Memory`.  Compute renders a guarded
+  inline form from :data:`_INLINE`, bit-exact whenever its type guard
+  holds, and otherwise calls the evaluator the classic handler calls.
 * **Timing/energy** live in :class:`~repro.energy.account.EnergyAccount`
-  and :class:`~repro.machine.hierarchy.MemoryHierarchy` — closures
-  inline only the L1-hit fast path (the dominant case) and delegate
-  every miss to :meth:`MemoryHierarchy._service_miss`, the exact code
-  the classic walk runs, so hit/miss/eviction/write-back accounting
+  and :class:`~repro.machine.hierarchy.MemoryHierarchy`.  Only the L1
+  hit is inlined; every miss runs
+  :meth:`~repro.machine.hierarchy.MemoryHierarchy._service_miss`, the
+  classic walk itself, so hit/miss/eviction/write-back accounting
   cannot diverge.
-* **Observability**: a run with a timeline attached falls back to the
-  classic loop (timelines sample mid-run state at instruction
-  granularity); a run under the hot-loop profiler uses the classic
-  profiled loop (the profiler measures the classic dispatch path); a
-  run with a tracer keeps the predecoded loop with *traced* closure
-  variants that construct the same
-  :class:`~repro.trace.events.InstructionEvent` the classic handler
-  would emit — same index, pc, operand values, result, address, level,
-  and branch outcome — so dependence/locality profiles built on the
-  event stream are identical.  The tracer is bound at decode time
-  (tracers are fixed at CPU construction), and opcodes without a traced
-  template (the amnesic control opcodes) thunk through the classic
-  handler, which emits via ``CPU._emit`` as before.
+* **Observability**: a run with a timeline attached uses the classic
+  loop (timelines sample mid-run state per instruction); a run under
+  the hot-loop profiler uses the classic profiled loop; a traced run
+  keeps the predecoded loop with traced per-pc functions and no fusion.
+  Tracers are fixed at CPU construction, so the variant is chosen at
+  decode time.  Opcodes without a description (``RCMP``, ``RTN``) and
+  statically odd instructions thunk through the classic handler, which
+  emits via ``CPU._emit``.
 
 Instruction counting (``RunStats.dynamic_instructions`` /
-``by_category``) is deferred to a per-pc hit-count array and flushed
-when the loop exits (including on faults, preserving the classic
-"count before execute" order); ``CPU._dynamic_index`` stays live
-because budgets, timelines, and event indices read it mid-run.
+``by_category``) is deferred to per-pc and per-region hit counts and
+flushed when the loop exits, faults included, preserving the classic
+count-before-execute order; ``CPU._dynamic_index`` stays live because
+budgets, timelines and event indices read it mid-run.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from functools import lru_cache
 
 from ..energy.account import (
@@ -68,10 +71,474 @@ from ..energy.account import (
 from ..errors import ExecutionLimitExceeded, MachineFault, MemoryFault
 from ..isa.opcodes import _OPCODE_CATEGORY, Category, Opcode
 from ..isa.operands import HistRef, Imm, Reg, SReg
-from ..isa.semantics import _BRANCH_CONDITIONS, _EVALUATORS, wrap_int64
+from ..isa.semantics import _EVALUATORS, wrap_int64
 from ..trace.events import InstructionEvent
 from .config import Level
 from .cpu import CPU
+
+# ----------------------------------------------------------------------
+# The descriptions.
+# ----------------------------------------------------------------------
+
+#: Signed 64-bit bounds, inlined as literals in generated code.
+_I64_MAX = (1 << 63) - 1
+_I64_MIN = -(1 << 63)
+
+#: Guarded inline forms of the compute opcodes, shared by every
+#: rendering: ``(operand type, ranged, wraps, expression)``.  Each is
+#: bit-exact with the evaluator whenever every runtime operand has the
+#: named type (``None``: any type):
+#:
+#: * wrapping int ops satisfy ``wrap(a OP b) == wrap(wrap(a) OP wrap(b))``
+#:   for *all* Python ints (``+ - *`` distribute over mod 2**64; the
+#:   bitwise ops and ``<<`` depend only on the operands' low 64 bits), so
+#:   only the result is range-checked;
+#: * ranged int ops are exact only when both operands are already in
+#:   signed-64 range, so the guard checks the operands and the result
+#:   never needs wrapping (``MIN``/``MAX`` mirror CPython's
+#:   first-argument-wins tie-breaking);
+#: * float ops are exact when both operands already are floats.
+_INLINE = {
+    Opcode.ADD: ("int", False, True, "{0} + {1}"),
+    Opcode.SUB: ("int", False, True, "{0} - {1}"),
+    Opcode.MUL: ("int", False, True, "{0} * {1}"),
+    Opcode.AND: ("int", False, True, "{0} & {1}"),
+    Opcode.OR: ("int", False, True, "{0} | {1}"),
+    Opcode.XOR: ("int", False, True, "{0} ^ {1}"),
+    Opcode.SHL: ("int", False, True, "{0} << ({1} & 63)"),
+    Opcode.SHR: ("int", True, False, "{0} >> ({1} & 63)"),
+    Opcode.SLT: ("int", True, False, "1 if {0} < {1} else 0"),
+    Opcode.SLE: ("int", True, False, "1 if {0} <= {1} else 0"),
+    Opcode.MIN: ("int", True, False, "{1} if {1} < {0} else {0}"),
+    Opcode.MAX: ("int", True, False, "{1} if {1} > {0} else {0}"),
+    Opcode.FADD: ("float", False, False, "{0} + {1}"),
+    Opcode.FSUB: ("float", False, False, "{0} - {1}"),
+    Opcode.FMUL: ("float", False, False, "{0} * {1}"),
+    Opcode.SEQ: (None, False, False, "1 if {0} == {1} else 0"),
+    Opcode.SNE: (None, False, False, "1 if {0} != {1} else 0"),
+    Opcode.MOV: (None, False, False, "{0}"),
+    Opcode.LI: (None, False, False, "{0}"),
+}
+
+#: Branch conditions, spelled exactly as ``isa.semantics`` evaluates them.
+_BRANCH_OPS = {
+    Opcode.BEQ: "==",
+    Opcode.BNE: "!=",
+    Opcode.BLT: "<",
+    Opcode.BGE: ">=",
+}
+
+#: Compute opcodes whose evaluator can raise a MachineFault; the call is
+#: wrapped to re-raise it tagged with the faulting pc.
+_FAULTABLE_COMPUTE = frozenset(
+    {Opcode.DIV, Opcode.REM, Opcode.FDIV, Opcode.FSQRT}
+)
+
+
+def _address(base, offset):
+    """Lines computing the effective address ``_a`` (``effective_address``)."""
+    return (
+        f"_a = {base} + {offset}",
+        "if isinstance(_a, float):",
+        "    if not _a.is_integer():",
+        "        raise _MF(f'non-integer effective address {_a}', pc=$pc)",
+        "    _a = int(_a)",
+    )
+
+
+#: The L1 set holding ``_a`` (the inlined half of ``MemoryHierarchy.load``).
+_L1_SET = ("_ln = _a >> _shift", "_cs = _l1sets[_ln % _nsets]", "if _ln in _cs:")
+
+#: Per-family descriptions.  Plain strings are source lines; tuples are
+#: ``(tag, text)``: ``dest`` writes the destination register, ``emit``
+#: retires the instruction (its text is the event's arguments after the
+#: pc and instruction), ``mark`` records a fault point, and any other
+#: tag keeps the line only when the rendering sets that flag.
+_FAMILIES = {
+    "ld": (
+        ("mark", ""),
+        *_address("$s0", "$s1"),
+        "try:",
+        "    _x = _cells[_a]",
+        "except KeyError:",
+        "    raise _MemF(f'read of unmapped address {_a:#x}') from None",
+        *_L1_SET,
+        "    $h1 += 1",
+        "    _cs.move_to_end(_ln)",
+        "    $lb1 += 1",
+        ("traced", "    _lv = _L1"),
+        "    $gl += _l1le",
+        "    $tt += _l1lt",
+        "else:",
+        "    $m1 += 1",
+        "    _lv = _smiss(_a, False)",
+        "    _lbl[_lv] += 1",
+        "    _me, _mt = _ldc[_lv]",
+        "    $gl += _me",
+        "    $tt += _mt",
+        "$ldn += 1",
+        ("dest", "_x"),
+        ("emit", "(), _x, _a, _lv"),
+    ),
+    "st": (
+        ("mark", ""),
+        "_x = $s0",
+        *_address("$s1", "$s2"),
+        ("ro", "if _ro(_a):"),
+        ("ro", "    raise _MemF(f'write to read-only address {_a:#x}')"),
+        "_cells[_a] = _x",
+        *_L1_SET,
+        "    $h1 += 1",
+        "    _cs[_ln] = True",
+        "    _cs.move_to_end(_ln)",
+        "    $sb1 += 1",
+        ("traced", "    _lv = _L1"),
+        "    $gs += _l1se",
+        "    $tt += _l1st",
+        "else:",
+        "    $m1 += 1",
+        "    _lv = _smiss(_a, True)",
+        "    _sbl[_lv] += 1",
+        "    _me, _mt = _stc[_lv]",
+        "    $gs += _me",
+        "    $tt += _mt",
+        "$stn += 1",
+        ("emit", "(_x,), None, _a, _lv"),
+    ),
+    "branch": (
+        "_y0 = $s0",
+        "_y1 = $s1",
+        "_k = _y0 $cmp _y1",
+        "$gn += $e",
+        "$tt += $t",
+        ("emit", "(_y0, _y1), None, None, None, _k"),
+        "if _k:",
+        "    _st.branches_taken += 1",
+        "    return $tg",
+        "return $nx",
+    ),
+    "jmp": (
+        ("emit", ""),
+        "$gn += $e",
+        "$tt += $t",
+        "return $tg",
+    ),
+    "jal": (
+        ("dest", "$nx"),
+        ("emit", "(), $nx"),
+        "$gn += $e",
+        "$tt += $t",
+        "return $tg",
+    ),
+    "jr": (
+        "_x = $s0",
+        "if not isinstance(_x, int) or not 0 <= _x < _lim:",
+        "    raise _MF(f'jump-register {_ins} to invalid pc {_x!r} '",
+        "              f'(valid pcs are 0..{_lim - 1})', pc=$pc)",
+        ("emit", "(_x,)"),
+        "$gn += $e",
+        "$tt += $t",
+        "return _x",
+    ),
+    "nop": (
+        ("emit", ""),
+        "$gn += $e",
+        "$tt += $t",
+    ),
+    "rec": (
+        "_v = ($srcs)",
+        "_rec($sid, $lid, _v)",
+        "_st.hist_writes += 1",
+        "$ga += $e",
+        "$tt += $t",
+        ("emit", "_v"),
+    ),
+}
+
+#: Families whose per-pc function falls through to ``pc + 1``.
+_FALLTHROUGH = frozenset({"compute", "ld", "st", "nop", "rec"})
+
+#: Operand counts the fixed-shape families read.
+_ARITY = {"ld": 2, "st": 3, "branch": 2, "jr": 1}
+
+#: Families whose ``dest`` hook writes an architectural register.
+_WRITES_DEST = frozenset({"compute", "ld", "jal"})
+
+#: Families a fused region may contain (the region analyzer admits no
+#: control transfer and no amnesic opcode).
+_FUSABLE = frozenset({"compute", "ld", "st", "nop"})
+
+
+@lru_cache(maxsize=None)
+def _compute_description(opcode, kinds):
+    """The compute family for one opcode and operand-kind tuple.
+
+    A kind is ``"rt"`` for a value known only at run time (read once
+    into ``_y<n>`` and type-guarded) or the kind of a constant operand
+    (see :func:`_const_kind`), which stays a literal.  The inline form
+    runs when its guard holds and the evaluator otherwise; the charge
+    is tagged ``time`` so concurrent-offload slices can hide latency.
+    """
+    args = [f"_y{n}" if kind == "rt" else f"$s{n}" for n, kind in enumerate(kinds)]
+    lines = [f"_y{n} = $s{n}" for n, kind in enumerate(kinds) if kind == "rt"]
+    call = [f"_x = $ev({', '.join(args)})"]
+    if opcode in _FAULTABLE_COMPUTE:
+        call = [
+            "try:",
+            "    " + call[0],
+            "except _MF as _f:",
+            "    raise type(_f)(str(_f), pc=$pc) from None",
+        ]
+    inline = _inline(opcode, kinds, args)
+    if inline is None:
+        lines += call
+    elif inline[0]:
+        guard, body = inline
+        lines.append(f"if {guard}:")
+        lines += ["    " + line for line in body]
+        lines.append("else:")
+        lines += ["    " + line for line in call]
+    else:
+        lines += inline[1]
+    values = "(" + "".join(f"{arg}, " for arg in args) + ")"
+    return (
+        *lines,
+        ("dest", "_x"),
+        "$gn += $e",
+        ("time", "$tt += $t"),
+        ("emit", f"{values}, _x"),
+    )
+
+
+def _inline(opcode, kinds, args):
+    """``(guard, lines)`` of the inline form, or None when it cannot apply."""
+    form = _INLINE.get(opcode)
+    if form is None:
+        return None
+    kind, ranged, wraps, template = form
+    if len(args) != (2 if "{1}" in template else 1):
+        return None
+    guards = []
+    for arg, operand in zip(args, kinds):
+        if operand == "rt":
+            if kind is not None:
+                guards.append(f"type({arg}) is {kind}")
+                if ranged:
+                    guards.append(f"{_I64_MIN} <= {arg} <= {_I64_MAX}")
+        elif kind == "int":
+            if operand != "int" and (ranged or operand != "big"):
+                return None
+        elif kind == "float" and operand != "float":
+            return None
+    lines = [f"_x = {template.format(*args)}"]
+    if wraps:
+        lines += [f"if _x > {_I64_MAX} or _x < {_I64_MIN}:", "    _x = _wi(_x)"]
+    return " and ".join(guards), lines
+
+
+def _const_kind(value):
+    """Operand kind of a constant: in-range int, out-of-range int, float."""
+    if type(value) is int:
+        return "int" if _I64_MIN <= value <= _I64_MAX else "big"
+    return "float" if type(value) is float else "other"
+
+
+def _description(family, opcode, kinds):
+    if family == "compute":
+        return _compute_description(opcode, kinds)
+    return _FAMILIES[family]
+
+
+# ----------------------------------------------------------------------
+# Rendering.
+# ----------------------------------------------------------------------
+
+#: Accumulator placeholder -> (home, hoisted local, counts).  Per-pc
+#: functions charge the home directly; fused regions and slices keep a
+#: local and write it back on every exit.  Float accumulators load and
+#: store the home, so additions happen in classic order on the running
+#: value; counts start at zero and add their delta, because
+#: ``_service_miss`` updates other fields of the same stats objects.
+_ACCUMULATORS = {
+    "tt": ("_ac._time_ns", "_tt", False),
+    "gn": ("_eg[_GN]", "_gn", False),
+    "gl": ("_eg[_GL]", "_gl", False),
+    "gs": ("_eg[_GS]", "_gs", False),
+    "ga": ("_eg[_GA]", "_ga", False),
+    "gh": ("_eg[_GH]", "_gh", False),
+    "h1": ("_l1h.hits", "_h1", True),
+    "m1": ("_l1h.misses", "_m1", True),
+    "lb1": ("_lbl[_L1]", "_lb1", True),
+    "sb1": ("_sbl[_L1]", "_sb1", True),
+    "ldn": ("_st.loads_performed", "_ldn", True),
+    "stn": ("_st.stores_performed", "_stn", True),
+    "hn": ("_st.hist_reads", "_hn", True),
+}
+_AT_HOME = {key: home for key, (home, _, _) in _ACCUMULATORS.items()}
+_HOISTED = {key: local for key, (_, local, _) in _ACCUMULATORS.items()}
+
+_PLACEHOLDER = re.compile(r"\$(\w+)")
+#: Generated code names its bindings and locals with a leading ``_``.
+_NAME = re.compile(r"(?<![\w.])_\w+")
+#: Names a per-pc function binds per pc (see :meth:`_Decoder.function`).
+_PER_PC = re.compile(r"_(?:pc|nx|tg|e|t|ev|ins|sid|lid|db|di|[bi]\d+)")
+
+
+@lru_cache(maxsize=None)
+def _formats(items):
+    """The parsed form of one description.
+
+    Returns its items as ``(tag, %-format)`` pairs (tag None when plain),
+    the placeholders it uses, and the names it spells out literally.
+    """
+    out = []
+    for item in items:
+        tag, text = item if type(item) is tuple else (None, item)
+        out.append((tag, _PLACEHOLDER.sub(r"%(\1)s", text.replace("%", "%%"))))
+    raw = "\n".join(item if type(item) is str else item[1] for item in items)
+    return (
+        tuple(out),
+        frozenset(_PLACEHOLDER.findall(raw)),
+        frozenset(_NAME.findall(_PLACEHOLDER.sub("", raw))),
+    )
+
+
+def _render(items, subs, flags, hooks):
+    """Substitute one description into source lines for one rendering.
+
+    *flags* names the tagged lines to keep; *hooks* maps a hook tag to a
+    function from its substituted text to the lines it stands for (a
+    hook the rendering does not define renders as nothing).
+    """
+    lines = []
+    for tag, fmt in _formats(items)[0]:
+        text = fmt % subs
+        if tag is None or tag in flags:
+            lines.append(text)
+        elif tag in hooks:
+            lines.extend(hooks[tag](text))
+    return lines
+
+
+def _hoist(keys):
+    """Prologue, write-back and home names for the accumulators in *keys*."""
+    prologue, writeback, names = [], [], set()
+    for key, (home, local, counts) in _ACCUMULATORS.items():
+        if key in keys:
+            prologue.append(f"{local} = 0" if counts else f"{local} = {home}")
+            writeback.append(
+                f"{home} += {local}" if counts else f"{home} = {local}"
+            )
+            names.update(_NAME.findall(home))
+    return prologue, writeback, names
+
+
+def _counted_emit(args):
+    return ["_cpu._dynamic_index += 1"]
+
+
+def _traced_emit(args):
+    event = f"_Ev(_ix, _pc, _ins, {args})" if args else "_Ev(_ix, _pc, _ins)"
+    return [
+        "_ix = _cpu._dynamic_index",
+        "_cpu._dynamic_index = _ix + 1",
+        f"_emit({event})",
+    ]
+
+
+def _per_pc_dest(value):
+    return [f"_db[_di] = {value}"]
+
+
+@lru_cache(maxsize=None)
+def _factory(shape, environment):
+    """Compile the per-pc function factory for one opcode shape.
+
+    *shape* is ``(family, opcode, arity, traced, read_only)``; ``opcode``
+    is None for families that render the same for every opcode.
+    *environment* names the run-dependent values a CPU binds (see
+    :meth:`_Decoder.__init__`).  Returns ``(make, env_names, pc_names)``:
+    ``make(*env)`` binds one CPU's environment and returns
+    ``bind(*per_pc)``, which instantiates the zero-argument function for
+    one pc.
+    """
+    family, opcode, arity, traced, read_only = shape
+    subs = dict(_AT_HOME)
+    subs.update(
+        pc="_pc", nx="_nx", tg="_tg", e="_e", t="_t", ev="_ev",
+        sid="_sid", lid="_lid", cmp=_BRANCH_OPS.get(opcode, ""),
+        srcs="".join(f"_b{n}[_i{n}], " for n in range(arity)),
+    )
+    for n in range(arity):
+        subs[f"s{n}"] = f"_b{n}[_i{n}]"
+    flags = {"time"}
+    if traced:
+        flags.add("traced")
+    if read_only:
+        flags.add("ro")
+    hooks = {
+        "dest": _per_pc_dest,
+        "emit": _traced_emit if traced else _counted_emit,
+    }
+    lines = _render(
+        _description(family, opcode, ("rt",) * arity), subs, flags, hooks
+    )
+    if family in _FALLTHROUGH:
+        lines.append("return _nx")
+    body = "\n".join(" " * 12 + line for line in lines)
+    names = set(_NAME.findall(body))
+    env_names = sorted(names & environment)
+    pc_names = sorted(name for name in names if _PER_PC.fullmatch(name))
+    defaults = ", ".join(f"{name}={name}" for name in pc_names + env_names)
+    source = (
+        f"def _make({', '.join(env_names)}):\n"
+        f"    def _bind({', '.join(pc_names)}):\n"
+        f"        def _f({defaults}):\n"
+        f"{body}\n"
+        f"        return _f\n"
+        f"    return _bind\n"
+    )
+    namespace = {}
+    label = family if opcode is None else opcode.value
+    exec(compile(source, f"<fastpath {label}/{arity}>", "exec"), namespace)
+    return namespace["_make"], env_names, pc_names
+
+
+@lru_cache(maxsize=2048)
+def _compiled_region(source, filename):
+    """Compile one fused region or slice source, cached across CPUs.
+
+    The generated source embeds only pcs, opcodes, and operand indices;
+    every run-dependent value (registers, accounts, costs, evaluators)
+    binds through default parameters at ``exec`` time.  The harness
+    builds a fresh CPU per policy run over the same program, so the
+    ``compile`` — which dominates the batched decode — is shared.
+    """
+    return compile(source, filename, "exec")
+
+
+def _define(name, lines, values, filename):
+    """Compile ``def name(...)`` over indented *lines* and return it.
+
+    Every entry of *values* binds as a default parameter (a fast local).
+    """
+    signature = ", ".join(f"{key}={key}" for key in sorted(values))
+    source = f"def {name}({signature}):\n" + "\n".join(lines) + "\n"
+    namespace = dict(values)
+    exec(_compiled_region(source, filename), namespace)
+    return namespace[name]
+
+
+def clear_codegen_caches():
+    """Drop every compiled factory, region and slice (descriptions changed)."""
+    _factory.cache_clear()
+    _compiled_region.cache_clear()
+    _compute_description.cache_clear()
+
+
+# ----------------------------------------------------------------------
+# Per-pc decode.
+# ----------------------------------------------------------------------
 
 
 def _operand_box(registers, operand):
@@ -79,35 +546,32 @@ def _operand_box(registers, operand):
 
     Registers read ``cpu.registers[index]``; immediates read a one-slot
     constant tuple.  Both cost one indexed load, so every operand-kind
-    combination collapses into a single closure template.  Returns None
-    for operands that need the classic slow path (SReg/HistRef).
+    combination shares one factory.  Returns None for operands that
+    need the classic slow path (SReg/HistRef).
     """
     if isinstance(operand, Reg):
-        # r0 is never written (write_register discards), so reading the
-        # backing slot is equivalent to the classic hardwired zero.
+        # r0 is never written (destination r0 writes go to a sink), so
+        # reading the backing slot is the classic hardwired zero.
         return registers, operand.index
     if isinstance(operand, Imm):
         return (operand.value,), 0
     return None
 
 
-class _ProgramDecoder:
-    """Builds the per-pc closure table for one CPU instance."""
+class _Decoder:
+    """Builds one CPU's per-pc function table from the descriptions."""
 
     def __init__(self, cpu: CPU):
         self.cpu = cpu
         self.program = cpu.program
         self.registers = cpu.registers
-        self.stats = cpu.stats
-        self.account = cpu.account
-        self.energy = cpu.account._energy_by_group
-        self.cells = cpu.memory._cells
-        model = cpu.model
-        config = model.config
-        self.load_costs = {}
-        self.store_costs = {}
+        self.model = cpu.model
+        self.hist = getattr(cpu, "hist", None)
+        config = self.model.config
+        load_costs = {}
+        store_costs = {}
         for level in Level:
-            self.load_costs[level] = (
+            load_costs[level] = (
                 config.load_energy_nj(level),
                 config.load_latency_ns(level),
             )
@@ -117,9 +581,54 @@ class _ProgramDecoder:
             # same order, so charges stay bit-identical).
             store_energy = config.load_energy_nj(level)
             store_energy += params.write_energy_nj - params.read_energy_nj
-            self.store_costs[level] = (store_energy, params.latency_ns)
+            store_costs[level] = (store_energy, params.latency_ns)
+        memory = cpu.memory
+        hierarchy = cpu.hierarchy
+        l1 = hierarchy.l1
+        tracer = cpu.tracer
+        self.traced = tracer is not None
+        # With no read-only ranges configured the classic check can
+        # never fire; stores then render without it.
+        self.read_only = bool(memory._read_only)
+        self.env = {
+            "_r": cpu.registers,
+            "_eg": cpu.account._energy_by_group,
+            "_ac": cpu.account,
+            "_st": cpu.stats,
+            "_cpu": cpu,
+            "_cells": memory._cells,
+            "_ro": memory.is_read_only,
+            "_l1sets": l1._sets,
+            "_shift": l1._line_shift,
+            "_nsets": l1.geometry.sets,
+            "_l1h": l1.stats,
+            "_smiss": hierarchy._service_miss,
+            "_lbl": hierarchy.stats.loads_by_level,
+            "_sbl": hierarchy.stats.stores_by_level,
+            "_ldc": load_costs,
+            "_stc": store_costs,
+            "_l1le": load_costs[Level.L1][0],
+            "_l1lt": load_costs[Level.L1][1],
+            "_l1se": store_costs[Level.L1][0],
+            "_l1st": store_costs[Level.L1][1],
+            "_lim": len(self.program.instructions),
+            "_rec": None if self.hist is None else self.hist.record,
+            "_emit": None if tracer is None else tracer.on_instruction,
+            "_Ev": InstructionEvent,
+            "_MF": MachineFault,
+            "_MemF": MemoryFault,
+            "_GN": GROUP_NONMEM,
+            "_GL": GROUP_LOAD,
+            "_GS": GROUP_STORE,
+            "_GA": GROUP_AMNESIC,
+            "_GH": GROUP_HIST,
+            "_L1": Level.L1,
+            "_wi": wrap_int64,
+        }
+        #: Destination box for r0: writes land here and are never read.
+        self.sink = [0]
         self._compute_costs = {}
-        self.model = model
+        self._binders = {}
 
     def compute_cost(self, category):
         pair = self._compute_costs.get(category)
@@ -128,11 +637,88 @@ class _ProgramDecoder:
             pair = self._compute_costs[category] = (cost.energy_nj, cost.time_ns)
         return pair
 
-    # ------------------------------------------------------------------
-    # Decode driver.
-    # ------------------------------------------------------------------
+    def classify(self, pc, instruction):
+        """``(family, constants)`` for a described instruction, else None.
+
+        None leaves the pc on the classic handler, which keeps every
+        statically odd case (an undefined label, a non-register
+        destination, an opcode without value semantics) faulting at run
+        time exactly as classic does.
+        """
+        opcode = instruction.opcode
+        category = _OPCODE_CATEGORY[opcode]
+        consts = {"_pc": pc, "_nx": pc + 1, "_ins": instruction}
+        if category.is_compute:
+            family = "compute"
+            consts["_ev"] = _EVALUATORS.get(opcode)
+            if consts["_ev"] is None:
+                return None
+        elif category is Category.BRANCH:
+            family = "branch"
+            if opcode not in _BRANCH_OPS:
+                return None
+        else:
+            family = opcode.value
+            if family not in _FAMILIES:
+                return None
+        arity = len(instruction.srcs)
+        if arity != _ARITY.get(family, arity):
+            return None
+        if family in _WRITES_DEST and not isinstance(instruction.dest, Reg):
+            return None
+        if family in ("branch", "jmp", "jal"):
+            consts["_tg"] = self.program.labels.get(instruction.target)
+            if consts["_tg"] is None:
+                return None
+        if family == "rec":
+            if self.hist is None:
+                return None
+            cost = self.model.rec_cost()
+            consts.update(
+                _e=cost.energy_nj, _t=cost.time_ns,
+                _sid=instruction.slice_id, _lid=instruction.leaf_id,
+            )
+        elif family not in ("ld", "st"):
+            consts["_e"], consts["_t"] = self.compute_cost(category)
+        return family, consts
+
+    def function(self, pc, instruction, found):
+        """The per-pc function of one instruction (*found*: its class)."""
+        if instruction.opcode is Opcode.HALT:
+            return _halt(self.cpu, pc, instruction)
+        if found is None:
+            return _thunk(self.cpu, pc, instruction)
+        family, consts = found
+        values = dict(consts)
+        for n, src in enumerate(instruction.srcs):
+            box = _operand_box(self.registers, src)
+            if box is None:
+                return _thunk(self.cpu, pc, instruction)
+            values[f"_b{n}"], values[f"_i{n}"] = box
+        dest = instruction.dest
+        if isinstance(dest, Reg):
+            values["_db"], values["_di"] = (
+                (self.registers, dest.index) if dest.index else (self.sink, 0)
+            )
+        shape = (
+            family,
+            instruction.opcode if family in ("compute", "branch") else None,
+            len(instruction.srcs),
+            self.traced,
+            family == "st" and self.read_only,
+        )
+        binder = self._binders.get(shape)
+        if binder is None:
+            make, env_names, pc_names = _factory(shape, frozenset(self.env))
+            binder = self._binders[shape] = (
+                make(*[self.env[name] for name in env_names]),
+                pc_names,
+            )
+        bind, pc_names = binder
+        return bind(*[values[name] for name in pc_names])
+
     def decode(self):
-        """Return ``(fns, cats)``: per-pc closures + per-pc categories.
+        """Return ``(fns, cats)``: per-pc functions + per-pc categories.
 
         ``fns`` has one trailing sentinel entry (index ``len(program)``)
         raising the classic "ran off the end" fault, so the hot loop
@@ -140,877 +726,86 @@ class _ProgramDecoder:
         hit count is never flushed into RunStats — the classic loop
         faults on fetch *before* counting, and so do we.
         """
-        cpu = self.cpu
-        tracer = cpu.tracer
-        fns = []
-        cats = []
-        for pc, instruction in enumerate(self.program.instructions):
-            cats.append(_OPCODE_CATEGORY[instruction.opcode])
-            fn = None
-            if instruction.opcode is Opcode.HALT:
-                fn = self._make_halt(pc, instruction)
-            elif tracer is None:
-                fn = self._make_specialized(pc, instruction)
-            else:
-                fn = self._make_traced(pc, instruction, tracer.on_instruction)
-            if fn is None:
-                fn = self._make_thunk(pc, instruction)
-            fns.append(fn)
-        fns.append(self._make_off_end(len(fns)))
+        instructions = self.program.instructions
+        self.found = [
+            self.classify(pc, ins) for pc, ins in enumerate(instructions)
+        ]
+        fns = [
+            self.function(pc, ins, found)
+            for pc, (ins, found) in enumerate(zip(instructions, self.found))
+        ]
+        cats = [_OPCODE_CATEGORY[ins.opcode] for ins in instructions]
+        fns.append(_off_end(len(fns)))
         cats.append(None)
         return fns, cats
 
-    def _make_specialized(self, pc, instruction):
-        opcode = instruction.opcode
-        category = _OPCODE_CATEGORY[opcode]
-        if category.is_compute:
-            return self._make_compute(pc, instruction)
-        if opcode is Opcode.LD:
-            return self._make_load(pc, instruction)
-        if opcode is Opcode.ST:
-            return self._make_store(pc, instruction)
-        if category is Category.BRANCH:
-            return self._make_branch(pc, instruction)
-        if opcode is Opcode.JMP:
-            return self._make_jmp(pc, instruction)
-        if opcode is Opcode.JAL:
-            return self._make_jal(pc, instruction)
-        if opcode is Opcode.JR:
-            return self._make_jr(pc, instruction)
-        if opcode is Opcode.NOP:
-            return self._make_nop(pc, instruction)
-        if opcode is Opcode.REC:
-            return self._make_rec(pc, instruction)
-        return None
 
-    def _make_traced(self, pc, instruction, emit):
-        """Specialized closure that also emits the classic trace event.
+def _halt(cpu, pc, instruction):
+    def f(cpu=cpu, pc=pc, instruction=instruction):
+        cpu.pc = pc
+        cpu._emit(instruction)
+        cpu.halted = True
+        return -1
 
-        Each traced template performs the same specialized work as its
-        untraced sibling and then constructs the exact
-        :class:`InstructionEvent` the classic handler would pass to the
-        tracer: operand values read once and reused, results/addresses/
-        service levels captured mid-execution, the event index taken
-        from the live ``_dynamic_index``.  Fault paths emit nothing,
-        matching classic handlers (which fault before ``_emit``).
-        """
-        opcode = instruction.opcode
-        category = _OPCODE_CATEGORY[opcode]
-        if category.is_compute:
-            return self._make_traced_compute(pc, instruction, emit)
-        if opcode is Opcode.LD:
-            return self._make_traced_load(pc, instruction, emit)
-        if opcode is Opcode.ST:
-            return self._make_traced_store(pc, instruction, emit)
-        if category is Category.BRANCH:
-            return self._make_traced_branch(pc, instruction, emit)
-        if opcode is Opcode.JMP:
-            return self._make_traced_jmp(pc, instruction, emit)
-        if opcode is Opcode.JAL:
-            return self._make_traced_jal(pc, instruction, emit)
-        if opcode is Opcode.JR:
-            return self._make_traced_jr(pc, instruction, emit)
-        if opcode is Opcode.NOP:
-            return self._make_traced_nop(pc, instruction, emit)
-        # Amnesic control opcodes and odd instructions thunk: the
-        # classic handler emits via CPU._emit.
-        return None
+    return f
 
-    def _boxes(self, srcs):
-        boxes = []
-        for src in srcs:
-            box = _operand_box(self.registers, src)
-            if box is None:
-                return None
-            boxes.append(box)
-        return boxes
 
-    # ------------------------------------------------------------------
-    # Closure templates.  Each mirrors the classic handler line by line:
-    # same operation order, same fault points, same charges.
-    # ------------------------------------------------------------------
-    def _make_compute(self, pc, instruction):
-        evaluator = _EVALUATORS.get(instruction.opcode)
-        if evaluator is None or not isinstance(instruction.dest, Reg):
-            return None
-        boxes = self._boxes(instruction.srcs)
-        if boxes is None:
-            return None
-        energy_nj, time_ns = self.compute_cost(instruction.category)
-        regs = self.registers
-        energy = self.energy
-        account = self.account
-        cpu = self.cpu
-        dest = instruction.dest.index
-        nxt = pc + 1
+def _thunk(cpu, pc, instruction):
+    """Classic-handler fallback: exact semantics at dispatch-table speed.
 
-        if len(boxes) == 2:
-            (b0, i0), (b1, i1) = boxes
-
-            def f(
-                evaluator=evaluator, b0=b0, i0=i0, b1=b1, i1=i1, regs=regs,
-                dest=dest, energy=energy, account=account, cpu=cpu,
-                energy_nj=energy_nj, time_ns=time_ns, nxt=nxt, pc=pc,
-            ):
-                try:
-                    result = evaluator(b0[i0], b1[i1])
-                except MachineFault as fault:
-                    raise type(fault)(str(fault), pc=pc) from None
-                if dest:
-                    regs[dest] = result
-                energy[GROUP_NONMEM] += energy_nj
-                account._time_ns += time_ns
-                cpu._dynamic_index += 1
-                return nxt
-
-            return f
-
-        if len(boxes) == 1:
-            ((b0, i0),) = boxes
-
-            def f(
-                evaluator=evaluator, b0=b0, i0=i0, regs=regs, dest=dest,
-                energy=energy, account=account, cpu=cpu,
-                energy_nj=energy_nj, time_ns=time_ns, nxt=nxt, pc=pc,
-            ):
-                try:
-                    result = evaluator(b0[i0])
-                except MachineFault as fault:
-                    raise type(fault)(str(fault), pc=pc) from None
-                if dest:
-                    regs[dest] = result
-                energy[GROUP_NONMEM] += energy_nj
-                account._time_ns += time_ns
-                cpu._dynamic_index += 1
-                return nxt
-
-            return f
-
-        def f(
-            evaluator=evaluator, boxes=tuple(boxes), regs=regs, dest=dest,
-            energy=energy, account=account, cpu=cpu,
-            energy_nj=energy_nj, time_ns=time_ns, nxt=nxt, pc=pc,
-        ):
-            try:
-                result = evaluator(*[b[i] for b, i in boxes])
-            except MachineFault as fault:
-                raise type(fault)(str(fault), pc=pc) from None
-            if dest:
-                regs[dest] = result
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            cpu._dynamic_index += 1
-            return nxt
-
-        return f
-
-    def _address_parts(self, base, offset):
-        box0 = _operand_box(self.registers, base)
-        box1 = _operand_box(self.registers, offset)
-        if box0 is None or box1 is None:
-            return None
-        return box0, box1
-
-    def _make_load(self, pc, instruction):
-        if not isinstance(instruction.dest, Reg):
-            return None
-        parts = self._address_parts(instruction.srcs[0], instruction.srcs[1])
-        if parts is None:
-            return None
-        (b0, i0), (b1, i1) = parts
-        cpu = self.cpu
-        hierarchy = cpu.hierarchy
-        l1 = hierarchy.l1
-
-        def f(
-            b0=b0, i0=i0, b1=b1, i1=i1, pc=pc, nxt=pc + 1,
-            cells=self.cells, regs=self.registers, dest=instruction.dest.index,
-            l1_sets=l1._sets, shift=l1._line_shift, nsets=l1.geometry.sets,
-            l1_stats=l1.stats, service_miss=hierarchy._service_miss,
-            loads_by_level=hierarchy.stats.loads_by_level, l1_level=Level.L1,
-            l1_cost=self.load_costs[Level.L1], load_costs=self.load_costs,
-            stats=self.stats, energy=self.energy, account=self.account, cpu=cpu,
-        ):
-            address = b0[i0] + b1[i1]
-            if isinstance(address, float):
-                if not address.is_integer():
-                    raise MachineFault(
-                        f"non-integer effective address {address}", pc=pc
-                    )
-                address = int(address)
-            try:
-                value = cells[address]
-            except KeyError:
-                raise MemoryFault(
-                    f"read of unmapped address {address:#x}"
-                ) from None
-            line = address >> shift
-            cache_set = l1_sets[line % nsets]
-            if line in cache_set:
-                l1_stats.hits += 1
-                cache_set.move_to_end(line)
-                loads_by_level[l1_level] += 1
-                energy_nj, time_ns = l1_cost
-            else:
-                l1_stats.misses += 1
-                level = service_miss(address, False)
-                loads_by_level[level] += 1
-                energy_nj, time_ns = load_costs[level]
-            energy[GROUP_LOAD] += energy_nj
-            account._time_ns += time_ns
-            stats.loads_performed += 1
-            if dest:
-                regs[dest] = value
-            cpu._dynamic_index += 1
-            return nxt
-
-        return f
-
-    def _make_store(self, pc, instruction):
-        value_box = _operand_box(self.registers, instruction.srcs[0])
-        parts = self._address_parts(instruction.srcs[1], instruction.srcs[2])
-        if value_box is None or parts is None:
-            return None
-        (b0, i0), (b1, i1) = parts
-        bv, iv = value_box
-        cpu = self.cpu
-        memory = cpu.memory
-        hierarchy = cpu.hierarchy
-        l1 = hierarchy.l1
-        # With no read-only ranges configured the classic check can
-        # never fire; drop it from the hot path entirely.
-        read_only = memory.is_read_only if memory._read_only else None
-
-        def f(
-            bv=bv, iv=iv, b0=b0, i0=i0, b1=b1, i1=i1, pc=pc, nxt=pc + 1,
-            cells=self.cells, read_only=read_only,
-            l1_sets=l1._sets, shift=l1._line_shift, nsets=l1.geometry.sets,
-            l1_stats=l1.stats, service_miss=hierarchy._service_miss,
-            stores_by_level=hierarchy.stats.stores_by_level, l1_level=Level.L1,
-            l1_cost=self.store_costs[Level.L1], store_costs=self.store_costs,
-            stats=self.stats, energy=self.energy, account=self.account, cpu=cpu,
-        ):
-            value = bv[iv]
-            address = b0[i0] + b1[i1]
-            if isinstance(address, float):
-                if not address.is_integer():
-                    raise MachineFault(
-                        f"non-integer effective address {address}", pc=pc
-                    )
-                address = int(address)
-            if read_only is not None and read_only(address):
-                raise MemoryFault(f"write to read-only address {address:#x}")
-            cells[address] = value
-            line = address >> shift
-            cache_set = l1_sets[line % nsets]
-            if line in cache_set:
-                l1_stats.hits += 1
-                cache_set[line] = True
-                cache_set.move_to_end(line)
-                stores_by_level[l1_level] += 1
-                energy_nj, time_ns = l1_cost
-            else:
-                l1_stats.misses += 1
-                level = service_miss(address, True)
-                stores_by_level[level] += 1
-                energy_nj, time_ns = store_costs[level]
-            energy[GROUP_STORE] += energy_nj
-            account._time_ns += time_ns
-            stats.stores_performed += 1
-            cpu._dynamic_index += 1
-            return nxt
-
-        return f
-
-    def _make_branch(self, pc, instruction):
-        condition = _BRANCH_CONDITIONS.get(instruction.opcode)
-        if condition is None:
-            return None
-        boxes = self._boxes(instruction.srcs)
-        if boxes is None or len(boxes) != 2:
-            return None
-        taken_pc = self._target_pc(instruction)
-        if taken_pc is None:
-            return None
-        (b0, i0), (b1, i1) = boxes
-        energy_nj, time_ns = self.compute_cost(Category.BRANCH)
-
-        def f(
-            condition=condition, b0=b0, i0=i0, b1=b1, i1=i1,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            stats=self.stats, energy_nj=energy_nj, time_ns=time_ns,
-            taken_pc=taken_pc, nxt=pc + 1,
-        ):
-            taken = condition(b0[i0], b1[i1])
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            cpu._dynamic_index += 1
-            if taken:
-                stats.branches_taken += 1
-                return taken_pc
-            return nxt
-
-        return f
-
-    def _target_pc(self, instruction):
-        """Resolve the static jump/branch target, or None for the slow path.
-
-        An undefined label keeps the classic at-execution fault by
-        leaving the pc thunked.
-        """
-        return self.program.labels.get(instruction.target)
-
-    def _make_jmp(self, pc, instruction):
-        target_pc = self._target_pc(instruction)
-        if target_pc is None:
-            return None
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-
-        def f(
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, target_pc=target_pc,
-        ):
-            cpu._dynamic_index += 1
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target_pc
-
-        return f
-
-    def _make_jal(self, pc, instruction):
-        target_pc = self._target_pc(instruction)
-        if target_pc is None or not isinstance(instruction.dest, Reg):
-            return None
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-
-        def f(
-            regs=self.registers, dest=instruction.dest.index, return_pc=pc + 1,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, target_pc=target_pc,
-        ):
-            if dest:
-                regs[dest] = return_pc
-            cpu._dynamic_index += 1
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target_pc
-
-        return f
-
-    def _make_jr(self, pc, instruction):
-        box = _operand_box(self.registers, instruction.srcs[0])
-        if box is None:
-            return None
-        b0, i0 = box
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-        limit = len(self.program.instructions)
-
-        def f(
-            b0=b0, i0=i0, limit=limit, pc=pc, instruction=instruction,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns,
-        ):
-            target = b0[i0]
-            if not isinstance(target, int) or not 0 <= target < limit:
-                raise MachineFault(
-                    f"jump-register {instruction} to invalid pc {target!r} "
-                    f"(valid pcs are 0..{limit - 1})",
-                    pc=pc,
-                )
-            cpu._dynamic_index += 1
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target
-
-        return f
-
-    def _make_nop(self, pc, instruction):
-        energy_nj, time_ns = self.compute_cost(Category.NOP)
-
-        def f(
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, nxt=pc + 1,
-        ):
-            cpu._dynamic_index += 1
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return nxt
-
-        return f
-
-    def _make_rec(self, pc, instruction):
-        """REC fast path, available only on amnesic machines."""
-        hist = getattr(self.cpu, "hist", None)
-        if hist is None:
-            return None
-        boxes = self._boxes(instruction.srcs)
-        if boxes is None:
-            return None
-        cost = self.model.rec_cost()
-
-        def f(
-            boxes=tuple(boxes), record=hist.record,
-            slice_id=instruction.slice_id, leaf_id=instruction.leaf_id,
-            stats=self.stats, energy=self.energy, account=self.account,
-            cpu=self.cpu, energy_nj=cost.energy_nj, time_ns=cost.time_ns,
-            nxt=pc + 1,
-        ):
-            values = tuple(b[i] for b, i in boxes)
-            record(slice_id, leaf_id, values)
-            stats.hist_writes += 1
-            energy[GROUP_AMNESIC] += energy_nj
-            account._time_ns += time_ns
-            cpu._dynamic_index += 1
-            return nxt
-
-        return f
-
-    # ------------------------------------------------------------------
-    # Traced closure templates.  Same specialized work as above, plus
-    # the classic handler's InstructionEvent, field for field.
-    # ------------------------------------------------------------------
-    def _make_traced_compute(self, pc, instruction, emit):
-        evaluator = _EVALUATORS.get(instruction.opcode)
-        if evaluator is None or not isinstance(instruction.dest, Reg):
-            return None
-        boxes = self._boxes(instruction.srcs)
-        if boxes is None:
-            return None
-        energy_nj, time_ns = self.compute_cost(instruction.category)
-        regs = self.registers
-        dest = instruction.dest.index
-        nxt = pc + 1
-
-        if len(boxes) == 2:
-            (b0, i0), (b1, i1) = boxes
-
-            def f(
-                evaluator=evaluator, b0=b0, i0=i0, b1=b1, i1=i1, regs=regs,
-                dest=dest, energy=self.energy, account=self.account,
-                cpu=self.cpu, energy_nj=energy_nj, time_ns=time_ns,
-                nxt=nxt, pc=pc, instruction=instruction, emit=emit,
-                Event=InstructionEvent,
-            ):
-                v0 = b0[i0]
-                v1 = b1[i1]
-                try:
-                    result = evaluator(v0, v1)
-                except MachineFault as fault:
-                    raise type(fault)(str(fault), pc=pc) from None
-                if dest:
-                    regs[dest] = result
-                energy[GROUP_NONMEM] += energy_nj
-                account._time_ns += time_ns
-                index = cpu._dynamic_index
-                cpu._dynamic_index = index + 1
-                emit(Event(index, pc, instruction, (v0, v1), result))
-                return nxt
-
-            return f
-
-        def f(
-            evaluator=evaluator, boxes=tuple(boxes), regs=regs, dest=dest,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, nxt=nxt, pc=pc,
-            instruction=instruction, emit=emit, Event=InstructionEvent,
-        ):
-            values = tuple(b[i] for b, i in boxes)
-            try:
-                result = evaluator(*values)
-            except MachineFault as fault:
-                raise type(fault)(str(fault), pc=pc) from None
-            if dest:
-                regs[dest] = result
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, values, result))
-            return nxt
-
-        return f
-
-    def _make_traced_load(self, pc, instruction, emit):
-        if not isinstance(instruction.dest, Reg):
-            return None
-        parts = self._address_parts(instruction.srcs[0], instruction.srcs[1])
-        if parts is None:
-            return None
-        (b0, i0), (b1, i1) = parts
-        cpu = self.cpu
-        hierarchy = cpu.hierarchy
-        l1 = hierarchy.l1
-
-        def f(
-            b0=b0, i0=i0, b1=b1, i1=i1, pc=pc, nxt=pc + 1,
-            cells=self.cells, regs=self.registers, dest=instruction.dest.index,
-            l1_sets=l1._sets, shift=l1._line_shift, nsets=l1.geometry.sets,
-            l1_stats=l1.stats, service_miss=hierarchy._service_miss,
-            loads_by_level=hierarchy.stats.loads_by_level, l1_level=Level.L1,
-            l1_cost=self.load_costs[Level.L1], load_costs=self.load_costs,
-            stats=self.stats, energy=self.energy, account=self.account,
-            cpu=cpu, instruction=instruction, emit=emit,
-            Event=InstructionEvent,
-        ):
-            address = b0[i0] + b1[i1]
-            if isinstance(address, float):
-                if not address.is_integer():
-                    raise MachineFault(
-                        f"non-integer effective address {address}", pc=pc
-                    )
-                address = int(address)
-            try:
-                value = cells[address]
-            except KeyError:
-                raise MemoryFault(
-                    f"read of unmapped address {address:#x}"
-                ) from None
-            line = address >> shift
-            cache_set = l1_sets[line % nsets]
-            if line in cache_set:
-                l1_stats.hits += 1
-                cache_set.move_to_end(line)
-                loads_by_level[l1_level] += 1
-                level = l1_level
-                energy_nj, time_ns = l1_cost
-            else:
-                l1_stats.misses += 1
-                level = service_miss(address, False)
-                loads_by_level[level] += 1
-                energy_nj, time_ns = load_costs[level]
-            energy[GROUP_LOAD] += energy_nj
-            account._time_ns += time_ns
-            stats.loads_performed += 1
-            if dest:
-                regs[dest] = value
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (), value, address, level))
-            return nxt
-
-        return f
-
-    def _make_traced_store(self, pc, instruction, emit):
-        value_box = _operand_box(self.registers, instruction.srcs[0])
-        parts = self._address_parts(instruction.srcs[1], instruction.srcs[2])
-        if value_box is None or parts is None:
-            return None
-        (b0, i0), (b1, i1) = parts
-        bv, iv = value_box
-        cpu = self.cpu
-        memory = cpu.memory
-        hierarchy = cpu.hierarchy
-        l1 = hierarchy.l1
-        read_only = memory.is_read_only if memory._read_only else None
-
-        def f(
-            bv=bv, iv=iv, b0=b0, i0=i0, b1=b1, i1=i1, pc=pc, nxt=pc + 1,
-            cells=self.cells, read_only=read_only,
-            l1_sets=l1._sets, shift=l1._line_shift, nsets=l1.geometry.sets,
-            l1_stats=l1.stats, service_miss=hierarchy._service_miss,
-            stores_by_level=hierarchy.stats.stores_by_level, l1_level=Level.L1,
-            l1_cost=self.store_costs[Level.L1], store_costs=self.store_costs,
-            stats=self.stats, energy=self.energy, account=self.account,
-            cpu=cpu, instruction=instruction, emit=emit,
-            Event=InstructionEvent,
-        ):
-            value = bv[iv]
-            address = b0[i0] + b1[i1]
-            if isinstance(address, float):
-                if not address.is_integer():
-                    raise MachineFault(
-                        f"non-integer effective address {address}", pc=pc
-                    )
-                address = int(address)
-            if read_only is not None and read_only(address):
-                raise MemoryFault(f"write to read-only address {address:#x}")
-            cells[address] = value
-            line = address >> shift
-            cache_set = l1_sets[line % nsets]
-            if line in cache_set:
-                l1_stats.hits += 1
-                cache_set[line] = True
-                cache_set.move_to_end(line)
-                stores_by_level[l1_level] += 1
-                level = l1_level
-                energy_nj, time_ns = l1_cost
-            else:
-                l1_stats.misses += 1
-                level = service_miss(address, True)
-                stores_by_level[level] += 1
-                energy_nj, time_ns = store_costs[level]
-            energy[GROUP_STORE] += energy_nj
-            account._time_ns += time_ns
-            stats.stores_performed += 1
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (value,), None, address, level))
-            return nxt
-
-        return f
-
-    def _make_traced_branch(self, pc, instruction, emit):
-        condition = _BRANCH_CONDITIONS.get(instruction.opcode)
-        if condition is None:
-            return None
-        boxes = self._boxes(instruction.srcs)
-        if boxes is None or len(boxes) != 2:
-            return None
-        taken_pc = self._target_pc(instruction)
-        if taken_pc is None:
-            return None
-        (b0, i0), (b1, i1) = boxes
-        energy_nj, time_ns = self.compute_cost(Category.BRANCH)
-
-        def f(
-            condition=condition, b0=b0, i0=i0, b1=b1, i1=i1,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            stats=self.stats, energy_nj=energy_nj, time_ns=time_ns,
-            taken_pc=taken_pc, nxt=pc + 1, pc=pc, instruction=instruction,
-            emit=emit, Event=InstructionEvent,
-        ):
-            a = b0[i0]
-            b = b1[i1]
-            taken = condition(a, b)
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (a, b), None, None, None, taken))
-            if taken:
-                stats.branches_taken += 1
-                return taken_pc
-            return nxt
-
-        return f
-
-    def _make_traced_jmp(self, pc, instruction, emit):
-        target_pc = self._target_pc(instruction)
-        if target_pc is None:
-            return None
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-
-        def f(
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, target_pc=target_pc,
-            pc=pc, instruction=instruction, emit=emit, Event=InstructionEvent,
-        ):
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction))
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target_pc
-
-        return f
-
-    def _make_traced_jal(self, pc, instruction, emit):
-        target_pc = self._target_pc(instruction)
-        if target_pc is None or not isinstance(instruction.dest, Reg):
-            return None
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-
-        def f(
-            regs=self.registers, dest=instruction.dest.index, return_pc=pc + 1,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, target_pc=target_pc,
-            pc=pc, instruction=instruction, emit=emit, Event=InstructionEvent,
-        ):
-            if dest:
-                regs[dest] = return_pc
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (), return_pc))
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target_pc
-
-        return f
-
-    def _make_traced_jr(self, pc, instruction, emit):
-        box = _operand_box(self.registers, instruction.srcs[0])
-        if box is None:
-            return None
-        b0, i0 = box
-        energy_nj, time_ns = self.compute_cost(Category.JUMP)
-        limit = len(self.program.instructions)
-
-        def f(
-            b0=b0, i0=i0, limit=limit, pc=pc, instruction=instruction,
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, emit=emit,
-            Event=InstructionEvent,
-        ):
-            target = b0[i0]
-            if not isinstance(target, int) or not 0 <= target < limit:
-                raise MachineFault(
-                    f"jump-register {instruction} to invalid pc {target!r} "
-                    f"(valid pcs are 0..{limit - 1})",
-                    pc=pc,
-                )
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction, (target,)))
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return target
-
-        return f
-
-    def _make_traced_nop(self, pc, instruction, emit):
-        energy_nj, time_ns = self.compute_cost(Category.NOP)
-
-        def f(
-            energy=self.energy, account=self.account, cpu=self.cpu,
-            energy_nj=energy_nj, time_ns=time_ns, nxt=pc + 1, pc=pc,
-            instruction=instruction, emit=emit, Event=InstructionEvent,
-        ):
-            index = cpu._dynamic_index
-            cpu._dynamic_index = index + 1
-            emit(Event(index, pc, instruction))
-            energy[GROUP_NONMEM] += energy_nj
-            account._time_ns += time_ns
-            return nxt
-
-        return f
-
-    def _make_halt(self, pc, instruction):
-        def f(cpu=self.cpu, pc=pc, instruction=instruction):
-            cpu.pc = pc
-            cpu._emit(instruction)
-            cpu.halted = True
-            return -1
-
-        return f
-
-    def _make_thunk(self, pc, instruction):
-        """Classic-handler fallback: exact semantics at dispatch-table speed.
-
-        Covers traced runs (identical event streams by construction),
-        the amnesic control opcodes, slice-region pcs, and any statically
-        odd instruction whose classic handler should fault at runtime.
-        """
-        handler = self.cpu._dispatch.get(instruction.opcode)
-        if handler is None:
-            def f(cpu=self.cpu, pc=pc, instruction=instruction):
-                cpu.pc = pc
-                raise MachineFault(
-                    f"undecodable instruction {instruction}", pc=pc
-                )
-
-            return f
-
-        def f(cpu=self.cpu, pc=pc, handler=handler, instruction=instruction):
-            cpu.pc = pc
-            handler(instruction)
-            return cpu.pc
-
-        return f
-
-    def _make_off_end(self, pc):
-        def f(pc=pc):
-            raise MachineFault("pc ran off the end of the program", pc=pc)
-
-        return f
-
-
-class FastExecutionMixin:
-    """Swap the classic per-instruction loop for the predecoded one.
-
-    Mix in ahead of :class:`CPU` (or a subclass).  Timeline and profiler
-    runs fall back to the classic loops — see the module docstring for
-    the full backend contract.
+    Covers the amnesic control opcodes, slice-region pcs, and any
+    statically odd instruction whose classic handler should fault at
+    runtime.
     """
+    handler = cpu._dispatch.get(instruction.opcode)
+    if handler is None:
+        def f(cpu=cpu, pc=pc, instruction=instruction):
+            cpu.pc = pc
+            raise MachineFault(f"undecodable instruction {instruction}", pc=pc)
 
-    def _decoded(self):
-        cached = self.__dict__.get("_fast_decode")
-        if cached is None:
-            cached = self.__dict__["_fast_decode"] = _ProgramDecoder(self).decode()
-        return cached
+        return f
 
-    def __getstate__(self):
-        # The decode cache is per-pc closures over this instance's hot
-        # state — unpicklable and meaningless in another process (the
-        # parallel engine ships finished CPUs back to the parent).  Drop
-        # it; _decoded() rebuilds on demand.  Chained through super() so
-        # cooperating bases (AmnesicCPU's slice-runner cache) get to
-        # drop their own closures too.
-        state = dict(super().__getstate__())
-        state.pop("_fast_decode", None)
-        return state
+    def f(cpu=cpu, pc=pc, handler=handler, instruction=instruction):
+        cpu.pc = pc
+        handler(instruction)
+        return cpu.pc
 
-    def _run_loop(self) -> None:
-        if self._timeline is not None:
-            # Timelines capture mid-run state per retired instruction;
-            # the classic loop keeps that observability exact.
-            return super()._run_loop()
-        fns, cats = self._decoded()
-        counts = [0] * len(fns)
-        max_instructions = self.max_instructions
-        pc = self.pc
-        try:
-            if not self.halted:
-                while True:
-                    if self._dynamic_index >= max_instructions:
-                        raise ExecutionLimitExceeded(
-                            f"exceeded {max_instructions} dynamic instructions",
-                            pc=pc,
-                        )
-                    counts[pc] += 1
-                    pc = fns[pc]()
-                    if pc < 0:
-                        break
-        finally:
-            stats = self.stats
-            by_category = stats.by_category
-            flushed = 0
-            for index, hits in enumerate(counts):
-                if hits:
-                    category = cats[index]
-                    if category is not None:
-                        by_category[category] += hits
-                        flushed += hits
-            stats.dynamic_instructions += flushed
-            if pc >= 0:
-                # Keep the architectural pc observable exactly as the
-                # classic loop leaves it (fault pc, halt pc, budget pc).
-                self.pc = pc
-        self.finalize()
+    return f
 
 
-class FastCPU(FastExecutionMixin, CPU):
-    """The fast backend for classic execution semantics."""
+def _off_end(pc):
+    def f(pc=pc):
+        raise MachineFault("pc ran off the end of the program", pc=pc)
+
+    return f
 
 
 # ----------------------------------------------------------------------
-# Region batching (the ``fast-batched`` backend).
+# Region batching.
 #
-# The per-pc loop above still pays one Python call per instruction.  The
-# static region analyzer (``staticcheck/regions.py``) proves which runs
-# of instructions have one entry, one exit, and no amnesic opcode; this
-# layer fuses each such run of >= 2 instructions into ONE generated
-# closure whose body is the per-pc closure bodies concatenated
-# statement for statement — same evaluators, same charge order, same
-# L1-hit inline path, same fault construction — so a region retires
-# with a single dispatch.
+# The per-pc loop pays one Python call per instruction.  The static
+# region analyzer (``staticcheck/regions.py``) proves which runs of
+# instructions have one entry, one exit, and no amnesic opcode; each
+# such run of >= 2 instructions renders into ONE generated function
+# whose body is the elements' descriptions concatenated, so a region
+# retires with a single dispatch.
 #
 # The hazards a fused region must keep byte-identical:
 #
-# * **Faults mid-region** — each element keeps its own try/fault shape;
-#   on any exception the fused closure restores ``_dynamic_index`` to
-#   the number of *completed* elements, counts the elements classic
-#   would have counted (count-before-execute includes the faulting
-#   one), records the faulting pc for the outer loop, and re-raises.
+# * **Faults mid-region** — on any exception the fused function writes
+#   its accumulators back, restores ``_dynamic_index`` to the number of
+#   *completed* elements, counts the elements classic would have counted
+#   (count-before-execute includes the faulting one), records the
+#   faulting pc for the outer loop, and re-raises.
 # * **Budget exhaustion mid-region** — the fused body runs only after a
 #   hoisted ``index + length <= max_instructions`` check; otherwise the
-#   region executes element by element through the original per-pc
-#   closures with the classic per-instruction budget check (and the
-#   classic "fault before counting the pending instruction" order).
-# * **Traced/timeline/profiled runs** — fall back to the plain fast
-#   loop (identical event streams) or the classic loops, exactly like
-#   the unbatched fast backend.
+#   region executes element by element through the per-pc functions
+#   with the classic per-instruction budget check (and the classic
+#   "fault before counting the pending instruction" order).
+# * **Traced/timeline/profiled runs** — traced runs decode per-pc only;
+#   timeline and profiled runs take the classic loops.
 # * **Mid-region entry** — a JR can land inside a region at runtime, so
-#   every non-start pc keeps its per-pc closure; only the region start
+#   every non-start pc keeps its per-pc function; only the region start
 #   dispatches the fused body.
 #
 # ``*.regions.json`` artifacts (the ``staticlint`` CI job uploads them)
@@ -1024,13 +819,14 @@ ENV_REGION_ARTIFACTS = "REPRO_REGION_ARTIFACTS"
 
 
 class _BatchTable:
-    """One CPU's batched decode: closure table + deferred-count state.
+    """One CPU's decode: function table, fused slices, deferred counts.
 
     The count arrays live on the table (not the run loop) because the
-    fused closures bind them at decode time; the flush zeroes them so a
+    fused functions bind them at decode time; the flush zeroes them so a
     later ``run()`` starts clean.  ``fault_pc`` is how a fused region
     reports the faulting element's pc to the outer loop (whose local
-    ``pc`` still holds the region start when the closure raises).
+    ``pc`` still holds the region start when the function raises).
+    ``slices`` caches fused slice traversals (None: not expressible).
     """
 
     __slots__ = (
@@ -1041,6 +837,7 @@ class _BatchTable:
         "region_spans",
         "region_tail_cats",
         "fault_pc",
+        "slices",
     )
 
     def __init__(self, fns, cats):
@@ -1051,6 +848,7 @@ class _BatchTable:
         self.region_spans = []
         self.region_tail_cats = []
         self.fault_pc = -1
+        self.slices = {}
 
 
 def _run_region_guarded(cpu, body, start, counts, table, flush):
@@ -1087,382 +885,62 @@ def _run_region_guarded(cpu, body, start, counts, table, flush):
     return pc
 
 
-def _operand_expr(src, key, params):
-    """The generated-source expression reading one operand, or None.
-
-    Register reads inline as ``_r[index]`` (evaluated at execution
-    time, in element order, exactly like the per-pc closures); integer
-    immediates inline as literals; any other immediate binds a default
-    parameter.  SReg/HistRef operands return None — the region is not
-    fused.
-    """
-    if isinstance(src, Reg):
-        return f"_r[{src.index}]"
-    if isinstance(src, Imm):
-        value = src.value
-        if type(value) is int:
-            return repr(value)
-        params[key] = value
-        return key
-    return None
-
-
-#: Signed 64-bit bounds, inlined as literals in generated fast paths.
-_I64_MAX = (1 << 63) - 1
-_I64_MIN = -(1 << 63)
-
-#: Binary int ops where ``wrap(a OP b) == wrap(wrap(a) OP wrap(b))`` for
-#: *all* Python ints: ``+ - *`` distribute over mod 2**64, and the
-#: bitwise ops (and ``<<``, whose result bits 0..63 depend only on the
-#: operands' bits 0..63) act bitwise on two's complement.  The fast path
-#: therefore only needs operands to *be* ints, plus one range check on
-#: the result.
-_MOD_COMPAT_INT_OPS = {
-    Opcode.ADD: "{0} + {1}",
-    Opcode.SUB: "{0} - {1}",
-    Opcode.MUL: "{0} * {1}",
-    Opcode.AND: "{0} & {1}",
-    Opcode.OR: "{0} | {1}",
-    Opcode.XOR: "{0} ^ {1}",
-    Opcode.SHL: "{0} << ({1} & 63)",
-}
-
-#: Value-dependent int ops: exact only when both operands are already
-#: in signed-64 range, so the fast path range-checks the operands and
-#: never needs to wrap the result.  The min/max conditionals mirror
-#: CPython's ``min``/``max`` tie-breaking (first argument wins).
-_RANGED_INT_OPS = {
-    Opcode.SHR: "{0} >> ({1} & 63)",
-    Opcode.SLT: "1 if {0} < {1} else 0",
-    Opcode.SLE: "1 if {0} <= {1} else 0",
-    Opcode.MIN: "{1} if {1} < {0} else {0}",
-    Opcode.MAX: "{1} if {1} > {0} else {0}",
-}
-
-#: Binary float ops, exact when both operands are already floats.
-_FLOAT_BIN_OPS = {
-    Opcode.FADD: "{0} + {1}",
-    Opcode.FSUB: "{0} - {1}",
-    Opcode.FMUL: "{0} * {1}",
-}
-
-#: Compute opcodes whose evaluator can raise a MachineFault; only these
-#: need the pc-tagging try/except around the evaluator call.  (Regions
-#: containing them are *faulting* and never fused, but the generator
-#: stays honest about it.)
-_FAULTABLE_COMPUTE = {Opcode.DIV, Opcode.REM, Opcode.FDIV, Opcode.FSQRT}
-
-
-def _compute_fast_path(opcode, srcs, exprs, lines):
-    """Emit the inline fast path for one compute element, if one exists.
-
-    Returns the guard condition string (empty when the fast path is
-    unconditional), or None when the opcode has no inline form and the
-    element must always go through its evaluator.  The inline forms are
-    bit-exact per the tables above; anything the guard cannot vouch for
-    at runtime falls through to the evaluator slow path.
-    """
-    kinds = []
-    for src in srcs:
-        if isinstance(src, Reg):
-            kinds.append("reg")
-        elif type(src.value) is int:
-            kinds.append("int")
-        else:
-            kinds.append(type(src.value).__name__)
-
-    if opcode in (Opcode.MOV, Opcode.LI):
-        lines.append(f"_x = {exprs[0]}")
-        return ""
-    if opcode is Opcode.SEQ:
-        lines.append(f"_x = 1 if {exprs[0]} == {exprs[1]} else 0")
-        return ""
-    if opcode is Opcode.SNE:
-        lines.append(f"_x = 1 if {exprs[0]} != {exprs[1]} else 0")
-        return ""
-
-    if opcode in _MOD_COMPAT_INT_OPS or opcode in _RANGED_INT_OPS:
-        guards = []
-        operands = []
-        for n, (kind, expr, src) in enumerate(zip(kinds, exprs, srcs)):
-            if kind == "reg":
-                name = f"_y{n}"
-                lines.append(f"{name} = {expr}")
-                guards.append(f"type({name}) is int")
-                operands.append(name)
-            elif kind == "int":
-                if opcode in _RANGED_INT_OPS and not (
-                    _I64_MIN <= src.value <= _I64_MAX
-                ):
-                    return None
-                operands.append(expr)
-            else:
-                return None
-        if opcode in _RANGED_INT_OPS:
-            guards.extend(
-                f"{_I64_MIN} <= {name} <= {_I64_MAX}"
-                for name, kind in zip(operands, kinds)
-                if kind == "reg"
-            )
-            template = _RANGED_INT_OPS[opcode]
-        else:
-            template = _MOD_COMPAT_INT_OPS[opcode]
-        condition = " and ".join(guards)
-        indent = "    " if condition else ""
-        if condition:
-            lines.append(f"if {condition}:")
-        lines.append(f"{indent}_x = {template.format(*operands)}")
-        if opcode in _MOD_COMPAT_INT_OPS:
-            lines.append(
-                f"{indent}if _x > {_I64_MAX} or _x < {_I64_MIN}:"
-            )
-            lines.append(f"{indent}    _x = _wi(_x)")
-        return condition
-
-    if opcode in _FLOAT_BIN_OPS:
-        guards = []
-        operands = []
-        for n, (kind, expr) in enumerate(zip(kinds, exprs)):
-            if kind == "reg":
-                name = f"_y{n}"
-                lines.append(f"{name} = {expr}")
-                guards.append(f"type({name}) is float")
-                operands.append(name)
-            elif kind == "float":
-                operands.append(expr)
-            else:
-                return None
-        condition = " and ".join(guards)
-        indent = "    " if condition else ""
-        if condition:
-            lines.append(f"if {condition}:")
-        lines.append(
-            f"{indent}_x = {_FLOAT_BIN_OPS[opcode].format(*operands)}"
-        )
-        return condition
-
-    return None
-
-
-def _gen_compute(decoder, pc, instruction, j, params, lines, used):
-    evaluator = _EVALUATORS.get(instruction.opcode)
-    if evaluator is None or not isinstance(instruction.dest, Reg):
-        return False
-    exprs = []
-    for n, src in enumerate(instruction.srcs):
-        expr = _operand_expr(src, f"_k{j}_{n}", params)
-        if expr is None:
-            return False
-        exprs.append(expr)
-    energy_nj, time_ns = decoder.compute_cost(instruction.category)
-    params[f"_e{j}"] = energy_nj
-    params[f"_t{j}"] = time_ns
-    used.add("_gn")
-    opcode = instruction.opcode
-    fast = _compute_fast_path(opcode, instruction.srcs, exprs, lines)
-    if fast != "":
-        # Guarded fast path (or none at all): the evaluator backs up
-        # every case the inline form cannot vouch for.
-        params[f"_ev{j}"] = evaluator
-        used.add("_wi")
-        call = f"_x = _ev{j}({', '.join(exprs)})"
-        prefix = "else:" if fast else None
-        if opcode in _FAULTABLE_COMPUTE:
-            body = [
-                "try:",
-                f"    {call}",
-                "except _MF as _f:",
-                f"    raise type(_f)(str(_f), pc={pc}) from None",
-            ]
-        else:
-            body = [call]
-        if prefix:
-            lines.append(prefix)
-            lines.extend("    " + line for line in body)
-        else:
-            lines.extend(body)
-    elif opcode in _MOD_COMPAT_INT_OPS:
-        used.add("_wi")
-    if instruction.dest.index:
-        lines.append(f"_r[{instruction.dest.index}] = _x")
-    lines.append(f"_gn += _e{j}")
-    lines.append(f"_tt += _t{j}")
-    return True
-
-
-def _gen_address(pc, a0, a1, lines):
-    lines.append(f"_a = {a0} + {a1}")
-    lines.append("if isinstance(_a, float):")
-    lines.append("    if not _a.is_integer():")
-    lines.append(
-        "        raise _MF(f'non-integer effective address {_a}', "
-        f"pc={pc})"
-    )
-    lines.append("    _a = int(_a)")
-
-
-def _gen_load(pc, instruction, j, params, lines, used):
-    if not isinstance(instruction.dest, Reg):
-        return False
-    a0 = _operand_expr(instruction.srcs[0], f"_k{j}_0", params)
-    a1 = _operand_expr(instruction.srcs[1], f"_k{j}_1", params)
-    if a0 is None or a1 is None:
-        return False
-    used.update(("_gl", "_h1", "_ldn"))
-    lines.append(f"_n = {j}")
-    _gen_address(pc, a0, a1, lines)
-    lines.append("try:")
-    lines.append("    _x = _cells[_a]")
-    lines.append("except KeyError:")
-    lines.append(
-        "    raise _MemF(f'read of unmapped address {_a:#x}') from None"
-    )
-    lines.append("_ln = _a >> _shift")
-    lines.append("_cs = _l1sets[_ln % _nsets]")
-    lines.append("if _ln in _cs:")
-    lines.append("    _h1 += 1")
-    lines.append("    _cs.move_to_end(_ln)")
-    lines.append("    _lb1 += 1")
-    lines.append("    _gl += _l1le")
-    lines.append("    _tt += _l1lt")
-    lines.append("else:")
-    lines.append("    _m1 += 1")
-    lines.append("    _lv = _smiss(_a, False)")
-    lines.append("    _lbl[_lv] += 1")
-    lines.append("    _e, _t = _ldc[_lv]")
-    lines.append("    _gl += _e")
-    lines.append("    _tt += _t")
-    lines.append("_ldn += 1")
-    if instruction.dest.index:
-        lines.append(f"_r[{instruction.dest.index}] = _x")
-    return True
-
-
-def _gen_store(pc, instruction, j, params, lines, used, read_only):
-    value = _operand_expr(instruction.srcs[0], f"_k{j}_v", params)
-    a0 = _operand_expr(instruction.srcs[1], f"_k{j}_0", params)
-    a1 = _operand_expr(instruction.srcs[2], f"_k{j}_1", params)
-    if value is None or a0 is None or a1 is None:
-        return False
-    used.update(("_gs", "_h1", "_stn"))
-    lines.append(f"_n = {j}")
-    lines.append(f"_x = {value}")
-    _gen_address(pc, a0, a1, lines)
-    if read_only is not None:
-        # Same constant-folding as the per-pc closure: with no
-        # read-only ranges configured the check can never fire.
-        lines.append("if _ro(_a):")
-        lines.append(
-            "    raise _MemF(f'write to read-only address {_a:#x}')"
-        )
-    lines.append("_cells[_a] = _x")
-    lines.append("_ln = _a >> _shift")
-    lines.append("_cs = _l1sets[_ln % _nsets]")
-    lines.append("if _ln in _cs:")
-    lines.append("    _h1 += 1")
-    lines.append("    _cs[_ln] = True")
-    lines.append("    _cs.move_to_end(_ln)")
-    lines.append("    _sb1 += 1")
-    lines.append("    _gs += _l1se")
-    lines.append("    _tt += _l1st")
-    lines.append("else:")
-    lines.append("    _m1 += 1")
-    lines.append("    _lv = _smiss(_a, True)")
-    lines.append("    _sbl[_lv] += 1")
-    lines.append("    _e, _t = _stc[_lv]")
-    lines.append("    _gs += _e")
-    lines.append("    _tt += _t")
-    lines.append("_stn += 1")
-    return True
-
-
-def _gen_nop(decoder, j, params, lines, used):
-    energy_nj, time_ns = decoder.compute_cost(Category.NOP)
-    params[f"_e{j}"] = energy_nj
-    params[f"_t{j}"] = time_ns
-    used.add("_gn")
-    lines.append(f"_gn += _e{j}")
-    lines.append(f"_tt += _t{j}")
-    return True
-
-
 def _fuse_region(decoder, region, rid, body_fns, table, flush):
-    """Generate the single-dispatch closure for one batchable region.
+    """Generate the single-dispatch function for one batchable region.
 
-    Returns None when any element cannot be generated (odd operands,
+    Returns None when any element cannot be rendered (odd operands,
     missing evaluator) — the region then simply stays per-pc.
     """
-    cpu = decoder.cpu
     program = decoder.program
+    env = decoder.env
     start, end = region.start, region.end
     length = end - start
-    memory = cpu.memory
-    read_only = memory.is_read_only if memory._read_only else None
-
-    params = {}
+    flags = {"time", "ro"} if decoder.read_only else {"time"}
+    values = {"_r": env["_r"], "_cpu": env["_cpu"]}
+    keys = set()
     lines = []
-    used = set()
     for j, pc in enumerate(range(start, end)):
         instruction = program.instructions[pc]
-        opcode = instruction.opcode
-        category = _OPCODE_CATEGORY[opcode]
-        if category.is_compute:
-            ok = _gen_compute(decoder, pc, instruction, j, params, lines, used)
-        elif opcode is Opcode.LD:
-            ok = _gen_load(pc, instruction, j, params, lines, used)
-        elif opcode is Opcode.ST:
-            ok = _gen_store(pc, instruction, j, params, lines, used, read_only)
-        elif opcode is Opcode.NOP:
-            ok = _gen_nop(decoder, j, params, lines, used)
-        else:
-            ok = False
-        if not ok:
+        found = decoder.found[pc]
+        if found is None or found[0] not in _FUSABLE:
             return None
+        family, consts = found
+        subs = dict(_HOISTED, pc=str(pc), nx=str(pc + 1))
+        kinds = []
+        for n, src in enumerate(instruction.srcs):
+            if isinstance(src, Reg):
+                subs[f"s{n}"] = f"_r[{src.index}]"
+                kinds.append("rt")
+            elif isinstance(src, Imm):
+                kinds.append(_const_kind(src.value))
+                if kinds[-1] in ("int", "big"):
+                    subs[f"s{n}"] = repr(src.value)
+                else:
+                    subs[f"s{n}"] = f"_k{j}_{n}"
+                    values[f"_k{j}_{n}"] = src.value
+            else:
+                return None
+        # r0 writes are dropped (classic ``write_register`` discards them).
+        dest = instruction.dest.index if family in _WRITES_DEST else 0
+        hooks = {
+            "dest": lambda value, d=dest: [f"_r[{d}] = {value}"] if d else [],
+            "mark": lambda _, j=j: [f"_n = {j}"],
+        }
+        items = _description(family, instruction.opcode, tuple(kinds))
+        _, placeholders, names = _formats(items)
+        for key in ("e", "t", "ev"):
+            if key in placeholders:
+                subs[key] = f"_{key}{j}"
+                values[subs[key]] = consts[f"_{key}"]
+        keys |= placeholders
+        values.update((name, env[name]) for name in names if name in env)
+        lines += _render(items, subs, flags, hooks)
 
     body = tuple(body_fns[start:end])
 
-    def guard(cpu=cpu, body=body, start=start, counts=table.counts,
+    def guard(cpu=decoder.cpu, body=body, start=start, counts=table.counts,
               table=table, flush=flush):
         return _run_region_guarded(cpu, body, start, counts, table, flush)
-
-    hierarchy = cpu.hierarchy
-    l1 = hierarchy.l1
-    params.update(
-        _cpu=cpu,
-        _r=decoder.registers,
-        _eg=decoder.energy,
-        _ac=decoder.account,
-        _st=decoder.stats,
-        _cells=decoder.cells,
-        _counts=table.counts,
-        _rc=table.region_counts,
-        _tbl=table,
-        _flush=flush,
-        _guard=guard,
-        _MF=MachineFault,
-        _MemF=MemoryFault,
-        _GN=GROUP_NONMEM,
-        _GL=GROUP_LOAD,
-        _GS=GROUP_STORE,
-        _L1=Level.L1,
-        _l1sets=l1._sets,
-        _shift=l1._line_shift,
-        _nsets=l1.geometry.sets,
-        _l1h=l1.stats,
-        _smiss=hierarchy._service_miss,
-        _lbl=hierarchy.stats.loads_by_level,
-        _sbl=hierarchy.stats.stores_by_level,
-        _ldc=decoder.load_costs,
-        _stc=decoder.store_costs,
-    )
-    if "_wi" in used:
-        params["_wi"] = wrap_int64
-    if "_ldn" in used:
-        params["_l1le"], params["_l1lt"] = decoder.load_costs[Level.L1]
-    if "_stn" in used:
-        params["_l1se"], params["_l1st"] = decoder.store_costs[Level.L1]
-    if read_only is not None:
-        params["_ro"] = read_only
 
     # Accumulators live in locals for the fused body and are written
     # back on every exit — success *and* fault.  This is bit-identical
@@ -1470,67 +948,196 @@ def _fuse_region(decoder, region, rid, body_fns, table, flush):
     # same order on the same running values (``_service_miss`` never
     # touches the energy groups or the time account), and a faulting
     # element raises before any of its charge lines run.
-    prologue = ["_tt = _ac._time_ns"]
-    writeback = ["_ac._time_ns = _tt"]
-    for flag, init, back in (
-        ("_gn", ["_gn = _eg[_GN]"], ["_eg[_GN] = _gn"]),
-        ("_gl", ["_gl = _eg[_GL]"], ["_eg[_GL] = _gl"]),
-        ("_gs", ["_gs = _eg[_GS]"], ["_eg[_GS] = _gs"]),
-        ("_h1", ["_h1 = 0", "_m1 = 0"],
-         ["_l1h.hits += _h1", "_l1h.misses += _m1"]),
-        ("_ldn", ["_lb1 = 0", "_ldn = 0"],
-         ["_lbl[_L1] += _lb1", "_st.loads_performed += _ldn"]),
-        ("_stn", ["_sb1 = 0", "_stn = 0"],
-         ["_sbl[_L1] += _sb1", "_st.stores_performed += _stn"]),
-    ):
-        if flag in used:
-            prologue.extend(init)
-            writeback.extend(back)
-
-    names = sorted(params)
-    signature = ", ".join(f"{name}={name}" for name in names)
-    indent = " " * 8
-    body_src = "\n".join(indent + line for line in lines)
-    prologue_src = "\n".join("    " + line for line in prologue)
-    success_wb = "\n".join("    " + line for line in writeback)
-    fault_wb = "\n".join(indent + line for line in writeback)
-    source = (
-        f"def _region({signature}):\n"
-        f"    _i0 = _cpu._dynamic_index\n"
-        f"    if _i0 + {length} > _cpu.max_instructions:\n"
-        f"        return _guard()\n"
-        f"    _n = 0\n"
-        f"{prologue_src}\n"
-        f"    try:\n"
-        f"{body_src}\n"
-        f"    except BaseException:\n"
-        f"{fault_wb}\n"
-        f"        _cpu._dynamic_index = _i0 + _n\n"
-        f"        _tbl.fault_pc = {start} + _n\n"
-        f"        _flush(_counts, {start}, _n)\n"
-        f"        raise\n"
-        f"{success_wb}\n"
-        f"    _cpu._dynamic_index = _i0 + {length}\n"
-        f"    _rc[{rid}] += 1\n"
-        f"    return {end}\n"
+    prologue, writeback, homes = _hoist(keys)
+    values.update((name, env[name]) for name in homes)
+    values.update(
+        _counts=table.counts, _rc=table.region_counts, _tbl=table,
+        _flush=flush, _guard=guard,
     )
-    namespace = dict(params)
-    code = _compiled_region(source, f"<region {program.name}:{start}-{end}>")
-    exec(code, namespace)
-    return namespace["_region"]
+    source = [
+        "    _i0 = _cpu._dynamic_index",
+        f"    if _i0 + {length} > _cpu.max_instructions:",
+        "        return _guard()",
+        "    _n = 0",
+        *("    " + line for line in prologue),
+        "    try:",
+        *("        " + line for line in lines),
+        "    except BaseException:",
+        *("        " + line for line in writeback),
+        "        _cpu._dynamic_index = _i0 + _n",
+        f"        _tbl.fault_pc = {start} + _n",
+        f"        _flush(_counts, {start}, _n)",
+        "        raise",
+        *("    " + line for line in writeback),
+        f"    _cpu._dynamic_index = _i0 + {length}",
+        f"    _rc[{rid}] += 1",
+        f"    return {end}",
+    ]
+    return _define(
+        "_region", source, values, f"<region {program.name}:{start}-{end}>"
+    )
 
 
-@lru_cache(maxsize=2048)
-def _compiled_region(source, filename):
-    """Compile one fused-region source, cached across CPUs.
+def _fuse_slice(cpu, slice_id):
+    """Compile one slice into a single fused traversal function.
 
-    The generated source embeds only pcs, opcodes, and operand indices;
-    every run-dependent value (registers, accounts, costs, evaluators)
-    binds through default parameters at ``exec`` time.  The harness
-    builds a fresh CPU per policy run over the same program, so the
-    ``compile`` — which dominates the batched decode — is shared.
+    Slices are straight-line regions by construction (formation never
+    admits control flow), so recomputation renders the compute
+    description too: one generated function per slice replays exactly
+    what :meth:`repro.core.amnesic_cpu.AmnesicCPU._traverse_slice` does
+    for an untraced run — the same structure calls in the same order
+    (IBuff fetches, Renamer reads/writes, Hist reads with their
+    charges), the same inline semantics with evaluator fallback as the
+    fused main regions, and accumulator-hoisted stats/charges written
+    back both on success and on a mid-slice fault (``_done`` tracks the
+    faulting element, and counts follow the interpreter's
+    count-before-execute rule).  An evaluator fault leaves tagged with
+    the element's pc; the scheduler discards it either way.  Returns
+    ``None`` for slices the generator cannot express; the caller then
+    interprets them, which faults at the identical element.
     """
-    return compile(source, filename, "exec")
+    program = cpu.program
+    region = program.slices[slice_id]
+    start, end = region.start, region.end
+    length = end - 1 - start
+    model = cpu.model
+    offload = cpu.concurrent_offload
+    account = cpu.account
+    hist_cost = model.hist_read_cost()
+    values = {
+        "_cpu": cpu,
+        "_st": cpu.stats,
+        "_bc": cpu.stats.by_category,
+        "_rn": cpu.renamer,
+        "_rd": cpu.renamer.read,
+        "_wr": cpu.renamer.write,
+        "_ib": cpu.ibuff.fetch,
+        "_hr": cpu.hist.read,
+        "_r": cpu.registers,
+        "_eg": account._energy_by_group,
+        "_ac": account,
+        "_GH": GROUP_HIST,
+        "_GN": GROUP_NONMEM,
+        "_GA": GROUP_AMNESIC,
+        "_MF": MachineFault,
+        "_wi": wrap_int64,
+        "_he": hist_cost.energy_nj,
+        "_ht": hist_cost.time_ns,
+    }
+    flags = () if offload else ("time",)
+
+    lines = []
+    tally = {}
+    prefixes = [()]
+    for j, pc in enumerate(range(start, end - 1)):
+        instruction = program.instruction_at(pc)
+        evaluator = _EVALUATORS.get(instruction.opcode)
+        if evaluator is None or not isinstance(instruction.dest, SReg):
+            return None
+        lines.append(f"_done = {j}")
+        lines.append(f"_ib({pc})")
+        cost = model.slice_instruction_cost(instruction.category)
+        values.update(
+            {f"_e{j}": cost.energy_nj, f"_t{j}": cost.time_ns,
+             f"_d{j}": instruction.dest}
+        )
+        subs = dict(_HOISTED, pc=str(pc), e=f"_e{j}", t=f"_t{j}", ev=f"_ev{j}")
+        kinds = []
+        for n, src in enumerate(instruction.srcs):
+            name = subs[f"s{n}"] = f"_a{j}_{n}"
+            kinds.append("rt")
+            if isinstance(src, SReg):
+                values[f"_s{j}_{n}"] = src
+                lines.append(f"{name} = _rd(_s{j}_{n})")
+            elif isinstance(src, HistRef):
+                lines.append(
+                    f"{name} = _hr({slice_id}, {src.leaf_id}, {src.slot})"
+                )
+                lines.append("_gh += _he")
+                if not offload:
+                    lines.append("_tt += _ht")
+                lines.append("_hn += 1")
+            elif isinstance(src, Reg) and src.index:
+                lines.append(f"{name} = _r[{src.index}]")
+            elif isinstance(src, Reg):
+                subs[f"s{n}"], kinds[-1] = "0", "int"
+            elif isinstance(src, Imm):
+                subs[f"s{n}"] = f"_c{j}_{n}"
+                values[f"_c{j}_{n}"] = src.value
+                kinds[-1] = _const_kind(src.value)
+            else:
+                return None
+        hooks = {"dest": lambda value, j=j: [f"_wr(_d{j}, {value})"]}
+        items = _compute_description(instruction.opcode, tuple(kinds))
+        if "ev" in _formats(items)[1]:
+            values[f"_ev{j}"] = evaluator
+        lines += _render(items, subs, flags, hooks)
+        category = instruction.category
+        tally[category] = tally.get(category, 0) + 1
+        prefixes.append(tuple(tally.items()))
+
+    rtn = program.instruction_at(end - 1)
+    if rtn.opcode is not Opcode.RTN:
+        return None
+    rtn_cost = model.rtn_cost()
+    values.update(
+        _rtn_d=rtn.dest, _re=rtn_cost.energy_nj, _rt=rtn_cost.time_ns,
+        _pref=tuple(prefixes),
+    )
+    totals = dict(tally)
+    totals[rtn.category] = totals.get(rtn.category, 0) + 1
+    success_counts = []
+    for i, (category, count) in enumerate(
+        sorted(totals.items(), key=lambda item: item[0].name)
+    ):
+        values[f"_cat{i}"] = category
+        success_counts.append(f"_bc[_cat{i}] += {count}")
+
+    prologue, writeback, _ = _hoist(("tt", "gn", "ga", "gh", "hn"))
+    success = [
+        f"_st.dynamic_instructions += {length + 1}",
+        f"_st.slice_instructions_executed += {length}",
+        *success_counts,
+        "_ga += _re",
+        *([] if offload else ["_tt += _rt"]),
+        *writeback,
+        f"_cpu._dynamic_index += {length + 1}",
+        "return _res",
+    ]
+    fault = [
+        # Count-before-execute: the faulting element (index ``_done``)
+        # was counted by the interpreter before its operands resolved,
+        # so the prefix includes it — except past the last element,
+        # where only the RTN's Renamer read can fault (it is counted
+        # *after* the read succeeds).
+        "_k = _done + 1",
+        f"if _k > {length}:",
+        f"    _k = {length}",
+        "_st.dynamic_instructions += _k",
+        "_st.slice_instructions_executed += _k",
+        "for _cat, _n in _pref[_k]:",
+        "    _bc[_cat] += _n",
+        *writeback,
+        "_cpu._dynamic_index += _done",
+        "raise",
+    ]
+    source = [
+        "    _cpu.recompute = True",
+        "    _rn.begin_slice()",
+        *("    " + line for line in prologue),
+        "    _done = 0",
+        "    try:",
+        *("        " + line for line in lines),
+        f"        _done = {length}",
+        "        _res = _rd(_rtn_d)",
+        *("        " + line for line in success),
+        "    except BaseException:",
+        *("        " + line for line in fault),
+        "    finally:",
+        "        _rn.end_slice()",
+        "        _cpu.recompute = False",
+    ]
+    return _define("_slice", source, values, f"<slice {program.name}:{slice_id}>")
 
 
 def _cross_check_artifact(program, report):
@@ -1556,32 +1163,52 @@ def _cross_check_artifact(program, report):
         )
 
 
-class BatchedExecutionMixin(FastExecutionMixin):
-    """The fast loop with statically-proven regions fused per dispatch.
+def _tail_categories(program, region):
+    """Aggregated categories of a region's elements 1..L-1.
+
+    Integer count increments commute, so the deferred flush can expand
+    one region hit into per-category totals without replaying order.
+    """
+    tally = {}
+    for pc in range(region.start + 1, region.end):
+        category = _OPCODE_CATEGORY[program.instructions[pc].opcode]
+        tally[category] = tally.get(category, 0) + 1
+    return tuple(tally.items())
+
+
+class BatchedExecutionMixin:
+    """Run on the generated fast path instead of the classic loop.
 
     Mix in ahead of :class:`CPU` (or a subclass).  Consumes
     :class:`~repro.staticcheck.regions.RegionReport` at predecode time
     (imported lazily — the staticcheck package sits above the machine
-    layer); pure and memory regions fuse, faulting and in-slice regions
-    stay per-pc, traced/timeline/profiled runs fall back exactly like
-    the plain fast backend.
+    layer): pure and memory regions fuse, faulting and in-slice regions
+    stay per-pc.  On amnesic machines, untraced slice traversals run
+    fused too.  See the module docstring for the backend contract.
     """
 
-    def _decoded_batched(self):
-        cached = self.__dict__.get("_batch_decode")
-        if cached is None:
-            cached = self.__dict__["_batch_decode"] = self._decode_batched()
-        return cached
+    def _decoded(self):
+        table = self.__dict__.get("_batch_decode")
+        if table is None:
+            table = self._decode()
+            if self.tracer is None:
+                # A traced table binds the tracer; cached on this CPU it
+                # would keep the trace alive as long as the CPU.
+                self.__dict__["_batch_decode"] = table
+        return table
 
-    def _decode_batched(self):
+    def _decode(self):
+        decoder = _Decoder(self)
+        fns, cats = decoder.decode()
+        table = _BatchTable(fns, cats)
+        if decoder.traced:
+            # Tracers see one event per instruction: never fused.
+            return table
         from ..staticcheck.regions import KIND_FAULTING, RegionReport
 
-        decoder = _ProgramDecoder(self)
-        fns, cats = decoder.decode()
         body_fns = list(fns)  # originals, for mid-region entry + guard
         report = RegionReport.from_program(self.program)
         _cross_check_artifact(self.program, report)
-        table = _BatchTable(fns, cats)
         flush = self._region_partial_flush
         for region in report.batchable:
             if region.in_slice or region.kind == KIND_FAULTING:
@@ -1610,29 +1237,36 @@ class BatchedExecutionMixin(FastExecutionMixin):
             counts[start + offset] += 1
 
     def __getstate__(self):
-        state = super().__getstate__()
+        # The decode holds generated functions over this instance's hot
+        # state — unpicklable and meaningless in another process (the
+        # parallel engine ships finished CPUs back to the parent).  Drop
+        # it; _decoded() rebuilds on demand.  Chained through super() so
+        # cooperating bases (AmnesicCPU's telemetry handles) get to drop
+        # their own state too.
+        state = dict(super().__getstate__())
         state.pop("_batch_decode", None)
         return state
 
-    def _build_slice_runner(self, slice_id):
-        """Fuse slice traversals the way main-code regions fuse.
-
-        Only reached through :meth:`AmnesicCPU._traverse_slice` (so only
-        on the amnesic variant, and never on traced runs).  Slices the
-        fuser cannot express fall back to the closure interpreter.
-        """
-        fused = _fuse_slice(self, slice_id)
-        if fused is not None:
-            return fused
-        return super()._build_slice_runner(slice_id)
+    def _traverse_slice(self, info):
+        if self.tracer is None and self._timeline is None:
+            # Nothing on the interpreted path emits an observable event
+            # without a tracer or timeline, so the fused traversal is
+            # exact.
+            slices = self._decoded().slices
+            try:
+                fused = slices[info.slice_id]
+            except KeyError:
+                fused = slices[info.slice_id] = _fuse_slice(self, info.slice_id)
+            if fused is not None:
+                return fused()
+        return super()._traverse_slice(info)
 
     def _run_loop(self) -> None:
-        if self._timeline is not None or self.tracer is not None:
-            # Timelines sample mid-run state per instruction (classic
-            # loop); tracers need per-instruction events (plain fast
-            # loop with traced closures).  Both preclude fusing.
+        if self._timeline is not None:
+            # Timelines capture mid-run state per retired instruction;
+            # the classic loop keeps that observability exact.
             return super()._run_loop()
-        table = self._decoded_batched()
+        table = self._decoded()
         fns = table.fns
         counts = table.counts
         max_instructions = self.max_instructions
@@ -1651,10 +1285,10 @@ class BatchedExecutionMixin(FastExecutionMixin):
                     if pc < 0:
                         break
         finally:
-            self._flush_batched(table, pc)
+            self._flush(table, pc)
         self.finalize()
 
-    def _flush_batched(self, table, pc) -> None:
+    def _flush(self, table, pc) -> None:
         stats = self.stats
         by_category = stats.by_category
         counts = table.counts
@@ -1683,227 +1317,13 @@ class BatchedExecutionMixin(FastExecutionMixin):
         # expanded), for the batching property tests.
         self._batch_visit_counts = visits[: len(visits) - 1]
         if pc >= 0:
-            # A fused region that faulted left the outer pc at the
-            # region start; the closure recorded the faulting element.
+            # Keep the architectural pc observable exactly as the
+            # classic loop leaves it (fault pc, halt pc, budget pc); a
+            # fused region that faulted left the outer pc at the region
+            # start and recorded the faulting element.
             self.pc = table.fault_pc if table.fault_pc >= 0 else pc
         table.fault_pc = -1
 
 
-def _tail_categories(program, region):
-    """Aggregated categories of a region's elements 1..L-1.
-
-    Integer count increments commute, so the deferred flush can expand
-    one region hit into per-category totals without replaying order.
-    """
-    tally = {}
-    for pc in range(region.start + 1, region.end):
-        category = _OPCODE_CATEGORY[program.instructions[pc].opcode]
-        tally[category] = tally.get(category, 0) + 1
-    return tuple(tally.items())
-
-
-#: Stand-in operand handed to :func:`_compute_fast_path` for slice
-#: operands whose value only exists at traversal time (SFile, Hist,
-#: architectural registers): classified like a register read, so the
-#: inline form guards on the runtime type.
-_RUNTIME_OPERAND = Reg(1)
-
-
-def _fuse_slice(cpu, slice_id):
-    """Compile one slice into a single fused traversal function.
-
-    Slices are straight-line regions by construction (formation never
-    admits control flow), so the batched backend applies its region
-    fusing to recomputation as well: one generated function per slice
-    replays exactly what the closure interpreter in
-    :meth:`repro.core.amnesic_cpu.AmnesicCPU._build_slice_runner` does —
-    the same structure calls in the same order (IBuff fetches, Renamer
-    reads/writes, Hist reads with their charges), the same inline
-    semantics with evaluator fallback as the fused main regions, and
-    accumulator-hoisted stats/charges written back both on success and
-    on a mid-slice fault (``_done`` tracks the faulting element, and
-    counts follow the interpreter's count-before-execute rule).
-    Returns ``None`` for slices the generator cannot express; the
-    caller falls back to the closure interpreter, which faults at the
-    identical element.
-    """
-    program = cpu.program
-    region = program.slices[slice_id]
-    start, end = region.start, region.end
-    length = end - 1 - start
-    model = cpu.model
-    offload = cpu.concurrent_offload
-    account = cpu.account
-
-    params = {
-        "_cpu": cpu,
-        "_st": cpu.stats,
-        "_bc": cpu.stats.by_category,
-        "_rn": cpu.renamer,
-        "_rd": cpu.renamer.read,
-        "_wr": cpu.renamer.write,
-        "_ib": cpu.ibuff.fetch,
-        "_hr": cpu.hist.read,
-        "_reg": cpu.registers,
-        "_eg": account._energy_by_group,
-        "_ac": account,
-        "_GH": GROUP_HIST,
-        "_GN": GROUP_NONMEM,
-        "_GA": GROUP_AMNESIC,
-        "_wi": wrap_int64,
-    }
-    hist_cost = model.hist_read_cost()
-    params["_he"] = hist_cost.energy_nj
-    params["_ht"] = hist_cost.time_ns
-
-    lines = []
-    tally = {}
-    prefixes = [()]
-    for j, pc in enumerate(range(start, end - 1)):
-        instruction = program.instruction_at(pc)
-        evaluator = _EVALUATORS.get(instruction.opcode)
-        if evaluator is None or not isinstance(instruction.dest, SReg):
-            return None
-        lines.append(f"_done = {j}")
-        lines.append(f"_ib({pc})")
-        exprs = []
-        proxies = []
-        for n, src in enumerate(instruction.srcs):
-            name = f"_a{j}_{n}"
-            if isinstance(src, SReg):
-                params[f"_s{j}_{n}"] = src
-                lines.append(f"{name} = _rd(_s{j}_{n})")
-            elif isinstance(src, HistRef):
-                lines.append(
-                    f"{name} = _hr({slice_id}, {src.leaf_id}, {src.slot})"
-                )
-                lines.append("_gh += _he")
-                if not offload:
-                    lines.append("_tt += _ht")
-                lines.append("_hn += 1")
-            elif isinstance(src, Reg):
-                if src.index == 0:
-                    exprs.append("0")
-                    proxies.append(Imm(0))
-                    continue
-                lines.append(f"{name} = _reg[{src.index}]")
-            elif isinstance(src, Imm):
-                params[f"_c{j}_{n}"] = src.value
-                exprs.append(f"_c{j}_{n}")
-                proxies.append(src)
-                continue
-            else:
-                return None
-            exprs.append(name)
-            proxies.append(_RUNTIME_OPERAND)
-        fast = _compute_fast_path(instruction.opcode, proxies, exprs, lines)
-        if fast != "":
-            # Slice evaluator faults propagate untagged, exactly like
-            # the interpreter's plain ``evaluate`` call.
-            params[f"_ev{j}"] = evaluator
-            call = f"_x = _ev{j}({', '.join(exprs)})"
-            if fast:
-                lines.append("else:")
-                lines.append("    " + call)
-            else:
-                lines.append(call)
-        params[f"_d{j}"] = instruction.dest
-        lines.append(f"_wr(_d{j}, _x)")
-        cost = model.slice_instruction_cost(instruction.category)
-        params[f"_e{j}"] = cost.energy_nj
-        params[f"_t{j}"] = cost.time_ns
-        lines.append(f"_gn += _e{j}")
-        if not offload:
-            lines.append(f"_tt += _t{j}")
-        category = instruction.category
-        tally[category] = tally.get(category, 0) + 1
-        prefixes.append(tuple(tally.items()))
-
-    rtn = program.instruction_at(end - 1)
-    if rtn.opcode is not Opcode.RTN:
-        return None
-    rtn_cost = model.rtn_cost()
-    params["_rtn_d"] = rtn.dest
-    params["_re"] = rtn_cost.energy_nj
-    params["_rt"] = rtn_cost.time_ns
-    params["_pref"] = tuple(prefixes)
-    totals = dict(tally)
-    totals[rtn.category] = totals.get(rtn.category, 0) + 1
-    success_counts = []
-    for i, (category, count) in enumerate(
-        sorted(totals.items(), key=lambda item: item[0].name)
-    ):
-        params[f"_cat{i}"] = category
-        success_counts.append(f"_bc[_cat{i}] += {count}")
-
-    success = [
-        f"_st.dynamic_instructions += {length + 1}",
-        f"_st.slice_instructions_executed += {length}",
-        "_st.hist_reads += _hn",
-        *success_counts,
-        "_ga += _re",
-        *([] if offload else ["_tt += _rt"]),
-        "_eg[_GH] = _gh",
-        "_eg[_GN] = _gn",
-        "_eg[_GA] = _ga",
-        "_ac._time_ns = _tt",
-        f"_cpu._dynamic_index += {length + 1}",
-        "return _res",
-    ]
-    fault = [
-        # Count-before-execute: the faulting element (index ``_done``)
-        # was counted by the interpreter before its operands resolved,
-        # so the prefix includes it — except past the last element,
-        # where only the RTN's Renamer read can fault (it is counted
-        # *after* the read succeeds).
-        "_k = _done + 1",
-        f"if _k > {length}:",
-        f"    _k = {length}",
-        "_st.dynamic_instructions += _k",
-        "_st.slice_instructions_executed += _k",
-        "_st.hist_reads += _hn",
-        "for _cat, _n in _pref[_k]:",
-        "    _bc[_cat] += _n",
-        "_eg[_GH] = _gh",
-        "_eg[_GN] = _gn",
-        "_eg[_GA] = _ga",
-        "_ac._time_ns = _tt",
-        "_cpu._dynamic_index += _done",
-        "raise",
-    ]
-
-    names = sorted(params)
-    signature = ", ".join(f"{name}={name}" for name in names)
-    indent = " " * 8
-    body_src = "\n".join(indent + line for line in lines)
-    success_src = "\n".join(indent + line for line in success)
-    fault_src = "\n".join(indent + line for line in fault)
-    source = (
-        f"def _slice({signature}):\n"
-        f"    _cpu.recompute = True\n"
-        f"    _rn.begin_slice()\n"
-        f"    _tt = _ac._time_ns\n"
-        f"    _gh = _eg[_GH]\n"
-        f"    _gn = _eg[_GN]\n"
-        f"    _ga = _eg[_GA]\n"
-        f"    _hn = 0\n"
-        f"    _done = 0\n"
-        f"    try:\n"
-        f"{body_src}\n"
-        f"        _done = {length}\n"
-        f"        _res = _rd(_rtn_d)\n"
-        f"{success_src}\n"
-        f"    except BaseException:\n"
-        f"{fault_src}\n"
-        f"    finally:\n"
-        f"        _rn.end_slice()\n"
-        f"        _cpu.recompute = False\n"
-    )
-    namespace = dict(params)
-    code = _compiled_region(source, f"<slice {program.name}:{slice_id}>")
-    exec(code, namespace)
-    return namespace["_slice"]
-
-
 class BatchedFastCPU(BatchedExecutionMixin, CPU):
-    """The region-batched fast backend for classic execution semantics."""
+    """The generated fast backend for classic execution semantics."""

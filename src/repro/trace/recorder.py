@@ -53,7 +53,7 @@ def profile_program(
 
     *backend* selects the execution backend for the profiling run (None
     resolves from the environment).  Backends are trace-equivalent by
-    contract — the fast backend's traced closures emit the identical
+    contract — the fast backend's traced per-pc functions emit the identical
     event stream — so the profile, and everything compiled from it, is
     the same whichever backend gathers it.
     """
@@ -72,6 +72,10 @@ def profile_program(
     with get_telemetry().span("profile", program=program.name) as span:
         stats = cpu.run()
         span.set(dynamic_instructions=stats.dynamic_instructions)
+    # A CPU is cyclic garbage (its dispatch table holds bound methods),
+    # so a tracker it still referenced would outlive the profile until a
+    # full collection; detached, the trace is freed with the profile.
+    cpu.tracer = None
     return ProfileResult(
         dependence=dependence,
         loads=LoadProfiler.from_trace(dependence),

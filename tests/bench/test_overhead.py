@@ -107,60 +107,6 @@ def test_telemetry_off_run_skips_all_observability_work(model):
     os.environ.get("REPRO_PERF_TESTS") != "1",
     reason="wall-clock comparison; set REPRO_PERF_TESTS=1 to enable",
 )
-def test_batched_backend_not_slower_than_fast():
-    """The fast-batched backend must hold its fig4 throughput edge.
-
-    Same paired-ratio discipline as the telemetry guard: per rep, time
-    an untraced amnesic run on ``fast`` then on ``fast-batched``
-    back-to-back, compare as a ratio, take the median.  The bench
-    artifact's acceptance bar is a 1.2x untraced-ips edge on the full
-    fig4 sweep; a single-kernel guard can't pin that margin without
-    flaking, so it asserts the weaker invariant that batching never
-    *loses* — a fusing regression shows up as batched slower than fast.
-    """
-    import statistics
-
-    from repro.compiler.amnesic_pass import compile_amnesic
-    from repro.core.backend import BACKENDS
-    from repro.core.policies import make_policy
-    from repro.energy import paper_energy_model
-    from repro.workloads import get
-
-    energy_model = paper_energy_model()
-    program = get("mcf").instantiate(1.0)
-    binary = compile_amnesic(program, energy_model).binary
-
-    def factory(name):
-        cls = BACKENDS[name].amnesic_cls
-        return lambda b, m: cls(b, m, make_policy("Compiler"))
-
-    fast, batched = factory("fast"), factory("fast-batched")
-    # Warm both (decode caches, generated slice code) before timing.
-    _timed_run(fast, binary, energy_model)
-    _timed_run(batched, binary, energy_model)
-
-    attempts = []
-    for _ in range(3):
-        ratios = []
-        for _ in range(7):
-            fast_elapsed, _ = _timed_run(fast, binary, energy_model)
-            batched_elapsed, _ = _timed_run(batched, binary, energy_model)
-            ratios.append(batched_elapsed / fast_elapsed)
-        attempts.append(statistics.median(ratios))
-        if attempts[-1] <= 1.0:
-            return
-    summary = ", ".join(f"{a:.2f}x" for a in attempts)
-    raise AssertionError(
-        f"fast-batched is persistently slower than fast on an untraced "
-        f"amnesic run (batched/fast wall-clock medians: {summary})"
-    )
-
-
-@pytest.mark.integration
-@pytest.mark.skipif(
-    os.environ.get("REPRO_PERF_TESTS") != "1",
-    reason="wall-clock comparison; set REPRO_PERF_TESTS=1 to enable",
-)
 def test_telemetry_off_overhead_within_budget(model):
     program = build_spill_kernel(iterations=400, chain=4, gap=8)
     assert not get_telemetry().enabled

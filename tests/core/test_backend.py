@@ -8,41 +8,36 @@ from repro.core.backend import (
     DEFAULT_BACKEND,
     ENV_BACKEND,
     BatchedFastAmnesicCPU,
-    FastAmnesicCPU,
     resolve_backend,
 )
 from repro.core.amnesic_cpu import AmnesicCPU
-from repro.machine import CPU, FastCPU
+from repro.machine import CPU
 from repro.machine.fastpath import BatchedFastCPU
 
 
 def test_registry_names_every_backend():
-    assert BACKEND_NAMES == ("classic", "fast", "fast-batched")
+    assert BACKEND_NAMES == ("classic", "fast-batched")
     assert BACKENDS["classic"].cpu_cls is CPU
     assert BACKENDS["classic"].amnesic_cls is AmnesicCPU
-    assert BACKENDS["fast"].cpu_cls is FastCPU
-    assert BACKENDS["fast"].amnesic_cls is FastAmnesicCPU
     assert BACKENDS["fast-batched"].cpu_cls is BatchedFastCPU
     assert BACKENDS["fast-batched"].amnesic_cls is BatchedFastAmnesicCPU
 
 
 def test_fast_classes_are_subclasses_of_the_reference_ones():
-    # The fast backends layer loops over classic handlers; they must
+    # The fast backend layers a loop over classic handlers; it must
     # stay substitutable wherever the reference classes are expected.
-    assert issubclass(FastCPU, CPU)
-    assert issubclass(FastAmnesicCPU, AmnesicCPU)
     assert issubclass(BatchedFastCPU, CPU)
     assert issubclass(BatchedFastAmnesicCPU, AmnesicCPU)
 
 
 def test_explicit_name_wins(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "fast")
+    monkeypatch.setenv(ENV_BACKEND, "fast-batched")
     assert resolve_backend("classic").name == "classic"
 
 
 def test_env_fallback(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "fast")
-    assert resolve_backend().name == "fast"
+    monkeypatch.setenv(ENV_BACKEND, "fast-batched")
+    assert resolve_backend().name == "fast-batched"
     monkeypatch.setenv(ENV_BACKEND, "")
     assert resolve_backend().name == DEFAULT_BACKEND
     monkeypatch.delenv(ENV_BACKEND)
@@ -55,15 +50,18 @@ def test_unknown_backend_is_a_value_error(monkeypatch):
     monkeypatch.setenv(ENV_BACKEND, "turbo")
     with pytest.raises(ValueError, match="turbo"):
         resolve_backend()
+    # The retired per-pc-only backend is not an alias.
+    with pytest.raises(ValueError, match="unknown execution backend"):
+        resolve_backend("fast")
 
 
 def test_runner_resolves_backend_eagerly(monkeypatch):
     from repro.harness.runner import SuiteRunner
 
-    monkeypatch.setenv(ENV_BACKEND, "fast")
+    monkeypatch.setenv(ENV_BACKEND, "fast-batched")
     runner = SuiteRunner(jobs=1)
-    assert runner.backend == "fast"
-    assert runner.describe()["backend"] == "fast"
+    assert runner.backend == "fast-batched"
+    assert runner.describe()["backend"] == "fast-batched"
     # Explicit argument still beats the environment.
     assert SuiteRunner(jobs=1, backend="classic").backend == "classic"
 
@@ -78,7 +76,7 @@ def test_backends_agree_on_a_suite_benchmark():
     program = get("bfs").instantiate(0.25)
     model = paper_energy_model()
     classic = run_classic(program, model, backend="classic").cpu
-    fast = run_classic(program, model, backend="fast").cpu
+    fast = run_classic(program, model, backend="fast-batched").cpu
     assert classic.registers == fast.registers
     assert classic.memory.snapshot() == fast.memory.snapshot()
     assert classic.account.breakdown() == fast.account.breakdown()

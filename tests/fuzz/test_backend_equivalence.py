@@ -1,6 +1,6 @@
-"""Classic-vs-fast(-batched) backend equivalence over the corpus.
+"""Classic-vs-fast-batched backend equivalence over the corpus.
 
-Satellite of the fast-backend PRs: every committed corpus entry replays
+Every committed corpus entry replays
 through each non-classic backend and must match the classic interpreter
 on registers, the memory image, and the energy accounts — under plain
 classic semantics *and* under every amnesic policy.  Entries that
@@ -35,7 +35,7 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 BACKEND_FUZZ_SEED = 0xA32E51AC
 
 #: Every backend that must match classic bit-for-bit.
-NON_CLASSIC_BACKENDS = ("fast", "fast-batched")
+NON_CLASSIC_BACKENDS = ("fast-batched",)
 
 
 def entry_ids():
@@ -78,7 +78,7 @@ def test_seeded_fuzz_round_with_fast_amnesic_cpu(model):
     # which backend executes the binary.
     from repro.core.backend import BACKENDS
 
-    fast_amnesic = BACKENDS["fast"].amnesic_cls
+    fast_amnesic = BACKENDS["fast-batched"].amnesic_cls
     checked = 0
     for spec in generate_specs(BACKEND_FUZZ_SEED, 10):
         try:
@@ -118,7 +118,7 @@ def test_seeded_backend_equivalence_round(backend, model):
 
 def test_compilation_identical_across_profiling_backends(model):
     # The compiler's profiling run may execute on either backend: the
-    # traced fast closures emit the classic event stream field for
+    # traced per-pc functions emit the classic event stream field for
     # field, so the dependence/load/locality profiles — and therefore
     # the compiled binary — must come out identical.
     from repro.compiler.amnesic_pass import compile_amnesic

@@ -57,6 +57,28 @@ def test_oracle_reports_slice_counts(model):
     assert verdict.instruction_count > 0
 
 
+def test_check_program_runs_one_classic_cpu(model, monkeypatch):
+    # The profiling run doubles as the classic baseline: one check runs
+    # the classic program once, however many binaries it compiles.
+    from repro.core.amnesic_cpu import AmnesicCPU
+    from repro.fuzz import materialize
+    from repro.fuzz.oracle import check_program
+    from repro.machine.cpu import CPU
+
+    classic_runs = []
+    original = CPU.run
+
+    def counting_run(self):
+        if not isinstance(self, AmnesicCPU):
+            classic_runs.append(type(self).__name__)
+        return original(self)
+
+    monkeypatch.setattr(CPU, "run", counting_run)
+    verdict = check_program(materialize(hist_leaf_spec()), model=model)
+    assert verdict.ok, verdict.summary()
+    assert len(classic_runs) == 1, classic_runs
+
+
 def test_classic_fault_marks_spec_invalid_not_failing(model):
     verdict = check_spec(
         hist_leaf_spec(), model=model, max_instructions=10

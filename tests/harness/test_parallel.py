@@ -348,9 +348,12 @@ def test_result_key_digest_is_backend_namespaced():
     base = make_key()
     assert base.backend == "classic"
     assert base.digest() == dataclasses.replace(base, backend="classic").digest()
-    fast = dataclasses.replace(base, backend="fast")
+    fast = dataclasses.replace(base, backend="fast-batched")
     assert fast.digest() != base.digest()
-    assert fast.digest() == dataclasses.replace(base, backend="fast").digest()
+    assert (
+        fast.digest()
+        == dataclasses.replace(base, backend="fast-batched").digest()
+    )
 
 
 def test_model_fingerprint_is_stable_by_value():

@@ -1,13 +1,13 @@
-"""Fast backend: exact equivalence with the classic interpreter.
+"""Generated fast path: exact equivalence with the classic interpreter.
 
-The fast backend predecodes the program into per-pc closures and runs a
-locals-hoisted dispatch loop, but its contract is that nothing
-observable changes: architectural state, RunStats, cache state, the
-per-group energy breakdown, modeled time, traced event streams, and
-fault type/message/pc must all be byte-for-byte the classic ones.
-These tests pin that contract on hand-written programs; the fuzz
-oracle's :func:`repro.fuzz.check_backend_equivalence` pins it on
-generated ones.
+``BatchedFastCPU`` predecodes the program into per-pc functions (plus
+fused regions, see ``test_fastpath_regions``) rendered from one
+description per opcode, but its contract is that nothing observable
+changes: architectural state, RunStats, cache state, the per-group
+energy breakdown, modeled time, traced event streams, and fault
+type/message/pc must all be byte-for-byte the classic ones.  These
+tests pin that contract on hand-written programs; the fuzz oracle's
+:func:`repro.fuzz.check_backend_equivalence` pins it on generated ones.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.isa import Opcode, ProgramBuilder
-from repro.machine import CPU, FastCPU
+from repro.machine import CPU, BatchedFastCPU
 from repro.trace import InstructionEvent
 
 from ..conftest import build_spill_kernel, tiny_config
@@ -47,7 +47,7 @@ def run_pair(program, max_instructions=100_000, tracer_factory=None):
     failure; a matching fault is re-raised by the caller's pytest.raises.
     """
     outcomes = []
-    for cls in (CPU, FastCPU):
+    for cls in (CPU, BatchedFastCPU):
         tracer = tracer_factory() if tracer_factory else None
         cpu = cls(
             program, make_model(), tracer=tracer,
@@ -124,6 +124,8 @@ def test_traced_runs_emit_identical_event_streams():
     assert len(ct.events) == len(ft.events)
     for left, right in zip(ct.events, ft.events):
         assert left == right
+    # Traced runs stay per-pc: one event per instruction, nothing fused.
+    assert fast._decoded().region_spans == []
 
 
 def test_jr_one_past_the_end_fault_parity():
@@ -170,7 +172,7 @@ def test_budget_fault_counts_match():
     b.jmp("spin")
     program = b.build()
     cpus = []
-    for cls in (CPU, FastCPU):
+    for cls in (CPU, BatchedFastCPU):
         cpu = cls(program, make_model(), max_instructions=64)
         with pytest.raises(ExecutionLimitExceeded):
             cpu.run()
@@ -184,7 +186,7 @@ def test_budget_fault_counts_match():
 
 def test_decode_is_cached_across_runs():
     program = build_spill_kernel(iterations=2, chain=2, gap=2)
-    cpu = FastCPU(program, make_model())
+    cpu = BatchedFastCPU(program, make_model())
     first = cpu._decoded()
     assert cpu._decoded() is first
 
@@ -198,7 +200,7 @@ def test_profiled_fast_run_reconciles():
     program = build_spill_kernel(iterations=8, chain=3, gap=5)
     profiler = HotLoopProfiler(sample_every=7)
     with telemetry_session(profiler=profiler):
-        fast = FastCPU(program, make_model())
+        fast = BatchedFastCPU(program, make_model())
         fast.run()
     classic = CPU(program, make_model())
     classic.run()
@@ -218,7 +220,7 @@ def test_timeline_fast_run_matches_classic():
     program = build_spill_kernel(iterations=6, chain=2, gap=3)
     with telemetry_session(timeline_window=50) as telemetry:
         with telemetry.span("test"):
-            fast = FastCPU(program, make_model())
+            fast = BatchedFastCPU(program, make_model())
             fast.run()
     classic = CPU(program, make_model())
     classic.run()
@@ -226,9 +228,8 @@ def test_timeline_fast_run_matches_classic():
 
 
 def test_fast_backend_is_actually_faster():
-    # Not a benchmark — a smoke guard that the predecoded loop beats the
-    # classic interpreter on a hot loop by a sane margin.  The real >=5x
-    # acceptance number comes from ``repro bench`` (see docs/BENCH).
+    # Not a benchmark — a smoke guard that the generated fast path beats
+    # the classic interpreter on a hot loop by a sane margin.
     import time
 
     b = ProgramBuilder()
@@ -249,9 +250,10 @@ def test_fast_backend_is_actually_faster():
         return time.perf_counter() - start, cpu
 
     classic_s, classic = timed(CPU)
-    fast_s, fast = timed(FastCPU)
+    fast_s, fast = timed(BatchedFastCPU)
     assert_state_equal(classic, fast)
-    # Conservative floor: locally the ratio is ~5x; keep CI noise-proof.
+    # Conservative floor: locally the ratio is several-fold; keep CI
+    # noise-proof.
     assert fast_s < classic_s, (
         f"fast backend slower than classic: {fast_s:.3f}s vs {classic_s:.3f}s"
     )

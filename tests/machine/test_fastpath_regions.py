@@ -3,7 +3,7 @@
 The batched backend consumes the static region analysis
 (``repro.staticcheck.regions``) at predecode time and fuses each
 batchable straight-line run into a single dispatch.  Its contract is
-the fast backend's contract, unchanged: architectural state, RunStats,
+the per-pc fast path's contract, unchanged: architectural state, RunStats,
 cache state, energy/time accounts, and fault type/message/pc must all
 be byte-for-byte the classic interpreter's — including when a fault or
 the instruction budget lands *inside* a fused region, when a JR enters
@@ -102,7 +102,7 @@ def assert_state_equal(classic, batched):
 
 
 def fused_spans(cpu):
-    return list(cpu._decoded_batched().region_spans)
+    return list(cpu._decoded().region_spans)
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +152,7 @@ def test_hot_region_kernel_is_bit_identical():
     assert_state_equal(classic, batched)
     assert batched.halted
     # The loop body actually fused (this test would otherwise only be
-    # re-testing the plain fast backend).
+    # re-testing the per-pc functions).
     assert any(end - start >= 2 for start, end in fused_spans(batched))
 
 
