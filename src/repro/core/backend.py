@@ -23,26 +23,50 @@ import dataclasses
 import os
 from typing import Optional, Tuple, Type
 
+from ..machine.config import Level
 from ..machine.cpu import CPU
 from ..machine.fastpath import BatchedExecutionMixin, BatchedFastCPU
 from .amnesic_cpu import AmnesicCPU
+from .policies import CompilerPolicy, FLCPolicy, LLCPolicy, OracleDecisionPolicy
 
 #: Environment variable consulted when no explicit backend is passed.
 ENV_BACKEND = "REPRO_BACKEND"
 
 DEFAULT_BACKEND = "classic"
 
+#: The paper policies' decisions as generated-code mechanisms (see
+#: :data:`repro.machine.fastpath._MECHANISMS`), by policy class.
+RCMP_MECHANISMS = {
+    CompilerPolicy: "always",
+    FLCPolicy: "l1",
+    LLCPolicy: "l2",
+    OracleDecisionPolicy: "table",
+}
+
 
 class BatchedFastAmnesicCPU(BatchedExecutionMixin, AmnesicCPU):
     """The generated fast backend for amnesic binaries.
 
     Straight-line runs between amnesic/control opcodes fuse into single
-    dispatches (the region analyzer never batches across RCMP/REC/RTN),
-    REC runs from its description, and RCMP goes through the classic
-    scheduler via the handler thunk, so policy decisions and every
-    amnesic charge are the classic ones.  Untraced slice traversals run
-    as fused generated functions.
+    dispatches (the region analyzer never batches across RCMP/REC/RTN)
+    and REC runs from its description.  RCMP renders per pc for the
+    run's policy when :data:`RCMP_MECHANISMS` knows its class — the
+    decision inline, a direct call into the slice's fused traversal,
+    the inherited load from the LD description; any other policy, a
+    traced run and a live telemetry session keep the classic scheduler
+    via the handler thunk.  Untraced slice traversals run as
+    register-resident generated functions.
     """
+
+    def _rcmp_mechanism(self):
+        return RCMP_MECHANISMS.get(type(self.policy))
+
+    def _rcmp_fire_table(self, info):
+        """Whether a slice fires at each residence (L1, L2, MEM)."""
+        return tuple(
+            self.policy.fires_at(level, info, self.model)
+            for level in (Level.L1, Level.L2, Level.MEM)
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,6 +104,7 @@ __all__ = [
     "BACKEND_NAMES",
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
+    "RCMP_MECHANISMS",
     "Backend",
     "BatchedFastAmnesicCPU",
     "resolve_backend",

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import HistOverflow
 
@@ -111,6 +111,10 @@ class HistoryTable:
         for key in doomed:
             del self._entries[key]
         return len(doomed)
+
+    def entries(self) -> List[Tuple[Key, Tuple[Value, ...]]]:
+        """Every checkpoint, least recently used first (no LRU effect)."""
+        return list(self._entries.items())
 
     @property
     def occupancy(self) -> int:

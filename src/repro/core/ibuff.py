@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Dict
+from typing import Dict, List
 
 #: Default IBuff capacity in instructions.
 DEFAULT_IBUFF_CAPACITY = 64
@@ -63,6 +63,10 @@ class InstructionBuffer:
         self._entries[pc] = None
         self.stats.high_water = max(self.stats.high_water, len(self._entries))
         return False
+
+    def entries(self) -> List[int]:
+        """Buffered pcs, least recently used first (no LRU effect)."""
+        return list(self._entries)
 
     @property
     def occupancy(self) -> int:

@@ -169,12 +169,17 @@ class OracleDecisionPolicy(Policy):
 
     def decide(self, context: RcmpContext) -> Decision:
         level = context.hierarchy.residence(context.address)
-        load_cost = context.model.load_cost_at(level)
-        recompute_cost = context.slice_info.rslice.traversal_cost
         return _count_decision(
             self.name,
-            Decision(fire=load_cost.energy_nj > recompute_cost.energy_nj),
+            Decision(fire=self.fires_at(level, context.slice_info, context.model)),
         )
+
+    @staticmethod
+    def fires_at(level: Level, slice_info: SliceInfo, model: EnergyModel) -> bool:
+        """The decision for a load resident at *level*: E_ld > E_rc."""
+        load_cost = model.load_cost_at(level)
+        recompute_cost = slice_info.rslice.traversal_cost
+        return load_cost.energy_nj > recompute_cost.energy_nj
 
 
 def make_policy(name: str) -> Policy:

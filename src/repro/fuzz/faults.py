@@ -123,7 +123,19 @@ def late_replay() -> Iterator[None]:
 
 
 @contextlib.contextmanager
-def stale_load_lru() -> Iterator[None]:
+def _regenerated(table, key, value) -> Iterator[None]:
+    """Generate fast-path code with ``table[key]`` replaced by *value*."""
+    original = table[key]
+    table[key] = value
+    fastpath.clear_codegen_caches()
+    try:
+        yield
+    finally:
+        table[key] = original
+        fastpath.clear_codegen_caches()
+
+
+def stale_load_lru():
     """Generate fast-path code from an LD description without LRU promotion.
 
     Bug: an L1 load hit no longer moves its line to the MRU end, so the
@@ -131,19 +143,56 @@ def stale_load_lru() -> Iterator[None]:
     and energy of the hit itself are unchanged; the divergence appears
     only at a later eviction (hit/miss counts, levels, charges, and the
     cache contents).  Because every fast-path rendering — per-pc
-    functions, traced per-pc functions, fused regions — is generated
-    from the one description, this single edit must break all three.
+    functions, traced per-pc functions, fused regions, and the load an
+    RCMP falls back to — is generated from the one description, this
+    single edit must break all of them.
     """
-    original = fastpath._FAMILIES["ld"]
-    fastpath._FAMILIES["ld"] = tuple(
-        line for line in original if line != "    _cs.move_to_end(_ln)"
+    lines = fastpath._FAMILIES["ld"]
+    return _regenerated(
+        fastpath._FAMILIES,
+        "ld",
+        tuple(line for line in lines if line != "    _cs.move_to_end(_ln)"),
     )
-    fastpath.clear_codegen_caches()
-    try:
-        yield
-    finally:
-        fastpath._FAMILIES["ld"] = original
-        fastpath.clear_codegen_caches()
+
+
+def unprobed_l2():
+    """Generate the L2-probing RCMP mechanism without its L2 probe count.
+
+    Bug: LLC's generated decision probes L2 on an L1 miss but no longer
+    counts the tag probe in ``l2.stats.probes``.  Decisions, values,
+    energy and time stay classic-identical; only the probe statistics
+    the paper's LLC overhead argument rests on drift.
+    """
+    decide, residence, probe = fastpath._MECHANISMS["l2"]
+    return _regenerated(
+        fastpath._MECHANISMS,
+        "l2",
+        (
+            tuple(line for line in decide if line.strip() != "_l2h.probes += 1"),
+            residence,
+            probe,
+        ),
+    )
+
+
+def stale_hist_lru():
+    """Generate fused slices whose inline Hist read skips the LRU promotion.
+
+    Bug: a recomputation reads its checkpoint but leaves the entry where
+    it was in the history table's LRU order, so the next REC into a full
+    table evicts a checkpoint a slice just used.  The value read and
+    every counter are unchanged; the entry order diverges at once, and
+    under a small Hist the evictions, fallbacks and energy follow.
+    """
+    return _regenerated(
+        vars(fastpath),
+        "_HIST_READ",
+        tuple(
+            line
+            for line in fastpath._HIST_READ
+            if not line.startswith("_hent.move_to_end")
+        ),
+    )
 
 
 __all__ = [
@@ -153,5 +202,7 @@ __all__ = [
     "LateReplayScanner",
     "SkipHistReadCPU",
     "late_replay",
+    "stale_hist_lru",
     "stale_load_lru",
+    "unprobed_l2",
 ]

@@ -401,7 +401,9 @@ def check_backend_equivalence(
     under test is the execution *backend* rather than the execution
     *model*: the classic program and every per-policy amnesic run are
     executed under both backends and compared on final registers, the
-    memory image, RunStats, hierarchy counters, the per-group energy
+    memory image, RunStats, hierarchy counters, per-cache stats (tag
+    probes included) and resident lines in LRU order, the Hist/SFile/
+    IBuff counters and Hist/IBuff entry order, the per-group energy
     breakdown, and modeled time.  Unlike amnesic-vs-classic (where only
     architectural state must match), the two backends run the *same*
     semantics, so every comparison is exact — including float energy
@@ -491,10 +493,19 @@ def check_backend_equivalence(
             dataclasses.asdict(fast_cpu.hierarchy.stats),
         )
         for cache in ("l1", "l2"):
+            reference = getattr(classic_cpu.hierarchy, cache)
+            tested = getattr(fast_cpu.hierarchy, cache)
+            exact(f"{cache} state", reference.observe(), tested.observe())
+            # Tag probes and LRU order: what the RCMP decisions touch.
             exact(
-                f"{cache} state",
-                getattr(classic_cpu.hierarchy, cache).observe(),
-                getattr(fast_cpu.hierarchy, cache).observe(),
+                f"{cache} stats",
+                dataclasses.asdict(reference.stats),
+                dataclasses.asdict(tested.stats),
+            )
+            exact(
+                f"{cache} lines",
+                list(reference.resident_lines().items()),
+                list(tested.resident_lines().items()),
             )
         exact(
             "energy breakdown",
@@ -517,6 +528,12 @@ def check_backend_equivalence(
                     f"{structure} state",
                     getattr(classic_cpu, structure).observe(),
                     getattr(fast_cpu, structure).observe(),
+                )
+            for structure in ("hist", "ibuff"):
+                exact(
+                    f"{structure} entries",
+                    getattr(classic_cpu, structure).entries(),
+                    getattr(fast_cpu, structure).entries(),
                 )
 
     # The plain-interpreter pair.

@@ -3,7 +3,8 @@
 :class:`BatchedExecutionMixin` replaces the classic fetch/decode/dispatch
 loop of :class:`~repro.machine.cpu.CPU` with a predecoded program.  Each
 opcode family the fast path handles (compute, ``LD``, ``ST``, branches,
-``JMP``, ``JAL``, ``JR``, ``NOP``, ``REC``) is *described once*: a tuple
+``JMP``, ``JAL``, ``JR``, ``NOP``, ``REC``, and ``RCMP`` per decision
+mechanism) is *described once*: a tuple
 of Python source lines that mirrors the classic handler statement for
 statement — same value semantics, same fault points and messages, same
 energy charges in the same order, same cache/LRU transitions.  The lines
@@ -24,8 +25,13 @@ renders four ways:
 * **fused regions** — statically proven straight-line runs (see
   :mod:`repro.staticcheck.regions`) concatenated into one generated
   function, with accumulators hoisted into locals;
-* **fused slices** — the compute description again, fed by Renamer,
-  Hist and register operands, one generated function per RSlice.
+* **fused slices** — the compute description again, fed by Hist and
+  register operands, with scratch registers in locals: one generated
+  function per RSlice.
+
+``RCMP`` renders per pc for the run's policy (see :data:`_MECHANISMS`):
+its decision inline, a direct call into the slice's fused traversal,
+and the inherited load rendered from the ``LD`` description.
 
 The contract every rendering honours:
 
@@ -44,9 +50,10 @@ The contract every rendering honours:
   the hot-loop profiler uses the classic profiled loop; a traced run
   keeps the predecoded loop with traced per-pc functions and no fusion.
   Tracers are fixed at CPU construction, so the variant is chosen at
-  decode time.  Opcodes without a description (``RCMP``, ``RTN``) and
-  statically odd instructions thunk through the classic handler, which
-  emits via ``CPU._emit``.
+  decode time.  ``RTN``, statically odd instructions, and ``RCMP`` in a
+  traced run, under a live telemetry session (per-RCMP decision
+  records) or for a policy without a mechanism thunk through the
+  classic handler, which emits via ``CPU._emit``.
 
 Instruction counting (``RunStats.dynamic_instructions`` /
 ``by_category``) is deferred to per-pc and per-region hit counts and
@@ -68,10 +75,17 @@ from ..energy.account import (
     GROUP_NONMEM,
     GROUP_STORE,
 )
-from ..errors import ExecutionLimitExceeded, MachineFault, MemoryFault
+from ..errors import (
+    ArithmeticFault,
+    ExecutionLimitExceeded,
+    MachineFault,
+    MemoryFault,
+    RecomputationMismatch,
+)
 from ..isa.opcodes import _OPCODE_CATEGORY, Category, Opcode
 from ..isa.operands import HistRef, Imm, Reg, SReg
 from ..isa.semantics import _EVALUATORS, wrap_int64
+from ..telemetry.runtime import get_telemetry
 from ..trace.events import InstructionEvent
 from .config import Level
 from .cpu import CPU
@@ -146,6 +160,19 @@ def _address(base, offset):
     )
 
 
+def _load_address(base, offset):
+    """The address lines of LD/ST, tagged ``ea``: RCMP computes its own."""
+    return tuple(("ea", line) for line in _address(base, offset))
+
+
+#: ``Memory.read`` of ``_a`` into ``_x``.
+_READ = (
+    "try:",
+    "    _x = _cells[_a]",
+    "except KeyError:",
+    "    raise _MemF(f'read of unmapped address {_a:#x}') from None",
+)
+
 #: The L1 set holding ``_a`` (the inlined half of ``MemoryHierarchy.load``).
 _L1_SET = ("_ln = _a >> _shift", "_cs = _l1sets[_ln % _nsets]", "if _ln in _cs:")
 
@@ -153,15 +180,13 @@ _L1_SET = ("_ln = _a >> _shift", "_cs = _l1sets[_ln % _nsets]", "if _ln in _cs:"
 #: ``(tag, text)``: ``dest`` writes the destination register, ``emit``
 #: retires the instruction (its text is the event's arguments after the
 #: pc and instruction), ``mark`` records a fault point, and any other
-#: tag keeps the line only when the rendering sets that flag.
+#: tag keeps the line only when the rendering sets that flag.  A hook's
+#: leading spaces indent the lines it stands for.
 _FAMILIES = {
     "ld": (
         ("mark", ""),
-        *_address("$s0", "$s1"),
-        "try:",
-        "    _x = _cells[_a]",
-        "except KeyError:",
-        "    raise _MemF(f'read of unmapped address {_a:#x}') from None",
+        *_load_address("$s0", "$s1"),
+        *_READ,
         *_L1_SET,
         "    $h1 += 1",
         "    _cs.move_to_end(_ln)",
@@ -183,8 +208,8 @@ _FAMILIES = {
     "st": (
         ("mark", ""),
         "_x = $s0",
-        *_address("$s1", "$s2"),
-        ("ro", "if _ro(_a):"),
+        *_load_address("$s1", "$s2"),
+        ("ro", "if $ro:"),
         ("ro", "    raise _MemF(f'write to read-only address {_a:#x}')"),
         "_cells[_a] = _x",
         *_L1_SET,
@@ -256,13 +281,131 @@ _FAMILIES = {
 }
 
 #: Families whose per-pc function falls through to ``pc + 1``.
-_FALLTHROUGH = frozenset({"compute", "ld", "st", "nop", "rec"})
+_FALLTHROUGH = frozenset({"compute", "ld", "st", "nop", "rec", "rcmp"})
 
 #: Operand counts the fixed-shape families read.
-_ARITY = {"ld": 2, "st": 3, "branch": 2, "jr": 1}
+_ARITY = {"ld": 2, "st": 3, "branch": 2, "jr": 1, "rcmp": 2}
 
 #: Families whose ``dest`` hook writes an architectural register.
-_WRITES_DEST = frozenset({"compute", "ld", "jal"})
+_WRITES_DEST = frozenset({"compute", "ld", "jal", "rcmp"})
+
+
+def _read_only_test(ranges):
+    """``Memory.is_read_only(_a)`` over *ranges*, ``(lo, hi)`` source pairs."""
+    return " or ".join(f"{lo} <= _a < {hi}" for lo, hi in ranges) or "False"
+
+
+#: ``MemoryHierarchy.residence(_a)`` below L1, into ``_rl``.
+_RESIDENCE_L2 = (
+    "_ln = _a >> _shift2",
+    "_rl = _L2 if _ln in _l2sets[_ln % _nsets2] else _MEM",
+)
+_RESIDENCE = (
+    "_ln = _a >> _shift",
+    "if _ln in _l1sets[_ln % _nsets]:",
+    "    _rl = _L1",
+    "else:",
+    *("    " + line for line in _RESIDENCE_L2),
+)
+
+#: The scheduler's decision mechanisms (paper section 3.3.1), each as
+#: ``(decision, residence, probe)``: lines that set ``_f`` (fire?) from
+#: ``_a``; lines that leave ``_rl`` = the load's residence once a slice
+#: fired (a fire implies the probes missed); and the prefix of the probe
+#: cost a fire or a fallback after a fire charges (None: no probe).
+#: Probes count in the tag-probe stats and leave LRU state alone.
+_MECHANISMS = {
+    # Fire on every RCMP.
+    "always": (("_f = True",), _RESIDENCE, None),
+    # Fire on a miss through L1.
+    "l1": (
+        (
+            "_l1h.probes += 1",
+            "_ln = _a >> _shift",
+            "_f = _ln not in _l1sets[_ln % _nsets]",
+        ),
+        _RESIDENCE_L2,
+        "_p1",
+    ),
+    # Fire on a miss through L2.
+    "l2": (
+        (
+            "_l1h.probes += 1",
+            "_ln = _a >> _shift",
+            "if _ln in _l1sets[_ln % _nsets]:",
+            "    _f = False",
+            "else:",
+            "    _l2h.probes += 1",
+            "    _ln = _a >> _shift2",
+            "    _f = _ln not in _l2sets[_ln % _nsets2]",
+        ),
+        ("_rl = _MEM",),
+        "_p2",
+    ),
+    # Fire by the slice's per-residence table (``_ft1``/``_ft2``/``_ftm``).
+    "table": (
+        (
+            *_RESIDENCE,
+            "_f = _ft1 if _rl is _L1 else _ft2 if _rl is _L2 else _ftm",
+        ),
+        (),
+        None,
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _rcmp_description(mechanism, verify):
+    """RCMP for one decision mechanism: ``AmnesicCPU._execute_rcmp`` inline.
+
+    Same order as the classic handler: count, address, RCMP charge,
+    decision, Hist/SFile readiness (``_ok``: the slice's scratch demand
+    fits; ``_hk``: its checkpoint keys), probe charge, the slice through
+    its cell ``_sc``, residence count and ``verify``; otherwise the
+    fallback or skip count, the probe charge after a fire, and the
+    inherited load — the LD description itself, without its address
+    lines.
+    """
+    decide, residence, probe = _MECHANISMS[mechanism]
+    charge = () if probe is None else (f"$ga += {probe}e", f"$tt += {probe}t")
+    check = ()
+    if verify:
+        check = (
+            *_READ,
+            "if _v != _x:",
+            "    raise _RM($sid, expected=_x, actual=_v, pc=$pc)",
+        )
+    fired = (
+        *residence,
+        "_st.recomputations_fired += 1",
+        "_sll[_rl] += 1",
+        "_fired.add($sid)",
+        *check,
+    )
+    return (
+        "_st.rcmp_encountered += 1",
+        *_address("$s0", "$s1"),
+        "$ga += _rce",
+        "$tt += _rct",
+        *decide,
+        "if _f:",
+        "    if _ok and _hent.keys() >= _hk:",
+        *("        " + line for line in charge),
+        "        try:",
+        "            _v = _sc[0]()",
+        "        except _AF:",
+        "            _st.recomputation_aborts += 1",
+        "        else:",
+        *("            " + line for line in fired),
+        ("dest", "            _v"),
+        ("emit", "            "),
+        "            return $nx",
+        "    _st.recomputation_fallbacks += 1",
+        *("    " + line for line in charge),
+        "else:",
+        "    _st.recomputations_skipped += 1",
+        *_FAMILIES["ld"],
+    )
 
 #: Families a fused region may contain (the region analyzer admits no
 #: control transfer and no amnesic opcode).
@@ -343,9 +486,11 @@ def _const_kind(value):
     return "float" if type(value) is float else "other"
 
 
-def _description(family, opcode, kinds):
+def _description(family, variant, kinds):
     if family == "compute":
-        return _compute_description(opcode, kinds)
+        return _compute_description(variant, kinds)
+    if family == "rcmp":
+        return _rcmp_description(*variant)
     return _FAMILIES[family]
 
 
@@ -373,6 +518,8 @@ _ACCUMULATORS = {
     "ldn": ("_st.loads_performed", "_ldn", True),
     "stn": ("_st.stores_performed", "_stn", True),
     "hn": ("_st.hist_reads", "_hn", True),
+    "hrd": ("_hst.reads", "_hrd", True),
+    "ih": ("_ibs.hits", "_ih", True),
 }
 _AT_HOME = {key: home for key, (home, _, _) in _ACCUMULATORS.items()}
 _HOISTED = {key: local for key, (_, local, _) in _ACCUMULATORS.items()}
@@ -381,7 +528,7 @@ _PLACEHOLDER = re.compile(r"\$(\w+)")
 #: Generated code names its bindings and locals with a leading ``_``.
 _NAME = re.compile(r"(?<![\w.])_\w+")
 #: Names a per-pc function binds per pc (see :meth:`_Decoder.function`).
-_PER_PC = re.compile(r"_(?:pc|nx|tg|e|t|ev|ins|sid|lid|db|di|[bi]\d+)")
+_PER_PC = re.compile(r"_(?:pc|nx|tg|e|t|ev|ins|sid|lid|db|di|sc|hk|ok|ft\w|[bi]\d+)")
 
 
 @lru_cache(maxsize=None)
@@ -416,7 +563,9 @@ def _render(items, subs, flags, hooks):
         if tag is None or tag in flags:
             lines.append(text)
         elif tag in hooks:
-            lines.extend(hooks[tag](text))
+            body = text.lstrip(" ")
+            pad = text[: len(text) - len(body)]
+            lines.extend(pad + line for line in hooks[tag](body))
     return lines
 
 
@@ -454,24 +603,29 @@ def _per_pc_dest(value):
 def _factory(shape, environment):
     """Compile the per-pc function factory for one opcode shape.
 
-    *shape* is ``(family, opcode, arity, traced, read_only)``; ``opcode``
-    is None for families that render the same for every opcode.
-    *environment* names the run-dependent values a CPU binds (see
-    :meth:`_Decoder.__init__`).  Returns ``(make, env_names, pc_names)``:
-    ``make(*env)`` binds one CPU's environment and returns
-    ``bind(*per_pc)``, which instantiates the zero-argument function for
-    one pc.
+    *shape* is ``(family, variant, arity, traced, read_only)``:
+    ``variant`` is the opcode of compute and branch families, the
+    ``(mechanism, verify)`` pair of RCMP and None for families that
+    render the same for every opcode; ``read_only`` counts the memory's
+    read-only ranges.  *environment* names the run-dependent values a
+    CPU binds (see :meth:`_Decoder.__init__`).  Returns ``(make,
+    env_names, pc_names)``: ``make(*env)`` binds one CPU's environment
+    and returns ``bind(*per_pc)``, which instantiates the zero-argument
+    function for one pc.
     """
-    family, opcode, arity, traced, read_only = shape
+    family, variant, arity, traced, read_only = shape
     subs = dict(_AT_HOME)
     subs.update(
         pc="_pc", nx="_nx", tg="_tg", e="_e", t="_t", ev="_ev",
-        sid="_sid", lid="_lid", cmp=_BRANCH_OPS.get(opcode, ""),
+        sid="_sid", lid="_lid", cmp=_BRANCH_OPS.get(variant, ""),
         srcs="".join(f"_b{n}[_i{n}], " for n in range(arity)),
+        ro=_read_only_test(
+            (f"_ro[{2 * k}]", f"_ro[{2 * k + 1}]") for k in range(read_only)
+        ),
     )
     for n in range(arity):
         subs[f"s{n}"] = f"_b{n}[_i{n}]"
-    flags = {"time"}
+    flags = {"time"} if family == "rcmp" else {"time", "ea"}
     if traced:
         flags.add("traced")
     if read_only:
@@ -481,7 +635,7 @@ def _factory(shape, environment):
         "emit": _traced_emit if traced else _counted_emit,
     }
     lines = _render(
-        _description(family, opcode, ("rt",) * arity), subs, flags, hooks
+        _description(family, variant, ("rt",) * arity), subs, flags, hooks
     )
     if family in _FALLTHROUGH:
         lines.append("return _nx")
@@ -499,7 +653,13 @@ def _factory(shape, environment):
         f"    return _bind\n"
     )
     namespace = {}
-    label = family if opcode is None else opcode.value
+    if variant is None:
+        label = family
+    elif family == "rcmp":
+        mechanism, verify = variant
+        label = f"rcmp-{mechanism}" + ("-verify" if verify else "")
+    else:
+        label = variant.value
     exec(compile(source, f"<fastpath {label}/{arity}>", "exec"), namespace)
     return namespace["_make"], env_names, pc_names
 
@@ -534,6 +694,7 @@ def clear_codegen_caches():
     _factory.cache_clear()
     _compiled_region.cache_clear()
     _compute_description.cache_clear()
+    _rcmp_description.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -584,12 +745,22 @@ class _Decoder:
             store_costs[level] = (store_energy, params.latency_ns)
         memory = cpu.memory
         hierarchy = cpu.hierarchy
-        l1 = hierarchy.l1
+        l1, l2 = hierarchy.l1, hierarchy.l2
         tracer = cpu.tracer
         self.traced = tracer is not None
-        # With no read-only ranges configured the classic check can
-        # never fire; stores then render without it.
-        self.read_only = bool(memory._read_only)
+        #: How RCMP decides on this run (see :data:`_MECHANISMS`); None
+        #: leaves RCMP on the classic handler, which traced runs and
+        #: live telemetry sessions (per-RCMP decision records) need.
+        self.mechanism = None
+        if not self.traced and not get_telemetry().enabled:
+            self.mechanism = cpu._rcmp_mechanism()
+        #: Fused slice traversals by slice id (None: not expressible).
+        self.slices = {}
+        # Stores compare against the read-only ranges (bound per CPU as
+        # one flat tuple); with none configured the check renders away.
+        self.read_only = memory._read_only
+        probe = hierarchy.config
+        rcmp_cost = self.model.rcmp_cost()
         self.env = {
             "_r": cpu.registers,
             "_eg": cpu.account._energy_by_group,
@@ -597,11 +768,15 @@ class _Decoder:
             "_st": cpu.stats,
             "_cpu": cpu,
             "_cells": memory._cells,
-            "_ro": memory.is_read_only,
+            "_ro": tuple(bound for pair in memory._read_only for bound in pair),
             "_l1sets": l1._sets,
             "_shift": l1._line_shift,
             "_nsets": l1.geometry.sets,
             "_l1h": l1.stats,
+            "_l2sets": l2._sets,
+            "_shift2": l2._line_shift,
+            "_nsets2": l2.geometry.sets,
+            "_l2h": l2.stats,
             "_smiss": hierarchy._service_miss,
             "_lbl": hierarchy.stats.loads_by_level,
             "_sbl": hierarchy.stats.stores_by_level,
@@ -613,16 +788,30 @@ class _Decoder:
             "_l1st": store_costs[Level.L1][1],
             "_lim": len(self.program.instructions),
             "_rec": None if self.hist is None else self.hist.record,
+            "_hent": None if self.hist is None else self.hist._entries,
+            "_sll": cpu.stats.swapped_load_levels,
+            "_fired": getattr(cpu, "fired_slice_ids", None),
+            "_rce": rcmp_cost.energy_nj,
+            "_rct": rcmp_cost.time_ns,
+            # MemoryHierarchy.probe_cost of a probe through L1 / L2.
+            "_p1e": probe.l1_params.read_energy_nj,
+            "_p1t": probe.l1_params.latency_ns,
+            "_p2e": probe.l1_params.read_energy_nj + probe.l2_params.read_energy_nj,
+            "_p2t": probe.l1_params.latency_ns + probe.l2_params.latency_ns,
             "_emit": None if tracer is None else tracer.on_instruction,
             "_Ev": InstructionEvent,
             "_MF": MachineFault,
             "_MemF": MemoryFault,
+            "_AF": ArithmeticFault,
+            "_RM": RecomputationMismatch,
             "_GN": GROUP_NONMEM,
             "_GL": GROUP_LOAD,
             "_GS": GROUP_STORE,
             "_GA": GROUP_AMNESIC,
             "_GH": GROUP_HIST,
             "_L1": Level.L1,
+            "_L2": Level.L2,
+            "_MEM": Level.MEM,
             "_wi": wrap_int64,
         }
         #: Destination box for r0: writes land here and are never read.
@@ -657,6 +846,10 @@ class _Decoder:
             family = "branch"
             if opcode not in _BRANCH_OPS:
                 return None
+        elif opcode is Opcode.RCMP:
+            family = "rcmp"
+            if self.mechanism is None:
+                return None
         else:
             family = opcode.value
             if family not in _FAMILIES:
@@ -678,6 +871,23 @@ class _Decoder:
                 _e=cost.energy_nj, _t=cost.time_ns,
                 _sid=instruction.slice_id, _lid=instruction.leaf_id,
             )
+        elif family == "rcmp":
+            cpu = self.cpu
+            try:
+                info = cpu.binary.info_for(instruction.slice_id)
+            except KeyError:
+                return None
+            sid = info.slice_id
+            consts.update(
+                _sid=sid,
+                _hk=frozenset((sid, leaf) for leaf in info.hist_leaf_ids),
+                _ok=info.sreg_demand <= cpu.sfile.capacity,
+                _sc=_slice_cell(cpu, self.slices, info, pc),
+            )
+            if self.mechanism == "table":
+                consts["_ft1"], consts["_ft2"], consts["_ftm"] = (
+                    cpu._rcmp_fire_table(info)
+                )
         elif family not in ("ld", "st"):
             consts["_e"], consts["_t"] = self.compute_cost(category)
         return family, consts
@@ -700,12 +910,18 @@ class _Decoder:
             values["_db"], values["_di"] = (
                 (self.registers, dest.index) if dest.index else (self.sink, 0)
             )
+        if family in ("compute", "branch"):
+            variant = instruction.opcode
+        elif family == "rcmp":
+            variant = (self.mechanism, self.cpu.verify)
+        else:
+            variant = None
         shape = (
             family,
-            instruction.opcode if family in ("compute", "branch") else None,
+            variant,
             len(instruction.srcs),
             self.traced,
-            family == "st" and self.read_only,
+            len(self.read_only) if family == "st" else 0,
         )
         binder = self._binders.get(shape)
         if binder is None:
@@ -826,7 +1042,9 @@ class _BatchTable:
     later ``run()`` starts clean.  ``fault_pc`` is how a fused region
     reports the faulting element's pc to the outer loop (whose local
     ``pc`` still holds the region start when the function raises).
-    ``slices`` caches fused slice traversals (None: not expressible).
+    ``slices`` caches fused slice traversals (None: not expressible);
+    ``metered`` records whether a telemetry session was live at decode
+    (RCMP then stays on the classic handler).
     """
 
     __slots__ = (
@@ -838,9 +1056,10 @@ class _BatchTable:
         "region_tail_cats",
         "fault_pc",
         "slices",
+        "metered",
     )
 
-    def __init__(self, fns, cats):
+    def __init__(self, fns, cats, slices, metered):
         self.fns = fns
         self.cats = cats
         self.counts = [0] * len(fns)
@@ -848,7 +1067,8 @@ class _BatchTable:
         self.region_spans = []
         self.region_tail_cats = []
         self.fault_pc = -1
-        self.slices = {}
+        self.slices = slices
+        self.metered = metered
 
 
 def _run_region_guarded(cpu, body, start, counts, table, flush):
@@ -895,8 +1115,9 @@ def _fuse_region(decoder, region, rid, body_fns, table, flush):
     env = decoder.env
     start, end = region.start, region.end
     length = end - start
-    flags = {"time", "ro"} if decoder.read_only else {"time"}
+    flags = {"time", "ea", "ro"} if decoder.read_only else {"time", "ea"}
     values = {"_r": env["_r"], "_cpu": env["_cpu"]}
+    read_only = _read_only_test(decoder.read_only)
     keys = set()
     lines = []
     for j, pc in enumerate(range(start, end)):
@@ -905,7 +1126,7 @@ def _fuse_region(decoder, region, rid, body_fns, table, flush):
         if found is None or found[0] not in _FUSABLE:
             return None
         family, consts = found
-        subs = dict(_HOISTED, pc=str(pc), nx=str(pc + 1))
+        subs = dict(_HOISTED, pc=str(pc), nx=str(pc + 1), ro=read_only)
         kinds = []
         for n, src in enumerate(instruction.srcs):
             if isinstance(src, Reg):
@@ -978,22 +1199,51 @@ def _fuse_region(decoder, region, rid, body_fns, table, flush):
     )
 
 
+#: One checkpointed operand read, inlined from ``HistoryTable.read``: a
+#: present entry counts and moves to the MRU end; a missing one calls
+#: the method, which counts the miss and raises its ``KeyError``.
+_HIST_READ = (
+    "_he = _hent.get($key)",
+    "if _he is None:",
+    "    _hr($sid, $leaf, $slot)",
+    "$hrd += 1",
+    "_hent.move_to_end($key)",
+    "$out = _he[$slot]",
+)
+
+#: One slice-instruction fetch, inlined from ``InstructionBuffer.fetch``
+#: on a hit; a miss calls the method, which fills and may evict.
+_IBUFF_FETCH = (
+    "if $pc in _ibe:",
+    "    $ih += 1",
+    "    _ibe.move_to_end($pc)",
+    "else:",
+    "    _ibf($pc)",
+)
+
+
 def _fuse_slice(cpu, slice_id):
-    """Compile one slice into a single fused traversal function.
+    """Compile one slice into a single register-resident traversal.
 
     Slices are straight-line regions by construction (formation never
     admits control flow), so recomputation renders the compute
-    description too: one generated function per slice replays exactly
-    what :meth:`repro.core.amnesic_cpu.AmnesicCPU._traverse_slice` does
-    for an untraced run — the same structure calls in the same order
-    (IBuff fetches, Renamer reads/writes, Hist reads with their
-    charges), the same inline semantics with evaluator fallback as the
-    fused main regions, and accumulator-hoisted stats/charges written
-    back both on success and on a mid-slice fault (``_done`` tracks the
-    faulting element, and counts follow the interpreter's
-    count-before-execute rule).  An evaluator fault leaves tagged with
-    the element's pc; the scheduler discards it either way.  Returns
-    ``None`` for slices the generator cannot express; the caller then
+    description too: one generated function per slice replays what
+    :meth:`repro.core.amnesic_cpu.AmnesicCPU._traverse_slice` does for
+    an untraced run.  Scratch registers live in locals (``_v<n>``), so
+    the Renamer and SFile see no call at all: every traversal starts
+    and ends with them reset, and their counters only depend on the
+    slice's static read/write sequence, so they are added as constants
+    on exit.  IBuff fetches and Hist reads run inline in classic order,
+    LRU promotions included.  On a fault, ``_p`` names the fault point
+    (a Hist read or an element's compute), whose static prefix gives
+    what the interpreter had counted by then (count-before-execute, so
+    the faulting element too); accumulators are written back on both
+    exits.  An evaluator fault leaves tagged with the element's pc; the
+    scheduler discards it either way.
+
+    Returns ``None`` for slices the generator cannot express — among
+    them a slice that reads a scratch register before writing it, or
+    writes more distinct ones than the SFile holds; the caller then
     interprets them, which faults at the identical element.
     """
     program = cpu.program
@@ -1008,11 +1258,13 @@ def _fuse_slice(cpu, slice_id):
         "_cpu": cpu,
         "_st": cpu.stats,
         "_bc": cpu.stats.by_category,
-        "_rn": cpu.renamer,
-        "_rd": cpu.renamer.read,
-        "_wr": cpu.renamer.write,
-        "_ib": cpu.ibuff.fetch,
+        "_sfs": cpu.sfile.stats,
+        "_ibe": cpu.ibuff._entries,
+        "_ibf": cpu.ibuff.fetch,
+        "_ibs": cpu.ibuff.stats,
+        "_hent": cpu.hist._entries,
         "_hr": cpu.hist.read,
+        "_hst": cpu.hist.stats,
         "_r": cpu.registers,
         "_eg": account._energy_by_group,
         "_ac": account,
@@ -1021,44 +1273,63 @@ def _fuse_slice(cpu, slice_id):
         "_GA": GROUP_AMNESIC,
         "_MF": MachineFault,
         "_wi": wrap_int64,
-        "_he": hist_cost.energy_nj,
-        "_ht": hist_cost.time_ns,
+        "_hce": hist_cost.energy_nj,
+        "_hct": hist_cost.time_ns,
     }
     flags = () if offload else ("time",)
 
     lines = []
     tally = {}
-    prefixes = [()]
+    points = []
+    written = set()
+    # Renamer requests, SFile reads, SFile writes so far.
+    requests = reads = writes = 0
+
+    def mark(j, counted):
+        points.append((j, counted, requests, reads, writes, len(written)))
+        lines.append(f"_p = {len(points) - 1}")
+
     for j, pc in enumerate(range(start, end - 1)):
         instruction = program.instruction_at(pc)
         evaluator = _EVALUATORS.get(instruction.opcode)
-        if evaluator is None or not isinstance(instruction.dest, SReg):
+        dest = instruction.dest
+        if evaluator is None or not isinstance(dest, SReg):
             return None
-        lines.append(f"_done = {j}")
-        lines.append(f"_ib({pc})")
-        cost = model.slice_instruction_cost(instruction.category)
-        values.update(
-            {f"_e{j}": cost.energy_nj, f"_t{j}": cost.time_ns,
-             f"_d{j}": instruction.dest}
-        )
+        category = instruction.category
+        tally[category] = tally.get(category, 0) + 1
+        counted = tuple(tally.items())
+        lines += _render(_IBUFF_FETCH, dict(_HOISTED, pc=str(pc)), (), {})
+        cost = model.slice_instruction_cost(category)
+        values.update({f"_e{j}": cost.energy_nj, f"_t{j}": cost.time_ns})
         subs = dict(_HOISTED, pc=str(pc), e=f"_e{j}", t=f"_t{j}", ev=f"_ev{j}")
         kinds = []
         for n, src in enumerate(instruction.srcs):
-            name = subs[f"s{n}"] = f"_a{j}_{n}"
             kinds.append("rt")
             if isinstance(src, SReg):
-                values[f"_s{j}_{n}"] = src
-                lines.append(f"{name} = _rd(_s{j}_{n})")
+                if src.index not in written:
+                    return None
+                requests += 1
+                reads += 1
+                subs[f"s{n}"] = f"_v{src.index}"
             elif isinstance(src, HistRef):
-                lines.append(
-                    f"{name} = _hr({slice_id}, {src.leaf_id}, {src.slot})"
+                name = subs[f"s{n}"] = f"_a{j}_{n}"
+                mark(j, counted)
+                lines += _render(
+                    _HIST_READ,
+                    dict(
+                        _HOISTED, key=repr((slice_id, src.leaf_id)),
+                        sid=str(slice_id), leaf=str(src.leaf_id),
+                        slot=str(src.slot), out=name,
+                    ),
+                    (),
+                    {},
                 )
-                lines.append("_gh += _he")
+                lines.append("_gh += _hce")
                 if not offload:
-                    lines.append("_tt += _ht")
+                    lines.append("_tt += _hct")
                 lines.append("_hn += 1")
             elif isinstance(src, Reg) and src.index:
-                lines.append(f"{name} = _r[{src.index}]")
+                subs[f"s{n}"] = f"_r[{src.index}]"
             elif isinstance(src, Reg):
                 subs[f"s{n}"], kinds[-1] = "0", "int"
             elif isinstance(src, Imm):
@@ -1067,77 +1338,110 @@ def _fuse_slice(cpu, slice_id):
                 kinds[-1] = _const_kind(src.value)
             else:
                 return None
-        hooks = {"dest": lambda value, j=j: [f"_wr(_d{j}, {value})"]}
+        mark(j, counted)
+        hooks = {"dest": lambda value, d=dest.index: [f"_v{d} = {value}"]}
         items = _compute_description(instruction.opcode, tuple(kinds))
         if "ev" in _formats(items)[1]:
             values[f"_ev{j}"] = evaluator
         lines += _render(items, subs, flags, hooks)
-        category = instruction.category
-        tally[category] = tally.get(category, 0) + 1
-        prefixes.append(tuple(tally.items()))
+        requests += 1
+        writes += 1
+        written.add(dest.index)
+        if len(written) > cpu.sfile.capacity:
+            return None
 
     rtn = program.instruction_at(end - 1)
-    if rtn.opcode is not Opcode.RTN:
+    result = rtn.dest
+    if (
+        rtn.opcode is not Opcode.RTN
+        or not isinstance(result, SReg)
+        or result.index not in written
+    ):
         return None
+    requests += 1
+    reads += 1
     rtn_cost = model.rtn_cost()
-    values.update(
-        _rtn_d=rtn.dest, _re=rtn_cost.energy_nj, _rt=rtn_cost.time_ns,
-        _pref=tuple(prefixes),
-    )
-    totals = dict(tally)
-    totals[rtn.category] = totals.get(rtn.category, 0) + 1
+    values.update(_re=rtn_cost.energy_nj, _rt=rtn_cost.time_ns, _pref=tuple(points))
+    tally[rtn.category] = tally.get(rtn.category, 0) + 1
     success_counts = []
     for i, (category, count) in enumerate(
-        sorted(totals.items(), key=lambda item: item[0].name)
+        sorted(tally.items(), key=lambda item: item[0].name)
     ):
         values[f"_cat{i}"] = category
         success_counts.append(f"_bc[_cat{i}] += {count}")
 
-    prologue, writeback, _ = _hoist(("tt", "gn", "ga", "gh", "hn"))
+    prologue, writeback, _ = _hoist(("tt", "gn", "ga", "gh", "hn", "hrd", "ih"))
+    fault = [
+        "_j, _cats, _rq, _rd, _wr, _al = _pref[_p]",
+        "_st.dynamic_instructions += _j + 1",
+        "_st.slice_instructions_executed += _j + 1",
+        "for _cat, _n in _cats:",
+        "    _bc[_cat] += _n",
+        "_sfs.rename_requests += _rq",
+        "_sfs.reads += _rd",
+        "_sfs.writes += _wr",
+        "if _sfs.high_water < _al:",
+        "    _sfs.high_water = _al",
+        *writeback,
+        "_cpu._dynamic_index += _j",
+        "raise",
+    ]
     success = [
         f"_st.dynamic_instructions += {length + 1}",
         f"_st.slice_instructions_executed += {length}",
         *success_counts,
+        f"_sfs.rename_requests += {requests}",
+        f"_sfs.reads += {reads}",
+        f"_sfs.writes += {writes}",
+        f"if _sfs.high_water < {len(written)}:",
+        f"    _sfs.high_water = {len(written)}",
         "_ga += _re",
         *([] if offload else ["_tt += _rt"]),
         *writeback,
         f"_cpu._dynamic_index += {length + 1}",
-        "return _res",
-    ]
-    fault = [
-        # Count-before-execute: the faulting element (index ``_done``)
-        # was counted by the interpreter before its operands resolved,
-        # so the prefix includes it — except past the last element,
-        # where only the RTN's Renamer read can fault (it is counted
-        # *after* the read succeeds).
-        "_k = _done + 1",
-        f"if _k > {length}:",
-        f"    _k = {length}",
-        "_st.dynamic_instructions += _k",
-        "_st.slice_instructions_executed += _k",
-        "for _cat, _n in _pref[_k]:",
-        "    _bc[_cat] += _n",
-        *writeback,
-        "_cpu._dynamic_index += _done",
-        "raise",
+        f"return _v{result.index}",
     ]
     source = [
-        "    _cpu.recompute = True",
-        "    _rn.begin_slice()",
+        "    _p = 0",
         *("    " + line for line in prologue),
-        "    _done = 0",
         "    try:",
         *("        " + line for line in lines),
-        f"        _done = {length}",
-        "        _res = _rd(_rtn_d)",
-        *("        " + line for line in success),
         "    except BaseException:",
         *("        " + line for line in fault),
-        "    finally:",
-        "        _rn.end_slice()",
-        "        _cpu.recompute = False",
+        *("    " + line for line in success),
     ]
     return _define("_slice", source, values, f"<slice {program.name}:{slice_id}>")
+
+
+def _slice_traversal(cpu, slices, slice_id):
+    """The fused traversal of one slice, fused once per decode."""
+    try:
+        return slices[slice_id]
+    except KeyError:
+        fused = slices[slice_id] = _fuse_slice(cpu, slice_id)
+        return fused
+
+
+def _slice_cell(cpu, slices, info, pc):
+    """The one-slot cell an RCMP function calls its slice through.
+
+    The slice fuses on its first fire, so slices that never fire cost
+    no code generation; one the generator cannot express runs the
+    interpreted reference, which reads the RCMP's pc for its faults.
+    """
+
+    def first():
+        traverse = _slice_traversal(cpu, slices, info.slice_id)
+        if traverse is None:
+            def traverse():
+                cpu.pc = pc
+                return cpu._traverse_slice(info)
+
+        cell[0] = traverse
+        return traverse()
+
+    cell = [first]
+    return cell
 
 
 def _cross_check_artifact(program, report):
@@ -1184,12 +1488,13 @@ class BatchedExecutionMixin:
     (imported lazily — the staticcheck package sits above the machine
     layer): pure and memory regions fuse, faulting and in-slice regions
     stay per-pc.  On amnesic machines, untraced slice traversals run
-    fused too.  See the module docstring for the backend contract.
+    fused too, and RCMP renders per pc when :meth:`_rcmp_mechanism`
+    names one.  See the module docstring for the backend contract.
     """
 
     def _decoded(self):
         table = self.__dict__.get("_batch_decode")
-        if table is None:
+        if table is None or table.metered is not get_telemetry().enabled:
             table = self._decode()
             if self.tracer is None:
                 # A traced table binds the tracer; cached on this CPU it
@@ -1200,7 +1505,7 @@ class BatchedExecutionMixin:
     def _decode(self):
         decoder = _Decoder(self)
         fns, cats = decoder.decode()
-        table = _BatchTable(fns, cats)
+        table = _BatchTable(fns, cats, decoder.slices, get_telemetry().enabled)
         if decoder.traced:
             # Tracers see one event per instruction: never fused.
             return table
@@ -1247,16 +1552,16 @@ class BatchedExecutionMixin:
         state.pop("_batch_decode", None)
         return state
 
+    def _rcmp_mechanism(self):
+        """The :data:`_MECHANISMS` key RCMP decides by (None: classic)."""
+        return None
+
     def _traverse_slice(self, info):
         if self.tracer is None and self._timeline is None:
             # Nothing on the interpreted path emits an observable event
             # without a tracer or timeline, so the fused traversal is
             # exact.
-            slices = self._decoded().slices
-            try:
-                fused = slices[info.slice_id]
-            except KeyError:
-                fused = slices[info.slice_id] = _fuse_slice(self, info.slice_id)
+            fused = _slice_traversal(self, self._decoded().slices, info.slice_id)
             if fused is not None:
                 return fused()
         return super()._traverse_slice(info)

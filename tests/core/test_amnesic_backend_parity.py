@@ -2,12 +2,15 @@
 
 The classic :class:`~repro.core.amnesic_cpu.AmnesicCPU` traverses a
 slice one interpreted instruction at a time; ``fast-batched`` runs each
-slice as one generated function and the main program through per-pc
-functions and fused regions.  Each kernel is compiled once (the
+slice as one generated function, each RCMP as one function for the
+run's policy, and the main program through per-pc functions and fused
+regions.  Each kernel is compiled once (the
 probabilistic and the Oracle binary) and run under all five policies on
 both backends with verification on; the runs must agree exactly on
-RunStats, the energy breakdown, modeled time, registers, memory, and
-the Hist/SFile/IBuff state.
+RunStats, the energy breakdown, modeled time, registers, memory, the
+Hist/SFile/IBuff state, the Hist and IBuff entry order, and the
+hierarchy: its stats, each cache's stats (tag probes included) and
+resident lines in LRU order — everything a generated RCMP touches.
 """
 
 import dataclasses
@@ -25,6 +28,7 @@ SCALE = 0.1
 
 
 def final_state(cpu):
+    hierarchy = cpu.hierarchy
     return {
         "stats": dataclasses.asdict(cpu.stats),
         "energy": cpu.account.breakdown(),
@@ -35,6 +39,13 @@ def final_state(cpu):
         "hist": cpu.hist.observe(),
         "sfile": cpu.sfile.observe(),
         "ibuff": cpu.ibuff.observe(),
+        "hierarchy": dataclasses.asdict(hierarchy.stats),
+        "l1": dataclasses.asdict(hierarchy.l1.stats),
+        "l2": dataclasses.asdict(hierarchy.l2.stats),
+        "l1 lines": list(hierarchy.l1.resident_lines().items()),
+        "l2 lines": list(hierarchy.l2.resident_lines().items()),
+        "hist entries": cpu.hist.entries(),
+        "ibuff entries": cpu.ibuff.entries(),
     }
 
 

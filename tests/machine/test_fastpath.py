@@ -19,6 +19,7 @@ from repro.errors import (
     ArithmeticFault,
     ExecutionLimitExceeded,
     MachineFault,
+    MemoryFault,
     ReproError,
 )
 from repro.isa import Opcode, ProgramBuilder
@@ -164,6 +165,57 @@ def test_division_by_zero_fault_parity():
     b.halt()
     with pytest.raises(ArithmeticFault):
         run_pair(b.build())
+
+
+def read_only_store_program(fused):
+    """Store into the second of two read-only ranges after some work.
+
+    *fused* keeps the faulting store inside one straight-line region;
+    otherwise it sits alone between jumps and dispatches per pc.
+    """
+    b = ProgramBuilder("ro-fused" if fused else "ro-per-pc")
+    b.data([1, 2, 3], read_only=True)
+    second = b.data([4, 5, 6, 7], read_only=True)
+    scratch = b.reserve(4)
+    base, out, v = b.regs("base", "out", "v")
+    b.li(base, second)
+    b.li(out, scratch)
+    b.ld(v, base, 1)
+    b.st(v, out, 0)
+    b.add(v, v, 1)
+    if not fused:
+        b.jmp("store")
+        b.label("store")
+    b.st(v, base, 2)  # faults: inside the second read-only range
+    b.jmp("done")
+    b.label("done")
+    b.halt()
+    return b.build()
+
+
+@pytest.mark.parametrize("fused", (False, True), ids=("per-pc", "fused"))
+def test_read_only_store_fault_parity(fused):
+    program = read_only_store_program(fused)
+    store_pc = max(
+        pc
+        for pc, instruction in enumerate(program.instructions)
+        if instruction.opcode is Opcode.ST
+    )
+    cpus, errors = [], []
+    for cls in (CPU, BatchedFastCPU):
+        cpu = cls(program, make_model())
+        with pytest.raises(MemoryFault) as caught:
+            cpu.run()
+        cpus.append(cpu)
+        errors.append(caught.value)
+    classic, fast = cpus
+    spans = fast._decoded().region_spans
+    assert any(start <= store_pc < end for start, end in spans) == fused
+    assert str(errors[0]) == str(errors[1])
+    assert "write to read-only address" in str(errors[1])
+    assert errors[0].pc == errors[1].pc
+    assert classic.pc == fast.pc == store_pc
+    assert_state_equal(classic, fast)
 
 
 def test_budget_fault_counts_match():

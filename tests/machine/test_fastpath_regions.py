@@ -405,6 +405,16 @@ def test_slice_abort_parity_across_backends(kernel, position):
         assert cpu.account.snapshot() == reference.account.snapshot(), name
         assert cpu.registers == reference.registers, name
         assert cpu.memory.snapshot() == reference.memory.snapshot(), name
+        # The scratch file's counters come from the fused slice's static
+        # prefix at the faulting element; Hist/IBuff order from inline
+        # LRU promotions.
+        for structure in ("sfile", "hist", "ibuff"):
+            assert (
+                getattr(cpu, structure).observe()
+                == getattr(reference, structure).observe()
+            ), (name, structure)
+        assert cpu.hist.entries() == reference.hist.entries(), name
+        assert cpu.ibuff.entries() == reference.ibuff.entries(), name
 
 
 # ----------------------------------------------------------------------
