@@ -1,31 +1,13 @@
-"""Continuous benchmarking: BENCH artifacts, fidelity scoring, diffing.
+"""Fidelity scoring: the reproduction's numbers against the paper's.
 
-The observability loop-closer over :mod:`repro.harness` and
-:mod:`repro.telemetry`: ``repro bench`` runs the experiment suite under
-telemetry, scores the results against the paper's reported numbers
-(:mod:`repro.bench.paper_reference`), persists everything as a
-schema-versioned ``BENCH_*.json`` artifact, and diffs artifacts over
-time so fidelity or performance regressions fail CI instead of landing
-silently.  See ``docs/observability.md`` ("Continuous benchmarking").
+:mod:`repro.bench.paper_reference` encodes the values the paper reports
+(Figures 3-5, Tables 4-5) and scores an experiment report against them.
+``repro bench`` prints those scores as the fidelity report and records
+one ``bench`` manifest in the run ledger, so ``repro runs diff`` shows
+how fidelity moved between two runs.  See ``docs/observability.md``
+("The fidelity report").
 """
 
-from .artifact import (
-    BENCH_SCHEMA_VERSION,
-    COMPATIBLE_SCHEMA_VERSIONS,
-    BenchArtifact,
-    BenchReport,
-    artifact_provenance,
-    environment_fingerprint,
-    timestamp,
-)
-from .collect import BENCH_DEFAULT_EXPERIMENTS, BenchRunner, manifest_from_artifact
-from .compare import (
-    DEFAULT_FIDELITY_NOISE_PP,
-    DEFAULT_TIMING_NOISE,
-    BenchDiff,
-    MetricVerdict,
-    compare,
-)
 from .paper_reference import (
     BOUNDS,
     REFERENCES,
@@ -35,31 +17,13 @@ from .paper_reference import (
     ReferenceSeries,
     fidelity_metrics,
 )
-from .render import render_bench_diff, render_bench_report
 
 __all__ = [
-    "BENCH_DEFAULT_EXPERIMENTS",
-    "BENCH_SCHEMA_VERSION",
     "BOUNDS",
-    "BenchArtifact",
-    "BenchDiff",
-    "BenchReport",
-    "BenchRunner",
-    "COMPATIBLE_SCHEMA_VERSIONS",
-    "DEFAULT_FIDELITY_NOISE_PP",
-    "DEFAULT_TIMING_NOISE",
     "FidelityMetric",
-    "MetricVerdict",
     "REFERENCES",
     "ReferenceBound",
     "ReferenceSeries",
     "SCORED_EXPERIMENTS",
-    "artifact_provenance",
-    "compare",
-    "environment_fingerprint",
     "fidelity_metrics",
-    "manifest_from_artifact",
-    "render_bench_diff",
-    "render_bench_report",
-    "timestamp",
 ]

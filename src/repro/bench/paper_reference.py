@@ -77,13 +77,12 @@ class FidelityMetric:
     paper: float
     measured: float
     abs_error: float
-    rel_error: float
     tolerance_pp: float
     within: bool
 
     @property
     def key(self) -> str:
-        """Stable identity used to match metrics across artifacts."""
+        """Stable identity of one scored value across runs."""
         return f"{self.figure}/{self.metric}/{self.policy}/{self.benchmark}"
 
 
@@ -196,10 +195,6 @@ BOUNDS: Dict[str, Tuple[ReferenceBound, ...]] = {
 SCORED_EXPERIMENTS = tuple(sorted(set(REFERENCES) | set(BOUNDS)))
 
 
-def _rel_error(abs_error: float, paper: float) -> float:
-    return abs_error / max(abs(paper), 1e-9)
-
-
 def _series_metrics(series: ReferenceSeries, matrix) -> List[FidelityMetric]:
     """Score a gain matrix against one figure's reference series."""
     metrics: List[FidelityMetric] = []
@@ -220,7 +215,6 @@ def _series_metrics(series: ReferenceSeries, matrix) -> List[FidelityMetric]:
                 paper=paper,
                 measured=measured,
                 abs_error=abs_error,
-                rel_error=_rel_error(abs_error, paper),
                 tolerance_pp=series.tolerance_pp,
                 within=abs_error <= series.tolerance_pp,
             )
@@ -249,7 +243,6 @@ def _row_metrics(series: ReferenceSeries, rows) -> List[FidelityMetric]:
                 paper=paper,
                 measured=measured,
                 abs_error=abs_error,
-                rel_error=_rel_error(abs_error, paper),
                 tolerance_pp=series.tolerance_pp,
                 within=abs_error <= series.tolerance_pp,
             )
@@ -276,7 +269,6 @@ def _bound_metrics(bound: ReferenceBound, rows) -> List[FidelityMetric]:
                 paper=nearest,
                 measured=measured,
                 abs_error=abs_error,
-                rel_error=_rel_error(abs_error, nearest),
                 tolerance_pp=0.0,
                 within=abs_error == 0.0,
             )

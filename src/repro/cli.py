@@ -9,7 +9,7 @@ Usage (also available as ``python -m repro``)::
     repro disasm bfs [--amnesic] [--limit 40]
     repro experiment fig3 [--scale 1.0] [--format json]
     repro experiments
-    repro bench [--out BENCH_dev.json] [--compare BASELINE.json]
+    repro bench [--experiments fig4,table4] [--format json]
     repro profile fig4 [--scale 1.0] [--exact | --sample-every N]
     repro trace export run.jsonl -o run.trace.json
     repro trace validate run.trace.json
@@ -18,7 +18,6 @@ Usage (also available as ``python -m repro``)::
     repro runs list [--kind bench] [--target fig4] [--limit 20]
     repro runs show <run-id>
     repro runs diff <run-a> <run-b>
-    repro runs check [--window 10] [--tolerance 0.10]
     repro cache stats [--format json]
 
 Telemetry flags work globally and per-subcommand: ``--trace-out FILE``
@@ -38,14 +37,15 @@ configures one.
 Cross-run observability: ``--ledger-dir DIR`` (or ``$REPRO_LEDGER_DIR``)
 appends one schema-versioned manifest per ``run``/``stats``/
 ``experiment``/``bench`` invocation to a persistent run ledger; the
-``repro runs`` family browses that history and ``repro runs check``
-gates the latest run against it (the drift watchdog).
+``repro runs`` family browses that history (``repro runs diff`` of two
+``bench`` runs shows how fidelity to the paper moved).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -60,11 +60,6 @@ from .energy.tech import paper_energy_model
 from .harness.experiments import EXPERIMENTS, run_experiment
 from .harness.parallel import default_jobs
 from .harness.runner import SuiteRunner
-from .telemetry.drift import (
-    DEFAULT_MIN_HISTORY,
-    DEFAULT_TOLERANCE,
-    DEFAULT_WINDOW,
-)
 from .telemetry.runtime import get_telemetry, telemetry_session
 from .telemetry.summary import render_metrics, render_summary
 from .workloads.suite import REGISTRY, get
@@ -402,37 +397,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_cmd = sub.add_parser(
         "bench",
-        help="benchmark the reproduction and score fidelity vs the paper",
+        help="score the reproduction's fidelity against the paper",
     )
     bench_cmd.add_argument(
         "--experiments", metavar="IDS", default=None,
-        help="comma-separated experiment ids "
-             "(default: the scored figure/table experiments)",
+        help="comma-separated fidelity-scored experiment ids "
+             "(default: all of them)",
     )
     bench_cmd.add_argument("--scale", type=float, default=1.0)
     bench_cmd.add_argument(
-        "--out", metavar="FILE", default=None,
-        help="artifact path (default: BENCH_<timestamp>.json)",
-    )
-    bench_cmd.add_argument(
-        "--compare", metavar="BASELINE.json", default=None,
-        help="diff the run (or --current) against a baseline artifact",
-    )
-    bench_cmd.add_argument(
-        "--current", metavar="BENCH.json", default=None,
-        help="diff an existing artifact instead of running (needs --compare)",
-    )
-    bench_cmd.add_argument(
-        "--fail-on-regression", action="store_true",
-        help="exit non-zero when fidelity regresses vs the baseline",
-    )
-    bench_cmd.add_argument(
-        "--fail-on-timing-regression", action="store_true",
-        help="with --fail-on-regression, also gate on timing/throughput",
-    )
-    bench_cmd.add_argument(
-        "--format", choices=("text", "markdown", "json"), default="text",
-        help="diff/report rendering (json dumps the diff verdicts)",
+        "--format", choices=("text", "json"), default="text",
+        help="output format (json is stable for scripting)",
     )
     _add_telemetry_flags(bench_cmd)
     _add_runner_flags(bench_cmd)
@@ -547,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd.set_defaults(handler=cmd_lint)
 
     runs_cmd = sub.add_parser(
-        "runs", help="browse and gate the persistent run ledger"
+        "runs", help="browse the persistent run ledger"
     )
     runs_sub = runs_cmd.add_subparsers(dest="runs_command")
     runs_cmd.set_defaults(handler=lambda args: (runs_cmd.print_help(), 2)[1])
@@ -599,41 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (json is stable for scripting)",
     )
     runs_diff.set_defaults(handler=cmd_runs_diff)
-
-    runs_check = runs_sub.add_parser(
-        "check",
-        help="drift watchdog: gate the latest run against ledger history",
-    )
-    _add_ledger_flag(runs_check)
-    runs_check.add_argument(
-        "--kind", default=None, help="restrict the checked population"
-    )
-    runs_check.add_argument(
-        "--target", default=None, help="restrict the checked population"
-    )
-    runs_check.add_argument(
-        "--window", type=int, default=DEFAULT_WINDOW, metavar="N",
-        help="rolling window of comparable history (median baseline)",
-    )
-    runs_check.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE, metavar="FRAC",
-        help="relative drift allowed before a metric regresses "
-             "(0.10 = 10%%)",
-    )
-    runs_check.add_argument(
-        "--min-history", type=int, default=DEFAULT_MIN_HISTORY, metavar="N",
-        help="comparable runs required before a metric is gated",
-    )
-    runs_check.add_argument(
-        "--metric", action="append", choices=("ips", "wall_s", "fidelity"),
-        default=None,
-        help="watch only these metrics (repeatable; default: all)",
-    )
-    runs_check.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="output format (json is stable for scripting)",
-    )
-    runs_check.set_defaults(handler=cmd_runs_check)
 
     cache_cmd = sub.add_parser(
         "cache", help="inspect the persistent result cache"
@@ -1095,67 +1035,68 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Collect a BENCH artifact and optionally gate against a baseline."""
-    from .bench import (
-        BenchArtifact,
-        BenchRunner,
-        compare,
-        render_bench_diff,
-        render_bench_report,
-        timestamp,
-    )
+    """The fidelity report: every scored value against the paper's."""
+    from .bench.paper_reference import REFERENCES, SCORED_EXPERIMENTS, fidelity_metrics
+    from .telemetry.ledger import fidelity_summary
 
-    if args.current and not args.compare:
-        print("--current requires --compare", file=sys.stderr)
-        return 2
-
-    if args.current:
-        artifact = BenchArtifact.load(args.current)
-    else:
-        experiments = None
-        if args.experiments:
-            experiments = [
-                part.strip() for part in args.experiments.split(",") if part.strip()
-            ]
-        runner = SuiteRunner(scale=args.scale, **_runner_options(args))
-        bench = BenchRunner(runner=runner, experiments=experiments)
-        artifact = bench.run()
-        out = args.out or f"BENCH_{timestamp()}.json"
-        path = artifact.write(out)
-        print(f"bench artifact written to {path}", file=sys.stderr)
-        if runner.ledger is not None:
-            from .bench import manifest_from_artifact
-
-            manifest = runner.record_manifest(
-                manifest_from_artifact(artifact, runner)
-            )
-            print(
-                f"ledger: recorded bench {manifest.run_id} "
-                f"in {runner.ledger.path}",
-                file=sys.stderr,
-            )
-        if args.format != "json":
-            print(render_bench_report(artifact))
-
-    if not args.compare:
-        if args.format == "json":
-            print(json.dumps(artifact.to_json(), indent=2))
-        return 0
-
-    baseline = BenchArtifact.load(args.compare)
-    diff = compare(baseline, artifact)
-    if args.format == "json":
-        print(json.dumps(diff.to_json(), indent=2))
-    else:
-        print()
-        print(render_bench_diff(diff, fmt=args.format))
-    regressions = diff.regressed(include_timing=args.fail_on_timing_regression)
-    if regressions and args.fail_on_regression:
+    experiments = [
+        part.strip() for part in (args.experiments or "").split(",")
+        if part.strip()
+    ] or list(SCORED_EXPERIMENTS)
+    unscored = [e for e in experiments if e not in SCORED_EXPERIMENTS]
+    if unscored:
         print(
-            f"{len(regressions)} regression(s) vs {args.compare}",
+            f"error: not fidelity-scored: {', '.join(unscored)} "
+            f"(scored: {', '.join(SCORED_EXPERIMENTS)})",
             file=sys.stderr,
         )
-        return 1
+        return 2
+    runner = SuiteRunner(scale=args.scale, **_runner_options(args))
+    metrics = []
+    with _ledger_session(runner) as telemetry:
+        started = time.perf_counter()
+        for experiment_id in experiments:
+            metrics.extend(
+                fidelity_metrics(run_experiment(experiment_id, runner))
+            )
+        summary = fidelity_summary(metrics)
+        _record_run(
+            runner, "bench", "repro bench", ",".join(experiments), telemetry,
+            time.perf_counter() - started, fidelity=summary,
+        )
+    if args.format == "json":
+        print(json.dumps({
+            "experiments": experiments,
+            "metrics": [dataclasses.asdict(metric) for metric in metrics],
+            "summary": summary,
+        }, indent=2))
+        return 0
+    rows = [
+        [metric.figure, metric.metric, metric.policy, metric.benchmark,
+         f"{metric.paper:.2f}", f"{metric.measured:.2f}",
+         f"{metric.abs_error:.2f}", f"{metric.tolerance_pp:g}",
+         "yes" if metric.within else "NO"]
+        for metric in metrics
+    ]
+    print(render_table(
+        ["experiment", "metric", "policy", "bench", "paper", "measured",
+         "abs err pp", "tolerance pp", "within"],
+        rows, title="fidelity against the paper",
+    ))
+    # Bounds score 0 while their claim holds, so the point references
+    # alone give the distance from the paper's numbers.
+    points = [metric.abs_error for metric in metrics
+              if metric.figure in REFERENCES]
+    line = (
+        f"\nscore {summary['score']:.3f} over {summary['metrics']} "
+        f"metric(s), mean abs error {summary['mean_abs_error_pp']:.3f} pp"
+    )
+    if points:
+        line += (
+            f"; {len(points)} point reference(s): "
+            f"mean abs error {sum(points) / len(points):.3f} pp"
+        )
+    print(line)
     return 0
 
 
@@ -1431,33 +1372,6 @@ def cmd_runs_diff(args) -> int:
         return 0
     print(render_manifest_diff(diff))
     return 0
-
-
-def cmd_runs_check(args) -> int:
-    """Drift watchdog: exit non-zero when the latest run regressed."""
-    ledger = _require_ledger(args)
-    if ledger is None:
-        return 2
-    from .telemetry.drift import check_drift, render_drift_report
-
-    result = ledger.select(kind=args.kind, target=args.target)
-    _warn_skipped(result)
-    try:
-        report = check_drift(
-            result,
-            window=args.window,
-            tolerance=args.tolerance,
-            min_history=args.min_history,
-            metrics=args.metric or None,
-        )
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        print(render_drift_report(report))
-    return 0 if report.ok else 1
 
 
 def cmd_cache_stats(args) -> int:

@@ -204,11 +204,11 @@ class SuiteRunner:
         return self.results(spec.name for spec in all_specs())
 
     def describe(self) -> Dict[str, object]:
-        """The runner's configuration, by value (bench artifacts embed it).
+        """The runner's configuration, by value (ledger manifests lift it).
 
         Everything a result depends on is here — scale, policy tuple,
-        model fingerprint, instruction budget — so two artifacts can be
-        checked for comparability before their metrics are diffed.
+        model fingerprint, instruction budget — so two recorded runs can
+        be checked for comparability before their metrics are diffed.
         """
         return {
             "scale": self.scale,

@@ -148,8 +148,8 @@ class CPU:
         self._timeline = telemetry.open_timeline(self)
         # Instrumented runs (tracer events, timeline sampling, hot-loop
         # profiling) take per-instruction fallback loops; the ``mode``
-        # attribute lets the bench artifacts aggregate untraced
-        # execution throughput separately from instrumented runs.
+        # attribute lets trace readers tell their spans apart from
+        # untraced execution.
         traced = (
             profiler is not None
             or self.tracer is not None

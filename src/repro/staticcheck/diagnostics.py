@@ -8,7 +8,8 @@ it), a default :class:`Severity`, and a one-line contract.  Checks emit
 location (``pc`` plus, where applicable, the owning ``slice_id``) so a
 finding always points at a concrete instruction of a concrete artifact.
 
-Severity semantics mirror ``repro runs check``'s exit-code contract:
+Severities map onto ``repro lint``'s exit codes (0 clean, 1 findings at
+gating severity, 2 usage errors):
 
 * ``ERROR`` — the artifact violates an invariant amnesic correctness
   rests on; ``repro lint`` exits non-zero and CI fails.

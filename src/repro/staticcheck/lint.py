@@ -13,8 +13,7 @@ it) — and layers three meta-checks on top:
   rule id on at least one corpus program, proving the rules bite;
 * **self** — the codebase layering lint over the installed package.
 
-Exit-code semantics (mirroring `repro runs check`): 0 clean, 1 findings
-at gating severity, 2 usage errors.
+Exit codes: 0 clean, 1 findings at gating severity, 2 usage errors.
 """
 
 from __future__ import annotations

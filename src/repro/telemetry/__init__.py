@@ -13,14 +13,6 @@ Disabled by default and free when off; enable it around any workload::
 See ``docs/observability.md`` for the full guide.
 """
 
-from .drift import (
-    DEFAULT_TOLERANCE,
-    DEFAULT_WINDOW,
-    DriftFinding,
-    DriftReport,
-    check_drift,
-    render_drift_report,
-)
 from .export import export_chrome_trace, trace_summary, validate_chrome_trace
 from .ledger import (
     LEDGER_SCHEMA_VERSION,
@@ -87,15 +79,10 @@ from .summary import (
 __all__ = [
     "DEFAULT_SAMPLE_EVERY",
     "DEFAULT_TIMELINE_WINDOW",
-    "DEFAULT_TOLERANCE",
-    "DEFAULT_WINDOW",
-    "DriftFinding",
-    "DriftReport",
     "LEDGER_SCHEMA_VERSION",
     "RunLedger",
     "RunManifest",
     "cache_io_stats",
-    "check_drift",
     "collect_manifest",
     "diff_manifests",
     "fidelity_summary",
@@ -103,7 +90,6 @@ __all__ = [
     "ledger_from_env",
     "pool_stats",
     "provenance",
-    "render_drift_report",
     "render_manifest",
     "render_manifest_diff",
     "render_pool_stats",

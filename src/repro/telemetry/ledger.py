@@ -8,8 +8,8 @@ scale, backend, policies, model fingerprint, seed), under what
 environment (git revision, python, platform), and what it cost (wall
 time per phase, instructions/sec, energy, fidelity, cache and pool
 traffic).  A warm ledger turns thousands of runs into a queryable
-trajectory: ``repro runs list/show/diff`` browse it and ``repro runs
-check`` (:mod:`repro.telemetry.drift`) gates on it.
+trajectory that ``repro runs list/show/diff`` browse; it is the
+project's only run history.
 
 Storage is one JSONL file (``ledger.jsonl``) inside the ledger
 directory.  Appends are a *single* ``os.write`` on an ``O_APPEND``
@@ -327,7 +327,9 @@ def diff_manifests(a: RunManifest, b: RunManifest) -> Dict[str, object]:
     ``config`` holds only the identity fields that *differ* (an empty
     dict means the runs are comparable); ``metrics`` always carries the
     numeric cost fields with absolute and, where defined, relative
-    deltas; ``phases`` diffs the union of both runs' phase timings.
+    deltas, plus ``fidelity.score`` and ``fidelity.mean_abs_error_pp``
+    when either run was fidelity-scored; ``phases`` diffs the union of
+    both runs' phase timings.
     """
     diff: Dict[str, object] = {
         "a": a.run_id,
@@ -349,13 +351,17 @@ def diff_manifests(a: RunManifest, b: RunManifest) -> Dict[str, object]:
         if value_a:
             entry["delta_fraction"] = (value_b - value_a) / abs(value_a)
         diff["metrics"][field] = entry
-    score_a = (a.fidelity or {}).get("score")
-    score_b = (b.fidelity or {}).get("score")
-    if score_a is not None or score_b is not None:
-        entry = {"a": score_a, "b": score_b}
-        if score_a is not None and score_b is not None:
-            entry["delta"] = score_b - score_a
-        diff["metrics"]["fidelity"] = entry
+    # The score only moves when a metric crosses its tolerance band;
+    # the mean error shows drift inside the band.
+    for field in ("score", "mean_abs_error_pp"):
+        value_a = (a.fidelity or {}).get(field)
+        value_b = (b.fidelity or {}).get(field)
+        if value_a is None and value_b is None:
+            continue
+        entry = {"a": value_a, "b": value_b}
+        if value_a is not None and value_b is not None:
+            entry["delta"] = value_b - value_a
+        diff["metrics"][f"fidelity.{field}"] = entry
     for name in sorted(set(a.phases) | set(b.phases)):
         phase_a, phase_b = a.phases.get(name), b.phases.get(name)
         entry = {"a": phase_a, "b": phase_b}
@@ -438,7 +444,7 @@ def render_manifest_diff(diff: Dict[str, object]) -> str:
         delta = entry.get("delta")
         delta_text = "" if delta is None else f" delta {delta:+g}"
         lines.append(
-            f"    {field:<18} {_fmt(entry['a'])} -> {_fmt(entry['b'])}"
+            f"    {field:<26} {_fmt(entry['a'])} -> {_fmt(entry['b'])}"
             f"{delta_text}{rel_text}"
         )
     phases = diff.get("phases") or {}
@@ -467,7 +473,8 @@ def fidelity_summary(metrics: Sequence) -> Optional[Dict[str, float]]:
     """Collapse per-metric fidelity scores into a manifest-sized dict.
 
     ``score`` is the fraction of scored metrics inside their paper
-    tolerance band — the number the drift watchdog tracks across runs.
+    tolerance band and ``mean_abs_error_pp`` their mean distance from
+    the paper; ``repro runs diff`` reports both.
     """
     metrics = list(metrics)
     if not metrics:

@@ -67,8 +67,7 @@ def phase_totals(roots: Iterable[SpanNode]) -> List[PhaseTotal]:
     Self time (duration minus child durations) is used so the totals
     partition the wall clock instead of double-counting nested phases —
     summing every entry reproduces the session's traced time.  This is
-    the aggregation the benchmarking artifacts (``repro bench``) persist
-    as per-phase timings.
+    the aggregation run-ledger manifests record as per-phase timings.
     """
     self_time: Dict[str, float] = defaultdict(float)
     counts: Dict[str, int] = defaultdict(int)

@@ -1,105 +1,64 @@
-"""``repro bench`` plus the ``--format json`` scripting paths."""
+"""``repro bench`` (the fidelity report) plus the ``--format json``
+scripting paths."""
 
+import dataclasses
 import json
 
-import pytest
-
-from repro.bench import BENCH_SCHEMA_VERSION, BenchArtifact
+from repro import cli
+from repro.bench.paper_reference import fidelity_metrics
 from repro.cli import main
+from repro.harness.experiments import run_experiment
+from repro.telemetry.ledger import RunLedger, fidelity_summary
 
 
-def bench_table1(tmp_path, capsys, *extra) -> BenchArtifact:
-    out = tmp_path / "BENCH_t.json"
-    assert main(
-        ["bench", "--experiments", "table1", "--out", str(out), *extra]
-    ) == 0
-    capsys.readouterr()
-    return BenchArtifact.load(out)
-
-
-def test_bench_writes_schema_versioned_artifact(tmp_path, capsys):
-    artifact = bench_table1(tmp_path, capsys)
-    assert artifact.schema_version == BENCH_SCHEMA_VERSION
-    assert list(artifact.reports) == ["table1"]
-    assert artifact.environment["python"]
-
-
-def test_bench_prints_summary_table(tmp_path, capsys):
-    out = tmp_path / "BENCH_t.json"
-    assert main(["bench", "--experiments", "table1", "--out", str(out)]) == 0
-    captured = capsys.readouterr()
-    assert "bench summary" in captured.out
-    assert str(out) in captured.err
-
-
-def test_bench_json_format_dumps_the_artifact(tmp_path, capsys):
-    out = tmp_path / "BENCH_t.json"
-    assert main(
-        ["bench", "--experiments", "table1", "--out", str(out),
-         "--format", "json"]
-    ) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == BENCH_SCHEMA_VERSION
-
-
-def test_bench_rejects_unknown_experiment(tmp_path):
-    with pytest.raises(KeyError):
-        main(["bench", "--experiments", "nope",
-              "--out", str(tmp_path / "x.json")])
-
-
-def test_bench_current_requires_compare(tmp_path, capsys):
-    assert main(["bench", "--current", "whatever.json"]) == 2
-    assert "--compare" in capsys.readouterr().err
-
-
-def _doctor(artifact_path, bad_path):
-    """A copy of the artifact with its wall clock regressed 10x."""
-    payload = json.loads(artifact_path.read_text())
-    payload["reports"]["table1"]["wall_s"] = (
-        payload["reports"]["table1"]["wall_s"] * 10 + 1.0
-    )
-    bad_path.write_text(json.dumps(payload))
-
-
-def test_bench_offline_compare_identical_artifacts_passes(tmp_path, capsys):
-    bench_table1(tmp_path, capsys)
-    out = str(tmp_path / "BENCH_t.json")
-    assert main(
-        ["bench", "--current", out, "--compare", out, "--fail-on-regression"]
-    ) == 0
-    assert "0 fidelity regression(s)" in capsys.readouterr().out
-
-
-def test_bench_timing_regression_warns_by_default_but_can_gate(
-    tmp_path, capsys
+def test_bench_json_rows_are_the_reports_fidelity_metrics(
+    tmp_path, capsys, monkeypatch
 ):
-    bench_table1(tmp_path, capsys)
-    baseline = tmp_path / "BENCH_t.json"
-    bad = tmp_path / "BENCH_bad.json"
-    _doctor(baseline, bad)
-    # Timing regressions are warn-only under --fail-on-regression...
-    assert main(
-        ["bench", "--current", str(bad), "--compare", str(baseline),
-         "--fail-on-regression"]
-    ) == 0
-    assert "1 timing regression(s)" in capsys.readouterr().out
-    # ...and gate only when explicitly strict.
-    assert main(
-        ["bench", "--current", str(bad), "--compare", str(baseline),
-         "--fail-on-regression", "--fail-on-timing-regression"]
-    ) == 1
-    captured = capsys.readouterr()
-    assert "regression(s) vs" in captured.err
+    reports = []
 
+    def recording_run_experiment(experiment_id, runner):
+        report = run_experiment(experiment_id, runner)
+        reports.append(report)
+        return report
 
-def test_bench_compare_json_format(tmp_path, capsys):
-    bench_table1(tmp_path, capsys)
-    out = str(tmp_path / "BENCH_t.json")
-    assert main(["bench", "--current", out, "--compare", out,
-                 "--format", "json"]) == 0
+    monkeypatch.setattr(cli, "run_experiment", recording_run_experiment)
+    ledger_dir = str(tmp_path / "ledger")
+    # The numbers are backend-independent; fast-batched and two workers
+    # keep the eleven-kernel evaluation near three seconds.
+    args = [
+        "bench", "--experiments", "fig4", "--scale", "0.01",
+        "--backend", "fast-batched", "--jobs", "2",
+        "--cache-dir", str(tmp_path / "cache"),
+    ]
+    assert main([*args, "--format", "json", "--ledger-dir", ledger_dir]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["experiments"] == ["table1"]
+    (report,) = reports
+    metrics = fidelity_metrics(report)
+    assert payload["experiments"] == ["fig4"]
+    assert [row["benchmark"] for row in payload["metrics"]] == ["is", "mcf"]
+    assert payload["metrics"] == [dataclasses.asdict(m) for m in metrics]
+    (manifest,) = RunLedger(ledger_dir).read()
+    assert manifest.kind == "bench" and manifest.target == "fig4"
+    assert manifest.fidelity == payload["summary"] == fidelity_summary(metrics)
+    # The text report renders the same scores, served from the cache.
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    assert "fidelity against the paper" in text
+    assert f"score {payload['summary']['score']:.3f} over 2 metric(s)" in text
+
+
+def test_bench_rejects_unknown_experiment(tmp_path, capsys, monkeypatch):
+    def must_not_run(experiment_id, runner):
+        raise AssertionError(f"{experiment_id} ran before validation")
+
+    monkeypatch.setattr(cli, "run_experiment", must_not_run)
+    ledger_dir = tmp_path / "ledger"
+    for selection in ("nope", "table1", "fig4,nope"):
+        assert main([
+            "bench", "--experiments", selection, "--ledger-dir", str(ledger_dir),
+        ]) == 2
+        assert "not fidelity-scored" in capsys.readouterr().err
+    assert not ledger_dir.exists()
 
 
 def test_run_format_json(capsys):

@@ -221,7 +221,7 @@ def test_diff_manifests_reports_config_and_metric_deltas():
     b = dataclasses.replace(
         a, run_id=new_run_id(), backend="fast", wall_s=1.0, ips=2000.0,
         phases={"execute.classic": 0.4, "only-b": 0.2},
-        fidelity={"score": 0.9},
+        fidelity={"score": 0.9, "metrics": 10, "mean_abs_error_pp": 8.0},
     )
     diff = diff_manifests(a, b)
     assert diff["a"] == a.run_id and diff["b"] == b.run_id
@@ -229,7 +229,22 @@ def test_diff_manifests_reports_config_and_metric_deltas():
     assert diff["metrics"]["wall_s"]["delta"] == -1.0
     assert diff["metrics"]["wall_s"]["delta_fraction"] == -0.5
     assert diff["metrics"]["ips"]["delta_fraction"] == 1.0
-    assert diff["metrics"]["fidelity"] == {"a": None, "b": 0.9}
+    assert diff["metrics"]["fidelity.score"] == {"a": None, "b": 0.9}
+    assert diff["metrics"]["fidelity.mean_abs_error_pp"] == {"a": None, "b": 8.0}
+    # Drift inside the tolerance band leaves the score alone; the mean
+    # error still shows it.
+    c = dataclasses.replace(
+        b, run_id=new_run_id(),
+        fidelity={"score": 0.9, "metrics": 10, "mean_abs_error_pp": 8.25},
+    )
+    fidelity = diff_manifests(b, c)["metrics"]
+    assert fidelity["fidelity.score"]["delta"] == 0.0
+    assert fidelity["fidelity.mean_abs_error_pp"] == {
+        "a": 8.0, "b": 8.25, "delta": 0.25,
+    }
+    # Unscored runs carry no fidelity rows.
+    assert not any(key.startswith("fidelity") for key in
+                   diff_manifests(a, a)["metrics"])
     assert diff["phases"]["execute.classic"]["delta"] == pytest.approx(-0.6)
     assert diff["phases"]["only-a"]["b"] is None
     assert diff["phases"]["only-b"]["a"] is None
