@@ -456,8 +456,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_cmd.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
-        help="amnesic scheduler under test (default: $REPRO_BACKEND or "
-             "classic); the oracle baseline always runs classic",
+        help="backend under test (default: $REPRO_BACKEND or classic); "
+             "the reference always runs classic, and a non-classic "
+             "backend's plain and amnesic runs must match it exactly",
     )
     _add_telemetry_flags(fuzz_cmd)
     fuzz_cmd.set_defaults(handler=cmd_fuzz)
@@ -1104,8 +1105,9 @@ def cmd_fuzz(args) -> int:
     """Run a differential fuzz campaign (or replay the corpus)."""
     from .core.backend import resolve_backend
     from .fuzz import FuzzConfig, materialize, replay_corpus, run_fuzz
+    from .fuzz.runner import entry_satisfied
 
-    amnesic_cls = resolve_backend(args.backend).amnesic_cls
+    backend = resolve_backend(args.backend)
     policies = None
     if args.policies:
         policies = tuple(
@@ -1125,7 +1127,7 @@ def cmd_fuzz(args) -> int:
             print("--replay requires --corpus-dir", file=sys.stderr)
             return 2
         report = replay_corpus(
-            args.corpus_dir, policies=policies, cpu_cls=amnesic_cls
+            args.corpus_dir, policies=policies, backend=backend
         )
         if args.format == "json":
             payload = {
@@ -1138,7 +1140,7 @@ def cmd_fuzz(args) -> int:
             print(json.dumps(payload, indent=2))
         else:
             for entry, verdict in report.verdicts:
-                marker = "ok  " if verdict.ok else "FAIL"
+                marker = "ok  " if entry_satisfied(entry, verdict) else "FAIL"
                 print(f"{marker} {entry.name}: {verdict.summary()}")
             print(
                 f"\nreplayed {len(report.verdicts)} corpus entries, "
@@ -1154,7 +1156,7 @@ def cmd_fuzz(args) -> int:
         policies=policies or POLICY_NAMES,
         shrink=not args.no_shrink,
         max_counterexamples=args.max_counterexamples,
-        cpu_cls=amnesic_cls,
+        backend=backend,
     )
     result = run_fuzz(config)
     if args.format == "json":

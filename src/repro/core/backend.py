@@ -7,21 +7,22 @@ reference implementation in :mod:`repro.machine.cpu` /
 :mod:`repro.core.amnesic_cpu`; ``fast-batched`` runs the generated fast
 path of :mod:`repro.machine.fastpath`: per-pc functions, statically
 proven straight-line regions (:mod:`repro.staticcheck.regions`) fused
-into single dispatches, and fused slice traversals.  The fuzz oracle's
-backend check (:func:`repro.fuzz.oracle.check_backend_equivalence`)
-holds the pair to exact equivalence, the same way the differential
-oracle holds amnesic execution to the classic baseline.
+into single dispatches, and fused slice traversals.  The fuzz oracle
+(:func:`repro.fuzz.oracle.check_program` with ``backend=``) holds a
+non-classic backend's plain and amnesic runs to classic runs of the same
+configuration exactly, in the same pass that holds amnesic execution to
+the classic baseline.
 
-Selection order: an explicit ``backend=`` argument (CLI ``--backend``)
-wins, then the ``REPRO_BACKEND`` environment variable, then
-``classic``.
+Selection order: an explicit ``backend=`` argument (CLI ``--backend``;
+a name or a :class:`Backend`) wins, then the ``REPRO_BACKEND``
+environment variable, then ``classic``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Optional, Tuple, Type
+from typing import Tuple, Type, Union
 
 from ..machine.config import Level
 from ..machine.cpu import CPU
@@ -86,8 +87,14 @@ BACKENDS = {
 BACKEND_NAMES: Tuple[str, ...] = tuple(BACKENDS)
 
 
-def resolve_backend(name: Optional[str] = None) -> Backend:
-    """Resolve a backend by name, falling back to env then default."""
+def resolve_backend(name: Union[str, Backend, None] = None) -> Backend:
+    """Resolve a backend by name, falling back to env then default.
+
+    A :class:`Backend` passes through, so callers may hand in a pair
+    outside the registry (the fuzzer's deliberately broken twins).
+    """
+    if isinstance(name, Backend):
+        return name
     if name is None:
         name = os.environ.get(ENV_BACKEND) or DEFAULT_BACKEND
     try:

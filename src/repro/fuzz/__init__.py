@@ -1,8 +1,9 @@
 """Differential fuzzing of the amnesic pipeline.
 
-Seeded program generation, an amnesic-vs-classic equivalence oracle, a
-greedy spec shrinker, and the replayable regression corpus behind
-``repro fuzz`` and the CI corpus-replay tests.
+Seeded program generation, an equivalence oracle that holds amnesic
+execution and any execution backend to classic, a greedy spec shrinker,
+and the replayable regression corpus behind ``repro fuzz`` and the CI
+corpus-replay tests.
 """
 
 from .corpus import CorpusEntry, load_corpus, load_entry, save_entry

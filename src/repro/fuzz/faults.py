@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from ..compiler import leaves
 from ..core.amnesic_cpu import AmnesicCPU
+from ..core.backend import Backend
 from ..core.hist import HistoryTable
 from ..machine import fastpath
 from ..machine.cpu import CPU
@@ -91,6 +92,12 @@ class LateFlushBatchedCPU(_LateFlushMixin, CPU):
 
 class LateFlushBatchedAmnesicCPU(_LateFlushMixin, AmnesicCPU):
     """The broken batcher over amnesic binaries."""
+
+
+#: The broken CPUs as backends the oracle holds to classic.
+SKIP_HIST_READ = Backend("skip-hist-read", CPU, SkipHistReadCPU)
+EAGER_FIRE = Backend("eager-fire", CPU, EagerFireCPU)
+LATE_FLUSH = Backend("late-flush", LateFlushBatchedCPU, LateFlushBatchedAmnesicCPU)
 
 
 class LateReplayScanner(leaves._ReplayScanner):
@@ -196,6 +203,9 @@ def stale_hist_lru():
 
 
 __all__ = [
+    "EAGER_FIRE",
+    "LATE_FLUSH",
+    "SKIP_HIST_READ",
     "EagerFireCPU",
     "LateFlushBatchedAmnesicCPU",
     "LateFlushBatchedCPU",

@@ -1,11 +1,12 @@
 """The differential oracle: amnesic execution must be invisible.
 
-For one spec the oracle profiles the program on the classic interpreter
-(that one run is also the classic baseline), compiles it through the
-full profile→amnesic-compile pipeline, executes the
-binary under every requested scheduler policy with inline verification
-*off* (so a scheduler bug surfaces as divergent architectural state, the
-way it would in production), and checks three families of invariants:
+For one spec the oracle makes one pass.  It profiles the program on the
+classic interpreter (that traced run is also the classic baseline),
+compiles it through the full profile→amnesic-compile pipeline, and
+executes the binary under every requested scheduler policy on the
+backend under test, with inline verification *off* (so a scheduler bug
+surfaces as divergent architectural state, the way it would in
+production).  Four families of invariants are checked:
 
 * **architectural equivalence** — final registers and the final memory
   image match the classic run exactly, for every policy;
@@ -20,17 +21,29 @@ way it would in production), and checks three families of invariants:
   ± E_rc`` deltas, with nothing charged outside the breakdown), classic
   runs carry zero Hist/amnesic energy, and every probabilistically
   selected slice respects its budget
-  (``selection_cost < estimated_load_cost``).
+  (``selection_cost < estimated_load_cost``);
+* **backend exactness** — when the backend under test is not classic,
+  its plain run is held to the profiling run, and each policy's run to
+  a classic :class:`AmnesicCPU` of the same configuration, exactly: the
+  fault raised, if any, and everything :func:`_observable` lists, down
+  to cache LRU order, Hist/IBuff entry order and energy float bits.
+
+The backend under test resolves like every other entry point's (an
+explicit name or :class:`~repro.core.backend.Backend`, then
+``$REPRO_BACKEND``, then classic); the reference is always classic.
+Passing a deliberately broken pair (see :mod:`repro.fuzz.faults`) is
+how the fuzzer validates itself.
 
 A spec whose *classic* run faults is reported as **invalid** rather
 than failing: the generator occasionally draws programs that exceed the
-instruction budget, and those say nothing about amnesic execution.
+instruction budget, and those say nothing about amnesic execution.  A
+non-classic backend must still fault the same way on the plain program.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..compiler.amnesic_pass import (
     SELECTION_PROBABILISTIC,
@@ -39,6 +52,7 @@ from ..compiler.amnesic_pass import (
     compile_amnesic,
 )
 from ..core.amnesic_cpu import AmnesicCPU
+from ..core.backend import BACKENDS, Backend, resolve_backend
 from ..core.execution import _oracle_options, classic_outcome
 from ..core.policies import POLICY_NAMES, make_policy
 from ..energy import EnergyModel, EPITable
@@ -51,6 +65,7 @@ from ..machine.config import (
     PAPER_L2_PARAMS,
     PAPER_MEM_PARAMS,
 )
+from ..machine.cpu import CPU
 from ..trace.recorder import profile_program
 from .spec import ProgramSpec, materialize
 
@@ -60,6 +75,8 @@ DEFAULT_MAX_INSTRUCTIONS = 200_000
 #: Relative tolerance for energy-sum conservation (pure float addition
 #: noise; any real accounting leak is orders of magnitude larger).
 _ENERGY_RTOL = 1e-9
+
+_CLASSIC = BACKENDS["classic"]
 
 
 def default_fuzz_model() -> EnergyModel:
@@ -84,8 +101,9 @@ def default_fuzz_model() -> EnergyModel:
 class OracleFailure:
     """One violated invariant under one policy (or at compile time)."""
 
-    policy: str  # "*" for policy-independent failures
-    kind: str  # equivalence | structure | energy | budget | exception | compile
+    policy: str  # "*" if policy-independent, "classic" for the plain run
+    # equivalence | structure | energy | budget | exception | compile | backend
+    kind: str
     message: str
 
     def __str__(self) -> str:
@@ -127,16 +145,11 @@ def check_spec(
     spec: ProgramSpec,
     model: Optional[EnergyModel] = None,
     policies: Sequence[str] = POLICY_NAMES,
-    cpu_cls: Type[AmnesicCPU] = AmnesicCPU,
     options: Optional[PassOptions] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+    backend: Union[str, Backend, None] = None,
 ) -> OracleVerdict:
-    """Materialise *spec* and run the full differential check.
-
-    *cpu_cls* exists so the fuzzer can validate itself: substituting a
-    deliberately buggy scheduler (see :mod:`repro.fuzz.faults`) must
-    turn a clean verdict into a counterexample.
-    """
+    """Materialise *spec* and run the full differential check."""
     verdict = OracleVerdict(spec=spec, policies=tuple(policies))
     try:
         program = materialize(spec)
@@ -149,9 +162,9 @@ def check_spec(
         spec=spec,
         model=model,
         policies=policies,
-        cpu_cls=cpu_cls,
         options=options,
         max_instructions=max_instructions,
+        backend=backend,
     )
 
 
@@ -160,11 +173,13 @@ def check_program(
     spec: Optional[ProgramSpec] = None,
     model: Optional[EnergyModel] = None,
     policies: Sequence[str] = POLICY_NAMES,
-    cpu_cls: Type[AmnesicCPU] = AmnesicCPU,
     options: Optional[PassOptions] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+    backend: Union[str, Backend, None] = None,
 ) -> OracleVerdict:
-    """Differentially check an already-materialised program."""
+    """Differentially check an already-materialised program on *backend*."""
+    under_test = resolve_backend(backend)
+    exact = under_test != _CLASSIC  # hold every run to a classic twin
     model = model or default_fuzz_model()
     options = options or PassOptions()
     verdict = OracleVerdict(
@@ -174,18 +189,33 @@ def check_program(
     )
     fail = verdict.failures.append
 
+    def plain(cls):
+        return cls(program, model, max_instructions=max_instructions)
+
     # Classic baseline: the profiling run, which both compiles share.  A
-    # fault here is the spec's problem, not the pipeline's.
+    # fault here is the spec's problem, not the pipeline's; the backend
+    # must still reproduce it.
     try:
         profile = profile_program(
-            program, model, max_instructions=max_instructions
+            program, model, max_instructions=max_instructions, backend="classic"
         )
     except ReproError as error:
+        if exact:
+            reference = plain(CPU)
+            _hold_to_classic(
+                verdict, "classic", under_test.name,
+                reference, _run(reference), plain(under_test.cpu_cls),
+            )
         verdict.invalid = True
-        verdict.invalid_reason = f"classic: {error}"
+        verdict.invalid_reason = f"classic: {_describe(error)}"
         return verdict
     classic = classic_outcome(profile)
     _check_account(verdict, "classic", classic.account, classic_run=True)
+    if exact:
+        _hold_to_classic(
+            verdict, "classic", under_test.name,
+            classic.cpu, None, plain(under_test.cpu_cls),
+        )
     classic_registers = list(classic.cpu.registers)
     classic_memory = classic.cpu.memory.snapshot()
 
@@ -218,25 +248,27 @@ def check_program(
         except ReproError as error:
             fail(OracleFailure("Oracle", "compile", f"all-valid compile: {error}"))
 
+    settings = {"max_instructions": max_instructions, "verify": False}
     for policy_name in policies:
         compilation = all_valid if policy_name == "Oracle" else probabilistic
         if compilation is None:
             continue  # the Oracle compile already failed above
-        cpu = cpu_cls(
-            compilation.binary,
-            model,
-            make_policy(policy_name),
-            max_instructions=max_instructions,
-            verify=False,
+        binary = compilation.binary
+        cpu = under_test.amnesic_cls(
+            binary, model, make_policy(policy_name), **settings
         )
-        try:
-            cpu.run()
-        except ReproError as error:
-            fail(
-                OracleFailure(
-                    policy_name, "exception", f"{type(error).__name__}: {error}"
-                )
+        if exact:
+            reference = AmnesicCPU(
+                binary, model, make_policy(policy_name), **settings
             )
+            error = _hold_to_classic(
+                verdict, policy_name, under_test.name,
+                reference, _run(reference), cpu,
+            )
+        else:
+            error = _run(cpu)
+        if error is not None:
+            fail(OracleFailure(policy_name, "exception", error))
             continue
         _check_equivalence(
             verdict, policy_name, cpu, classic_registers, classic_memory
@@ -244,6 +276,104 @@ def check_program(
         _check_structure(verdict, policy_name, cpu, classic.stats)
         _check_account(verdict, policy_name, cpu.account, classic_run=False)
     return verdict
+
+
+def check_backend_equivalence(
+    program: Program,
+    spec: Optional[ProgramSpec] = None,
+    backend: Union[str, Backend] = "fast-batched",
+    **settings,
+) -> OracleVerdict:
+    """:func:`check_program` with *backend* defaulting to fast-batched."""
+    return check_program(program, spec, backend=backend, **settings)
+
+
+# ----------------------------------------------------------------------
+# Running and comparing CPUs.
+# ----------------------------------------------------------------------
+def _describe(error: ReproError) -> str:
+    return f"{type(error).__name__}: {error}"
+
+
+def _run(cpu: CPU) -> Optional[str]:
+    """Run *cpu* to completion; the fault it raised, described, or None."""
+    try:
+        cpu.run()
+    except ReproError as error:
+        return _describe(error)
+    return None
+
+
+def _hold_to_classic(
+    verdict: OracleVerdict, label: str, backend: str,
+    reference: CPU, reference_error: Optional[str], tested: CPU,
+) -> Optional[str]:
+    """Run *tested* and hold it to a classic run of the same configuration.
+
+    The fault must match first; the state is compared only when it does.
+    Returns the fault *tested* raised, described, or None.
+    """
+    tested_error = _run(tested)
+    if tested_error != reference_error:
+        verdict.failures.append(
+            OracleFailure(
+                label,
+                "backend",
+                f"classic raised {reference_error!r}, "
+                f"{backend} raised {tested_error!r}",
+            )
+        )
+    else:
+        _compare_state(verdict, label, backend, reference, tested)
+    return tested_error
+
+
+def _observable(cpu: CPU) -> dict:
+    """Everything two backends must agree on after a run, by name."""
+    state = {
+        "registers": cpu.registers,
+        "memory": cpu.memory.snapshot(),
+        "pc": cpu.pc,
+        "dynamic instructions": cpu.dynamic_count,
+        "run stats": dataclasses.asdict(cpu.stats),
+        "hierarchy stats": dataclasses.asdict(cpu.hierarchy.stats),
+    }
+    for name in ("l1", "l2"):
+        cache = getattr(cpu.hierarchy, name)
+        state[f"{name} state"] = cache.observe()
+        # Tag probes and LRU order: what the RCMP decisions touch.
+        state[f"{name} stats"] = dataclasses.asdict(cache.stats)
+        state[f"{name} lines"] = list(cache.resident_lines().items())
+    state["energy breakdown"] = cpu.account.breakdown()
+    state["modeled time"] = cpu.account.total_time_ns
+    if isinstance(cpu, AmnesicCPU):
+        state["fired slices"] = sorted(cpu.fired_slice_ids)
+        for name in ("hist", "sfile", "ibuff"):
+            state[f"{name} state"] = getattr(cpu, name).observe()
+        for name in ("hist", "ibuff"):
+            state[f"{name} entries"] = getattr(cpu, name).entries()
+    return state
+
+
+def _compare_state(
+    verdict: OracleVerdict, label: str, backend: str, reference: CPU, tested: CPU
+) -> None:
+    """Exact comparison: the two runs execute the *same* semantics.
+
+    Float energy totals included — the fast backend must accumulate in
+    the classic charge order.
+    """
+    expected, actual = _observable(reference), _observable(tested)
+    for what, value in expected.items():
+        if value != actual[what]:
+            verdict.failures.append(
+                OracleFailure(
+                    label,
+                    "backend",
+                    f"{what} diverged: classic {value!r}, "
+                    f"{backend} {actual[what]!r}",
+                )
+            )
 
 
 # ----------------------------------------------------------------------
@@ -385,216 +515,6 @@ def _check_account(
                         f"{group}",
                     )
                 )
-
-
-def check_backend_equivalence(
-    program: Program,
-    spec: Optional[ProgramSpec] = None,
-    model: Optional[EnergyModel] = None,
-    policies: Sequence[str] = POLICY_NAMES,
-    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    backend: object = "fast-batched",
-) -> OracleVerdict:
-    """Hold a non-classic backend to the classic interpreter, exactly.
-
-    The same differential idea as :func:`check_program`, but the pair
-    under test is the execution *backend* rather than the execution
-    *model*: the classic program and every per-policy amnesic run are
-    executed under both backends and compared on final registers, the
-    memory image, RunStats, hierarchy counters, per-cache stats (tag
-    probes included) and resident lines in LRU order, the Hist/SFile/
-    IBuff counters and Hist/IBuff entry order, the per-group energy
-    breakdown, and modeled time.  Unlike amnesic-vs-classic (where only
-    architectural state must match), the two backends run the *same*
-    semantics, so every comparison is exact — including float energy
-    totals, which the fast backend must accumulate in the classic charge
-    order.  Faults count too: a program that faults under classic must
-    fault under the tested backend with the same exception type,
-    message, and pc.
-
-    Failures carry kind ``"backend"``; the policy field is ``classic``
-    for the plain-interpreter comparison and the policy name for the
-    amnesic ones.
-
-    ``backend`` picks the backend under test: a registry name
-    (``"fast-batched"``) or a ``Backend`` instance — the latter is how
-    the broken-batcher proof tests hand the oracle a deliberately wrong
-    implementation.
-    """
-    from ..core.backend import BACKENDS, Backend
-
-    if isinstance(backend, str):
-        backend = BACKENDS[backend]
-    if not isinstance(backend, Backend):
-        raise TypeError(f"backend must be a name or Backend, got {backend!r}")
-    under_test: Backend = backend
-    model = model or default_fuzz_model()
-    verdict = OracleVerdict(
-        spec=spec,
-        policies=tuple(policies),
-        instruction_count=len(program.instructions),
-    )
-    fail = verdict.failures.append
-
-    def run_both(label: str, make_cpu) -> Optional[Tuple]:
-        """Run under both backends; report fault divergence; return CPUs."""
-        outcomes = []
-        for pick in (BACKENDS["classic"], under_test):
-            cpu = make_cpu(pick)
-            error = None
-            try:
-                cpu.run()
-            except ReproError as caught:
-                error = f"{type(caught).__name__}: {caught}"
-            outcomes.append((cpu, error))
-        (classic_cpu, classic_error), (fast_cpu, fast_error) = outcomes
-        if classic_error != fast_error:
-            fail(
-                OracleFailure(
-                    label,
-                    "backend",
-                    f"classic raised {classic_error!r}, "
-                    f"{under_test.name} raised {fast_error!r}",
-                )
-            )
-            return None
-        return classic_cpu, fast_cpu, classic_error
-
-    def compare_state(label: str, classic_cpu, fast_cpu) -> None:
-        def exact(what: str, expected, actual) -> None:
-            if expected != actual:
-                fail(
-                    OracleFailure(
-                        label,
-                        "backend",
-                        f"{what} diverged: classic {expected!r}, "
-                        f"{under_test.name} {actual!r}",
-                    )
-                )
-
-        exact("registers", classic_cpu.registers, fast_cpu.registers)
-        exact(
-            "memory", classic_cpu.memory.snapshot(), fast_cpu.memory.snapshot()
-        )
-        exact("pc", classic_cpu.pc, fast_cpu.pc)
-        exact(
-            "dynamic instructions",
-            classic_cpu.dynamic_count,
-            fast_cpu.dynamic_count,
-        )
-        exact(
-            "run stats",
-            dataclasses.asdict(classic_cpu.stats),
-            dataclasses.asdict(fast_cpu.stats),
-        )
-        exact(
-            "hierarchy stats",
-            dataclasses.asdict(classic_cpu.hierarchy.stats),
-            dataclasses.asdict(fast_cpu.hierarchy.stats),
-        )
-        for cache in ("l1", "l2"):
-            reference = getattr(classic_cpu.hierarchy, cache)
-            tested = getattr(fast_cpu.hierarchy, cache)
-            exact(f"{cache} state", reference.observe(), tested.observe())
-            # Tag probes and LRU order: what the RCMP decisions touch.
-            exact(
-                f"{cache} stats",
-                dataclasses.asdict(reference.stats),
-                dataclasses.asdict(tested.stats),
-            )
-            exact(
-                f"{cache} lines",
-                list(reference.resident_lines().items()),
-                list(tested.resident_lines().items()),
-            )
-        exact(
-            "energy breakdown",
-            classic_cpu.account.breakdown(),
-            fast_cpu.account.breakdown(),
-        )
-        exact(
-            "modeled time",
-            classic_cpu.account.total_time_ns,
-            fast_cpu.account.total_time_ns,
-        )
-        if hasattr(classic_cpu, "hist"):
-            exact(
-                "fired slices",
-                sorted(classic_cpu.fired_slice_ids),
-                sorted(fast_cpu.fired_slice_ids),
-            )
-            for structure in ("hist", "sfile", "ibuff"):
-                exact(
-                    f"{structure} state",
-                    getattr(classic_cpu, structure).observe(),
-                    getattr(fast_cpu, structure).observe(),
-                )
-            for structure in ("hist", "ibuff"):
-                exact(
-                    f"{structure} entries",
-                    getattr(classic_cpu, structure).entries(),
-                    getattr(fast_cpu, structure).entries(),
-                )
-
-    # The plain-interpreter pair.
-    pair = run_both(
-        "classic",
-        lambda backend: backend.cpu_cls(
-            program, model, max_instructions=max_instructions
-        ),
-    )
-    if pair is not None:
-        classic_cpu, fast_cpu, classic_error = pair
-        compare_state("classic", classic_cpu, fast_cpu)
-        if classic_error is not None:
-            # Fault parity verified; the compiled comparisons below need
-            # a clean classic run to mean anything.
-            verdict.invalid = True
-            verdict.invalid_reason = f"classic: {classic_error}"
-            return verdict
-    else:
-        return verdict
-
-    # The amnesic pairs, one per policy, over the shared binaries.
-    try:
-        probabilistic = compile_amnesic(
-            program,
-            model,
-            options=PassOptions(selection=SELECTION_PROBABILISTIC),
-        )
-    except ReproError as error:
-        fail(OracleFailure("*", "compile", f"probabilistic compile: {error}"))
-        return verdict
-    verdict.slice_count = len(probabilistic.rslices)
-    all_valid: Optional[CompilationResult] = None
-    if "Oracle" in policies:
-        try:
-            all_valid = compile_amnesic(
-                program,
-                model,
-                profile=probabilistic.profile,
-                options=_oracle_options(PassOptions()),
-            )
-        except ReproError as error:
-            fail(OracleFailure("Oracle", "compile", f"all-valid compile: {error}"))
-
-    for policy_name in policies:
-        compilation = all_valid if policy_name == "Oracle" else probabilistic
-        if compilation is None:
-            continue
-        pair = run_both(
-            policy_name,
-            lambda backend: backend.amnesic_cls(
-                compilation.binary,
-                model,
-                make_policy(policy_name),
-                max_instructions=max_instructions,
-                verify=False,
-            ),
-        )
-        if pair is not None:
-            compare_state(policy_name, pair[0], pair[1])
-    return verdict
 
 
 def _check_budget(verdict: OracleVerdict, compilation: CompilationResult) -> None:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import dataclasses
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Type
+from typing import List, Optional, Sequence, Tuple, Union
 
-from ..core.amnesic_cpu import AmnesicCPU
+from ..core.backend import DEFAULT_BACKEND, Backend, resolve_backend
 from ..core.policies import POLICY_NAMES
 from ..energy import EnergyModel
 from ..telemetry.runtime import get_telemetry
@@ -49,9 +49,9 @@ class FuzzConfig:
     max_shrink_attempts: int = 500
     max_counterexamples: int = 5
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
-    #: Swappable scheduler implementation — the oracle-validation tests
-    #: run campaigns against deliberately broken CPUs.
-    cpu_cls: Type[AmnesicCPU] = AmnesicCPU
+    #: The backend under test (None: ``$REPRO_BACKEND``, then classic).
+    #: The oracle-validation tests pass deliberately broken pairs.
+    backend: Union[str, Backend, None] = None
 
 
 @dataclasses.dataclass
@@ -97,6 +97,7 @@ class FuzzResult:
         return {
             "seed": self.config.seed,
             "iterations": self.config.iterations,
+            "backend": resolve_backend(self.config.backend).name,
             "policies": list(self.config.policies),
             "programs": self.programs,
             "invalid": self.invalid,
@@ -110,6 +111,7 @@ def run_fuzz(
     config: FuzzConfig, model: Optional[EnergyModel] = None
 ) -> FuzzResult:
     """Run one deterministic fuzz campaign."""
+    config = dataclasses.replace(config, backend=resolve_backend(config.backend))
     model = model or default_fuzz_model()
     telemetry = get_telemetry()
     result = FuzzResult(config=config)
@@ -125,8 +127,8 @@ def run_fuzz(
             spec,
             model=model,
             policies=config.policies,
-            cpu_cls=config.cpu_cls,
             max_instructions=config.max_instructions,
+            backend=config.backend,
         )
 
     with telemetry.span(
@@ -203,15 +205,16 @@ def _reduce_and_bank(
         digest = shrunk.digest()
         if digest not in banked_digests:
             banked_digests.add(digest)
+            command = f"repro fuzz --seed {config.seed}"
+            backend = resolve_backend(config.backend).name
+            if backend != DEFAULT_BACKEND:
+                command += f" --backend {backend}"
             entry = CorpusEntry(
                 spec=shrunk.replace(name=f"cx-{digest}"),
                 description="; ".join(
                     str(failure) for failure in final_verdict.failures
                 ),
-                source=(
-                    f"repro fuzz --seed {config.seed} "
-                    f"(program seed {spec.seed})"
-                ),
+                source=f"{command} (program seed {spec.seed})",
             )
             corpus_path = str(save_entry(config.corpus_dir, entry))
             get_telemetry().counter("fuzz.corpus.saved").inc()
@@ -260,8 +263,8 @@ def replay_corpus(
     directory: str,
     model: Optional[EnergyModel] = None,
     policies: Optional[Sequence[str]] = None,
-    cpu_cls: Type[AmnesicCPU] = AmnesicCPU,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
+    backend: Union[str, Backend, None] = None,
 ) -> ReplayReport:
     """Re-run every committed corpus entry through the oracle."""
     if not Path(directory).is_dir():
@@ -274,8 +277,8 @@ def replay_corpus(
             entry.spec,
             model=model,
             policies=policies or entry.policies or POLICY_NAMES,
-            cpu_cls=cpu_cls,
             max_instructions=entry.max_instructions or max_instructions,
+            backend=backend,
         )
         telemetry.counter(
             "fuzz.corpus.replayed",

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.fuzz import CorpusEntry, save_entry
+from repro.fuzz.corpus import EXPECT_CLASSIC_FAULT
 from repro.fuzz.generator import random_spec
 
 pytestmark = pytest.mark.integration
@@ -65,11 +66,23 @@ def test_fuzz_replay_corpus(tmp_path, capsys):
         corpus_dir,
         CorpusEntry(spec=random_spec(4, name="replayable"), source="test"),
     )
+    # A classic fault is this entry's healthy outcome.
+    save_entry(
+        corpus_dir,
+        CorpusEntry(
+            spec=random_spec(4, name="faulting"),
+            source="test",
+            max_instructions=10,
+            expect=EXPECT_CLASSIC_FAULT,
+        ),
+    )
     code, out, _ = run_cli(
         capsys, "fuzz", "--replay", "--corpus-dir", str(corpus_dir)
     )
     assert code == 0
-    assert "replayed 1 corpus entries, 0 failing" in out
+    assert "replayed 2 corpus entries, 0 failing" in out
+    (faulting,) = [line for line in out.splitlines() if " faulting: " in line]
+    assert faulting.startswith("ok   faulting: invalid: classic: "), faulting
 
     code, out, _ = run_cli(
         capsys,
@@ -78,7 +91,7 @@ def test_fuzz_replay_corpus(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload == {"entries": 1, "failures": []}
+    assert payload == {"entries": 2, "failures": []}
 
 
 def test_fuzz_banks_counterexamples_nowhere_on_clean_run(tmp_path, capsys):

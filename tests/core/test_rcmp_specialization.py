@@ -22,7 +22,7 @@ from repro.core.policies import POLICY_NAMES, make_policy
 from repro.energy import paper_energy_model
 from repro.errors import RecomputationMismatch
 from repro.fuzz import (
-    check_backend_equivalence,
+    check_program,
     default_fuzz_model,
     load_entry,
     materialize,
@@ -165,10 +165,11 @@ def test_oracle_reports_rcmp_twin_on_corpus_entry(twin, entry_name):
         spec=entry.spec,
         model=default_fuzz_model(),
         policies=entry.policies or POLICY_NAMES,
+        backend="fast-batched",
     )
-    assert check_backend_equivalence(program, **options).ok
+    assert check_program(program, **options).ok
     with twin():
-        verdict = check_backend_equivalence(program, **options)
+        verdict = check_program(program, **options)
     assert verdict.failures
     assert {failure.kind for failure in verdict.failures} == {"backend"}
 

@@ -1,8 +1,11 @@
 """Replay of the committed regression corpus (tests/corpus/*.json).
 
-Every entry runs through the full differential oracle on every CI run.
-If a pipeline change breaks one of these known-tricky shapes, this is
-where it fails — immediately, not at the next nightly fuzz campaign.
+Every entry runs through the full differential oracle on every CI run,
+with the fast-batched backend under test, so one replay checks amnesic
+execution against classic semantics and the backend against classic
+state.  If a pipeline change breaks one of these known-tricky shapes,
+this is where it fails — immediately, not at the next nightly fuzz
+campaign.
 """
 
 from pathlib import Path
@@ -48,9 +51,11 @@ def test_corpus_entry_replays_clean(path, model):
         model=model,
         policies=entry.policies or POLICY_NAMES,
         max_instructions=entry.max_instructions or DEFAULT_MAX_INSTRUCTIONS,
+        backend="fast-batched",
     )
     # ``expect="classic-fault"`` entries replay to an invalid verdict
-    # (the classic run faults by design); everything else must be ok.
+    # (the classic run faults by design, and the backend must fault the
+    # same way); everything else must be ok.
     assert entry_satisfied(entry, verdict), (
         f"{entry.name}: expected {entry.expect}, got {verdict.summary()}"
     )

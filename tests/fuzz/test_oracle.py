@@ -6,17 +6,21 @@ import pytest
 
 from repro.core.policies import POLICY_NAMES
 from repro.fuzz import (
-    EagerFireCPU,
     Produce,
     ProgramSpec,
     Reload,
-    SkipHistReadCPU,
     Store,
+    check_backend_equivalence,
+    check_program,
     check_spec,
     default_fuzz_model,
+    materialize,
     random_spec,
 )
+from repro.fuzz import oracle
+from repro.fuzz.faults import EAGER_FIRE, SKIP_HIST_READ
 from repro.fuzz.spec import Gap
+from repro.machine.cpu import CPU
 
 
 @pytest.fixture(scope="module")
@@ -57,26 +61,73 @@ def test_oracle_reports_slice_counts(model):
     assert verdict.instruction_count > 0
 
 
-def test_check_program_runs_one_classic_cpu(model, monkeypatch):
-    # The profiling run doubles as the classic baseline: one check runs
-    # the classic program once, however many binaries it compiles.
-    from repro.core.amnesic_cpu import AmnesicCPU
-    from repro.fuzz import materialize
-    from repro.fuzz.oracle import check_program
-    from repro.machine.cpu import CPU
+def count_work(monkeypatch):
+    """Count profiles, compiles and ``run`` calls (by CPU class)."""
+    work = {"profiles": [], "compiles": 0, "runs": {}}
+    profile, compile_, run = (
+        oracle.profile_program, oracle.compile_amnesic, CPU.run
+    )
 
-    classic_runs = []
-    original = CPU.run
+    def counting_profile(*args, **kwargs):
+        result = profile(*args, **kwargs)
+        work["profiles"].append(type(result.cpu))
+        return result
+
+    def counting_compile(*args, **kwargs):
+        work["compiles"] += 1
+        return compile_(*args, **kwargs)
 
     def counting_run(self):
-        if not isinstance(self, AmnesicCPU):
-            classic_runs.append(type(self).__name__)
-        return original(self)
+        name = type(self).__name__
+        work["runs"][name] = work["runs"].get(name, 0) + 1
+        return run(self)
 
+    monkeypatch.setattr(oracle, "profile_program", counting_profile)
+    monkeypatch.setattr(oracle, "compile_amnesic", counting_compile)
     monkeypatch.setattr(CPU, "run", counting_run)
-    verdict = check_program(materialize(hist_leaf_spec()), model=model)
+    return work
+
+
+#: Per valid program: the profiling run doubles as the classic baseline
+#: and the plain reference, and each policy runs once per backend.
+EXACT_RUNS = {
+    "classic": {"CPU": 1, "AmnesicCPU": 5},
+    "fast-batched": {
+        "CPU": 1,
+        "AmnesicCPU": 5,
+        "BatchedFastCPU": 1,
+        "BatchedFastAmnesicCPU": 5,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    ("backend", "check"),
+    [
+        ("classic", check_program),
+        ("fast-batched", check_program),
+        ("fast-batched", check_backend_equivalence),
+    ],
+    ids=["classic", "fast-batched", "backend-equivalence"],
+)
+def test_check_program_work_is_exact(backend, check, model, monkeypatch):
+    work = count_work(monkeypatch)
+    verdict = check(materialize(hist_leaf_spec()), model=model, backend=backend)
     assert verdict.ok, verdict.summary()
-    assert len(classic_runs) == 1, classic_runs
+    assert work["profiles"] == [CPU]
+    assert work["compiles"] == 2
+    assert work["runs"] == EXACT_RUNS[backend]
+
+
+def test_reference_stays_classic_under_the_environment(model, monkeypatch):
+    # $REPRO_BACKEND picks the backend under test, never the reference:
+    # the profile and the reference amnesic runs stay classic.
+    monkeypatch.setenv("REPRO_BACKEND", "fast-batched")
+    work = count_work(monkeypatch)
+    verdict = check_spec(hist_leaf_spec(), model=model)
+    assert verdict.ok, verdict.summary()
+    assert work["profiles"] == [CPU]
+    assert work["runs"] == EXACT_RUNS["fast-batched"]
 
 
 def test_classic_fault_marks_spec_invalid_not_failing(model):
@@ -106,7 +157,7 @@ def test_skip_hist_read_bug_is_caught(model):
         hist_leaf_spec(),
         model=model,
         policies=("Compiler",),
-        cpu_cls=SkipHistReadCPU,
+        backend=SKIP_HIST_READ,
     )
     assert verdict.is_counterexample
     kinds = {failure.kind for failure in verdict.failures}
@@ -114,7 +165,7 @@ def test_skip_hist_read_bug_is_caught(model):
 
 
 def test_skip_hist_read_bug_survives_across_policies(model):
-    verdict = check_spec(hist_leaf_spec(), model=model, cpu_cls=SkipHistReadCPU)
+    verdict = check_spec(hist_leaf_spec(), model=model, backend=SKIP_HIST_READ)
     failing_policies = {failure.policy for failure in verdict.failures}
     # Every always-fire policy that traverses the Hist-leaf slice must
     # diverge; probing policies may legitimately skip on L1 hits.
@@ -131,7 +182,7 @@ def test_eager_fire_bug_surfaces_as_failure_not_crash(model):
             random_spec(seed),
             model=model,
             policies=("Compiler",),
-            cpu_cls=EagerFireCPU,
+            backend=EAGER_FIRE,
         )
         if verdict.is_counterexample:
             found = True

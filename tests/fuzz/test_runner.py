@@ -2,12 +2,12 @@
 
 from repro.fuzz import (
     FuzzConfig,
-    SkipHistReadCPU,
     default_fuzz_model,
     load_corpus,
     replay_corpus,
     run_fuzz,
 )
+from repro.fuzz.faults import SKIP_HIST_READ
 from repro.telemetry.runtime import telemetry_session
 
 
@@ -45,7 +45,7 @@ def test_failing_campaign_counts_mismatches_and_shrink_steps():
         seed=0,
         iterations=40,
         policies=("Compiler",),
-        cpu_cls=SkipHistReadCPU,
+        backend=SKIP_HIST_READ,
         max_counterexamples=1,
     )
     with telemetry_session() as telemetry:
@@ -62,7 +62,7 @@ def test_counterexamples_are_banked_and_deduplicated(tmp_path):
         seed=0,
         iterations=40,
         policies=("Compiler",),
-        cpu_cls=SkipHistReadCPU,
+        backend=SKIP_HIST_READ,
         max_counterexamples=1,
         corpus_dir=corpus_dir,
     )
@@ -71,6 +71,11 @@ def test_counterexamples_are_banked_and_deduplicated(tmp_path):
     banked = load_corpus(corpus_dir)
     assert len(banked) == 1
     assert banked[0].spec.digest() == first.counterexamples[0].shrunk.digest()
+    # The entry and the report both name the backend that failed.
+    assert banked[0].source.startswith(
+        "repro fuzz --seed 0 --backend skip-hist-read (program seed "
+    )
+    assert first.to_json()["backend"] == "skip-hist-read"
 
     # A second identical campaign rediscovers the bug but banks nothing new.
     second = run_fuzz(config, model=model)
@@ -94,7 +99,7 @@ def test_max_counterexamples_stops_the_campaign():
             seed=0,
             iterations=200,
             policies=("Compiler",),
-            cpu_cls=SkipHistReadCPU,
+            backend=SKIP_HIST_READ,
             max_counterexamples=1,
             shrink=False,
         ),
@@ -115,7 +120,7 @@ def test_replay_corpus_runs_every_entry(tmp_path):
         seed=0,
         iterations=40,
         policies=("Compiler",),
-        cpu_cls=SkipHistReadCPU,
+        backend=SKIP_HIST_READ,
         max_counterexamples=1,
         corpus_dir=corpus_dir,
     )
@@ -129,7 +134,7 @@ def test_replay_corpus_runs_every_entry(tmp_path):
         corpus_dir,
         model=model,
         policies=("Compiler",),
-        cpu_cls=SkipHistReadCPU,
+        backend=SKIP_HIST_READ,
     )
     assert not buggy.ok
     assert len(buggy.failures) == 1

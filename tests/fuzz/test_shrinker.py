@@ -2,13 +2,13 @@
 
 from repro.fuzz import (
     FuzzConfig,
-    SkipHistReadCPU,
     check_spec,
     default_fuzz_model,
     materialize,
     run_fuzz,
     shrink_spec,
 )
+from repro.fuzz.faults import SKIP_HIST_READ
 from repro.fuzz.shrinker import MIN_ITERATIONS, candidate_specs, instruction_count
 from repro.fuzz.spec import validate_spec
 from repro.fuzz.generator import random_spec
@@ -59,7 +59,7 @@ def test_injected_scheduler_bug_shrinks_to_small_counterexample():
         seed=0,
         iterations=40,
         policies=("Compiler",),
-        cpu_cls=SkipHistReadCPU,
+        backend=SKIP_HIST_READ,
         max_counterexamples=1,
     )
     result = run_fuzz(config, model=model)
@@ -73,7 +73,7 @@ def test_injected_scheduler_bug_shrinks_to_small_counterexample():
     assert cx.shrink_steps > 0
     # The reduced spec still fails for the same reason on a fresh check.
     replay = check_spec(
-        cx.shrunk, model=model, policies=("Compiler",), cpu_cls=SkipHistReadCPU
+        cx.shrunk, model=model, policies=("Compiler",), backend=SKIP_HIST_READ
     )
     assert replay.is_counterexample
     assert instruction_count(cx.shrunk) == shrunk_size

@@ -15,7 +15,7 @@ from pathlib import Path
 from repro.core.policies import POLICY_NAMES
 from repro.energy import EPITable, EnergyModel
 from repro.fuzz import (
-    check_backend_equivalence,
+    check_program,
     default_fuzz_model,
     load_entry,
     materialize,
@@ -134,9 +134,10 @@ def test_oracle_reports_the_twin_on_a_corpus_entry():
         spec=entry.spec,
         model=default_fuzz_model(),
         policies=entry.policies or POLICY_NAMES,
+        backend="fast-batched",
     )
-    assert check_backend_equivalence(program, **options).ok
+    assert check_program(program, **options).ok
     with stale_load_lru():
-        verdict = check_backend_equivalence(program, **options)
+        verdict = check_program(program, **options)
     assert verdict.failures
     assert {failure.kind for failure in verdict.failures} == {"backend"}

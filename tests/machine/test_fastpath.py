@@ -7,7 +7,7 @@ changes: architectural state, RunStats, cache state, the per-group
 energy breakdown, modeled time, traced event streams, and fault
 type/message/pc must all be byte-for-byte the classic ones.  These
 tests pin that contract on hand-written programs; the fuzz oracle's
-:func:`repro.fuzz.check_backend_equivalence` pins it on generated ones.
+:func:`repro.fuzz.check_program` pins it on generated ones.
 """
 
 import dataclasses

@@ -31,14 +31,14 @@ from repro.errors import (
     ReproError,
 )
 from repro.fuzz import (
-    LateFlushBatchedAmnesicCPU,
     LateFlushBatchedCPU,
-    check_backend_equivalence,
+    check_program,
     default_fuzz_model,
     load_entry,
     materialize,
 )
 from repro.fuzz.corpus import corpus_paths
+from repro.fuzz.faults import LATE_FLUSH
 from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
 from repro.machine.fastpath import ENV_REGION_ARTIFACTS
@@ -494,7 +494,7 @@ def test_late_flush_batcher_caught_on_budget_fault():
 
 def test_oracle_passes_the_good_batcher_on_the_budget_edge():
     entry = budget_edge_entry()
-    verdict = check_backend_equivalence(
+    verdict = check_program(
         materialize(entry.spec),
         spec=entry.spec,
         model=default_fuzz_model(),
@@ -507,18 +507,13 @@ def test_oracle_passes_the_good_batcher_on_the_budget_edge():
 
 
 def test_oracle_catches_the_late_flush_batcher():
-    from repro.core.backend import Backend
-
     entry = budget_edge_entry()
-    broken = Backend(
-        "late-flush", LateFlushBatchedCPU, LateFlushBatchedAmnesicCPU
-    )
-    verdict = check_backend_equivalence(
+    verdict = check_program(
         materialize(entry.spec),
         spec=entry.spec,
         model=default_fuzz_model(),
         max_instructions=entry.max_instructions,
-        backend=broken,
+        backend=LATE_FLUSH,
     )
     assert verdict.failures, (
         "the oracle let the broken batcher through: "
