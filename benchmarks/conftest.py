@@ -8,8 +8,15 @@ leaves the regenerated tables on disk.
 
 import pathlib
 
+from repro.harness import SuiteRunner
+
 _REPORTS = []
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+
+#: The runner every benchmark shares, so one session evaluates each
+#: benchmark exactly once no matter how many experiments consume it; it
+#: honours ``$REPRO_JOBS``, ``$REPRO_CACHE_DIR`` and ``$REPRO_LEDGER_DIR``.
+SHARED_RUNNER = SuiteRunner.from_env()
 
 
 def pytest_report_header(config):
@@ -20,8 +27,6 @@ def pytest_report_header(config):
     configuration makes warm-cache and parallel benchmark sessions
     distinguishable in CI logs.
     """
-    from repro.harness.runner import SHARED_RUNNER
-
     cache = SHARED_RUNNER.result_cache
     cache_state = "off" if cache is None else str(cache.directory)
     return (

@@ -11,9 +11,8 @@ the maximum additional EDP concurrent recomputation could deliver.
 """
 
 from repro.core.execution import run_amnesic
-from repro.harness import SHARED_RUNNER
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 BENCHES = ("is", "mcf", "sr")
 

@@ -8,10 +8,9 @@ and store-energy relief amnesic execution unlocks.
 """
 
 from repro.compiler.deadstore import analysis_for_compilation
-from repro.harness import SHARED_RUNNER
 from repro.workloads.suite import RESPONSIVE
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def measure():

@@ -8,10 +8,9 @@ where always-firing recomputation degrades EDP.
 from repro.compiler import PassOptions, compile_amnesic
 from repro.compiler.cost import ESTIMATION_GLOBAL, ESTIMATION_PER_LOAD
 from repro.core.execution import run_amnesic, run_classic
-from repro.harness import SHARED_RUNNER
 from repro.workloads.suite import get
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def measure(bench="sr"):

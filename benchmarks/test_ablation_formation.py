@@ -10,10 +10,9 @@ import dataclasses
 from repro.compiler import PassOptions, compile_amnesic
 from repro.compiler.formation import FORMATION_GREEDY, FORMATION_OPTIMAL
 from repro.core.execution import run_amnesic, run_classic
-from repro.harness import SHARED_RUNNER
 from repro.workloads.suite import get
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def measure(bench="sx"):

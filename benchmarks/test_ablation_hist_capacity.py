@@ -6,9 +6,8 @@ the paper's 600-entry bound.
 """
 
 from repro.core.execution import run_amnesic
-from repro.harness import SHARED_RUNNER
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 CAPACITIES = (1, 2, 8, 64, 600)
 

@@ -9,9 +9,8 @@ import dataclasses
 
 from repro.core.execution import run_amnesic
 from repro.core.policies import Decision, LLCPolicy
-from repro.harness import SHARED_RUNNER
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 class FreeProbeLLC(LLCPolicy):

@@ -9,10 +9,10 @@ Headline shapes asserted (paper section 5.1 / 7):
 * Oracle >= C-Oracle >= 0-ish everywhere.
 """
 
-from repro.harness import SHARED_RUNNER, run_experiment
+from repro.harness import run_experiment
 from repro.workloads.suite import RESPONSIVE
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def test_fig3_edp_gain(benchmark):

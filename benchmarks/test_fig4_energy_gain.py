@@ -1,9 +1,9 @@
 """Reproduce paper Figure 4: energy gain under amnesic execution."""
 
 from repro.analysis import METRIC_ENERGY
-from repro.harness import SHARED_RUNNER, run_experiment
+from repro.harness import run_experiment
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def test_fig4_energy_gain(benchmark):

@@ -1,9 +1,9 @@
 """Reproduce paper Figure 5: % reduction in execution time."""
 
 from repro.analysis import METRIC_TIME
-from repro.harness import SHARED_RUNNER, run_experiment
+from repro.harness import run_experiment
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def test_fig5_time_gain(benchmark):

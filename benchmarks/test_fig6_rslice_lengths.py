@@ -1,8 +1,8 @@
 """Reproduce paper Figure 6: RSlice length distributions."""
 
-from repro.harness import SHARED_RUNNER, run_experiment
+from repro.harness import run_experiment
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def test_fig6_rslice_lengths(benchmark):

@@ -1,9 +1,9 @@
 """Reproduce paper Figure 7: slices with non-recomputable leaf inputs."""
 
-from repro.harness import SHARED_RUNNER, run_experiment
+from repro.harness import run_experiment
 from repro.workloads.suite import get
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def test_fig7_nonrecomputable(benchmark):

@@ -7,9 +7,9 @@ paper calls out (bfs, sr: high locality) still hold, and locality varies
 across the suite.
 """
 
-from repro.harness import SHARED_RUNNER, run_experiment
+from repro.harness import run_experiment
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def test_fig8_value_locality(benchmark):

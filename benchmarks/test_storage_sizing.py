@@ -5,10 +5,9 @@ design of no more than 600 entries can accommodate such demand" and
 "less than 50 entries for SFile or IBuff can cover most of the RSlices".
 """
 
-from repro.harness import SHARED_RUNNER
 from repro.workloads.suite import RESPONSIVE
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def measure():

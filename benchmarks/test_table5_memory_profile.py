@@ -1,9 +1,9 @@
 """Reproduce paper Table 5: classic service profile of swapped loads."""
 
-from repro.harness import SHARED_RUNNER, run_experiment
+from repro.harness import run_experiment
 from repro.workloads.suite import get
 
-from conftest import record_report
+from conftest import SHARED_RUNNER, record_report
 
 
 def test_table5_memory_profile(benchmark):

@@ -4,7 +4,7 @@ Each benchmark's bisection recompiles and re-runs at every probed
 factor, so this experiment runs at a reduced scale and coarse tolerance.
 """
 
-from repro.harness import SHARED_RUNNER, SuiteRunner, run_experiment
+from repro.harness import SuiteRunner
 from repro.harness.experiments import table6_breakeven
 
 from conftest import record_report

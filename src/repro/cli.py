@@ -503,11 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
              "flagged with its expected rule id",
     )
     lint_cmd.add_argument(
-        "--regions-out", metavar="DIR", default=None,
-        help="write schema-versioned region artifacts here (one JSON "
-             "per program)",
-    )
-    lint_cmd.add_argument(
         "--backend", choices=BACKEND_NAMES, default=None,
         help="execution backend for profiling runs",
     )
@@ -1211,7 +1206,6 @@ def cmd_lint(args) -> int:
         cross_check=args.cross_check,
         prove_rules=args.prove_rules and corpus_dir is not None,
         self_check=True,
-        regions_out=args.regions_out,
         backend=args.backend,
     )
     text = args.format == "text"

@@ -18,7 +18,7 @@ from .parallel import (
     merge_envelope,
 )
 from .report import DEFAULT_EXPERIMENTS, build_report, write_report
-from .runner import SHARED_RUNNER, SuiteRunner
+from .runner import SuiteRunner
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
@@ -29,7 +29,6 @@ __all__ = [
     "ResultCache",
     "ResultEnvelope",
     "ResultKey",
-    "SHARED_RUNNER",
     "SuiteRunner",
     "WorkUnit",
     "build_report",

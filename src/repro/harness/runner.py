@@ -16,11 +16,6 @@ and caches the per-policy comparisons.  Three layers cooperate:
 * the parallel engine (:mod:`repro.harness.parallel`): with ``jobs > 1``
   the batch entry points fan cache misses out over a process pool and
   merge each worker's telemetry back into the parent session.
-
-The module-level :data:`SHARED_RUNNER` is what the benchmark harness
-uses, so one pytest session evaluates each benchmark exactly once no
-matter how many experiments consume it; it honours ``$REPRO_JOBS`` and
-``$REPRO_CACHE_DIR``.
 """
 
 from __future__ import annotations
@@ -247,7 +242,3 @@ class SuiteRunner:
         """
         self._cache.clear()
         self._programs.clear()
-
-
-#: Shared runner for the benchmark harness (one evaluation per session).
-SHARED_RUNNER = SuiteRunner.from_env()

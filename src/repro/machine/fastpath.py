@@ -64,7 +64,6 @@ budgets, timelines and event indices read it mid-run.
 
 from __future__ import annotations
 
-import os
 import re
 from functools import lru_cache
 
@@ -1024,14 +1023,9 @@ def _off_end(pc):
 #   every non-start pc keeps its per-pc function; only the region start
 #   dispatches the fused body.
 #
-# ``*.regions.json`` artifacts (the ``staticlint`` CI job uploads them)
-# are an optional cross-check: point ``REPRO_REGION_ARTIFACTS`` at a
-# directory and any artifact that disagrees with the freshly computed
-# analysis aborts the decode instead of batching stale pcs.
+# ``_decode`` fuses from a fresh analysis of the program it decodes, so
+# what fuses depends on that program alone.
 # ----------------------------------------------------------------------
-
-#: Directory of ``*.regions.json`` artifacts cross-checked at decode time.
-ENV_REGION_ARTIFACTS = "REPRO_REGION_ARTIFACTS"
 
 
 class _BatchTable:
@@ -1444,29 +1438,6 @@ def _slice_cell(cpu, slices, info, pc):
     return cell
 
 
-def _cross_check_artifact(program, report):
-    """Hold a committed region artifact against the fresh analysis."""
-    directory = os.environ.get(ENV_REGION_ARTIFACTS)
-    if not directory:
-        return
-    from ..staticcheck.regions import (
-        RegionArtifactMismatch,
-        load_region_artifact,
-    )
-
-    safe_name = program.name.replace("/", "_").replace("+", "_")
-    path = os.path.join(directory, f"{safe_name}.regions.json")
-    if not os.path.exists(path):
-        return
-    artifact = load_region_artifact(path)
-    problems = report.mismatches(artifact)
-    if problems:
-        raise RegionArtifactMismatch(
-            f"region artifact {path} disagrees with the fresh analysis "
-            f"of {program.name!r}: " + "; ".join(problems)
-        )
-
-
 def _tail_categories(program, region):
     """Aggregated categories of a region's elements 1..L-1.
 
@@ -1483,8 +1454,8 @@ def _tail_categories(program, region):
 class BatchedExecutionMixin:
     """Run on the generated fast path instead of the classic loop.
 
-    Mix in ahead of :class:`CPU` (or a subclass).  Consumes
-    :class:`~repro.staticcheck.regions.RegionReport` at predecode time
+    Mix in ahead of :class:`CPU` (or a subclass).  Fuses from
+    :func:`~repro.staticcheck.regions.analyze_regions` at predecode time
     (imported lazily — the staticcheck package sits above the machine
     layer): pure and memory regions fuse, faulting and in-slice regions
     stay per-pc.  On amnesic machines, untraced slice traversals run
@@ -1509,13 +1480,11 @@ class BatchedExecutionMixin:
         if decoder.traced:
             # Tracers see one event per instruction: never fused.
             return table
-        from ..staticcheck.regions import KIND_FAULTING, RegionReport
+        from ..staticcheck.regions import KIND_FAULTING, analyze_regions
 
         body_fns = list(fns)  # originals, for mid-region entry + guard
-        report = RegionReport.from_program(self.program)
-        _cross_check_artifact(self.program, report)
         flush = self._region_partial_flush
-        for region in report.batchable:
+        for region in analyze_regions(self.program).batchable_regions:
             if region.in_slice or region.kind == KIND_FAULTING:
                 continue
             rid = len(table.region_spans)

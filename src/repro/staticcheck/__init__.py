@@ -10,8 +10,7 @@ Layered bottom-up:
 * :mod:`~repro.staticcheck.rules` — slice-safety verification of
   compiled artifacts (the static counterpart to the fuzz oracle);
 * :mod:`~repro.staticcheck.regions` — batchable straight-line region
-  analysis, exported as a schema-versioned artifact for the fast
-  backend;
+  analysis, the one source the batched fast backend fuses from;
 * :mod:`~repro.staticcheck.layering` — the AST-based import-graph lint;
 * :mod:`~repro.staticcheck.faults` — deliberately broken compiler
   passes the rules must catch;
@@ -30,13 +29,7 @@ from .dataflow import (
 )
 from .diagnostics import RULES, Finding, LintReport, Severity, render_report
 from .lint import LintRun, LintSettings, run_lint
-from .regions import (
-    RegionAnalysis,
-    RegionArtifactMismatch,
-    RegionReport,
-    analyze_regions,
-    load_region_artifact,
-)
+from .regions import RegionAnalysis, analyze_regions
 from .rules import check_program, verify_compilation
 
 __all__ = [
@@ -52,14 +45,11 @@ __all__ = [
     "MemoryDefUse",
     "ReachingDefinitions",
     "RegionAnalysis",
-    "RegionArtifactMismatch",
-    "RegionReport",
     "Severity",
     "analyze_regions",
     "build_cfg",
     "check_program",
     "def_use_chains",
-    "load_region_artifact",
     "memory_def_use",
     "render_report",
     "run_lint",

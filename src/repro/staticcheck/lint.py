@@ -22,11 +22,12 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..compiler.amnesic_pass import CompilationResult, PassOptions, compile_amnesic
+from ..core.policies import POLICY_NAMES
 from ..energy.model import EnergyModel
 from ..energy.tech import paper_energy_model
 from ..errors import ReproError
 from ..fuzz.corpus import EXPECT_CLASSIC_FAULT, load_corpus
-from ..fuzz.oracle import check_spec, default_fuzz_model
+from ..fuzz.oracle import DEFAULT_MAX_INSTRUCTIONS, check_spec, default_fuzz_model
 from ..fuzz.runner import entry_satisfied
 from ..fuzz.spec import materialize
 from ..isa.program import Program
@@ -36,7 +37,7 @@ from . import diagnostics as D
 from .diagnostics import LintReport, Severity
 from .faults import BROKEN_PASSES
 from .layering import check_layering, default_package_root
-from .regions import RegionAnalysis, analyze_regions, describe, write_region_artifact
+from .regions import RegionAnalysis, analyze_regions, describe
 from .rules import check_program, verify_compilation
 
 KIND_KERNEL = "kernel"
@@ -151,7 +152,6 @@ class LintSettings:
     cross_check: bool = False
     prove_rules: bool = False
     self_check: bool = False
-    regions_out: Optional[str] = None
     backend: Optional[str] = None
 
 
@@ -171,7 +171,6 @@ def lint_program(
     model: EnergyModel,
     options: PassOptions,
     backend: Optional[str] = None,
-    regions_out: Optional[str] = None,
 ) -> Tuple[ProgramResult, Optional[CompilationResult]]:
     """Compile *program* and run the full rule set over the artifact."""
     telemetry = get_telemetry()
@@ -188,8 +187,6 @@ def lint_program(
         report = verify_compilation(name, program, compilation, model)
         regions = analyze_regions(compilation.binary.program)
         report.add(D.REG400, describe(regions))
-        if regions_out is not None:
-            write_region_artifact(regions_out, regions)
         _count_findings(report)
         result = ProgramResult(
             name=name,
@@ -211,12 +208,7 @@ def _lint_kernels(run: LintRun, settings: LintSettings, progress: Progress) -> N
     for name in names:
         program = REGISTRY.get(name).instantiate(settings.scale)
         result, _ = lint_program(
-            name,
-            program,
-            model,
-            PassOptions(),
-            backend=settings.backend,
-            regions_out=settings.regions_out,
+            name, program, model, PassOptions(), backend=settings.backend
         )
         result.kind = KIND_KERNEL
         get_telemetry().counter("lint.programs", kind=KIND_KERNEL).inc()
@@ -240,90 +232,54 @@ def _lint_corpus(run: LintRun, settings: LintSettings, progress: Progress) -> No
             # analyze the *original* program's regions and, under
             # --cross-check, require the dynamic oracle to reproduce the
             # fault with zero equivalence failures.
-            result = _lint_expected_fault(name, program, settings)
-            get_telemetry().counter("lint.programs", kind=KIND_CORPUS).inc()
-            if settings.cross_check:
-                result.cross_check = _cross_check_expected_fault(
-                    result.report, entry, options
-                )
-            run.results.append(result)
-            if progress:
-                progress(f"corpus {name}: {_verdict(result.report)}")
-            continue
-        result, compilation = lint_program(
-            name,
-            program,
-            model,
-            options,
-            backend=settings.backend,
-            regions_out=settings.regions_out,
-        )
-        result.kind = KIND_CORPUS
+            result = _lint_expected_fault(name, program)
+            checkable = True
+        else:
+            result, compilation = lint_program(
+                name, program, model, options, backend=settings.backend
+            )
+            result.kind = KIND_CORPUS
+            checkable = compilation is not None
         get_telemetry().counter("lint.programs", kind=KIND_CORPUS).inc()
-        if settings.cross_check and compilation is not None:
+        if settings.cross_check and checkable:
             result.cross_check = _cross_check(result.report, entry, options)
         run.results.append(result)
         if progress:
             progress(f"corpus {name}: {_verdict(result.report)}")
 
 
-def _lint_expected_fault(
-    name: str, program: Program, settings: LintSettings
-) -> ProgramResult:
+def _lint_expected_fault(name: str, program: Program) -> ProgramResult:
     """Region-only lint for a corpus entry whose classic run faults."""
     report = LintReport(program=name)
     regions = analyze_regions(program)
     report.add(D.REG400, describe(regions))
-    if settings.regions_out is not None:
-        write_region_artifact(settings.regions_out, regions)
     _count_findings(report)
     return ProgramResult(
         name=name, kind=KIND_CORPUS, report=report, regions=regions
     )
 
 
-def _cross_check_expected_fault(
-    report: LintReport, entry, options: PassOptions
-) -> str:
-    """An expected-fault entry agrees when the fault reproduces cleanly."""
-    verdict = check_spec(
-        entry.spec,
-        model=default_fuzz_model(),
-        options=options,
-        **({"policies": entry.policies} if entry.policies else {}),
-        **(
-            {"max_instructions": entry.max_instructions}
-            if entry.max_instructions
-            else {}
-        ),
-    )
-    if entry_satisfied(entry, verdict):
-        return AGREE
-    report.add(
-        D.XCK600,
-        f"expected a classic fault, dynamic oracle says: "
-        f"{verdict.summary()}",
-    )
-    _count_findings(report)
-    return STATIC_PASS_DYNAMIC_FAIL
-
-
 def _cross_check(report: LintReport, entry, options: PassOptions) -> str:
-    """Compare the static verdict with the dynamic oracle's."""
-    policies = entry.policies or None
+    """Compare the static verdict with the dynamic oracle's.
+
+    The oracle runs the entry as ``replay_corpus`` does (its policies
+    and budget) and is judged against the entry's expectation, so an
+    expected-fault entry agrees when its fault reproduces cleanly.
+    """
     verdict = check_spec(
         entry.spec,
         model=default_fuzz_model(),
+        policies=entry.policies or POLICY_NAMES,
         options=options,
-        **({"policies": policies} if policies else {}),
+        max_instructions=entry.max_instructions or DEFAULT_MAX_INSTRUCTIONS,
     )
     static_ok = report.ok
-    dynamic_ok = verdict.ok
+    dynamic_ok = entry_satisfied(entry, verdict)
     if static_ok and not dynamic_ok:
         report.add(
             D.XCK600,
-            f"static verdict PASS, dynamic oracle rejects: "
-            f"{verdict.summary()}",
+            f"static verdict PASS, dynamic oracle misses the entry's "
+            f"{entry.expect!r} expectation: {verdict.summary()}",
         )
         _count_findings(report)
         return STATIC_PASS_DYNAMIC_FAIL

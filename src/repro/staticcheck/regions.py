@@ -1,14 +1,14 @@
 """Batchable straight-line region analysis (the fastpath precondition).
 
-The fast backend (``machine/fastpath.py``) retires one instruction per
-dispatch because every pc might branch, fault, or enter the amnesic
-machinery.  The ROADMAP's next perf lever — batching straight-line
-regions into single dispatch units — needs exactly the guarantee this
-module derives statically: a maximal run of instructions with one entry
-(no branch target lands mid-run), one exit (no control transfer inside),
-and no amnesic opcode (``RCMP``/``REC``/``RTN`` touch Hist and the
-scheduler).  Within a run the only per-instruction hazards left are
-faults, so each region also carries its fault surface:
+The per-pc fast path retires one instruction per dispatch because every
+pc might branch, fault, or enter the amnesic machinery.  The batched
+backend (``machine/fastpath.py``) fuses straight-line runs into single
+dispatch units, and needs exactly the guarantee this module derives
+statically: a maximal run of instructions with one entry (no branch
+target lands mid-run), one exit (no control transfer inside), and no
+amnesic opcode (``RCMP``/``REC``/``RTN`` touch Hist and the scheduler).
+Within a run the only per-instruction hazards left are faults, so each
+region also carries its fault surface:
 
 * ``pure`` regions contain no instruction that can fault (no memory
   access, no ``DIV``/``REM``/``FDIV``/``FSQRT``) — a backend may execute
@@ -19,27 +19,19 @@ faults, so each region also carries its fault surface:
 * ``faulting`` regions contain trapping compute — batchable only with
   per-instruction fault checks.
 
-The analysis is exported as a schema-versioned JSON artifact so the
-backend work can consume it without importing the analyzer.
+The batched backend runs :func:`analyze_regions` on every binary it
+decodes and fuses from that fresh analysis; ``repro lint`` reports the
+same analysis as the REG400 summary.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import tempfile
 from typing import Dict, List, Optional
 
-from ..errors import ReproError
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
 from .cfg import ControlFlowGraph, build_cfg
-
-#: Region artifact schema.  Bump on any shape change; consumers must
-#: reject versions they do not understand.
-REGION_SCHEMA = "repro.staticcheck.regions"
-REGION_SCHEMA_VERSION = 1
 
 #: Opcodes that can raise at runtime (memory faults, arithmetic traps).
 FAULTABLE_OPCODES = frozenset(
@@ -69,18 +61,6 @@ class Region:
     @property
     def length(self) -> int:
         return self.end - self.start
-
-    def to_json(self) -> dict:
-        return {
-            "start": self.start,
-            "end": self.end,
-            "length": self.length,
-            "kind": self.kind,
-            "in_slice": self.in_slice,
-            "slice_id": self.slice_id,
-            "memory_ops": self.memory_ops,
-            "faultable_ops": self.faultable_ops,
-        }
 
 
 @dataclasses.dataclass
@@ -124,139 +104,6 @@ class RegionAnalysis:
             "max_region_length": self.max_region_length,
             "kinds": kinds,
         }
-
-    def to_json(self) -> dict:
-        return {
-            "schema": REGION_SCHEMA,
-            "schema_version": REGION_SCHEMA_VERSION,
-            "program": self.program,
-            "regions": [region.to_json() for region in self.regions],
-            "summary": self.summary(),
-        }
-
-
-class RegionArtifactMismatch(ReproError):
-    """A ``*.regions.json`` artifact disagrees with the fresh analysis.
-
-    Raised by consumers (the batched fast backend) when an artifact
-    passed as a cross-check describes different regions than the ones
-    re-derived from the program actually being executed — a stale
-    artifact must never silently steer batching decisions.
-    """
-
-
-@dataclasses.dataclass(frozen=True)
-class RegionReport:
-    """The consumer-facing lookup view over one program's regions.
-
-    This is the API the fast backend's batching pass reads at predecode
-    time: ``batchable`` enumerates every run worth fusing (length >= 2)
-    and ``region_at`` answers "does a batchable region start at this
-    pc?" in O(1).  The report can be built from a fresh analysis
-    (:meth:`from_program`) or rebuilt from a schema-versioned artifact
-    (:meth:`from_artifact`), and two reports can be held against each
-    other (:meth:`mismatches`) so artifacts act as a cross-check rather
-    than a second source of truth.
-    """
-
-    analysis: RegionAnalysis
-    _by_start: Dict[int, Region]
-
-    @classmethod
-    def from_analysis(cls, analysis: RegionAnalysis) -> "RegionReport":
-        by_start = {
-            region.start: region for region in analysis.batchable_regions
-        }
-        return cls(analysis=analysis, _by_start=by_start)
-
-    @classmethod
-    def from_program(
-        cls, program: Program, cfg: Optional[ControlFlowGraph] = None
-    ) -> "RegionReport":
-        return cls.from_analysis(analyze_regions(program, cfg=cfg))
-
-    @classmethod
-    def from_artifact(cls, payload: dict) -> "RegionReport":
-        """Rebuild a report from a ``*.regions.json`` payload.
-
-        Consumers must reject schema versions they do not understand —
-        a silently misread artifact would batch the wrong pcs.
-        """
-        schema = payload.get("schema")
-        version = payload.get("schema_version")
-        if schema != REGION_SCHEMA or version != REGION_SCHEMA_VERSION:
-            raise RegionArtifactMismatch(
-                f"unsupported region artifact schema {schema!r} "
-                f"v{version!r} (expected {REGION_SCHEMA} "
-                f"v{REGION_SCHEMA_VERSION})"
-            )
-        regions = [
-            Region(
-                start=int(item["start"]),
-                end=int(item["end"]),
-                kind=str(item["kind"]),
-                in_slice=bool(item["in_slice"]),
-                slice_id=item.get("slice_id"),
-                memory_ops=int(item["memory_ops"]),
-                faultable_ops=int(item["faultable_ops"]),
-            )
-            for item in payload["regions"]
-        ]
-        analysis = RegionAnalysis(
-            program=str(payload.get("program", "")),
-            instructions=int(payload["summary"]["instructions"]),
-            regions=regions,
-        )
-        return cls.from_analysis(analysis)
-
-    @property
-    def batchable(self) -> List[Region]:
-        """Every fusable run, in program order."""
-        return sorted(self._by_start.values(), key=lambda r: r.start)
-
-    def region_at(self, pc: int) -> Optional[Region]:
-        """The batchable region *starting* at ``pc``, if any."""
-        return self._by_start.get(pc)
-
-    def mismatches(self, other: "RegionReport") -> List[str]:
-        """Human-readable differences between two reports' region lists.
-
-        Compares the full (not just batchable) region tuples so a stale
-        artifact is caught even when the drift is in a singleton run.
-        """
-        problems: List[str] = []
-        if self.analysis.instructions != other.analysis.instructions:
-            problems.append(
-                f"instruction count {self.analysis.instructions} != "
-                f"{other.analysis.instructions}"
-            )
-        mine = {(r.start, r.end): r for r in self.analysis.regions}
-        theirs = {(r.start, r.end): r for r in other.analysis.regions}
-        for span in sorted(set(mine) | set(theirs)):
-            left, right = mine.get(span), theirs.get(span)
-            if left is None or right is None:
-                problems.append(
-                    f"region [{span[0]}, {span[1]}) present in "
-                    f"{'artifact' if left is None else 'analysis'} only"
-                )
-            elif left != right:
-                problems.append(
-                    f"region [{span[0]}, {span[1]}) differs: "
-                    f"{left.to_json()} != {right.to_json()}"
-                )
-        return problems
-
-
-def load_region_artifact(path: str) -> RegionReport:
-    """Load one ``*.regions.json`` artifact into a report."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as error:
-        raise RegionArtifactMismatch(
-            f"unreadable region artifact {path}: {error}"
-        ) from None
-    return RegionReport.from_artifact(payload)
 
 
 def _classify(program: Program, start: int, end: int) -> Region:
@@ -328,21 +175,3 @@ def describe(analysis: RegionAnalysis) -> str:
         f"instruction(s) ({summary['coverage']:.0%}); longest run "
         f"{summary['max_region_length']}"
     )
-
-
-def write_region_artifact(directory: str, analysis: RegionAnalysis) -> str:
-    """Atomically write one program's region artifact; returns the path."""
-    os.makedirs(directory, exist_ok=True)
-    safe_name = analysis.program.replace("/", "_").replace("+", "_")
-    path = os.path.join(directory, f"{safe_name}.regions.json")
-    payload = json.dumps(analysis.to_json(), indent=2, sort_keys=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path

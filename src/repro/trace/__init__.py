@@ -1,7 +1,7 @@
 """Tracing and profiling: dependence graphs, PrLi profiles, value locality."""
 
 from .dependence import SRC_IMM, SRC_REG, DependenceTracker, DynRecord
-from .events import InstructionEvent, MultiTracer, NullTracer
+from .events import InstructionEvent
 from .locality import DEFAULT_HISTORY_DEPTH, ValueLocalityTracker
 from .io import dump_trace, load_trace
 from .profile import LoadProfiler
@@ -21,8 +21,6 @@ __all__ = [
     "DynRecord",
     "InstructionEvent",
     "LoadProfiler",
-    "MultiTracer",
-    "NullTracer",
     "ProfileResult",
     "SRC_IMM",
     "SRC_REG",

@@ -3,8 +3,9 @@
 A tracer is any object with an ``on_instruction(event)`` method; the CPU
 invokes it after retiring each dynamic instruction.  Events carry enough
 information (operand values, results, effective addresses, service
-levels) for the profiler and the dependence tracker to reconstruct the
-full dynamic dataflow without re-executing the program.
+levels) for the dependence tracker to reconstruct the full dynamic
+dataflow, and the load profile and value locality built from it,
+without re-executing the program.
 """
 
 from __future__ import annotations
@@ -49,21 +50,3 @@ class InstructionEvent:
             extras.append(f"= {self.result!r}")
         suffix = " ".join(extras)
         return f"[{self.index}] pc={self.pc} {self.instruction} {suffix}".rstrip()
-
-
-class NullTracer:
-    """A tracer that ignores everything (the default)."""
-
-    def on_instruction(self, event: InstructionEvent) -> None:
-        """Discard the event."""
-
-
-class MultiTracer:
-    """Fans one event stream out to several tracers."""
-
-    def __init__(self, *tracers) -> None:
-        self.tracers = list(tracers)
-
-    def on_instruction(self, event: InstructionEvent) -> None:
-        for tracer in self.tracers:
-            tracer.on_instruction(event)

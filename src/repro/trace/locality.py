@@ -14,9 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Dict, Iterable, List
 
-from ..isa.opcodes import Opcode
-from .events import InstructionEvent
-
 if TYPE_CHECKING:
     from .dependence import DependenceTracker
 
@@ -25,7 +22,7 @@ DEFAULT_HISTORY_DEPTH = 4
 
 
 class ValueLocalityTracker:
-    """Tracer measuring per-static-load value locality."""
+    """Per-static-load value locality of one profiling run."""
 
     def __init__(self, history_depth: int = DEFAULT_HISTORY_DEPTH):
         if history_depth < 1:
@@ -39,7 +36,7 @@ class ValueLocalityTracker:
     def from_trace(
         cls, tracker: "DependenceTracker", history_depth: int = DEFAULT_HISTORY_DEPTH
     ) -> "ValueLocalityTracker":
-        """The localities this tracer would have measured over *tracker*'s run.
+        """The localities of every load *tracker*'s run performed.
 
         Each static load is replayed on its own: a load's history only
         ever sees that load's values, so per-pc order is all that counts.
@@ -51,14 +48,6 @@ class ValueLocalityTracker:
             for index in info.instances:
                 locality._observe(info.pc, tracker.result(index))
         return locality
-
-    # ------------------------------------------------------------------
-    # Tracer interface.
-    # ------------------------------------------------------------------
-    def on_instruction(self, event: InstructionEvent) -> None:
-        if event.opcode is not Opcode.LD:
-            return
-        self._observe(event.pc, event.result)
 
     def _observe(self, pc: int, value) -> None:
         history = self._history.setdefault(pc, deque(maxlen=self.history_depth))

@@ -5,10 +5,10 @@ consumption of the respective load" (paper section 3), deriving PrLi —
 the probability that a load is serviced by level Li — "from hit and miss
 statistics of Li under profiling" (section 3.1.1).
 
-:class:`LoadProfiler` is a tracer that builds those statistics, both per
-static load (the default estimation mode) and globally (the coarser
-fallback used when a static load was never observed, and the mode knob
-for the estimation-accuracy ablation).
+:class:`LoadProfiler` builds those statistics from a profiling run's
+dependence trace, both per static load (the default estimation mode)
+and globally (the coarser fallback used when a static load was never
+observed, and the mode knob for the estimation-accuracy ablation).
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Dict, List
 
-from ..isa.opcodes import Opcode
 from ..machine.config import LEVELS, Level
-from .events import InstructionEvent
 
 if TYPE_CHECKING:
     from .dependence import DependenceTracker
 
 
 class LoadProfiler:
-    """Tracer accumulating per-static-load service-level histograms."""
+    """Per-static-load service-level histograms of one profiling run."""
 
     def __init__(self) -> None:
         self.per_load: Dict[int, Counter] = {}
@@ -33,20 +31,12 @@ class LoadProfiler:
 
     @classmethod
     def from_trace(cls, tracker: "DependenceTracker") -> "LoadProfiler":
-        """The histograms this tracer would have built over *tracker*'s run."""
+        """The histograms of every load *tracker*'s run performed."""
         profiler = cls()
         for _, info, _, level, _ in tracker.memory_accesses():
             if info.is_load and level is not None:
                 profiler._count(info.pc, level)
         return profiler
-
-    # ------------------------------------------------------------------
-    # Tracer interface.
-    # ------------------------------------------------------------------
-    def on_instruction(self, event: InstructionEvent) -> None:
-        if event.opcode is not Opcode.LD or event.level is None:
-            return
-        self._count(event.pc, event.level)
 
     def _count(self, pc: int, level: Level) -> None:
         self.per_load.setdefault(pc, Counter())[level] += 1

@@ -12,7 +12,9 @@ from repro.analysis.sweeps import (
     scaled_memory_config,
     sweep_table,
 )
+from repro.core.amnesic_cpu import AmnesicCPU
 from repro.energy import EPITable, EnergyModel
+from repro.machine import CPU
 
 from ..conftest import build_spill_kernel, tiny_config
 
@@ -72,3 +74,21 @@ def test_cache_capacity_sweep_runs():
     table = sweep_table(points, "capacity")
     assert table["capacity"] == [1.0, 4.0]
     assert len(table["edp_gain_percent"]) == 2
+
+
+@pytest.mark.integration
+def test_each_point_runs_classic_once(monkeypatch):
+    """The profiling run is the classic baseline; nothing re-runs it."""
+    classic_runs = []
+    original = CPU.run
+
+    def counting_run(cpu):
+        if not isinstance(cpu, AmnesicCPU):
+            classic_runs.append(cpu)
+        return original(cpu)
+
+    monkeypatch.setattr(CPU, "run", counting_run)
+    program = build_spill_kernel(iterations=10, chain=2, gap=8)
+    points = memory_energy_sweep(program, make_model(), factors=(1.0, 4.0))
+    assert len(points) == 2
+    assert len(classic_runs) == 2

@@ -1,8 +1,32 @@
 """Command-line interface behaviour."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
+
+SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
+
+
+def run_python(args, cwd, **env):
+    """Run ``python *args`` in a fresh interpreter with *env* overrides."""
+    environment = dict(os.environ, **env)
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC_DIR, environment.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=environment,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def test_no_command_prints_help(capsys):
@@ -141,3 +165,23 @@ def test_telemetry_disabled_by_default(capsys):
     assert not get_telemetry().enabled
     out = capsys.readouterr().out
     assert "metrics:" not in out
+
+
+def test_commands_do_not_build_a_runner_at_import(tmp_path):
+    # Harness settings are read by the commands that evaluate, never at
+    # import: a retired backend name or a malformed job count must not
+    # stop `repro list`.
+    result = run_python(
+        ["-m", "repro", "list"], tmp_path, REPRO_BACKEND="fast", REPRO_JOBS="abc"
+    )
+    assert result.returncode == 0, result.stderr
+    assert "mcf" in result.stdout
+
+
+def test_importing_the_harness_creates_no_ledger(tmp_path):
+    ledger = tmp_path / "ledger"
+    result = run_python(
+        ["-c", "import repro.harness"], tmp_path, REPRO_LEDGER_DIR=str(ledger)
+    )
+    assert result.returncode == 0, result.stderr
+    assert not ledger.exists()

@@ -16,7 +16,6 @@ differential oracle catch it.
 """
 
 import dataclasses
-import json
 import pickle
 from pathlib import Path
 
@@ -41,9 +40,6 @@ from repro.fuzz.corpus import corpus_paths
 from repro.fuzz.faults import LATE_FLUSH
 from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
-from repro.machine.fastpath import ENV_REGION_ARTIFACTS
-from repro.staticcheck import RegionArtifactMismatch, analyze_regions
-from repro.staticcheck.regions import write_region_artifact
 from repro.workloads import all_specs
 
 from ..conftest import tiny_config
@@ -284,37 +280,6 @@ def test_pickle_drops_the_batched_decode_cache():
     assert "_batch_decode" not in state
     clone = pickle.loads(pickle.dumps(cpu))
     assert "_batch_decode" not in clone.__dict__
-
-
-# ----------------------------------------------------------------------
-# Region artifact cross-check.
-# ----------------------------------------------------------------------
-
-
-def test_matching_region_artifact_is_accepted(tmp_path, monkeypatch):
-    program = hot_region_kernel(iterations=2)
-    write_region_artifact(str(tmp_path), analyze_regions(program))
-    monkeypatch.setenv(ENV_REGION_ARTIFACTS, str(tmp_path))
-    (classic, _), (batched, _) = run_both(program)
-    assert_state_equal(classic, batched)
-
-
-def test_stale_region_artifact_aborts_the_decode(tmp_path, monkeypatch):
-    program = hot_region_kernel(iterations=2)
-    path = Path(write_region_artifact(str(tmp_path), analyze_regions(program)))
-    payload = json.loads(path.read_text())
-    payload["regions"][0]["end"] -= 1  # stale span
-    path.write_text(json.dumps(payload))
-    monkeypatch.setenv(ENV_REGION_ARTIFACTS, str(tmp_path))
-    cpu = BatchedFastCPU(program, make_model())
-    with pytest.raises(RegionArtifactMismatch, match="disagrees"):
-        cpu.run()
-
-
-def test_absent_artifact_is_not_required(tmp_path, monkeypatch):
-    monkeypatch.setenv(ENV_REGION_ARTIFACTS, str(tmp_path))
-    (classic, _), (batched, _) = run_both(hot_region_kernel(iterations=2))
-    assert_state_equal(classic, batched)
 
 
 # ----------------------------------------------------------------------

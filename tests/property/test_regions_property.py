@@ -31,7 +31,7 @@ from repro.fuzz import (
 from repro.fuzz.corpus import corpus_paths
 from repro.fuzz.oracle import DEFAULT_MAX_INSTRUCTIONS
 from repro.machine import CPU, BatchedFastCPU
-from repro.staticcheck import RegionReport, analyze_regions
+from repro.staticcheck import analyze_regions
 from repro.staticcheck.regions import (
     AMNESIC_OPCODES,
     FAULTABLE_OPCODES,
@@ -136,24 +136,6 @@ def test_regions_partition_generated_programs(seed):
     assume(program is not None)
     analysis = assert_regions_partition(program)
     assert_region_kinds_honest(program, analysis)
-
-
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=25)
-def test_report_lookup_agrees_with_analysis(seed):
-    program = generated_program(seed)
-    assume(program is not None)
-    report = RegionReport.from_program(program)
-    starts = set()
-    for region in report.batchable:
-        assert region.length >= 2
-        assert report.region_at(region.start) is region
-        starts.add(region.start)
-    for pc in range(len(program.instructions)):
-        if pc not in starts:
-            assert report.region_at(pc) is None
-    # A fresh report of the same program never disagrees with itself.
-    assert report.mismatches(RegionReport.from_program(program)) == []
 
 
 @given(

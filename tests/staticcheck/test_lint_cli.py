@@ -1,4 +1,4 @@
-"""The `repro lint` command: sweeps, cross-check, exit codes, artifacts."""
+"""The `repro lint` command: sweeps, cross-check, exit codes."""
 
 import json
 import os
@@ -48,45 +48,43 @@ def test_json_output_parses(capsys):
     assert "layering" in payload
 
 
-def test_region_artifacts_are_written(tmp_path, capsys):
-    out_dir = tmp_path / "regions"
-    assert main(
-        [
-            "lint", "--benchmarks", "is", "--no-corpus",
-            "--regions-out", str(out_dir),
-        ]
-    ) == 0
-    capsys.readouterr()
-    # The analyzed artifact is the compiled binary, hence the suffix.
-    names = sorted(os.listdir(out_dir))
-    assert names == ["is_amnesic.regions.json"]
-    with open(out_dir / names[0]) as handle:
-        payload = json.load(handle)
-    assert payload["summary"]["batchable_regions"] > 0
-
-
-@pytest.fixture()
-def small_corpus(tmp_path):
+def copy_entry(prefix, directory):
     """A one-entry corpus so corpus-facing paths stay fast."""
     source = next(
         name
         for name in sorted(os.listdir(CORPUS_DIR))
-        if name.startswith("clobbered-leaf")
+        if name.startswith(prefix)
     )
-    shutil.copy(os.path.join(CORPUS_DIR, source), tmp_path / source)
-    return str(tmp_path)
+    shutil.copy(os.path.join(CORPUS_DIR, source), directory / source)
+    return str(directory)
 
 
-def test_corpus_cross_check_agrees(small_corpus):
+@pytest.fixture()
+def small_corpus(tmp_path):
+    return copy_entry("clobbered-leaf", tmp_path)
+
+
+@pytest.mark.parametrize(
+    "entry, compiled",
+    [
+        pytest.param("clobbered-leaf", True, id="clobbered-leaf"),
+        # Expects a classic fault: region-only lint, judged by the fault.
+        pytest.param("batch-budget-edge", False, id="batch-budget-edge"),
+    ],
+)
+def test_corpus_cross_check_agrees(entry, compiled, tmp_path):
     settings = LintSettings(
-        include_kernels=False, corpus_dir=small_corpus, cross_check=True
+        include_kernels=False,
+        corpus_dir=copy_entry(entry, tmp_path),
+        cross_check=True,
     )
     run = run_lint(settings)
     assert run.ok
     (result,) = run.results
+    assert result.name == entry
     assert result.kind == "corpus"
     assert result.cross_check == AGREE
-    assert result.slice_count > 0
+    assert (result.slice_count > 0) is compiled
     assert result.to_json()["cross_check"] == AGREE
 
 

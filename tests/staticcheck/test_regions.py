@@ -1,7 +1,4 @@
-"""Region analysis: run splitting, fault kinds, and the JSON artifact."""
-
-import json
-import os
+"""Region analysis: run splitting and fault kinds."""
 
 from repro.isa import (
     Imm,
@@ -23,11 +20,8 @@ from repro.staticcheck.regions import (
     KIND_FAULTING,
     KIND_MEMORY,
     KIND_PURE,
-    REGION_SCHEMA,
-    REGION_SCHEMA_VERSION,
     analyze_regions,
     describe,
-    write_region_artifact,
 )
 
 
@@ -89,28 +83,6 @@ def test_amnesic_opcodes_break_runs_and_slices_are_tagged():
     assert analysis.batchable_instructions == 2
     assert analysis.coverage == 2 / 7
     assert "batchable region" in describe(analysis)
-
-
-def test_region_artifact_round_trips_with_schema(tmp_path):
-    analysis = analyze_regions(mixed_program())
-    path = write_region_artifact(str(tmp_path), analysis)
-    assert os.path.basename(path) == "mixed.regions.json"
-    with open(path) as handle:
-        payload = json.load(handle)
-    assert payload["schema"] == REGION_SCHEMA
-    assert payload["schema_version"] == REGION_SCHEMA_VERSION
-    assert payload["program"] == "mixed"
-    assert payload["summary"] == analysis.summary()
-    assert [r["start"] for r in payload["regions"]] == [0, 3]
-    # No stray temp files from the atomic write.
-    assert sorted(os.listdir(tmp_path)) == ["mixed.regions.json"]
-
-
-def test_artifact_name_is_sanitized(tmp_path):
-    program = mixed_program()
-    program.name = "suite/kernel+variant"
-    path = write_region_artifact(str(tmp_path), analyze_regions(program))
-    assert os.path.basename(path) == "suite_kernel_variant.regions.json"
 
 
 def test_empty_program_has_zero_coverage():

@@ -2,7 +2,7 @@
 
 from repro.isa import Imm, Opcode, Reg, alu
 from repro.machine import Level
-from repro.trace import InstructionEvent, MultiTracer, NullTracer
+from repro.trace import InstructionEvent
 
 
 def make_event(**overrides):
@@ -26,23 +26,3 @@ def test_event_str_includes_context():
 
 def test_opcode_shortcut():
     assert make_event().opcode is Opcode.ADD
-
-
-def test_null_tracer_swallows():
-    NullTracer().on_instruction(make_event())  # must not raise
-
-
-def test_multi_tracer_fans_out():
-    class Collector:
-        def __init__(self):
-            self.events = []
-
-        def on_instruction(self, event):
-            self.events.append(event)
-
-    a, b = Collector(), Collector()
-    tracer = MultiTracer(a, b)
-    event = make_event()
-    tracer.on_instruction(event)
-    assert a.events == [event]
-    assert b.events == [event]

@@ -5,17 +5,17 @@ import pytest
 from repro.energy import EPITable, EnergyModel
 from repro.isa import ProgramBuilder
 from repro.machine import CPU
-from repro.trace import ValueLocalityTracker
+from repro.trace import DependenceTracker, ValueLocalityTracker
 
 from ..conftest import tiny_config
 
 
 def run_with_tracker(program, depth=4):
-    tracker = ValueLocalityTracker(history_depth=depth)
+    tracker = DependenceTracker()
     cpu = CPU(program, EnergyModel(epi=EPITable.default(), config=tiny_config()),
               tracer=tracker)
     cpu.run()
-    return tracker
+    return ValueLocalityTracker.from_trace(tracker, history_depth=depth)
 
 
 def constant_load_program(repeats):

@@ -3,17 +3,17 @@
 from repro.energy import EPITable, EnergyModel
 from repro.isa import ProgramBuilder
 from repro.machine import CPU, Level
-from repro.trace import LoadProfiler
+from repro.trace import DependenceTracker, LoadProfiler
 
 from ..conftest import tiny_config
 
 
 def profile(program):
-    profiler = LoadProfiler()
+    tracker = DependenceTracker()
     cpu = CPU(program, EnergyModel(epi=EPITable.default(), config=tiny_config()),
-              tracer=profiler)
+              tracer=tracker)
     cpu.run()
-    return profiler
+    return LoadProfiler.from_trace(tracker)
 
 
 def test_repeated_load_profile():
