@@ -119,13 +119,12 @@ def run_classic(
     program: Program,
     model: Optional[EnergyModel] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-    tracer=None,
     backend: Optional[str] = None,
 ) -> ExecutionOutcome:
     """Execute *program* under classic semantics."""
     model = model or paper_energy_model()
     cpu_cls = resolve_backend(backend).cpu_cls
-    cpu = cpu_cls(program, model, tracer=tracer, max_instructions=max_instructions)
+    cpu = cpu_cls(program, model, max_instructions=max_instructions)
     stats = cpu.run()
     return ExecutionOutcome(label="classic", stats=stats, account=cpu.account, cpu=cpu)
 
@@ -150,7 +149,6 @@ def run_amnesic(
     model: Optional[EnergyModel] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     verify: bool = True,
-    tracer=None,
     backend: Optional[str] = None,
     **cpu_kwargs,
 ) -> ExecutionOutcome:
@@ -163,7 +161,6 @@ def run_amnesic(
         compilation.binary,
         model,
         policy,
-        tracer=tracer,
         max_instructions=max_instructions,
         verify=verify,
         **cpu_kwargs,

@@ -162,6 +162,43 @@ def stale_load_lru():
     )
 
 
+@contextlib.contextmanager
+def deferred_store_producer() -> Iterator[None]:
+    """Generate traced ST functions that defer their last-store update.
+
+    Bug: a traced store queues its write to the tracker's last-store
+    table instead of making it, and the queue is applied when the run
+    ends.  A load that follows a store to the same address in one run
+    then records no producing store, so the profile loses exactly the
+    memory dependences slice formation follows through a spill.
+    Execution and every other trace column stay classic-identical; the
+    column-parity comparison must catch it.
+    """
+    store = ("traced", "_ls[_a] = _ix")
+    queued = ("traced", "_ls.setdefault(None, []).append((_a, _ix))")
+    lines = tuple(
+        queued if line == store else line for line in fastpath._FAMILIES["st"]
+    )
+    run_loop = BatchedExecutionMixin._run_loop
+
+    def run_then_apply(self):
+        try:
+            run_loop(self)
+        finally:
+            columns = getattr(self.tracer, "columns", None)
+            if columns is not None:
+                last_store = columns().last_store
+                for address, index in last_store.pop(None, ()):
+                    last_store[address] = index
+
+    BatchedExecutionMixin._run_loop = run_then_apply
+    try:
+        with _regenerated(fastpath._FAMILIES, "st", lines):
+            yield
+    finally:
+        BatchedExecutionMixin._run_loop = run_loop
+
+
 def unprobed_l2():
     """Generate the L2-probing RCMP mechanism without its L2 probe count.
 
@@ -211,6 +248,7 @@ __all__ = [
     "LateFlushBatchedCPU",
     "LateReplayScanner",
     "SkipHistReadCPU",
+    "deferred_store_producer",
     "late_replay",
     "stale_hist_lru",
     "stale_load_lru",

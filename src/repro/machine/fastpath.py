@@ -20,8 +20,12 @@ renders four ways:
   operand boxes, costs and targets bind per pc as default parameters,
   and accumulators are charged where they live;
 * **traced per-pc functions** — the same lines, where the ``emit`` hook
-  builds the exact :class:`~repro.trace.events.InstructionEvent` the
-  classic handler hands the tracer at the point it calls ``_emit``;
+  and the ``traced`` lines append the instruction's own dependence-trace
+  columns (pc, operands, result, its pc's instances, its destination's
+  writers; address, service level and producing store for ``LD``/``ST``)
+  through the tracker's append side
+  (:meth:`~repro.trace.dependence.DependenceTracker.columns`), at the
+  point the classic handler calls ``_emit``, so no event is built;
 * **fused regions** — statically proven straight-line runs (see
   :mod:`repro.staticcheck.regions`) concatenated into one generated
   function, with accumulators hoisted into locals;
@@ -47,19 +51,24 @@ The contract every rendering honours:
   cannot diverge.
 * **Observability**: a run with a timeline attached uses the classic
   loop (timelines sample mid-run state per instruction); a run under
-  the hot-loop profiler uses the classic profiled loop; a traced run
-  keeps the predecoded loop with traced per-pc functions and no fusion.
-  Tracers are fixed at CPU construction, so the variant is chosen at
-  decode time.  ``RTN``, statically odd instructions, and ``RCMP`` in a
+  the hot-loop profiler uses the classic profiled loop.  A tracer that
+  offers trace columns (``pc_columns``, duck typed: the
+  :class:`~repro.trace.dependence.DependenceTracker`) keeps the
+  predecoded loop with traced per-pc functions; any other tracer takes
+  events, so its run uses the classic loop.  Traced runs are never
+  fused: a profile runs its program once, so compiling fused regions
+  for it costs more than it saves (see ``_decode``).  Tracers are fixed
+  at CPU construction, so the variant is chosen at decode time.
+  ``HALT``, ``RTN``, statically odd instructions, and ``RCMP`` in a
   traced run, under a live telemetry session (per-RCMP decision
-  records) or for a policy without a mechanism thunk through the
-  classic handler, which emits via ``CPU._emit``.
+  records) or for a policy without a mechanism run the classic handler,
+  which emits via ``CPU._emit`` into the same columns, in order.
 
 Instruction counting (``RunStats.dynamic_instructions`` /
 ``by_category``) is deferred to per-pc and per-region hit counts and
 flushed when the loop exits, faults included, preserving the classic
 count-before-execute order; ``CPU._dynamic_index`` stays live because
-budgets, timelines and event indices read it mid-run.
+budgets, timelines and trace indices read it mid-run.
 """
 
 from __future__ import annotations
@@ -85,7 +94,6 @@ from ..isa.opcodes import _OPCODE_CATEGORY, Category, Opcode
 from ..isa.operands import HistRef, Imm, Reg, SReg
 from ..isa.semantics import _EVALUATORS, wrap_int64
 from ..telemetry.runtime import get_telemetry
-from ..trace.events import InstructionEvent
 from .config import Level
 from .cpu import CPU
 
@@ -176,10 +184,12 @@ _READ = (
 _L1_SET = ("_ln = _a >> _shift", "_cs = _l1sets[_ln % _nsets]", "if _ln in _cs:")
 
 #: Per-family descriptions.  Plain strings are source lines; tuples are
-#: ``(tag, text)``: ``dest`` writes the destination register, ``emit``
-#: retires the instruction (its text is the event's arguments after the
-#: pc and instruction), ``mark`` records a fault point, and any other
-#: tag keeps the line only when the rendering sets that flag.  A hook's
+#: ``(tag, text, *fields)``: ``dest`` writes the destination register,
+#: ``emit`` retires the instruction (its text and fields are what the
+#: instruction retires into the trace: operand tuple, then result,
+#: effective address and service level), ``mark`` records a fault
+#: point, and any other tag keeps the line only when the rendering sets
+#: that flag (``traced`` lines finish a traced retirement).  A hook's
 #: leading spaces indent the lines it stands for.
 _FAMILIES = {
     "ld": (
@@ -202,7 +212,8 @@ _FAMILIES = {
         "    $tt += _mt",
         "$ldn += 1",
         ("dest", "_x"),
-        ("emit", "(), _x, _a, _lv"),
+        ("emit", "()", "_x", "_a", "_lv"),
+        ("traced", "_tmp(_ls.get(_a, _nos))"),
     ),
     "st": (
         ("mark", ""),
@@ -227,7 +238,9 @@ _FAMILIES = {
         "    $gs += _me",
         "    $tt += _mt",
         "$stn += 1",
-        ("emit", "(_x,), None, _a, _lv"),
+        ("emit", "(_x,)", "None", "_a", "_lv"),
+        ("traced", "_tmp(_nos)"),
+        ("traced", "_ls[_a] = _ix"),
     ),
     "branch": (
         "_y0 = $s0",
@@ -235,7 +248,7 @@ _FAMILIES = {
         "_k = _y0 $cmp _y1",
         "$gn += $e",
         "$tt += $t",
-        ("emit", "(_y0, _y1), None, None, None, _k"),
+        ("emit", "(_y0, _y1)"),
         "if _k:",
         "    _st.branches_taken += 1",
         "    return $tg",
@@ -249,7 +262,7 @@ _FAMILIES = {
     ),
     "jal": (
         ("dest", "$nx"),
-        ("emit", "(), $nx"),
+        ("emit", "()", "$nx"),
         "$gn += $e",
         "$tt += $t",
         "return $tg",
@@ -448,7 +461,7 @@ def _compute_description(opcode, kinds):
         ("dest", "_x"),
         "$gn += $e",
         ("time", "$tt += $t"),
-        ("emit", f"{values}, _x"),
+        ("emit", values, "_x"),
     )
 
 
@@ -527,21 +540,31 @@ _PLACEHOLDER = re.compile(r"\$(\w+)")
 #: Generated code names its bindings and locals with a leading ``_``.
 _NAME = re.compile(r"(?<![\w.])_\w+")
 #: Names a per-pc function binds per pc (see :meth:`_Decoder.function`).
-_PER_PC = re.compile(r"_(?:pc|nx|tg|e|t|ev|ins|sid|lid|db|di|sc|hk|ok|ft\w|[bi]\d+)")
+_PER_PC = re.compile(
+    r"_(?:pc|nx|tg|e|t|ev|ins|sid|lid|db|di|sc|hk|ok|ft\w|[bi]\d+"
+    r"|lrn|inst|ina|wra)"
+)
 
 
 @lru_cache(maxsize=None)
 def _formats(items):
     """The parsed form of one description.
 
-    Returns its items as ``(tag, %-format)`` pairs (tag None when plain),
-    the placeholders it uses, and the names it spells out literally.
+    Returns its items as ``(tag, %-format, field %-formats)`` triples
+    (tag None when plain), the placeholders it uses, and the names it
+    spells out literally.
     """
     out = []
+    texts = []
     for item in items:
-        tag, text = item if type(item) is tuple else (None, item)
-        out.append((tag, _PLACEHOLDER.sub(r"%(\1)s", text.replace("%", "%%"))))
-    raw = "\n".join(item if type(item) is str else item[1] for item in items)
+        tag, text, *fields = item if type(item) is tuple else (None, item)
+        formats = [
+            _PLACEHOLDER.sub(r"%(\1)s", part.replace("%", "%%"))
+            for part in (text, *fields)
+        ]
+        out.append((tag, formats[0], tuple(formats[1:])))
+        texts += (text, *fields)
+    raw = "\n".join(texts)
     return (
         tuple(out),
         frozenset(_PLACEHOLDER.findall(raw)),
@@ -553,18 +576,20 @@ def _render(items, subs, flags, hooks):
     """Substitute one description into source lines for one rendering.
 
     *flags* names the tagged lines to keep; *hooks* maps a hook tag to a
-    function from its substituted text to the lines it stands for (a
-    hook the rendering does not define renders as nothing).
+    function from its substituted text and fields to the lines it
+    stands for (a hook the rendering does not define renders as
+    nothing).
     """
     lines = []
-    for tag, fmt in _formats(items)[0]:
+    for tag, fmt, fields in _formats(items)[0]:
         text = fmt % subs
         if tag is None or tag in flags:
             lines.append(text)
         elif tag in hooks:
             body = text.lstrip(" ")
             pad = text[: len(text) - len(body)]
-            lines.extend(pad + line for line in hooks[tag](body))
+            values = [field % subs for field in fields]
+            lines.extend(pad + line for line in hooks[tag](body, *values))
     return lines
 
 
@@ -581,17 +606,39 @@ def _hoist(keys):
     return prologue, writeback, names
 
 
-def _counted_emit(args):
+def _counted_emit(*fields):
     return ["_cpu._dynamic_index += 1"]
 
 
-def _traced_emit(args):
-    event = f"_Ev(_ix, _pc, _ins, {args})" if args else "_Ev(_ix, _pc, _ins)"
-    return [
-        "_ix = _cpu._dynamic_index",
-        "_cpu._dynamic_index = _ix + 1",
-        f"_emit({event})",
-    ]
+def _column_emit(writer):
+    """The traced ``emit`` hook: append the instruction's trace columns.
+
+    Mirrors ``DependenceTracker.on_instruction`` for one pc: enter the
+    pc in the static table at its first retirement, then append pc,
+    operands and result, the index to the pc's instances and, when
+    *writer*, to its destination register's writers, and for a memory
+    access the index, address and level (the description's ``traced``
+    lines append the producing store).
+    """
+
+    def emit(operands, result="None", address=None, level=None):
+        lines = [
+            "_ix = _cpu._dynamic_index",
+            "_cpu._dynamic_index = _ix + 1",
+            "if not _inst:",
+            "    _lrn()",
+            "_tpc(_pc)",
+            f"_top({operands or '()'})",
+            f"_tres({result})",
+            "_ina(_ix)",
+        ]
+        if writer:
+            lines.append("_wra(_ix)")
+        if address is not None:
+            lines += ["_tmi(_ix)", f"_tma({address})", f"_tml({level})"]
+        return lines
+
+    return emit
 
 
 def _per_pc_dest(value):
@@ -602,17 +649,18 @@ def _per_pc_dest(value):
 def _factory(shape, environment):
     """Compile the per-pc function factory for one opcode shape.
 
-    *shape* is ``(family, variant, arity, traced, read_only)``:
+    *shape* is ``(family, variant, arity, traced, writer, read_only)``:
     ``variant`` is the opcode of compute and branch families, the
     ``(mechanism, verify)`` pair of RCMP and None for families that
-    render the same for every opcode; ``read_only`` counts the memory's
-    read-only ranges.  *environment* names the run-dependent values a
-    CPU binds (see :meth:`_Decoder.__init__`).  Returns ``(make,
+    render the same for every opcode; ``writer`` marks a traced pc that
+    appends to a register's writer column; ``read_only`` counts the
+    memory's read-only ranges.  *environment* names the run-dependent
+    values a CPU binds (see :meth:`_Decoder.__init__`).  Returns ``(make,
     env_names, pc_names)``: ``make(*env)`` binds one CPU's environment
     and returns ``bind(*per_pc)``, which instantiates the zero-argument
     function for one pc.
     """
-    family, variant, arity, traced, read_only = shape
+    family, variant, arity, traced, writer, read_only = shape
     subs = dict(_AT_HOME)
     subs.update(
         pc="_pc", nx="_nx", tg="_tg", e="_e", t="_t", ev="_ev",
@@ -631,7 +679,7 @@ def _factory(shape, environment):
         flags.add("ro")
     hooks = {
         "dest": _per_pc_dest,
-        "emit": _traced_emit if traced else _counted_emit,
+        "emit": _column_emit(writer) if traced else _counted_emit,
     }
     lines = _render(
         _description(family, variant, ("rt",) * arity), subs, flags, hooks
@@ -745,8 +793,8 @@ class _Decoder:
         memory = cpu.memory
         hierarchy = cpu.hierarchy
         l1, l2 = hierarchy.l1, hierarchy.l2
-        tracer = cpu.tracer
-        self.traced = tracer is not None
+        self.tracer = cpu.tracer
+        self.traced = self.tracer is not None
         #: How RCMP decides on this run (see :data:`_MECHANISMS`); None
         #: leaves RCMP on the classic handler, which traced runs and
         #: live telemetry sessions (per-RCMP decision records) need.
@@ -797,8 +845,6 @@ class _Decoder:
             "_p1t": probe.l1_params.latency_ns,
             "_p2e": probe.l1_params.read_energy_nj + probe.l2_params.read_energy_nj,
             "_p2t": probe.l1_params.latency_ns + probe.l2_params.latency_ns,
-            "_emit": None if tracer is None else tracer.on_instruction,
-            "_Ev": InstructionEvent,
             "_MF": MachineFault,
             "_MemF": MemoryFault,
             "_AF": ArithmeticFault,
@@ -813,6 +859,20 @@ class _Decoder:
             "_MEM": Level.MEM,
             "_wi": wrap_int64,
         }
+        if self.traced:
+            # Traced functions retire into the tracker's columns.
+            columns = self.tracer.columns()
+            self.env.update(
+                _tpc=columns.pc,
+                _top=columns.operands,
+                _tres=columns.result,
+                _tmi=columns.mem_index,
+                _tma=columns.mem_address,
+                _tml=columns.mem_level,
+                _tmp=columns.mem_producer,
+                _ls=columns.last_store,
+                _nos=columns.no_store,
+            )
         #: Destination box for r0: writes land here and are never read.
         self.sink = [0]
         self._compute_costs = {}
@@ -909,6 +969,11 @@ class _Decoder:
             values["_db"], values["_di"] = (
                 (self.registers, dest.index) if dest.index else (self.sink, 0)
             )
+        if self.traced:
+            learn, instances, writers = self.tracer.pc_columns(pc, instruction)
+            values.update(_lrn=learn, _inst=instances, _ina=instances.append)
+            if writers is not None:
+                values["_wra"] = writers.append
         if family in ("compute", "branch"):
             variant = instruction.opcode
         elif family == "rcmp":
@@ -920,6 +985,7 @@ class _Decoder:
             variant,
             len(instruction.srcs),
             self.traced,
+            "_wra" in values,
             len(self.read_only) if family == "st" else 0,
         )
         binder = self._binders.get(shape)
@@ -1018,7 +1084,8 @@ def _off_end(pc):
 #   with the classic per-instruction budget check (and the classic
 #   "fault before counting the pending instruction" order).
 # * **Traced/timeline/profiled runs** — traced runs decode per-pc only;
-#   timeline and profiled runs take the classic loops.
+#   timeline and profiled runs, and tracers without trace columns, take
+#   the classic loops.
 # * **Mid-region entry** — a JR can land inside a region at runtime, so
 #   every non-start pc keeps its per-pc function; only the region start
 #   dispatches the fused body.
@@ -1478,7 +1545,13 @@ class BatchedExecutionMixin:
         fns, cats = decoder.decode()
         table = _BatchTable(fns, cats, decoder.slices, get_telemetry().enabled)
         if decoder.traced:
-            # Tracers see one event per instruction: never fused.
+            # Traced runs stay per pc.  A profile runs its program once,
+            # so compiling fused regions for it never pays for itself:
+            # profiling the 33 kernels at scale 1.0 (1.12M instructions)
+            # took 1.6-1.9 s of CPU per pc against 2.3-2.7 s with traced
+            # regions fused, on a 2-vCPU Xeon host.  The fused code also
+            # kept the trace alive until a full collection, raising
+            # lint-suite peak RSS by 25-31%.
             return table
         from ..staticcheck.regions import KIND_FAULTING, analyze_regions
 
@@ -1536,9 +1609,13 @@ class BatchedExecutionMixin:
         return super()._traverse_slice(info)
 
     def _run_loop(self) -> None:
-        if self._timeline is not None:
-            # Timelines capture mid-run state per retired instruction;
-            # the classic loop keeps that observability exact.
+        tracer = self.tracer
+        if self._timeline is not None or (
+            tracer is not None and not hasattr(tracer, "pc_columns")
+        ):
+            # Timelines capture mid-run state per retired instruction,
+            # and a tracer without trace columns takes one event per
+            # instruction: the classic loop keeps both exact.
             return super()._run_loop()
         table = self._decoded()
         fns = table.fns

@@ -24,6 +24,15 @@ at dynamic index *t* is the last writer of that register before *t*, a
 bisection of its writer list.  :meth:`DependenceTracker.record` builds
 the classic one-record-per-instruction view (:class:`DynRecord`) on
 demand from these pieces.
+
+Columns fill two ways.  The classic CPU hands the tracker one
+:class:`~repro.trace.events.InstructionEvent` per retired instruction
+(:meth:`DependenceTracker.on_instruction`), and so does
+:func:`~repro.trace.io.load_trace`.  Generated code that retires
+instructions itself (the fast backend's traced per-pc functions)
+appends each instruction's own columns instead, through
+:meth:`DependenceTracker.columns` and
+:meth:`DependenceTracker.pc_columns`; both ways build the same tracker.
 """
 
 from __future__ import annotations
@@ -32,11 +41,14 @@ import dataclasses
 from array import array
 from bisect import bisect_left
 from collections import Counter
+from functools import partial
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -139,6 +151,29 @@ def last_before(indices: Sequence[int], t: int) -> Optional[int]:
     return indices[k - 1] if k else None
 
 
+class Columns(NamedTuple):
+    """The append side of a tracker's dynamic columns.
+
+    Retiring dynamic instruction *index* appends its pc, operand tuple
+    and result; *index* to its pc's instances and its destination's
+    writers (see :meth:`DependenceTracker.pc_columns`); and, for a
+    memory access, *index*, the address, the service level and the
+    producing store (``no_store`` for a store, or a load of an address
+    no store wrote), after which a store sets ``last_store[address] =
+    index``.
+    """
+
+    pc: Callable[[int], None]
+    operands: Callable[[Tuple[Value, ...]], None]
+    result: Callable[[Optional[Value]], None]
+    mem_index: Callable[[int], None]
+    mem_address: Callable[[int], None]
+    mem_level: Callable[[object], None]
+    mem_producer: Callable[[int], None]
+    last_store: Dict[int, int]
+    no_store: int
+
+
 class DependenceTracker:
     """Tracer building the dynamic dependence graph of a classic run."""
 
@@ -197,6 +232,42 @@ class DependenceTracker:
             if not info.writes_value:
                 self._control_written.add(info.dest)
         return info
+
+    # ------------------------------------------------------------------
+    # Append side: retirement without an event.
+    # ------------------------------------------------------------------
+    def columns(self) -> Columns:
+        """The bound appends every retirement uses (see :class:`Columns`)."""
+        return Columns(
+            self._pcs.append,
+            self._operands.append,
+            self._results.append,
+            self._mem_index.append,
+            self._mem_address.append,
+            self._mem_level.append,
+            self._mem_producer.append,
+            self._last_store,
+            _NO_STORE,
+        )
+
+    def pc_columns(
+        self, pc: int, instruction: Instruction
+    ) -> Tuple[Callable[[], PcInfo], array, Optional[array]]:
+        """``(learn, instances, writers)`` of the static instruction at *pc*.
+
+        *instances* is the pc's instance column and *writers* its
+        destination register's writer column (None when it writes no
+        register).  ``learn()`` enters the pc in the static table; call
+        it as the pc's first instance retires, while *instances* is
+        still empty, so that :meth:`static_pcs` keeps first-retirement
+        order and :meth:`pc_info` stays None for a pc that never
+        retires.  A pc that already retired keeps its entry.
+        """
+        info = self._static.get(pc) or PcInfo.of(pc, instruction)
+        writers = None
+        if info.dest is not None:
+            writers = self._writers.setdefault(info.dest, array("q"))
+        return partial(self._learn, info), info.instances, writers
 
     # ------------------------------------------------------------------
     # Columnar queries.

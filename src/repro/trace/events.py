@@ -1,11 +1,18 @@
 """Dynamic trace event records emitted by the CPU interpreters.
 
-A tracer is any object with an ``on_instruction(event)`` method; the CPU
-invokes it after retiring each dynamic instruction.  Events carry enough
-information (operand values, results, effective addresses, service
-levels) for the dependence tracker to reconstruct the full dynamic
-dataflow, and the load profile and value locality built from it,
-without re-executing the program.
+A tracer is any object with an ``on_instruction(event)`` method; the
+classic CPU invokes it after retiring each dynamic instruction.  Events
+carry enough information (operand values, results, effective addresses,
+service levels) for the dependence tracker to reconstruct the full
+dynamic dataflow, and the load profile and value locality built from
+it, without re-executing the program.
+
+The fast backend builds no events for a tracer that also offers trace
+columns (the :class:`~repro.trace.dependence.DependenceTracker`): its
+traced per-pc functions append each instruction's columns directly,
+and only the pcs it leaves to classic handlers (``HALT``, thunks) call
+``on_instruction``.  A tracer without columns runs on the classic loop
+and receives the classic event stream.
 """
 
 from __future__ import annotations

@@ -53,9 +53,10 @@ def profile_program(
 
     *backend* selects the execution backend for the profiling run (None
     resolves from the environment).  Backends are trace-equivalent by
-    contract — the fast backend's traced per-pc functions emit the identical
-    event stream — so the profile, and everything compiled from it, is
-    the same whichever backend gathers it.
+    contract: the classic CPU fills the tracker through one event per
+    instruction, and the fast backend's traced per-pc functions append
+    the identical columns directly.  The profile, and everything
+    compiled from it, is the same whichever backend gathers it.
     """
     from ..core.backend import resolve_backend
     from ..machine.cpu import DEFAULT_MAX_INSTRUCTIONS

@@ -125,3 +125,66 @@ def build_accumulator_kernel(iterations: int = 16, name: str = "acc_kernel"):
     b.li(r_out, out)
     b.st(acc, r_out)
     return b.build()
+
+
+def traced_run(cpu_cls, program, model, max_instructions):
+    """Run *program* under a fresh dependence tracker.
+
+    Returns ``(tracker, fault)``: the fault the run ended on as
+    ``(type name, message, pc)``, or None when it halted.
+    """
+    from repro.errors import ReproError
+    from repro.trace import DependenceTracker
+
+    tracker = DependenceTracker()
+    cpu = cpu_cls(program, model, tracer=tracker, max_instructions=max_instructions)
+    try:
+        cpu.run()
+    except ReproError as caught:
+        return tracker, (type(caught).__name__, str(caught), caught.pc)
+    return tracker, None
+
+
+def trace_divergence(expected, actual, program):
+    """The first query two dependence trackers answer differently, or None.
+
+    Compares every record, which pcs of *program* retired, the static
+    table in first-retirement order, execution counts in that order,
+    each register's writers and value writers, and every memory access.
+    """
+    if len(actual) != len(expected):
+        return f"{len(actual)} records, expected {len(expected)}"
+    for index in range(len(expected)):
+        if actual.record(index) != expected.record(index):
+            return f"record {index}: {actual.record(index)} != {expected.record(index)}"
+
+    def static(tracker):
+        return [
+            (info.pc, info.opcode, info.dest, info.srcs, info.writes_value,
+             list(info.instances))
+            for info in tracker.static_pcs()
+        ]
+
+    def retired(tracker):
+        return [tracker.pc_info(pc) is not None for pc in range(len(program))]
+
+    def registers(tracker):
+        return [
+            (list(tracker.writers(reg)), list(tracker.value_writers(reg)))
+            for reg in range(32)
+        ]
+
+    def accesses(tracker):
+        return [
+            (index, info.pc, address, level, producer)
+            for index, info, address, level, producer in tracker.memory_accesses()
+        ]
+
+    for query in (static, retired, registers, accesses):
+        if query(actual) != query(expected):
+            return f"{query.__name__} differ"
+    if list(actual.execution_counts().items()) != list(
+        expected.execution_counts().items()
+    ):
+        return "execution counts differ"
+    return None

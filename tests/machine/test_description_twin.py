@@ -24,7 +24,7 @@ from repro.fuzz.corpus import corpus_paths
 from repro.fuzz.faults import stale_load_lru
 from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
-from repro.trace import InstructionEvent
+from repro.trace import DependenceTracker
 
 from ..conftest import tiny_config
 
@@ -34,14 +34,6 @@ ENTRY = "loop-carried"
 
 def make_model():
     return EnergyModel(epi=EPITable.default(), config=tiny_config())
-
-
-class RecordingTracer:
-    def __init__(self):
-        self.events = []
-
-    def on_instruction(self, event: InstructionEvent):
-        self.events.append(event)
 
 
 def lru_program(fused):
@@ -102,15 +94,20 @@ def test_twin_breaks_per_pc_functions():
     assert cache_outcome(run(BatchedFastCPU, program)) == cache_outcome(classic)
 
 
+def service_levels(tracker):
+    return [level for _, _, _, level, _ in tracker.memory_accesses()]
+
+
 def test_twin_breaks_traced_functions():
-    program = lru_program(fused=True)
-    classic_events, broken_events = RecordingTracer(), RecordingTracer()
-    classic = run(CPU, program, classic_events)
-    with stale_load_lru():
-        broken = run(BatchedFastCPU, program, broken_events)
-    assert broken._decoded().region_spans == []
-    assert broken_events.events != classic_events.events
-    assert cache_outcome(broken) != cache_outcome(classic)
+    for program in (lru_program(fused=True), lru_program(fused=False)):
+        classic_trace, broken_trace = DependenceTracker(), DependenceTracker()
+        classic = run(CPU, program, classic_trace)
+        with stale_load_lru():
+            broken = run(BatchedFastCPU, program, broken_trace)
+        assert broken._decoded().region_spans == []
+        # The last load of A misses where classic hits: the level column.
+        assert service_levels(broken_trace) != service_levels(classic_trace)
+        assert cache_outcome(broken) != cache_outcome(classic)
 
 
 def test_twin_breaks_fused_regions():

@@ -4,7 +4,7 @@
 fused regions, see ``test_fastpath_regions``) rendered from one
 description per opcode, but its contract is that nothing observable
 changes: architectural state, RunStats, cache state, the per-group
-energy breakdown, modeled time, traced event streams, and fault
+energy breakdown, modeled time, dependence traces, and fault
 type/message/pc must all be byte-for-byte the classic ones.  These
 tests pin that contract on hand-written programs; the fuzz oracle's
 :func:`repro.fuzz.check_program` pins it on generated ones.
@@ -24,9 +24,9 @@ from repro.errors import (
 )
 from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
-from repro.trace import InstructionEvent
+from repro.trace import DependenceTracker, InstructionEvent
 
-from ..conftest import build_spill_kernel, tiny_config
+from ..conftest import build_spill_kernel, tiny_config, trace_divergence
 
 
 def make_model():
@@ -116,17 +116,35 @@ def test_branchy_arithmetic_is_bit_identical():
     assert_state_equal(classic, fast)
 
 
-def test_traced_runs_emit_identical_event_streams():
+def test_traced_runs_build_identical_trace_columns():
     program = build_spill_kernel(iterations=6, chain=2, gap=4)
+    (classic, ct, _), (fast, ft, _) = run_pair(
+        program, tracer_factory=DependenceTracker
+    )
+    assert_state_equal(classic, fast)
+    assert trace_divergence(ct, ft, program) is None
+    # Traced runs stay per-pc: nothing fused.
+    assert fast._decoded().region_spans == []
+
+
+def test_recording_tracer_runs_on_the_classic_loop(monkeypatch):
+    """A tracer without trace columns gets the classic event stream."""
+    program = build_spill_kernel(iterations=6, chain=2, gap=4)
+    decodes = []
+    decode = BatchedFastCPU._decode
+
+    def counted_decode(cpu):
+        decodes.append(cpu)
+        return decode(cpu)
+
+    monkeypatch.setattr(BatchedFastCPU, "_decode", counted_decode)
     (classic, ct, _), (fast, ft, _) = run_pair(
         program, tracer_factory=RecordingTracer
     )
     assert_state_equal(classic, fast)
-    assert len(ct.events) == len(ft.events)
-    for left, right in zip(ct.events, ft.events):
-        assert left == right
-    # Traced runs stay per-pc: one event per instruction, nothing fused.
-    assert fast._decoded().region_spans == []
+    assert ft.events == ct.events
+    assert len(ft.events) == fast.dynamic_count
+    assert decodes == []
 
 
 def test_jr_one_past_the_end_fault_parity():

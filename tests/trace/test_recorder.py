@@ -1,5 +1,8 @@
 """The combined profiling runner."""
 
+import gc
+import weakref
+
 from repro.trace import profile_program
 
 from ..conftest import build_spill_kernel, tiny_config
@@ -15,3 +18,24 @@ def test_profile_program_combines_all_tracers():
     assert result.loads.observed_loads()
     assert result.locality.observed_loads()
     assert result.stats.loads_performed > 0
+
+
+def test_dropped_profile_frees_its_trace_without_a_collection():
+    """Generated traced code must not keep the trace columns alive.
+
+    With the cycle collector off, dropping a fast-batched profile must
+    free its trace by reference counting alone; anything the generated
+    code leaves in a reference cycle would hold the columns, and peak
+    memory, until the next full collection.
+    """
+    program = build_spill_kernel(iterations=6, gap=4)
+    model = EnergyModel(epi=EPITable.default(), config=tiny_config())
+    gc.collect()
+    gc.disable()
+    try:
+        result = profile_program(program, model, backend="fast-batched")
+        columns = weakref.ref(result.dependence._pcs)
+        del result
+        assert columns() is None
+    finally:
+        gc.enable()
