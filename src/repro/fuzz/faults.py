@@ -94,10 +94,38 @@ class LateFlushBatchedAmnesicCPU(_LateFlushMixin, AmnesicCPU):
     """The broken batcher over amnesic binaries."""
 
 
+class _LoopBudgetLateMixin(BatchedExecutionMixin):
+    """Bug: a fused loop's loop-back asks only whether the next header fits.
+
+    The loop must leave its ``while`` before any pass that would cross
+    ``max_instructions`` (``_i0 + length > max``), so the budget trips
+    at the classic pc inside that pass.  This batcher exits only once
+    the budget is already spent (``_i0 >= max``), so one whole pass runs
+    past the budget: registers, memory, counts and the fault pc all
+    diverge on a budget that lands inside a loop.  The loop budget
+    sweep and the equivalence oracle must both catch it.
+    """
+
+    @staticmethod
+    def _loop_back_exit(length):
+        return "_i0 >= _mx"
+
+
+class LoopBudgetLateBatchedCPU(_LoopBudgetLateMixin, CPU):
+    """The late loop-back budget check over classic semantics."""
+
+
+class LoopBudgetLateBatchedAmnesicCPU(_LoopBudgetLateMixin, AmnesicCPU):
+    """The late loop-back budget check over amnesic binaries."""
+
+
 #: The broken CPUs as backends the oracle holds to classic.
 SKIP_HIST_READ = Backend("skip-hist-read", CPU, SkipHistReadCPU)
 EAGER_FIRE = Backend("eager-fire", CPU, EagerFireCPU)
 LATE_FLUSH = Backend("late-flush", LateFlushBatchedCPU, LateFlushBatchedAmnesicCPU)
+LOOP_BUDGET_LATE = Backend(
+    "loop-budget-late", LoopBudgetLateBatchedCPU, LoopBudgetLateBatchedAmnesicCPU
+)
 
 
 class LateReplayScanner(leaves._ReplayScanner):
@@ -242,11 +270,14 @@ def stale_hist_lru():
 __all__ = [
     "EAGER_FIRE",
     "LATE_FLUSH",
+    "LOOP_BUDGET_LATE",
     "SKIP_HIST_READ",
     "EagerFireCPU",
     "LateFlushBatchedAmnesicCPU",
     "LateFlushBatchedCPU",
     "LateReplayScanner",
+    "LoopBudgetLateBatchedAmnesicCPU",
+    "LoopBudgetLateBatchedCPU",
     "SkipHistReadCPU",
     "deferred_store_producer",
     "late_replay",

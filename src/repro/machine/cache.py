@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .config import CacheGeometry
 
@@ -37,8 +37,7 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
-@dataclasses.dataclass(frozen=True)
-class EvictedLine:
+class EvictedLine(NamedTuple):
     """Result of an eviction: which line left and whether it was dirty."""
 
     line_address: int
@@ -55,6 +54,7 @@ class Cache:
         # One OrderedDict per set, mapping line address -> dirty flag.
         # Ordering encodes recency: last item is most recently used.
         self._sets: List[OrderedDict] = [OrderedDict() for _ in range(geometry.sets)]
+        self._nsets = geometry.sets
         self._line_shift = geometry.line_words.bit_length() - 1
         if 1 << self._line_shift != geometry.line_words:
             # CacheGeometry.__post_init__ rejects this; guard against a
@@ -72,7 +72,7 @@ class Cache:
         return address >> self._line_shift
 
     def _set_for(self, line_address: int) -> OrderedDict:
-        return self._sets[line_address % self.geometry.sets]
+        return self._sets[line_address % self._nsets]
 
     # ------------------------------------------------------------------
     # Operations.

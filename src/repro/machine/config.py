@@ -31,6 +31,10 @@ class Level(enum.Enum):
     L2 = "L2"
     MEM = "MEM"
 
+    #: Members are singletons and ``Enum`` compares by identity, so the
+    #: identity hash agrees with equality and runs at C speed.
+    __hash__ = object.__hash__
+
     @property
     def depth(self) -> int:
         """0 for L1, 1 for L2, 2 for main memory."""

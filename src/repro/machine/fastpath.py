@@ -1,4 +1,4 @@
-"""The fast execution backend: one description per opcode, four renderings.
+"""The fast execution backend: one description per opcode, five renderings.
 
 :class:`BatchedExecutionMixin` replaces the classic fetch/decode/dispatch
 loop of :class:`~repro.machine.cpu.CPU` with a predecoded program.  Each
@@ -10,8 +10,8 @@ statement — same value semantics, same fault points and messages, same
 energy charges in the same order, same cache/LRU transitions.  The lines
 are written against placeholders (``$s0`` for the first operand, ``$gl``
 for the load-energy accumulator, ``$tt`` for modeled time, ``$pc`` ...)
-plus three hook lines (``dest``, ``emit``, ``mark``), and one description
-renders four ways:
+plus four hook lines (``dest``, ``emit``, ``mark``, ``goto``), and one
+description renders five ways:
 
 * **per-pc functions** — one zero-argument function per static
   instruction that returns the next pc (``-1`` after ``HALT``), so a
@@ -29,6 +29,11 @@ renders four ways:
 * **fused regions** — statically proven straight-line runs (see
   :mod:`repro.staticcheck.regions`) concatenated into one generated
   function, with accumulators hoisted into locals;
+* **fused loops** — statically proven self-loops (a branch header, one
+  batchable body region, a ``JMP`` back): header, body and loop-back
+  rendered as one pass inside a ``while`` loop, where the header's
+  taken ``goto`` leaves the loop; accumulators are hoisted once per
+  loop entry and the budget is checked once per pass;
 * **fused slices** — the compute description again, fed by Hist and
   register operands, with scratch registers in locals: one generated
   function per RSlice.
@@ -65,10 +70,10 @@ The contract every rendering honours:
   which emits via ``CPU._emit`` into the same columns, in order.
 
 Instruction counting (``RunStats.dynamic_instructions`` /
-``by_category``) is deferred to per-pc and per-region hit counts and
-flushed when the loop exits, faults included, preserving the classic
-count-before-execute order; ``CPU._dynamic_index`` stays live because
-budgets, timelines and trace indices read it mid-run.
+``by_category``) is deferred to per-pc, per-region and per-loop-pass
+hit counts and flushed when the loop exits, faults included, preserving
+the classic count-before-execute order; ``CPU._dynamic_index`` stays
+live because budgets, timelines and trace indices read it mid-run.
 """
 
 from __future__ import annotations
@@ -188,9 +193,10 @@ _L1_SET = ("_ln = _a >> _shift", "_cs = _l1sets[_ln % _nsets]", "if _ln in _cs:"
 #: ``emit`` retires the instruction (its text and fields are what the
 #: instruction retires into the trace: operand tuple, then result,
 #: effective address and service level), ``mark`` records a fault
-#: point, and any other tag keeps the line only when the rendering sets
-#: that flag (``traced`` lines finish a traced retirement).  A hook's
-#: leading spaces indent the lines it stands for.
+#: point, ``goto`` transfers control to the pc its text names, and any
+#: other tag keeps the line only when the rendering sets that flag
+#: (``traced`` lines finish a traced retirement).  A hook's leading
+#: spaces indent the lines it stands for.
 _FAMILIES = {
     "ld": (
         ("mark", ""),
@@ -251,21 +257,20 @@ _FAMILIES = {
         ("emit", "(_y0, _y1)"),
         "if _k:",
         "    _st.branches_taken += 1",
-        "    return $tg",
-        "return $nx",
+        ("goto", "    $tg"),
     ),
     "jmp": (
         ("emit", ""),
         "$gn += $e",
         "$tt += $t",
-        "return $tg",
+        ("goto", "$tg"),
     ),
     "jal": (
         ("dest", "$nx"),
         ("emit", "()", "$nx"),
         "$gn += $e",
         "$tt += $t",
-        "return $tg",
+        ("goto", "$tg"),
     ),
     "jr": (
         "_x = $s0",
@@ -275,7 +280,7 @@ _FAMILIES = {
         ("emit", "(_x,)"),
         "$gn += $e",
         "$tt += $t",
-        "return _x",
+        ("goto", "_x"),
     ),
     "nop": (
         ("emit", ""),
@@ -293,7 +298,7 @@ _FAMILIES = {
 }
 
 #: Families whose per-pc function falls through to ``pc + 1``.
-_FALLTHROUGH = frozenset({"compute", "ld", "st", "nop", "rec", "rcmp"})
+_FALLTHROUGH = frozenset({"compute", "ld", "st", "branch", "nop", "rec", "rcmp"})
 
 #: Operand counts the fixed-shape families read.
 _ARITY = {"ld": 2, "st": 3, "branch": 2, "jr": 1, "rcmp": 2}
@@ -645,6 +650,10 @@ def _per_pc_dest(value):
     return [f"_db[_di] = {value}"]
 
 
+def _per_pc_goto(target):
+    return [f"return {target}"]
+
+
 @lru_cache(maxsize=None)
 def _factory(shape, environment):
     """Compile the per-pc function factory for one opcode shape.
@@ -680,6 +689,7 @@ def _factory(shape, environment):
     hooks = {
         "dest": _per_pc_dest,
         "emit": _column_emit(writer) if traced else _counted_emit,
+        "goto": _per_pc_goto,
     }
     lines = _render(
         _description(family, variant, ("rt",) * arity), subs, flags, hooks
@@ -818,11 +828,11 @@ class _Decoder:
             "_ro": tuple(bound for pair in memory._read_only for bound in pair),
             "_l1sets": l1._sets,
             "_shift": l1._line_shift,
-            "_nsets": l1.geometry.sets,
+            "_nsets": l1._nsets,
             "_l1h": l1.stats,
             "_l2sets": l2._sets,
             "_shift2": l2._line_shift,
-            "_nsets2": l2.geometry.sets,
+            "_nsets2": l2._nsets,
             "_l2h": l2.stats,
             "_smiss": hierarchy._service_miss,
             "_lbl": hierarchy.stats.loads_by_level,
@@ -1071,24 +1081,50 @@ def _off_end(pc):
 # whose body is the elements' descriptions concatenated, so a region
 # retires with a single dispatch.
 #
-# The hazards a fused region must keep byte-identical:
+# The analyzer also proves self-loops: a conditional-branch header at
+# ``h`` falling through into a batchable region ``[h+1, j)`` closed by
+# ``JMP h`` at ``j``.  Each renders into ONE generated function at
+# ``fns[h]`` that runs whole passes (header, body, loop-back) in a
+# ``while`` loop, so a loop retires with a single dispatch per entry.
+# The loop *replaces* its body region's fused function.
+#
+# The hazards a fused region or loop must keep byte-identical:
 #
 # * **Faults mid-region** — on any exception the fused function writes
 #   its accumulators back, restores ``_dynamic_index`` to the number of
 #   *completed* elements, counts the elements classic would have counted
 #   (count-before-execute includes the faulting one), records the
-#   faulting pc for the outer loop, and re-raises.
+#   faulting pc for the outer loop, and re-raises.  A loop pass is a
+#   region ``[h, j]`` whose element 0 is the header, so a fault in pass
+#   ``p`` takes the same path after the ``p - 1`` completed passes.
 # * **Budget exhaustion mid-region** — the fused body runs only after a
 #   hoisted ``index + length <= max_instructions`` check; otherwise the
 #   region executes element by element through the per-pc functions
 #   with the classic per-instruction budget check (and the classic
-#   "fault before counting the pending instruction" order).
+#   "fault before counting the pending instruction" order).  A loop
+#   checks its budget once per pass: it enters only when a whole pass
+#   fits, and when the next pass would cross the budget it writes back
+#   and returns ``h``, so the outer loop's classic check raises at the
+#   classic pc.  Entered with less than a pass left, it runs only the
+#   header's per-pc function; the body start keeps an uncompiled
+#   guarded entry (the element-by-element path), so a trip inside the
+#   body counts through the same partial flush as a region's.
+# * **Loop exits** — the header taken returns its target; the pass
+#   budget and faults exit as above.  Accumulators are hoisted once per
+#   loop entry and written back on every exit.
+# * **Deferred counts** — a fused function adds one hit per region run
+#   or loop pass; ``_flush`` expands hits into per-pc and per-category
+#   counts.  A loop pass counts its whole ``[h, j]``: the outer loop
+#   counted the first header, and each pass's hit stands for the next
+#   one, so the budget exit (which hands that header back to the outer
+#   loop) takes one header count back.
 # * **Traced/timeline/profiled runs** — traced runs decode per-pc only;
 #   timeline and profiled runs, and tracers without trace columns, take
 #   the classic loops.
 # * **Mid-region entry** — a JR can land inside a region at runtime, so
 #   every non-start pc keeps its per-pc function; only the region start
-#   dispatches the fused body.
+#   dispatches the fused body.  A loop body start keeps its guarded
+#   entry.
 #
 # ``_decode`` fuses from a fresh analysis of the program it decodes, so
 # what fuses depends on that program alone.
@@ -1100,21 +1136,28 @@ class _BatchTable:
 
     The count arrays live on the table (not the run loop) because the
     fused functions bind them at decode time; the flush zeroes them so a
-    later ``run()`` starts clean.  ``fault_pc`` is how a fused region
-    reports the faulting element's pc to the outer loop (whose local
-    ``pc`` still holds the region start when the function raises).
-    ``slices`` caches fused slice traversals (None: not expressible);
-    ``metered`` records whether a telemetry session was live at decode
-    (RCMP then stays on the classic handler).
+    later ``run()`` starts clean.  ``fused_counts`` holds one slot per
+    fused function (a region run or a loop pass per hit), and
+    ``fused_tails`` the ``(first, end, categories)`` of the pcs one hit
+    retires beyond the outer loop's count.  ``region_spans`` lists the
+    straight-line spans compiled into fused code (loop bodies included)
+    and ``loops`` each fused loop's ``(header, loop-back)`` pcs.
+    ``fault_pc`` is how a fused function reports the faulting element's
+    pc to the outer loop (whose local ``pc`` still holds the entry pc
+    when the function raises).  ``slices`` caches fused slice
+    traversals (None: not expressible); ``metered`` records whether a
+    telemetry session was live at decode (RCMP then stays on the
+    classic handler).
     """
 
     __slots__ = (
         "fns",
         "cats",
         "counts",
-        "region_counts",
+        "fused_counts",
+        "fused_tails",
         "region_spans",
-        "region_tail_cats",
+        "loops",
         "fault_pc",
         "slices",
         "metered",
@@ -1124,12 +1167,19 @@ class _BatchTable:
         self.fns = fns
         self.cats = cats
         self.counts = [0] * len(fns)
-        self.region_counts = []
+        self.fused_counts = []
+        self.fused_tails = []
         self.region_spans = []
-        self.region_tail_cats = []
+        self.loops = []
         self.fault_pc = -1
         self.slices = slices
         self.metered = metered
+
+    def add(self, program, first, end):
+        """A deferred-count slot for one fused function; returns its id."""
+        self.fused_counts.append(0)
+        self.fused_tails.append((first, end, _categories(program, first, end)))
+        return len(self.fused_counts) - 1
 
 
 def _run_region_guarded(cpu, body, start, counts, table, flush):
@@ -1166,63 +1216,103 @@ def _run_region_guarded(cpu, body, start, counts, table, flush):
     return pc
 
 
-def _fuse_region(decoder, region, rid, body_fns, table, flush):
-    """Generate the single-dispatch function for one batchable region.
+def _guarded(decoder, start, end, body_fns, table, flush):
+    """The element-by-element entry of region ``[start, end)``."""
 
-    Returns None when any element cannot be rendered (odd operands,
+    def guard(cpu=decoder.cpu, body=tuple(body_fns[start:end]), start=start,
+              counts=table.counts, table=table, flush=flush):
+        return _run_region_guarded(cpu, body, start, counts, table, flush)
+
+    return guard
+
+
+def _fused_lines(decoder, pc, values, families, hooks):
+    """Source lines of the instruction at *pc* inside a fused function.
+
+    Registers read ``_r[n]`` directly; int immediates render as
+    literals and other constants, costs and evaluators bind through
+    *values* under per-pc names.  *hooks* renders the instruction's
+    fault point and control transfer.  Returns ``(lines, placeholders)``,
+    or None when the instruction is not of one of *families* or cannot
+    be rendered (odd operands, missing evaluator).
+    """
+    instruction = decoder.program.instructions[pc]
+    found = decoder.found[pc]
+    if found is None or found[0] not in families:
+        return None
+    family, consts = found
+    subs = dict(
+        _HOISTED, pc=str(pc), nx=str(pc + 1),
+        cmp=_BRANCH_OPS.get(instruction.opcode, ""),
+        ro=_read_only_test(decoder.read_only),
+    )
+    if "_tg" in consts:
+        subs["tg"] = str(consts["_tg"])
+    kinds = []
+    for n, src in enumerate(instruction.srcs):
+        if isinstance(src, Reg):
+            subs[f"s{n}"] = f"_r[{src.index}]"
+            kinds.append("rt")
+        elif isinstance(src, Imm):
+            kinds.append(_const_kind(src.value))
+            if kinds[-1] in ("int", "big"):
+                subs[f"s{n}"] = repr(src.value)
+            else:
+                subs[f"s{n}"] = f"_k{pc}_{n}"
+                values[f"_k{pc}_{n}"] = src.value
+        else:
+            return None
+    # r0 writes are dropped (classic ``write_register`` discards them).
+    dest = instruction.dest.index if family in _WRITES_DEST else 0
+    hooks = dict(
+        hooks, dest=lambda value: [f"_r[{dest}] = {value}"] if dest else []
+    )
+    items = _description(family, instruction.opcode, tuple(kinds))
+    _, placeholders, names = _formats(items)
+    for key in ("e", "t", "ev"):
+        if key in placeholders:
+            subs[key] = f"_{key}{pc}"
+            values[subs[key]] = consts[f"_{key}"]
+    env = decoder.env
+    values.update((name, env[name]) for name in names if name in env)
+    flags = {"time", "ea", "ro"} if decoder.read_only else {"time", "ea"}
+    return _render(items, subs, flags, hooks), placeholders
+
+
+def _fused_body(decoder, start, end, values, keys, first_mark):
+    """Lines of the fusable run ``[start, end)``; None if one won't render.
+
+    Each memory access marks its fault point as ``_n``, counted from
+    *first_mark* at ``start``.
+    """
+    lines = []
+    for pc in range(start, end):
+        mark = f"_n = {pc - start + first_mark}"
+        rendered = _fused_lines(
+            decoder, pc, values, _FUSABLE, {"mark": lambda _, m=mark: [m]}
+        )
+        if rendered is None:
+            return None
+        lines += rendered[0]
+        keys |= rendered[1]
+    return lines
+
+
+def _fuse_region(decoder, region, body_fns, table, flush):
+    """Install the single-dispatch function of one batchable region.
+
+    Installs nothing when an element cannot be rendered (odd operands,
     missing evaluator) — the region then simply stays per-pc.
     """
     program = decoder.program
-    env = decoder.env
     start, end = region.start, region.end
     length = end - start
-    flags = {"time", "ea", "ro"} if decoder.read_only else {"time", "ea"}
-    values = {"_r": env["_r"], "_cpu": env["_cpu"]}
-    read_only = _read_only_test(decoder.read_only)
+    values = {"_r": decoder.env["_r"], "_cpu": decoder.env["_cpu"]}
     keys = set()
-    lines = []
-    for j, pc in enumerate(range(start, end)):
-        instruction = program.instructions[pc]
-        found = decoder.found[pc]
-        if found is None or found[0] not in _FUSABLE:
-            return None
-        family, consts = found
-        subs = dict(_HOISTED, pc=str(pc), nx=str(pc + 1), ro=read_only)
-        kinds = []
-        for n, src in enumerate(instruction.srcs):
-            if isinstance(src, Reg):
-                subs[f"s{n}"] = f"_r[{src.index}]"
-                kinds.append("rt")
-            elif isinstance(src, Imm):
-                kinds.append(_const_kind(src.value))
-                if kinds[-1] in ("int", "big"):
-                    subs[f"s{n}"] = repr(src.value)
-                else:
-                    subs[f"s{n}"] = f"_k{j}_{n}"
-                    values[f"_k{j}_{n}"] = src.value
-            else:
-                return None
-        # r0 writes are dropped (classic ``write_register`` discards them).
-        dest = instruction.dest.index if family in _WRITES_DEST else 0
-        hooks = {
-            "dest": lambda value, d=dest: [f"_r[{d}] = {value}"] if d else [],
-            "mark": lambda _, j=j: [f"_n = {j}"],
-        }
-        items = _description(family, instruction.opcode, tuple(kinds))
-        _, placeholders, names = _formats(items)
-        for key in ("e", "t", "ev"):
-            if key in placeholders:
-                subs[key] = f"_{key}{j}"
-                values[subs[key]] = consts[f"_{key}"]
-        keys |= placeholders
-        values.update((name, env[name]) for name in names if name in env)
-        lines += _render(items, subs, flags, hooks)
-
-    body = tuple(body_fns[start:end])
-
-    def guard(cpu=decoder.cpu, body=body, start=start, counts=table.counts,
-              table=table, flush=flush):
-        return _run_region_guarded(cpu, body, start, counts, table, flush)
+    lines = _fused_body(decoder, start, end, values, keys, 0)
+    if lines is None:
+        return
+    rid = table.add(program, start + 1, end)
 
     # Accumulators live in locals for the fused body and are written
     # back on every exit — success *and* fault.  This is bit-identical
@@ -1231,10 +1321,11 @@ def _fuse_region(decoder, region, rid, body_fns, table, flush):
     # touches the energy groups or the time account), and a faulting
     # element raises before any of its charge lines run.
     prologue, writeback, homes = _hoist(keys)
-    values.update((name, env[name]) for name in homes)
+    values.update((name, decoder.env[name]) for name in homes)
     values.update(
-        _counts=table.counts, _rc=table.region_counts, _tbl=table,
-        _flush=flush, _guard=guard,
+        _counts=table.counts, _fc=table.fused_counts, _tbl=table,
+        _flush=flush,
+        _guard=_guarded(decoder, start, end, body_fns, table, flush),
     )
     source = [
         "    _i0 = _cpu._dynamic_index",
@@ -1252,12 +1343,86 @@ def _fuse_region(decoder, region, rid, body_fns, table, flush):
         "        raise",
         *("    " + line for line in writeback),
         f"    _cpu._dynamic_index = _i0 + {length}",
-        f"    _rc[{rid}] += 1",
+        f"    _fc[{rid}] += 1",
         f"    return {end}",
     ]
-    return _define(
+    table.fns[start] = _define(
         "_region", source, values, f"<region {program.name}:{start}-{end}>"
     )
+    table.region_spans.append((start, end))
+
+
+def _fuse_loop(decoder, loop, body_fns, table, flush, back_exit):
+    """Install the one-dispatch function of one self-loop at its header.
+
+    One pass is the header, the body region and the loop-back ``JMP``,
+    rendered from their descriptions: the header's taken ``goto``
+    leaves the ``while`` loop and the loop-back's falls into the next
+    pass.  *back_exit* is the loop-back's budget test, true when the
+    next pass must not run fused.  The body start gets the guarded
+    entry.  Returns whether the loop fused: when an element cannot be
+    rendered, nothing is installed and the body region fuses on its own.
+    """
+    program = decoder.program
+    header, back, length = loop.header, loop.back, loop.length
+    values = {"_r": decoder.env["_r"], "_cpu": decoder.env["_cpu"]}
+    keys = set()
+    head = _fused_lines(
+        decoder, header, values, {"branch"}, {"goto": lambda _: ["break"]}
+    )
+    body = _fused_body(decoder, header + 1, back, values, keys, 1)
+    jump = _fused_lines(decoder, back, values, {"jmp"}, {"goto": lambda _: []})
+    if head is None or body is None or jump is None:
+        return False
+    target = decoder.found[header][1]["_tg"]  # where the header exits to
+    keys |= head[1] | jump[1]
+    rid = table.add(program, header, back + 1)
+    table.region_spans.append((header + 1, back))
+    table.loops.append((header, back))
+    prologue, writeback, homes = _hoist(keys)
+    values.update((name, decoder.env[name]) for name in homes)
+    values.update(
+        _counts=table.counts, _fc=table.fused_counts, _tbl=table,
+        _flush=flush, _hdr=body_fns[header],
+    )
+    source = [
+        "    _i0 = _cpu._dynamic_index",
+        "    _mx = _cpu.max_instructions",
+        f"    if _i0 + {length} > _mx:",
+        "        return _hdr()",
+        "    _p = 0",
+        "    _n = 0",
+        *("    " + line for line in prologue),
+        "    try:",
+        "        while True:",
+        *("            " + line for line in head[0] + body + jump[0]),
+        "            _p += 1",
+        f"            _i0 += {length}",
+        f"            if {back_exit}:",
+        *("                " + line for line in writeback),
+        "                _cpu._dynamic_index = _i0",
+        f"                _fc[{rid}] += _p",
+        f"                _counts[{header}] -= 1",
+        f"                return {header}",
+        "    except BaseException:",
+        *("        " + line for line in writeback),
+        "        _cpu._dynamic_index = _i0 + _n",
+        f"        _tbl.fault_pc = {header} + _n",
+        f"        _fc[{rid}] += _p",
+        f"        _flush(_counts, {header}, _n)",
+        "        raise",
+        *("    " + line for line in writeback),
+        "    _cpu._dynamic_index = _i0 + 1",
+        f"    _fc[{rid}] += _p",
+        f"    return {target}",
+    ]
+    table.fns[header] = _define(
+        "_loop", source, values, f"<loop {program.name}:{header}-{back}>"
+    )
+    table.fns[header + 1] = _guarded(
+        decoder, header + 1, back, body_fns, table, flush
+    )
+    return True
 
 
 #: One checkpointed operand read, inlined from ``HistoryTable.read``: a
@@ -1505,14 +1670,14 @@ def _slice_cell(cpu, slices, info, pc):
     return cell
 
 
-def _tail_categories(program, region):
-    """Aggregated categories of a region's elements 1..L-1.
+def _categories(program, first, end):
+    """Aggregated categories of the instructions at pcs ``[first, end)``.
 
     Integer count increments commute, so the deferred flush can expand
-    one region hit into per-category totals without replaying order.
+    one fused hit into per-category totals without replaying order.
     """
     tally = {}
-    for pc in range(region.start + 1, region.end):
+    for pc in range(first, end):
         category = _OPCODE_CATEGORY[program.instructions[pc].opcode]
         tally[category] = tally.get(category, 0) + 1
     return tuple(tally.items())
@@ -1524,10 +1689,11 @@ class BatchedExecutionMixin:
     Mix in ahead of :class:`CPU` (or a subclass).  Fuses from
     :func:`~repro.staticcheck.regions.analyze_regions` at predecode time
     (imported lazily — the staticcheck package sits above the machine
-    layer): pure and memory regions fuse, faulting and in-slice regions
-    stay per-pc.  On amnesic machines, untraced slice traversals run
-    fused too, and RCMP renders per pc when :meth:`_rcmp_mechanism`
-    names one.  See the module docstring for the backend contract.
+    layer): proven self-loops fuse whole, other pure and memory regions
+    fuse on their own, faulting and in-slice regions stay per-pc.  On
+    amnesic machines, untraced slice traversals run fused too, and RCMP
+    renders per pc when :meth:`_rcmp_mechanism` names one.  See the
+    module docstring for the backend contract.
     """
 
     def _decoded(self):
@@ -1555,21 +1721,22 @@ class BatchedExecutionMixin:
             return table
         from ..staticcheck.regions import KIND_FAULTING, analyze_regions
 
+        analysis = analyze_regions(self.program)
         body_fns = list(fns)  # originals, for mid-region entry + guard
         flush = self._region_partial_flush
-        for region in analyze_regions(self.program).batchable_regions:
-            if region.in_slice or region.kind == KIND_FAULTING:
+        looped = set()
+        for loop in analysis.loops:
+            back_exit = self._loop_back_exit(loop.length)
+            if _fuse_loop(decoder, loop, body_fns, table, flush, back_exit):
+                looped.add(loop.body)
+        for region in analysis.batchable_regions:
+            if (
+                region in looped
+                or region.in_slice
+                or region.kind == KIND_FAULTING
+            ):
                 continue
-            rid = len(table.region_spans)
-            fused = _fuse_region(decoder, region, rid, body_fns, table, flush)
-            if fused is None:
-                continue
-            table.region_spans.append((region.start, region.end))
-            table.region_tail_cats.append(
-                _tail_categories(self.program, region)
-            )
-            table.region_counts.append(0)
-            fns[region.start] = fused
+            _fuse_region(decoder, region, body_fns, table, flush)
         return table
 
     @staticmethod
@@ -1582,6 +1749,16 @@ class BatchedExecutionMixin:
         """
         for offset in range(1, completed + 1):
             counts[start + offset] += 1
+
+    @staticmethod
+    def _loop_back_exit(length):
+        """A fused loop's loop-back budget test, as generated source.
+
+        True when the next pass, *length* instructions from ``_i0``,
+        would cross the budget ``_mx``: the loop then hands the header
+        back to the outer loop.
+        """
+        return f"_i0 + {length} > _mx"
 
     def __getstate__(self):
         # The decode holds generated functions over this instance's hot
@@ -1653,19 +1830,19 @@ class BatchedExecutionMixin:
                     by_category[category] += hits
                     flushed += hits
                 counts[index] = 0
-        region_counts = table.region_counts
-        for rid, hits in enumerate(region_counts):
+        fused_counts = table.fused_counts
+        for rid, hits in enumerate(fused_counts):
             if hits:
-                start, end = table.region_spans[rid]
-                for category, per_pass in table.region_tail_cats[rid]:
+                first, end, categories = table.fused_tails[rid]
+                for category, per_pass in categories:
                     by_category[category] += per_pass * hits
-                flushed += (end - start - 1) * hits
-                for interior in range(start + 1, end):
-                    visits[interior] += hits
-                region_counts[rid] = 0
+                flushed += (end - first) * hits
+                for index in range(first, end):
+                    visits[index] += hits
+                fused_counts[rid] = 0
         stats.dynamic_instructions += flushed
-        # Per-pc dynamic visit counts of the last run (region counts
-        # expanded), for the batching property tests.
+        # Per-pc dynamic visit counts of the last run (region and loop
+        # counts expanded), for the batching property tests.
         self._batch_visit_counts = visits[: len(visits) - 1]
         if pc >= 0:
             # Keep the architectural pc observable exactly as the

@@ -161,8 +161,8 @@ DST300 = _rule(
 # ----------------------------------------------------------------------
 REG400 = _rule(
     "REG400", "region-summary", Severity.INFO,
-    "Summary of batchable straight-line regions (the fast-backend "
-    "batching precondition).",
+    "Summary of batchable straight-line regions and self-loops (the "
+    "fast-backend batching precondition).",
 )
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,17 @@ region also carries its fault surface:
 * ``faulting`` regions contain trapping compute — batchable only with
   per-instruction fault checks.
 
+The analysis also proves the self-loops a backend may run in one
+dispatch: a conditional-branch header at ``h`` whose fall-through is a
+batchable, non-faulting, non-slice region ``[h+1, j)``, closed by a
+``JMP`` back to ``h`` at ``j`` — exactly what ``ProgramBuilder.loop``
+emits for a body without control flow or amnesic opcodes.  One pass of
+such a loop is the straight-line run ``[h, j]``: it leaves only
+through the header (taken) or a fault in the body.
+
 The batched backend runs :func:`analyze_regions` on every binary it
-decodes and fuses from that fresh analysis; ``repro lint`` reports the
-same analysis as the REG400 summary.
+decodes and fuses its regions and loops from that fresh analysis;
+``repro lint`` reports the same analysis as the REG400 summary.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
-from ..isa.opcodes import Opcode
+from ..isa.opcodes import Category, Opcode
 from ..isa.program import Program
 from .cfg import ControlFlowGraph, build_cfg
 
@@ -63,13 +71,32 @@ class Region:
         return self.end - self.start
 
 
+@dataclasses.dataclass(frozen=True)
+class Loop:
+    """One self-loop: header ``h``, body region ``[h+1, j)``, ``JMP h`` at ``j``."""
+
+    header: int
+    body: Region
+
+    @property
+    def back(self) -> int:
+        """The pc of the closing ``JMP`` (the loop-back)."""
+        return self.body.end
+
+    @property
+    def length(self) -> int:
+        """Instructions one pass retires: header, body and loop-back."""
+        return self.back - self.header + 1
+
+
 @dataclasses.dataclass
 class RegionAnalysis:
-    """Every batchable region of one program, plus coverage statistics."""
+    """Every batchable region and self-loop of one program, plus coverage."""
 
     program: str
     instructions: int
     regions: List[Region]
+    loops: List[Loop]
 
     @property
     def batchable_regions(self) -> List[Region]:
@@ -103,6 +130,7 @@ class RegionAnalysis:
             "coverage": round(self.coverage, 4),
             "max_region_length": self.max_region_length,
             "kinds": kinds,
+            "loops": len(self.loops),
         }
 
 
@@ -133,6 +161,31 @@ def _classify(program: Program, start: int, end: int) -> Region:
     )
 
 
+def _loop_around(program: Program, body: Region) -> Optional[Loop]:
+    """The self-loop *body* is the body of, or None.
+
+    The header ``h = body.start - 1`` must be a conditional branch whose
+    target resolves, and ``body.end`` a ``JMP`` whose label resolves to
+    ``h``.  The body must be batchable (two or more instructions), free
+    of trapping compute and outside every slice.
+    """
+    if body.length < 2 or body.in_slice or body.kind == KIND_FAULTING:
+        return None
+    header, back = body.start - 1, body.end
+    if header < 0 or back >= len(program.instructions):
+        return None
+    branch = program.instructions[header]
+    jump = program.instructions[back]
+    if (
+        branch.opcode.category is not Category.BRANCH
+        or branch.target not in program.labels
+        or jump.opcode is not Opcode.JMP
+        or program.labels.get(jump.target) != header
+    ):
+        return None
+    return Loop(header=header, body=body)
+
+
 def analyze_regions(
     program: Program, cfg: Optional[ControlFlowGraph] = None
 ) -> RegionAnalysis:
@@ -140,7 +193,8 @@ def analyze_regions(
 
     Basic blocks already isolate single-entry runs (any branch target
     starts a new block), so regions are blocks with control transfers
-    and amnesic opcodes split out.
+    and amnesic opcodes split out.  Each region that is the body of a
+    self-loop (see :func:`_loop_around`) also reports its loop.
     """
     if cfg is None:
         cfg = build_cfg(program)
@@ -159,10 +213,12 @@ def analyze_regions(
                 run_start = None
         if run_start is not None:
             regions.append(_classify(program, run_start, block.end))
+    loops = [_loop_around(program, region) for region in regions]
     return RegionAnalysis(
         program=program.name,
         instructions=len(program.instructions),
         regions=regions,
+        loops=[loop for loop in loops if loop is not None],
     )
 
 
@@ -173,5 +229,5 @@ def describe(analysis: RegionAnalysis) -> str:
         f"{summary['batchable_regions']} batchable region(s) cover "
         f"{summary['batchable_instructions']}/{summary['instructions']} "
         f"instruction(s) ({summary['coverage']:.0%}); longest run "
-        f"{summary['max_region_length']}"
+        f"{summary['max_region_length']}; {summary['loops']} self-loop(s)"
     )

@@ -1,6 +1,11 @@
 """Opcode table invariants."""
 
+import pickle
+
+import pytest
+
 from repro.isa import ARITY, MAX_RENAME_REQUESTS, SLICEABLE_OPCODES, Category, Opcode
+from repro.machine import Level
 
 
 def test_every_opcode_has_a_category():
@@ -53,3 +58,16 @@ def test_control_category_flags():
     assert Category.JUMP.is_control
     assert Category.HALT.is_control
     assert not Category.INT_ALU.is_control
+
+
+@pytest.mark.parametrize("enum_cls", [Opcode, Category, Level])
+def test_hot_enums_hash_by_identity(enum_cls):
+    # Enum compares by identity, so identity hashing agrees with
+    # equality; members survive pickling as the same object and find
+    # their dict entries.
+    assert enum_cls.__hash__ is object.__hash__
+    table = {member: index for index, member in enumerate(enum_cls)}
+    for index, member in enumerate(enum_cls):
+        clone = pickle.loads(pickle.dumps(member))
+        assert clone is member
+        assert table[clone] == index

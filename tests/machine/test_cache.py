@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import Cache, CacheGeometry
+from repro.machine import Cache, CacheGeometry, EvictedLine
 
 
 def small_cache(lines=4, ways=2, line_words=4):
@@ -179,3 +179,12 @@ def test_matches_reference_lru_model(accesses):
 
     resident = set(cache.resident_lines())
     assert resident == {line for lines in reference.values() for line in lines}
+
+
+def test_eviction_names_the_victim_line_and_its_dirty_bit():
+    cache = small_cache(lines=2, ways=1)  # 2 sets, one way each
+    cache.fill(0, dirty=True)
+    cache.fill(1 * 4)
+    line_address, dirty = cache.fill(2 * 4)  # same set as line 0
+    assert (line_address, dirty) == (0, True)
+    assert cache.fill(3 * 4) == EvictedLine(line_address=1, dirty=False)

@@ -8,7 +8,10 @@ drives the spec seed) and the committed regression corpus:
    overlap and never leave the program.
 2. **Purity** — no control transfer or amnesic opcode sits inside any
    region, and a region's kind faithfully reflects its fault surface
-   (``pure`` regions contain no faultable opcode at all).
+   (``pure`` regions contain no faultable opcode at all).  Every
+   reported self-loop has the claimed shape: a conditional branch
+   falling through into one batchable, non-faulting, non-slice region
+   closed by a ``JMP`` back to the branch.
 3. **Same dynamic footprint** — the batched backend visits exactly the
    per-pc dynamic instruction counts the classic interpreter does, on
    clean runs and on faulting ones (fused partial flushes and the
@@ -30,11 +33,13 @@ from repro.fuzz import (
 )
 from repro.fuzz.corpus import corpus_paths
 from repro.fuzz.oracle import DEFAULT_MAX_INSTRUCTIONS
+from repro.isa import Category, Opcode
 from repro.machine import CPU, BatchedFastCPU
 from repro.staticcheck import analyze_regions
 from repro.staticcheck.regions import (
     AMNESIC_OPCODES,
     FAULTABLE_OPCODES,
+    KIND_FAULTING,
     KIND_PURE,
 )
 
@@ -80,6 +85,23 @@ def assert_region_kinds_honest(program, analysis):
             assert opcode not in AMNESIC_OPCODES
             if region.kind == KIND_PURE:
                 assert opcode not in FAULTABLE_OPCODES
+
+
+def assert_loops_shaped(program, analysis):
+    regions = set(analysis.regions)
+    for loop in analysis.loops:
+        body = loop.body
+        assert body in regions
+        assert body.start == loop.header + 1 and body.end == loop.back
+        assert body.length >= 2
+        assert not body.in_slice and body.kind != KIND_FAULTING
+        header = program.instructions[loop.header]
+        assert header.opcode.category is Category.BRANCH
+        assert header.target in program.labels
+        back = program.instructions[loop.back]
+        assert back.opcode is Opcode.JMP
+        assert program.labels[back.target] == loop.header
+        assert loop.length == loop.back - loop.header + 1
 
 
 def classic_visit_counts(program, max_instructions):
@@ -138,6 +160,14 @@ def test_regions_partition_generated_programs(seed):
     assert_region_kinds_honest(program, analysis)
 
 
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25)
+def test_reported_loops_have_the_claimed_shape(seed):
+    program = generated_program(seed)
+    assume(program is not None)
+    assert_loops_shaped(program, analyze_regions(program))
+
+
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     budget=st.one_of(st.none(), st.integers(min_value=1, max_value=200)),
@@ -166,6 +196,15 @@ def test_corpus_program_regions_partition(path):
     program = materialize(load_entry(path).spec)
     analysis = assert_regions_partition(program)
     assert_region_kinds_honest(program, analysis)
+    assert_loops_shaped(program, analysis)
+
+
+def test_corpus_reports_loops():
+    # The shape check above is vacuous unless the corpus has loops.
+    assert any(
+        analyze_regions(materialize(load_entry(path).spec)).loops
+        for path in corpus_paths(CORPUS_DIR)
+    )
 
 
 @pytest.mark.parametrize("path", corpus_paths(CORPUS_DIR), ids=entry_ids())

@@ -4,12 +4,14 @@ from repro.isa import (
     Imm,
     Opcode,
     Program,
+    ProgramBuilder,
     Reg,
     SReg,
     SliceRegion,
     alu,
     branch,
     halt,
+    jump,
     li,
     load,
     rcmp,
@@ -90,3 +92,35 @@ def test_empty_program_has_zero_coverage():
     assert analysis.regions == []
     assert analysis.coverage == 0.0
     assert analysis.max_region_length == 0
+
+
+def test_self_loops_are_proven_and_counted():
+    b = ProgramBuilder("loops")
+    x, y = b.regs("x", "y")
+    with b.loop("i", 0, 4):  # proven: header, body [2, 4), JMP at 4
+        b.add(x, x, 1)
+    with b.loop("j", 0, 4):  # trapping DIV: the body is a faulting region
+        b.op(Opcode.DIV, y, x, 2)
+    with b.loop("k", 0, 4):  # a branch splits the body
+        with b.when(Opcode.BNE, x, 0):
+            b.add(y, y, 1)
+    program = b.build()
+    analysis = analyze_regions(program)
+    (loop,) = analysis.loops
+    assert (loop.header, loop.back, loop.length) == (1, 4, 4)
+    assert (loop.body.start, loop.body.end) == (2, 4)
+    assert analysis.summary()["loops"] == 1
+    assert "1 self-loop(s)" in describe(analysis)
+
+
+def test_back_edge_must_close_on_its_header():
+    program = Program("not-a-loop")
+    program.add_label("top", 0)
+    program.append(branch(Opcode.BGE, Reg(1), Imm(4), "out"))   # 0
+    program.append(alu(Opcode.ADD, Reg(1), Reg(1), Imm(1)))      # 1
+    program.append(alu(Opcode.ADD, Reg(2), Reg(2), Imm(1)))      # 2
+    program.append(jump("elsewhere"))                            # 3
+    program.add_label("elsewhere", 4)
+    program.add_label("out", 4)
+    program.append(halt())                                       # 4
+    assert analyze_regions(program).loops == []
