@@ -100,57 +100,62 @@ def _main(argv: Optional[List[str]] = None) -> int:
     return code
 
 
-def _add_telemetry_flags(command: argparse.ArgumentParser) -> None:
-    """Accept the global telemetry flags after the subcommand too.
-
-    ``default=SUPPRESS`` keeps a subcommand that omits the flag from
-    clobbering a value parsed at the top level (``repro --metrics run
-    mcf`` and ``repro run mcf --metrics`` are equivalent).
-    """
-    command.add_argument(
-        "--trace-out", metavar="FILE", default=argparse.SUPPRESS,
+#: The global flags, by option string: ``add_argument`` keywords.
+_GLOBAL_FLAGS = {
+    "--trace-out": dict(
+        metavar="FILE",
         help="write telemetry events (spans, RCMP decisions) as JSONL",
-    )
-    command.add_argument(
-        "--metrics", action="store_true", default=argparse.SUPPRESS,
+    ),
+    "--metrics": dict(
+        action="store_true",
         help="print the metrics registry when the command finishes",
-    )
-    command.add_argument(
-        "--timeline", type=int, metavar="N", default=argparse.SUPPRESS,
+    ),
+    "--timeline": dict(
+        type=int, metavar="N",
         help="sample SFile/Hist/IBuff/cache occupancy every N retired "
              "instructions (recorded as timeline events)",
-    )
-
-
-def _add_runner_flags(command: argparse.ArgumentParser) -> None:
-    """Accept the evaluation-engine flags after the subcommand too."""
-    command.add_argument(
-        "--jobs", type=int, metavar="N", default=argparse.SUPPRESS,
+    ),
+    "--jobs": dict(
+        type=int, metavar="N",
         help="evaluate benchmarks over N worker processes "
              "(default: $REPRO_JOBS or 1)",
-    )
-    command.add_argument(
-        "--cache-dir", metavar="DIR", default=argparse.SUPPRESS,
+    ),
+    "--cache-dir": dict(
+        metavar="DIR",
         help="persist evaluated results under DIR "
              "(default: $REPRO_CACHE_DIR or no disk cache)",
-    )
-    command.add_argument(
-        "--no-result-cache", action="store_true", default=argparse.SUPPRESS,
+    ),
+    "--no-result-cache": dict(
+        action="store_true",
         help="disable the persistent result cache even if configured",
-    )
-    command.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=argparse.SUPPRESS,
+    ),
+    "--backend": dict(
+        choices=BACKEND_NAMES,
         help="execution backend (default: $REPRO_BACKEND or classic)",
-    )
-    _add_ledger_flag(command)
-
-
-def _add_ledger_flag(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--ledger-dir", metavar="DIR", default=argparse.SUPPRESS,
+    ),
+    "--ledger-dir": dict(
+        metavar="DIR",
         help="append run manifests to the ledger under DIR "
              "(default: $REPRO_LEDGER_DIR or no ledger)",
-    )
+    ),
+}
+_TELEMETRY_FLAGS = ("--trace-out", "--metrics", "--timeline")
+
+
+def _add_global_flags(command: argparse.ArgumentParser, *flags: str) -> None:
+    """Declare the global *flags* (default: all of them) on *command*.
+
+    The top-level parser and each subcommand declare them alike, with
+    ``default=SUPPRESS``: a flag given in neither position is absent,
+    and a subcommand that omits it keeps the value parsed at the top
+    level (``repro --metrics run mcf`` and ``repro run mcf --metrics``
+    are equivalent).  Handlers read them with ``getattr(args, name,
+    None)``.
+    """
+    for flag in flags or _GLOBAL_FLAGS:
+        command.add_argument(
+            flag, default=argparse.SUPPRESS, **_GLOBAL_FLAGS[flag]
+        )
 
 
 def _runner_options(args) -> dict:
@@ -215,42 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="AMNESIAC (ASPLOS 2017) reproduction toolkit",
     )
-    parser.add_argument(
-        "--trace-out", metavar="FILE", default=None,
-        help="write telemetry events (spans, RCMP decisions) as JSONL",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true", default=False,
-        help="print the metrics registry when the command finishes",
-    )
-    parser.add_argument(
-        "--timeline", type=int, metavar="N", default=None,
-        help="sample SFile/Hist/IBuff/cache occupancy every N retired "
-             "instructions (recorded as timeline events)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, metavar="N", default=None,
-        help="evaluate benchmarks over N worker processes "
-             "(default: $REPRO_JOBS or 1)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="persist evaluated results under DIR "
-             "(default: $REPRO_CACHE_DIR or no disk cache)",
-    )
-    parser.add_argument(
-        "--no-result-cache", action="store_true", default=False,
-        help="disable the persistent result cache even if configured",
-    )
-    parser.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend (default: $REPRO_BACKEND or classic)",
-    )
-    parser.add_argument(
-        "--ledger-dir", metavar="DIR", default=None,
-        help="append run manifests to the ledger under DIR "
-             "(default: $REPRO_LEDGER_DIR or no ledger)",
-    )
+    _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command")
 
     list_cmd = sub.add_parser("list", help="list the benchmark suite")
@@ -270,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "json"), default="table",
         help="output format (json is stable for scripting)",
     )
-    _add_telemetry_flags(run_cmd)
-    _add_runner_flags(run_cmd)
+    _add_global_flags(run_cmd)
     run_cmd.set_defaults(handler=cmd_run)
 
     stats_cmd = sub.add_parser(
@@ -291,13 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (json is stable for scripting)",
     )
-    _add_telemetry_flags(stats_cmd)
-    _add_runner_flags(stats_cmd)
+    _add_global_flags(stats_cmd)
     stats_cmd.set_defaults(handler=cmd_stats)
 
     profile_cmd = sub.add_parser(
         "profile",
         help="hot-loop profile: per-opcode wall-clock and energy attribution",
+        description="Profiled dispatch always runs the classic instrumented "
+                    "loop; --backend selects everything else.",
     )
     profile_cmd.add_argument(
         "target",
@@ -324,11 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("table", "json"), default="table",
         help="output format (json is stable for scripting)",
     )
-    profile_cmd.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=argparse.SUPPRESS,
-        help="execution backend (profiled dispatch always runs the "
-             "classic instrumented loop; this selects everything else)",
-    )
+    _add_global_flags(profile_cmd, "--backend")
     profile_cmd.set_defaults(handler=cmd_profile)
 
     trace_cmd = sub.add_parser(
@@ -356,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_cmd = sub.add_parser("compile", help="show a benchmark's slices")
     compile_cmd.add_argument("benchmark")
     compile_cmd.add_argument("--scale", type=float, default=1.0)
-    _add_telemetry_flags(compile_cmd)
+    _add_global_flags(compile_cmd, *_TELEMETRY_FLAGS)
     compile_cmd.set_defaults(handler=cmd_compile)
 
     disasm_cmd = sub.add_parser("disasm", help="disassemble a benchmark")
@@ -375,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (json emits the experiment's data payload)",
     )
-    _add_telemetry_flags(experiment_cmd)
-    _add_runner_flags(experiment_cmd)
+    _add_global_flags(experiment_cmd)
     experiment_cmd.set_defaults(handler=cmd_experiment)
 
     experiments_cmd = sub.add_parser("experiments", help="list the registry")
@@ -391,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--experiments", nargs="*", default=None,
         help="experiment ids (default: every table/figure except table6)",
     )
-    _add_telemetry_flags(report_cmd)
-    _add_runner_flags(report_cmd)
+    _add_global_flags(report_cmd)
     report_cmd.set_defaults(handler=cmd_report)
 
     bench_cmd = sub.add_parser(
@@ -409,14 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (json is stable for scripting)",
     )
-    _add_telemetry_flags(bench_cmd)
-    _add_runner_flags(bench_cmd)
+    _add_global_flags(bench_cmd)
     bench_cmd.set_defaults(handler=cmd_bench)
 
     fuzz_cmd = sub.add_parser(
         "fuzz",
         help="differentially fuzz the amnesic pipeline against classic "
              "execution",
+        description="--backend names the backend under test: the reference "
+                    "always runs classic, and a non-classic backend's plain "
+                    "and amnesic runs must match it exactly.",
     )
     fuzz_cmd.add_argument(
         "--seed", type=int, default=0,
@@ -454,13 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (json is stable for scripting)",
     )
-    fuzz_cmd.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="backend under test (default: $REPRO_BACKEND or classic); "
-             "the reference always runs classic, and a non-classic "
-             "backend's plain and amnesic runs must match it exactly",
-    )
-    _add_telemetry_flags(fuzz_cmd)
+    _add_global_flags(fuzz_cmd, *_TELEMETRY_FLAGS, "--backend")
     fuzz_cmd.set_defaults(handler=cmd_fuzz)
 
     lint_cmd = sub.add_parser(
@@ -503,10 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
              "flagged with its expected rule id",
     )
     lint_cmd.add_argument(
-        "--backend", choices=BACKEND_NAMES, default=None,
-        help="execution backend for profiling runs",
-    )
-    lint_cmd.add_argument(
         "--max-findings", type=int, default=0, metavar="N",
         help="truncate each program's finding list (0 = show all)",
     )
@@ -514,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (json is stable for scripting)",
     )
-    _add_telemetry_flags(lint_cmd)
+    _add_global_flags(lint_cmd, *_TELEMETRY_FLAGS, "--backend")
     lint_cmd.set_defaults(handler=cmd_lint)
 
     runs_cmd = sub.add_parser(
@@ -526,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_list = runs_sub.add_parser(
         "list", help="table of recorded runs, most recent last"
     )
-    _add_ledger_flag(runs_list)
+    _add_global_flags(runs_list, "--ledger-dir")
     runs_list.add_argument(
         "--kind", default=None,
         help="filter by entry kind (run/stats/experiment/bench)",
@@ -551,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_show = runs_sub.add_parser(
         "show", help="every recorded field of one run"
     )
-    _add_ledger_flag(runs_show)
+    _add_global_flags(runs_show, "--ledger-dir")
     runs_show.add_argument("run_id", help="run id (unique prefixes accepted)")
     runs_show.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -562,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_diff = runs_sub.add_parser(
         "diff", help="per-field deltas between two recorded runs"
     )
-    _add_ledger_flag(runs_diff)
+    _add_global_flags(runs_diff, "--ledger-dir")
     runs_diff.add_argument("run_a", help="baseline run id (prefix ok)")
     runs_diff.add_argument("run_b", help="candidate run id (prefix ok)")
     runs_diff.add_argument(
@@ -1102,7 +1058,7 @@ def cmd_fuzz(args) -> int:
     from .fuzz import FuzzConfig, materialize, replay_corpus, run_fuzz
     from .fuzz.runner import entry_satisfied
 
-    backend = resolve_backend(args.backend)
+    backend = resolve_backend(getattr(args, "backend", None))
     policies = None
     if args.policies:
         policies = tuple(
@@ -1206,7 +1162,7 @@ def cmd_lint(args) -> int:
         cross_check=args.cross_check,
         prove_rules=args.prove_rules and corpus_dir is not None,
         self_check=True,
-        backend=args.backend,
+        backend=getattr(args, "backend", None),
     )
     text = args.format == "text"
     try:

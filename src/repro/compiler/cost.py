@@ -28,7 +28,7 @@ from ..energy.model import EnergyModel
 from ..machine.config import Level
 from ..trace.dependence import DependenceTracker
 from ..trace.profile import LoadProfiler
-from .rslice import RSlice, TemplateNode
+from .rslice import TemplateNode
 
 
 ESTIMATION_GLOBAL = "global"
@@ -130,10 +130,3 @@ class CostContext:
     def selection_cost(self, root: TemplateNode, load_pc: int) -> Cost:
         """The compiler's effective E_rc used for the swap decision."""
         return self.traversal_cost(root) + self.rec_amortization(root, load_pc)
-
-    # ------------------------------------------------------------------
-    # Decisions.
-    # ------------------------------------------------------------------
-    def is_profitable(self, rslice: RSlice) -> bool:
-        """The paper's criterion: E_rc must remain below E_ld (energy)."""
-        return rslice.selection_cost.energy_nj < rslice.estimated_load_cost.energy_nj

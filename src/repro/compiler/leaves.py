@@ -60,11 +60,6 @@ class ValidationReport:
     missing_checkpoints: int = 0
     checkpoint_load_pcs: Tuple[int, ...] = ()
 
-    @property
-    def always_recomputable(self) -> bool:
-        """True when every observed instance could have been recomputed."""
-        return self.valid and self.missing_checkpoints == 0
-
 
 class _MissingCheckpoint(ReproError):
     """The template references a leaf that has not executed yet."""

@@ -71,13 +71,16 @@ class _LateFlushMixin(BatchedExecutionMixin):
     """Bug: a fused region's count flush stops short across a fault.
 
     Classic counts an instruction *before* executing it, so when element
-    ``completed`` of a fused region faults, that element must still be
-    counted.  This batcher flushes only the elements that finished —
-    exactly the off-by-one a hand-rolled batching loop is most likely to
-    get wrong — so ``dynamic_instructions`` and ``by_category`` come up
-    one short on any mid-region fault while registers, memory, and the
-    fault itself stay classic-identical.  The equivalence oracle and the
-    fastpath-region suite must both catch it.
+    ``completed`` of a fused region or loop faults (a memory fault or an
+    arithmetic trap), that element must still be counted.  This batcher
+    flushes only the elements that finished — exactly the off-by-one a
+    hand-rolled batching loop is most likely to get wrong — so
+    ``dynamic_instructions`` and ``by_category`` come up one short on
+    any fused fault past the first element while registers, memory, and
+    the fault itself stay classic-identical.  Budget trips never reach
+    this flush: they land on per-pc functions.  The equivalence oracle
+    (on the ``batch-pure-trap`` corpus entry), fuzz campaigns and the
+    fastpath-region suite must all catch it.
     """
 
     @staticmethod

@@ -144,7 +144,7 @@ def random_spec(
     # Occasionally schedule an arithmetic fault inside the loop body —
     # sometimes live (at < iterations: the classic run faults mid-region
     # and every backend must match it exactly), sometimes dormant (the
-    # DIV still forces the batcher's faulting-region fallback).
+    # DIV still sits in the batcher's fused code and must never trap).
     if produced and rng.random() < 0.12:
         live = rng.random() < 0.5
         at = (

@@ -4,9 +4,12 @@
 deterministic program stream of a campaign seed, feeds each spec to the
 differential oracle, greedily shrinks any failure, and banks the
 minimised counterexample into the corpus directory (deduplicated by
-spec digest).  Progress is reported through the existing telemetry
-registry — ``fuzz.programs``, ``fuzz.oracle.mismatches``, and
-``fuzz.shrink.steps`` are the counters the ISSUE names — so
+spec digest).  A program whose classic run faults is counted invalid,
+yet a backend that faults differently on it is a failure like any
+other; its entry is banked with ``expect="classic-fault"``.  Progress
+is reported through the existing telemetry registry —
+``fuzz.programs``, ``fuzz.oracle.mismatches``, and
+``fuzz.shrink.steps`` are the campaign's counters — so
 ``repro fuzz --metrics`` summarises a campaign with no extra plumbing.
 
 :func:`replay_corpus` is the CI half: re-run every committed entry and
@@ -24,7 +27,13 @@ from ..core.backend import DEFAULT_BACKEND, Backend, resolve_backend
 from ..core.policies import POLICY_NAMES
 from ..energy import EnergyModel
 from ..telemetry.runtime import get_telemetry
-from .corpus import EXPECT_CLASSIC_FAULT, CorpusEntry, load_corpus, save_entry
+from .corpus import (
+    EXPECT_CLASSIC_FAULT,
+    EXPECT_OK,
+    CorpusEntry,
+    load_corpus,
+    save_entry,
+)
 from .generator import program_seed, random_spec
 from .oracle import (
     DEFAULT_MAX_INSTRUCTIONS,
@@ -151,8 +160,9 @@ def run_fuzz(
             if verdict.invalid:
                 result.invalid += 1
                 telemetry.counter("fuzz.invalid").inc()
-                continue
-            if verdict.ok:
+            # A program whose classic run faults is invalid, but a
+            # backend that faults differently on it still failed.
+            if not verdict.is_counterexample:
                 continue
 
             telemetry.counter("fuzz.oracle.mismatches").inc(
@@ -209,12 +219,17 @@ def _reduce_and_bank(
             backend = resolve_backend(config.backend).name
             if backend != DEFAULT_BACKEND:
                 command += f" --backend {backend}"
+            # A counterexample whose classic run faults pins fault
+            # parity: a fixed backend replays it as invalid, not ok.
             entry = CorpusEntry(
                 spec=shrunk.replace(name=f"cx-{digest}"),
                 description="; ".join(
                     str(failure) for failure in final_verdict.failures
                 ),
                 source=f"{command} (program seed {spec.seed})",
+                expect=(
+                    EXPECT_CLASSIC_FAULT if final_verdict.invalid else EXPECT_OK
+                ),
             )
             corpus_path = str(save_entry(config.corpus_dir, entry))
             get_telemetry().counter("fuzz.corpus.saved").inc()

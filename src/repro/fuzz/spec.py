@@ -170,10 +170,10 @@ class Trap:
     Lowers to ``SUB a, i, at; DIV temp, temp, a``, so the divisor hits
     zero exactly when the loop counter reaches ``at``.  This is the
     batching-adversarial statement: the DIV sits inside a straight-line
-    run, so a region-batching backend must either fall back (the run's
-    region is ``faulting``) or fault mid-region with classic-exact
-    instruction counts and pc.  ``at >= iterations`` never fires — the
-    spec runs clean but still forces the faulting-region fallback.
+    run that a region-batching backend fuses, so it must fault
+    mid-region with classic-exact instruction counts and pc.  ``at >=
+    iterations`` never fires — the spec runs clean, through fused code
+    that holds a trapping element.
     """
 
     temp: str

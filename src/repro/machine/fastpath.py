@@ -26,9 +26,11 @@ description renders five ways:
   through the tracker's append side
   (:meth:`~repro.trace.dependence.DependenceTracker.columns`), at the
   point the classic handler calls ``_emit``, so no event is built;
-* **fused regions** — statically proven straight-line runs (see
-  :mod:`repro.staticcheck.regions`) concatenated into one generated
-  function, with accumulators hoisted into locals;
+* **fused regions** — every statically proven straight-line run outside
+  a slice (see :mod:`repro.staticcheck.regions`) concatenated into one
+  generated function, with accumulators hoisted into locals; the
+  ``mark`` of each element that can fault (``LD``, ``ST``, trapping
+  compute) records its offset for the fault path;
 * **fused loops** — statically proven self-loops (a branch header, one
   batchable body region, a ``JMP`` back): header, body and loop-back
   rendered as one pass inside a ``while`` loop, where the header's
@@ -154,8 +156,9 @@ _BRANCH_OPS = {
     Opcode.BGE: ">=",
 }
 
-#: Compute opcodes whose evaluator can raise a MachineFault; the call is
-#: wrapped to re-raise it tagged with the faulting pc.
+#: Compute opcodes whose evaluator can raise a MachineFault; their
+#: description marks a fault point, and the call is wrapped to re-raise
+#: the fault tagged with the faulting pc.
 _FAULTABLE_COMPUTE = frozenset(
     {Opcode.DIV, Opcode.REM, Opcode.FDIV, Opcode.FSQRT}
 )
@@ -438,11 +441,13 @@ def _compute_description(opcode, kinds):
     (see :func:`_const_kind`), which stays a literal.  The inline form
     runs when its guard holds and the evaluator otherwise; the charge
     is tagged ``time`` so concurrent-offload slices can hide latency.
+    A trapping opcode leads with its fault ``mark``, as ``LD``/``ST`` do.
     """
     args = [f"_y{n}" if kind == "rt" else f"$s{n}" for n, kind in enumerate(kinds)]
     lines = [f"_y{n} = $s{n}" for n, kind in enumerate(kinds) if kind == "rt"]
     call = [f"_x = $ev({', '.join(args)})"]
     if opcode in _FAULTABLE_COMPUTE:
+        lines.insert(0, ("mark", ""))
         call = [
             "try:",
             "    " + call[0],
@@ -1090,25 +1095,24 @@ def _off_end(pc):
 #
 # The hazards a fused region or loop must keep byte-identical:
 #
-# * **Faults mid-region** — on any exception the fused function writes
-#   its accumulators back, restores ``_dynamic_index`` to the number of
-#   *completed* elements, counts the elements classic would have counted
-#   (count-before-execute includes the faulting one), records the
-#   faulting pc for the outer loop, and re-raises.  A loop pass is a
-#   region ``[h, j]`` whose element 0 is the header, so a fault in pass
-#   ``p`` takes the same path after the ``p - 1`` completed passes.
-# * **Budget exhaustion mid-region** — the fused body runs only after a
-#   hoisted ``index + length <= max_instructions`` check; otherwise the
-#   region executes element by element through the per-pc functions
-#   with the classic per-instruction budget check (and the classic
-#   "fault before counting the pending instruction" order).  A loop
-#   checks its budget once per pass: it enters only when a whole pass
-#   fits, and when the next pass would cross the budget it writes back
-#   and returns ``h``, so the outer loop's classic check raises at the
-#   classic pc.  Entered with less than a pass left, it runs only the
-#   header's per-pc function; the body start keeps an uncompiled
-#   guarded entry (the element-by-element path), so a trip inside the
-#   body counts through the same partial flush as a region's.
+# * **Faults mid-region** — every element that can fault (``LD``,
+#   ``ST``, trapping compute) marks its offset in ``_n`` first; on any
+#   exception the fused function writes its accumulators back, restores
+#   ``_dynamic_index`` to the number of *completed* elements, counts the
+#   elements classic would have counted (count-before-execute includes
+#   the faulting one), records the faulting pc for the outer loop, and
+#   re-raises.  A loop pass is a region ``[h, j]`` whose element 0 is
+#   the header, so a fault in pass ``p`` takes the same path after the
+#   ``p - 1`` completed passes.
+# * **Budget exhaustion** — a fused region runs only after a hoisted
+#   ``index + length <= max_instructions`` check; otherwise it runs its
+#   first element's per-pc function and returns, and the rest of the
+#   region runs per pc under the outer loop's classic per-instruction
+#   check.  A loop checks its budget once per pass: it enters only when
+#   a whole pass fits, and when the next pass would cross the budget it
+#   writes back and returns ``h``; entered with less than a pass left,
+#   it runs only the header's per-pc function.  Either way the outer
+#   loop's check raises at the classic pc with classic counts.
 # * **Loop exits** — the header taken returns its target; the pass
 #   budget and faults exit as above.  Accumulators are hoisted once per
 #   loop entry and written back on every exit.
@@ -1121,10 +1125,9 @@ def _off_end(pc):
 # * **Traced/timeline/profiled runs** — traced runs decode per-pc only;
 #   timeline and profiled runs, and tracers without trace columns, take
 #   the classic loops.
-# * **Mid-region entry** — a JR can land inside a region at runtime, so
-#   every non-start pc keeps its per-pc function; only the region start
-#   dispatches the fused body.  A loop body start keeps its guarded
-#   entry.
+# * **Entry by JR** — only a region start or loop header dispatches
+#   fused code; every other pc, a loop body start included, keeps its
+#   per-pc function, so a JR into a region or loop body runs per pc.
 #
 # ``_decode`` fuses from a fresh analysis of the program it decodes, so
 # what fuses depends on that program alone.
@@ -1180,50 +1183,6 @@ class _BatchTable:
         self.fused_counts.append(0)
         self.fused_tails.append((first, end, _categories(program, first, end)))
         return len(self.fused_counts) - 1
-
-
-def _run_region_guarded(cpu, body, start, counts, table, flush):
-    """Element-by-element region execution near the budget ceiling.
-
-    Mirrors the classic loop for elements 1..L-1: budget check *before*
-    counting the pending instruction, count before execute (element 0
-    was already counted and budget-checked by the outer loop).  Counting
-    is deferred through *flush* — the same overridable partial flush the
-    fused fault path uses — so a broken flush implementation diverges on
-    budget faults too, not only on fused memory faults.  A budget trip
-    at offset ``k`` therefore flushes offsets 1..k-1 (the pending
-    element is never counted); an execution fault at offset ``k``
-    flushes 1..k (count-before-execute includes the faulting element).
-    """
-    max_instructions = cpu.max_instructions
-    pc = start
-    for offset, fn in enumerate(body):
-        if offset and cpu._dynamic_index >= max_instructions:
-            flush(counts, start, offset - 1)
-            table.fault_pc = pc
-            raise ExecutionLimitExceeded(
-                f"exceeded {max_instructions} dynamic instructions",
-                pc=pc,
-            )
-        try:
-            fn()
-        except BaseException:
-            flush(counts, start, offset)
-            table.fault_pc = pc
-            raise
-        pc += 1
-    flush(counts, start, len(body) - 1)
-    return pc
-
-
-def _guarded(decoder, start, end, body_fns, table, flush):
-    """The element-by-element entry of region ``[start, end)``."""
-
-    def guard(cpu=decoder.cpu, body=tuple(body_fns[start:end]), start=start,
-              counts=table.counts, table=table, flush=flush):
-        return _run_region_guarded(cpu, body, start, counts, table, flush)
-
-    return guard
 
 
 def _fused_lines(decoder, pc, values, families, hooks):
@@ -1282,8 +1241,8 @@ def _fused_lines(decoder, pc, values, families, hooks):
 def _fused_body(decoder, start, end, values, keys, first_mark):
     """Lines of the fusable run ``[start, end)``; None if one won't render.
 
-    Each memory access marks its fault point as ``_n``, counted from
-    *first_mark* at ``start``.
+    Each element that can fault marks its fault point as ``_n``,
+    counted from *first_mark* at ``start``.
     """
     lines = []
     for pc in range(start, end):
@@ -1298,11 +1257,13 @@ def _fused_body(decoder, start, end, values, keys, first_mark):
     return lines
 
 
-def _fuse_region(decoder, region, body_fns, table, flush):
+def _fuse_region(decoder, region, table, flush):
     """Install the single-dispatch function of one batchable region.
 
-    Installs nothing when an element cannot be rendered (odd operands,
-    missing evaluator) — the region then simply stays per-pc.
+    Entered with less budget than its length, it runs only its first
+    element's per-pc function.  Installs nothing when an element cannot
+    be rendered (odd operands, missing evaluator) — the region then
+    simply stays per-pc.
     """
     program = decoder.program
     start, end = region.start, region.end
@@ -1324,13 +1285,12 @@ def _fuse_region(decoder, region, body_fns, table, flush):
     values.update((name, decoder.env[name]) for name in homes)
     values.update(
         _counts=table.counts, _fc=table.fused_counts, _tbl=table,
-        _flush=flush,
-        _guard=_guarded(decoder, start, end, body_fns, table, flush),
+        _flush=flush, _first=table.fns[start],
     )
     source = [
         "    _i0 = _cpu._dynamic_index",
         f"    if _i0 + {length} > _cpu.max_instructions:",
-        "        return _guard()",
+        "        return _first()",
         "    _n = 0",
         *("    " + line for line in prologue),
         "    try:",
@@ -1352,16 +1312,18 @@ def _fuse_region(decoder, region, body_fns, table, flush):
     table.region_spans.append((start, end))
 
 
-def _fuse_loop(decoder, loop, body_fns, table, flush, back_exit):
+def _fuse_loop(decoder, loop, table, flush, back_exit):
     """Install the one-dispatch function of one self-loop at its header.
 
     One pass is the header, the body region and the loop-back ``JMP``,
     rendered from their descriptions: the header's taken ``goto``
     leaves the ``while`` loop and the loop-back's falls into the next
     pass.  *back_exit* is the loop-back's budget test, true when the
-    next pass must not run fused.  The body start gets the guarded
-    entry.  Returns whether the loop fused: when an element cannot be
-    rendered, nothing is installed and the body region fuses on its own.
+    next pass must not run fused.  Entered with less than a pass left,
+    it runs only the header's per-pc function; the body start keeps its
+    per-pc function.  Returns whether the loop fused: when an element
+    cannot be rendered, nothing is installed and the body region fuses
+    on its own.
     """
     program = decoder.program
     header, back, length = loop.header, loop.back, loop.length
@@ -1383,7 +1345,7 @@ def _fuse_loop(decoder, loop, body_fns, table, flush, back_exit):
     values.update((name, decoder.env[name]) for name in homes)
     values.update(
         _counts=table.counts, _fc=table.fused_counts, _tbl=table,
-        _flush=flush, _hdr=body_fns[header],
+        _flush=flush, _hdr=table.fns[header],
     )
     source = [
         "    _i0 = _cpu._dynamic_index",
@@ -1418,9 +1380,6 @@ def _fuse_loop(decoder, loop, body_fns, table, flush, back_exit):
     ]
     table.fns[header] = _define(
         "_loop", source, values, f"<loop {program.name}:{header}-{back}>"
-    )
-    table.fns[header + 1] = _guarded(
-        decoder, header + 1, back, body_fns, table, flush
     )
     return True
 
@@ -1689,8 +1648,8 @@ class BatchedExecutionMixin:
     Mix in ahead of :class:`CPU` (or a subclass).  Fuses from
     :func:`~repro.staticcheck.regions.analyze_regions` at predecode time
     (imported lazily — the staticcheck package sits above the machine
-    layer): proven self-loops fuse whole, other pure and memory regions
-    fuse on their own, faulting and in-slice regions stay per-pc.  On
+    layer): proven self-loops fuse whole, every other batchable region
+    outside a slice fuses on its own, and in-slice regions stay per-pc.  On
     amnesic machines, untraced slice traversals run fused too, and RCMP
     renders per pc when :meth:`_rcmp_mechanism` names one.  See the
     module docstring for the backend contract.
@@ -1719,24 +1678,18 @@ class BatchedExecutionMixin:
             # kept the trace alive until a full collection, raising
             # lint-suite peak RSS by 25-31%.
             return table
-        from ..staticcheck.regions import KIND_FAULTING, analyze_regions
+        from ..staticcheck.regions import analyze_regions
 
         analysis = analyze_regions(self.program)
-        body_fns = list(fns)  # originals, for mid-region entry + guard
         flush = self._region_partial_flush
         looped = set()
         for loop in analysis.loops:
             back_exit = self._loop_back_exit(loop.length)
-            if _fuse_loop(decoder, loop, body_fns, table, flush, back_exit):
+            if _fuse_loop(decoder, loop, table, flush, back_exit):
                 looped.add(loop.body)
         for region in analysis.batchable_regions:
-            if (
-                region in looped
-                or region.in_slice
-                or region.kind == KIND_FAULTING
-            ):
-                continue
-            _fuse_region(decoder, region, body_fns, table, flush)
+            if region not in looped and not region.in_slice:
+                _fuse_region(decoder, region, table, flush)
         return table
 
     @staticmethod

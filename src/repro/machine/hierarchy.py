@@ -48,10 +48,6 @@ class HierarchyStats:
     def total_loads(self) -> int:
         return sum(self.loads_by_level.values())
 
-    @property
-    def total_stores(self) -> int:
-        return sum(self.stores_by_level.values())
-
     def load_fractions(self) -> Dict[Level, float]:
         """Fraction of loads serviced per level (the paper's PrLi)."""
         total = self.total_loads

@@ -21,7 +21,7 @@ possibility instead of failing (rule CFG003 reports it).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from ..isa.instructions import Instruction
 from ..isa.opcodes import Category, Opcode
@@ -170,9 +170,6 @@ class ControlFlowGraph:
     def instruction_at(self, pc: int) -> Instruction:
         return self.program.instructions[pc]
 
-    def block_containing(self, pc: int) -> BasicBlock:
-        return self.blocks[self.block_of[pc]]
-
     def reachable_pcs(self, entry: int = 0) -> FrozenSet[int]:
         """All pcs reachable from *entry* along CFG edges."""
         if not self.program.instructions:
@@ -210,9 +207,6 @@ class ControlFlowGraph:
         for pc in range(len(self.program.instructions)):
             if self.program.slice_containing(pc) is None:
                 yield pc
-
-    def edge_pairs(self) -> List[Tuple[int, int]]:
-        return [(edge.src, edge.dst) for edge in self.edges]
 
 
 def build_cfg(program: Program) -> ControlFlowGraph:

@@ -7,25 +7,17 @@ dispatch units, and needs exactly the guarantee this module derives
 statically: a maximal run of instructions with one entry (no branch
 target lands mid-run), one exit (no control transfer inside), and no
 amnesic opcode (``RCMP``/``REC``/``RTN`` touch Hist and the scheduler).
-Within a run the only per-instruction hazards left are faults, so each
-region also carries its fault surface:
-
-* ``pure`` regions contain no instruction that can fault (no memory
-  access, no ``DIV``/``REM``/``FDIV``/``FSQRT``) — a backend may execute
-  the whole run after a single hoisted budget/length check;
-* ``memory`` regions touch memory but are otherwise branch-free — a
-  backend must keep per-access fault precision but can still skip
-  per-instruction control-flow dispatch;
-* ``faulting`` regions contain trapping compute — batchable only with
-  per-instruction fault checks.
+Within a run the only per-instruction hazards left are faults (memory
+accesses and trapping compute), which the backend handles by marking
+each fault point, so every such run outside a slice fuses.
 
 The analysis also proves the self-loops a backend may run in one
 dispatch: a conditional-branch header at ``h`` whose fall-through is a
-batchable, non-faulting, non-slice region ``[h+1, j)``, closed by a
-``JMP`` back to ``h`` at ``j`` — exactly what ``ProgramBuilder.loop``
-emits for a body without control flow or amnesic opcodes.  One pass of
-such a loop is the straight-line run ``[h, j]``: it leaves only
-through the header (taken) or a fault in the body.
+batchable, non-slice region ``[h+1, j)``, closed by a ``JMP`` back to
+``h`` at ``j`` — exactly what ``ProgramBuilder.loop`` emits for a body
+without control flow or amnesic opcodes.  One pass of such a loop is
+the straight-line run ``[h, j]``: it leaves only through the header
+(taken) or a fault in the body.
 
 The batched backend runs :func:`analyze_regions` on every binary it
 decodes and fuses its regions and loops from that fresh analysis;
@@ -35,23 +27,14 @@ decodes and fuses its regions and loops from that fresh analysis;
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..isa.opcodes import Category, Opcode
 from ..isa.program import Program
 from .cfg import ControlFlowGraph, build_cfg
 
-#: Opcodes that can raise at runtime (memory faults, arithmetic traps).
-FAULTABLE_OPCODES = frozenset(
-    {Opcode.LD, Opcode.ST, Opcode.DIV, Opcode.REM, Opcode.FDIV, Opcode.FSQRT}
-)
-
 #: Opcodes that interact with the amnesic machinery; never batchable.
 AMNESIC_OPCODES = frozenset({Opcode.RCMP, Opcode.RTN, Opcode.REC})
-
-KIND_PURE = "pure"
-KIND_MEMORY = "memory"
-KIND_FAULTING = "faulting"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,11 +43,8 @@ class Region:
 
     start: int
     end: int  # exclusive
-    kind: str  # KIND_PURE | KIND_MEMORY | KIND_FAULTING
     in_slice: bool
     slice_id: Optional[int]
-    memory_ops: int
-    faultable_ops: int
 
     @property
     def length(self) -> int:
@@ -119,9 +99,6 @@ class RegionAnalysis:
         return max((region.length for region in self.regions), default=0)
 
     def summary(self) -> dict:
-        kinds: Dict[str, int] = {KIND_PURE: 0, KIND_MEMORY: 0, KIND_FAULTING: 0}
-        for region in self.batchable_regions:
-            kinds[region.kind] += 1
         return {
             "instructions": self.instructions,
             "regions": len(self.regions),
@@ -129,35 +106,17 @@ class RegionAnalysis:
             "batchable_instructions": self.batchable_instructions,
             "coverage": round(self.coverage, 4),
             "max_region_length": self.max_region_length,
-            "kinds": kinds,
             "loops": len(self.loops),
         }
 
 
-def _classify(program: Program, start: int, end: int) -> Region:
-    memory_ops = 0
-    faultable_ops = 0
-    for pc in range(start, end):
-        opcode = program.instructions[pc].opcode
-        if opcode in (Opcode.LD, Opcode.ST):
-            memory_ops += 1
-        if opcode in FAULTABLE_OPCODES:
-            faultable_ops += 1
-    if faultable_ops == 0:
-        kind = KIND_PURE
-    elif faultable_ops == memory_ops:
-        kind = KIND_MEMORY
-    else:
-        kind = KIND_FAULTING
+def _region(program: Program, start: int, end: int) -> Region:
     region = program.slice_containing(start)
     return Region(
         start=start,
         end=end,
-        kind=kind,
         in_slice=region is not None,
         slice_id=region.slice_id if region is not None else None,
-        memory_ops=memory_ops,
-        faultable_ops=faultable_ops,
     )
 
 
@@ -166,10 +125,10 @@ def _loop_around(program: Program, body: Region) -> Optional[Loop]:
 
     The header ``h = body.start - 1`` must be a conditional branch whose
     target resolves, and ``body.end`` a ``JMP`` whose label resolves to
-    ``h``.  The body must be batchable (two or more instructions), free
-    of trapping compute and outside every slice.
+    ``h``.  The body must be batchable (two or more instructions) and
+    outside every slice.
     """
-    if body.length < 2 or body.in_slice or body.kind == KIND_FAULTING:
+    if body.length < 2 or body.in_slice:
         return None
     header, back = body.start - 1, body.end
     if header < 0 or back >= len(program.instructions):
@@ -209,10 +168,10 @@ def analyze_regions(
             if batchable and run_start is None:
                 run_start = pc
             elif not batchable and run_start is not None:
-                regions.append(_classify(program, run_start, pc))
+                regions.append(_region(program, run_start, pc))
                 run_start = None
         if run_start is not None:
-            regions.append(_classify(program, run_start, block.end))
+            regions.append(_region(program, run_start, block.end))
     loops = [_loop_around(program, region) for region in regions]
     return RegionAnalysis(
         program=program.name,

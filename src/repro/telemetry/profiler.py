@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 #: Default sampling stride for ``repro profile`` (use 1 for exact mode).
@@ -233,16 +232,3 @@ def render_profile(
                 f"(delta {reconciliation['energy_delta_nj']:.3g}nJ)"
             )
     return "\n".join(lines)
-
-
-def phase_breakdown(profiler: HotLoopProfiler) -> Dict[str, Dict[str, float]]:
-    """Wall/energy grouped by pipeline phase (run label) — the coarse cut."""
-    phases: Dict[str, Dict[str, float]] = defaultdict(
-        lambda: {"wall_s": 0.0, "energy_nj": 0.0, "instructions": 0}
-    )
-    for row in profiler.rows():
-        phase = phases[row.run]
-        phase["wall_s"] += row.wall_s
-        phase["energy_nj"] += row.energy_nj
-        phase["instructions"] += row.instructions
-    return dict(phases)

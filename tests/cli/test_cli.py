@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import main
+from repro.cli import build_parser, main
 
 SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -81,6 +81,15 @@ def test_backend_flag_rejects_unknown_names(capsys):
     with pytest.raises(SystemExit):
         main(["run", "bfs", "--backend", "turbo"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["fuzz"], ["lint"], ["run", "mcf"]])
+def test_backend_flag_reaches_the_command_in_both_positions(command):
+    parser = build_parser()
+    before = parser.parse_args(["--backend", "fast-batched", *command])
+    after = parser.parse_args([*command, "--backend", "fast-batched"])
+    assert before.backend == after.backend == "fast-batched"
+    assert not hasattr(parser.parse_args(command), "backend")
 
 
 def test_run_unknown_benchmark(capsys):

@@ -7,7 +7,8 @@ from repro.fuzz import (
     replay_corpus,
     run_fuzz,
 )
-from repro.fuzz.faults import SKIP_HIST_READ
+from repro.fuzz.corpus import EXPECT_CLASSIC_FAULT
+from repro.fuzz.faults import LATE_FLUSH, SKIP_HIST_READ
 from repro.telemetry.runtime import telemetry_session
 
 
@@ -138,3 +139,28 @@ def test_replay_corpus_runs_every_entry(tmp_path):
     )
     assert not buggy.ok
     assert len(buggy.failures) == 1
+
+
+def test_fault_parity_counterexamples_are_banked(tmp_path):
+    # Program 0 of seed 0 traps under classic, so its verdict is
+    # invalid; the broken batcher still miscounts the fused trap.
+    model = default_fuzz_model()
+    corpus_dir = str(tmp_path / "corpus")
+    config = FuzzConfig(
+        seed=0,
+        iterations=5,
+        policies=("Compiler",),
+        backend=LATE_FLUSH,
+        max_counterexamples=1,
+        corpus_dir=corpus_dir,
+    )
+    result = run_fuzz(config, model=model)
+    (cx,) = result.counterexamples
+    assert cx.verdict.invalid and cx.verdict.failures
+    assert cx.shrink_steps >= 1
+    (entry,) = load_corpus(corpus_dir)
+    assert entry.spec.digest() == cx.shrunk.digest()
+    assert entry.expect == EXPECT_CLASSIC_FAULT
+    # The fixed batcher reproduces the classic fault exactly.
+    assert replay_corpus(corpus_dir, model=model, backend="fast-batched").ok
+    assert not replay_corpus(corpus_dir, model=model, backend=LATE_FLUSH).ok

@@ -96,9 +96,9 @@ def test_budget_sweep_across_loop_passes():
     """Every budget from 1 to past clean completion matches classic.
 
     The sweep lands the budget on the header (the outer loop's check
-    after a loop-back exit), inside the body (the guarded entry) and on
-    the loop-back ``JMP``; each must reproduce the classic fault pc,
-    message, counts and accounts exactly.
+    after a loop-back exit), inside the body (run per pc once the header
+    ran alone) and on the loop-back ``JMP``; each must reproduce the
+    classic fault pc, message, counts and accounts exactly.
     """
     program = loop_kernel()
     clean = CPU(program, make_model())

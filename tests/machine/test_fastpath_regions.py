@@ -5,14 +5,14 @@ The batched backend consumes the static region analysis
 batchable straight-line run into a single dispatch.  Its contract is
 the per-pc fast path's contract, unchanged: architectural state, RunStats,
 cache state, energy/time accounts, and fault type/message/pc must all
-be byte-for-byte the classic interpreter's — including when a fault or
-the instruction budget lands *inside* a fused region, when a JR enters
-a region mid-run, and when a region runs to the very end of the
-program.  These tests pin that contract on hand-built adversarial
-programs and on every suite kernel; they also prove the test layer has
-teeth by running the deliberately broken late-flush batcher
-(``repro.fuzz.faults``) and asserting both this suite and the
-differential oracle catch it.
+be byte-for-byte the classic interpreter's — including when a memory
+fault, an arithmetic trap or the instruction budget lands *inside* a
+fused region, when a JR enters a region mid-run, and when a region runs
+to the very end of the program.  These tests pin that contract on
+hand-built adversarial programs and on every suite kernel; they also
+prove the test layer has teeth by running the deliberately broken
+late-flush batcher (``repro.fuzz.faults``) and asserting both this
+suite and the differential oracle catch it.
 """
 
 import dataclasses
@@ -32,6 +32,7 @@ from repro.errors import (
 from repro.fuzz import (
     LateFlushBatchedCPU,
     check_program,
+    check_spec,
     default_fuzz_model,
     load_entry,
     materialize,
@@ -175,9 +176,9 @@ def test_budget_sweep_across_region_boundaries():
     """Every budget from 1 to past-clean-completion matches classic.
 
     The sweep necessarily lands budgets on region starts, region
-    interiors (the guarded element-by-element path), and non-region
-    pcs; each one must reproduce the classic fault pc, message, counts,
-    and accounts exactly.
+    interiors (reached per pc after a fused entry that ran only its
+    first element), and non-region pcs; each one must reproduce the
+    classic fault pc, message, counts, and accounts exactly.
     """
     program = hot_region_kernel(iterations=4)
     clean = CPU(program, make_model())
@@ -250,19 +251,30 @@ def test_aliasing_stores_within_one_region():
     assert any(end - start >= 6 for start, end in fused_spans(batched))
 
 
-def test_faulting_region_stays_per_pc():
+def test_trapping_region_fuses():
     b = ProgramBuilder("div-region")
     x, y = b.regs("x", "y")
     b.li(x, 5)
     b.li(y, 0)
-    b.op(Opcode.DIV, x, x, y)
+    b.op(Opcode.DIV, x, x, y)  # ArithmeticFault at fused offset 2
     b.halt()
-    (classic, err), (batched, _) = run_both(b.build())
+    program = b.build()
+    (classic, err), (batched, _) = run_both(program)
     assert isinstance(err, ArithmeticFault)
     assert_state_equal(classic, batched)
-    # DIV makes the run a faulting region: never fused, dispatched
-    # through the original per-pc closures.
-    assert fused_spans(batched) == []
+    # The DIV marks its fault point, so the run fuses and the trap takes
+    # the fused fault path.
+    assert fused_spans(batched) == [(0, 3)]
+    assert classic.stats.dynamic_instructions == 3
+    # The broken flush drops exactly the trapping element's count.
+    bad = LateFlushBatchedCPU(program, make_model())
+    with pytest.raises(ArithmeticFault):
+        bad.run()
+    assert (
+        bad.stats.dynamic_instructions
+        == classic.stats.dynamic_instructions - 1
+    )
+    assert bad.registers == classic.registers
 
 
 def test_repeated_runs_flush_clean():
@@ -393,14 +405,18 @@ def test_slice_abort_parity_across_backends(kernel, position):
 # ----------------------------------------------------------------------
 
 
-def budget_edge_entry():
+def corpus_entry(stem):
     paths = [
         path
         for path in corpus_paths(CORPUS_DIR)
-        if path.name.startswith("batch-budget-edge")
+        if path.name.startswith(stem + "-")
     ]
-    assert paths, "corpus lost the batch-budget-edge shape"
+    assert paths, f"corpus lost the {stem} shape"
     return load_entry(paths[0])
+
+
+def budget_edge_entry():
+    return corpus_entry("batch-budget-edge")
 
 
 def test_late_flush_batcher_caught_on_fused_memory_fault():
@@ -431,38 +447,6 @@ def test_late_flush_batcher_caught_on_fused_memory_fault():
     assert bad.memory.snapshot() == classic.memory.snapshot()
 
 
-def test_late_flush_batcher_caught_on_budget_fault():
-    program = hot_region_kernel(iterations=4)
-    spans = fused_spans(BatchedFastCPU(program, make_model()))
-    caught = 0
-    for budget in range(1, 40):
-        classic = CPU(program, make_model(), max_instructions=budget)
-        try:
-            classic.run()
-        except ExecutionLimitExceeded:
-            pass
-        else:
-            break
-        # Divergence needs the budget to trip at fused offset >= 2 (at
-        # offsets 0/1 both flush variants count nothing).
-        if not any(
-            classic.pc - start >= 2 and classic.pc < end
-            for start, end in spans
-        ):
-            continue
-        bad = LateFlushBatchedCPU(
-            program, make_model(), max_instructions=budget
-        )
-        with pytest.raises(ExecutionLimitExceeded):
-            bad.run()
-        assert (
-            bad.stats.dynamic_instructions
-            < classic.stats.dynamic_instructions
-        )
-        caught += 1
-    assert caught > 0, "no budget landed deep enough inside a fused region"
-
-
 def test_oracle_passes_the_good_batcher_on_the_budget_edge():
     entry = budget_edge_entry()
     verdict = check_program(
@@ -478,17 +462,17 @@ def test_oracle_passes_the_good_batcher_on_the_budget_edge():
 
 
 def test_oracle_catches_the_late_flush_batcher():
-    entry = budget_edge_entry()
-    verdict = check_program(
-        materialize(entry.spec),
-        spec=entry.spec,
-        model=default_fuzz_model(),
-        max_instructions=entry.max_instructions,
-        backend=LATE_FLUSH,
+    # The scheduled trap lands inside a fused region, so the broken
+    # flush comes up one count short on the fused fault path.
+    entry = corpus_entry("batch-pure-trap")
+    verdict = check_spec(
+        entry.spec, model=default_fuzz_model(), backend=LATE_FLUSH
     )
     assert verdict.failures, (
         "the oracle let the broken batcher through: "
         + verdict.summary()
     )
     assert any(failure.kind == "backend" for failure in verdict.failures)
-    assert any("stats" in failure.message for failure in verdict.failures)
+    assert any(
+        "run stats diverged" in failure.message for failure in verdict.failures
+    )

@@ -6,16 +6,14 @@ drives the spec seed) and the committed regression corpus:
 1. **Partition** — the region analysis covers every non-control,
    non-amnesic pc exactly once, and nothing else; regions never
    overlap and never leave the program.
-2. **Purity** — no control transfer or amnesic opcode sits inside any
-   region, and a region's kind faithfully reflects its fault surface
-   (``pure`` regions contain no faultable opcode at all).  Every
-   reported self-loop has the claimed shape: a conditional branch
-   falling through into one batchable, non-faulting, non-slice region
-   closed by a ``JMP`` back to the branch.
+2. **Straight line** — no control transfer or amnesic opcode sits
+   inside any region.  Every reported self-loop has the claimed shape:
+   a conditional branch falling through into one batchable, non-slice
+   region closed by a ``JMP`` back to the branch.
 3. **Same dynamic footprint** — the batched backend visits exactly the
    per-pc dynamic instruction counts the classic interpreter does, on
-   clean runs and on faulting ones (fused partial flushes and the
-   guarded budget path included), with matching faults.
+   clean runs and on faulting ones (fused partial flushes and budget
+   trips inside fused code included), with matching faults.
 """
 
 from pathlib import Path
@@ -36,12 +34,7 @@ from repro.fuzz.oracle import DEFAULT_MAX_INSTRUCTIONS
 from repro.isa import Category, Opcode
 from repro.machine import CPU, BatchedFastCPU
 from repro.staticcheck import analyze_regions
-from repro.staticcheck.regions import (
-    AMNESIC_OPCODES,
-    FAULTABLE_OPCODES,
-    KIND_FAULTING,
-    KIND_PURE,
-)
+from repro.staticcheck.regions import AMNESIC_OPCODES
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -77,14 +70,12 @@ def assert_regions_partition(program):
     return analysis
 
 
-def assert_region_kinds_honest(program, analysis):
+def assert_regions_straight_line(program, analysis):
     for region in analysis.regions:
         for pc in range(region.start, region.end):
             opcode = program.instructions[pc].opcode
             assert not opcode.category.is_control
             assert opcode not in AMNESIC_OPCODES
-            if region.kind == KIND_PURE:
-                assert opcode not in FAULTABLE_OPCODES
 
 
 def assert_loops_shaped(program, analysis):
@@ -94,7 +85,7 @@ def assert_loops_shaped(program, analysis):
         assert body in regions
         assert body.start == loop.header + 1 and body.end == loop.back
         assert body.length >= 2
-        assert not body.in_slice and body.kind != KIND_FAULTING
+        assert not body.in_slice
         header = program.instructions[loop.header]
         assert header.opcode.category is Category.BRANCH
         assert header.target in program.labels
@@ -157,7 +148,7 @@ def test_regions_partition_generated_programs(seed):
     program = generated_program(seed)
     assume(program is not None)
     analysis = assert_regions_partition(program)
-    assert_region_kinds_honest(program, analysis)
+    assert_regions_straight_line(program, analysis)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -176,7 +167,7 @@ def test_reported_loops_have_the_claimed_shape(seed):
 def test_batched_visits_classic_pcs_on_generated_programs(seed, budget):
     # ``budget=None`` exercises clean completion (or the program's own
     # classic fault); small budgets land the limit at arbitrary region
-    # offsets, covering the guarded element-by-element path.
+    # offsets, covering a fused entry that runs only its first element.
     program = generated_program(seed)
     assume(program is not None)
     assert_same_dynamic_footprint(program, budget or DEFAULT_MAX_INSTRUCTIONS)
@@ -195,7 +186,7 @@ def entry_ids():
 def test_corpus_program_regions_partition(path):
     program = materialize(load_entry(path).spec)
     analysis = assert_regions_partition(program)
-    assert_region_kinds_honest(program, analysis)
+    assert_regions_straight_line(program, analysis)
     assert_loops_shaped(program, analysis)
 
 

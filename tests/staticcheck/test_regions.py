@@ -1,4 +1,4 @@
-"""Region analysis: run splitting and fault kinds."""
+"""Region analysis: run splitting, slice tags and self-loops."""
 
 from repro.isa import (
     Imm,
@@ -13,52 +13,30 @@ from repro.isa import (
     halt,
     jump,
     li,
-    load,
     rcmp,
     rtn,
     store,
 )
-from repro.staticcheck.regions import (
-    KIND_FAULTING,
-    KIND_MEMORY,
-    KIND_PURE,
-    analyze_regions,
-    describe,
-)
+from repro.staticcheck.regions import analyze_regions, describe
 
 
 def mixed_program() -> Program:
     program = Program("mixed")
-    program.append(li(Reg(1), 4))                                # 0 ┐ pure run
+    program.append(li(Reg(1), 4))                                # 0 ┐ run
     program.append(alu(Opcode.ADD, Reg(2), Reg(1), Imm(1)))      # 1 ┘
     program.append(branch(Opcode.BEQ, Reg(2), Imm(0), "end"))    # 2 control
-    program.append(store(Reg(2), Reg(1), 0))                     # 3 ┐ faulting
-    program.append(alu(Opcode.DIV, Reg(3), Reg(2), Imm(2)))      # 4 ┘ run
+    program.append(store(Reg(2), Reg(1), 0))                     # 3 ┐ run
+    program.append(alu(Opcode.DIV, Reg(3), Reg(2), Imm(2)))      # 4 ┘
     program.add_label("end", 5)
     program.append(halt())                                       # 5 control
     return program
 
 
-def test_runs_split_at_control_and_classify_by_fault_surface():
+def test_runs_split_at_control_transfers():
     analysis = analyze_regions(mixed_program())
-    spans = {(r.start, r.end): r for r in analysis.regions}
-    assert set(spans) == {(0, 2), (3, 5)}
-    assert spans[(0, 2)].kind == KIND_PURE
-    # One memory op plus a trapping DIV: faulting, not just memory.
-    assert spans[(3, 5)].kind == KIND_FAULTING
-    assert spans[(3, 5)].memory_ops == 1
-    assert spans[(3, 5)].faultable_ops == 2
-
-
-def test_memory_only_run_is_kind_memory():
-    program = Program("mem")
-    program.append(load(Reg(1), Reg(2), 0))
-    program.append(store(Reg(1), Reg(2), 8))
-    program.append(halt())
-    analysis = analyze_regions(program)
-    (region,) = analysis.batchable_regions
-    assert region.kind == KIND_MEMORY
-    assert (region.start, region.end) == (0, 2)
+    # Faulting elements (a store, a trapping DIV) do not split a run.
+    assert [(r.start, r.end) for r in analysis.regions] == [(0, 2), (3, 5)]
+    assert analysis.batchable_instructions == 4
 
 
 def test_amnesic_opcodes_break_runs_and_slices_are_tagged():
@@ -99,18 +77,20 @@ def test_self_loops_are_proven_and_counted():
     x, y = b.regs("x", "y")
     with b.loop("i", 0, 4):  # proven: header, body [2, 4), JMP at 4
         b.add(x, x, 1)
-    with b.loop("j", 0, 4):  # trapping DIV: the body is a faulting region
+    with b.loop("j", 0, 4):  # a trapping DIV may sit in the body
         b.op(Opcode.DIV, y, x, 2)
     with b.loop("k", 0, 4):  # a branch splits the body
         with b.when(Opcode.BNE, x, 0):
             b.add(y, y, 1)
     program = b.build()
     analysis = analyze_regions(program)
-    (loop,) = analysis.loops
-    assert (loop.header, loop.back, loop.length) == (1, 4, 4)
-    assert (loop.body.start, loop.body.end) == (2, 4)
-    assert analysis.summary()["loops"] == 1
-    assert "1 self-loop(s)" in describe(analysis)
+    first, second = analysis.loops
+    assert (first.header, first.back, first.length) == (1, 4, 4)
+    assert (first.body.start, first.body.end) == (2, 4)
+    assert (second.header, second.back, second.length) == (6, 9, 4)
+    assert program.instructions[second.body.start].opcode is Opcode.DIV
+    assert analysis.summary()["loops"] == 2
+    assert "2 self-loop(s)" in describe(analysis)
 
 
 def test_back_edge_must_close_on_its_header():
