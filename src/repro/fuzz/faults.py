@@ -216,9 +216,8 @@ def deferred_store_producer() -> Iterator[None]:
         try:
             run_loop(self)
         finally:
-            columns = getattr(self.tracer, "columns", None)
-            if columns is not None:
-                last_store = columns().last_store
+            if self.tracer is not None:
+                last_store = self.tracer.columns().last_store
                 for address, index in last_store.pop(None, ()):
                     last_store[address] = index
 

@@ -219,6 +219,15 @@ def _reduce_and_bank(
             backend = resolve_backend(config.backend).name
             if backend != DEFAULT_BACKEND:
                 command += f" --backend {backend}"
+            # The entry replays under the campaign's policies and budget
+            # (None: the replay defaults), since the failure may need them.
+            policies = None
+            if tuple(config.policies) != POLICY_NAMES:
+                policies = tuple(config.policies)
+                command += f" --policies {','.join(policies)}"
+            max_instructions = None
+            if config.max_instructions != DEFAULT_MAX_INSTRUCTIONS:
+                max_instructions = config.max_instructions
             # A counterexample whose classic run faults pins fault
             # parity: a fixed backend replays it as invalid, not ok.
             entry = CorpusEntry(
@@ -227,6 +236,8 @@ def _reduce_and_bank(
                     str(failure) for failure in final_verdict.failures
                 ),
                 source=f"{command} (program seed {spec.seed})",
+                policies=policies,
+                max_instructions=max_instructions,
                 expect=(
                     EXPECT_CLASSIC_FAULT if final_verdict.invalid else EXPECT_OK
                 ),

@@ -2,12 +2,14 @@
 
 :class:`CPU` executes a program under *classic* execution semantics:
 every load walks the memory hierarchy, every instruction is priced by
-the energy model, and an optional tracer observes each retired
-instruction.  The amnesic machine (:mod:`repro.core.amnesic_cpu`)
-subclasses this interpreter and overrides only the handling of the three
-amnesic opcodes, so classic and amnesic execution share all value,
-memory, and pricing semantics — exactly the "equivalent to classic
-execution" baseline the paper defines (section 2).
+the energy model, and an optional tracer (the profiling run's
+:class:`~repro.trace.dependence.DependenceTracker`) receives each
+retired instruction through its ``retire`` method.  The amnesic
+machine (:mod:`repro.core.amnesic_cpu`) subclasses this interpreter and
+overrides only the handling of the three amnesic opcodes, so classic
+and amnesic execution share all value, memory, and pricing semantics —
+exactly the "equivalent to classic execution" baseline the paper
+defines (section 2).
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from ..isa.program import Program
 from ..isa.semantics import branch_taken, evaluate
 from ..telemetry.profiler import TAIL_KEY
 from ..telemetry.runtime import get_telemetry
-from ..trace.events import InstructionEvent
 from .hierarchy import MemoryHierarchy
 from .memory import Memory
 from .stats import RunStats
@@ -146,10 +147,10 @@ class CPU:
         telemetry = get_telemetry()
         profiler = telemetry.active_profiler()
         self._timeline = telemetry.open_timeline(self)
-        # Instrumented runs (tracer events, timeline sampling, hot-loop
-        # profiling) take per-instruction fallback loops; the ``mode``
-        # attribute lets trace readers tell their spans apart from
-        # untraced execution.
+        # Instrumented runs (dependence tracing, timeline sampling,
+        # hot-loop profiling) take per-instruction fallback loops; the
+        # ``mode`` attribute lets trace readers tell their spans apart
+        # from untraced execution.
         traced = (
             profiler is not None
             or self.tracer is not None
@@ -372,7 +373,7 @@ class CPU:
         b = self.resolve(instruction.srcs[1])
         taken = branch_taken(instruction.opcode, a, b)
         self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.BRANCH))
-        self._emit(instruction, operand_values=(a, b), taken=taken)
+        self._emit(instruction, operand_values=(a, b))
         if taken:
             self.stats.branches_taken += 1
             self.pc = self.program.pc_of(instruction.target)
@@ -396,7 +397,6 @@ class CPU:
         result=None,
         address=None,
         level=None,
-        taken=None,
     ) -> None:
         index = self._dynamic_index
         self._dynamic_index += 1
@@ -405,17 +405,8 @@ class CPU:
             timeline.capture(self._dynamic_index)
         if self.tracer is None:
             return
-        self.tracer.on_instruction(
-            InstructionEvent(
-                index=index,
-                pc=self.pc,
-                instruction=instruction,
-                operand_values=operand_values,
-                result=result,
-                address=address,
-                level=level,
-                taken=taken,
-            )
+        self.tracer.retire(
+            index, self.pc, instruction, operand_values, result, address, level
         )
 
     @property

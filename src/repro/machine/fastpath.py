@@ -58,18 +58,17 @@ The contract every rendering honours:
   cannot diverge.
 * **Observability**: a run with a timeline attached uses the classic
   loop (timelines sample mid-run state per instruction); a run under
-  the hot-loop profiler uses the classic profiled loop.  A tracer that
-  offers trace columns (``pc_columns``, duck typed: the
+  the hot-loop profiler uses the classic profiled loop.  A traced run
+  (a classic CPU profiling into a
   :class:`~repro.trace.dependence.DependenceTracker`) keeps the
-  predecoded loop with traced per-pc functions; any other tracer takes
-  events, so its run uses the classic loop.  Traced runs are never
-  fused: a profile runs its program once, so compiling fused regions
-  for it costs more than it saves (see ``_decode``).  Tracers are fixed
-  at CPU construction, so the variant is chosen at decode time.
-  ``HALT``, ``RTN``, statically odd instructions, and ``RCMP`` in a
-  traced run, under a live telemetry session (per-RCMP decision
-  records) or for a policy without a mechanism run the classic handler,
-  which emits via ``CPU._emit`` into the same columns, in order.
+  predecoded loop with traced per-pc functions, never fused: a profile
+  runs its program once, so compiling fused regions for it costs more
+  than it saves (see ``_decode``).  The tracer is fixed at CPU
+  construction, so the variant is chosen at decode time; amnesic CPUs
+  take none.  ``HALT``, ``RTN``, statically odd instructions, and
+  ``RCMP`` under a live telemetry session (per-RCMP decision records)
+  or for a policy without a mechanism run the classic handler, which
+  retires through ``CPU._emit`` into the same columns, in order.
 
 Instruction counting (``RunStats.dynamic_instructions`` /
 ``by_category``) is deferred to per-pc, per-region and per-loop-pass
@@ -623,7 +622,7 @@ def _counted_emit(*fields):
 def _column_emit(writer):
     """The traced ``emit`` hook: append the instruction's trace columns.
 
-    Mirrors ``DependenceTracker.on_instruction`` for one pc: enter the
+    Mirrors ``DependenceTracker.retire`` for one pc: enter the
     pc in the static table at its first retirement, then append pc,
     operands and result, the index to the pc's instances and, when
     *writer*, to its destination register's writers, and for a memory
@@ -811,10 +810,10 @@ class _Decoder:
         self.tracer = cpu.tracer
         self.traced = self.tracer is not None
         #: How RCMP decides on this run (see :data:`_MECHANISMS`); None
-        #: leaves RCMP on the classic handler, which traced runs and
-        #: live telemetry sessions (per-RCMP decision records) need.
+        #: leaves RCMP on the classic handler, which live telemetry
+        #: sessions (per-RCMP decision records) need.
         self.mechanism = None
-        if not self.traced and not get_telemetry().enabled:
+        if not get_telemetry().enabled:
             self.mechanism = cpu._rcmp_mechanism()
         #: Fused slice traversals by slice id (None: not expressible).
         self.slices = {}
@@ -1123,8 +1122,7 @@ def _off_end(pc):
 #   one, so the budget exit (which hands that header back to the outer
 #   loop) takes one header count back.
 # * **Traced/timeline/profiled runs** — traced runs decode per-pc only;
-#   timeline and profiled runs, and tracers without trace columns, take
-#   the classic loops.
+#   timeline and profiled runs take the classic loops.
 # * **Entry by JR** — only a region start or loop header dispatches
 #   fused code; every other pc, a loop body start included, keeps its
 #   per-pc function, so a JR into a region or loop body runs per pc.
@@ -1414,11 +1412,11 @@ def _fuse_slice(cpu, slice_id):
     admits control flow), so recomputation renders the compute
     description too: one generated function per slice replays what
     :meth:`repro.core.amnesic_cpu.AmnesicCPU._traverse_slice` does for
-    an untraced run.  Scratch registers live in locals (``_v<n>``), so
-    the Renamer and SFile see no call at all: every traversal starts
-    and ends with them reset, and their counters only depend on the
-    slice's static read/write sequence, so they are added as constants
-    on exit.  IBuff fetches and Hist reads run inline in classic order,
+    a run without a timeline.  Scratch registers live in locals
+    (``_v<n>``), so the Renamer and SFile see no call at all: every
+    traversal starts and ends with them reset, and their counters only
+    depend on the slice's static read/write sequence, so they are added
+    as constants on exit.  IBuff fetches and Hist reads run inline in classic order,
     LRU promotions included.  On a fault, ``_p`` names the fault point
     (a Hist read or an element's compute), whose static prefix gives
     what the interpreter had counted by then (count-before-execute, so
@@ -1650,9 +1648,9 @@ class BatchedExecutionMixin:
     (imported lazily — the staticcheck package sits above the machine
     layer): proven self-loops fuse whole, every other batchable region
     outside a slice fuses on its own, and in-slice regions stay per-pc.  On
-    amnesic machines, untraced slice traversals run fused too, and RCMP
-    renders per pc when :meth:`_rcmp_mechanism` names one.  See the
-    module docstring for the backend contract.
+    amnesic machines, slice traversals run fused too (unless a timeline
+    is attached), and RCMP renders per pc when :meth:`_rcmp_mechanism`
+    names one.  See the module docstring for the backend contract.
     """
 
     def _decoded(self):
@@ -1729,23 +1727,18 @@ class BatchedExecutionMixin:
         return None
 
     def _traverse_slice(self, info):
-        if self.tracer is None and self._timeline is None:
+        if self._timeline is None:
             # Nothing on the interpreted path emits an observable event
-            # without a tracer or timeline, so the fused traversal is
-            # exact.
+            # without a timeline, so the fused traversal is exact.
             fused = _slice_traversal(self, self._decoded().slices, info.slice_id)
             if fused is not None:
                 return fused()
         return super()._traverse_slice(info)
 
     def _run_loop(self) -> None:
-        tracer = self.tracer
-        if self._timeline is not None or (
-            tracer is not None and not hasattr(tracer, "pc_columns")
-        ):
-            # Timelines capture mid-run state per retired instruction,
-            # and a tracer without trace columns takes one event per
-            # instruction: the classic loop keeps both exact.
+        if self._timeline is not None:
+            # Timelines capture mid-run state per retired instruction:
+            # the classic loop keeps them exact.
             return super()._run_loop()
         table = self._decoded()
         fns = table.fns

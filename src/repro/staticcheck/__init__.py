@@ -3,8 +3,7 @@
 Layered bottom-up:
 
 * :mod:`~repro.staticcheck.cfg` / :mod:`~repro.staticcheck.dataflow` —
-  control-flow graphs and the dataflow framework (reaching definitions,
-  liveness, def-use over registers and resolvable memory);
+  control-flow graphs and reaching definitions over them;
 * :mod:`~repro.staticcheck.diagnostics` — the rule catalog (stable ids,
   severities) and finding/report types;
 * :mod:`~repro.staticcheck.rules` — slice-safety verification of
@@ -18,15 +17,7 @@ Layered bottom-up:
 """
 
 from .cfg import ControlFlowGraph, build_cfg
-from .dataflow import (
-    ConstantFacts,
-    DefUse,
-    Liveness,
-    MemoryDefUse,
-    ReachingDefinitions,
-    def_use_chains,
-    memory_def_use,
-)
+from .dataflow import ReachingDefinitions
 from .diagnostics import RULES, Finding, LintReport, Severity, render_report
 from .lint import LintRun, LintSettings, run_lint
 from .regions import RegionAnalysis, analyze_regions
@@ -34,23 +25,17 @@ from .rules import check_program, verify_compilation
 
 __all__ = [
     "RULES",
-    "ConstantFacts",
     "ControlFlowGraph",
-    "DefUse",
     "Finding",
     "LintReport",
     "LintRun",
     "LintSettings",
-    "Liveness",
-    "MemoryDefUse",
     "ReachingDefinitions",
     "RegionAnalysis",
     "Severity",
     "analyze_regions",
     "build_cfg",
     "check_program",
-    "def_use_chains",
-    "memory_def_use",
     "render_report",
     "run_lint",
     "verify_compilation",

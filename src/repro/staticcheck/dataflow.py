@@ -1,37 +1,18 @@
-"""A small dataflow framework over :class:`ControlFlowGraph`.
+"""Reaching definitions over :class:`ControlFlowGraph`.
 
-Implements the three classic analyses the slice-safety rules need, as
-per-instruction worklist solvers (programs here are tens to a few
-hundred instructions, so block-granular bitvectors would be premature):
-
-* **reaching definitions** — which static defs of each architectural
-  register may be the last writer at a program point;
-* **liveness** — which registers may still be read downstream;
-* **def-use chains** — for every register use, the defs reaching it.
-
-On top of those sits a light constant propagation used to resolve
-memory addresses statically (``LI``/``MOV``/ALU over constants, ``r0``
-hardwired to zero), which extends the def-use relation to loads and
-stores whose effective address is a compile-time constant.
+The one dataflow analysis the slice-safety rules read
+(:mod:`repro.staticcheck.rules`): which static defs of each
+architectural register may be the last writer at a program point.  It
+is a per-instruction worklist solver; programs here are tens to a few
+hundred instructions, so block-granular bitvectors would be premature.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional
 
 from ..isa.instructions import Instruction
-from ..isa.opcodes import Opcode
-from ..isa.operands import Imm, Reg
-from ..isa.semantics import evaluate
 from .cfg import ControlFlowGraph
-
-Number = Union[int, float]
-
-#: A definition site: (pc, register index).  ENTRY_DEF marks "defined
-#: before the program started" (initial register file contents).
-DefSite = Tuple[int, int]
-ENTRY_PC = -1
 
 
 def register_def(instruction: Instruction) -> Optional[int]:
@@ -42,17 +23,12 @@ def register_def(instruction: Instruction) -> Optional[int]:
     return dest.index
 
 
-def register_uses(instruction: Instruction) -> List[int]:
-    """Architectural register indices read by *instruction*."""
-    return [reg.index for reg in instruction.register_uses()]
-
-
 class ReachingDefinitions:
     """Forward may-analysis: defs that can reach each program point.
 
-    ``defs_in[pc]`` holds the definition sites live immediately *before*
-    the instruction at ``pc`` executes; every register starts with the
-    synthetic entry definition ``(ENTRY_PC, reg)``.
+    ``defs_in[pc]`` maps each register to the static pcs whose def of it
+    may be live immediately *before* the instruction at ``pc`` executes;
+    a register absent from the map holds only its entry value there.
     """
 
     def __init__(self, cfg: ControlFlowGraph):
@@ -99,211 +75,3 @@ class ReachingDefinitions:
         path to *pc*) can be observed.
         """
         return self.defs_in[pc].get(reg, frozenset())
-
-
-class Liveness:
-    """Backward may-analysis: registers that may still be read."""
-
-    def __init__(self, cfg: ControlFlowGraph):
-        self.cfg = cfg
-        size = len(cfg.program.instructions)
-        self.live_out: List[FrozenSet[int]] = [frozenset() for _ in range(size)]
-        self.live_in: List[FrozenSet[int]] = [frozenset() for _ in range(size)]
-        self._solve()
-
-    def _solve(self) -> None:
-        size = len(self.cfg.program.instructions)
-        changed = True
-        while changed:
-            changed = False
-            for pc in range(size - 1, -1, -1):
-                out: Set[int] = set()
-                for succ in self.cfg.successors[pc]:
-                    out |= self.live_in[succ]
-                instruction = self.cfg.instruction_at(pc)
-                live = set(out)
-                defined = register_def(instruction)
-                if defined is not None:
-                    live.discard(defined)
-                live.update(register_uses(instruction))
-                live.discard(0)
-                frozen_out, frozen_in = frozenset(out), frozenset(live)
-                if frozen_out != self.live_out[pc] or frozen_in != self.live_in[pc]:
-                    self.live_out[pc] = frozen_out
-                    self.live_in[pc] = frozen_in
-                    changed = True
-
-
-@dataclasses.dataclass(frozen=True)
-class DefUse:
-    """One register use with the definition sites that may feed it."""
-
-    pc: int
-    reg: int
-    defs: FrozenSet[int]  # static pcs; empty = entry value only
-
-
-def def_use_chains(cfg: ControlFlowGraph, reaching: Optional[ReachingDefinitions] = None) -> List[DefUse]:
-    """Def-use chains for every architectural register use."""
-    if reaching is None:
-        reaching = ReachingDefinitions(cfg)
-    chains = []
-    for pc in range(len(cfg.program.instructions)):
-        for reg in register_uses(cfg.instruction_at(pc)):
-            if reg == 0:
-                continue
-            chains.append(DefUse(pc=pc, reg=reg, defs=reaching.defs_reaching(pc, reg)))
-    return chains
-
-
-class ConstantFacts:
-    """Forward must-analysis tracking registers with a single known value.
-
-    The lattice per register is {unknown} ∪ constants; the merge of two
-    different constants is unknown.  ``r0`` is always zero.  Arithmetic
-    over known constants is folded through the ISA's own semantics so
-    the analysis can never disagree with execution.
-    """
-
-    def __init__(self, cfg: ControlFlowGraph):
-        self.cfg = cfg
-        size = len(cfg.program.instructions)
-        #: Known-constant registers just before each pc.  ``None`` as a
-        #: whole-map value marks "not yet visited".
-        self.consts_in: List[Optional[Dict[int, Number]]] = [None] * size
-        self._solve()
-
-    def _transfer(self, pc: int, state: Dict[int, Number]) -> Dict[int, Number]:
-        instruction = self.cfg.instruction_at(pc)
-        defined = register_def(instruction)
-        if defined is None:
-            return state
-        out = dict(state)
-        value = self._evaluate(instruction, state)
-        if value is None:
-            out.pop(defined, None)
-        else:
-            out[defined] = value
-        return out
-
-    def _evaluate(self, instruction: Instruction, state: Dict[int, Number]) -> Optional[Number]:
-        opcode = instruction.opcode
-        if not (opcode.is_compute or opcode is Opcode.LI):
-            return None
-        values: List[Number] = []
-        for src in instruction.srcs:
-            if isinstance(src, Imm):
-                values.append(src.value)
-            elif isinstance(src, Reg):
-                if src.index == 0:
-                    values.append(0)
-                elif src.index in state:
-                    values.append(state[src.index])
-                else:
-                    return None
-            else:
-                return None
-        try:
-            return evaluate(opcode, tuple(values))
-        except Exception:
-            return None  # would fault at runtime; leave unknown
-
-    def _solve(self) -> None:
-        size = len(self.cfg.program.instructions)
-        if not size:
-            return
-        self.consts_in[0] = {}
-        worklist = [0]
-        while worklist:
-            pc = worklist.pop()
-            state = self.consts_in[pc]
-            assert state is not None
-            out = self._transfer(pc, state)
-            for succ in self.cfg.successors[pc]:
-                current = self.consts_in[succ]
-                if current is None:
-                    merged = dict(out)
-                else:
-                    merged = {
-                        reg: value
-                        for reg, value in current.items()
-                        if out.get(reg) == value
-                    }
-                if merged != current:
-                    self.consts_in[succ] = merged
-                    worklist.append(succ)
-
-    def value_at(self, pc: int, reg: int) -> Optional[Number]:
-        """The register's proven-constant value just before *pc*, if any."""
-        if reg == 0:
-            return 0
-        state = self.consts_in[pc]
-        if state is None:
-            return None
-        return state.get(reg)
-
-    def resolve_address(self, pc: int) -> Optional[int]:
-        """Statically resolved effective address of the LD/ST/RCMP at *pc*."""
-        instruction = self.cfg.instruction_at(pc)
-        if instruction.opcode in (Opcode.LD, Opcode.RCMP):
-            base, offset = instruction.srcs
-        elif instruction.opcode is Opcode.ST:
-            _, base, offset = instruction.srcs
-        else:
-            return None
-        parts = []
-        for operand in (base, offset):
-            if isinstance(operand, Imm):
-                parts.append(operand.value)
-            elif isinstance(operand, Reg):
-                value = self.value_at(pc, operand.index)
-                if value is None:
-                    return None
-                parts.append(value)
-            else:
-                return None
-        address = parts[0] + parts[1]
-        if isinstance(address, float):
-            if not address.is_integer():
-                return None
-            address = int(address)
-        return address
-
-
-@dataclasses.dataclass(frozen=True)
-class MemoryDefUse:
-    """A load paired with the stores that may feed it, when resolvable."""
-
-    load_pc: int
-    address: int
-    store_pcs: FrozenSet[int]
-
-
-def memory_def_use(cfg: ControlFlowGraph, consts: Optional[ConstantFacts] = None) -> List[MemoryDefUse]:
-    """Def-use over statically resolvable memory.
-
-    Covers only loads whose effective address resolves to a constant;
-    the matching defs are stores that (a) resolve to the same address or
-    (b) do not resolve at all (a may-alias store is a possible writer).
-    """
-    if consts is None:
-        consts = ConstantFacts(cfg)
-    stores: List[Tuple[int, Optional[int]]] = []
-    loads: List[Tuple[int, int]] = []
-    for pc in range(len(cfg.program.instructions)):
-        opcode = cfg.instruction_at(pc).opcode
-        if opcode is Opcode.ST:
-            stores.append((pc, consts.resolve_address(pc)))
-        elif opcode in (Opcode.LD, Opcode.RCMP):
-            address = consts.resolve_address(pc)
-            if address is not None:
-                loads.append((pc, address))
-    chains = []
-    for load_pc, address in loads:
-        feeders = frozenset(
-            store_pc
-            for store_pc, store_address in stores
-            if store_address is None or store_address == address
-        )
-        chains.append(MemoryDefUse(load_pc=load_pc, address=address, store_pcs=feeders))
-    return chains

@@ -74,6 +74,13 @@ LAYERING_RULES: Tuple[LayerRule, ...] = (
                "repro.energy and observation in repro.telemetry/trace",
     ),
     LayerRule(
+        name="machine-hands-retirements-to-its-tracer",
+        scope="repro.machine",
+        forbidden=("repro.trace",),
+        reason="the interpreter hands each retirement to the tracker it "
+               "was given; the trace format lives in repro.trace",
+    ),
+    LayerRule(
         name="telemetry-observes-only",
         scope="repro.telemetry",
         forbidden=(
@@ -111,7 +118,8 @@ LAYERING_RULES: Tuple[LayerRule, ...] = (
             "repro.machine", "repro.core", "repro.harness", "repro.telemetry",
             "repro.fuzz", "repro.workloads",
         ),
-        reason="dataflow folds through isa.semantics only; no machine state",
+        reason="reaching definitions read a program's control-flow graph "
+               "only; no machine state",
     ),
     LayerRule(
         name="staticcheck-rules-analyze-without-executing",

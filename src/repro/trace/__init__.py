@@ -1,7 +1,6 @@
 """Tracing and profiling: dependence graphs, PrLi profiles, value locality."""
 
 from .dependence import SRC_IMM, SRC_REG, DependenceTracker, DynRecord
-from .events import InstructionEvent
 from .locality import DEFAULT_HISTORY_DEPTH, ValueLocalityTracker
 from .io import dump_trace, load_trace
 from .profile import LoadProfiler
@@ -19,7 +18,6 @@ __all__ = [
     "DEFAULT_HISTORY_DEPTH",
     "DependenceTracker",
     "DynRecord",
-    "InstructionEvent",
     "LoadProfiler",
     "ProfileResult",
     "SRC_IMM",

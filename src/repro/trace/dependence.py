@@ -14,7 +14,7 @@ cheap to record and to query:
 * a **static table** (:class:`PcInfo`), filled the first time each pc
   retires: opcode, destination register, source kinds and immediates;
 * **dynamic columns**, one entry per retired instruction: pc, the
-  event's operand-value tuple (by reference) and result, plus address,
+  operand-value tuple it read (by reference) and result, plus address,
   service level and producing store for memory operations;
 * **indexes** built while tracing: each pc's dynamic instances and each
   register's writers, both in execution order.
@@ -25,13 +25,12 @@ bisection of its writer list.  :meth:`DependenceTracker.record` builds
 the classic one-record-per-instruction view (:class:`DynRecord`) on
 demand from these pieces.
 
-Columns fill two ways.  The classic CPU hands the tracker one
-:class:`~repro.trace.events.InstructionEvent` per retired instruction
-(:meth:`DependenceTracker.on_instruction`), and so does
-:func:`~repro.trace.io.load_trace`.  Generated code that retires
-instructions itself (the fast backend's traced per-pc functions)
-appends each instruction's own columns instead, through
-:meth:`DependenceTracker.columns` and
+Columns fill two ways.  The classic CPU hands the tracker each retired
+instruction's fields through :meth:`DependenceTracker.retire`, and
+:func:`~repro.trace.io.load_trace` replays each stored record through
+the same method.  Generated code that retires instructions itself (the
+fast backend's traced per-pc functions) appends each instruction's own
+columns instead, through :meth:`DependenceTracker.columns` and
 :meth:`DependenceTracker.pc_columns`; both ways build the same tracker.
 """
 
@@ -59,7 +58,6 @@ from typing import (
 from ..isa.instructions import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.operands import Imm, Reg
-from .events import InstructionEvent
 
 Value = Union[int, float]
 
@@ -195,28 +193,40 @@ class DependenceTracker:
         self._last_store: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # Tracer interface.
+    # Retirement.
     # ------------------------------------------------------------------
-    def on_instruction(self, event: InstructionEvent) -> None:
-        pc = event.pc
+    def retire(
+        self,
+        index: int,
+        pc: int,
+        instruction: Instruction,
+        operands: Tuple[Value, ...] = (),
+        result: Optional[Value] = None,
+        address: Optional[int] = None,
+        level: object = None,
+    ) -> None:
+        """Append dynamic instruction *index*, retired at *pc*.
+
+        *operands* are the values it read, *result* the value it wrote;
+        a memory access adds its effective *address* and the *level*
+        that serviced it.
+        """
         info = self._static.get(pc)
         if info is None:
-            info = self._learn(PcInfo.of(pc, event.instruction))
-        index = len(self._pcs)
+            info = self._learn(PcInfo.of(pc, instruction))
         # The columns are indexed by dynamic instruction number; the CPU
-        # numbers events densely so append keeps them aligned.
-        assert event.index == index, "trace indices out of sync"
+        # numbers retirements densely so append keeps them aligned.
+        assert index == len(self._pcs), "trace indices out of sync"
         self._pcs.append(pc)
-        self._operands.append(event.operand_values)
-        self._results.append(event.result)
+        self._operands.append(operands)
+        self._results.append(result)
         info.instances.append(index)
         if info.dest is not None:
             self._writers[info.dest].append(index)
-        address = event.address
         if address is not None:
             self._mem_index.append(index)
             self._mem_address.append(address)
-            self._mem_level.append(event.level)
+            self._mem_level.append(level)
             if info.is_store:
                 self._mem_producer.append(_NO_STORE)
                 self._last_store[address] = index
@@ -234,10 +244,10 @@ class DependenceTracker:
         return info
 
     # ------------------------------------------------------------------
-    # Append side: retirement without an event.
+    # Append side: retirement from generated code.
     # ------------------------------------------------------------------
     def columns(self) -> Columns:
-        """The bound appends every retirement uses (see :class:`Columns`)."""
+        """The bound appends :meth:`retire` makes (see :class:`Columns`)."""
         return Columns(
             self._pcs.append,
             self._operands.append,

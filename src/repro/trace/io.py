@@ -18,7 +18,6 @@ from ..isa.instructions import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.operands import Imm, Reg
 from .dependence import SRC_IMM, DependenceTracker, DynRecord
-from .events import InstructionEvent
 
 
 def dump_trace(tracker: DependenceTracker, path: Union[str, pathlib.Path]) -> pathlib.Path:
@@ -34,12 +33,12 @@ def dump_trace(tracker: DependenceTracker, path: Union[str, pathlib.Path]) -> pa
 def load_trace(path: Union[str, pathlib.Path]) -> DependenceTracker:
     """Reload a JSONL trace into a tracker.
 
-    Each record is replayed into the tracker as the event that produced
-    it, and must re-derive from the records before it: its register
-    producers are the last writers of its source registers, and a load's
-    producing store is the last store to its address.  A file that does
-    not raises :class:`ValueError`.  Service levels are not stored, so a
-    reloaded trace cannot rebuild a
+    Each record is replayed into the tracker as the retirement that
+    produced it, and must re-derive from the records before it: its
+    register producers are the last writers of its source registers, and
+    a load's producing store is the last store to its address.  A file
+    that does not raises :class:`ValueError`.  Service levels are not
+    stored, so a reloaded trace cannot rebuild a
     :class:`~repro.trace.profile.LoadProfiler`.
     """
     tracker = DependenceTracker()
@@ -57,17 +56,13 @@ def load_trace(path: Union[str, pathlib.Path]) -> DependenceTracker:
             instruction = instructions.get(record.pc)
             if instruction is None:
                 instruction = instructions[record.pc] = _instruction_of(record)
-            tracker.on_instruction(
-                InstructionEvent(
-                    index=record.index,
-                    pc=record.pc,
-                    instruction=instruction,
-                    operand_values=tuple(
-                        d[1] if d[0] == SRC_IMM else d[3] for d in record.srcs
-                    ),
-                    result=record.result,
-                    address=record.address,
-                )
+            tracker.retire(
+                record.index,
+                record.pc,
+                instruction,
+                tuple(d[1] if d[0] == SRC_IMM else d[3] for d in record.srcs),
+                record.result,
+                record.address,
             )
             if tracker.record(record.index) != record:
                 raise ValueError(

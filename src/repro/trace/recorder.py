@@ -18,7 +18,7 @@ from .dependence import DependenceTracker
 from .locality import ValueLocalityTracker
 from .profile import LoadProfiler
 
-if TYPE_CHECKING:  # circular at import time: machine.cpu emits trace events
+if TYPE_CHECKING:  # annotations only: the backend resolves at call time
     from ..energy.model import EnergyModel
     from ..machine.cpu import CPU
     from ..machine.stats import RunStats
@@ -53,7 +53,8 @@ def profile_program(
 
     *backend* selects the execution backend for the profiling run (None
     resolves from the environment).  Backends are trace-equivalent by
-    contract: the classic CPU fills the tracker through one event per
+    contract: the classic CPU fills the tracker through one
+    :meth:`~repro.trace.dependence.DependenceTracker.retire` call per
     instruction, and the fast backend's traced per-pc functions append
     the identical columns directly.  The profile, and everything
     compiled from it, is the same whichever backend gathers it.

@@ -8,7 +8,7 @@ from repro.fuzz import (
     run_fuzz,
 )
 from repro.fuzz.corpus import EXPECT_CLASSIC_FAULT
-from repro.fuzz.faults import LATE_FLUSH, SKIP_HIST_READ
+from repro.fuzz.faults import LATE_FLUSH, SKIP_HIST_READ, unprobed_l2
 from repro.telemetry.runtime import telemetry_session
 
 
@@ -74,7 +74,8 @@ def test_counterexamples_are_banked_and_deduplicated(tmp_path):
     assert banked[0].spec.digest() == first.counterexamples[0].shrunk.digest()
     # The entry and the report both name the backend that failed.
     assert banked[0].source.startswith(
-        "repro fuzz --seed 0 --backend skip-hist-read (program seed "
+        "repro fuzz --seed 0 --backend skip-hist-read --policies Compiler "
+        "(program seed "
     )
     assert first.to_json()["backend"] == "skip-hist-read"
 
@@ -164,3 +165,30 @@ def test_fault_parity_counterexamples_are_banked(tmp_path):
     # The fixed batcher reproduces the classic fault exactly.
     assert replay_corpus(corpus_dir, model=model, backend="fast-batched").ok
     assert not replay_corpus(corpus_dir, model=model, backend=LATE_FLUSH).ok
+
+
+def test_banked_entries_keep_the_campaigns_policies_and_budget(tmp_path):
+    # The L2-probe twin is a fast-path mechanism regenerated in place, so
+    # the campaign names plain fast-batched; LLC alone exercises it.
+    model = default_fuzz_model()
+    corpus_dir = str(tmp_path / "corpus")
+    config = FuzzConfig(
+        seed=0,
+        iterations=10,
+        policies=("LLC",),
+        max_instructions=150_000,
+        backend="fast-batched",
+        max_counterexamples=1,
+        corpus_dir=corpus_dir,
+    )
+    with unprobed_l2():
+        result = run_fuzz(config, model=model)
+    assert result.counterexamples
+    (entry,) = load_corpus(corpus_dir)
+    assert entry.policies == ("LLC",)
+    assert entry.max_instructions == 150_000
+    assert entry.source == (
+        "repro fuzz --seed 0 --backend fast-batched --policies LLC "
+        "(program seed 1)"
+    )
+    assert replay_corpus(corpus_dir, model=model, backend="fast-batched").ok

@@ -24,21 +24,13 @@ from repro.errors import (
 )
 from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
-from repro.trace import DependenceTracker, InstructionEvent
+from repro.trace import DependenceTracker
 
 from ..conftest import build_spill_kernel, tiny_config, trace_divergence
 
 
 def make_model():
     return EnergyModel(epi=EPITable.default(), config=tiny_config())
-
-
-class RecordingTracer:
-    def __init__(self):
-        self.events = []
-
-    def on_instruction(self, event: InstructionEvent):
-        self.events.append(event)
 
 
 def run_pair(program, max_instructions=100_000, tracer_factory=None):
@@ -125,26 +117,6 @@ def test_traced_runs_build_identical_trace_columns():
     assert trace_divergence(ct, ft, program) is None
     # Traced runs stay per-pc: nothing fused.
     assert fast._decoded().region_spans == []
-
-
-def test_recording_tracer_runs_on_the_classic_loop(monkeypatch):
-    """A tracer without trace columns gets the classic event stream."""
-    program = build_spill_kernel(iterations=6, chain=2, gap=4)
-    decodes = []
-    decode = BatchedFastCPU._decode
-
-    def counted_decode(cpu):
-        decodes.append(cpu)
-        return decode(cpu)
-
-    monkeypatch.setattr(BatchedFastCPU, "_decode", counted_decode)
-    (classic, ct, _), (fast, ft, _) = run_pair(
-        program, tracer_factory=RecordingTracer
-    )
-    assert_state_equal(classic, fast)
-    assert ft.events == ct.events
-    assert len(ft.events) == fast.dynamic_count
-    assert decodes == []
 
 
 def test_jr_one_past_the_end_fault_parity():

@@ -1,25 +1,8 @@
-"""Dataflow framework: reaching defs, liveness, constants, memory chains."""
+"""Reaching definitions: the dataflow analysis the slice-safety rules read."""
 
-from repro.isa import (
-    Imm,
-    Opcode,
-    Program,
-    Reg,
-    alu,
-    branch,
-    halt,
-    li,
-    load,
-    store,
-)
+from repro.isa import Imm, Opcode, Program, Reg, alu, branch, halt, li
 from repro.staticcheck.cfg import build_cfg
-from repro.staticcheck.dataflow import (
-    ConstantFacts,
-    Liveness,
-    ReachingDefinitions,
-    def_use_chains,
-    memory_def_use,
-)
+from repro.staticcheck.dataflow import ReachingDefinitions
 
 
 def diamond() -> Program:
@@ -41,74 +24,3 @@ def test_reaching_definitions_merge_at_join():
     assert reaching.defs_reaching(2, 1) == frozenset({0})
     # r2 is never written: only the synthetic entry value reaches.
     assert reaching.defs_reaching(1, 2) == frozenset()
-
-
-def test_def_use_chains_cover_every_register_read():
-    chains = def_use_chains(build_cfg(diamond()))
-    by_use = {(chain.pc, chain.reg): chain.defs for chain in chains}
-    assert by_use[(3, 1)] == frozenset({0, 2})
-    assert by_use[(1, 2)] == frozenset()
-
-
-def test_liveness_kills_at_redefinition():
-    liveness = Liveness(build_cfg(diamond()))
-    # r2 feeds the branch; it must be live on entry.
-    assert 2 in liveness.live_in[0]
-    # r1 is read at the join, so live across the branch...
-    assert 1 in liveness.live_in[1]
-    # ...but pc 2 redefines it, so the inbound value is dead there.
-    assert 1 not in liveness.live_in[2]
-    # Nothing is live out of the final use.
-    assert liveness.live_out[3] == frozenset()
-
-
-def test_constant_folding_through_isa_semantics():
-    program = Program("consts")
-    program.append(li(Reg(1), 5))                               # 0
-    program.append(alu(Opcode.ADD, Reg(2), Reg(1), Imm(3)))     # 1
-    program.append(alu(Opcode.MUL, Reg(3), Reg(2), Reg(0)))     # 2 (r0 == 0)
-    program.append(halt())                                      # 3
-    consts = ConstantFacts(build_cfg(program))
-    assert consts.value_at(1, 1) == 5
-    assert consts.value_at(2, 2) == 8
-    assert consts.value_at(3, 3) == 0
-    assert consts.value_at(0, 0) == 0  # r0 hardwired
-
-
-def test_constant_merge_of_disagreeing_values_is_unknown():
-    program = diamond()
-    consts = ConstantFacts(build_cfg(program))
-    # r1 is 1 on one path and 2 on the other: unknown at the join.
-    assert consts.value_at(3, 1) is None
-    # The untaken-arm value is still known inside the arm.
-    assert consts.value_at(2, 1) == 1
-
-
-def test_resolve_address_for_loads_and_stores():
-    program = Program("addresses")
-    program.append(li(Reg(1), 16))                 # 0
-    program.append(load(Reg(2), Reg(1), 4))        # 1  -> address 20
-    program.append(store(Reg(2), Reg(1), 8))       # 2  -> address 24
-    program.append(load(Reg(3), Reg(2), 0))        # 3  -> loaded base: unknown
-    program.append(halt())
-    consts = ConstantFacts(build_cfg(program))
-    assert consts.resolve_address(1) == 20
-    assert consts.resolve_address(2) == 24
-    assert consts.resolve_address(3) is None
-    assert consts.resolve_address(0) is None  # not a memory instruction
-
-
-def test_memory_def_use_pairs_loads_with_feeding_stores():
-    program = Program("memdu")
-    program.append(li(Reg(1), 16))                 # 0
-    program.append(store(Reg(1), Reg(1), 0))       # 1  ST @16
-    program.append(store(Reg(1), Reg(1), 8))       # 2  ST @24
-    program.append(load(Reg(2), Reg(1), 0))        # 3  LD @16
-    program.append(store(Reg(1), Reg(2), 0))       # 4  ST @unresolvable
-    program.append(load(Reg(3), Reg(1), 8))        # 5  LD @24
-    program.append(halt())
-    chains = {c.load_pc: c for c in memory_def_use(build_cfg(program))}
-    assert chains[3].address == 16
-    # The same-address store feeds; the unresolvable store may alias.
-    assert chains[3].store_pcs == frozenset({1, 4})
-    assert chains[5].store_pcs == frozenset({2, 4})

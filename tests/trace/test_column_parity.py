@@ -1,9 +1,10 @@
 """Traced fast-path runs build the classic dependence trace, column for column.
 
 The classic ``CPU`` fills a :class:`~repro.trace.DependenceTracker`
-through one ``on_instruction`` event per retired instruction;
+through one ``retire`` call per retired instruction, the reference;
 ``BatchedFastCPU``'s traced per-pc functions append the same columns
-directly, and only ``HALT`` and thunked pcs still go through events.
+from generated code, and only ``HALT`` and thunked pcs still retire
+through the classic handler.
 Every query the compiler reads must answer identically on the two
 trackers: on all 33 kernels, on every corpus entry at its own budget,
 on budgets that trip mid-run and on a fault.  A broken twin that defers
