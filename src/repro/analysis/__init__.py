@@ -3,7 +3,6 @@
 from .breakdown import BreakdownRow, breakdown_row, breakdown_table, render_breakdown
 from .breakeven import (
     BreakevenResult,
-    default_r,
     edp_gain_at_factor,
     find_breakeven,
 )
@@ -12,7 +11,6 @@ from .gains import (
     METRIC_ENERGY,
     METRIC_TIME,
     GainMatrix,
-    matrix_from_results,
 )
 from .histograms import (
     LocalityHistogram,
@@ -37,7 +35,6 @@ from .sweeps import (
     memory_energy_sweep,
     scaled_cache_config,
     scaled_memory_config,
-    sweep_table,
 )
 from .memory_profile import (
     MemoryProfileRow,
@@ -67,14 +64,11 @@ __all__ = [
     "memory_energy_sweep",
     "scaled_cache_config",
     "scaled_memory_config",
-    "sweep_table",
     "breakdown_row",
     "breakdown_table",
-    "default_r",
     "edp_gain_at_factor",
     "find_breakeven",
     "locality_histogram",
-    "matrix_from_results",
     "memory_profile_table",
     "nonrecomputable_share",
     "render_breakdown",

@@ -19,9 +19,7 @@ from typing import Callable, Optional
 
 from ..compiler.amnesic_pass import PassOptions, compile_amnesic
 from ..core.execution import percent_gain, run_amnesic, run_classic
-from ..energy.epi import EPITable
 from ..energy.model import EnergyModel
-from ..energy.tech import r_default
 from ..isa.program import Program
 from ..trace.recorder import ProfileResult
 
@@ -107,8 +105,3 @@ def find_breakeven(
     return BreakevenResult(
         benchmark, (low + high) / 2.0, gain_at_default, converged=True
     )
-
-
-def default_r(model: EnergyModel) -> float:
-    """The R_default of the supplied model (paper: ~0.0086)."""
-    return r_default(model)

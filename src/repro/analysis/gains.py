@@ -59,14 +59,6 @@ class GainMatrix:
         """Best-case gain (paper: up to 87%)."""
         return max((self.gain(b, policy, metric) for b in self.results), default=0.0)
 
-    def degradations(self, policy: str = "Compiler", metric: str = METRIC_EDP):
-        """Benchmarks this policy actually hurts (paper: sr under Compiler)."""
-        return [
-            benchmark
-            for benchmark in self.results
-            if self.gain(benchmark, policy, metric) < 0
-        ]
-
     # ------------------------------------------------------------------
     # Rendering.
     # ------------------------------------------------------------------
@@ -77,11 +69,3 @@ class GainMatrix:
             for benchmark in self.results
         ]
         return render_table(headers, rows, title=title)
-
-
-def matrix_from_results(
-    results: Dict[str, Dict[str, PolicyComparison]],
-    policies: Sequence[str] = POLICY_NAMES,
-) -> GainMatrix:
-    """Wrap raw suite results into a :class:`GainMatrix`."""
-    return GainMatrix(results=results, policies=policies)

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..compiler.amnesic_pass import CompilationResult
 from ..core.execution import PolicyComparison

@@ -16,7 +16,7 @@ from collections import Counter
 from typing import Dict, List, Sequence
 
 from ..core.execution import PolicyComparison
-from ..machine.config import LEVELS, Level
+from ..machine.config import Level
 from .tables import render_table
 
 

@@ -70,14 +70,6 @@ class StorageUtilisation:
     hist_high_water: int
     ibuff_high_water: int
 
-    @property
-    def within_bounds(self) -> bool:
-        # SFile/IBuff bounds are per-traversal; Hist is binary-wide.
-        return (
-            self.sfile_high_water <= max(self.bounds.sfile_entries, 1)
-            and self.hist_high_water <= max(self.bounds.hist_entries, 1)
-        )
-
 
 def observed_utilisation(binary: AmnesicBinary, amnesic_cpu) -> StorageUtilisation:
     """Pair the bounds with an executed CPU's high-water marks."""

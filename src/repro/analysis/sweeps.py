@@ -15,7 +15,7 @@ future-work discussion imply:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from ..compiler.amnesic_pass import PassOptions
 from ..core.execution import compare
@@ -143,13 +143,3 @@ def cache_capacity_sweep(
                      max_instructions=max_instructions)
         )
     return points
-
-
-def sweep_table(points: List[SweepPoint], parameter_name: str) -> Dict[str, list]:
-    """Column-oriented view of a sweep for table rendering."""
-    return {
-        parameter_name: [p.parameter for p in points],
-        "edp_gain_percent": [p.edp_gain_percent for p in points],
-        "energy_gain_percent": [p.energy_gain_percent for p in points],
-        "time_gain_percent": [p.time_gain_percent for p in points],
-    }

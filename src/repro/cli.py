@@ -58,7 +58,6 @@ from .core.backend import BACKEND_NAMES
 from .core.policies import POLICY_NAMES
 from .energy.tech import paper_energy_model
 from .harness.experiments import EXPERIMENTS, run_experiment
-from .harness.parallel import default_jobs
 from .harness.runner import SuiteRunner
 from .telemetry.runtime import get_telemetry, telemetry_session
 from .telemetry.summary import render_metrics, render_summary
@@ -159,25 +158,19 @@ def _add_global_flags(command: argparse.ArgumentParser, *flags: str) -> None:
 
 
 def _runner_options(args) -> dict:
-    """SuiteRunner kwargs from parsed flags plus the environment."""
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = default_jobs()
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_CACHE_DIR") or None
-    if getattr(args, "no_result_cache", False):
-        cache_dir = None
-    ledger_dir = getattr(args, "ledger_dir", None)
-    if ledger_dir is None:
-        ledger_dir = os.environ.get("REPRO_LEDGER_DIR") or None
-    # backend=None lets SuiteRunner fall back to $REPRO_BACKEND.
-    return {
-        "jobs": jobs,
-        "cache_dir": cache_dir,
-        "backend": getattr(args, "backend", None),
-        "ledger_dir": ledger_dir,
+    """The SuiteRunner flags given on the command line.
+
+    :meth:`SuiteRunner.from_env` fills in the rest from the environment;
+    ``--no-result-cache`` turns the disk cache off either way.
+    """
+    options = {
+        name: getattr(args, name)
+        for name in ("jobs", "cache_dir", "backend", "ledger_dir")
+        if getattr(args, name, None) is not None
     }
+    if getattr(args, "no_result_cache", False):
+        options["cache_dir"] = None
+    return options
 
 
 def _ledger_session(runner):
@@ -585,7 +578,7 @@ def cmd_run(args) -> int:
     if spec is None:
         return 1
     policies = POLICY_NAMES if (args.all_policies or not args.policy) else (args.policy,)
-    runner = SuiteRunner(
+    runner = SuiteRunner.from_env(
         model=paper_energy_model(), scale=args.scale, policies=policies,
         **_runner_options(args),
     )
@@ -738,7 +731,7 @@ def cmd_stats(args) -> int:
     if spec is None:
         return 1
     policies = (args.policy,) if args.policy else POLICY_NAMES
-    runner = SuiteRunner(
+    runner = SuiteRunner.from_env(
         model=paper_energy_model(), scale=args.scale, policies=policies,
         **_runner_options(args),
     )
@@ -969,7 +962,7 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    runner = SuiteRunner(scale=args.scale, **_runner_options(args))
+    runner = SuiteRunner.from_env(scale=args.scale, **_runner_options(args))
     with _ledger_session(runner) as telemetry:
         started = time.perf_counter()
         report = run_experiment(args.experiment_id, runner)
@@ -1003,7 +996,7 @@ def cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return 2
-    runner = SuiteRunner(scale=args.scale, **_runner_options(args))
+    runner = SuiteRunner.from_env(scale=args.scale, **_runner_options(args))
     metrics = []
     with _ledger_session(runner) as telemetry:
         started = time.perf_counter()
@@ -1209,7 +1202,7 @@ def cmd_lint(args) -> int:
 def cmd_report(args) -> int:
     from .harness.report import write_report
 
-    runner = SuiteRunner(scale=args.scale, **_runner_options(args))
+    runner = SuiteRunner.from_env(scale=args.scale, **_runner_options(args))
     path = write_report(runner, args.out, experiments=args.experiments)
     print(f"report written to {path}")
     return 0

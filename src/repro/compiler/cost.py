@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Dict, Optional
 
 from ..energy.account import Cost, ZERO_COST
 from ..energy.model import EnergyModel

@@ -19,9 +19,8 @@ the opportunity.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from ..energy.model import EnergyModel
 from ..trace.dependence import DependenceTracker
 
 
@@ -64,15 +63,6 @@ class DeadStoreAnalysis:
         if not self.total_dynamic_stores:
             return 0.0
         return self.elidable_dynamic_stores / self.total_dynamic_stores
-
-    def potential_store_energy_nj(self, model: EnergyModel) -> float:
-        """Upper bound on store energy recoverable by elision.
-
-        Priced conservatively at one L1 write per elided store (the
-        cheapest a store can be); the real saving is larger for stores
-        that would have walked further.
-        """
-        return self.elidable_dynamic_stores * model.config.l1_params.write_energy_nj
 
 
 def analyse_dead_stores(

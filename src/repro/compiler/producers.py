@@ -29,7 +29,7 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 from ..isa.opcodes import Opcode
-from ..trace.dependence import SRC_IMM, SRC_REG, DependenceTracker, DynRecord
+from ..trace.dependence import SRC_IMM, DependenceTracker, DynRecord
 from .rslice import LeafInput, TemplateNode
 
 #: Default extraction caps: the compiler "caps the tree height h to

@@ -169,10 +169,6 @@ class RSlice:
         return self.root.height
 
     @property
-    def leaf_count(self) -> int:
-        return len(self.root.leaves())
-
-    @property
     def has_nonrecomputable_inputs(self) -> bool:
         """True if any node input needs a Hist checkpoint (Figure 7).
 
@@ -198,9 +194,9 @@ class RSlice:
             if any(li.kind.needs_checkpoint for li in node.leaf_inputs)
         ]
 
-    def category_counts(self) -> "Counter[Category]":
+    def category_counts(self) -> Counter[Category]:
         """Instruction mix of the slice, for cost estimation."""
-        counts: "Counter[Category]" = Counter()
+        counts: Counter[Category] = Counter()
         for node in self.root.walk():
             opcode = Opcode.MOV if node.is_checkpoint_load else node.opcode
             counts[opcode.category] += 1

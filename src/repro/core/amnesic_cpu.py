@@ -19,7 +19,7 @@ Figure 2 microarchitecture and the section 3.3 scheduler:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from ..compiler.annotate import AmnesicBinary, SliceInfo
 from ..energy.account import GROUP_AMNESIC, GROUP_HIST, GROUP_LOAD, GROUP_NONMEM
@@ -178,8 +178,9 @@ class AmnesicCPU(CPU):
         outcome: str,
         reason: str,
     ) -> None:
-        """Emit one per-RCMP decision record (free when telemetry is off).
+        """Meter one RCMP and emit its decision record (free when telemetry is off).
 
+        Counts the outcome and the policy's decision (``policy.*``).
         Called *before* any fallback load so the recorded residence level
         reflects the hierarchy state the scheduler actually saw, not the
         post-fill state.
@@ -211,6 +212,12 @@ class AmnesicCPU(CPU):
         outcomes, lengths, hist_hit, hist_miss = cached
         outcomes.inc()
         lengths.observe(info.length)
+        shape = (decision.fire, decision.probe_hit_level, decision.probe_cost is None)
+        decided = instruments.get(shape)
+        if decided is None:
+            decided = instruments[shape] = self._decision_counters(telemetry, decision)
+        for counter in decided:
+            counter.inc()
         hist_ready = all(
             self.hist.has(info.slice_id, leaf_id) for leaf_id in info.hist_leaf_ids
         )
@@ -234,6 +241,22 @@ class AmnesicCPU(CPU):
             sfile_ok=info.sreg_demand <= self.sfile.capacity,
             probe_hit=None if probe_hit is None else probe_hit.value,
         )
+
+    def _decision_counters(self, telemetry, decision: Decision) -> list:
+        """The ``policy.*`` counters a decision of this shape increments."""
+        policy = self.policy.name
+        verdict = "fire" if decision.fire else "skip"
+        counters = [
+            telemetry.counter("policy.decisions", policy=policy, verdict=verdict)
+        ]
+        if decision.probe_hit_level is not None:
+            level = decision.probe_hit_level.value
+            counters.append(
+                telemetry.counter("policy.probe_hits", policy=policy, level=level)
+            )
+        elif decision.probe_cost is not None:
+            counters.append(telemetry.counter("policy.probe_misses", policy=policy))
+        return counters
 
     # ------------------------------------------------------------------
     # The two RCMP outcomes.

@@ -105,13 +105,6 @@ class HistoryTable:
         self._entries.move_to_end(key)
         return entry[slot]
 
-    def invalidate_slice(self, slice_id: int) -> int:
-        """Drop all entries of *slice_id*; returns how many were dropped."""
-        doomed = [key for key in self._entries if key[0] == slice_id]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
-
     def entries(self) -> List[Tuple[Key, Tuple[Value, ...]]]:
         """Every checkpoint, least recently used first (no LRU effect)."""
         return list(self._entries.items())

@@ -18,8 +18,8 @@ Paper section 3.3.1 defines the design space; the evaluation (section
   probabilistically profitable ones).
 
 Policies are stateless decision functions; the amnesic CPU supplies an
-:class:`RcmpContext` per RCMP and charges the returned probe cost on the
-appropriate path.
+:class:`RcmpContext` per RCMP, charges the returned probe cost on the
+appropriate path and meters the decision.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ..energy.account import Cost
 from ..energy.model import EnergyModel
 from ..machine.config import Level
 from ..machine.hierarchy import MemoryHierarchy
-from ..telemetry.runtime import get_telemetry
 
 
 @dataclasses.dataclass
@@ -62,46 +61,6 @@ class Decision:
     probe_hit_level: Optional[Level] = None
 
 
-#: ``{(session id, policy, series key): Counter}`` — decision metering
-#: runs once per RCMP, so the registry's label normalisation is cached
-#: per telemetry session.  Keyed by the session object itself (weakly,
-#: via id + identity check) so a fresh session re-resolves.
-_DECISION_METERS: dict = {}
-
-
-def _decision_counter(telemetry, policy_name: str, key: str, labels: dict):
-    cache = _DECISION_METERS
-    session, counters = cache.get("entry", (None, None))
-    if session is not telemetry:
-        counters = {}
-        cache["entry"] = (telemetry, counters)
-    counter = counters.get((policy_name, key))
-    if counter is None:
-        counter = counters[(policy_name, key)] = telemetry.counter(
-            f"policy.{key.split('/', 1)[0]}", policy=policy_name, **labels
-        )
-    return counter
-
-
-def _count_decision(policy_name: str, decision: Decision) -> Decision:
-    """Meter one scheduler verdict; free when telemetry is disabled."""
-    telemetry = get_telemetry()
-    if not telemetry.enabled:
-        return decision
-    verdict = "fire" if decision.fire else "skip"
-    _decision_counter(
-        telemetry, policy_name, f"decisions/{verdict}", {"verdict": verdict}
-    ).inc()
-    if decision.probe_hit_level is not None:
-        level = decision.probe_hit_level.value
-        _decision_counter(
-            telemetry, policy_name, f"probe_hits/{level}", {"level": level}
-        ).inc()
-    elif decision.probe_cost is not None:
-        _decision_counter(telemetry, policy_name, "probe_misses", {}).inc()
-    return decision
-
-
 class Policy(abc.ABC):
     """A runtime recomputation-firing policy."""
 
@@ -121,7 +80,7 @@ class CompilerPolicy(Policy):
     name = "Compiler"
 
     def decide(self, context: RcmpContext) -> Decision:
-        return _count_decision(self.name, Decision(fire=True))
+        return Decision(fire=True)
 
 
 class FLCPolicy(Policy):
@@ -132,11 +91,11 @@ class FLCPolicy(Policy):
     def decide(self, context: RcmpContext) -> Decision:
         found = context.hierarchy.probe(context.address, through=Level.L1)
         cost = context.hierarchy.probe_cost(found, through=Level.L1)
-        return _count_decision(self.name, Decision(
+        return Decision(
             fire=found is None,
             probe_cost=Cost(cost.energy_nj, cost.latency_ns),
             probe_hit_level=found,
-        ))
+        )
 
 
 class LLCPolicy(Policy):
@@ -147,11 +106,11 @@ class LLCPolicy(Policy):
     def decide(self, context: RcmpContext) -> Decision:
         found = context.hierarchy.probe(context.address, through=Level.L2)
         cost = context.hierarchy.probe_cost(found, through=Level.L2)
-        return _count_decision(self.name, Decision(
+        return Decision(
             fire=found is None,
             probe_cost=Cost(cost.energy_nj, cost.latency_ns),
             probe_hit_level=found,
-        ))
+        )
 
 
 class OracleDecisionPolicy(Policy):
@@ -169,10 +128,7 @@ class OracleDecisionPolicy(Policy):
 
     def decide(self, context: RcmpContext) -> Decision:
         level = context.hierarchy.residence(context.address)
-        return _count_decision(
-            self.name,
-            Decision(fire=self.fires_at(level, context.slice_info, context.model)),
-        )
+        return Decision(fire=self.fires_at(level, context.slice_info, context.model))
 
     @staticmethod
     def fires_at(level: Level, slice_info: SliceInfo, model: EnergyModel) -> bool:

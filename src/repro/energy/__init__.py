@@ -17,7 +17,6 @@ from .model import IBUFF_ACCESS_NJ, SFILE_ACCESS_NJ, EnergyModel
 from .tech import (
     TABLE1_NODES,
     TechnologyNode,
-    communication_to_computation_trend,
     paper_energy_model,
     r_default,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "EnergyAccount",
     "EnergyModel",
     "TechnologyNode",
-    "communication_to_computation_trend",
     "paper_energy_model",
     "r_default",
 ]

@@ -83,20 +83,9 @@ class EnergyAccount:
         """Energy-delay product in nJ*ns (Gonzalez & Horowitz metric)."""
         return self.total_energy_nj * self._time_ns
 
-    def energy_of(self, group: str) -> float:
-        """Energy accumulated under *group* in nJ."""
-        return self._energy_by_group[group]
-
     def breakdown(self) -> Dict[str, float]:
         """Copy of the energy-by-group mapping."""
         return dict(self._energy_by_group)
-
-    def breakdown_fractions(self) -> Dict[str, float]:
-        """Per-group share of total energy (rows of paper Table 4)."""
-        total = self.total_energy_nj
-        if total <= 0:
-            return {group: 0.0 for group in self._energy_by_group}
-        return {group: e / total for group, e in self._energy_by_group.items()}
 
     def snapshot(self) -> Tuple[float, float]:
         """(total energy, total time) — cheap checkpoint for deltas."""

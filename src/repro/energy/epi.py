@@ -130,9 +130,3 @@ class EPITable:
             for category, value in self.values.items()
         }
         return EPITable(scaled)
-
-    def with_override(self, category: Category, epi_nj: float) -> "EPITable":
-        """A new table with one category's EPI replaced."""
-        updated = dict(self.values)
-        updated[category] = epi_nj
-        return EPITable(updated)

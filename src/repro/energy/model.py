@@ -170,13 +170,6 @@ class EnergyModel:
     # ------------------------------------------------------------------
     # Estimation helpers for the compiler's probabilistic model.
     # ------------------------------------------------------------------
-    def estimated_slice_cost(self, category_counts) -> Cost:
-        """E_rc of a slice from its instruction mix (paper section 3.1.1)."""
-        total = Cost(0.0, 0.0)
-        for category, count in category_counts.items():
-            total = total + self.slice_instruction_cost(category).scaled(count)
-        return total
-
     def probabilistic_load_cost(self, level_probabilities) -> Cost:
         """E_ld as sum over levels of Pr(level) x per-level cost."""
         energy = 0.0

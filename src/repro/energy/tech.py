@@ -55,11 +55,6 @@ TABLE1_NODES: List[TechnologyNode] = [
 ]
 
 
-def communication_to_computation_trend() -> List[float]:
-    """The Table 1 trend: SRAM-load/FMA energy ratio per node, in order."""
-    return [node.sram_load_over_fma for node in TABLE1_NODES]
-
-
 def paper_energy_model(scaled: bool = True) -> EnergyModel:
     """The 22nm Table 3 machine bound to the default EPI table.
 

@@ -46,10 +46,6 @@ class CompilationError(ReproError):
     """The amnesic compiler pass could not transform a program."""
 
 
-class SliceFormationError(CompilationError):
-    """A recomputation slice could not be constructed for a load."""
-
-
 class RecomputationMismatch(ReproError):
     """A recomputed value differed from the value the load would return.
 
@@ -77,10 +73,6 @@ class SchedulerError(ReproError):
 
 class HistOverflow(SchedulerError):
     """The history table ran out of entries while recording a checkpoint."""
-
-
-class WorkloadError(ReproError):
-    """A workload could not be generated with the requested parameters."""
 
 
 class FuzzError(ReproError):

@@ -7,12 +7,7 @@ corpus-replay tests.
 """
 
 from .corpus import CorpusEntry, load_corpus, load_entry, save_entry
-from .faults import (
-    EagerFireCPU,
-    LateFlushBatchedAmnesicCPU,
-    LateFlushBatchedCPU,
-    SkipHistReadCPU,
-)
+from .faults import EagerFireCPU, SkipHistReadCPU
 from .generator import generate_specs, program_seed, random_spec
 from .oracle import (
     OracleFailure,
@@ -53,8 +48,6 @@ __all__ = [
     "FuzzConfig",
     "FuzzResult",
     "Gap",
-    "LateFlushBatchedAmnesicCPU",
-    "LateFlushBatchedCPU",
     "OracleFailure",
     "OracleVerdict",
     "Produce",

@@ -1,12 +1,13 @@
-"""Deliberately broken schedulers, batchers, replays and fast-path code.
+"""Deliberately broken schedulers, replays and fast-path code.
 
 A differential fuzzer that has never caught a bug proves nothing.  These
-CPU variants inject known defects so the test suite can assert the whole
-loop end-to-end: the generator produces a program that exercises the
-broken path, the oracle flags the divergence, and the shrinker reduces
-it to a minimal counterexample.  They are shipped in the package (not
-buried in tests) so future scheduler/backend work can re-run the same
-mutation check against new policies.
+CPU variants and code-generator edits inject known defects so the test
+suite can assert the whole loop end-to-end: the generator produces a
+program that exercises the broken path, the oracle flags the
+divergence, and the shrinker reduces it to a minimal counterexample.
+They are shipped in the package (not buried in tests) so future
+scheduler/backend work can re-run the same mutation check against new
+policies.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from ..core.backend import Backend
 from ..core.hist import HistoryTable
 from ..machine import fastpath
 from ..machine.cpu import CPU
-from ..machine.fastpath import BatchedExecutionMixin
 
 
 class _ZeroReadHist(HistoryTable):
@@ -67,68 +67,9 @@ class EagerFireCPU(AmnesicCPU):
         return True
 
 
-class _LateFlushMixin(BatchedExecutionMixin):
-    """Bug: a fused region's count flush stops short across a fault.
-
-    Classic counts an instruction *before* executing it, so when element
-    ``completed`` of a fused region or loop faults (a memory fault or an
-    arithmetic trap), that element must still be counted.  This batcher
-    flushes only the elements that finished — exactly the off-by-one a
-    hand-rolled batching loop is most likely to get wrong — so
-    ``dynamic_instructions`` and ``by_category`` come up one short on
-    any fused fault past the first element while registers, memory, and
-    the fault itself stay classic-identical.  Budget trips never reach
-    this flush: they land on per-pc functions.  The equivalence oracle
-    (on the ``batch-pure-trap`` corpus entry), fuzz campaigns and the
-    fastpath-region suite must all catch it.
-    """
-
-    @staticmethod
-    def _region_partial_flush(counts, start, completed):
-        for offset in range(1, completed):
-            counts[start + offset] += 1
-
-
-class LateFlushBatchedCPU(_LateFlushMixin, CPU):
-    """The broken batcher over classic semantics."""
-
-
-class LateFlushBatchedAmnesicCPU(_LateFlushMixin, AmnesicCPU):
-    """The broken batcher over amnesic binaries."""
-
-
-class _LoopBudgetLateMixin(BatchedExecutionMixin):
-    """Bug: a fused loop's loop-back asks only whether the next header fits.
-
-    The loop must leave its ``while`` before any pass that would cross
-    ``max_instructions`` (``_i0 + length > max``), so the budget trips
-    at the classic pc inside that pass.  This batcher exits only once
-    the budget is already spent (``_i0 >= max``), so one whole pass runs
-    past the budget: registers, memory, counts and the fault pc all
-    diverge on a budget that lands inside a loop.  The loop budget
-    sweep and the equivalence oracle must both catch it.
-    """
-
-    @staticmethod
-    def _loop_back_exit(length):
-        return "_i0 >= _mx"
-
-
-class LoopBudgetLateBatchedCPU(_LoopBudgetLateMixin, CPU):
-    """The late loop-back budget check over classic semantics."""
-
-
-class LoopBudgetLateBatchedAmnesicCPU(_LoopBudgetLateMixin, AmnesicCPU):
-    """The late loop-back budget check over amnesic binaries."""
-
-
-#: The broken CPUs as backends the oracle holds to classic.
+#: The broken schedulers as backends the oracle holds to classic.
 SKIP_HIST_READ = Backend("skip-hist-read", CPU, SkipHistReadCPU)
 EAGER_FIRE = Backend("eager-fire", CPU, EagerFireCPU)
-LATE_FLUSH = Backend("late-flush", LateFlushBatchedCPU, LateFlushBatchedAmnesicCPU)
-LOOP_BUDGET_LATE = Backend(
-    "loop-budget-late", LoopBudgetLateBatchedCPU, LoopBudgetLateBatchedAmnesicCPU
-)
 
 
 class LateReplayScanner(leaves._ReplayScanner):
@@ -193,40 +134,61 @@ def stale_load_lru():
     )
 
 
-@contextlib.contextmanager
-def deferred_store_producer() -> Iterator[None]:
+def late_flush():
+    """Generate fused regions and loops whose fault flush stops one short.
+
+    Bug: classic counts an instruction *before* executing it, so when
+    element ``completed`` of a fused region or loop faults (a memory
+    fault or an arithmetic trap), that element must still be counted.
+    This flush counts only the elements that finished — exactly the
+    off-by-one a hand-rolled batching loop is most likely to get wrong —
+    so ``dynamic_instructions`` and ``by_category`` come up one short on
+    any fused fault past the first element while registers, memory, and
+    the fault itself stay classic-identical.  Budget trips never reach
+    this flush: they land on per-pc functions.  The equivalence oracle
+    (on the ``batch-pure-trap`` corpus entry), fuzz campaigns and the
+    fastpath-region suite must all catch it.
+    """
+
+    def flush_finished(counts, start, completed):
+        for offset in range(1, completed):
+            counts[start + offset] += 1
+
+    return _regenerated(vars(fastpath), "_partial_flush", flush_finished)
+
+
+def loop_budget_late():
+    """Generate fused loops whose loop-back asks only whether the header fits.
+
+    Bug: the loop must leave its ``while`` before any pass that would
+    cross ``max_instructions`` (``_i0 + length > max``), so the budget
+    trips at the classic pc inside that pass.  This loop-back exits only
+    once the budget is already spent (``_i0 >= max``), so one whole pass
+    runs past the budget: registers, memory, counts and the fault pc all
+    diverge on a budget that lands inside a loop.  The loop budget sweep
+    and the equivalence oracle must both catch it.
+    """
+    return _regenerated(vars(fastpath), "_LOOP_BACK_EXIT", "_i0 >= _mx")
+
+
+def deferred_store_producer():
     """Generate traced ST functions that defer their last-store update.
 
     Bug: a traced store queues its write to the tracker's last-store
-    table instead of making it, and the queue is applied when the run
-    ends.  A load that follows a store to the same address in one run
-    then records no producing store, so the profile loses exactly the
-    memory dependences slice formation follows through a spill.
-    Execution and every other trace column stay classic-identical; the
-    column-parity comparison must catch it.
+    table instead of making it, so no load of the run ever sees it.  A
+    load that follows a store to the same address then records no
+    producing store, and the profile loses exactly the memory
+    dependences slice formation follows through a spill.  Execution and
+    every other trace column stay classic-identical; the column-parity
+    comparison must catch it.
     """
     store = ("traced", "_ls[_a] = _ix")
     queued = ("traced", "_ls.setdefault(None, []).append((_a, _ix))")
-    lines = tuple(
-        queued if line == store else line for line in fastpath._FAMILIES["st"]
+    return _regenerated(
+        fastpath._FAMILIES,
+        "st",
+        tuple(queued if line == store else line for line in fastpath._FAMILIES["st"]),
     )
-    run_loop = BatchedExecutionMixin._run_loop
-
-    def run_then_apply(self):
-        try:
-            run_loop(self)
-        finally:
-            if self.tracer is not None:
-                last_store = self.tracer.columns().last_store
-                for address, index in last_store.pop(None, ()):
-                    last_store[address] = index
-
-    BatchedExecutionMixin._run_loop = run_then_apply
-    try:
-        with _regenerated(fastpath._FAMILIES, "st", lines):
-            yield
-    finally:
-        BatchedExecutionMixin._run_loop = run_loop
 
 
 def unprobed_l2():
@@ -271,18 +233,14 @@ def stale_hist_lru():
 
 __all__ = [
     "EAGER_FIRE",
-    "LATE_FLUSH",
-    "LOOP_BUDGET_LATE",
     "SKIP_HIST_READ",
     "EagerFireCPU",
-    "LateFlushBatchedAmnesicCPU",
-    "LateFlushBatchedCPU",
     "LateReplayScanner",
-    "LoopBudgetLateBatchedAmnesicCPU",
-    "LoopBudgetLateBatchedCPU",
     "SkipHistReadCPU",
     "deferred_store_producer",
+    "late_flush",
     "late_replay",
+    "loop_budget_late",
     "stale_hist_lru",
     "stale_load_lru",
     "unprobed_l2",

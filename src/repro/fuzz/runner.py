@@ -285,11 +285,31 @@ class ReplayReport:
         return not self.failures
 
 
+def replay_entry(
+    entry: CorpusEntry,
+    model: EnergyModel,
+    policies: Optional[Sequence[str]] = None,
+    backend: Union[str, Backend, None] = None,
+) -> OracleVerdict:
+    """Run one corpus entry through the oracle.
+
+    The entry runs under its own policies (unless *policies* overrides
+    them) and its own budget; an entry without either gets the oracle's
+    defaults.
+    """
+    return check_spec(
+        entry.spec,
+        model=model,
+        policies=policies or entry.policies or POLICY_NAMES,
+        max_instructions=entry.max_instructions or DEFAULT_MAX_INSTRUCTIONS,
+        backend=backend,
+    )
+
+
 def replay_corpus(
     directory: str,
     model: Optional[EnergyModel] = None,
     policies: Optional[Sequence[str]] = None,
-    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
     backend: Union[str, Backend, None] = None,
 ) -> ReplayReport:
     """Re-run every committed corpus entry through the oracle."""
@@ -299,13 +319,7 @@ def replay_corpus(
     telemetry = get_telemetry()
     verdicts: List[Tuple[CorpusEntry, OracleVerdict]] = []
     for entry in load_corpus(directory):
-        verdict = check_spec(
-            entry.spec,
-            model=model,
-            policies=policies or entry.policies or POLICY_NAMES,
-            max_instructions=entry.max_instructions or max_instructions,
-            backend=backend,
-        )
+        verdict = replay_entry(entry, model, policies, backend)
         telemetry.counter(
             "fuzz.corpus.replayed",
             result="ok" if entry_satisfied(entry, verdict) else "failed",
@@ -320,5 +334,6 @@ __all__ = [
     "FuzzResult",
     "ReplayReport",
     "replay_corpus",
+    "replay_entry",
     "run_fuzz",
 ]

@@ -5,7 +5,6 @@ from .experiments import (
     EXPERIMENTS,
     ExperimentReport,
     report_payload,
-    run_all,
     run_experiment,
 )
 from .parallel import (
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate_unit",
     "merge_envelope",
     "report_payload",
-    "run_all",
     "run_experiment",
     "write_report",
 ]

@@ -9,7 +9,7 @@ implementation.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..analysis.breakdown import breakdown_table, render_breakdown
 from ..analysis.breakeven import find_breakeven
@@ -276,11 +276,6 @@ def run_experiment(experiment_id: str, runner: SuiteRunner) -> ExperimentReport:
         ) from None
     with get_telemetry().span("experiment", id=experiment_id):
         return experiment(runner)
-
-
-def run_all(runner: SuiteRunner) -> List[ExperimentReport]:
-    """Run every registered experiment, in paper order."""
-    return [run_experiment(experiment_id, runner) for experiment_id in EXPERIMENTS]
 
 
 # ----------------------------------------------------------------------

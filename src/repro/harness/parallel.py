@@ -331,7 +331,6 @@ def default_jobs() -> int:
 def evaluate_many(
     units: Sequence[WorkUnit],
     jobs: int = 1,
-    merge_telemetry: bool = True,
 ) -> List[ResultEnvelope]:
     """Evaluate *units*, fanning out over *jobs* worker processes.
 
@@ -373,11 +372,10 @@ def evaluate_many(
                         failures.append((unit.benchmark, error))
         # Merge inside the suite.parallel span so worker root spans are
         # re-parented under it (the cross-process nesting anchor).
-        if merge_telemetry:
-            for envelope in envelopes:
-                if envelope is not None:
-                    merge_envelope(envelope, telemetry)
-            publish_pool_metrics(envelopes, workers, telemetry)
+        for envelope in envelopes:
+            if envelope is not None:
+                merge_envelope(envelope, telemetry)
+        publish_pool_metrics(envelopes, workers, telemetry)
     if failures:
         raise ParallelEvaluationError(
             [(name, str(error)) for name, error in failures],

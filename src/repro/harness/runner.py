@@ -79,7 +79,11 @@ class SuiteRunner:
 
     @classmethod
     def from_env(cls, **overrides) -> "SuiteRunner":
-        """A runner configured from ``$REPRO_JOBS``/``$REPRO_CACHE_DIR``."""
+        """A runner configured from the environment.
+
+        ``$REPRO_JOBS``, ``$REPRO_CACHE_DIR`` and ``$REPRO_LEDGER_DIR``
+        fill in whatever *overrides* leave out.
+        """
         overrides.setdefault("jobs", default_jobs())
         overrides.setdefault("cache_dir", os.environ.get("REPRO_CACHE_DIR") or None)
         overrides.setdefault("ledger_dir", os.environ.get(LEDGER_ENV_VAR) or None)

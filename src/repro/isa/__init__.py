@@ -45,7 +45,6 @@ from .operands import (
     Operand,
     Reg,
     SReg,
-    is_constant,
     parse_operand,
 )
 from .program import DataSegment, Program, SliceRegion
@@ -76,7 +75,6 @@ __all__ = [
     "branch_taken",
     "evaluate",
     "halt",
-    "is_constant",
     "jump",
     "li",
     "load",

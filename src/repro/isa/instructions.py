@@ -66,12 +66,6 @@ class Instruction:
         """True for slice leaves (no producers inside the slice)."""
         return self.is_slice_instruction and self.leaf_id is not None
 
-    def register_uses(self) -> Iterator[Reg]:
-        """Architectural registers read by this instruction."""
-        for src in self.srcs:
-            if isinstance(src, Reg):
-                yield src
-
     def register_def(self) -> Optional[Reg]:
         """The architectural register written, if any."""
         if isinstance(self.dest, Reg):

@@ -88,11 +88,6 @@ Operand = Union[Reg, Imm, SReg, HistRef]
 ZERO_REG = Reg(0)
 
 
-def is_constant(operand: Operand) -> bool:
-    """True if *operand* needs no storage to be available at recompute time."""
-    return isinstance(operand, Imm)
-
-
 def parse_operand(text: str) -> Operand:
     """Parse the assembler spelling of an operand.
 

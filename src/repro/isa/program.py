@@ -118,13 +118,6 @@ class Program:
         except KeyError:
             raise ValidationError(f"undefined label: {label}") from None
 
-    def label_at(self, pc: int) -> Optional[str]:
-        """The first label bound to *pc*, if any."""
-        for label, bound in self.labels.items():
-            if bound == pc:
-                return label
-        return None
-
     def slice_containing(self, pc: int) -> Optional[SliceRegion]:
         """The slice region containing *pc*, if any."""
         for region in self.slices.values():

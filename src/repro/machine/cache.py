@@ -77,18 +77,17 @@ class Cache:
     # ------------------------------------------------------------------
     # Operations.
     # ------------------------------------------------------------------
-    def lookup(self, address: int, update_lru: bool = True) -> bool:
+    def lookup(self, address: int) -> bool:
         """Check presence of *address*; counts a hit or miss.
 
         Does not allocate on miss — use :meth:`fill`.  On hit the line is
-        promoted to most-recently-used unless *update_lru* is false.
+        promoted to most-recently-used.
         """
         line = self.line_address(address)
         cache_set = self._set_for(line)
         if line in cache_set:
             self.stats.hits += 1
-            if update_lru:
-                cache_set.move_to_end(line)
+            cache_set.move_to_end(line)
             return True
         self.stats.misses += 1
         return False

@@ -86,10 +86,6 @@ class CacheGeometry:
     def sets(self) -> int:
         return self.total_lines // self.associativity
 
-    @property
-    def capacity_words(self) -> int:
-        return self.total_lines * self.line_words
-
 
 @dataclasses.dataclass(frozen=True)
 class LevelParams:

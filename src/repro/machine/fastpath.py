@@ -1255,7 +1255,24 @@ def _fused_body(decoder, start, end, values, keys, first_mark):
     return lines
 
 
-def _fuse_region(decoder, region, table, flush):
+def _partial_flush(counts, start, completed):
+    """Count a fused region's interior elements after a fault.
+
+    Classic counts before executing, so the faulting element (index
+    ``completed``) is counted too; element 0 was already counted by the
+    outer loop.
+    """
+    for offset in range(1, completed + 1):
+        counts[start + offset] += 1
+
+
+#: A fused loop's loop-back budget test, as generated source: true when
+#: the next pass, ``length`` instructions from ``_i0``, would cross the
+#: budget ``_mx``, and the loop hands the header back to the outer loop.
+_LOOP_BACK_EXIT = "_i0 + {length} > _mx"
+
+
+def _fuse_region(decoder, region, table):
     """Install the single-dispatch function of one batchable region.
 
     Entered with less budget than its length, it runs only its first
@@ -1283,7 +1300,7 @@ def _fuse_region(decoder, region, table, flush):
     values.update((name, decoder.env[name]) for name in homes)
     values.update(
         _counts=table.counts, _fc=table.fused_counts, _tbl=table,
-        _flush=flush, _first=table.fns[start],
+        _flush=_partial_flush, _first=table.fns[start],
     )
     source = [
         "    _i0 = _cpu._dynamic_index",
@@ -1310,18 +1327,17 @@ def _fuse_region(decoder, region, table, flush):
     table.region_spans.append((start, end))
 
 
-def _fuse_loop(decoder, loop, table, flush, back_exit):
+def _fuse_loop(decoder, loop, table):
     """Install the one-dispatch function of one self-loop at its header.
 
     One pass is the header, the body region and the loop-back ``JMP``,
     rendered from their descriptions: the header's taken ``goto``
     leaves the ``while`` loop and the loop-back's falls into the next
-    pass.  *back_exit* is the loop-back's budget test, true when the
-    next pass must not run fused.  Entered with less than a pass left,
-    it runs only the header's per-pc function; the body start keeps its
-    per-pc function.  Returns whether the loop fused: when an element
-    cannot be rendered, nothing is installed and the body region fuses
-    on its own.
+    pass unless :data:`_LOOP_BACK_EXIT` holds.  Entered with less than a
+    pass left, it runs only the header's per-pc function; the body start
+    keeps its per-pc function.  Returns whether the loop fused: when an
+    element cannot be rendered, nothing is installed and the body region
+    fuses on its own.
     """
     program = decoder.program
     header, back, length = loop.header, loop.back, loop.length
@@ -1343,7 +1359,7 @@ def _fuse_loop(decoder, loop, table, flush, back_exit):
     values.update((name, decoder.env[name]) for name in homes)
     values.update(
         _counts=table.counts, _fc=table.fused_counts, _tbl=table,
-        _flush=flush, _hdr=table.fns[header],
+        _flush=_partial_flush, _hdr=table.fns[header],
     )
     source = [
         "    _i0 = _cpu._dynamic_index",
@@ -1358,7 +1374,7 @@ def _fuse_loop(decoder, loop, table, flush, back_exit):
         *("            " + line for line in head[0] + body + jump[0]),
         "            _p += 1",
         f"            _i0 += {length}",
-        f"            if {back_exit}:",
+        "            if " + _LOOP_BACK_EXIT.format(length=length) + ":",
         *("                " + line for line in writeback),
         "                _cpu._dynamic_index = _i0",
         f"                _fc[{rid}] += _p",
@@ -1679,37 +1695,14 @@ class BatchedExecutionMixin:
         from ..staticcheck.regions import analyze_regions
 
         analysis = analyze_regions(self.program)
-        flush = self._region_partial_flush
         looped = set()
         for loop in analysis.loops:
-            back_exit = self._loop_back_exit(loop.length)
-            if _fuse_loop(decoder, loop, table, flush, back_exit):
+            if _fuse_loop(decoder, loop, table):
                 looped.add(loop.body)
         for region in analysis.batchable_regions:
             if region not in looped and not region.in_slice:
-                _fuse_region(decoder, region, table, flush)
+                _fuse_region(decoder, region, table)
         return table
-
-    @staticmethod
-    def _region_partial_flush(counts, start, completed):
-        """Count a fused region's interior elements after a fault.
-
-        Classic counts before executing, so the faulting element (index
-        ``completed``) is counted too; element 0 was already counted by
-        the outer loop.
-        """
-        for offset in range(1, completed + 1):
-            counts[start + offset] += 1
-
-    @staticmethod
-    def _loop_back_exit(length):
-        """A fused loop's loop-back budget test, as generated source.
-
-        True when the next pass, *length* instructions from ``_i0``,
-        would cross the budget ``_mx``: the loop then hands the header
-        back to the outer loop.
-        """
-        return f"_i0 + {length} > _mx"
 
     def __getstate__(self):
         # The decode holds generated functions over this instance's hot

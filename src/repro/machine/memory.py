@@ -49,10 +49,6 @@ class Memory:
             raise MemoryFault(f"write to read-only address {address:#x}")
         self._cells[address] = value
 
-    def is_mapped(self, address: int) -> bool:
-        """True if *address* holds a value."""
-        return address in self._cells
-
     def is_read_only(self, address: int) -> bool:
         """True if *address* lies in a read-only (program input) range."""
         return any(lo <= address < hi for lo, hi in self._read_only)

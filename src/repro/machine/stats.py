@@ -57,13 +57,6 @@ class RunStats:
         """Dynamic loads actually performed (swapped loads excluded)."""
         return self.loads_performed
 
-    @property
-    def compute_count(self) -> int:
-        """Dynamic Non-mem (compute) instructions."""
-        return sum(
-            count for category, count in self.by_category.items() if category.is_compute
-        )
-
     def swapped_load_profile(self) -> Dict[Level, float]:
         """Fraction of swapped loads that resided at each level (Table 5)."""
         total = sum(self.swapped_load_levels.values())

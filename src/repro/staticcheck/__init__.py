@@ -18,7 +18,7 @@ Layered bottom-up:
 
 from .cfg import ControlFlowGraph, build_cfg
 from .dataflow import ReachingDefinitions
-from .diagnostics import RULES, Finding, LintReport, Severity, render_report
+from .diagnostics import RULES, Finding, LintReport, Severity
 from .lint import LintRun, LintSettings, run_lint
 from .regions import RegionAnalysis, analyze_regions
 from .rules import check_program, verify_compilation
@@ -36,7 +36,6 @@ __all__ = [
     "analyze_regions",
     "build_cfg",
     "check_program",
-    "render_report",
     "run_lint",
     "verify_compilation",
 ]

@@ -33,11 +33,6 @@ class Severity(enum.Enum):
     WARNING = "warning"
     INFO = "info"
 
-    @property
-    def gates(self) -> bool:
-        """True when a finding of this severity fails the lint gate."""
-        return self is Severity.ERROR
-
 
 @dataclasses.dataclass(frozen=True)
 class Rule:
@@ -295,20 +290,3 @@ class LintReport:
             "findings": [f.to_json() for f in self.findings],
         }
 
-
-def render_report(report: LintReport, max_findings: int = 0) -> str:
-    """Human-readable rendering of one report."""
-    if not report.findings:
-        return f"{report.program}: clean"
-    lines = [
-        f"{report.program}: {len(report.errors)} error(s), "
-        f"{len(report.by_severity(Severity.WARNING))} warning(s), "
-        f"{len(report.by_severity(Severity.INFO))} note(s)"
-    ]
-    shown = report.findings
-    if max_findings and len(shown) > max_findings:
-        shown = shown[:max_findings]
-    lines.extend(f"  {finding}" for finding in shown)
-    if shown is not report.findings:
-        lines.append(f"  ... ({len(report.findings) - len(shown)} more)")
-    return "\n".join(lines)

@@ -22,13 +22,12 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..compiler.amnesic_pass import CompilationResult, PassOptions, compile_amnesic
-from ..core.policies import POLICY_NAMES
 from ..energy.model import EnergyModel
 from ..energy.tech import paper_energy_model
 from ..errors import ReproError
 from ..fuzz.corpus import EXPECT_CLASSIC_FAULT, load_corpus
-from ..fuzz.oracle import DEFAULT_MAX_INSTRUCTIONS, check_spec, default_fuzz_model
-from ..fuzz.runner import entry_satisfied
+from ..fuzz.oracle import default_fuzz_model
+from ..fuzz.runner import entry_satisfied, replay_entry
 from ..fuzz.spec import materialize
 from ..isa.program import Program
 from ..telemetry.runtime import get_telemetry
@@ -38,7 +37,7 @@ from .diagnostics import LintReport, Severity
 from .faults import BROKEN_PASSES
 from .layering import check_layering, default_package_root
 from .regions import RegionAnalysis, analyze_regions, describe
-from .rules import check_program, verify_compilation
+from .rules import verify_compilation
 
 KIND_KERNEL = "kernel"
 KIND_CORPUS = "corpus"
@@ -242,7 +241,7 @@ def _lint_corpus(run: LintRun, settings: LintSettings, progress: Progress) -> No
             checkable = compilation is not None
         get_telemetry().counter("lint.programs", kind=KIND_CORPUS).inc()
         if settings.cross_check and checkable:
-            result.cross_check = _cross_check(result.report, entry, options)
+            result.cross_check = _cross_check(result.report, entry, settings.backend)
         run.results.append(result)
         if progress:
             progress(f"corpus {name}: {_verdict(result.report)}")
@@ -259,20 +258,14 @@ def _lint_expected_fault(name: str, program: Program) -> ProgramResult:
     )
 
 
-def _cross_check(report: LintReport, entry, options: PassOptions) -> str:
+def _cross_check(report: LintReport, entry, backend: Optional[str]) -> str:
     """Compare the static verdict with the dynamic oracle's.
 
-    The oracle runs the entry as ``replay_corpus`` does (its policies
-    and budget) and is judged against the entry's expectation, so an
-    expected-fault entry agrees when its fault reproduces cleanly.
+    The oracle replays the entry on the lint's *backend* and is judged
+    against the entry's expectation, so an expected-fault entry agrees
+    when its fault reproduces cleanly.
     """
-    verdict = check_spec(
-        entry.spec,
-        model=default_fuzz_model(),
-        policies=entry.policies or POLICY_NAMES,
-        options=options,
-        max_instructions=entry.max_instructions or DEFAULT_MAX_INSTRUCTIONS,
-    )
+    verdict = replay_entry(entry, default_fuzz_model(), backend=backend)
     static_ok = report.ok
     dynamic_ok = entry_satisfied(entry, verdict)
     if static_ok and not dynamic_ok:

@@ -31,7 +31,7 @@ from typing import List, Optional
 
 from ..isa.opcodes import Category, Opcode
 from ..isa.program import Program
-from .cfg import ControlFlowGraph, build_cfg
+from .cfg import build_cfg
 
 #: Opcodes that interact with the amnesic machinery; never batchable.
 AMNESIC_OPCODES = frozenset({Opcode.RCMP, Opcode.RTN, Opcode.REC})
@@ -145,9 +145,7 @@ def _loop_around(program: Program, body: Region) -> Optional[Loop]:
     return Loop(header=header, body=body)
 
 
-def analyze_regions(
-    program: Program, cfg: Optional[ControlFlowGraph] = None
-) -> RegionAnalysis:
+def analyze_regions(program: Program) -> RegionAnalysis:
     """Find every maximal batchable straight-line region of *program*.
 
     Basic blocks already isolate single-entry runs (any branch target
@@ -155,10 +153,8 @@ def analyze_regions(
     and amnesic opcodes split out.  Each region that is the body of a
     self-loop (see :func:`_loop_around`) also reports its loop.
     """
-    if cfg is None:
-        cfg = build_cfg(program)
     regions: List[Region] = []
-    for block in cfg.blocks:
+    for block in build_cfg(program).blocks:
         run_start: Optional[int] = None
         for pc in block.pcs:
             opcode = program.instructions[pc].opcode

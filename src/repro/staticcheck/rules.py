@@ -27,7 +27,6 @@ from ..compiler.cost import CostContext
 from ..compiler.deadstore import DeadStoreAnalysis, analysis_for_compilation
 from ..compiler.rslice import LeafInput, LeafInputKind, RSlice, TemplateNode
 from ..energy.model import EnergyModel
-from ..isa.instructions import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.operands import HistRef, Imm, Operand, Reg, SReg
 from ..isa.program import Program

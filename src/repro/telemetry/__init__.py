@@ -56,7 +56,6 @@ from .timeline import (
     TimelineTrack,
     WindowSample,
     is_level_series,
-    render_track,
 )
 from .views import figure_observables, occupancy_view, slice_length_view
 from .summary import (
@@ -105,7 +104,6 @@ __all__ = [
     "occupancy_view",
     "reconcile",
     "render_profile",
-    "render_track",
     "slice_length_view",
     "trace_summary",
     "validate_chrome_trace",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from .registry import (
     NULL_COUNTER,

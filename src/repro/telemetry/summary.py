@@ -290,7 +290,7 @@ def render_metrics(registry: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
-def render_summary(telemetry: Telemetry, top: int = 5, metrics: bool = True) -> str:
+def render_summary(telemetry: Telemetry, top: int = 5) -> str:
     """The full post-run report: tree, hot spans, RCMP table, metrics."""
     roots = telemetry.tracer.tree()
     sections = [
@@ -308,6 +308,5 @@ def render_summary(telemetry: Telemetry, top: int = 5, metrics: bool = True) -> 
     ]
     if pool_stats(telemetry.registry):
         sections += ["", "== worker pool ==", render_pool_stats(telemetry.registry)]
-    if metrics:
-        sections += ["", "== metrics ==", render_metrics(telemetry.registry)]
+    sections += ["", "== metrics ==", render_metrics(telemetry.registry)]
     return "\n".join(sections)

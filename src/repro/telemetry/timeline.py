@@ -181,38 +181,3 @@ class TimelineTrack:
     def delta_series(self, name: str) -> List[float]:
         """The per-window deltas of one cumulative series."""
         return [sample.deltas.get(name, 0.0) for sample in self.samples]
-
-    def peak(self, name: str) -> float:
-        """Maximum reading of a level series across the run."""
-        values = self.level_series(name)
-        return max(values) if values else 0.0
-
-
-def render_track(track: TimelineTrack, series: Optional[List[str]] = None,
-                 width: int = 40) -> str:
-    """A terminal sparkline-ish rendering of selected level series."""
-    blocks = " .:-=+*#%@"
-    names = series or [n for n in track.series_names() if is_level_series(n)]
-    lines = [f"timeline {track.label} "
-             f"({len(track.samples)} windows of {track.window} instr)"]
-    for name in names:
-        values = track.level_series(name)
-        if not values:
-            continue
-        top = max(values)
-        if len(values) > width:
-            # Downsample by taking the max of each chunk (pressure view).
-            chunk = len(values) / width
-            values = [
-                max(values[int(i * chunk): max(int((i + 1) * chunk), int(i * chunk) + 1)])
-                for i in range(width)
-            ]
-        if top <= 0:
-            bar = " " * len(values)
-        else:
-            bar = "".join(
-                blocks[min(int(v / top * (len(blocks) - 1)), len(blocks) - 1)]
-                for v in values
-            )
-        lines.append(f"  {name:<24} |{bar}| peak {top:g}")
-    return "\n".join(lines)

@@ -16,7 +16,7 @@ touches the interpreters.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
 from .timeline import TimelineTrack
 
@@ -27,21 +27,17 @@ def _rcmp_events(events: Iterable[Dict[str, object]]):
             yield event
 
 
-def slice_length_view(
-    events: Iterable[Dict[str, object]], outcome: Optional[str] = "fired"
-) -> Dict[int, int]:
+def slice_length_view(events: Iterable[Dict[str, object]]) -> Dict[int, int]:
     """Dynamic RSlice-length distribution (the Fig. 6 observable, live).
 
     Figure 6 plots static slice lengths from the compiler; the live view
-    counts the lengths of slices the scheduler actually *fired* (pass
-    ``outcome=None`` for every RCMP regardless of verdict), which is the
-    execution-weighted version of the same distribution.
+    counts the lengths of slices the scheduler actually *fired*, which
+    is the execution-weighted version of the same distribution.
     """
     lengths: Counter = Counter()
     for event in _rcmp_events(events):
-        if outcome is not None and event.get("outcome") != outcome:
-            continue
-        lengths[int(event.get("slice_len", 0))] += 1
+        if event.get("outcome") == "fired":
+            lengths[int(event.get("slice_len", 0))] += 1
     return dict(sorted(lengths.items()))
 
 
@@ -92,10 +88,7 @@ def residence_view(
     return dict(sorted(residence.items()))
 
 
-def occupancy_view(
-    timelines: Iterable[TimelineTrack],
-    structures: Iterable[str] = ("sfile", "hist", "ibuff"),
-) -> Dict[str, Dict[str, float]]:
+def occupancy_view(timelines: Iterable[TimelineTrack]) -> Dict[str, Dict[str, float]]:
     """Peak and mean occupancy per structure across the session's runs.
 
     The data the checkpointing follow-up (arXiv 1710.04685) needs:
@@ -104,7 +97,7 @@ def occupancy_view(
     """
     views: Dict[str, Dict[str, float]] = {}
     for track in timelines:
-        for structure in structures:
+        for structure in ("sfile", "hist", "ibuff"):
             name = f"{structure}.occupancy"
             series = track.level_series(name)
             if not series or not any(series):

@@ -386,13 +386,6 @@ class DependenceTracker:
         """Read-only, lazily built sequence of every :class:`DynRecord`."""
         return RecordView(self)
 
-    def loads_at(self, pc: int) -> List[DynRecord]:
-        """All dynamic instances of the static load at *pc*."""
-        info = self._static.get(pc)
-        if info is None or not info.is_load:
-            return []
-        return [self.record(index) for index in info.instances]
-
     def dynamic_loads(self) -> List[DynRecord]:
         """All dynamic load records, in execution order."""
         return [

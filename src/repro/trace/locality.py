@@ -74,11 +74,6 @@ class ValueLocalityTracker:
         """Dynamic instance count of the load at *pc*."""
         return self._total.get(pc, 0)
 
-    def localities(self, pcs: Iterable[int] | None = None) -> Dict[int, float]:
-        """Locality per static load (restricted to *pcs* when given)."""
-        selected = self.observed_loads() if pcs is None else list(pcs)
-        return {pc: self.locality(pc) for pc in selected}
-
     def weighted_histogram(self, pcs: Iterable[int], bins: int = 10) -> List[float]:
         """Histogram of locality over *pcs*, weighted by dynamic load count.
 

@@ -18,7 +18,6 @@ import dataclasses
 from collections import Counter
 from typing import Dict, List, Optional
 
-from ..isa.opcodes import Category
 from .dependence import DependenceTracker
 
 #: Reuse-distance histogram bucket upper bounds (in distinct lines),
@@ -113,14 +112,6 @@ class TraceSummary:
     working_set_words: int
     working_set_lines: int
     load_reuse: Optional[ReuseProfile]
-
-    def compute_fraction(self) -> float:
-        """Share of dynamic instructions that are Non-mem compute."""
-        return sum(
-            fraction
-            for name, fraction in self.mix.items()
-            if Category(name).is_compute
-        )
 
 
 def summarise_trace(

@@ -26,7 +26,7 @@ architectural registers.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ...isa.builder import ProgramBuilder
 from ...isa.opcodes import Opcode

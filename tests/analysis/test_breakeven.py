@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.analysis import default_r, edp_gain_at_factor, find_breakeven
-from repro.energy import EPITable, EnergyModel, paper_energy_model
-
-from ..conftest import build_spill_kernel, tiny_config
+from repro.analysis import edp_gain_at_factor, find_breakeven
+from repro.energy import paper_energy_model, r_default
 
 
 def test_bisection_with_injected_gain():
@@ -35,7 +33,7 @@ def test_cap_reported_as_lower_bound():
 
 
 def test_default_r_matches_paper():
-    assert default_r(paper_energy_model()) == pytest.approx(0.0086, abs=0.001)
+    assert r_default(paper_energy_model()) == pytest.approx(0.0086, abs=0.001)
 
 
 @pytest.mark.integration

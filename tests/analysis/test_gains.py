@@ -38,11 +38,6 @@ def test_mean_and_max(matrix):
     assert matrix.max_gain("Compiler") == max(gains)
 
 
-def test_degradations_lists_negative_gains(matrix):
-    for benchmark in matrix.degradations("Compiler"):
-        assert matrix.gain(benchmark, "Compiler") < 0
-
-
 def test_render_contains_benchmarks(matrix):
     text = matrix.render()
     assert "k1" in text and "k2" in text and "Oracle" in text

@@ -46,7 +46,6 @@ def test_observed_demand_within_bounds(compiled):
     """Section 5.4: practical demand sits far under the loose bounds."""
     compilation, cpu = compiled
     utilisation = observed_utilisation(compilation.binary, cpu)
-    assert utilisation.within_bounds
     assert utilisation.sfile_high_water <= utilisation.bounds.sfile_entries
     assert utilisation.hist_high_water <= max(utilisation.bounds.hist_entries, 1)
 

@@ -83,7 +83,6 @@ def test_compilation_wrapper_on_spill_kernel():
     assert analysis.total_dynamic_stores > 0
     # The spill store's only consumer is the swapped reload.
     assert analysis.elidable_dynamic_stores > 0
-    assert analysis.potential_store_energy_nj(make_model()) > 0
 
 
 def test_fraction_of_empty_trace_is_zero():

@@ -89,7 +89,6 @@ def test_rslice_metrics():
     rslice = make_rslice(root)
     assert rslice.length == 4
     assert rslice.height == 2
-    assert rslice.leaf_count == 2
 
 
 def test_nonrecomputable_detection():

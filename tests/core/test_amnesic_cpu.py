@@ -129,7 +129,7 @@ def test_hist_reads_charged_to_hist_group(spill_compiled):
     model, program, compilation = spill_compiled
     amnesic = run_amnesic(compilation, "Compiler", model)
     if amnesic.stats.hist_reads:
-        assert amnesic.account.energy_of("hist") > 0
+        assert amnesic.account.breakdown()["hist"] > 0
 
 
 def test_accumulator_kernel_end_to_end():

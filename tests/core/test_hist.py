@@ -49,16 +49,6 @@ def test_missing_read_raises_and_counts():
     assert hist.stats.missing_reads == 1
 
 
-def test_invalidate_slice():
-    hist = HistoryTable(capacity=8)
-    hist.record(0, 0, (1,))
-    hist.record(0, 1, (2,))
-    hist.record(1, 0, (3,))
-    assert hist.invalidate_slice(0) == 2
-    assert not hist.has(0, 0)
-    assert hist.has(1, 0)
-
-
 def test_high_water():
     hist = HistoryTable(capacity=8)
     for leaf in range(5):

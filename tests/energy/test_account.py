@@ -29,20 +29,6 @@ def test_energy_only_charge_leaves_time():
     assert account.total_time_ns == 0.0
 
 
-def test_breakdown_fractions_sum_to_one():
-    account = EnergyAccount()
-    account.charge(GROUP_LOAD, Cost(3.0, 1.0))
-    account.charge(GROUP_NONMEM, Cost(1.0, 1.0))
-    fractions = account.breakdown_fractions()
-    assert abs(sum(fractions.values()) - 1.0) < 1e-12
-    assert fractions[GROUP_LOAD] == 0.75
-
-
-def test_empty_account_fractions_are_zero():
-    fractions = EnergyAccount().breakdown_fractions()
-    assert all(value == 0.0 for value in fractions.values())
-
-
 def test_cost_addition_and_scaling():
     cost = Cost(2.0, 3.0) + Cost(1.0, 1.0)
     assert cost == Cost(3.0, 4.0)

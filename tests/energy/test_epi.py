@@ -40,11 +40,6 @@ def test_scaled_rejects_negative():
         EPITable.default().scaled_nonmem(-1)
 
 
-def test_with_override():
-    table = EPITable.default().with_override(Category.INT_ALU, 9.9)
-    assert table.epi(Category.INT_ALU) == 9.9
-
-
 def test_memory_categories_have_no_epi():
     with pytest.raises(KeyError):
         EPITable.default().epi(Category.LOAD)

@@ -58,17 +58,6 @@ def test_probabilistic_load_cost_interpolates():
     assert abs(mixed.energy_nj - (pure_l1.energy_nj + pure_mem.energy_nj) / 2) < 1e-9
 
 
-def test_estimated_slice_cost_sums_mix():
-    model = make_model()
-    mix = {Category.INT_ALU: 3, Category.INT_MUL: 1}
-    cost = model.estimated_slice_cost(mix)
-    expected = (
-        model.slice_instruction_cost(Category.INT_ALU).energy_nj * 3
-        + model.slice_instruction_cost(Category.INT_MUL).energy_nj
-    )
-    assert abs(cost.energy_nj - expected) < 1e-9
-
-
 def test_access_cost_passthrough():
     model = make_model()
     access = Access(level=Level.L2, energy_nj=8.6, latency_ns=24.77)

@@ -2,7 +2,6 @@
 
 from repro.energy import (
     TABLE1_NODES,
-    communication_to_computation_trend,
     paper_energy_model,
     r_default,
 )
@@ -20,7 +19,7 @@ def test_table1_values_match_paper():
 
 def test_trend_is_monotonic():
     """Communication gets relatively dearer with scaling (section 1)."""
-    trend = communication_to_computation_trend()
+    trend = [node.sram_load_over_fma for node in TABLE1_NODES]
     assert trend[0] < trend[1] <= trend[2] + 0.05
 
 

@@ -8,7 +8,7 @@ from repro.fuzz import (
     run_fuzz,
 )
 from repro.fuzz.corpus import EXPECT_CLASSIC_FAULT
-from repro.fuzz.faults import LATE_FLUSH, SKIP_HIST_READ, unprobed_l2
+from repro.fuzz.faults import SKIP_HIST_READ, late_flush, unprobed_l2
 from repro.telemetry.runtime import telemetry_session
 
 
@@ -151,11 +151,12 @@ def test_fault_parity_counterexamples_are_banked(tmp_path):
         seed=0,
         iterations=5,
         policies=("Compiler",),
-        backend=LATE_FLUSH,
+        backend="fast-batched",
         max_counterexamples=1,
         corpus_dir=corpus_dir,
     )
-    result = run_fuzz(config, model=model)
+    with late_flush():
+        result = run_fuzz(config, model=model)
     (cx,) = result.counterexamples
     assert cx.verdict.invalid and cx.verdict.failures
     assert cx.shrink_steps >= 1
@@ -164,7 +165,8 @@ def test_fault_parity_counterexamples_are_banked(tmp_path):
     assert entry.expect == EXPECT_CLASSIC_FAULT
     # The fixed batcher reproduces the classic fault exactly.
     assert replay_corpus(corpus_dir, model=model, backend="fast-batched").ok
-    assert not replay_corpus(corpus_dir, model=model, backend=LATE_FLUSH).ok
+    with late_flush():
+        assert not replay_corpus(corpus_dir, model=model, backend="fast-batched").ok
 
 
 def test_banked_entries_keep_the_campaigns_policies_and_budget(tmp_path):

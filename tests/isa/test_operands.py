@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.isa import NUM_REGISTERS, HistRef, Imm, Reg, SReg, is_constant, parse_operand
+from repro.isa import NUM_REGISTERS, HistRef, Imm, Reg, SReg, parse_operand
 
 
 def test_register_bounds():
@@ -28,12 +28,6 @@ def test_histref_bounds():
         HistRef(-1, 0)
     with pytest.raises(ValueError):
         HistRef(0, -1)
-
-
-def test_is_constant():
-    assert is_constant(Imm(3))
-    assert not is_constant(Reg(1))
-    assert not is_constant(SReg(1))
 
 
 @given(st.integers(min_value=0, max_value=NUM_REGISTERS - 1))

@@ -29,8 +29,6 @@ def make_program():
 def test_labels_resolve():
     program = make_program()
     assert program.pc_of("loop") == 1
-    assert program.label_at(1) == "loop"
-    assert program.label_at(0) is None
 
 
 def test_duplicate_label_rejected():

@@ -7,8 +7,9 @@ from repro.machine import CacheGeometry, Level, default_config, paper_geometry
 
 def test_paper_geometry_matches_table3():
     config = paper_geometry()
-    assert config.l1_geometry.capacity_words * 8 == 32 * 1024  # 32KB
-    assert config.l2_geometry.capacity_words * 8 == 512 * 1024  # 512KB
+    l1, l2 = config.l1_geometry, config.l2_geometry
+    assert l1.total_lines * l1.line_words * 8 == 32 * 1024  # 32KB
+    assert l2.total_lines * l2.line_words * 8 == 512 * 1024  # 512KB
     assert config.l1_params.read_energy_nj == 0.88
     assert config.l2_params.read_energy_nj == 7.72
     assert config.mem_params.read_energy_nj == 52.14
@@ -51,7 +52,6 @@ def test_level_depth_ordering():
 def test_geometry_sets():
     geometry = CacheGeometry(total_lines=16, associativity=4)
     assert geometry.sets == 4
-    assert geometry.capacity_words == 128
 
 
 def test_geometry_rejects_nonpositive_fields_with_values():

@@ -56,8 +56,8 @@ def test_loads_and_stores_account_to_their_groups():
     b.ld(v, base)
     b.st(v, base, offset=1)
     cpu = run_program(b.build())
-    assert cpu.account.energy_of("load") > 0
-    assert cpu.account.energy_of("store") > 0
+    assert cpu.account.breakdown()["load"] > 0
+    assert cpu.account.breakdown()["store"] > 0
     assert cpu.stats.loads_performed == 1
     assert cpu.stats.stores_performed == 1
 
@@ -194,7 +194,7 @@ def test_writeback_energy_charged_on_finalize():
         b.add(v, base, j)
         b.ld(v, v)
     cpu = run_program(b.build())
-    assert cpu.account.energy_of("writeback") > 0
+    assert cpu.account.breakdown()["writeback"] > 0
 
 
 def test_total_time_accumulates():

@@ -10,17 +10,18 @@ fault type/message/pc match the classic interpreter exactly, when the
 budget lands on a header, mid-body or on the loop-back, when a load or
 store faults in a later pass, when a loop runs zero times, and when a
 JR enters the body.  The deliberately broken loop-back budget check
-(``repro.fuzz.faults.LOOP_BUDGET_LATE``) must be caught by this suite
+(``repro.fuzz.faults.loop_budget_late``) must be caught by this suite
 and by the differential oracle.
 """
 
+import contextlib
 import dataclasses
 
 import pytest
 
 from repro.errors import ExecutionLimitExceeded, MemoryFault, ReproError
 from repro.fuzz import check_program, default_fuzz_model, materialize
-from repro.fuzz.faults import LOOP_BUDGET_LATE, LoopBudgetLateBatchedCPU
+from repro.fuzz.faults import loop_budget_late
 from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
 from repro.workloads import get, responsive_specs
@@ -129,11 +130,12 @@ def test_loop_budget_sweep_catches_the_late_loop_back():
     program = loop_kernel()
     clean = CPU(program, make_model())
     clean.run()
-    caught = sum(
-        outcome(*run_one(LoopBudgetLateBatchedCPU, program, budget))
-        != outcome(*run_one(CPU, program, budget))
-        for budget in range(1, clean.dynamic_count + 2)
-    )
+    with loop_budget_late():
+        caught = sum(
+            outcome(*run_one(BatchedFastCPU, program, budget))
+            != outcome(*run_one(CPU, program, budget))
+            for budget in range(1, clean.dynamic_count + 2)
+        )
     assert caught > 0, "no budget exposed a pass run past the budget"
 
 
@@ -311,17 +313,18 @@ def test_compiled_mcf_fuses_loops():
 
 
 @pytest.mark.parametrize(
-    "backend, caught", [(LOOP_BUDGET_LATE, True), ("fast-batched", False)]
+    "twin, caught", [(loop_budget_late, True), (contextlib.nullcontext, False)]
 )
-def test_oracle_on_the_loop_budget_edge(backend, caught):
+def test_oracle_on_the_loop_budget_edge(twin, caught):
     entry = budget_edge_entry()
-    verdict = check_program(
-        materialize(entry.spec),
-        spec=entry.spec,
-        model=default_fuzz_model(),
-        max_instructions=entry.max_instructions,
-        backend=backend,
-    )
+    with twin():
+        verdict = check_program(
+            materialize(entry.spec),
+            spec=entry.spec,
+            model=default_fuzz_model(),
+            max_instructions=entry.max_instructions,
+            backend="fast-batched",
+        )
     assert verdict.invalid, verdict.summary()
     assert bool(verdict.failures) == caught, verdict.summary()
     if caught:

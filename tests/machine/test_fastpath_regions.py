@@ -11,8 +11,8 @@ fused region, when a JR enters a region mid-run, and when a region runs
 to the very end of the program.  These tests pin that contract on
 hand-built adversarial programs and on every suite kernel; they also
 prove the test layer has teeth by running the deliberately broken
-late-flush batcher (``repro.fuzz.faults``) and asserting both this
-suite and the differential oracle catch it.
+late-flush batcher (``repro.fuzz.faults.late_flush``) and asserting
+both this suite and the differential oracle catch it.
 """
 
 import dataclasses
@@ -30,7 +30,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.fuzz import (
-    LateFlushBatchedCPU,
     check_program,
     check_spec,
     default_fuzz_model,
@@ -38,7 +37,7 @@ from repro.fuzz import (
     materialize,
 )
 from repro.fuzz.corpus import corpus_paths
-from repro.fuzz.faults import LATE_FLUSH
+from repro.fuzz.faults import late_flush
 from repro.isa import Opcode, ProgramBuilder
 from repro.machine import CPU, BatchedFastCPU
 from repro.workloads import all_specs
@@ -267,9 +266,10 @@ def test_trapping_region_fuses():
     assert fused_spans(batched) == [(0, 3)]
     assert classic.stats.dynamic_instructions == 3
     # The broken flush drops exactly the trapping element's count.
-    bad = LateFlushBatchedCPU(program, make_model())
-    with pytest.raises(ArithmeticFault):
-        bad.run()
+    with late_flush():
+        bad = BatchedFastCPU(program, make_model())
+        with pytest.raises(ArithmeticFault):
+            bad.run()
     assert (
         bad.stats.dynamic_instructions
         == classic.stats.dynamic_instructions - 1
@@ -421,17 +421,16 @@ def budget_edge_entry():
 
 def test_late_flush_batcher_caught_on_fused_memory_fault():
     program = unmapped_load_program()
-    runs = {}
-    for key, cls in (
-        ("classic", CPU),
-        ("good", BatchedFastCPU),
-        ("bad", LateFlushBatchedCPU),
-    ):
+
+    def faulted(cls):
         cpu = cls(program, make_model())
         with pytest.raises(MemoryFault):
             cpu.run()
-        runs[key] = cpu
-    good, bad, classic = runs["good"], runs["bad"], runs["classic"]
+        return cpu
+
+    classic, good = faulted(CPU), faulted(BatchedFastCPU)
+    with late_flush():
+        bad = faulted(BatchedFastCPU)
     assert (
         good.stats.dynamic_instructions == classic.stats.dynamic_instructions
     )
@@ -465,9 +464,10 @@ def test_oracle_catches_the_late_flush_batcher():
     # The scheduled trap lands inside a fused region, so the broken
     # flush comes up one count short on the fused fault path.
     entry = corpus_entry("batch-pure-trap")
-    verdict = check_spec(
-        entry.spec, model=default_fuzz_model(), backend=LATE_FLUSH
-    )
+    with late_flush():
+        verdict = check_spec(
+            entry.spec, model=default_fuzz_model(), backend="fast-batched"
+        )
     assert verdict.failures, (
         "the oracle let the broken batcher through: "
         + verdict.summary()

@@ -42,7 +42,6 @@ def test_write_can_extend_mapping():
     memory = make_memory()
     memory.write(500, 9)
     assert memory.read(500) == 9
-    assert memory.is_mapped(500)
 
 
 def test_snapshot_is_a_copy():

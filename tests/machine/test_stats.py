@@ -16,7 +16,6 @@ def test_count_instruction():
     stats.count_instruction(Category.LOAD)
     assert stats.dynamic_instructions == 3
     assert stats.by_category[Category.INT_ALU] == 2
-    assert stats.compute_count == 2
 
 
 def test_swapped_load_profile():

@@ -7,7 +7,13 @@ import shutil
 import pytest
 
 from repro.cli import main
-from repro.staticcheck.lint import AGREE, LintSettings, run_lint
+from repro.fuzz.faults import stale_load_lru
+from repro.staticcheck.lint import (
+    AGREE,
+    STATIC_PASS_DYNAMIC_FAIL,
+    LintSettings,
+    run_lint,
+)
 
 CORPUS_DIR = "tests/corpus"
 
@@ -86,6 +92,29 @@ def test_corpus_cross_check_agrees(entry, compiled, tmp_path):
     assert result.cross_check == AGREE
     assert (result.slice_count > 0) is compiled
     assert result.to_json()["cross_check"] == AGREE
+
+
+def test_cross_check_runs_the_oracle_on_the_lint_backend():
+    # The LD twin breaks only generated code, so the oracle sees it only
+    # when the cross-check runs on the backend the lint was given.
+    settings = LintSettings(
+        include_kernels=False,
+        corpus_dir=CORPUS_DIR,
+        cross_check=True,
+        backend="fast-batched",
+    )
+    with stale_load_lru():
+        run = run_lint(settings)
+    caught = [
+        result.name
+        for result in run.results
+        if result.cross_check == STATIC_PASS_DYNAMIC_FAIL
+    ]
+    assert caught == [
+        "aliasing-store", "clobbered-leaf", "gen-1", "gen-5",
+        "hist-lru-order", "loop-carried",
+    ]
+    assert not run.ok
 
 
 def test_corpus_cli_sweep(small_corpus, capsys):

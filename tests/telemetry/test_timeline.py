@@ -17,7 +17,6 @@ from repro.telemetry.sink import ListSink
 from repro.telemetry.timeline import (
     TimelineTrack,
     is_level_series,
-    render_track,
 )
 from tests.conftest import build_spill_kernel
 
@@ -111,16 +110,6 @@ def test_track_emits_timeline_events_to_sink():
 def test_track_rejects_nonpositive_window():
     with pytest.raises(ValueError):
         TimelineTrack("t", FakeStructure().observe, window=0)
-
-
-def test_render_track_lists_level_series():
-    structure = FakeStructure()
-    track = TimelineTrack("t", structure.observe, window=5)
-    structure.occupancy = 3
-    track.tick(5)
-    text = render_track(track)
-    assert "occupancy" in text
-    assert "peak 3" in text
 
 
 # ----------------------------------------------------------------------

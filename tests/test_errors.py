@@ -13,9 +13,7 @@ from repro.errors import (
     RecomputationMismatch,
     ReproError,
     SchedulerError,
-    SliceFormationError,
     ValidationError,
-    WorkloadError,
 )
 
 
@@ -24,7 +22,7 @@ from repro.errors import (
     [
         AssemblyError, ValidationError, MachineFault, MemoryFault,
         ArithmeticFault, ExecutionLimitExceeded, CompilationError,
-        SliceFormationError, SchedulerError, HistOverflow, WorkloadError,
+        SchedulerError, HistOverflow,
     ],
 )
 def test_all_derive_from_repro_error(error_type):

@@ -82,10 +82,9 @@ def test_loads_at_groups_by_static_pc():
         b.st(i, base)
         b.ld(v, base)
     tracker = trace_program(b.build())
-    load_pcs = {r.pc for r in tracker.dynamic_loads()}
-    assert len(load_pcs) == 1
-    (pc,) = load_pcs
-    assert len(tracker.loads_at(pc)) == 3
+    loads = tracker.dynamic_loads()
+    assert len({r.pc for r in loads}) == 1
+    assert len(loads) == 3
 
 
 def test_r0_writes_produce_nothing():
