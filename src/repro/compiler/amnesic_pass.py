@@ -25,7 +25,7 @@ ranked by estimated benefit and greedily admitted.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, cast
 
 from ..energy.model import EnergyModel
 from ..isa.program import Program
@@ -34,14 +34,19 @@ from ..trace.recorder import ProfileResult, profile_program
 from .annotate import AmnesicBinary, rewrite_binary
 from .cost import ESTIMATION_GLOBAL, ESTIMATION_PER_LOAD, CostContext
 from .formation import FORMATION_GREEDY, FORMATION_OPTIMAL, form_slice_tree
-from .leaves import ValidationReport, classify_and_validate, collect_liveness
+from .leaves import (
+    OperandFacts,
+    ValidationReport,
+    classify_and_validate,
+    collect_liveness,
+)
 from .producers import (
     DEFAULT_MAX_HEIGHT,
     DEFAULT_MAX_NODES,
     DEFAULT_MAX_SAMPLES,
     TemplateExtractor,
 )
-from .rslice import RSlice
+from .rslice import RSlice, TemplateNode
 
 SELECTION_PROBABILISTIC = "probabilistic"
 SELECTION_ALL_VALID = "all_valid"
@@ -71,6 +76,82 @@ class PassOptions:
             raise ValueError(f"unknown formation mode {self.formation!r}")
         if self.estimation not in (ESTIMATION_GLOBAL, ESTIMATION_PER_LOAD):
             raise ValueError(f"unknown estimation mode {self.estimation!r}")
+
+
+@dataclasses.dataclass(frozen=True)
+class FrontEnd:
+    """What a compile reads off its profile before formation.
+
+    Extraction and liveness depend only on the profile, the program it
+    ran and the four :class:`PassOptions` fields in :func:`front_end`'s
+    key, so compiles of one profile share them.  Shared read-only:
+    each compile copies ``rejected``, and formation materialises fresh
+    nodes from ``templates``.
+    """
+
+    #: Static loads rejected before formation: load pc -> reason.
+    rejected: Dict[int, str]
+    #: Full producer templates of the remaining loads, by load pc.
+    templates: Dict[int, TemplateNode]
+    liveness: OperandFacts
+
+
+#: The :class:`PassOptions` fields the front end reads: its memo key.
+FRONT_END_FIELDS: Tuple[str, ...] = (
+    "max_height",
+    "max_nodes",
+    "max_samples",
+    "min_instances",
+)
+
+
+def front_end(
+    program: Program, profile: ProfileResult, options: PassOptions
+) -> FrontEnd:
+    """The front end of compiling *program* from *profile*, built once.
+
+    Memoized on the profile (which ran *program*) by
+    :data:`FRONT_END_FIELDS`, so it lives and dies with the profile and
+    never pickles.  The energy model is not an input: costs are priced
+    after it.
+    """
+    key = ("front_end", *(getattr(options, name) for name in FRONT_END_FIELDS))
+    cached = profile.memo.get(key)
+    if cached is None:
+        cached = profile.memo[key] = _build_front_end(program, profile, options)
+    return cast(FrontEnd, cached)
+
+
+def _build_front_end(
+    program: Program, profile: ProfileResult, options: PassOptions
+) -> FrontEnd:
+    tracker = profile.dependence
+    extractor = TemplateExtractor(
+        tracker,
+        max_height=options.max_height,
+        max_nodes=options.max_nodes,
+        max_samples=options.max_samples,
+    )
+    # Candidate selection: which static loads have a stable,
+    # sufficiently hot producer template worth slicing.
+    rejected: Dict[int, str] = {}
+    templates: Dict[int, TemplateNode] = {}
+    for load_pc in program.static_loads():
+        count = profile.loads.load_count(load_pc)
+        if count < options.min_instances:
+            rejected[load_pc] = (
+                f"only {count} dynamic instance(s) observed "
+                f"(minimum {options.min_instances})"
+            )
+            continue
+        template = extractor.extract(load_pc)
+        if template is None:
+            rejected[load_pc] = "no stable producer template"
+            continue
+        templates[load_pc] = template.tree
+    # First trace scan: liveness of every severable operand, so
+    # formation can price live leaf inputs as free.
+    return FrontEnd(rejected, templates, collect_liveness(templates, tracker))
 
 
 @dataclasses.dataclass
@@ -103,8 +184,9 @@ def compile_amnesic(
 ) -> CompilationResult:
     """Run the full amnesic pass over *program*.
 
-    *profile* may be supplied to reuse an existing profiling run (e.g.
-    when compiling the same program under several option sets).
+    *profile* may be supplied to reuse an existing profiling run of
+    *program* (e.g. when compiling it under several option sets); the
+    compiles then share one :func:`front_end` per extraction setting.
     *backend* names the execution backend for the profiling run when one
     is needed; backends are trace-equivalent, so the compiled binary is
     identical either way.
@@ -122,46 +204,25 @@ def compile_amnesic(
         context = CostContext.from_trace(
             model, profile.loads, tracker, estimation=options.estimation
         )
-        extractor = TemplateExtractor(
-            tracker,
-            max_height=options.max_height,
-            max_nodes=options.max_nodes,
-            max_samples=options.max_samples,
-        )
 
-        # Candidate selection: which static loads have a stable,
-        # sufficiently hot producer template worth slicing.
-        rejected: Dict[int, str] = {}
-        full_templates = {}
+        # Template extraction and liveness, shared by every compile of
+        # this profile with the same extraction options.
         with telemetry.span("compile.candidates") as candidates_span:
-            for load_pc in program.static_loads():
-                count = profile.loads.load_count(load_pc)
-                if count < options.min_instances:
-                    rejected[load_pc] = (
-                        f"only {count} dynamic instance(s) observed "
-                        f"(minimum {options.min_instances})"
-                    )
-                    continue
-                template = extractor.extract(load_pc)
-                if template is None:
-                    rejected[load_pc] = "no stable producer template"
-                    continue
-                full_templates[load_pc] = template.tree
+            front = front_end(program, profile, options)
+            rejected = dict(front.rejected)
             candidates_span.set(
-                candidates=len(full_templates), rejected=len(rejected)
+                candidates=len(front.templates), rejected=len(rejected)
             )
 
-        # Slice formation.  First trace scan: liveness of every severable
-        # operand, so formation can price live leaf inputs as free.
+        # Slice formation, pricing live leaf inputs as free.
         with telemetry.span("compile.formation") as formation_span:
-            liveness = collect_liveness(full_templates, tracker)
             candidates = {}
-            for load_pc, tree in full_templates.items():
+            for load_pc, tree in front.templates.items():
                 formed = form_slice_tree(
                     tree,
                     context,
                     load_pc,
-                    liveness=liveness,
+                    liveness=front.liveness,
                     mode=options.formation,
                 )
                 candidates[load_pc] = formed.tree

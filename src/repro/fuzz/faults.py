@@ -1,4 +1,4 @@
-"""Deliberately broken schedulers, replays and fast-path code.
+"""Deliberately broken schedulers, replays, caches and fast-path code.
 
 A differential fuzzer that has never caught a bug proves nothing.  These
 CPU variants and code-generator edits inject known defects so the test
@@ -7,20 +7,24 @@ program that exercises the broken path, the oracle flags the
 divergence, and the shrinker reduces it to a minimal counterexample.
 They are shipped in the package (not buried in tests) so future
 scheduler/backend work can re-run the same mutation check against new
-policies.
+policies.  Three break what is computed once and reused (the compiler's
+front-end memo, fast-path decode plans, the one-call miss walk); the
+oracle cannot see them, so each names the test that does.
 """
 
 from __future__ import annotations
 
 import contextlib
+import inspect
+import textwrap
 from bisect import bisect_right
 from typing import Iterator, Optional, Sequence
 
-from ..compiler import leaves
+from ..compiler import amnesic_pass, leaves
 from ..core.amnesic_cpu import AmnesicCPU
 from ..core.backend import Backend
 from ..core.hist import HistoryTable
-from ..machine import fastpath
+from ..machine import fastpath, hierarchy
 from ..machine.cpu import CPU
 
 
@@ -99,6 +103,27 @@ def late_replay() -> Iterator[None]:
         yield
     finally:
         leaves._ReplayScanner = original
+
+
+@contextlib.contextmanager
+def front_end_ignoring_max_height() -> Iterator[None]:
+    """Key the compiler's front-end memo without ``max_height``.
+
+    Bug: two compiles of one profile that differ only in the template
+    height cap share whichever front end was built first, so the second
+    one forms its slices from templates extracted under the other cap.
+    A compile from a fresh profile is unaffected, which is exactly what
+    the varied-options test (``tests/compiler/test_front_end.py``)
+    holds every shared-profile compile to.
+    """
+    original = amnesic_pass.FRONT_END_FIELDS
+    amnesic_pass.FRONT_END_FIELDS = tuple(
+        name for name in original if name != "max_height"
+    )
+    try:
+        yield
+    finally:
+        amnesic_pass.FRONT_END_FIELDS = original
 
 
 @contextlib.contextmanager
@@ -211,6 +236,20 @@ def unprobed_l2():
     )
 
 
+def plan_by_name():
+    """Key fast-path decode plans by program name instead of identity.
+
+    Bug: a copy of a program (a deep copy, a pickle round trip) finds
+    its original's plan whenever the original is still alive, and runs
+    the fused regions, loops and slices rendered from the original's
+    instructions.  An unedited copy runs the same code and stays exact;
+    an edited one, such as a binary with a poisoned slice, runs code
+    that no longer matches its instructions.  The poisoned-copy test in
+    ``tests/machine/test_decode_plan.py`` must catch it.
+    """
+    return _regenerated(vars(fastpath), "_plan_key", lambda program: program.name)
+
+
 def stale_hist_lru():
     """Generate fused slices whose inline Hist read skips the LRU promotion.
 
@@ -231,6 +270,38 @@ def stale_hist_lru():
     )
 
 
+@contextlib.contextmanager
+def stale_l2_lru() -> Iterator[None]:
+    """Run the miss walk without the L2 hit's MRU promotion.
+
+    Bug: a load or store that misses L1 and hits L2 leaves its L2 line
+    where it was in the set's LRU order, so the next L2 allocation into
+    that set evicts the line just used.  The walk is rebuilt from its own
+    source with that one line deleted, and installed for the duration of
+    the ``with`` block.  Values are untouched; L2 hits and misses, the
+    write-backs and every load's servicing level drift from the next
+    eviction on, and with them the golden tables (``fig3``-``fig5``,
+    ``table4``, ``table5``) and the profiles the compile-identity golden
+    digests for ``ca``, ``is`` and ``mcf``.  Both backends run this one
+    walk (fast-batched binds it as ``_smiss``), so corpus replay and the
+    backend-equivalence tests pass under it: the walk's reference
+    property test (``tests/property/test_miss_walk_property.py``) is
+    what catches it at its source.
+    """
+    original = hierarchy.MemoryHierarchy._service_miss
+    source = textwrap.dedent(inspect.getsource(original))
+    promotion = "        lines.move_to_end(line)\n"
+    if source.count(promotion) != 1:
+        raise RuntimeError("the miss walk's L2 hit promotion is not one line")
+    namespace = dict(vars(hierarchy))
+    exec(compile(source.replace(promotion, ""), "<stale_l2_lru>", "exec"), namespace)
+    hierarchy.MemoryHierarchy._service_miss = namespace["_service_miss"]
+    try:
+        yield
+    finally:
+        hierarchy.MemoryHierarchy._service_miss = original
+
+
 __all__ = [
     "EAGER_FIRE",
     "SKIP_HIST_READ",
@@ -238,10 +309,13 @@ __all__ = [
     "LateReplayScanner",
     "SkipHistReadCPU",
     "deferred_store_producer",
+    "front_end_ignoring_max_height",
     "late_flush",
     "late_replay",
     "loop_budget_late",
+    "plan_by_name",
     "stale_hist_lru",
+    "stale_l2_lru",
     "stale_load_lru",
     "unprobed_l2",
 ]

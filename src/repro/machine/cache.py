@@ -27,15 +27,6 @@ class CacheStats:
     writebacks: int = 0
     probes: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hit fraction; zero for an untouched cache."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class EvictedLine(NamedTuple):
     """Result of an eviction: which line left and whether it was dirty."""
@@ -109,7 +100,11 @@ class Cache:
         return line in self._set_for(line)
 
     def fill(self, address: int, dirty: bool = False) -> Optional[EvictedLine]:
-        """Bring the line of *address* in, evicting LRU if the set is full."""
+        """Bring the line of *address* in, evicting LRU if the set is full.
+
+        ``MemoryHierarchy._service_miss`` inlines this; composed with
+        :meth:`lookup`, it is the reference the walk is tested against.
+        """
         line = self.line_address(address)
         cache_set = self._set_for(line)
         evicted = None
@@ -133,15 +128,6 @@ class Cache:
         if line in cache_set:
             cache_set[line] = True
             cache_set.move_to_end(line)
-
-    def invalidate(self, address: int) -> bool:
-        """Drop the line of *address* if present; return whether it was."""
-        line = self.line_address(address)
-        cache_set = self._set_for(line)
-        if line in cache_set:
-            del cache_set[line]
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Inspection.

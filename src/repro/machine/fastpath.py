@@ -40,6 +40,13 @@ description renders five ways:
   register operands, with scratch registers in locals: one generated
   function per RSlice.
 
+Per-pc factories compile once per opcode shape.  Fused regions, loops
+and slices render once per program: its first untraced decode builds a
+*decode plan* (:class:`_Plan`) of the region analysis and each fused
+function as a code object with a recipe naming what each parameter
+binds to, and every CPU that runs the program binds the plan to its own
+registers, accounts and costs.
+
 ``RCMP`` renders per pc for the run's policy (see :data:`_MECHANISMS`):
 its decision inline, a direct call into the slice's fused traversal,
 and the inherited load rendered from the ``LD`` description.
@@ -79,8 +86,12 @@ live because budgets, timelines and trace indices read it mid-run.
 
 from __future__ import annotations
 
+import builtins
 import re
+import weakref
 from functools import lru_cache
+from types import CodeType, FunctionType
+from typing import NamedTuple, Optional
 
 from ..energy.account import (
     GROUP_AMNESIC,
@@ -727,35 +738,67 @@ def _factory(shape, environment):
 
 @lru_cache(maxsize=2048)
 def _compiled_region(source, filename):
-    """Compile one fused region or slice source, cached across CPUs.
+    """Compile one fused region, loop or slice source, cached by source.
 
-    The generated source embeds only pcs, opcodes, and operand indices;
-    every run-dependent value (registers, accounts, costs, evaluators)
-    binds through default parameters at ``exec`` time.  The harness
-    builds a fresh CPU per policy run over the same program, so the
-    ``compile`` — which dominates the batched decode — is shared.
+    The generated source embeds only pcs, opcodes, operand indices and
+    the read-only ranges; every run-dependent value (registers,
+    accounts, costs) binds through default parameters when a CPU binds
+    the decode plan (see :class:`_Plan`).  A plan renders each program
+    once; this cache shares the ``compile`` between equal programs, such
+    as one kernel instantiated afresh for every run.
     """
     return compile(source, filename, "exec")
 
 
-def _define(name, lines, values, filename):
-    """Compile ``def name(...)`` over indented *lines* and return it.
+def _function_code(name, lines, params, filename):
+    """The code of ``def name(...)`` over indented *lines*.
 
-    Every entry of *values* binds as a default parameter (a fast local).
+    Every name in *params* (sorted) is a parameter defaulting to itself,
+    so what a CPU binds to it is a fast local.
     """
-    signature = ", ".join(f"{key}={key}" for key in sorted(values))
+    signature = ", ".join(f"{key}={key}" for key in params)
     source = f"def {name}({signature}):\n" + "\n".join(lines) + "\n"
-    namespace = dict(values)
-    exec(_compiled_region(source, filename), namespace)
-    return namespace[name]
+    module = _compiled_region(source, filename)
+    return next(code for code in module.co_consts if isinstance(code, CodeType))
+
+
+#: The globals of every bound fused function: it reads parameters and
+#: builtins only.
+_GLOBALS = {"__builtins__": builtins}
+
+
+def _bound(unit, names, found=(), fns=(), model=None):
+    """Instantiate a planned function over one CPU's values.
+
+    Each parameter's recipe entry names where its value comes from:
+    ``("name", key)`` the CPU's value of *key* in *names*; ``("pc",
+    (pc, key))`` the per-pc constant *key* of *found*; ``("fn", pc)``
+    the per-pc function ``fns[pc]``; ``("cost", (method, args,
+    field))`` a cost of *model*; ``("value", v)`` the constant *v*.
+    """
+    defaults = []
+    for kind, arg in unit.recipe:
+        if kind == "name":
+            defaults.append(names[arg])
+        elif kind == "pc":
+            defaults.append(found[arg[0]][1][arg[1]])
+        elif kind == "fn":
+            defaults.append(fns[arg])
+        elif kind == "cost":
+            method, args, field = arg
+            defaults.append(getattr(getattr(model, method)(*args), field))
+        else:
+            defaults.append(arg)
+    return FunctionType(unit.code, _GLOBALS, unit.code.co_name, tuple(defaults))
 
 
 def clear_codegen_caches():
-    """Drop every compiled factory, region and slice (descriptions changed)."""
+    """Drop every factory, compiled source and decode plan (descriptions changed)."""
     _factory.cache_clear()
     _compiled_region.cache_clear()
     _compute_description.cache_clear()
     _rcmp_description.cache_clear()
+    _PLANS.clear()
 
 
 # ----------------------------------------------------------------------
@@ -1127,8 +1170,15 @@ def _off_end(pc):
 #   fused code; every other pc, a loop body start included, keeps its
 #   per-pc function, so a JR into a region or loop body runs per pc.
 #
-# ``_decode`` fuses from a fresh analysis of the program it decodes, so
-# what fuses depends on that program alone.
+# Each program is analysed and rendered once: its first untraced
+# fast-batched decode builds a *plan* (:class:`_Plan`) holding the
+# region analysis and every fused function as a code object with a
+# binding recipe, and every decode of that program binds the plan to
+# its own CPU.  Plans are keyed by program identity, so what fuses
+# depends on that program alone, and a copy of a program never runs its
+# original's code.  A program is therefore never edited in place once
+# it has run on fast-batched: code that derives a variant (a poisoned
+# slice, a moved REC) edits a copy.
 # ----------------------------------------------------------------------
 
 
@@ -1176,22 +1226,152 @@ class _BatchTable:
         self.slices = slices
         self.metered = metered
 
-    def add(self, program, first, end):
-        """A deferred-count slot for one fused function; returns its id."""
+    def install(self, unit, names, found):
+        """Bind one planned fused region or loop (see :meth:`_Plan.fused_for`).
+
+        Its deferred-count slot is the next one, which is the slot its
+        source counts into: a plan's units bind in the order they
+        rendered.
+        """
         self.fused_counts.append(0)
-        self.fused_tails.append((first, end, _categories(program, first, end)))
-        return len(self.fused_counts) - 1
+        self.fused_tails.append(unit.tail)
+        self.fns[unit.at] = _bound(unit, names, found, self.fns)
+        self.region_spans.append(unit.span)
+        if unit.loop is not None:
+            self.loops.append(unit.loop)
 
 
-def _fused_lines(decoder, pc, values, families, hooks):
+class _Fused(NamedTuple):
+    """One planned fused function: its code and how a CPU binds it.
+
+    ``recipe`` holds one ``(kind, arg)`` entry per parameter, in
+    parameter order (see :func:`_bound`).  A fused region or loop also
+    names the pc whose function it replaces (``at``), the ``(first,
+    end, categories)`` its deferred count expands to (``tail``), its
+    straight-line span and, for a loop, its ``(header, loop-back)``
+    pcs; a fused slice leaves them None.
+    """
+
+    code: CodeType
+    recipe: tuple
+    at: Optional[int] = None
+    tail: Optional[tuple] = None
+    span: Optional[tuple] = None
+    loop: Optional[tuple] = None
+
+
+def _planned(name, source, recipe, filename, **where):
+    """A :class:`_Fused` for ``def name`` over *source* and *recipe*."""
+    params = sorted(recipe)
+    code = _function_code(name, source, params, filename)
+    return _Fused(code, tuple(recipe[param] for param in params), **where)
+
+
+#: What a fused region or loop binds from its CPU's table, by name.
+_TABLE_RECIPE = {
+    "_counts": ("name", "_counts"),
+    "_fc": ("name", "_fc"),
+    "_tbl": ("name", "_tbl"),
+    "_flush": ("name", "_flush"),
+}
+
+
+class _Plan:
+    """What decoding one program yields that no CPU state enters.
+
+    The region analysis (proven self-loops and batchable regions) and,
+    rendered on first demand, every fused function: regions and loops
+    per set of read-only ranges (the only CPU input their source reads),
+    slices per ``(slice id, SFile capacity, concurrent_offload)``.  A
+    plan holds code objects and binding recipes, never a CPU, a trace or
+    a :class:`_BatchTable`; each CPU binds its own state, costs and
+    per-pc functions.
+    """
+
+    __slots__ = ("loops", "regions", "fused", "slices")
+
+    def __init__(self, program):
+        # Imported lazily: the staticcheck package sits above the
+        # machine layer.
+        from ..staticcheck.regions import analyze_regions
+
+        analysis = analyze_regions(program)
+        self.loops = analysis.loops
+        self.regions = analysis.batchable_regions
+        self.fused = {}
+        self.slices = {}
+
+    def fused_for(self, decoder):
+        """The fused loops and regions for *decoder*, in install order."""
+        units = self.fused.get(decoder.read_only)
+        if units is None:
+            units = self.fused[decoder.read_only] = self._render(decoder)
+        return units
+
+    def _render(self, decoder):
+        # Proven self-loops fuse whole; every other batchable region
+        # outside a slice fuses on its own, and in-slice regions stay
+        # per pc.  A unit's index is its deferred-count slot.
+        units = []
+        looped = set()
+        for loop in self.loops:
+            unit = _render_loop(decoder, loop, len(units))
+            if unit is not None:
+                units.append(unit)
+                looped.add(loop.body)
+        for region in self.regions:
+            if region not in looped and not region.in_slice:
+                unit = _render_region(decoder, region, len(units))
+                if unit is not None:
+                    units.append(unit)
+        return tuple(units)
+
+    def slice_for(self, cpu, slice_id):
+        """The planned traversal of one slice for *cpu* (None: not expressible)."""
+        key = (slice_id, cpu.sfile.capacity, cpu.concurrent_offload)
+        try:
+            return self.slices[key]
+        except KeyError:
+            unit = self.slices[key] = _render_slice(cpu.program, *key)
+            return unit
+
+
+#: Decode plans: plan key -> (weak reference to the program, plan).
+_PLANS = {}
+
+
+def _plan_key(program):
+    """Plans are keyed by identity: a copy never shares its original's."""
+    return id(program)
+
+
+def _plan(program):
+    """The decode plan of *program*, built by its first decode.
+
+    Held weakly: the entry leaves when the program dies, and
+    :func:`clear_codegen_caches` drops every plan.
+    """
+    key = _plan_key(program)
+    entry = _PLANS.get(key)
+    if entry is None:
+        entry = _PLANS[key] = (
+            weakref.ref(program, lambda _, key=key: _PLANS.pop(key, None)),
+            _Plan(program),
+        )
+    return entry[1]
+
+
+def _fused_lines(decoder, pc, recipe, families, hooks):
     """Source lines of the instruction at *pc* inside a fused function.
 
     Registers read ``_r[n]`` directly; int immediates render as
-    literals and other constants, costs and evaluators bind through
-    *values* under per-pc names.  *hooks* renders the instruction's
-    fault point and control transfer.  Returns ``(lines, placeholders)``,
-    or None when the instruction is not of one of *families* or cannot
-    be rendered (odd operands, missing evaluator).
+    literals, and other constants, costs and evaluators bind per pc
+    through *recipe*.  *hooks* renders the instruction's fault point and
+    control transfer.  Reads only what the plan may depend on: the
+    program, the read-only ranges, and each pc's family and target.
+    Returns ``(lines, placeholders)``, or None when the instruction is
+    not of one of *families* or cannot be rendered (odd operands,
+    missing evaluator).
     """
     instruction = decoder.program.instructions[pc]
     found = decoder.found[pc]
@@ -1216,7 +1396,7 @@ def _fused_lines(decoder, pc, values, families, hooks):
                 subs[f"s{n}"] = repr(src.value)
             else:
                 subs[f"s{n}"] = f"_k{pc}_{n}"
-                values[f"_k{pc}_{n}"] = src.value
+                recipe[f"_k{pc}_{n}"] = ("value", src.value)
         else:
             return None
     # r0 writes are dropped (classic ``write_register`` discards them).
@@ -1229,14 +1409,14 @@ def _fused_lines(decoder, pc, values, families, hooks):
     for key in ("e", "t", "ev"):
         if key in placeholders:
             subs[key] = f"_{key}{pc}"
-            values[subs[key]] = consts[f"_{key}"]
+            recipe[subs[key]] = ("pc", (pc, f"_{key}"))
     env = decoder.env
-    values.update((name, env[name]) for name in names if name in env)
+    recipe.update((name, ("name", name)) for name in names if name in env)
     flags = {"time", "ea", "ro"} if decoder.read_only else {"time", "ea"}
     return _render(items, subs, flags, hooks), placeholders
 
 
-def _fused_body(decoder, start, end, values, keys, first_mark):
+def _fused_body(decoder, start, end, recipe, keys, first_mark):
     """Lines of the fusable run ``[start, end)``; None if one won't render.
 
     Each element that can fault marks its fault point as ``_n``,
@@ -1246,7 +1426,7 @@ def _fused_body(decoder, start, end, values, keys, first_mark):
     for pc in range(start, end):
         mark = f"_n = {pc - start + first_mark}"
         rendered = _fused_lines(
-            decoder, pc, values, _FUSABLE, {"mark": lambda _, m=mark: [m]}
+            decoder, pc, recipe, _FUSABLE, {"mark": lambda _, m=mark: [m]}
         )
         if rendered is None:
             return None
@@ -1272,23 +1452,22 @@ def _partial_flush(counts, start, completed):
 _LOOP_BACK_EXIT = "_i0 + {length} > _mx"
 
 
-def _fuse_region(decoder, region, table):
-    """Install the single-dispatch function of one batchable region.
+def _render_region(decoder, region, rid):
+    """Render the single-dispatch function of one batchable region.
 
-    Entered with less budget than its length, it runs only its first
-    element's per-pc function.  Installs nothing when an element cannot
-    be rendered (odd operands, missing evaluator) — the region then
-    simply stays per-pc.
+    *rid* is its deferred-count slot.  Entered with less budget than its
+    length, it runs only its first element's per-pc function.  Returns
+    None when an element cannot be rendered (odd operands, missing
+    evaluator) — the region then simply stays per-pc.
     """
     program = decoder.program
     start, end = region.start, region.end
     length = end - start
-    values = {"_r": decoder.env["_r"], "_cpu": decoder.env["_cpu"]}
+    recipe = {"_r": ("name", "_r"), "_cpu": ("name", "_cpu")}
     keys = set()
-    lines = _fused_body(decoder, start, end, values, keys, 0)
+    lines = _fused_body(decoder, start, end, recipe, keys, 0)
     if lines is None:
-        return
-    rid = table.add(program, start + 1, end)
+        return None
 
     # Accumulators live in locals for the fused body and are written
     # back on every exit — success *and* fault.  This is bit-identical
@@ -1297,11 +1476,8 @@ def _fuse_region(decoder, region, table):
     # touches the energy groups or the time account), and a faulting
     # element raises before any of its charge lines run.
     prologue, writeback, homes = _hoist(keys)
-    values.update((name, decoder.env[name]) for name in homes)
-    values.update(
-        _counts=table.counts, _fc=table.fused_counts, _tbl=table,
-        _flush=_partial_flush, _first=table.fns[start],
-    )
+    recipe.update((name, ("name", name)) for name in homes)
+    recipe.update(_TABLE_RECIPE, _first=("fn", start))
     source = [
         "    _i0 = _cpu._dynamic_index",
         f"    if _i0 + {length} > _cpu.max_instructions:",
@@ -1321,46 +1497,42 @@ def _fuse_region(decoder, region, table):
         f"    _fc[{rid}] += 1",
         f"    return {end}",
     ]
-    table.fns[start] = _define(
-        "_region", source, values, f"<region {program.name}:{start}-{end}>"
+    return _planned(
+        "_region", source, recipe, f"<region {program.name}:{start}-{end}>",
+        at=start,
+        tail=(start + 1, end, _categories(program, start + 1, end)),
+        span=(start, end),
     )
-    table.region_spans.append((start, end))
 
 
-def _fuse_loop(decoder, loop, table):
-    """Install the one-dispatch function of one self-loop at its header.
+def _render_loop(decoder, loop, rid):
+    """Render the one-dispatch function of one self-loop at its header.
 
     One pass is the header, the body region and the loop-back ``JMP``,
     rendered from their descriptions: the header's taken ``goto``
     leaves the ``while`` loop and the loop-back's falls into the next
     pass unless :data:`_LOOP_BACK_EXIT` holds.  Entered with less than a
     pass left, it runs only the header's per-pc function; the body start
-    keeps its per-pc function.  Returns whether the loop fused: when an
-    element cannot be rendered, nothing is installed and the body region
-    fuses on its own.
+    keeps its per-pc function.  *rid* is its deferred-count slot.
+    Returns None when an element cannot be rendered: the body region
+    then fuses on its own.
     """
     program = decoder.program
     header, back, length = loop.header, loop.back, loop.length
-    values = {"_r": decoder.env["_r"], "_cpu": decoder.env["_cpu"]}
+    recipe = {"_r": ("name", "_r"), "_cpu": ("name", "_cpu")}
     keys = set()
     head = _fused_lines(
-        decoder, header, values, {"branch"}, {"goto": lambda _: ["break"]}
+        decoder, header, recipe, {"branch"}, {"goto": lambda _: ["break"]}
     )
-    body = _fused_body(decoder, header + 1, back, values, keys, 1)
-    jump = _fused_lines(decoder, back, values, {"jmp"}, {"goto": lambda _: []})
+    body = _fused_body(decoder, header + 1, back, recipe, keys, 1)
+    jump = _fused_lines(decoder, back, recipe, {"jmp"}, {"goto": lambda _: []})
     if head is None or body is None or jump is None:
-        return False
+        return None
     target = decoder.found[header][1]["_tg"]  # where the header exits to
     keys |= head[1] | jump[1]
-    rid = table.add(program, header, back + 1)
-    table.region_spans.append((header + 1, back))
-    table.loops.append((header, back))
     prologue, writeback, homes = _hoist(keys)
-    values.update((name, decoder.env[name]) for name in homes)
-    values.update(
-        _counts=table.counts, _fc=table.fused_counts, _tbl=table,
-        _flush=_partial_flush, _hdr=table.fns[header],
-    )
+    recipe.update((name, ("name", name)) for name in homes)
+    recipe.update(_TABLE_RECIPE, _hdr=("fn", header))
     source = [
         "    _i0 = _cpu._dynamic_index",
         "    _mx = _cpu.max_instructions",
@@ -1392,10 +1564,13 @@ def _fuse_loop(decoder, loop, table):
         f"    _fc[{rid}] += _p",
         f"    return {target}",
     ]
-    table.fns[header] = _define(
-        "_loop", source, values, f"<loop {program.name}:{header}-{back}>"
+    return _planned(
+        "_loop", source, recipe, f"<loop {program.name}:{header}-{back}>",
+        at=header,
+        tail=(header, back + 1, _categories(program, header, back + 1)),
+        span=(header + 1, back),
+        loop=(header, back),
     )
-    return True
 
 
 #: One checkpointed operand read, inlined from ``HistoryTable.read``: a
@@ -1421,8 +1596,43 @@ _IBUFF_FETCH = (
 )
 
 
-def _fuse_slice(cpu, slice_id):
-    """Compile one slice into a single register-resident traversal.
+#: What a fused slice binds by name from its CPU (see :func:`_slice_state`).
+_SLICE_STATE = (
+    "_cpu", "_st", "_bc", "_sfs", "_ibe", "_ibf", "_ibs", "_hent", "_hr",
+    "_hst", "_r", "_eg", "_ac",
+)
+
+
+def _slice_state(cpu):
+    """The values of :data:`_SLICE_STATE` on *cpu*."""
+    stats, account = cpu.stats, cpu.account
+    return {
+        "_cpu": cpu,
+        "_st": stats,
+        "_bc": stats.by_category,
+        "_sfs": cpu.sfile.stats,
+        "_ibe": cpu.ibuff._entries,
+        "_ibf": cpu.ibuff.fetch,
+        "_ibs": cpu.ibuff.stats,
+        "_hent": cpu.hist._entries,
+        "_hr": cpu.hist.read,
+        "_hst": cpu.hist.stats,
+        "_r": cpu.registers,
+        "_eg": account._energy_by_group,
+        "_ac": account,
+    }
+
+
+def _cost(method, *args):
+    """Recipe entries binding a model cost's energy and time."""
+    return (
+        ("cost", (method, args, "energy_nj")),
+        ("cost", (method, args, "time_ns")),
+    )
+
+
+def _render_slice(program, slice_id, capacity, offload):
+    """Render one slice as a single register-resident traversal.
 
     Slices are straight-line regions by construction (formation never
     admits control flow), so recomputation renders the compute
@@ -1438,43 +1648,26 @@ def _fuse_slice(cpu, slice_id):
     what the interpreter had counted by then (count-before-execute, so
     the faulting element too); accumulators are written back on both
     exits.  An evaluator fault leaves tagged with the element's pc; the
-    scheduler discards it either way.
+    scheduler discards it either way.  *capacity* is the SFile's and
+    *offload* the CPU's ``concurrent_offload``; costs bind per CPU.
 
     Returns ``None`` for slices the generator cannot express — among
     them a slice that reads a scratch register before writing it, or
     writes more distinct ones than the SFile holds; the caller then
     interprets them, which faults at the identical element.
     """
-    program = cpu.program
     region = program.slices[slice_id]
     start, end = region.start, region.end
     length = end - 1 - start
-    model = cpu.model
-    offload = cpu.concurrent_offload
-    account = cpu.account
-    hist_cost = model.hist_read_cost()
-    values = {
-        "_cpu": cpu,
-        "_st": cpu.stats,
-        "_bc": cpu.stats.by_category,
-        "_sfs": cpu.sfile.stats,
-        "_ibe": cpu.ibuff._entries,
-        "_ibf": cpu.ibuff.fetch,
-        "_ibs": cpu.ibuff.stats,
-        "_hent": cpu.hist._entries,
-        "_hr": cpu.hist.read,
-        "_hst": cpu.hist.stats,
-        "_r": cpu.registers,
-        "_eg": account._energy_by_group,
-        "_ac": account,
-        "_GH": GROUP_HIST,
-        "_GN": GROUP_NONMEM,
-        "_GA": GROUP_AMNESIC,
-        "_MF": MachineFault,
-        "_wi": wrap_int64,
-        "_hce": hist_cost.energy_nj,
-        "_hct": hist_cost.time_ns,
-    }
+    recipe = {name: ("name", name) for name in _SLICE_STATE}
+    recipe.update(
+        _GH=("value", GROUP_HIST),
+        _GN=("value", GROUP_NONMEM),
+        _GA=("value", GROUP_AMNESIC),
+        _MF=("value", MachineFault),
+        _wi=("value", wrap_int64),
+    )
+    recipe["_hce"], recipe["_hct"] = _cost("hist_read_cost")
     flags = () if offload else ("time",)
 
     lines = []
@@ -1498,8 +1691,7 @@ def _fuse_slice(cpu, slice_id):
         tally[category] = tally.get(category, 0) + 1
         counted = tuple(tally.items())
         lines += _render(_IBUFF_FETCH, dict(_HOISTED, pc=str(pc)), (), {})
-        cost = model.slice_instruction_cost(category)
-        values.update({f"_e{j}": cost.energy_nj, f"_t{j}": cost.time_ns})
+        recipe[f"_e{j}"], recipe[f"_t{j}"] = _cost("slice_instruction_cost", category)
         subs = dict(_HOISTED, pc=str(pc), e=f"_e{j}", t=f"_t{j}", ev=f"_ev{j}")
         kinds = []
         for n, src in enumerate(instruction.srcs):
@@ -1533,7 +1725,7 @@ def _fuse_slice(cpu, slice_id):
                 subs[f"s{n}"], kinds[-1] = "0", "int"
             elif isinstance(src, Imm):
                 subs[f"s{n}"] = f"_c{j}_{n}"
-                values[f"_c{j}_{n}"] = src.value
+                recipe[f"_c{j}_{n}"] = ("value", src.value)
                 kinds[-1] = _const_kind(src.value)
             else:
                 return None
@@ -1541,12 +1733,12 @@ def _fuse_slice(cpu, slice_id):
         hooks = {"dest": lambda value, d=dest.index: [f"_v{d} = {value}"]}
         items = _compute_description(instruction.opcode, tuple(kinds))
         if "ev" in _formats(items)[1]:
-            values[f"_ev{j}"] = evaluator
+            recipe[f"_ev{j}"] = ("value", evaluator)
         lines += _render(items, subs, flags, hooks)
         requests += 1
         writes += 1
         written.add(dest.index)
-        if len(written) > cpu.sfile.capacity:
+        if len(written) > capacity:
             return None
 
     rtn = program.instruction_at(end - 1)
@@ -1559,14 +1751,14 @@ def _fuse_slice(cpu, slice_id):
         return None
     requests += 1
     reads += 1
-    rtn_cost = model.rtn_cost()
-    values.update(_re=rtn_cost.energy_nj, _rt=rtn_cost.time_ns, _pref=tuple(points))
+    recipe["_re"], recipe["_rt"] = _cost("rtn_cost")
+    recipe["_pref"] = ("value", tuple(points))
     tally[rtn.category] = tally.get(rtn.category, 0) + 1
     success_counts = []
     for i, (category, count) in enumerate(
         sorted(tally.items(), key=lambda item: item[0].name)
     ):
-        values[f"_cat{i}"] = category
+        recipe[f"_cat{i}"] = ("value", category)
         success_counts.append(f"_bc[_cat{i}] += {count}")
 
     prologue, writeback, _ = _hoist(("tt", "gn", "ga", "gh", "hn", "hrd", "ih"))
@@ -1609,15 +1801,18 @@ def _fuse_slice(cpu, slice_id):
         *("        " + line for line in fault),
         *("    " + line for line in success),
     ]
-    return _define("_slice", source, values, f"<slice {program.name}:{slice_id}>")
+    return _planned("_slice", source, recipe, f"<slice {program.name}:{slice_id}>")
 
 
 def _slice_traversal(cpu, slices, slice_id):
-    """The fused traversal of one slice, fused once per decode."""
+    """The fused traversal of one slice, bound once per decode."""
     try:
         return slices[slice_id]
     except KeyError:
-        fused = slices[slice_id] = _fuse_slice(cpu, slice_id)
+        unit = _plan(cpu.program).slice_for(cpu, slice_id)
+        fused = slices[slice_id] = (
+            None if unit is None else _bound(unit, _slice_state(cpu), model=cpu.model)
+        )
         return fused
 
 
@@ -1659,14 +1854,15 @@ def _categories(program, first, end):
 class BatchedExecutionMixin:
     """Run on the generated fast path instead of the classic loop.
 
-    Mix in ahead of :class:`CPU` (or a subclass).  Fuses from
-    :func:`~repro.staticcheck.regions.analyze_regions` at predecode time
-    (imported lazily — the staticcheck package sits above the machine
-    layer): proven self-loops fuse whole, every other batchable region
-    outside a slice fuses on its own, and in-slice regions stay per-pc.  On
-    amnesic machines, slice traversals run fused too (unless a timeline
-    is attached), and RCMP renders per pc when :meth:`_rcmp_mechanism`
-    names one.  See the module docstring for the backend contract.
+    Mix in ahead of :class:`CPU` (or a subclass).  At predecode, an
+    untraced CPU binds its program's decode plan (:class:`_Plan`, built
+    from :func:`~repro.staticcheck.regions.analyze_regions` by the
+    program's first decode): proven self-loops fuse whole, every other
+    batchable region outside a slice fuses on its own, and in-slice
+    regions stay per-pc.  On amnesic machines, slice traversals run
+    fused too (unless a timeline is attached), and RCMP renders per pc
+    when :meth:`_rcmp_mechanism` names one.  See the module docstring
+    for the backend contract.
     """
 
     def _decoded(self):
@@ -1692,16 +1888,15 @@ class BatchedExecutionMixin:
             # kept the trace alive until a full collection, raising
             # lint-suite peak RSS by 25-31%.
             return table
-        from ..staticcheck.regions import analyze_regions
-
-        analysis = analyze_regions(self.program)
-        looped = set()
-        for loop in analysis.loops:
-            if _fuse_loop(decoder, loop, table):
-                looped.add(loop.body)
-        for region in analysis.batchable_regions:
-            if region not in looped and not region.in_slice:
-                _fuse_region(decoder, region, table)
+        names = dict(
+            decoder.env,
+            _counts=table.counts,
+            _fc=table.fused_counts,
+            _tbl=table,
+            _flush=_partial_flush,
+        )
+        for unit in _plan(self.program).fused_for(decoder):
+            table.install(unit, names, decoder.found)
         return table
 
     def __getstate__(self):

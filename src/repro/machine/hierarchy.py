@@ -64,6 +64,15 @@ class MemoryHierarchy:
         self.l1 = Cache(config.l1_geometry, name="L1-D")
         self.l2 = Cache(config.l2_geometry, name="L2")
         self.stats = HierarchyStats()
+        # What the miss walk reads, per cache: its sets, line shift, set
+        # count, associativity and stats (none is ever replaced).
+        l1, l2 = self.l1, self.l2
+        self._walk = (
+            l1._sets, l1._line_shift, l1._nsets, l1.geometry.associativity, l1.stats,
+            l2._sets, l2._line_shift, l2._nsets, l2.geometry.associativity, l2.stats,
+        )
+        self._l2_write_nj = config.l2_params.write_energy_nj
+        self._mem_write_nj = config.mem_params.write_energy_nj
 
     # ------------------------------------------------------------------
     # The classic access path.
@@ -103,30 +112,62 @@ class MemoryHierarchy:
     def _service_miss(self, address: int, dirty: bool) -> Level:
         """Continue the walk below an L1 miss (already counted by the caller).
 
-        Split out of :meth:`_walk_and_fill` so alternative execution
-        backends that inline the L1 hit check share the exact L2/MEM
-        walk, fill, and write-back accounting with the classic path.
+        One call does what ``Cache.lookup`` and ``Cache.fill`` compose
+        to, in their order: the L2 lookup (a hit moves the line to the
+        MRU end; a miss allocates it, writing a dirty victim back to
+        DRAM), then the L1 allocation, whose dirty victim is written
+        back into L2 (allocating there if needed).  The L1 line is
+        absent, since the caller's lookup just missed.  Alternative
+        execution backends that inline the L1 hit check call this same
+        walk, so hit/miss, eviction and write-back accounting cannot
+        diverge from the classic path.
         """
-        if self.l2.lookup(address):
-            self._fill_l1(address, dirty)
-            return Level.L2
-        l2_evicted = self.l2.fill(address)
-        if l2_evicted is not None and l2_evicted.dirty:
-            self.stats.writeback_energy_nj += self.config.mem_params.write_energy_nj
-        self._fill_l1(address, dirty)
-        return Level.MEM
-
-    def _fill_l1(self, address: int, dirty: bool) -> None:
-        evicted = self.l1.fill(address, dirty=dirty)
-        if evicted is not None and evicted.dirty:
-            # Write the victim back into L2 (allocate there if needed).
-            word_address = evicted.line_address << (
-                self.l1.geometry.line_words.bit_length() - 1
-            )
-            l2_evicted = self.l2.fill(word_address, dirty=True)
-            self.stats.writeback_energy_nj += self.config.l2_params.write_energy_nj
-            if l2_evicted is not None and l2_evicted.dirty:
-                self.stats.writeback_energy_nj += self.config.mem_params.write_energy_nj
+        sets1, shift1, nsets1, ways1, stats1, sets2, shift2, nsets2, ways2, stats2 = (
+            self._walk
+        )
+        stats = self.stats
+        line = address >> shift2
+        lines = sets2[line % nsets2]
+        if line in lines:
+            stats2.hits += 1
+            lines.move_to_end(line)
+            level = Level.L2
+        else:
+            stats2.misses += 1
+            if len(lines) >= ways2:
+                stats2.evictions += 1
+                if lines.popitem(last=False)[1]:
+                    stats2.writebacks += 1
+                    stats.writeback_energy_nj += self._mem_write_nj
+            lines[line] = False
+            level = Level.MEM
+        line = address >> shift1
+        lines = sets1[line % nsets1]
+        if len(lines) >= ways1:
+            stats1.evictions += 1
+            victim, victim_dirty = lines.popitem(last=False)
+            if victim_dirty:
+                stats1.writebacks += 1
+                # L1 and L2 lines may differ in size: map the victim's
+                # first word through L2's shift.
+                victim = (victim << shift1) >> shift2
+                victims = sets2[victim % nsets2]
+                evicted_dirty = False
+                if victim in victims:
+                    victims[victim] = True
+                    victims.move_to_end(victim)
+                else:
+                    if len(victims) >= ways2:
+                        stats2.evictions += 1
+                        evicted_dirty = victims.popitem(last=False)[1]
+                        if evicted_dirty:
+                            stats2.writebacks += 1
+                    victims[victim] = True
+                stats.writeback_energy_nj += self._l2_write_nj
+                if evicted_dirty:
+                    stats.writeback_energy_nj += self._mem_write_nj
+        lines[line] = dirty
+        return level
 
     # ------------------------------------------------------------------
     # Amnesic inspection primitives.

@@ -11,7 +11,7 @@ afterwards, so the run feeds a single tracer.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..isa.program import Program
 from .dependence import DependenceTracker
@@ -33,10 +33,27 @@ class ProfileResult:
     locality: ValueLocalityTracker
     stats: "RunStats"
     cpu: "CPU"
+    #: What compiles of this profile derived from it, kept for the next
+    #: compile (the compiler owns keys and values; see
+    #: ``repro.compiler.amnesic_pass.front_end``).  Derived data never
+    #: pickles: an unpickled profile, or one pickled before the memo
+    #: existed, starts with an empty one.
+    memo: Dict[object, object] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def dynamic_instructions(self) -> int:
         return self.stats.dynamic_instructions
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("memo", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.memo = {}
 
 
 def profile_program(

@@ -48,3 +48,23 @@ def test_real_gain_erodes_as_compute_gets_dearer():
     gain_scaled = edp_gain_at_factor(program, model, 64.0)
     assert gain_default > 5.0
     assert gain_scaled < gain_default
+
+
+@pytest.mark.integration
+def test_shared_profile_matches_fresh_profiles_at_every_factor():
+    """table6's bisection compiles one profile under every probed factor.
+
+    The compiler's front end is memoized on the profile and not keyed by
+    the energy model, so a compile under a scaled model must still equal
+    one from a fresh profile.
+    """
+    from repro.trace.recorder import profile_program
+    from repro.workloads import get
+
+    model = paper_energy_model()
+    program = get("is").instantiate(0.25)
+    profile = profile_program(program, model)
+    for factor in (1.0, 64.0):
+        shared = edp_gain_at_factor(program, model, factor, profile=profile)
+        assert shared == edp_gain_at_factor(program, model, factor)
+    assert profile.memo

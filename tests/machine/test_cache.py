@@ -140,14 +140,11 @@ def test_contains_is_pure():
     assert cache.stats.probes == before
 
 
-def test_mark_dirty_and_invalidate():
+def test_mark_dirty():
     cache = small_cache()
     cache.fill(0)
     cache.mark_dirty(0)
     assert cache.resident_lines()[cache.line_address(0)] is True
-    assert cache.invalidate(0)
-    assert not cache.contains(0)
-    assert not cache.invalidate(0)
 
 
 def test_fill_existing_line_keeps_dirty_bit():
