@@ -24,10 +24,11 @@ The replay never walks the trace.  The state right before dynamic
 instruction *t* is a set of last-instance-before-*t* queries over the
 indexes the dependence trace builds while tracing: register *r* holds
 the result of its last value-writing instruction (compute op or load)
-before *t*, a pc's latest operands are those of its last instance
-before *t*, and a load's latest value is the result of its last
-instance before *t*.  Each is one bisection, so the work scales with
-the candidate-load instances, not with the trace length.
+before *t*, a pc's latest operands are those its last instance before
+*t* read (each the result of that operand's producer), and a pc's
+latest value is the result of its last instance before *t*.  Each is a
+bisection or two, so the work scales with the candidate-load instances,
+not with the trace length.
 
 The replay simulates exactly the semantics the hardware implements, so
 a template that validates here and whose leaves keep checkpointing at
@@ -197,12 +198,16 @@ class _ReplayScanner:
         writer = self._last_before(self.tracker.value_writers(reg))
         return 0 if writer is None else self.tracker.result(writer)
 
-    def _latest_operands(self, pc: int) -> Optional[Tuple[Value, ...]]:
-        """Operands of the latest execution of compute op *pc*, if any."""
+    def _latest_compute(self, pc: int) -> Optional[int]:
+        """The latest execution of compute op *pc*, if any."""
         info = self.tracker.pc_info(pc)
         if info is None or not info.is_compute or info.dest is None:
             return None
-        latest = self._last_before(info.instances)
+        return self._last_before(info.instances)
+
+    def _latest_operands(self, pc: int) -> Optional[Tuple[Value, ...]]:
+        """Operands of the latest execution of compute op *pc*, if any."""
+        latest = self._latest_compute(pc)
         return None if latest is None else self.tracker.operands(latest)
 
     def _latest_load_value(self, pc: int) -> Optional[Value]:
@@ -274,19 +279,17 @@ class _ReplayScanner:
                 self.edge_ok[key] = self.edge_ok.get(key, True) and consistent
 
     def _shallow_value(self, node: TemplateNode):
-        """Re-execute *node* once from its own latest checkpointed operands."""
+        """Re-execute *node* once from its own latest checkpointed operands.
+
+        Its latest execution read those same operands, so the result it
+        recorded is the value.
+        """
         if node.is_checkpoint_load:
             value = self._latest_load_value(node.pc)
-            return _MISSING if value is None else value
-        latest = self._latest_operands(node.pc)
-        if latest is None:
-            return _MISSING
-        if node.opcode is Opcode.LI:
-            return latest[0]
-        try:
-            return evaluate(node.opcode, latest)
-        except ReproError:
-            return _MISSING
+        else:
+            latest = self._latest_compute(node.pc)
+            value = None if latest is None else self.tracker.result(latest)
+        return _MISSING if value is None else value
 
     # ------------------------------------------------------------------
     # Template evaluation under Hist semantics (validation mode).

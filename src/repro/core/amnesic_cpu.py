@@ -51,7 +51,6 @@ class AmnesicCPU(CPU):
         max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
         hist_capacity: int = DEFAULT_HIST_CAPACITY,
         sfile_capacity: int = DEFAULT_SFILE_CAPACITY,
-        ibuff_capacity: int = DEFAULT_IBUFF_CAPACITY,
         verify: bool = True,
         concurrent_offload: bool = False,
     ):
@@ -68,7 +67,7 @@ class AmnesicCPU(CPU):
         self.hist = HistoryTable(hist_capacity)
         self.sfile = SFile(sfile_capacity)
         self.renamer = Renamer(self.sfile)
-        self.ibuff = InstructionBuffer(ibuff_capacity)
+        self.ibuff = InstructionBuffer(DEFAULT_IBUFF_CAPACITY)
         #: The paper's ``recompute`` control flag: set while an RSlice is
         #: being traversed.
         self.recompute = False
@@ -118,7 +117,7 @@ class AmnesicCPU(CPU):
         self.hist.record(instruction.slice_id, instruction.leaf_id, values)
         self.stats.hist_writes += 1
         self.account.charge(GROUP_AMNESIC, self.model.rec_cost())
-        self._emit(instruction, operand_values=values)
+        self._emit(instruction)
         self.pc += 1
 
     def _execute_rcmp(self, instruction: Instruction) -> None:
@@ -302,7 +301,7 @@ class AmnesicCPU(CPU):
                     info.slice_id, expected=expected, actual=value, pc=self.pc
                 )
         self.write_register(instruction.dest, value)
-        self._emit(instruction, result=value, address=address)
+        self._emit(instruction)
         self.pc += 1
         return True
 
@@ -319,7 +318,7 @@ class AmnesicCPU(CPU):
         self.account.charge(GROUP_LOAD, self.model.access_cost(access))
         self.stats.loads_performed += 1
         self.write_register(instruction.dest, value)
-        self._emit(instruction, result=value, address=address, level=access.level)
+        self._emit(instruction)
         self.pc += 1
 
     # ------------------------------------------------------------------
@@ -356,7 +355,7 @@ class AmnesicCPU(CPU):
             result = self.renamer.read(rtn_instruction.dest)
             self.stats.count_instruction(rtn_instruction.category)
             self._charge_traversal(GROUP_AMNESIC, self.model.rtn_cost())
-            self._emit(rtn_instruction, result=result)
+            self._emit(rtn_instruction)
             return result
         finally:
             self.renamer.end_slice()
@@ -393,4 +392,4 @@ class AmnesicCPU(CPU):
         self._charge_traversal(
             GROUP_NONMEM, self.model.slice_instruction_cost(instruction.category)
         )
-        self._emit(instruction, operand_values=tuple(operands), result=result)
+        self._emit(instruction)

@@ -31,14 +31,6 @@ class IBuffStats:
     evictions: int = 0
     high_water: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
-
 
 class InstructionBuffer:
     """LRU buffer over slice-instruction pcs."""

@@ -134,6 +134,16 @@ class MachineConfig:
             energy += self.mem_params.read_energy_nj
         return energy
 
+    def store_energy_nj(self, level: Level) -> float:
+        """Energy of a store serviced at *level*.
+
+        A load's walk, with the read at *level* replaced by a write.
+        """
+        params = self.params(level)
+        energy = self.load_energy_nj(level)
+        energy += params.write_energy_nj - params.read_energy_nj
+        return energy
+
     def load_latency_ns(self, level: Level) -> float:
         """Round-trip latency of a load serviced at *level*."""
         return self.params(level).latency_ns

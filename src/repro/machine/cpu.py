@@ -315,7 +315,7 @@ class CPU:
                 f"(valid pcs are 0..{limit - 1})",
                 pc=self.pc,
             )
-        self._emit(instruction, operand_values=(target,))
+        self._emit(instruction)
         self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.JUMP))
         self.pc = target
 
@@ -341,7 +341,7 @@ class CPU:
             )
         self.write_register(instruction.dest, result)
         self.account.charge(GROUP_NONMEM, self.model.compute_cost(instruction.category))
-        self._emit(instruction, operand_values=values, result=result)
+        self._emit(instruction, result=result)
         self.pc += 1
 
     def _execute_load(self, instruction: Instruction) -> None:
@@ -363,9 +363,7 @@ class CPU:
         access = self.hierarchy.store(address)
         self.account.charge(GROUP_STORE, self.model.access_cost(access))
         self.stats.stores_performed += 1
-        self._emit(
-            instruction, operand_values=(value,), address=address, level=access.level
-        )
+        self._emit(instruction, address=address, level=access.level)
         self.pc += 1
 
     def _execute_branch(self, instruction: Instruction) -> None:
@@ -373,7 +371,7 @@ class CPU:
         b = self.resolve(instruction.srcs[1])
         taken = branch_taken(instruction.opcode, a, b)
         self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.BRANCH))
-        self._emit(instruction, operand_values=(a, b))
+        self._emit(instruction)
         if taken:
             self.stats.branches_taken += 1
             self.pc = self.program.pc_of(instruction.target)
@@ -391,12 +389,7 @@ class CPU:
     # Tracing.
     # ------------------------------------------------------------------
     def _emit(
-        self,
-        instruction: Instruction,
-        operand_values=(),
-        result=None,
-        address=None,
-        level=None,
+        self, instruction: Instruction, result=None, address=None, level=None
     ) -> None:
         index = self._dynamic_index
         self._dynamic_index += 1
@@ -405,9 +398,7 @@ class CPU:
             timeline.capture(self._dynamic_index)
         if self.tracer is None:
             return
-        self.tracer.retire(
-            index, self.pc, instruction, operand_values, result, address, level
-        )
+        self.tracer.retire(index, self.pc, instruction, result, address, level)
 
     @property
     def dynamic_count(self) -> int:

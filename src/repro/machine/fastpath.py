@@ -21,8 +21,8 @@ description renders five ways:
   and accumulators are charged where they live;
 * **traced per-pc functions** — the same lines, where the ``emit`` hook
   and the ``traced`` lines append the instruction's own dependence-trace
-  columns (pc, operands, result, its pc's instances, its destination's
-  writers; address, service level and producing store for ``LD``/``ST``)
+  columns (pc, result, its pc's instances, its destination's writers;
+  address, service level and producing store for ``LD``/``ST``)
   through the tracker's append side
   (:meth:`~repro.trace.dependence.DependenceTracker.columns`), at the
   point the classic handler calls ``_emit``, so no event is built;
@@ -204,7 +204,7 @@ _L1_SET = ("_ln = _a >> _shift", "_cs = _l1sets[_ln % _nsets]", "if _ln in _cs:"
 #: Per-family descriptions.  Plain strings are source lines; tuples are
 #: ``(tag, text, *fields)``: ``dest`` writes the destination register,
 #: ``emit`` retires the instruction (its text and fields are what the
-#: instruction retires into the trace: operand tuple, then result,
+#: instruction retires into the trace: result, "" for none, then
 #: effective address and service level), ``mark`` records a fault
 #: point, ``goto`` transfers control to the pc its text names, and any
 #: other tag keeps the line only when the rendering sets that flag
@@ -231,7 +231,7 @@ _FAMILIES = {
         "    $tt += _mt",
         "$ldn += 1",
         ("dest", "_x"),
-        ("emit", "()", "_x", "_a", "_lv"),
+        ("emit", "_x", "_a", "_lv"),
         ("traced", "_tmp(_ls.get(_a, _nos))"),
     ),
     "st": (
@@ -257,7 +257,7 @@ _FAMILIES = {
         "    $gs += _me",
         "    $tt += _mt",
         "$stn += 1",
-        ("emit", "(_x,)", "None", "_a", "_lv"),
+        ("emit", "", "_a", "_lv"),
         ("traced", "_tmp(_nos)"),
         ("traced", "_ls[_a] = _ix"),
     ),
@@ -267,7 +267,7 @@ _FAMILIES = {
         "_k = _y0 $cmp _y1",
         "$gn += $e",
         "$tt += $t",
-        ("emit", "(_y0, _y1)"),
+        ("emit", ""),
         "if _k:",
         "    _st.branches_taken += 1",
         ("goto", "    $tg"),
@@ -280,7 +280,7 @@ _FAMILIES = {
     ),
     "jal": (
         ("dest", "$nx"),
-        ("emit", "()", "$nx"),
+        ("emit", "$nx"),
         "$gn += $e",
         "$tt += $t",
         ("goto", "$tg"),
@@ -290,7 +290,7 @@ _FAMILIES = {
         "if not isinstance(_x, int) or not 0 <= _x < _lim:",
         "    raise _MF(f'jump-register {_ins} to invalid pc {_x!r} '",
         "              f'(valid pcs are 0..{_lim - 1})', pc=$pc)",
-        ("emit", "(_x,)"),
+        ("emit", ""),
         "$gn += $e",
         "$tt += $t",
         ("goto", "_x"),
@@ -306,7 +306,7 @@ _FAMILIES = {
         "_st.hist_writes += 1",
         "$ga += $e",
         "$tt += $t",
-        ("emit", "_v"),
+        ("emit", ""),
     ),
 }
 
@@ -475,13 +475,12 @@ def _compute_description(opcode, kinds):
         lines += ["    " + line for line in call]
     else:
         lines += inline[1]
-    values = "(" + "".join(f"{arg}, " for arg in args) + ")"
     return (
         *lines,
         ("dest", "_x"),
         "$gn += $e",
         ("time", "$tt += $t"),
-        ("emit", values, "_x"),
+        ("emit", "_x"),
     )
 
 
@@ -634,22 +633,21 @@ def _column_emit(writer):
     """The traced ``emit`` hook: append the instruction's trace columns.
 
     Mirrors ``DependenceTracker.retire`` for one pc: enter the
-    pc in the static table at its first retirement, then append pc,
-    operands and result, the index to the pc's instances and, when
-    *writer*, to its destination register's writers, and for a memory
-    access the index, address and level (the description's ``traced``
-    lines append the producing store).
+    pc in the static table at its first retirement, then append pc and
+    result, the index to the pc's instances and, when *writer*, to its
+    destination register's writers, and for a memory access the index,
+    address and level (the description's ``traced`` lines append the
+    producing store).
     """
 
-    def emit(operands, result="None", address=None, level=None):
+    def emit(result, address=None, level=None):
         lines = [
             "_ix = _cpu._dynamic_index",
             "_cpu._dynamic_index = _ix + 1",
             "if not _inst:",
             "    _lrn()",
             "_tpc(_pc)",
-            f"_top({operands or '()'})",
-            f"_tres({result})",
+            f"_tres({result or 'None'})",
             "_ina(_ix)",
         ]
         if writer:
@@ -836,19 +834,13 @@ class _Decoder:
         load_costs = {}
         store_costs = {}
         for level in Level:
-            load_costs[level] = (
-                config.load_energy_nj(level),
-                config.load_latency_ns(level),
-            )
-            params = config.params(level)
-            # Mirrors MemoryHierarchy.store: replace the read at the
-            # servicing level by a write there (same float operations,
-            # same order, so charges stay bit-identical).
-            store_energy = config.load_energy_nj(level)
-            store_energy += params.write_energy_nj - params.read_energy_nj
-            store_costs[level] = (store_energy, params.latency_ns)
+            latency = config.load_latency_ns(level)
+            load_costs[level] = (config.load_energy_nj(level), latency)
+            store_costs[level] = (config.store_energy_nj(level), latency)
         memory = cpu.memory
         hierarchy = cpu.hierarchy
+        probe1 = hierarchy.probe_cost(None, Level.L1)
+        probe2 = hierarchy.probe_cost(None, Level.L2)
         l1, l2 = hierarchy.l1, hierarchy.l2
         self.tracer = cpu.tracer
         self.traced = self.tracer is not None
@@ -863,7 +855,6 @@ class _Decoder:
         # Stores compare against the read-only ranges (bound per CPU as
         # one flat tuple); with none configured the check renders away.
         self.read_only = memory._read_only
-        probe = hierarchy.config
         rcmp_cost = self.model.rcmp_cost()
         self.env = {
             "_r": cpu.registers,
@@ -897,11 +888,10 @@ class _Decoder:
             "_fired": getattr(cpu, "fired_slice_ids", None),
             "_rce": rcmp_cost.energy_nj,
             "_rct": rcmp_cost.time_ns,
-            # MemoryHierarchy.probe_cost of a probe through L1 / L2.
-            "_p1e": probe.l1_params.read_energy_nj,
-            "_p1t": probe.l1_params.latency_ns,
-            "_p2e": probe.l1_params.read_energy_nj + probe.l2_params.read_energy_nj,
-            "_p2t": probe.l1_params.latency_ns + probe.l2_params.latency_ns,
+            "_p1e": probe1.energy_nj,
+            "_p1t": probe1.latency_ns,
+            "_p2e": probe2.energy_nj,
+            "_p2t": probe2.latency_ns,
             "_MF": MachineFault,
             "_MemF": MemoryFault,
             "_AF": ArithmeticFault,
@@ -921,7 +911,6 @@ class _Decoder:
             columns = self.tracer.columns()
             self.env.update(
                 _tpc=columns.pc,
-                _top=columns.operands,
                 _tres=columns.result,
                 _tmi=columns.mem_index,
                 _tma=columns.mem_address,

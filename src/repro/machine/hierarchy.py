@@ -91,14 +91,10 @@ class MemoryHierarchy:
         """Perform a store (write-allocate, write-back)."""
         level = self._walk_and_fill(address, dirty=True)
         self.stats.stores_by_level[level] += 1
-        params = self.config.params(level)
-        energy = self.config.load_energy_nj(level)
-        # Replace the read at the servicing level by a write there.
-        energy += params.write_energy_nj - params.read_energy_nj
         return Access(
             level=level,
-            energy_nj=energy,
-            latency_ns=params.latency_ns,
+            energy_nj=self.config.store_energy_nj(level),
+            latency_ns=self.config.load_latency_ns(level),
             is_store=True,
         )
 

@@ -52,11 +52,6 @@ class RunStats:
     # ------------------------------------------------------------------
     # Derived views.
     # ------------------------------------------------------------------
-    @property
-    def load_count(self) -> int:
-        """Dynamic loads actually performed (swapped loads excluded)."""
-        return self.loads_performed
-
     def swapped_load_profile(self) -> Dict[Level, float]:
         """Fraction of swapped loads that resided at each level (Table 5)."""
         total = sum(self.swapped_load_levels.values())

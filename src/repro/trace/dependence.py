@@ -13,17 +13,20 @@ cheap to record and to query:
 
 * a **static table** (:class:`PcInfo`), filled the first time each pc
   retires: opcode, destination register, source kinds and immediates;
-* **dynamic columns**, one entry per retired instruction: pc, the
-  operand-value tuple it read (by reference) and result, plus address,
-  service level and producing store for memory operations;
+* **dynamic columns**, one entry per retired instruction: pc and
+  result, plus address, service level and producing store for memory
+  operations;
 * **indexes** built while tracing: each pc's dynamic instances and each
   register's writers, both in execution order.
 
-Register producers are never stored: the producer of a source register
-at dynamic index *t* is the last writer of that register before *t*, a
-bisection of its writer list.  :meth:`DependenceTracker.record` builds
-the classic one-record-per-instruction view (:class:`DynRecord`) on
-demand from these pieces.
+Register producers and operand values are never stored: the producer of
+a source register at dynamic index *t* is the last writer of that
+register before *t*, a bisection of its writer list, and the value it
+read is that producer's recorded result (0 when it has none: ``r0``, or
+a register nothing wrote yet).  An immediate's value is in the static
+table.  :meth:`DependenceTracker.operands` and
+:meth:`DependenceTracker.record` (the classic one-record-per-instruction
+view, :class:`DynRecord`) build on demand from these pieces.
 
 Columns fill two ways.  The classic CPU hands the tracker each retired
 instruction's fields through :meth:`DependenceTracker.retire`, and
@@ -63,7 +66,7 @@ Value = Union[int, float]
 
 #: Source descriptor tags.
 SRC_IMM = "i"  # ('i', value)
-SRC_REG = "r"  # ('r', producer_index_or_None, register_index, value)
+SRC_REG = "r"  # ('r', producer_index_or_None, register_index, value_or_None)
 
 SourceDescriptor = Tuple
 
@@ -152,17 +155,15 @@ def last_before(indices: Sequence[int], t: int) -> Optional[int]:
 class Columns(NamedTuple):
     """The append side of a tracker's dynamic columns.
 
-    Retiring dynamic instruction *index* appends its pc, operand tuple
-    and result; *index* to its pc's instances and its destination's
-    writers (see :meth:`DependenceTracker.pc_columns`); and, for a
-    memory access, *index*, the address, the service level and the
-    producing store (``no_store`` for a store, or a load of an address
-    no store wrote), after which a store sets ``last_store[address] =
-    index``.
+    Retiring dynamic instruction *index* appends its pc and result;
+    *index* to its pc's instances and its destination's writers (see
+    :meth:`DependenceTracker.pc_columns`); and, for a memory access,
+    *index*, the address, the service level and the producing store
+    (``no_store`` for a store, or a load of an address no store wrote),
+    after which a store sets ``last_store[address] = index``.
     """
 
     pc: Callable[[int], None]
-    operands: Callable[[Tuple[Value, ...]], None]
     result: Callable[[Optional[Value]], None]
     mem_index: Callable[[int], None]
     mem_address: Callable[[int], None]
@@ -178,7 +179,6 @@ class DependenceTracker:
     def __init__(self) -> None:
         self._static: Dict[int, PcInfo] = {}
         self._pcs = array("q")
-        self._operands: List[Tuple[Value, ...]] = []
         self._results: List[Optional[Value]] = []
         #: register -> dynamic indices of every instruction writing it.
         self._writers: Dict[int, array] = {}
@@ -200,16 +200,15 @@ class DependenceTracker:
         index: int,
         pc: int,
         instruction: Instruction,
-        operands: Tuple[Value, ...] = (),
         result: Optional[Value] = None,
         address: Optional[int] = None,
         level: object = None,
     ) -> None:
         """Append dynamic instruction *index*, retired at *pc*.
 
-        *operands* are the values it read, *result* the value it wrote;
-        a memory access adds its effective *address* and the *level*
-        that serviced it.
+        *result* is the value it wrote; a memory access adds its
+        effective *address* and the *level* that serviced it.  The
+        values it read are not passed: :meth:`operands` derives them.
         """
         info = self._static.get(pc)
         if info is None:
@@ -218,7 +217,6 @@ class DependenceTracker:
         # numbers retirements densely so append keeps them aligned.
         assert index == len(self._pcs), "trace indices out of sync"
         self._pcs.append(pc)
-        self._operands.append(operands)
         self._results.append(result)
         info.instances.append(index)
         if info.dest is not None:
@@ -250,7 +248,6 @@ class DependenceTracker:
         """The bound appends :meth:`retire` makes (see :class:`Columns`)."""
         return Columns(
             self._pcs.append,
-            self._operands.append,
             self._results.append,
             self._mem_index.append,
             self._mem_address.append,
@@ -316,8 +313,21 @@ class DependenceTracker:
         return self._results[index]
 
     def operands(self, index: int) -> Tuple[Value, ...]:
-        """Operand values dynamic instruction *index* read, as traced."""
-        return self._operands[index]
+        """The values dynamic instruction *index* read, one per source.
+
+        An immediate reads its static value; a register reads the result
+        of its last writer before *index*, or 0 when it has none.
+        """
+        srcs = self._static[self._pcs[index]].srcs
+        return tuple(
+            payload if tag == SRC_IMM else self._read(payload, index)[1]
+            for tag, payload in srcs
+        )
+
+    def _read(self, reg: int, index: int) -> Tuple[Optional[int], Value]:
+        """``(producer, value)`` of register *reg* as *index* read it."""
+        producer = None if reg == 0 else last_before(self.writers(reg), index)
+        return producer, 0 if producer is None else self._results[producer]
 
     def execution_counts(self) -> Counter:
         """Dynamic execution count per pc, in first-retirement order."""
@@ -348,21 +358,23 @@ class DependenceTracker:
     # Record view.
     # ------------------------------------------------------------------
     def record(self, index: int) -> DynRecord:
-        """The record of dynamic instruction *index*."""
+        """The record of dynamic instruction *index*.
+
+        A load's or a store's address operands carry no value.
+        """
         if index < 0:
             index += len(self._pcs)
         pc = self._pcs[index]
         info = self._static[pc]
-        values = self._operands[index]
+        valued = 0 if info.is_load else 1 if info.is_store else len(info.srcs)
         srcs: List[SourceDescriptor] = []
         for position, (tag, payload) in enumerate(info.srcs):
             if tag == SRC_IMM:
                 srcs.append((SRC_IMM, payload))
                 continue
-            producer = (
-                None if payload == 0 else last_before(self.writers(payload), index)
-            )
-            value = values[position] if position < len(values) else None
+            producer, value = self._read(payload, index)
+            if position >= valued:
+                value = None
             srcs.append((SRC_REG, producer, payload, value))
         address = mem_producer = None
         slot = bisect_left(self._mem_index, index)

@@ -35,11 +35,11 @@ def load_trace(path: Union[str, pathlib.Path]) -> DependenceTracker:
 
     Each record is replayed into the tracker as the retirement that
     produced it, and must re-derive from the records before it: its
-    register producers are the last writers of its source registers, and
-    a load's producing store is the last store to its address.  A file
-    that does not raises :class:`ValueError`.  Service levels are not
-    stored, so a reloaded trace cannot rebuild a
-    :class:`~repro.trace.profile.LoadProfiler`.
+    register producers are the last writers of its source registers, the
+    values it read are their results, and a load's producing store is
+    the last store to its address.  A file that does not raises
+    :class:`ValueError`.  Service levels are not stored, so a reloaded
+    trace cannot rebuild a :class:`~repro.trace.profile.LoadProfiler`.
     """
     tracker = DependenceTracker()
     instructions: Dict[int, Instruction] = {}
@@ -57,12 +57,7 @@ def load_trace(path: Union[str, pathlib.Path]) -> DependenceTracker:
             if instruction is None:
                 instruction = instructions[record.pc] = _instruction_of(record)
             tracker.retire(
-                record.index,
-                record.pc,
-                instruction,
-                tuple(d[1] if d[0] == SRC_IMM else d[3] for d in record.srcs),
-                record.result,
-                record.address,
+                record.index, record.pc, instruction, record.result, record.address
             )
             if tracker.record(record.index) != record:
                 raise ValueError(

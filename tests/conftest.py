@@ -148,21 +148,21 @@ def traced_run(cpu_cls, program, model, max_instructions):
 def trace_divergence(expected, actual, program):
     """The first query two dependence trackers answer differently, or None.
 
-    Compares the pc, operand and result columns, which pcs of *program*
-    retired, the static table in first-retirement order, execution
-    counts in that order, each register's writers and value writers,
-    and every memory access.  A record is a function of exactly these
-    (its producers bisect the writers), so equal columns mean equal
-    records.
+    Compares the pc and result columns, which pcs of *program* retired,
+    the static table in first-retirement order, execution counts in that
+    order, each register's writers and value writers, and every memory
+    access.  A record is a function of exactly these (its producers
+    bisect the writers, and the values it read are their results), so
+    equal columns mean equal records.
     """
     if len(actual) != len(expected):
         return f"{len(actual)} records, expected {len(expected)}"
 
     def columns(tracker):
-        return tracker._pcs, tracker._operands, tracker._results
+        return tracker._pcs, tracker._results
 
     for name, have, want in zip(
-        ("pcs", "operands", "results"), columns(actual), columns(expected)
+        ("pcs", "results"), columns(actual), columns(expected)
     ):
         if have != want:
             index = next(

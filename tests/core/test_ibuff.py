@@ -28,7 +28,8 @@ def test_hit_rate():
     ibuff = InstructionBuffer(capacity=8)
     for _ in range(3):
         ibuff.fetch(5)
-    assert ibuff.stats.hit_rate == pytest.approx(2 / 3)
+    stats = ibuff.stats
+    assert stats.hits / (stats.hits + stats.misses) == pytest.approx(2 / 3)
 
 
 def test_capacity_validation():

@@ -3,9 +3,9 @@
 The committed ``results/*.txt`` files are the tables and figures the
 benchmark harness last regenerated; the simulator is deterministic, so
 any rendering drift means behaviour changed.  Every golden here shares
-one responsive-suite evaluation through the module-scoped runner, which
-honours ``$REPRO_JOBS``/``$REPRO_CACHE_DIR`` (floored at two workers) so
-warm-cache CI sessions replay it from disk.
+one responsive-suite evaluation through the session-scoped
+``suite_runner`` fixture (``conftest.py``), as do the report-structure
+tests in ``test_runner.py``.
 """
 
 import pathlib
@@ -13,8 +13,6 @@ import pathlib
 import pytest
 
 from repro.harness.experiments import run_experiment
-from repro.harness.parallel import default_jobs
-from repro.harness.runner import SuiteRunner
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent.parent / "results"
 
@@ -28,19 +26,14 @@ GOLDEN_EXPERIMENTS = (
 )
 
 
-@pytest.fixture(scope="module")
-def runner() -> SuiteRunner:
-    return SuiteRunner.from_env(jobs=max(2, default_jobs()))
-
-
 @pytest.mark.parametrize("experiment_id", GOLDEN_EXPERIMENTS)
-def test_experiment_matches_committed_golden(experiment_id, runner):
+def test_experiment_matches_committed_golden(experiment_id, suite_runner):
     golden = RESULTS_DIR / f"{experiment_id}.txt"
     assert golden.exists(), (
         f"missing golden {golden}; regenerate with "
         f"`python -m pytest benchmarks -q`"
     )
-    report = run_experiment(experiment_id, runner)
+    report = run_experiment(experiment_id, suite_runner)
     assert report.text + "\n" == golden.read_text(), (
         f"{experiment_id} drifted from {golden}; if the change is "
         f"intended, regenerate the goldens with the benchmark harness"

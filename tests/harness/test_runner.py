@@ -79,8 +79,8 @@ def test_table1_needs_no_simulation(runner):
 
 
 @pytest.mark.integration
-def test_fig3_report_structure(runner):
-    report = run_experiment("fig3", runner)
+def test_fig3_report_structure(suite_runner):
+    report = run_experiment("fig3", suite_runner)
     assert "Compiler" in report.text
     matrix = report.data
     assert set(matrix.benchmarks()) == {
@@ -89,6 +89,6 @@ def test_fig3_report_structure(runner):
 
 
 @pytest.mark.integration
-def test_fig7_report_structure(runner):
-    report = run_experiment("fig7", runner)
+def test_fig7_report_structure(suite_runner):
+    report = run_experiment("fig7", suite_runner)
     assert "w/ nc" in report.text

@@ -92,15 +92,28 @@ def test_fixture_compiles_to_the_live_binary():
 
 def test_inconsistent_trace_is_rejected(tmp_path):
     """A record whose producer disagrees with the trace is refused."""
+    broken = broken_fixture(tmp_path, lambda d: d[0] == "r" and d[1], 1)
+    with pytest.raises(ValueError, match="does not re-derive"):
+        load_trace(broken)
+
+
+def test_operand_value_that_does_not_rederive_is_rejected(tmp_path):
+    """A register operand's stored value must be its producer's result."""
+    broken = broken_fixture(tmp_path, lambda d: d[0] == "r" and d[3], 3)
+    with pytest.raises(ValueError, match="does not re-derive"):
+        load_trace(broken)
+
+
+def broken_fixture(tmp_path, chosen, field):
+    """The fixture with *field* of the first *chosen* source decremented."""
     lines = FIXTURE.read_text().splitlines()
     for number, line in enumerate(lines):
         payload = json.loads(line)
-        producers = [d for d in payload["srcs"] if d[0] == "r" and d[1]]
-        if producers:
-            producers[0][1] -= 1
+        sources = [d for d in payload["srcs"] if chosen(d)]
+        if sources:
+            sources[0][field] -= 1
             lines[number] = json.dumps(payload)
             break
     broken = tmp_path / "broken.jsonl"
     broken.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="does not re-derive"):
-        load_trace(broken)
+    return broken
