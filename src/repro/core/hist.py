@@ -20,8 +20,6 @@ import dataclasses
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..errors import HistOverflow
-
 Value = Union[int, float]
 
 #: Paper section 5.4: "a Hist design of no more than 600 entries can
@@ -43,19 +41,12 @@ class HistStats:
 
 
 class HistoryTable:
-    """Capacity-limited checkpoint store with LRU replacement.
+    """Capacity-limited checkpoint store with LRU replacement."""
 
-    With ``strict=True`` the table raises :class:`HistOverflow` instead
-    of evicting — the literal reading of the paper's "failed REC
-    instructions" (section 3.5), useful for sizing studies that must
-    observe the first overflow rather than degrade gracefully.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_HIST_CAPACITY, strict: bool = False):
+    def __init__(self, capacity: int = DEFAULT_HIST_CAPACITY):
         if capacity < 1:
             raise ValueError("Hist capacity must be positive")
         self.capacity = capacity
-        self.strict = strict
         self.stats = HistStats()
         self._entries: "OrderedDict[Key, Tuple[Value, ...]]" = OrderedDict()
 
@@ -76,11 +67,6 @@ class HistoryTable:
         if key in self._entries:
             self._entries.move_to_end(key)
         elif len(self._entries) >= self.capacity:
-            if self.strict:
-                raise HistOverflow(
-                    f"history table full ({self.capacity} entries) while "
-                    f"recording slice {slice_id} leaf {leaf_id}"
-                )
             evicted, _ = self._entries.popitem(last=False)
             self.stats.evictions += 1
         self._entries[key] = tuple(values)

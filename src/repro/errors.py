@@ -71,9 +71,5 @@ class SchedulerError(ReproError):
     """The amnesic scheduler reached an inconsistent runtime state."""
 
 
-class HistOverflow(SchedulerError):
-    """The history table ran out of entries while recording a checkpoint."""
-
-
 class FuzzError(ReproError):
     """A fuzz program spec is malformed or cannot be materialised."""

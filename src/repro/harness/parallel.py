@@ -57,6 +57,7 @@ from ..telemetry.runtime import (
     telemetry_session,
 )
 from ..telemetry.sink import ListSink
+from ..telemetry.spans import Span
 from ..workloads.base import SCALE_SMALL
 from ..workloads.suite import get
 
@@ -119,6 +120,9 @@ class ResultEnvelope:
     metrics: List[dict] = dataclasses.field(default_factory=list)
     #: Structured events (span open/close, RCMP decisions) in emit order.
     events: List[dict] = dataclasses.field(default_factory=list)
+    #: The worker's completed spans, captured with or without a sink:
+    #: the parent's span tree (ledger phases, ``repro stats``) needs them.
+    spans: List[Span] = dataclasses.field(default_factory=list)
     #: Pid of the process that evaluated the unit; the merge tags the
     #: re-emitted events with it so traces attribute work per worker.
     worker_pid: Optional[int] = None
@@ -187,6 +191,7 @@ def evaluate_unit(unit: WorkUnit) -> ResultEnvelope:
         comparisons=comparisons,
         metrics=metrics,
         events=sink.events if sink is not None else [],
+        spans=telemetry.tracer.completed,
         worker_pid=os.getpid(),
         elapsed_s=elapsed_s,
         queue_wait_s=queue_wait_s,
@@ -198,8 +203,9 @@ def merge_envelope(
 ) -> None:
     """Fold a worker's telemetry into the (enabled) parent session.
 
-    Besides the metric fold, the event re-emission rewrites span
-    identity so the merged trace reads as one session:
+    Besides the metric fold, the worker's completed spans join the
+    parent tracer's, and the event re-emission rewrites span identity
+    the same way, so the merged tree and trace read as one session:
 
     * every event gains a ``worker`` field (the worker pid);
     * span ids are remapped to fresh ids from the parent tracer, so two
@@ -212,8 +218,6 @@ def merge_envelope(
     if not telemetry.enabled:
         return
     telemetry.registry.merge_dump(envelope.metrics)
-    if telemetry.sink is None:
-        return
     anchor = telemetry.tracer.current()
     anchor_id = None if anchor is None else anchor.span_id
     remap: Dict[int, int] = {}
@@ -224,6 +228,18 @@ def merge_envelope(
             remap[span_id] = telemetry.tracer.allocate_id()
         return remap[span_id]
 
+    for span in envelope.spans:
+        telemetry.tracer.completed.append(
+            dataclasses.replace(
+                span,
+                span_id=remapped(span.span_id),
+                parent_id=(
+                    anchor_id if span.parent_id is None else remapped(span.parent_id)
+                ),
+            )
+        )
+    if telemetry.sink is None:
+        return
     for event in envelope.events:
         event = dict(event)
         if envelope.worker_pid is not None and "worker" not in event:

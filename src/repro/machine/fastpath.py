@@ -15,8 +15,8 @@ description renders five ways:
 
 * **per-pc functions** — one zero-argument function per static
   instruction that returns the next pc (``-1`` after ``HALT``), so a
-  straight-line stretch runs with no branch/halt checks.  Each comes
-  from a factory compiled once per opcode shape per process; the pc,
+  straight-line stretch runs with no branch/halt checks.  Each binds
+  the code of its opcode shape, compiled once per process; the pc,
   operand boxes, costs and targets bind per pc as default parameters,
   and accumulators are charged where they live;
 * **traced per-pc functions** — the same lines, where the ``emit`` hook
@@ -40,12 +40,15 @@ description renders five ways:
   register operands, with scratch registers in locals: one generated
   function per RSlice.
 
-Per-pc factories compile once per opcode shape.  Fused regions, loops
-and slices render once per program: its first untraced decode builds a
-*decode plan* (:class:`_Plan`) of the region analysis and each fused
-function as a code object with a recipe naming what each parameter
-binds to, and every CPU that runs the program binds the plan to its own
-registers, accounts and costs.
+One plan, one binder.  A program's first decode builds its *decode
+plan* (:class:`_Plan`): each pc classified once (family, opcode,
+operands, branch target, evaluator, slice ids) and, rendered from that
+and the read-only ranges on first demand, each fused region, loop and
+slice as a code object with a recipe naming what each parameter binds
+to.  Per-pc code is planned by shape the same way.  Every decode binds
+the plan to its own CPU through :func:`_bound`, from one environment of
+CPU facts: registers, accounts, model costs, Hist, SFile fit, fire
+tables, slice cells and trace columns.
 
 ``RCMP`` renders per pc for the run's policy (see :data:`_MECHANISMS`):
 its decision inline, a direct call into the slice's fused traversal,
@@ -262,9 +265,7 @@ _FAMILIES = {
         ("traced", "_ls[_a] = _ix"),
     ),
     "branch": (
-        "_y0 = $s0",
-        "_y1 = $s1",
-        "_k = _y0 $cmp _y1",
+        "_k = $s0 $cmp $s1",
         "$gn += $e",
         "$tt += $t",
         ("emit", ""),
@@ -556,13 +557,11 @@ _AT_HOME = {key: home for key, (home, _, _) in _ACCUMULATORS.items()}
 _HOISTED = {key: local for key, (_, local, _) in _ACCUMULATORS.items()}
 
 _PLACEHOLDER = re.compile(r"\$(\w+)")
-#: Generated code names its bindings and locals with a leading ``_``.
-_NAME = re.compile(r"(?<![\w.])_\w+")
-#: Names a per-pc function binds per pc (see :meth:`_Decoder.function`).
-_PER_PC = re.compile(
-    r"_(?:pc|nx|tg|e|t|ev|ins|sid|lid|db|di|sc|hk|ok|ft\w|[bi]\d+"
-    r"|lrn|inst|ina|wra)"
-)
+#: Generated code names its bindings and locals with a leading ``_``;
+#: every character but a letter, digit, ``_`` or ``.`` separates names.
+_SEPARATORS = {
+    code: " " for code in range(128) if not (chr(code).isalnum() or chr(code) in "_.")
+}
 
 
 @lru_cache(maxsize=None)
@@ -570,8 +569,7 @@ def _formats(items):
     """The parsed form of one description.
 
     Returns its items as ``(tag, %-format, field %-formats)`` triples
-    (tag None when plain), the placeholders it uses, and the names it
-    spells out literally.
+    (tag None when plain) and the placeholders it uses.
     """
     out = []
     texts = []
@@ -583,12 +581,7 @@ def _formats(items):
         ]
         out.append((tag, formats[0], tuple(formats[1:])))
         texts += (text, *fields)
-    raw = "\n".join(texts)
-    return (
-        tuple(out),
-        frozenset(_PLACEHOLDER.findall(raw)),
-        frozenset(_NAME.findall(_PLACEHOLDER.sub("", raw))),
-    )
+    return tuple(out), frozenset(_PLACEHOLDER.findall("\n".join(texts)))
 
 
 def _render(items, subs, flags, hooks):
@@ -613,16 +606,15 @@ def _render(items, subs, flags, hooks):
 
 
 def _hoist(keys):
-    """Prologue, write-back and home names for the accumulators in *keys*."""
-    prologue, writeback, names = [], [], set()
+    """Prologue and write-back lines for the accumulators in *keys*."""
+    prologue, writeback = [], []
     for key, (home, local, counts) in _ACCUMULATORS.items():
         if key in keys:
             prologue.append(f"{local} = 0" if counts else f"{local} = {home}")
             writeback.append(
                 f"{home} += {local}" if counts else f"{home} = {local}"
             )
-            names.update(_NAME.findall(home))
-    return prologue, writeback, names
+    return prologue, writeback
 
 
 def _counted_emit(*fields):
@@ -659,30 +651,28 @@ def _column_emit(writer):
     return emit
 
 
-def _per_pc_dest(value):
-    return [f"_db[_di] = {value}"]
+#: Per-pc units by shape (see :func:`_per_pc_unit`).
+_SHAPES = {}
 
 
-def _per_pc_goto(target):
-    return [f"return {target}"]
+def _per_pc_unit(shape, values, names):
+    """The per-pc function of one shape, rendered on its first demand.
 
-
-@lru_cache(maxsize=None)
-def _factory(shape, environment):
-    """Compile the per-pc function factory for one opcode shape.
-
-    *shape* is ``(family, variant, arity, traced, writer, read_only)``:
-    ``variant`` is the opcode of compute and branch families, the
-    ``(mechanism, verify)`` pair of RCMP and None for families that
-    render the same for every opcode; ``writer`` marks a traced pc that
-    appends to a register's writer column; ``read_only`` counts the
-    memory's read-only ranges.  *environment* names the run-dependent
-    values a CPU binds (see :meth:`_Decoder.__init__`).  Returns ``(make,
-    env_names, pc_names)``: ``make(*env)`` binds one CPU's environment
-    and returns ``bind(*per_pc)``, which instantiates the zero-argument
-    function for one pc.
+    *shape* is ``(family, variant, boxes, dest, cost, traced, writer,
+    read_only)``: the class's fields (with ``(mechanism, verify)`` as
+    the variant of RCMP), whether the function appends trace columns,
+    whether it appends to its destination's writers, and the number of
+    read-only ranges a store checks.  Its recipe binds the operand and
+    destination boxes the shape names, the costs, the names in
+    *values* (the pc's own values) per pc and every other name it reads
+    from the CPU environment (*names*); every pc of one shape has the
+    same values by name, so the unit serves them all.
     """
-    family, variant, arity, traced, writer, read_only = shape
+    unit = _SHAPES.get(shape)
+    if unit is not None:
+        return unit
+    family, variant, boxes, dest, cost, traced, writer, read_only = shape
+    arity = len(boxes)
     subs = dict(_AT_HOME)
     subs.update(
         pc="_pc", nx="_nx", tg="_tg", e="_e", t="_t", ev="_ev",
@@ -700,29 +690,23 @@ def _factory(shape, environment):
     if read_only:
         flags.add("ro")
     hooks = {
-        "dest": _per_pc_dest,
+        "dest": lambda value: [f"_db[_di] = {value}"],
         "emit": _column_emit(writer) if traced else _counted_emit,
-        "goto": _per_pc_goto,
+        "goto": lambda target: [f"return {target}"],
     }
     lines = _render(
         _description(family, variant, ("rt",) * arity), subs, flags, hooks
     )
     if family in _FALLTHROUGH:
         lines.append("return _nx")
-    body = "\n".join(" " * 12 + line for line in lines)
-    names = set(_NAME.findall(body))
-    env_names = sorted(names & environment)
-    pc_names = sorted(name for name in names if _PER_PC.fullmatch(name))
-    defaults = ", ".join(f"{name}={name}" for name in pc_names + env_names)
-    source = (
-        f"def _make({', '.join(env_names)}):\n"
-        f"    def _bind({', '.join(pc_names)}):\n"
-        f"        def _f({defaults}):\n"
-        f"{body}\n"
-        f"        return _f\n"
-        f"    return _bind\n"
-    )
-    namespace = {}
+    recipe = {name: ("pc", name) for name in values}
+    for n, box in enumerate(boxes):
+        if box is not None:
+            recipe[f"_b{n}"] = ("name", box)
+    if dest is not None:
+        recipe["_db"] = ("name", dest)
+    if cost is not None:
+        recipe["_e"], recipe["_t"] = _cost(*cost)
     if variant is None:
         label = family
     elif family == "rcmp":
@@ -730,20 +714,22 @@ def _factory(shape, environment):
         label = f"rcmp-{mechanism}" + ("-verify" if verify else "")
     else:
         label = variant.value
-    exec(compile(source, f"<fastpath {label}/{arity}>", "exec"), namespace)
-    return namespace["_make"], env_names, pc_names
+    unit = _SHAPES[shape] = _planned(
+        "_f", ["    " + line for line in lines], recipe,
+        f"<fastpath {label}/{arity}>", names,
+    )
+    return unit
 
 
 @lru_cache(maxsize=2048)
 def _compiled_region(source, filename):
-    """Compile one fused region, loop or slice source, cached by source.
+    """Compile one generated source, cached by source.
 
-    The generated source embeds only pcs, opcodes, operand indices and
-    the read-only ranges; every run-dependent value (registers,
-    accounts, costs) binds through default parameters when a CPU binds
-    the decode plan (see :class:`_Plan`).  A plan renders each program
-    once; this cache shares the ``compile`` between equal programs, such
-    as one kernel instantiated afresh for every run.
+    The source embeds only pcs, opcodes, operand indices and the
+    read-only ranges; every run-dependent value (registers, accounts,
+    costs) binds through default parameters (see :func:`_bound`).  Equal
+    shapes and equal programs, such as one kernel instantiated afresh
+    for every run, share one ``compile``.
     """
     return compile(source, filename, "exec")
 
@@ -760,42 +746,48 @@ def _function_code(name, lines, params, filename):
     return next(code for code in module.co_consts if isinstance(code, CodeType))
 
 
-#: The globals of every bound fused function: it reads parameters and
+#: The globals of every bound function: it reads parameters and
 #: builtins only.
 _GLOBALS = {"__builtins__": builtins}
 
 
-def _bound(unit, names, found=(), fns=(), model=None):
-    """Instantiate a planned function over one CPU's values.
+def _bound(unit, env, values=None, fns=()):
+    """Instantiate a planned function over one CPU's environment *env*.
 
     Each parameter's recipe entry names where its value comes from:
-    ``("name", key)`` the CPU's value of *key* in *names*; ``("pc",
-    (pc, key))`` the per-pc constant *key* of *found*; ``("fn", pc)``
-    the per-pc function ``fns[pc]``; ``("cost", (method, args,
-    field))`` a cost of *model*; ``("value", v)`` the constant *v*.
+    ``("name", key)`` the environment's *key*; ``("pc", key)`` the
+    bound pc's own value *key* in *values*; ``("cost", (method, args,
+    field))`` a cost of the CPU's energy model, priced once per
+    environment (the price is kept in it under the entry); ``("fn",
+    pc)`` the per-pc function ``fns[pc]``; ``("value", v)`` the constant
+    *v*.
     """
     defaults = []
     for kind, arg in unit.recipe:
         if kind == "name":
-            defaults.append(names[arg])
+            defaults.append(env[arg])
         elif kind == "pc":
-            defaults.append(found[arg[0]][1][arg[1]])
+            defaults.append(values[arg])
+        elif kind == "cost":
+            cost = env.get(arg)
+            if cost is None:
+                method, args, field = arg
+                model = env["_model"]
+                cost = env[arg] = getattr(getattr(model, method)(*args), field)
+            defaults.append(cost)
         elif kind == "fn":
             defaults.append(fns[arg])
-        elif kind == "cost":
-            method, args, field = arg
-            defaults.append(getattr(getattr(model, method)(*args), field))
         else:
             defaults.append(arg)
     return FunctionType(unit.code, _GLOBALS, unit.code.co_name, tuple(defaults))
 
 
 def clear_codegen_caches():
-    """Drop every factory, compiled source and decode plan (descriptions changed)."""
-    _factory.cache_clear()
+    """Drop every compiled source, per-pc unit and decode plan (descriptions changed)."""
     _compiled_region.cache_clear()
     _compute_description.cache_clear()
     _rcmp_description.cache_clear()
+    _SHAPES.clear()
     _PLANS.clear()
 
 
@@ -803,268 +795,306 @@ def clear_codegen_caches():
 # Per-pc decode.
 # ----------------------------------------------------------------------
 
+class _Class(NamedTuple):
+    """What the fast path knows of one pc before any CPU runs it.
 
-def _operand_box(registers, operand):
-    """Resolve an operand once: a (sequence, index) pair read per dispatch.
-
-    Registers read ``cpu.registers[index]``; immediates read a one-slot
-    constant tuple.  Both cost one indexed load, so every operand-kind
-    combination shares one factory.  Returns None for operands that
-    need the classic slow path (SReg/HistRef).
+    ``family`` and ``variant`` (the opcode of a compute or branch
+    family, else None) pick the description.  ``boxes`` names, for each
+    source operand, the environment's registers (``"_r"``) as its box,
+    or None when its box is a one-slot constant of the pc's own; and
+    ``dest`` a written destination's box: the registers or the r0 sink
+    (``"_sink"``; None: the family writes none).  ``cost`` is the model
+    cost ``$e``/``$t`` charge as ``(method, *args)``, if any.
+    ``consts`` holds the pc's own values by the name its code reads:
+    pc, next pc, branch target, evaluator, slice and leaf ids, operand
+    indices and constant boxes, and a ``JR``'s instruction.
     """
-    if isinstance(operand, Reg):
-        # r0 is never written (destination r0 writes go to a sink), so
-        # reading the backing slot is the classic hardwired zero.
-        return registers, operand.index
-    if isinstance(operand, Imm):
-        return (operand.value,), 0
-    return None
+
+    family: str
+    variant: object
+    boxes: tuple
+    dest: Optional[str]
+    cost: Optional[tuple]
+    consts: dict
 
 
-class _Decoder:
-    """Builds one CPU's per-pc function table from the descriptions."""
+def _classify(program, pc, instruction):
+    """The :class:`_Class` of a described instruction, else None.
 
-    def __init__(self, cpu: CPU):
-        self.cpu = cpu
-        self.program = cpu.program
-        self.registers = cpu.registers
-        self.model = cpu.model
-        self.hist = getattr(cpu, "hist", None)
-        config = self.model.config
-        load_costs = {}
-        store_costs = {}
-        for level in Level:
-            latency = config.load_latency_ns(level)
-            load_costs[level] = (config.load_energy_nj(level), latency)
-            store_costs[level] = (config.store_energy_nj(level), latency)
-        memory = cpu.memory
-        hierarchy = cpu.hierarchy
-        probe1 = hierarchy.probe_cost(None, Level.L1)
-        probe2 = hierarchy.probe_cost(None, Level.L2)
-        l1, l2 = hierarchy.l1, hierarchy.l2
-        self.tracer = cpu.tracer
-        self.traced = self.tracer is not None
-        #: How RCMP decides on this run (see :data:`_MECHANISMS`); None
-        #: leaves RCMP on the classic handler, which live telemetry
-        #: sessions (per-RCMP decision records) need.
-        self.mechanism = None
-        if not get_telemetry().enabled:
-            self.mechanism = cpu._rcmp_mechanism()
-        #: Fused slice traversals by slice id (None: not expressible).
-        self.slices = {}
-        # Stores compare against the read-only ranges (bound per CPU as
-        # one flat tuple); with none configured the check renders away.
-        self.read_only = memory._read_only
-        rcmp_cost = self.model.rcmp_cost()
-        self.env = {
-            "_r": cpu.registers,
-            "_eg": cpu.account._energy_by_group,
-            "_ac": cpu.account,
-            "_st": cpu.stats,
-            "_cpu": cpu,
-            "_cells": memory._cells,
-            "_ro": tuple(bound for pair in memory._read_only for bound in pair),
-            "_l1sets": l1._sets,
-            "_shift": l1._line_shift,
-            "_nsets": l1._nsets,
-            "_l1h": l1.stats,
-            "_l2sets": l2._sets,
-            "_shift2": l2._line_shift,
-            "_nsets2": l2._nsets,
-            "_l2h": l2.stats,
-            "_smiss": hierarchy._service_miss,
-            "_lbl": hierarchy.stats.loads_by_level,
-            "_sbl": hierarchy.stats.stores_by_level,
-            "_ldc": load_costs,
-            "_stc": store_costs,
-            "_l1le": load_costs[Level.L1][0],
-            "_l1lt": load_costs[Level.L1][1],
-            "_l1se": store_costs[Level.L1][0],
-            "_l1st": store_costs[Level.L1][1],
-            "_lim": len(self.program.instructions),
-            "_rec": None if self.hist is None else self.hist.record,
-            "_hent": None if self.hist is None else self.hist._entries,
-            "_sll": cpu.stats.swapped_load_levels,
-            "_fired": getattr(cpu, "fired_slice_ids", None),
-            "_rce": rcmp_cost.energy_nj,
-            "_rct": rcmp_cost.time_ns,
-            "_p1e": probe1.energy_nj,
-            "_p1t": probe1.latency_ns,
-            "_p2e": probe2.energy_nj,
-            "_p2t": probe2.latency_ns,
-            "_MF": MachineFault,
-            "_MemF": MemoryFault,
-            "_AF": ArithmeticFault,
-            "_RM": RecomputationMismatch,
-            "_GN": GROUP_NONMEM,
-            "_GL": GROUP_LOAD,
-            "_GS": GROUP_STORE,
-            "_GA": GROUP_AMNESIC,
-            "_GH": GROUP_HIST,
-            "_L1": Level.L1,
-            "_L2": Level.L2,
-            "_MEM": Level.MEM,
-            "_wi": wrap_int64,
-        }
-        if self.traced:
-            # Traced functions retire into the tracker's columns.
-            columns = self.tracer.columns()
-            self.env.update(
-                _tpc=columns.pc,
-                _tres=columns.result,
-                _tmi=columns.mem_index,
-                _tma=columns.mem_address,
-                _tml=columns.mem_level,
-                _tmp=columns.mem_producer,
-                _ls=columns.last_store,
-                _nos=columns.no_store,
-            )
-        #: Destination box for r0: writes land here and are never read.
-        self.sink = [0]
-        self._compute_costs = {}
-        self._binders = {}
-
-    def compute_cost(self, category):
-        pair = self._compute_costs.get(category)
-        if pair is None:
-            cost = self.model.compute_cost(category)
-            pair = self._compute_costs[category] = (cost.energy_nj, cost.time_ns)
-        return pair
-
-    def classify(self, pc, instruction):
-        """``(family, constants)`` for a described instruction, else None.
-
-        None leaves the pc on the classic handler, which keeps every
-        statically odd case (an undefined label, a non-register
-        destination, an opcode without value semantics) faulting at run
-        time exactly as classic does.
-        """
-        opcode = instruction.opcode
-        category = _OPCODE_CATEGORY[opcode]
-        consts = {"_pc": pc, "_nx": pc + 1, "_ins": instruction}
-        if category.is_compute:
-            family = "compute"
-            consts["_ev"] = _EVALUATORS.get(opcode)
-            if consts["_ev"] is None:
-                return None
-        elif category is Category.BRANCH:
-            family = "branch"
-            if opcode not in _BRANCH_OPS:
-                return None
-        elif opcode is Opcode.RCMP:
-            family = "rcmp"
-            if self.mechanism is None:
-                return None
+    None leaves the pc on the classic handler, which keeps every
+    statically odd case (an undefined label, a non-register
+    destination, an opcode without value semantics, a scratch or Hist
+    operand outside a slice) faulting at run time exactly as classic
+    does.  Whether a CPU can run a ``REC`` or ``RCMP`` (its Hist, its
+    policy, its binary's slice table) is the decode's to say.
+    """
+    opcode = instruction.opcode
+    category = _OPCODE_CATEGORY[opcode]
+    consts = {"_pc": pc, "_nx": pc + 1}
+    variant = None
+    cost = ("compute_cost", category)
+    if category.is_compute:
+        family = "compute"
+        variant = opcode
+        consts["_ev"] = _EVALUATORS.get(opcode)
+        if consts["_ev"] is None:
+            return None
+    elif category is Category.BRANCH:
+        family = "branch"
+        variant = opcode
+        if opcode not in _BRANCH_OPS:
+            return None
+    elif opcode is Opcode.RCMP:
+        family = "rcmp"
+    else:
+        family = opcode.value
+        if family not in _FAMILIES:
+            return None
+        if family == "jr":
+            consts["_ins"] = instruction  # its fault message names it
+    arity = len(instruction.srcs)
+    if arity != _ARITY.get(family, arity):
+        return None
+    dest = instruction.dest
+    if family in _WRITES_DEST and not isinstance(dest, Reg):
+        return None
+    if family in ("branch", "jmp", "jal"):
+        consts["_tg"] = program.labels.get(instruction.target)
+        if consts["_tg"] is None:
+            return None
+    if family == "rec":
+        cost = ("rec_cost",)
+        consts.update(_sid=instruction.slice_id, _lid=instruction.leaf_id)
+    elif family == "rcmp":
+        cost = None
+        consts["_sid"] = instruction.slice_id
+    elif family in ("ld", "st"):
+        cost = None
+    boxes = []
+    for n, src in enumerate(instruction.srcs):
+        if isinstance(src, Reg):
+            # r0 is never written (destination r0 writes go to a sink),
+            # so reading the backing slot is the classic hardwired zero.
+            boxes.append("_r")
+            consts[f"_i{n}"] = src.index
+        elif isinstance(src, Imm):
+            boxes.append(None)
+            consts[f"_b{n}"], consts[f"_i{n}"] = (src.value,), 0
         else:
-            family = opcode.value
-            if family not in _FAMILIES:
-                return None
-        arity = len(instruction.srcs)
-        if arity != _ARITY.get(family, arity):
             return None
-        if family in _WRITES_DEST and not isinstance(instruction.dest, Reg):
-            return None
-        if family in ("branch", "jmp", "jal"):
-            consts["_tg"] = self.program.labels.get(instruction.target)
-            if consts["_tg"] is None:
-                return None
-        if family == "rec":
-            if self.hist is None:
-                return None
-            cost = self.model.rec_cost()
-            consts.update(
-                _e=cost.energy_nj, _t=cost.time_ns,
-                _sid=instruction.slice_id, _lid=instruction.leaf_id,
-            )
-        elif family == "rcmp":
-            cpu = self.cpu
-            try:
-                info = cpu.binary.info_for(instruction.slice_id)
-            except KeyError:
-                return None
-            sid = info.slice_id
-            consts.update(
-                _sid=sid,
-                _hk=frozenset((sid, leaf) for leaf in info.hist_leaf_ids),
-                _ok=info.sreg_demand <= cpu.sfile.capacity,
-                _sc=_slice_cell(cpu, self.slices, info, pc),
-            )
-            if self.mechanism == "table":
-                consts["_ft1"], consts["_ft2"], consts["_ftm"] = (
-                    cpu._rcmp_fire_table(info)
-                )
-        elif family not in ("ld", "st"):
-            consts["_e"], consts["_t"] = self.compute_cost(category)
-        return family, consts
+    if family in _WRITES_DEST:
+        consts["_di"] = dest.index
+        dest = "_r" if dest.index else "_sink"
+    else:
+        dest = None
+    return _Class(family, variant, tuple(boxes), dest, cost, consts)
 
-    def function(self, pc, instruction, found):
-        """The per-pc function of one instruction (*found*: its class)."""
-        if instruction.opcode is Opcode.HALT:
-            return _halt(self.cpu, pc, instruction)
-        if found is None:
-            return _thunk(self.cpu, pc, instruction)
-        family, consts = found
-        values = dict(consts)
-        for n, src in enumerate(instruction.srcs):
-            box = _operand_box(self.registers, src)
-            if box is None:
-                return _thunk(self.cpu, pc, instruction)
-            values[f"_b{n}"], values[f"_i{n}"] = box
-        dest = instruction.dest
-        if isinstance(dest, Reg):
-            values["_db"], values["_di"] = (
-                (self.registers, dest.index) if dest.index else (self.sink, 0)
+
+def _environment(cpu, table):
+    """What generated code binds by name from *cpu* and its *table*.
+
+    Registers and the r0 sink, memory, caches and the miss walk, the
+    accounts and stats, the energy model and its load and store costs,
+    the table's count arrays and partial flush, the fault and level
+    constants, and, on an amnesic CPU, its Hist, SFile and IBuff; on a
+    traced CPU, the tracker's append side.  Every environment binds
+    every name a fused region or loop reads, and every amnesic one every
+    name a slice reads, so a plan rendered for one CPU's names binds on
+    any CPU that runs it.
+    """
+    config = cpu.model.config
+    load_costs = {}
+    store_costs = {}
+    for level in Level:
+        latency = config.load_latency_ns(level)
+        load_costs[level] = (config.load_energy_nj(level), latency)
+        store_costs[level] = (config.store_energy_nj(level), latency)
+    memory = cpu.memory
+    hierarchy = cpu.hierarchy
+    probe1 = hierarchy.probe_cost(None, Level.L1)
+    probe2 = hierarchy.probe_cost(None, Level.L2)
+    l1, l2 = hierarchy.l1, hierarchy.l2
+    rcmp_cost = cpu.model.rcmp_cost()
+    stats = cpu.stats
+    env = {
+        "_r": cpu.registers,
+        "_sink": [0],
+        "_eg": cpu.account._energy_by_group,
+        "_ac": cpu.account,
+        "_st": stats,
+        "_bc": stats.by_category,
+        "_cpu": cpu,
+        "_model": cpu.model,
+        "_counts": table.counts,
+        "_fc": table.fused_counts,
+        "_tbl": table,
+        "_flush": _partial_flush,
+        "_cells": memory._cells,
+        "_ro": tuple(bound for pair in memory._read_only for bound in pair),
+        "_l1sets": l1._sets,
+        "_shift": l1._line_shift,
+        "_nsets": l1._nsets,
+        "_l1h": l1.stats,
+        "_l2sets": l2._sets,
+        "_shift2": l2._line_shift,
+        "_nsets2": l2._nsets,
+        "_l2h": l2.stats,
+        "_smiss": hierarchy._service_miss,
+        "_lbl": hierarchy.stats.loads_by_level,
+        "_sbl": hierarchy.stats.stores_by_level,
+        "_ldc": load_costs,
+        "_stc": store_costs,
+        "_l1le": load_costs[Level.L1][0],
+        "_l1lt": load_costs[Level.L1][1],
+        "_l1se": store_costs[Level.L1][0],
+        "_l1st": store_costs[Level.L1][1],
+        "_lim": len(cpu.program.instructions),
+        "_sll": stats.swapped_load_levels,
+        "_rce": rcmp_cost.energy_nj,
+        "_rct": rcmp_cost.time_ns,
+        "_p1e": probe1.energy_nj,
+        "_p1t": probe1.latency_ns,
+        "_p2e": probe2.energy_nj,
+        "_p2t": probe2.latency_ns,
+        "_MF": MachineFault,
+        "_MemF": MemoryFault,
+        "_AF": ArithmeticFault,
+        "_RM": RecomputationMismatch,
+        "_GN": GROUP_NONMEM,
+        "_GL": GROUP_LOAD,
+        "_GS": GROUP_STORE,
+        "_GA": GROUP_AMNESIC,
+        "_GH": GROUP_HIST,
+        "_L1": Level.L1,
+        "_L2": Level.L2,
+        "_MEM": Level.MEM,
+        "_wi": wrap_int64,
+    }
+    hist = getattr(cpu, "hist", None)
+    if hist is not None:
+        ibuff = cpu.ibuff
+        env.update(
+            _rec=hist.record,
+            _hent=hist._entries,
+            _hr=hist.read,
+            _hst=hist.stats,
+            _fired=cpu.fired_slice_ids,
+            _sfs=cpu.sfile.stats,
+            _ibe=ibuff._entries,
+            _ibf=ibuff.fetch,
+            _ibs=ibuff.stats,
+        )
+    if cpu.tracer is not None:
+        env.update(
+            zip(
+                ("_tpc", "_tres", "_tmi", "_tma", "_tml", "_tmp", "_ls", "_nos"),
+                cpu.tracer.columns(),
             )
-        if self.traced:
-            learn, instances, writers = self.tracer.pc_columns(pc, instruction)
-            values.update(_lrn=learn, _inst=instances, _ina=instances.append)
+        )
+    return env
+
+
+def _decode(cpu):
+    """Bind *cpu*'s program plan into a :class:`_BatchTable`.
+
+    Each pc the plan classified binds the per-pc unit of its shape; a
+    ``REC`` on a CPU without a Hist, an ``RCMP`` under a policy without
+    a mechanism or a live telemetry session, ``HALT`` and every pc the
+    plan left unclassified run the classic handler.  ``fns`` ends in
+    one sentinel entry (index ``len(program)``) raising the classic
+    "ran off the end" fault, so the hot loop needs no bounds check; its
+    category slot is ``None`` and its hit count is never flushed into
+    RunStats — the classic loop faults on fetch *before* counting, and
+    so do we.
+    """
+    program = cpu.program
+    instructions = program.instructions
+    plan = _plan(program)
+    metered = get_telemetry().enabled
+    table = _BatchTable(len(instructions) + 1, metered)
+    env = _environment(cpu, table)
+    tracer = cpu.tracer
+    traced = tracer is not None
+    # How RCMP decides on this run (see :data:`_MECHANISMS`); None
+    # leaves RCMP on the classic handler, which live telemetry sessions
+    # (per-RCMP decision records) need.
+    mechanism = None if metered else cpu._rcmp_mechanism()
+    # Stores compare against the read-only ranges (bound per CPU as one
+    # flat tuple); with none configured the check renders away.
+    read_only = len(cpu.memory._read_only)
+    fns = table.fns
+    for pc, (instruction, found) in enumerate(zip(instructions, plan.classes)):
+        family = None if found is None else found.family
+        if family is None or family == "rec" and "_rec" not in env:
+            values = None
+        elif family == "rcmp":
+            values = None if mechanism is None else _rcmp_values(
+                cpu, table, found, pc, mechanism
+            )
+        else:
+            values = found.consts
+        if values is None:
+            halts = instruction.opcode is Opcode.HALT
+            fns.append((_halt if halts else _thunk)(cpu, pc, instruction))
+            continue
+        if traced:
+            learn, instances, writers = tracer.pc_columns(pc, instruction)
+            values = dict(values, _lrn=learn, _inst=instances, _ina=instances.append)
             if writers is not None:
                 values["_wra"] = writers.append
-        if family in ("compute", "branch"):
-            variant = instruction.opcode
-        elif family == "rcmp":
-            variant = (self.mechanism, self.cpu.verify)
-        else:
-            variant = None
         shape = (
             family,
-            variant,
-            len(instruction.srcs),
-            self.traced,
+            (mechanism, cpu.verify) if family == "rcmp" else found.variant,
+            found.boxes,
+            found.dest,
+            found.cost,
+            traced,
             "_wra" in values,
-            len(self.read_only) if family == "st" else 0,
+            read_only if family == "st" else 0,
         )
-        binder = self._binders.get(shape)
-        if binder is None:
-            make, env_names, pc_names = _factory(shape, frozenset(self.env))
-            binder = self._binders[shape] = (
-                make(*[self.env[name] for name in env_names]),
-                pc_names,
-            )
-        bind, pc_names = binder
-        return bind(*[values[name] for name in pc_names])
+        fns.append(_bound(_per_pc_unit(shape, values, env), env, values))
+    table.cats.extend(_OPCODE_CATEGORY[ins.opcode] for ins in instructions)
+    fns.append(_off_end(len(fns)))
+    table.cats.append(None)
+    if traced:
+        # Traced runs stay per pc.  A profile runs its program once, so
+        # compiling fused regions for it never pays for itself:
+        # profiling the 33 kernels at scale 1.0 (1.12M instructions)
+        # took 1.6-1.9 s of CPU per pc against 2.3-2.7 s with traced
+        # regions fused, on a 2-vCPU Xeon host.  The fused code also
+        # kept the trace alive until a full collection, raising
+        # lint-suite peak RSS by 25-31%.  For the same reason a traced
+        # table keeps no environment: the environment holds the table.
+        return table
+    table.env = env
+    for unit in plan.fused_for(program, cpu.memory._read_only, env):
+        table.install(unit)
+    return table
 
-    def decode(self):
-        """Return ``(fns, cats)``: per-pc functions + per-pc categories.
 
-        ``fns`` has one trailing sentinel entry (index ``len(program)``)
-        raising the classic "ran off the end" fault, so the hot loop
-        needs no bounds check; its category slot is ``None`` and its
-        hit count is never flushed into RunStats — the classic loop
-        faults on fetch *before* counting, and so do we.
-        """
-        instructions = self.program.instructions
-        self.found = [
-            self.classify(pc, ins) for pc, ins in enumerate(instructions)
-        ]
-        fns = [
-            self.function(pc, ins, found)
-            for pc, (ins, found) in enumerate(zip(instructions, self.found))
-        ]
-        cats = [_OPCODE_CATEGORY[ins.opcode] for ins in instructions]
-        fns.append(_off_end(len(fns)))
-        cats.append(None)
-        return fns, cats
+def _rcmp_values(cpu, table, found, pc, mechanism):
+    """An RCMP's own values on *cpu*, or None when its binary has no such slice.
+
+    Its slice's checkpoint keys ``_hk``, whether its scratch demand
+    fits the SFile (``_ok``), the cell ``_sc`` it calls the slice
+    through and, for the table mechanism, whether the slice fires at
+    each residence (``_ft1``/``_ft2``/``_ftm``).
+    """
+    try:
+        info = cpu.binary.info_for(found.consts["_sid"])
+    except KeyError:
+        return None
+    sid = info.slice_id
+    values = dict(
+        found.consts,
+        _sid=sid,
+        _hk=frozenset((sid, leaf) for leaf in info.hist_leaf_ids),
+        _ok=info.sreg_demand <= cpu.sfile.capacity,
+        _sc=_slice_cell(cpu, table, info, pc),
+    )
+    if mechanism == "table":
+        values["_ft1"], values["_ft2"], values["_ftm"] = cpu._rcmp_fire_table(info)
+    return values
 
 
 def _halt(cpu, pc, instruction):
@@ -1159,10 +1189,8 @@ def _off_end(pc):
 #   fused code; every other pc, a loop body start included, keeps its
 #   per-pc function, so a JR into a region or loop body runs per pc.
 #
-# Each program is analysed and rendered once: its first untraced
-# fast-batched decode builds a *plan* (:class:`_Plan`) holding the
-# region analysis and every fused function as a code object with a
-# binding recipe, and every decode of that program binds the plan to
+# Each program is analysed and rendered once, into its decode plan
+# (:class:`_Plan`), and every decode of that program binds the plan to
 # its own CPU.  Plans are keyed by program identity, so what fuses
 # depends on that program alone, and a copy of a program never runs its
 # original's code.  A program is therefore never edited in place once
@@ -1184,10 +1212,11 @@ class _BatchTable:
     and ``loops`` each fused loop's ``(header, loop-back)`` pcs.
     ``fault_pc`` is how a fused function reports the faulting element's
     pc to the outer loop (whose local ``pc`` still holds the entry pc
-    when the function raises).  ``slices`` caches fused slice
-    traversals (None: not expressible); ``metered`` records whether a
-    telemetry session was live at decode (RCMP then stays on the
-    classic handler).
+    when the function raises).  ``env`` is the CPU environment every
+    function binds (see :func:`_environment`); ``slices`` caches fused
+    slice traversals (None: not expressible); ``metered`` records
+    whether a telemetry session was live at decode (RCMP then stays on
+    the classic handler).
     """
 
     __slots__ = (
@@ -1199,23 +1228,25 @@ class _BatchTable:
         "region_spans",
         "loops",
         "fault_pc",
+        "env",
         "slices",
         "metered",
     )
 
-    def __init__(self, fns, cats, slices, metered):
-        self.fns = fns
-        self.cats = cats
-        self.counts = [0] * len(fns)
+    def __init__(self, size, metered):
+        self.fns = []
+        self.cats = []
+        self.counts = [0] * size
         self.fused_counts = []
         self.fused_tails = []
         self.region_spans = []
         self.loops = []
         self.fault_pc = -1
-        self.slices = slices
+        self.env = None
+        self.slices = {}
         self.metered = metered
 
-    def install(self, unit, names, found):
+    def install(self, unit):
         """Bind one planned fused region or loop (see :meth:`_Plan.fused_for`).
 
         Its deferred-count slot is the next one, which is the slot its
@@ -1224,21 +1255,21 @@ class _BatchTable:
         """
         self.fused_counts.append(0)
         self.fused_tails.append(unit.tail)
-        self.fns[unit.at] = _bound(unit, names, found, self.fns)
+        self.fns[unit.at] = _bound(unit, self.env, fns=self.fns)
         self.region_spans.append(unit.span)
         if unit.loop is not None:
             self.loops.append(unit.loop)
 
 
 class _Fused(NamedTuple):
-    """One planned fused function: its code and how a CPU binds it.
+    """One planned function: its code and how a CPU binds it.
 
     ``recipe`` holds one ``(kind, arg)`` entry per parameter, in
     parameter order (see :func:`_bound`).  A fused region or loop also
     names the pc whose function it replaces (``at``), the ``(first,
     end, categories)`` its deferred count expands to (``tail``), its
     straight-line span and, for a loop, its ``(header, loop-back)``
-    pcs; a fused slice leaves them None.
+    pcs; a per-pc function or a fused slice leaves them None.
     """
 
     code: CodeType
@@ -1249,79 +1280,93 @@ class _Fused(NamedTuple):
     loop: Optional[tuple] = None
 
 
-def _planned(name, source, recipe, filename, **where):
-    """A :class:`_Fused` for ``def name`` over *source* and *recipe*."""
-    params = sorted(recipe)
-    code = _function_code(name, source, params, filename)
-    return _Fused(code, tuple(recipe[param] for param in params), **where)
+def _planned(name, lines, recipe, filename, names, **where):
+    """A :class:`_Fused` for ``def name`` over *lines*.
 
-
-#: What a fused region or loop binds from its CPU's table, by name.
-_TABLE_RECIPE = {
-    "_counts": ("name", "_counts"),
-    "_fc": ("name", "_fc"),
-    "_tbl": ("name", "_tbl"),
-    "_flush": ("name", "_flush"),
-}
+    Its parameters are the names the lines read that *recipe* binds or,
+    failing that, the CPU environment does (*names*: its keys); the
+    lines' other names are their own locals.
+    """
+    bound = {}
+    for token in set("\n".join(lines).translate(_SEPARATORS).split()):
+        found = token.partition(".")[0]  # ``_a._b`` reads ``_a``
+        if found in recipe:
+            bound[found] = recipe[found]
+        elif found in names:
+            bound[found] = ("name", found)
+    params = sorted(bound)
+    code = _function_code(name, lines, params, filename)
+    return _Fused(code, tuple(bound[param] for param in params), **where)
 
 
 class _Plan:
     """What decoding one program yields that no CPU state enters.
 
-    The region analysis (proven self-loops and batchable regions) and,
-    rendered on first demand, every fused function: regions and loops
-    per set of read-only ranges (the only CPU input their source reads),
-    slices per ``(slice id, SFile capacity, concurrent_offload)``.  A
-    plan holds code objects and binding recipes, never a CPU, a trace or
-    a :class:`_BatchTable`; each CPU binds its own state, costs and
-    per-pc functions.
+    Each pc's :class:`_Class`, made once by the program's first decode
+    of any kind; the region analysis (proven self-loops and batchable
+    regions), made by its first untraced decode; and, rendered on
+    first demand from the classes and the instructions, every fused
+    function: regions and loops per set of read-only ranges (the only
+    CPU input their source reads), slices per ``(slice id, SFile
+    capacity, concurrent_offload)``.  A plan holds classes, code
+    objects and binding recipes, never a CPU, a trace or a
+    :class:`_BatchTable`; each decode binds its own environment.
     """
 
-    __slots__ = ("loops", "regions", "fused", "slices")
+    __slots__ = ("classes", "analysis", "fused", "slices")
 
     def __init__(self, program):
-        # Imported lazily: the staticcheck package sits above the
-        # machine layer.
-        from ..staticcheck.regions import analyze_regions
-
-        analysis = analyze_regions(program)
-        self.loops = analysis.loops
-        self.regions = analysis.batchable_regions
+        self.classes = [
+            _classify(program, pc, instruction)
+            for pc, instruction in enumerate(program.instructions)
+        ]
+        self.analysis = None
         self.fused = {}
         self.slices = {}
 
-    def fused_for(self, decoder):
-        """The fused loops and regions for *decoder*, in install order."""
-        units = self.fused.get(decoder.read_only)
+    def fused_for(self, program, read_only, names):
+        """The fused loops and regions over *read_only*, in install order.
+
+        *names* are the keys of the CPU environment that binds them;
+        every environment binds every name fused code reads.
+        """
+        units = self.fused.get(read_only)
         if units is None:
-            units = self.fused[decoder.read_only] = self._render(decoder)
+            units = self.fused[read_only] = self._render(program, read_only, names)
         return units
 
-    def _render(self, decoder):
+    def _render(self, program, read_only, names):
         # Proven self-loops fuse whole; every other batchable region
         # outside a slice fuses on its own, and in-slice regions stay
         # per pc.  A unit's index is its deferred-count slot.
+        if self.analysis is None:
+            # Imported lazily: the staticcheck package sits above the
+            # machine layer.
+            from ..staticcheck.regions import analyze_regions
+
+            self.analysis = analyze_regions(program)
+        scope = _Scope(program, self.classes, read_only, names)
         units = []
         looped = set()
-        for loop in self.loops:
-            unit = _render_loop(decoder, loop, len(units))
+        for loop in self.analysis.loops:
+            unit = _render_loop(scope, loop, len(units))
             if unit is not None:
                 units.append(unit)
                 looped.add(loop.body)
-        for region in self.regions:
+        for region in self.analysis.batchable_regions:
             if region not in looped and not region.in_slice:
-                unit = _render_region(decoder, region, len(units))
+                unit = _render_region(scope, region, len(units))
                 if unit is not None:
                     units.append(unit)
         return tuple(units)
 
-    def slice_for(self, cpu, slice_id):
-        """The planned traversal of one slice for *cpu* (None: not expressible)."""
-        key = (slice_id, cpu.sfile.capacity, cpu.concurrent_offload)
+    def slice_for(self, program, slice_id, capacity, offload, names):
+        """The planned traversal of one slice (None: not expressible)."""
+        key = (slice_id, capacity, offload)
         try:
             return self.slices[key]
         except KeyError:
-            unit = self.slices[key] = _render_slice(cpu.program, *key)
+            unit = self.slices[key] = _render_slice(program, *key, names)
             return unit
 
 
@@ -1350,62 +1395,67 @@ def _plan(program):
     return entry[1]
 
 
-def _fused_lines(decoder, pc, recipe, families, hooks):
+class _Scope(NamedTuple):
+    """What a plan renders fused regions and loops from."""
+
+    program: object
+    classes: list
+    read_only: tuple
+    names: object
+
+
+def _fused_lines(scope, pc, recipe, families, hooks):
     """Source lines of the instruction at *pc* inside a fused function.
 
     Registers read ``_r[n]`` directly; int immediates render as
     literals, and other constants, costs and evaluators bind per pc
     through *recipe*.  *hooks* renders the instruction's fault point and
-    control transfer.  Reads only what the plan may depend on: the
-    program, the read-only ranges, and each pc's family and target.
-    Returns ``(lines, placeholders)``, or None when the instruction is
-    not of one of *families* or cannot be rendered (odd operands,
-    missing evaluator).
+    control transfer.  Returns ``(lines, placeholders)``, or None when
+    the instruction is not of one of *families* or cannot be rendered
+    (odd operands, missing evaluator).
     """
-    instruction = decoder.program.instructions[pc]
-    found = decoder.found[pc]
-    if found is None or found[0] not in families:
+    instruction = scope.program.instructions[pc]
+    found = scope.classes[pc]
+    if found is None or found.family not in families:
         return None
-    family, consts = found
+    family = found.family
     subs = dict(
         _HOISTED, pc=str(pc), nx=str(pc + 1),
         cmp=_BRANCH_OPS.get(instruction.opcode, ""),
-        ro=_read_only_test(decoder.read_only),
+        ro=_read_only_test(scope.read_only),
     )
-    if "_tg" in consts:
-        subs["tg"] = str(consts["_tg"])
+    if "_tg" in found.consts:
+        subs["tg"] = str(found.consts["_tg"])
     kinds = []
     for n, src in enumerate(instruction.srcs):
         if isinstance(src, Reg):
             subs[f"s{n}"] = f"_r[{src.index}]"
             kinds.append("rt")
-        elif isinstance(src, Imm):
+        else:
             kinds.append(_const_kind(src.value))
             if kinds[-1] in ("int", "big"):
                 subs[f"s{n}"] = repr(src.value)
             else:
                 subs[f"s{n}"] = f"_k{pc}_{n}"
                 recipe[f"_k{pc}_{n}"] = ("value", src.value)
-        else:
-            return None
     # r0 writes are dropped (classic ``write_register`` discards them).
     dest = instruction.dest.index if family in _WRITES_DEST else 0
     hooks = dict(
         hooks, dest=lambda value: [f"_r[{dest}] = {value}"] if dest else []
     )
     items = _description(family, instruction.opcode, tuple(kinds))
-    _, placeholders, names = _formats(items)
-    for key in ("e", "t", "ev"):
-        if key in placeholders:
-            subs[key] = f"_{key}{pc}"
-            recipe[subs[key]] = ("pc", (pc, f"_{key}"))
-    env = decoder.env
-    recipe.update((name, ("name", name)) for name in names if name in env)
-    flags = {"time", "ea", "ro"} if decoder.read_only else {"time", "ea"}
+    placeholders = _formats(items)[1]
+    if "e" in placeholders:
+        subs["e"], subs["t"] = f"_e{pc}", f"_t{pc}"
+        recipe[subs["e"]], recipe[subs["t"]] = _cost(*found.cost)
+    if "ev" in placeholders:
+        subs["ev"] = f"_ev{pc}"
+        recipe[subs["ev"]] = ("value", found.consts["_ev"])
+    flags = {"time", "ea", "ro"} if scope.read_only else {"time", "ea"}
     return _render(items, subs, flags, hooks), placeholders
 
 
-def _fused_body(decoder, start, end, recipe, keys, first_mark):
+def _fused_body(scope, start, end, recipe, keys, first_mark):
     """Lines of the fusable run ``[start, end)``; None if one won't render.
 
     Each element that can fault marks its fault point as ``_n``,
@@ -1415,7 +1465,7 @@ def _fused_body(decoder, start, end, recipe, keys, first_mark):
     for pc in range(start, end):
         mark = f"_n = {pc - start + first_mark}"
         rendered = _fused_lines(
-            decoder, pc, recipe, _FUSABLE, {"mark": lambda _, m=mark: [m]}
+            scope, pc, recipe, _FUSABLE, {"mark": lambda _, m=mark: [m]}
         )
         if rendered is None:
             return None
@@ -1441,7 +1491,7 @@ def _partial_flush(counts, start, completed):
 _LOOP_BACK_EXIT = "_i0 + {length} > _mx"
 
 
-def _render_region(decoder, region, rid):
+def _render_region(scope, region, rid):
     """Render the single-dispatch function of one batchable region.
 
     *rid* is its deferred-count slot.  Entered with less budget than its
@@ -1449,12 +1499,12 @@ def _render_region(decoder, region, rid):
     None when an element cannot be rendered (odd operands, missing
     evaluator) — the region then simply stays per-pc.
     """
-    program = decoder.program
+    program = scope.program
     start, end = region.start, region.end
     length = end - start
-    recipe = {"_r": ("name", "_r"), "_cpu": ("name", "_cpu")}
+    recipe = {"_first": ("fn", start)}
     keys = set()
-    lines = _fused_body(decoder, start, end, recipe, keys, 0)
+    lines = _fused_body(scope, start, end, recipe, keys, 0)
     if lines is None:
         return None
 
@@ -1464,9 +1514,7 @@ def _render_region(decoder, region, rid):
     # same order on the same running values (``_service_miss`` never
     # touches the energy groups or the time account), and a faulting
     # element raises before any of its charge lines run.
-    prologue, writeback, homes = _hoist(keys)
-    recipe.update((name, ("name", name)) for name in homes)
-    recipe.update(_TABLE_RECIPE, _first=("fn", start))
+    prologue, writeback = _hoist(keys)
     source = [
         "    _i0 = _cpu._dynamic_index",
         f"    if _i0 + {length} > _cpu.max_instructions:",
@@ -1488,13 +1536,14 @@ def _render_region(decoder, region, rid):
     ]
     return _planned(
         "_region", source, recipe, f"<region {program.name}:{start}-{end}>",
+        scope.names,
         at=start,
         tail=(start + 1, end, _categories(program, start + 1, end)),
         span=(start, end),
     )
 
 
-def _render_loop(decoder, loop, rid):
+def _render_loop(scope, loop, rid):
     """Render the one-dispatch function of one self-loop at its header.
 
     One pass is the header, the body region and the loop-back ``JMP``,
@@ -1506,22 +1555,20 @@ def _render_loop(decoder, loop, rid):
     Returns None when an element cannot be rendered: the body region
     then fuses on its own.
     """
-    program = decoder.program
+    program = scope.program
     header, back, length = loop.header, loop.back, loop.length
-    recipe = {"_r": ("name", "_r"), "_cpu": ("name", "_cpu")}
+    recipe = {"_hdr": ("fn", header)}
     keys = set()
     head = _fused_lines(
-        decoder, header, recipe, {"branch"}, {"goto": lambda _: ["break"]}
+        scope, header, recipe, {"branch"}, {"goto": lambda _: ["break"]}
     )
-    body = _fused_body(decoder, header + 1, back, recipe, keys, 1)
-    jump = _fused_lines(decoder, back, recipe, {"jmp"}, {"goto": lambda _: []})
+    body = _fused_body(scope, header + 1, back, recipe, keys, 1)
+    jump = _fused_lines(scope, back, recipe, {"jmp"}, {"goto": lambda _: []})
     if head is None or body is None or jump is None:
         return None
-    target = decoder.found[header][1]["_tg"]  # where the header exits to
+    target = scope.classes[header].consts["_tg"]  # where the header exits to
     keys |= head[1] | jump[1]
-    prologue, writeback, homes = _hoist(keys)
-    recipe.update((name, ("name", name)) for name in homes)
-    recipe.update(_TABLE_RECIPE, _hdr=("fn", header))
+    prologue, writeback = _hoist(keys)
     source = [
         "    _i0 = _cpu._dynamic_index",
         "    _mx = _cpu.max_instructions",
@@ -1555,6 +1602,7 @@ def _render_loop(decoder, loop, rid):
     ]
     return _planned(
         "_loop", source, recipe, f"<loop {program.name}:{header}-{back}>",
+        scope.names,
         at=header,
         tail=(header, back + 1, _categories(program, header, back + 1)),
         span=(header + 1, back),
@@ -1585,33 +1633,6 @@ _IBUFF_FETCH = (
 )
 
 
-#: What a fused slice binds by name from its CPU (see :func:`_slice_state`).
-_SLICE_STATE = (
-    "_cpu", "_st", "_bc", "_sfs", "_ibe", "_ibf", "_ibs", "_hent", "_hr",
-    "_hst", "_r", "_eg", "_ac",
-)
-
-
-def _slice_state(cpu):
-    """The values of :data:`_SLICE_STATE` on *cpu*."""
-    stats, account = cpu.stats, cpu.account
-    return {
-        "_cpu": cpu,
-        "_st": stats,
-        "_bc": stats.by_category,
-        "_sfs": cpu.sfile.stats,
-        "_ibe": cpu.ibuff._entries,
-        "_ibf": cpu.ibuff.fetch,
-        "_ibs": cpu.ibuff.stats,
-        "_hent": cpu.hist._entries,
-        "_hr": cpu.hist.read,
-        "_hst": cpu.hist.stats,
-        "_r": cpu.registers,
-        "_eg": account._energy_by_group,
-        "_ac": account,
-    }
-
-
 def _cost(method, *args):
     """Recipe entries binding a model cost's energy and time."""
     return (
@@ -1620,7 +1641,7 @@ def _cost(method, *args):
     )
 
 
-def _render_slice(program, slice_id, capacity, offload):
+def _render_slice(program, slice_id, capacity, offload, names):
     """Render one slice as a single register-resident traversal.
 
     Slices are straight-line regions by construction (formation never
@@ -1648,14 +1669,7 @@ def _render_slice(program, slice_id, capacity, offload):
     region = program.slices[slice_id]
     start, end = region.start, region.end
     length = end - 1 - start
-    recipe = {name: ("name", name) for name in _SLICE_STATE}
-    recipe.update(
-        _GH=("value", GROUP_HIST),
-        _GN=("value", GROUP_NONMEM),
-        _GA=("value", GROUP_AMNESIC),
-        _MF=("value", MachineFault),
-        _wi=("value", wrap_int64),
-    )
+    recipe = {}
     recipe["_hce"], recipe["_hct"] = _cost("hist_read_cost")
     flags = () if offload else ("time",)
 
@@ -1750,7 +1764,7 @@ def _render_slice(program, slice_id, capacity, offload):
         recipe[f"_cat{i}"] = ("value", category)
         success_counts.append(f"_bc[_cat{i}] += {count}")
 
-    prologue, writeback, _ = _hoist(("tt", "gn", "ga", "gh", "hn", "hrd", "ih"))
+    prologue, writeback = _hoist(("tt", "gn", "ga", "gh", "hn", "hrd", "ih"))
     fault = [
         "_j, _cats, _rq, _rd, _wr, _al = _pref[_p]",
         "_st.dynamic_instructions += _j + 1",
@@ -1790,22 +1804,25 @@ def _render_slice(program, slice_id, capacity, offload):
         *("        " + line for line in fault),
         *("    " + line for line in success),
     ]
-    return _planned("_slice", source, recipe, f"<slice {program.name}:{slice_id}>")
+    return _planned(
+        "_slice", source, recipe, f"<slice {program.name}:{slice_id}>", names
+    )
 
 
-def _slice_traversal(cpu, slices, slice_id):
+def _slice_traversal(cpu, table, slice_id):
     """The fused traversal of one slice, bound once per decode."""
     try:
-        return slices[slice_id]
+        return table.slices[slice_id]
     except KeyError:
-        unit = _plan(cpu.program).slice_for(cpu, slice_id)
-        fused = slices[slice_id] = (
-            None if unit is None else _bound(unit, _slice_state(cpu), model=cpu.model)
+        env = table.env
+        unit = _plan(cpu.program).slice_for(
+            cpu.program, slice_id, cpu.sfile.capacity, cpu.concurrent_offload, env
         )
+        fused = table.slices[slice_id] = None if unit is None else _bound(unit, env)
         return fused
 
 
-def _slice_cell(cpu, slices, info, pc):
+def _slice_cell(cpu, table, info, pc):
     """The one-slot cell an RCMP function calls its slice through.
 
     The slice fuses on its first fire, so slices that never fire cost
@@ -1814,7 +1831,7 @@ def _slice_cell(cpu, slices, info, pc):
     """
 
     def first():
-        traverse = _slice_traversal(cpu, slices, info.slice_id)
+        traverse = _slice_traversal(cpu, table, info.slice_id)
         if traverse is None:
             def traverse():
                 cpu.pc = pc
@@ -1843,49 +1860,24 @@ def _categories(program, first, end):
 class BatchedExecutionMixin:
     """Run on the generated fast path instead of the classic loop.
 
-    Mix in ahead of :class:`CPU` (or a subclass).  At predecode, an
-    untraced CPU binds its program's decode plan (:class:`_Plan`, built
-    from :func:`~repro.staticcheck.regions.analyze_regions` by the
-    program's first decode): proven self-loops fuse whole, every other
-    batchable region outside a slice fuses on its own, and in-slice
-    regions stay per-pc.  On amnesic machines, slice traversals run
-    fused too (unless a timeline is attached), and RCMP renders per pc
-    when :meth:`_rcmp_mechanism` names one.  See the module docstring
-    for the backend contract.
+    Mix in ahead of :class:`CPU` (or a subclass).  At predecode, a CPU
+    binds its program's decode plan (:class:`_Plan`): each classified
+    pc's per-pc function and, untraced, the fused code — proven
+    self-loops fuse whole, every other batchable region outside a slice
+    fuses on its own, and in-slice regions stay per-pc.  On amnesic
+    machines, slice traversals run fused too (unless a timeline is
+    attached), and RCMP renders per pc when :meth:`_rcmp_mechanism`
+    names one.  See the module docstring for the backend contract.
     """
 
     def _decoded(self):
         table = self.__dict__.get("_batch_decode")
         if table is None or table.metered is not get_telemetry().enabled:
-            table = self._decode()
+            table = _decode(self)
             if self.tracer is None:
                 # A traced table binds the tracer; cached on this CPU it
                 # would keep the trace alive as long as the CPU.
                 self.__dict__["_batch_decode"] = table
-        return table
-
-    def _decode(self):
-        decoder = _Decoder(self)
-        fns, cats = decoder.decode()
-        table = _BatchTable(fns, cats, decoder.slices, get_telemetry().enabled)
-        if decoder.traced:
-            # Traced runs stay per pc.  A profile runs its program once,
-            # so compiling fused regions for it never pays for itself:
-            # profiling the 33 kernels at scale 1.0 (1.12M instructions)
-            # took 1.6-1.9 s of CPU per pc against 2.3-2.7 s with traced
-            # regions fused, on a 2-vCPU Xeon host.  The fused code also
-            # kept the trace alive until a full collection, raising
-            # lint-suite peak RSS by 25-31%.
-            return table
-        names = dict(
-            decoder.env,
-            _counts=table.counts,
-            _fc=table.fused_counts,
-            _tbl=table,
-            _flush=_partial_flush,
-        )
-        for unit in _plan(self.program).fused_for(decoder):
-            table.install(unit, names, decoder.found)
         return table
 
     def __getstate__(self):
@@ -1907,7 +1899,7 @@ class BatchedExecutionMixin:
         if self._timeline is None:
             # Nothing on the interpreted path emits an observable event
             # without a timeline, so the fused traversal is exact.
-            fused = _slice_traversal(self, self._decoded().slices, info.slice_id)
+            fused = _slice_traversal(self, self._decoded(), info.slice_id)
             if fused is not None:
                 return fused()
         return super()._traverse_slice(info)

@@ -66,8 +66,9 @@ def phase_totals(roots: Iterable[SpanNode]) -> List[PhaseTotal]:
 
     Self time (duration minus child durations) is used so the totals
     partition the wall clock instead of double-counting nested phases —
-    summing every entry reproduces the session's traced time.  This is
-    the aggregation run-ledger manifests record as per-phase timings.
+    summing every entry reproduces the session's traced time, with each
+    ``--jobs`` worker's spans counted in full.  This is the aggregation
+    run-ledger manifests record as per-phase timings.
     """
     self_time: Dict[str, float] = defaultdict(float)
     counts: Dict[str, int] = defaultdict(int)

@@ -59,18 +59,3 @@ def test_high_water():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         HistoryTable(capacity=0)
-
-
-def test_strict_mode_raises_on_overflow():
-    import pytest as _pytest
-
-    from repro.errors import HistOverflow
-
-    hist = HistoryTable(capacity=2, strict=True)
-    hist.record(0, 0, (1,))
-    hist.record(0, 1, (2,))
-    with _pytest.raises(HistOverflow):
-        hist.record(0, 2, (3,))
-    # Updating an existing key never overflows.
-    hist.record(0, 1, (9,))
-    assert hist.read(0, 1, 0) == 9

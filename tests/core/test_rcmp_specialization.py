@@ -29,12 +29,13 @@ from repro.fuzz import (
 )
 from repro.fuzz.corpus import corpus_paths
 from repro.fuzz.faults import stale_hist_lru, unprobed_l2
+from repro.fuzz.oracle import _observable
 from repro.isa import Imm
 from repro.telemetry.runtime import telemetry_session
 from repro.telemetry.sink import ListSink
 from repro.workloads.suite import get
 
-from .test_amnesic_backend_parity import SCALE, final_state
+from .test_amnesic_backend_parity import SCALE
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -105,7 +106,7 @@ def test_hist_pressure_parity(mcf, capacity):
             ).cpu
             for backend in ("classic", "fast-batched")
         )
-        assert final_state(fast) == final_state(reference), policy
+        assert _observable(fast) == _observable(reference), policy
         if policy in ("FLC", "LLC"):
             assert reference.stats.recomputation_fallbacks > 0, policy
 
@@ -140,9 +141,9 @@ def test_verify_checks_every_fired_slice(mcf):
             try:
                 cpu.run()
             except RecomputationMismatch as error:
-                outcomes.append((str(error), final_state(cpu)))
+                outcomes.append((str(error), _observable(cpu)))
             else:
-                outcomes.append((None, final_state(cpu)))
+                outcomes.append((None, _observable(cpu)))
         assert outcomes[1] == outcomes[0], policy
         caught += outcomes[0][0] is not None
     assert caught, "no policy fired a corrupted slice"
@@ -185,6 +186,6 @@ def test_kernel_parity_catches_rcmp_twin(mcf, twin):
         reference = run_amnesic(compilation, policy, model, backend="classic")
         with twin():
             broken = run_amnesic(compilation, policy, model, backend="fast-batched")
-        if final_state(broken.cpu) != final_state(reference.cpu):
+        if _observable(broken.cpu) != _observable(reference.cpu):
             diverged.append(policy)
     assert diverged

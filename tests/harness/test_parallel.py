@@ -26,6 +26,7 @@ from repro.harness import (
 from repro.telemetry.registry import format_series
 from repro.telemetry.runtime import telemetry_session
 from repro.telemetry.sink import reconstruct_spans
+from repro.telemetry.summary import phase_totals
 
 BENCHMARKS = ["bfs", "is"]
 SCALE = 0.25
@@ -298,6 +299,23 @@ def test_merged_spans_nest_workers_under_parallel_span():
         if e.get("type") == "span_open" and e.get("worker") is not None
     }
     assert len(workers) >= 1  # merged events carry worker pids
+
+
+@pytest.mark.integration
+def test_worker_spans_join_the_parent_tree_without_a_sink():
+    """The run ledger and ``repro stats`` read the parent's span tree.
+
+    Without an event sink, ``jobs=2`` must still record every phase
+    ``jobs=1`` records, plus the ``suite.parallel`` fan-out span.
+    """
+
+    def phases(jobs):
+        with telemetry_session() as telemetry:
+            runner = SuiteRunner(scale=SCALE, jobs=jobs, policies=("FLC",))
+            runner.results(BENCHMARKS)
+            return {total.name for total in phase_totals(telemetry.tracer.tree())}
+
+    assert phases(2) == phases(1) | {"suite.parallel"}
 
 
 # ----------------------------------------------------------------------

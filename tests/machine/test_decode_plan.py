@@ -1,13 +1,14 @@
 """Decode plans: each program is analysed and rendered once, bound per CPU.
 
-The first fast-batched decode of a program builds its plan: the region
-analysis and every fused region, loop and slice as a code object with a
-binding recipe.  Every later decode of the same program binds that plan
-to its own CPU.  A CPU that reuses a plan built under another policy,
-``verify`` setting, SFile or Hist size must run exactly like one decoded
-from scratch; a copy of a program must never run its original's code;
-and a code-generator twin entered after a decode must still reach the
-decoded program.
+The first fast-batched decode of a program builds its plan: each pc's
+classification, the region analysis and every fused region, loop and
+slice as a code object with a binding recipe.  Every later decode of
+the same program binds that plan to its own CPU, so each pc is
+classified once per program whatever its CPUs differ in.  A CPU that
+reuses a plan built under another policy, ``verify`` setting, SFile or
+Hist size must run exactly like one decoded from scratch; a copy of a
+program must never run its original's code; and a code-generator twin
+entered after a decode must still reach the decoded program.
 """
 
 import copy
@@ -23,11 +24,10 @@ from repro.core.sfile import DEFAULT_SFILE_CAPACITY
 from repro.energy import paper_energy_model
 from repro.errors import ReproError
 from repro.fuzz.faults import plan_by_name, stale_load_lru
+from repro.fuzz.oracle import _observable
 from repro.isa import Imm, Instruction, Opcode, Reg
 from repro.machine import fastpath
 from repro.workloads.suite import get
-
-from ..core.test_amnesic_backend_parity import final_state
 
 SCALE = 0.25
 
@@ -58,7 +58,7 @@ def has_plan(program):
 def outcome(cpu, fault):
     table = cpu._decoded() if isinstance(cpu, BatchedFastAmnesicCPU) else None
     fused = None if table is None else (table.region_spans, table.loops)
-    return fused, fault, final_state(cpu)
+    return fused, fault, _observable(cpu)
 
 
 def test_reused_plan_matches_a_fresh_decode(prepared):
@@ -85,6 +85,26 @@ def test_reused_plan_matches_a_fresh_decode(prepared):
     # Only the first run of each binary (Oracle's, the shared one) built
     # its plan.
     assert planned == len(configs) - 2
+
+
+def test_each_pc_is_classified_once_per_program(prepared, monkeypatch):
+    model, setup = prepared
+    binary = setup.compilation_for("FLC").binary
+    fastpath.clear_codegen_caches()
+    classified = []
+    classify = fastpath._classify
+
+    def counted(program, pc, instruction):
+        classified.append(pc)
+        return classify(program, pc, instruction)
+
+    monkeypatch.setattr(fastpath, "_classify", counted)
+    for policy, verify, hist in (("FLC", True, 600), ("LLC", False, 1), ("Compiler", True, 2)):
+        cpu = BatchedFastAmnesicCPU(
+            binary, model, make_policy(policy), verify=verify, hist_capacity=hist
+        )
+        assert cpu._decoded().region_spans
+    assert classified == list(range(len(binary.program.instructions)))
 
 
 def poisoned_copy(binary, visits, spans):

@@ -7,7 +7,6 @@ from repro.errors import (
     AssemblyError,
     CompilationError,
     ExecutionLimitExceeded,
-    HistOverflow,
     MachineFault,
     MemoryFault,
     RecomputationMismatch,
@@ -22,7 +21,7 @@ from repro.errors import (
     [
         AssemblyError, ValidationError, MachineFault, MemoryFault,
         ArithmeticFault, ExecutionLimitExceeded, CompilationError,
-        SchedulerError, HistOverflow,
+        SchedulerError,
     ],
 )
 def test_all_derive_from_repro_error(error_type):
