@@ -35,6 +35,7 @@ from .annotate import AmnesicBinary, rewrite_binary
 from .cost import ESTIMATION_GLOBAL, ESTIMATION_PER_LOAD, CostContext
 from .formation import FORMATION_GREEDY, FORMATION_OPTIMAL, form_slice_tree
 from .leaves import (
+    InstanceOperands,
     OperandFacts,
     ValidationReport,
     classify_and_validate,
@@ -122,6 +123,16 @@ def front_end(
     return cast(FrontEnd, cached)
 
 
+def _instance_operands(profile: ProfileResult) -> InstanceOperands:
+    """The operand values of *profile*'s replayed instances, by instance.
+
+    One map per profile, memoized like :func:`front_end`: every replay
+    of the profile's trace (liveness under any front-end key, validation
+    in every compile) derives an instance's operands at most once.
+    """
+    return cast(InstanceOperands, profile.memo.setdefault("operands", {}))
+
+
 def _build_front_end(
     program: Program, profile: ProfileResult, options: PassOptions
 ) -> FrontEnd:
@@ -150,8 +161,10 @@ def _build_front_end(
             continue
         templates[load_pc] = template.tree
     # First trace scan: liveness of every severable operand, so
-    # formation can price live leaf inputs as free.
-    return FrontEnd(rejected, templates, collect_liveness(templates, tracker))
+    # formation can price live leaf inputs as free and validation can
+    # classify the cut trees' leaves with the same answer.
+    liveness = collect_liveness(templates, tracker, _instance_operands(profile))
+    return FrontEnd(rejected, templates, liveness)
 
 
 @dataclasses.dataclass
@@ -228,11 +241,13 @@ def compile_amnesic(
                 candidates[load_pc] = formed.tree
             formation_span.set(formed=len(candidates))
 
-        # Leaf classification.  Second trace scan: classify the final cut
-        # trees and validate the recomputation-equals-load invariant on
-        # every dynamic instance.
+        # Second trace scan: validate the recomputation-equals-load
+        # invariant of the final cut trees on every dynamic instance,
+        # then classify their leaves by the front end's liveness.
         with telemetry.span("compile.classify"):
-            reports = classify_and_validate(candidates, tracker)
+            reports = classify_and_validate(
+                candidates, tracker, front.liveness, _instance_operands(profile)
+            )
 
         with telemetry.span("compile.select") as select_span:
             scored: List[tuple] = []

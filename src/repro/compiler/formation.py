@@ -21,9 +21,15 @@ constant).  Two modes are implemented:
   against ``greedy`` is quantified by the formation-mode ablation
   benchmark.
 
-Both modes price leaf inputs with the liveness information collected by
-:func:`repro.compiler.leaves.collect_liveness`: an input that will be
-classified live costs neither a history read nor a REC.
+Both modes price every node by one rule (``_SliceFormer._priced``): its
+re-execution, a history read per checkpointed leaf input, and at most
+one REC amortised per load — the rule selection prices by
+(:meth:`~repro.compiler.cost.CostContext.rec_amortization`).  Leaf
+inputs are priced with the liveness that
+:func:`~repro.compiler.leaves.collect_liveness` decided, the answer
+validation later classifies them by: an input classified live costs
+neither a history read nor a REC.  So a formed tree's estimate plus
+the RCMP/RTN overhead is its selection cost.
 
 Checkpoint-load nodes collapse on expansion: replacing a load along the
 chain by its own producer slice splices the producer subtree directly,
@@ -34,7 +40,7 @@ construction.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .cost import CostContext
 from .leaves import OperandFacts
@@ -44,8 +50,13 @@ FORMATION_GREEDY = "greedy"
 FORMATION_OPTIMAL = "optimal"
 
 #: Fraction of E_ld that greedy growth may consume, leaving headroom for
-#: the REC amortisation added at selection time.
+#: the RCMP/RTN overhead selection adds to formation's estimate.
 GREEDY_BUDGET_MARGIN = 0.8
+
+#: A severed child edge: ``(position, register)``.
+_Edge = Tuple[int, int]
+#: A child kept below its parent: ``(energy, subtree, position, register)``.
+_Kept = Tuple[float, TemplateNode, int, int]
 
 
 @dataclasses.dataclass
@@ -69,8 +80,8 @@ def form_slice_tree(
     ``budget_nj`` is the probabilistic ``E_ld`` that bounds greedy
     growth; it defaults to the profiler's estimate for *load_pc*, scaled
     back by a safety margin: a slice grown right up to ``E_ld`` would be
-    rejected by the selection step once the amortised REC checkpointing
-    overhead is added on top, so growth keeps headroom for it.
+    rejected by the selection step once the RCMP/RTN overhead of a
+    traversal is added on top, so growth keeps headroom for it.
     """
     if budget_nj is None:
         budget_nj = GREEDY_BUDGET_MARGIN * context.estimated_load_cost(
@@ -99,7 +110,7 @@ class _SliceFormer:
         self._load_count = max(context.pc_execution_counts.get(load_pc, 1), 1)
 
     # ------------------------------------------------------------------
-    # Shared pricing helpers.
+    # Pricing: one rule for every cut.
     # ------------------------------------------------------------------
     def _is_live(self, pc: int, position: int) -> bool:
         return self.facts.is_live(self.load_pc, pc, position)
@@ -116,44 +127,47 @@ class _SliceFormer:
             return 0.0  # read straight from the architectural register
         return self._hist_read_nj
 
-    def _leaf_node_nj(self, node: TemplateNode, cut_edges) -> float:
-        """Total cost of *node* treated as a leaf.
+    def _priced(
+        self,
+        node: TemplateNode,
+        cut_edges: List[_Edge],
+        kept: List[_Kept],
+    ) -> Tuple[float, TemplateNode]:
+        """*node* with its *cut_edges* severed and its *kept* children.
 
-        ``cut_edges`` are (position, reg) pairs for child edges being
-        severed; their operands join the node's own register inputs.
+        ``cut_edges`` are ``(position, reg)`` pairs whose operands join
+        the node's own leaf inputs; ``kept`` are ``(energy, subtree,
+        position, reg)`` children already formed.  The node costs its
+        re-execution and its leaf inputs, plus one REC amortised per
+        load if any input needs a checkpoint — the rule
+        :meth:`CostContext.rec_amortization` prices selection by.
         """
+        leaf_inputs = [dataclasses.replace(li) for li in node.leaf_inputs]
+        for position, reg in cut_edges:
+            leaf_inputs.append(LeafInput.register(position, reg))
         energy = self.context.node_cost(node).energy_nj
         needs_rec = False
-        for leaf_input in node.leaf_inputs:
+        for leaf_input in leaf_inputs:
             is_register = leaf_input.reg_index is not None
             cost = self._leaf_input_nj(node, leaf_input.position, is_register)
             energy += cost
-            if cost > 0.0:
-                needs_rec = True
-        for position, _reg in cut_edges:
-            cost = self._leaf_input_nj(node, position, True)
-            energy += cost
-            if cost > 0.0:
-                needs_rec = True
+            needs_rec = needs_rec or cost > 0.0
         if needs_rec:
-            energy += self._amortised_rec(node.pc)
-        return energy
-
-    def _amortised_rec(self, producer_pc: int) -> float:
-        producer_count = self.context.pc_execution_counts.get(producer_pc, 1)
-        return self._rec_nj * (producer_count / self._load_count)
-
-    def _materialise_leaf(self, node: TemplateNode, cut_edges) -> TemplateNode:
-        leaf = TemplateNode(
+            count = self.context.pc_execution_counts.get(node.pc, 1)
+            energy += self._rec_nj * (count / self._load_count)
+        leaf_inputs.sort(key=lambda li: li.position)
+        tree = TemplateNode(
             pc=node.pc,
             opcode=node.opcode,
-            leaf_inputs=[dataclasses.replace(li) for li in node.leaf_inputs],
+            leaf_inputs=leaf_inputs,
             is_checkpoint_load=node.is_checkpoint_load,
         )
-        for position, reg in cut_edges:
-            leaf.leaf_inputs.append(LeafInput.register(position, reg))
-        leaf.leaf_inputs.sort(key=lambda li: li.position)
-        return leaf
+        for child_energy, child, position, reg in kept:
+            energy += child_energy
+            tree.children.append(child)
+            tree.child_positions.append(position)
+            tree.child_regs.append(reg)
+        return energy, tree
 
     # ------------------------------------------------------------------
     # Greedy level-by-level growth (the paper's algorithm).
@@ -182,30 +196,12 @@ class _SliceFormer:
             # A checkpoint load expands by splicing its producer chain.
             if node.children and depth < limit and self._can_expand(node.pc, 0):
                 return self._cut_at_depth(node.children[0], limit, depth)
-            cut_edges: list = []
-            return self._leaf_node_nj(node, cut_edges), self._materialise_leaf(
-                node, cut_edges
-            )
-        if not node.children or depth >= limit:
-            cut_edges = list(zip(node.child_positions, node.child_regs))
-            return self._leaf_node_nj(node, cut_edges), self._materialise_leaf(
-                node, cut_edges
-            )
-        energy = self.context.node_cost(node).energy_nj
-        materialised = TemplateNode(
-            pc=node.pc,
-            opcode=node.opcode,
-            leaf_inputs=[dataclasses.replace(li) for li in node.leaf_inputs],
-        )
-        needs_rec = False
-        for leaf_input in materialised.leaf_inputs:
-            is_register = leaf_input.reg_index is not None
-            cost = self._leaf_input_nj(node, leaf_input.position, is_register)
-            energy += cost
-            if cost > 0.0:
-                needs_rec = True
-        if needs_rec:
-            energy += self._amortised_rec(node.pc)
+            return self._priced(node, [], [])
+        if depth >= limit:
+            edges = list(zip(node.child_positions, node.child_regs))
+            return self._priced(node, edges, [])
+        cut: List[_Edge] = []
+        kept: List[_Kept] = []
         for child, position, reg in zip(
             node.children, node.child_positions, node.child_regs
         ):
@@ -216,21 +212,11 @@ class _SliceFormer:
             if not self._can_expand(node.pc, position) or self._is_live(
                 node.pc, position
             ):
-                cost = self._leaf_input_nj(node, position, True)
-                energy += cost
-                if cost > 0.0:
-                    energy += self._amortised_rec(node.pc)
-                materialised.leaf_inputs.append(
-                    LeafInput.register(position, reg)
-                )
-                continue
-            child_energy, child_tree = self._cut_at_depth(child, limit, depth + 1)
-            energy += child_energy
-            materialised.children.append(child_tree)
-            materialised.child_positions.append(position)
-            materialised.child_regs.append(reg)
-        materialised.leaf_inputs.sort(key=lambda li: li.position)
-        return energy, materialised
+                cut.append((position, reg))
+            else:
+                child_energy, subtree = self._cut_at_depth(child, limit, depth + 1)
+                kept.append((child_energy, subtree, position, reg))
+        return self._priced(node, cut, kept)
 
     # ------------------------------------------------------------------
     # Optimal (minimum-E_rc) cut.
@@ -238,60 +224,22 @@ class _SliceFormer:
     def best(self, node: TemplateNode) -> Tuple[float, TemplateNode]:
         """Minimum estimated energy and the materialised subtree."""
         if node.is_checkpoint_load:
-            return self._best_checkpoint_load(node)
-        return self._best_compute(node)
-
-    def _best_checkpoint_load(self, node: TemplateNode) -> Tuple[float, TemplateNode]:
-        keep_energy = self._leaf_node_nj(node, [])
-        keep_tree = self._materialise_leaf(node, [])
-        if not node.children or not self._can_expand(node.pc, 0):
-            return keep_energy, keep_tree
-        expand_energy, expanded = self.best(node.children[0])
-        if expand_energy < keep_energy:
-            return expand_energy, expanded
-        return keep_energy, keep_tree
-
-    def _best_compute(self, node: TemplateNode) -> Tuple[float, TemplateNode]:
-        energy = self.context.node_cost(node).energy_nj
-        materialised = TemplateNode(pc=node.pc, opcode=node.opcode)
-        materialised.leaf_inputs = [
-            dataclasses.replace(li) for li in node.leaf_inputs
-        ]
-        needs_rec = False
-        for leaf_input in materialised.leaf_inputs:
-            is_register = leaf_input.reg_index is not None
-            cost = self._leaf_input_nj(node, leaf_input.position, is_register)
-            energy += cost
-            if cost > 0.0:
-                needs_rec = True
-        for child, position, reg_index in zip(
+            keep = self._priced(node, [], [])
+            if node.children and self._can_expand(node.pc, 0):
+                expanded = self.best(node.children[0])
+                if expanded[0] < keep[0]:
+                    return expanded
+            return keep
+        cut: List[_Edge] = []
+        kept: List[_Kept] = []
+        for child, position, reg in zip(
             node.children, node.child_positions, node.child_regs
         ):
             cut_energy = self._leaf_input_nj(node, position, True)
-            if not self._can_expand(node.pc, position):
-                energy += cut_energy
-                if cut_energy > 0.0:
-                    needs_rec = True
-                materialised.leaf_inputs.append(
-                    LeafInput.register(position, reg_index)
-                )
-                continue
-            expand_energy, expanded = self.best(child)
-            if expand_energy < cut_energy or (
-                expand_energy == cut_energy and cut_energy == 0.0
-            ):
-                energy += expand_energy
-                materialised.children.append(expanded)
-                materialised.child_positions.append(position)
-                materialised.child_regs.append(reg_index)
-            else:
-                energy += cut_energy
-                if cut_energy > 0.0:
-                    needs_rec = True
-                materialised.leaf_inputs.append(
-                    LeafInput.register(position, reg_index)
-                )
-        if needs_rec:
-            energy += self._amortised_rec(node.pc)
-        materialised.leaf_inputs.sort(key=lambda li: li.position)
-        return energy, materialised
+            if self._can_expand(node.pc, position):
+                child_energy, subtree = self.best(child)
+                if child_energy < cut_energy or child_energy == cut_energy == 0.0:
+                    kept.append((child_energy, subtree, position, reg))
+                    continue
+            cut.append((position, reg))
+        return self._priced(node, cut, kept)

@@ -12,10 +12,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
 
 
-class AssemblyError(ReproError):
-    """A program could not be assembled or disassembled."""
-
-
 class ValidationError(ReproError):
     """A program failed static validation (bad operands, dangling labels)."""
 

@@ -76,7 +76,7 @@ SKIP_HIST_READ = Backend("skip-hist-read", CPU, SkipHistReadCPU)
 EAGER_FIRE = Backend("eager-fire", CPU, EagerFireCPU)
 
 
-class LateReplayScanner(leaves._ReplayScanner):
+class LateReplayState(leaves._ReplayState):
     """Bug: the leaf replay bisects one instance too far.
 
     Every state query should see the machine right *before* the load
@@ -96,13 +96,13 @@ class LateReplayScanner(leaves._ReplayScanner):
 
 @contextlib.contextmanager
 def late_replay() -> Iterator[None]:
-    """Compile with :class:`LateReplayScanner` in place of the real replay."""
-    original = leaves._ReplayScanner
-    leaves._ReplayScanner = LateReplayScanner
+    """Compile with :class:`LateReplayState` in place of the real replay state."""
+    original = leaves._ReplayState
+    leaves._ReplayState = LateReplayState
     try:
         yield
     finally:
-        leaves._ReplayScanner = original
+        leaves._ReplayState = original
 
 
 @contextlib.contextmanager
@@ -306,7 +306,7 @@ __all__ = [
     "EAGER_FIRE",
     "SKIP_HIST_READ",
     "EagerFireCPU",
-    "LateReplayScanner",
+    "LateReplayState",
     "SkipHistReadCPU",
     "deferred_store_producer",
     "front_end_ignoring_max_height",

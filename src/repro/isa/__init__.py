@@ -10,13 +10,11 @@ reproduction.  The public surface is:
   ``store``, ``branch``, ``rcmp``, ``rtn``, ``rec`` ...);
 * :class:`Program`, :class:`DataSegment`, :class:`SliceRegion`;
 * :class:`ProgramBuilder` — the kernel-writing DSL;
-* ``serialise`` / ``parse`` — the textual assembler;
 * ``validate_program`` — static structural checks;
 * ``evaluate`` / ``branch_taken`` — pure value semantics.
 """
 
 from .builder import DATA_BASE, ProgramBuilder
-from .encoding import parse, serialise
 from .instructions import (
     Instruction,
     alu,
@@ -45,7 +43,6 @@ from .operands import (
     Operand,
     Reg,
     SReg,
-    parse_operand,
 )
 from .program import DataSegment, Program, SliceRegion
 from .semantics import branch_taken, evaluate, wrap_int64
@@ -78,12 +75,9 @@ __all__ = [
     "jump",
     "li",
     "load",
-    "parse",
-    "parse_operand",
     "rcmp",
     "rec",
     "rtn",
-    "serialise",
     "store",
     "validate_program",
     "wrap_int64",

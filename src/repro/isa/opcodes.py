@@ -79,8 +79,8 @@ class Opcode(enum.Enum):
     """The opcode vocabulary of the mini ISA.
 
     Arithmetic opcodes accept register or immediate source operands (the
-    assembler folds the classic ``ADDI``-style forms into the same opcode),
-    which keeps the opcode table small without losing RISC flavour.
+    classic ``ADDI``-style forms fold into the same opcode), which keeps
+    the opcode table small without losing RISC flavour.
     """
 
     # Integer ALU.

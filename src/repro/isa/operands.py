@@ -86,35 +86,3 @@ Operand = Union[Reg, Imm, SReg, HistRef]
 
 #: Register index conventionally hardwired to integer zero.
 ZERO_REG = Reg(0)
-
-
-def parse_operand(text: str) -> Operand:
-    """Parse the assembler spelling of an operand.
-
-    >>> parse_operand("r5")
-    Reg(index=5)
-    >>> parse_operand("#3.5")
-    Imm(value=3.5)
-    >>> parse_operand("s2")
-    SReg(index=2)
-    >>> parse_operand("h1.0")
-    HistRef(leaf_id=1, slot=0)
-    """
-    text = text.strip()
-    if not text:
-        raise ValueError("empty operand")
-    if text.startswith("#"):
-        body = text[1:]
-        try:
-            return Imm(int(body, 0))
-        except ValueError:
-            return Imm(float(body))
-    if text.startswith("r") and text[1:].isdigit():
-        return Reg(int(text[1:]))
-    if text.startswith("s") and text[1:].isdigit():
-        return SReg(int(text[1:]))
-    if text.startswith("h"):
-        leaf, _, slot = text[1:].partition(".")
-        if leaf.isdigit() and slot.isdigit():
-            return HistRef(int(leaf), int(slot))
-    raise ValueError(f"unparseable operand: {text!r}")

@@ -40,8 +40,8 @@ description renders five ways:
   register operands, with scratch registers in locals: one generated
   function per RSlice.
 
-One plan, one binder.  A program's first decode builds its *decode
-plan* (:class:`_Plan`): each pc classified once (family, opcode,
+One plan, one binder.  A program's first untraced decode builds its
+*decode plan* (:class:`_Plan`): each pc classified once (family, opcode,
 operands, branch target, evaluator, slice ids) and, rendered from that
 and the read-only ranges on first demand, each fused region, loop and
 slice as a code object with a recipe naming what each parameter binds
@@ -1009,12 +1009,12 @@ def _decode(cpu):
     """
     program = cpu.program
     instructions = program.instructions
-    plan = _plan(program)
+    tracer = cpu.tracer
+    traced = tracer is not None
+    plan = _plan(program, register=not traced)
     metered = get_telemetry().enabled
     table = _BatchTable(len(instructions) + 1, metered)
     env = _environment(cpu, table)
-    tracer = cpu.tracer
-    traced = tracer is not None
     # How RCMP decides on this run (see :data:`_MECHANISMS`); None
     # leaves RCMP on the classic handler, which live telemetry sessions
     # (per-RCMP decision records) need.
@@ -1302,8 +1302,9 @@ def _planned(name, lines, recipe, filename, names, **where):
 class _Plan:
     """What decoding one program yields that no CPU state enters.
 
-    Each pc's :class:`_Class`, made once by the program's first decode
-    of any kind; the region analysis (proven self-loops and batchable
+    Each pc's :class:`_Class`, made once by the program's first
+    untraced decode (a traced decode reuses them, or classifies for
+    itself); the region analysis (proven self-loops and batchable
     regions), made by its first untraced decode; and, rendered on
     first demand from the classes and the instructions, every fused
     function: regions and loops per set of read-only ranges (the only
@@ -1379,20 +1380,26 @@ def _plan_key(program):
     return id(program)
 
 
-def _plan(program):
+def _plan(program, register=True):
     """The decode plan of *program*, built by its first decode.
 
     Held weakly: the entry leaves when the program dies, and
-    :func:`clear_codegen_caches` drops every plan.
+    :func:`clear_codegen_caches` drops every plan.  A traced decode
+    passes *register* false: it uses the program's plan if one exists
+    and otherwise classifies into one it keeps to itself, so a program
+    that is only profiled holds no plan.
     """
     key = _plan_key(program)
     entry = _PLANS.get(key)
-    if entry is None:
-        entry = _PLANS[key] = (
+    if entry is not None:
+        return entry[1]
+    plan = _Plan(program)
+    if register:
+        _PLANS[key] = (
             weakref.ref(program, lambda _, key=key: _PLANS.pop(key, None)),
-            _Plan(program),
+            plan,
         )
-    return entry[1]
+    return plan
 
 
 class _Scope(NamedTuple):

@@ -35,7 +35,7 @@ from .profiler import (
     reconcile,
     render_profile,
 )
-from .registry import Counter, Gauge, Histogram, MetricsRegistry, Timer
+from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .runtime import (
     Telemetry,
     get_telemetry,
@@ -111,7 +111,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Timer",
     "Telemetry",
     "get_telemetry",
     "set_telemetry",

@@ -4,10 +4,10 @@ Every in-run observability layer (spans, timelines, the profiler)
 forgets everything at process exit.  The ledger is the cross-run
 memory: each retired run, experiment, or benchmarking pass appends one
 schema-versioned :class:`RunManifest` — what was run (command, target,
-scale, backend, policies, model fingerprint, seed), under what
-environment (git revision, python, platform), and what it cost (wall
-time per phase, instructions/sec, energy, fidelity, cache and pool
-traffic).  A warm ledger turns thousands of runs into a queryable
+scale, backend, policies, model fingerprint, seed, worker processes),
+under what environment (git revision, python, platform), and what it
+cost (wall time per phase, instructions/sec, energy, fidelity, cache
+and pool traffic).  A warm ledger turns thousands of runs into a queryable
 trajectory that ``repro runs list/show/diff`` browse; it is the
 project's only run history.
 
@@ -105,13 +105,18 @@ class RunManifest:
     policies: List[str]
     model_fingerprint: Optional[str] = None
     seed: Optional[int] = None
+    #: Worker processes the run's suite evaluation used (``--jobs``);
+    #: ``None`` for manifests written before the field existed.
+    jobs: Optional[int] = None
     # Environment provenance.
     git_sha: Optional[str] = None
     python: Optional[str] = None
     platform: Optional[str] = None
     # Cost and outcome.
     wall_s: float = 0.0
-    #: ``{span name: self seconds}`` from the session's phase totals.
+    #: ``{span name: self seconds}`` from the session's phase totals,
+    #: summed over every process (under ``jobs`` > 1 they can add up
+    #: to more than ``wall_s``).
     phases: Dict[str, float] = dataclasses.field(default_factory=dict)
     instructions: int = 0
     ips: float = 0.0
@@ -314,7 +319,7 @@ def ledger_from_env(explicit: Optional[str] = None) -> Optional[RunLedger]:
 #: Configuration/identity fields ``diff_manifests`` compares for equality.
 CONFIG_FIELDS = (
     "kind", "target", "scale", "backend", "policies",
-    "model_fingerprint", "seed", "git_sha", "python", "platform",
+    "model_fingerprint", "seed", "jobs", "git_sha", "python", "platform",
 )
 
 #: Numeric cost fields ``diff_manifests`` reports deltas for.
@@ -392,6 +397,7 @@ def render_manifest(manifest: RunManifest) -> str:
         ("policies", ", ".join(manifest.policies) or "-"),
         ("model", manifest.model_fingerprint),
         ("seed", manifest.seed),
+        ("jobs", manifest.jobs),
         ("git sha", manifest.git_sha),
         ("python", manifest.python),
         ("platform", manifest.platform),
@@ -502,7 +508,7 @@ def collect_manifest(
     """A manifest assembled from a finished (enabled) telemetry session.
 
     *runner_config* is a :meth:`SuiteRunner.describe` dict; the fields a
-    manifest tracks (scale/backend/policies/model fingerprint) are
+    manifest tracks (scale/backend/policies/model fingerprint/jobs) are
     lifted out of it, everything else is ignored.
     """
     from .summary import cache_io_stats, cache_stats, phase_totals, pool_stats
@@ -510,6 +516,7 @@ def collect_manifest(
     registry = telemetry.registry
     instructions = int(_registry_total(registry, "runstats.dynamic_instructions"))
     config = runner_config or {}
+    jobs = config.get("jobs")
     return RunManifest.new(
         kind=kind,
         command=command,
@@ -519,6 +526,7 @@ def collect_manifest(
         policies=[str(name) for name in config.get("policies", [])],
         model_fingerprint=config.get("model_fingerprint"),
         seed=seed,
+        jobs=None if jobs is None else int(jobs),
         wall_s=wall_s,
         phases={
             total.name: total.self_time_s

@@ -1,4 +1,4 @@
-"""Labeled metrics: counters, gauges, histograms, and timers.
+"""Labeled metrics: counters, gauges and histograms.
 
 The registry is the single home for run-time measurements.  Every
 series is identified by a metric name plus a (sorted) label set, so
@@ -15,7 +15,6 @@ telemetry is disabled so instrumented code pays only an attribute check.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Tuple, Union
 
 Number = Union[int, float]
@@ -138,24 +137,6 @@ class Histogram:
         }
 
 
-class Timer:
-    """Context manager feeding wall-clock durations into a histogram."""
-
-    __slots__ = ("histogram", "_clock", "_start")
-
-    def __init__(self, histogram: Histogram, clock=time.perf_counter):
-        self.histogram = histogram
-        self._clock = clock
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._start = self._clock()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.histogram.observe(self._clock() - self._start)
-
-
 class MetricsRegistry:
     """All live metric series, keyed by ``(name, labels)``."""
 
@@ -183,9 +164,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> Histogram:
         return self._instrument(Histogram, name, labels)
-
-    def timer(self, name: str, **labels) -> Timer:
-        return Timer(self.histogram(name, **labels))
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -287,17 +265,6 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullTimer:
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
 NULL_COUNTER = _NullCounter("null")
 NULL_GAUGE = _NullGauge("null")
 NULL_HISTOGRAM = _NullHistogram("null")
-NULL_TIMER = _NullTimer()

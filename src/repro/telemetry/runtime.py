@@ -30,7 +30,6 @@ from .registry import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
-    NULL_TIMER,
     MetricsRegistry,
 )
 from .sink import JsonlSink, ListSink
@@ -97,11 +96,6 @@ class Telemetry:
         if not self.enabled:
             return NULL_HISTOGRAM
         return self.registry.histogram(name, **labels)
-
-    def timer(self, name: str, **labels):
-        if not self.enabled:
-            return NULL_TIMER
-        return self.registry.timer(name, **labels)
 
     # ------------------------------------------------------------------
     # Structured events.

@@ -64,11 +64,12 @@ class PhaseTotal:
 def phase_totals(roots: Iterable[SpanNode]) -> List[PhaseTotal]:
     """Per-span-name self-time totals over the forest, hottest first.
 
-    Self time (duration minus child durations) is used so the totals
-    partition the wall clock instead of double-counting nested phases —
-    summing every entry reproduces the session's traced time, with each
-    ``--jobs`` worker's spans counted in full.  This is the aggregation
-    run-ledger manifests record as per-phase timings.
+    Self time (duration minus child durations) is used so nested phases
+    are not counted twice.  The totals are self seconds summed over
+    every process: each ``--jobs`` worker's spans join the tree and
+    count in full, so under ``--jobs N`` the sum is the session's traced
+    time across all processes and can exceed its wall clock.  This is
+    the aggregation run-ledger manifests record as per-phase timings.
     """
     self_time: Dict[str, float] = defaultdict(float)
     counts: Dict[str, int] = defaultdict(int)

@@ -9,7 +9,8 @@ scale 0.25 plus every committed fuzz-corpus program.
 
 The profiling backend is resolved from ``REPRO_BACKEND``, so running
 this module under each backend proves the golden holds whichever
-backend gathers the profile.
+backend gathers the profile.  The same compilations check that
+formation prices every selected slice as selection does.
 
 Regenerate only when a change is *meant* to alter compiled binaries::
 
@@ -30,7 +31,10 @@ from repro.compiler.amnesic_pass import (
     SELECTION_PROBABILISTIC,
     PassOptions,
     compile_amnesic,
+    front_end,
 )
+from repro.compiler.cost import CostContext
+from repro.compiler.formation import form_slice_tree
 from repro.core.execution import _oracle_options
 from repro.energy.tech import paper_energy_model
 from repro.errors import ReproError
@@ -94,8 +98,12 @@ def profile_payload(profile) -> dict:
     }
 
 
-def program_digest(program, model, backend: Optional[str] = None) -> str:
-    """sha256 over the probabilistic and Oracle compilations of *program*."""
+def compile_both(program, model, backend: Optional[str] = None):
+    """*program*'s profile and its probabilistic and Oracle compilations.
+
+    Returns the :class:`ReproError` instead when profiling or compiling
+    raises one.
+    """
     try:
         profile = profile_program(program, model, backend=backend)
         probabilistic = compile_amnesic(
@@ -107,15 +115,29 @@ def program_digest(program, model, backend: Optional[str] = None) -> str:
         oracle = compile_amnesic(
             program, model, profile=profile, options=_oracle_options(PassOptions())
         )
+    except ReproError as error:
+        return error
+    return profile, probabilistic, oracle
+
+
+def compiled_digest(compiled) -> str:
+    """sha256 over what :func:`compile_both` returned."""
+    if isinstance(compiled, ReproError):
+        payload = {"error": f"{type(compiled).__name__}: {compiled}"}
+    else:
+        profile, probabilistic, oracle = compiled
         payload = {
             "profile": profile_payload(profile),
             "probabilistic": compilation_payload(probabilistic),
             "oracle": compilation_payload(oracle),
         }
-    except ReproError as error:
-        payload = {"error": f"{type(error).__name__}: {error}"}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
+
+
+def program_digest(program, model, backend: Optional[str] = None) -> str:
+    """sha256 over the probabilistic and Oracle compilations of *program*."""
+    return compiled_digest(compile_both(program, model, backend=backend))
 
 
 def golden_names():
@@ -153,12 +175,58 @@ def test_golden_covers_every_program():
     assert sum(name.startswith("kernel:") for name in names) == 33
 
 
-@pytest.mark.parametrize("name", golden_names())
-def test_compilation_matches_golden(name):
-    assert program_digest(*golden_program(name)) == load_golden().get(name), (
+@pytest.fixture(scope="module", params=golden_names())
+def golden(request):
+    """``(name, program, model, compiled)`` of one golden program.
+
+    Module-scoped, so each program is profiled and compiled once for
+    every test below, and one program's compilations are held at a time.
+    """
+    program, model = golden_program(request.param)
+    return request.param, program, model, compile_both(program, model)
+
+
+def test_compilation_matches_golden(golden):
+    name, _, _, compiled = golden
+    assert compiled_digest(compiled) == load_golden().get(name), (
         f"{name}: compiled binary changed; regenerate the golden only if "
         "the change is meant to alter compiled binaries"
     )
+
+
+def test_formation_price_is_selection_price(golden):
+    """Formation prices each slice as selection does, less RCMP/RTN.
+
+    Both read one liveness answer and charge one amortised REC per node
+    with a checkpointed input, so formation's estimate of the cut it
+    chose plus the traversal's control overhead is the selection cost
+    of the classified tree.
+    """
+    _, program, model, compiled = golden
+    if isinstance(compiled, ReproError):
+        return
+    profile = compiled[0]
+    for compilation in compiled[1:]:
+        options = compilation.options
+        front = front_end(program, profile, options)
+        context = CostContext.from_trace(
+            model, profile.loads, profile.dependence, estimation=options.estimation
+        )
+        overhead = context.control_overhead().energy_nj
+        for rslice in compilation.rslices:
+            formed = form_slice_tree(
+                front.templates[rslice.load_pc],
+                context,
+                rslice.load_pc,
+                liveness=front.liveness,
+                mode=options.formation,
+            )
+            assert formed.tree.structural_signature() == (
+                rslice.root.structural_signature()
+            )
+            assert formed.estimated_energy_nj + overhead == pytest.approx(
+                rslice.selection_cost.energy_nj, rel=1e-9, abs=0.0
+            )
 
 
 if __name__ == "__main__":

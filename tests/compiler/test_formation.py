@@ -1,14 +1,17 @@
 """Slice formation: greedy growth vs optimal cut."""
 
-from repro.compiler import TemplateExtractor
+import pytest
+
+from repro.compiler import LeafInput, TemplateExtractor, TemplateNode
 from repro.compiler.cost import CostContext
 from repro.compiler.formation import (
     FORMATION_GREEDY,
     FORMATION_OPTIMAL,
     form_slice_tree,
 )
-from repro.compiler.leaves import collect_liveness
+from repro.compiler.leaves import OperandFacts, collect_liveness
 from repro.energy import EPITable, EnergyModel
+from repro.isa import Opcode
 from repro.trace import profile_program
 
 from ..conftest import build_spill_kernel, tiny_config
@@ -96,3 +99,36 @@ def test_cut_positions_become_leaf_inputs():
             [li.position for li in node.leaf_inputs] + list(node.child_positions)
         )
         assert positions == list(range(len(positions)))
+
+
+@pytest.mark.parametrize("mode", [FORMATION_GREEDY, FORMATION_OPTIMAL])
+def test_a_node_plants_one_rec_however_many_inputs_it_checkpoints(mode):
+    """Formation charges one amortised REC per node, as selection does.
+
+    The node checkpoints its own register input and the operand of a
+    child edge formation may not grow through, so it has two Hist
+    inputs and plants one REC.
+    """
+    template, context, load_pc, _ = setup_candidate()
+    child = TemplateNode(
+        pc=template.pc + 1,
+        opcode=Opcode.ADD,
+        leaf_inputs=[LeafInput.register(0, 1), LeafInput.register(1, 2)],
+    )
+    node = TemplateNode(
+        pc=template.pc,
+        opcode=Opcode.ADD,
+        children=[child],
+        child_positions=[0],
+        child_regs=[3],
+        leaf_inputs=[LeafInput.register(1, 4)],
+    )
+    refused = OperandFacts(live={}, edge_consistent={(load_pc, node.pc, 0): False})
+    formed = form_slice_tree(
+        node, context, load_pc, liveness=refused, mode=mode, budget_nj=1000.0
+    )
+    assert formed.tree.size == 1
+    assert [li.position for li in formed.tree.leaf_inputs] == [0, 1]
+    selection = context.selection_cost(formed.tree, load_pc).energy_nj
+    overhead = context.control_overhead().energy_nj
+    assert formed.estimated_energy_nj + overhead == pytest.approx(selection, rel=1e-9)

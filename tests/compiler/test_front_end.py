@@ -62,7 +62,9 @@ def test_varied_options_equal_fresh_profiles(mcf):
     assert set(VARIED) == set(FRONT_END_FIELDS)
     profile, base, shared = shared_compiles(model, program)
     assert shared == fresh
-    assert len(profile.memo) == 1 + len(VARIED)
+    # One front end per extraction setting, and the operand map they share.
+    assert len(profile.memo) == 1 + len(VARIED) + 1
+    assert "operands" in profile.memo
     # A memo that ignored the height cap would be visible on mcf.
     assert fresh["max_height"]["instructions"] != base["instructions"]
 

@@ -40,8 +40,8 @@ def formed_candidates(program):
 
 def test_spill_kernel_validates():
     program = build_spill_kernel(iterations=10, chain=3, gap=4)
-    candidates, tracker, _ = formed_candidates(program)
-    reports = classify_and_validate(candidates, tracker)
+    candidates, tracker, facts = formed_candidates(program)
+    reports = classify_and_validate(candidates, tracker, facts)
     assert reports
     assert all(report.valid for report in reports.values())
     assert all(report.mismatches == 0 for report in reports.values())
@@ -49,8 +49,8 @@ def test_spill_kernel_validates():
 
 def test_accumulator_kernel_validates():
     program = build_accumulator_kernel(iterations=10)
-    candidates, tracker, _ = formed_candidates(program)
-    reports = classify_and_validate(candidates, tracker)
+    candidates, tracker, facts = formed_candidates(program)
+    reports = classify_and_validate(candidates, tracker, facts)
     assert any(report.valid for report in reports.values())
 
 
@@ -77,8 +77,8 @@ def test_stale_region_read_rejected():
         b.op(Opcode.XOR, addr, addr, 1)
         b.add(addr, addr, base)
         b.ld(v, addr)
-    candidates, tracker, _ = formed_candidates(b.build())
-    reports = classify_and_validate(candidates, tracker)
+    candidates, tracker, facts = formed_candidates(b.build())
+    reports = classify_and_validate(candidates, tracker, facts)
     # The stale read must be rejected; no surviving report may be a lie.
     stale_reports = [r for r in reports.values() if not r.valid]
     assert stale_reports, "the stale read was not rejected"
@@ -96,8 +96,8 @@ def test_live_seed_classified_live():
         b.add(t, t, 5)
         b.st(t, base)
         b.ld(v, base)  # seed register untouched since the chain ran
-    candidates, tracker, _ = formed_candidates(b.build())
-    reports = classify_and_validate(candidates, tracker)
+    candidates, tracker, facts = formed_candidates(b.build())
+    reports = classify_and_validate(candidates, tracker, facts)
     (report,) = [r for r in reports.values() if r.valid]
     kinds = [
         leaf_input.kind
@@ -121,7 +121,7 @@ def test_clobbered_seed_classified_hist():
         b.op(Opcode.XOR, seed, seed, 12345)  # clobber before the read
         b.ld(v, base)
     candidates, tracker, facts = formed_candidates(b.build())
-    reports = classify_and_validate(candidates, tracker)
+    reports = classify_and_validate(candidates, tracker, facts)
     valid = [r for r in reports.values() if r.valid]
     assert valid
     hist_kinds = [
@@ -138,8 +138,8 @@ def test_missing_checkpoints_allowed():
     """Warm-up instances with no checkpoint yet are runtime fallbacks,
     not rejections."""
     program = build_spill_kernel(iterations=10, chain=3, gap=4)
-    candidates, tracker, _ = formed_candidates(program)
-    reports = classify_and_validate(candidates, tracker)
+    candidates, tracker, facts = formed_candidates(program)
+    reports = classify_and_validate(candidates, tracker, facts)
     for report in reports.values():
         assert report.valid
         # mismatches are fatal; missing checkpoints are not

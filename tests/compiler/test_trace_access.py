@@ -41,22 +41,23 @@ def test_pipeline_never_walks_the_record_view(monkeypatch):
     assert not verify_compilation("spill", program, compilation, model).errors
 
 
-@pytest.mark.parametrize("collect_only", [True, False])
-def test_replay_visits_only_candidate_load_instances(monkeypatch, collect_only):
+@pytest.mark.parametrize("liveness", [True, False])
+def test_replay_visits_only_candidate_load_instances(monkeypatch, liveness):
     program = build_spill_kernel(iterations=10, chain=3, gap=4)
-    candidates, tracker, _ = formed_candidates(program)
+    candidates, tracker, facts = formed_candidates(program)
     visited = []
-    original = leaves._ReplayScanner._check_instance
+    original = leaves._ReplayState.visit
 
-    def spy(self, load_pc, loaded):
-        visited.append((load_pc, self.now))
-        return original(self, load_pc, loaded)
+    def spy(self, load_pc):
+        for now in original(self, load_pc):
+            visited.append((load_pc, self.now))
+            yield now
 
-    monkeypatch.setattr(leaves._ReplayScanner, "_check_instance", spy)
-    if collect_only:
+    monkeypatch.setattr(leaves._ReplayState, "visit", spy)
+    if liveness:
         leaves.collect_liveness(candidates, tracker)
     else:
-        leaves.classify_and_validate(candidates, tracker)
+        leaves.classify_and_validate(candidates, tracker, facts)
     expected = [
         (pc, index)
         for pc in candidates

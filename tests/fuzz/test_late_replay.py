@@ -1,6 +1,6 @@
 """The broken leaf replay (state read after the load) must be caught.
 
-`LateReplayScanner` differs from the real replay in one bisection: it
+`LateReplayState` differs from the real replay in one bisection: it
 admits the load's own dynamic index, so every state query sees the
 machine after the load instead of before it.  The committed
 ``reload-into-leaf`` corpus entry reloads a spilled copy back into the
@@ -47,9 +47,9 @@ def test_check_spec_catches_late_replay(entry):
 
 def test_late_replay_is_scoped():
     from repro.compiler import leaves
-    from repro.fuzz.faults import LateReplayScanner
+    from repro.fuzz.faults import LateReplayState
 
-    original = leaves._ReplayScanner
+    original = leaves._ReplayState
     with late_replay():
-        assert leaves._ReplayScanner is LateReplayScanner
-    assert leaves._ReplayScanner is original
+        assert leaves._ReplayState is LateReplayState
+    assert leaves._ReplayState is original

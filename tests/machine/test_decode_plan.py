@@ -1,14 +1,15 @@
 """Decode plans: each program is analysed and rendered once, bound per CPU.
 
-The first fast-batched decode of a program builds its plan: each pc's
-classification, the region analysis and every fused region, loop and
-slice as a code object with a binding recipe.  Every later decode of
-the same program binds that plan to its own CPU, so each pc is
-classified once per program whatever its CPUs differ in.  A CPU that
-reuses a plan built under another policy, ``verify`` setting, SFile or
-Hist size must run exactly like one decoded from scratch; a copy of a
-program must never run its original's code; and a code-generator twin
-entered after a decode must still reach the decoded program.
+The first untraced fast-batched decode of a program builds its plan:
+each pc's classification, the region analysis and every fused region,
+loop and slice as a code object with a binding recipe.  Every later
+decode of the same program binds that plan to its own CPU, so each pc
+is classified once per program whatever its CPUs differ in; a program
+that is only profiled keeps no plan.  A CPU that reuses a plan built
+under another policy, ``verify`` setting, SFile or Hist size must run
+exactly like one decoded from scratch; a copy of a program must never
+run its original's code; and a code-generator twin entered after a
+decode must still reach the decoded program.
 """
 
 import copy
@@ -27,6 +28,8 @@ from repro.fuzz.faults import plan_by_name, stale_load_lru
 from repro.fuzz.oracle import _observable
 from repro.isa import Imm, Instruction, Opcode, Reg
 from repro.machine import fastpath
+from repro.machine.fastpath import BatchedFastCPU
+from repro.trace.recorder import profile_program
 from repro.workloads.suite import get
 
 SCALE = 0.25
@@ -105,6 +108,18 @@ def test_each_pc_is_classified_once_per_program(prepared, monkeypatch):
         )
         assert cpu._decoded().region_spans
     assert classified == list(range(len(binary.program.instructions)))
+
+
+def test_profiling_registers_no_plan():
+    model = paper_energy_model()
+    program = get("is").instantiate(SCALE)
+    profile = profile_program(program, model, backend="fast-batched")
+    assert profile.dependence.static_pcs()
+    assert not has_plan(program)
+    # A later untraced run of the profiled program builds and keeps one.
+    cpu = BatchedFastCPU(program, model)
+    cpu.run()
+    assert has_plan(program)
 
 
 def poisoned_copy(binary, visits, spans):

@@ -22,6 +22,7 @@ from repro.telemetry.ledger import (
     RunLedger,
     RunManifest,
     UnknownRunId,
+    collect_manifest,
     diff_manifests,
     fidelity_summary,
     ledger_from_env,
@@ -250,6 +251,32 @@ def test_diff_manifests_reports_config_and_metric_deltas():
     assert diff["phases"]["only-b"]["a"] is None
     # Identical configs diff to an empty config block.
     assert diff_manifests(a, a)["config"] == {}
+
+
+def test_serial_and_parallel_manifests_diff_on_jobs():
+    from repro.telemetry import telemetry_session
+
+    manifests = []
+    for jobs in (1, 2):
+        with telemetry_session() as telemetry:
+            pass
+        config = {"scale": 0.5, "backend": "classic", "policies": ["FLC"],
+                  "model_fingerprint": "m", "jobs": jobs}
+        manifests.append(collect_manifest(
+            "experiment", "repro experiment fig3", "fig3", telemetry, 1.0,
+            runner_config=config,
+        ))
+    serial, parallel = manifests
+    assert (serial.jobs, parallel.jobs) == (1, 2)
+    diff = diff_manifests(serial, parallel)
+    assert diff["config"] == {"jobs": {"a": 1, "b": 2}}
+    assert "jobs" in render_manifest(parallel)
+    assert "jobs" in render_manifest_diff(diff)
+    # A manifest written before the field existed still loads.
+    payload = serial.to_json()
+    del payload["jobs"]
+    old = RunManifest.from_json(payload)
+    assert old.jobs is None and old.extra == {}
 
 
 def test_render_manifest_and_diff_are_printable():

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, timers, labels."""
+"""Metrics registry: counters, gauges, histograms, labels."""
 
 import pytest
 
@@ -58,22 +58,6 @@ def test_histogram_percentile_edge_cases():
     assert histogram.percentile(99) == 42.0  # single observation
     with pytest.raises(ValueError):
         histogram.percentile(101)
-
-
-def test_timer_feeds_histogram():
-    registry = MetricsRegistry()
-    ticks = iter([10.0, 10.5])
-    with registry.timer("phase"):  # wall-clock fallback also works...
-        pass
-    # ...and an injected clock gives exact durations.
-    from repro.telemetry.registry import Timer
-
-    histogram = registry.histogram("phase2")
-    with Timer(histogram, clock=lambda: next(ticks)):
-        pass
-    assert histogram.count == 1
-    assert histogram.max == pytest.approx(0.5)
-    assert registry.histogram("phase").count == 1
 
 
 def test_kind_conflict_raises():

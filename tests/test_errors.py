@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import (
     ArithmeticFault,
-    AssemblyError,
     CompilationError,
     ExecutionLimitExceeded,
     MachineFault,
@@ -19,7 +18,7 @@ from repro.errors import (
 @pytest.mark.parametrize(
     "error_type",
     [
-        AssemblyError, ValidationError, MachineFault, MemoryFault,
+        ValidationError, MachineFault, MemoryFault,
         ArithmeticFault, ExecutionLimitExceeded, CompilationError,
         SchedulerError,
     ],
@@ -56,7 +55,7 @@ def test_recomputation_mismatch_payload():
 
 
 def test_one_except_clause_catches_everything():
-    for error in (AssemblyError("x"), RecomputationMismatch(0, 1, 2, 3)):
+    for error in (ValidationError("x"), RecomputationMismatch(0, 1, 2, 3)):
         try:
             raise error
         except ReproError:
