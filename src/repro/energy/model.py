@@ -50,7 +50,11 @@ class EnergyModel:
         key runs by model *value* instead of object identity — the
         property the persistent result cache and the parallel engine's
         work units rely on (workers unpickle their own model copy).
+        Hashed once per instance and kept with the memoized costs.
         """
+        return self._memo("fingerprint", self._digest)
+
+    def _digest(self) -> str:
         payload = {
             "epi": {
                 category.name: value
@@ -73,8 +77,8 @@ class EnergyModel:
     # ------------------------------------------------------------------
     # Classic events.
     # ------------------------------------------------------------------
-    def _memo(self, key, build) -> Cost:
-        """Per-instance memo for the fixed-price events.
+    def _memo(self, key, build):
+        """Per-instance memo for the fixed-price events (and the fingerprint).
 
         Every input is frozen, so each (category, event) prices
         identically for the model's lifetime; the hot interpreter loops

@@ -7,9 +7,10 @@ program that exercises the broken path, the oracle flags the
 divergence, and the shrinker reduces it to a minimal counterexample.
 They are shipped in the package (not buried in tests) so future
 scheduler/backend work can re-run the same mutation check against new
-policies.  Three break what is computed once and reused (the compiler's
-front-end memo, fast-path decode plans, the one-call miss walk); the
-oracle cannot see them, so each names the test that does.
+policies.  Five break what is computed once and reused (the compiler's
+front-end memo, fast-path decode plans, the one-call miss walk, and the
+fork every later run of a binary resumes from); the oracle cannot see
+most of them, so each names the test that does.
 """
 
 from __future__ import annotations
@@ -270,6 +271,44 @@ def stale_hist_lru():
     )
 
 
+def fork_aliases_state():
+    """Resume forked runs in the snapshot's own cache sets, not copies.
+
+    Bug: a run restored from its binary's fork moves lines within the
+    snapshot's sets instead of its own, so the next restored run starts
+    from the caches where the previous one left them.  The first
+    restored run of a binary is exact; from the second on, hits,
+    misses, service levels and charges diverge.  ``check_program``
+    restores two of the four fast-batched runs of a probabilistic
+    binary, so the corpus replay on fast-batched must catch it.
+    """
+    return _regenerated(vars(fastpath), "_fresh_sets", list)
+
+
+def fork_ignores_hist_capacity():
+    """Resume forked runs with the Hist at the snapshot-taking run's capacity.
+
+    Bug: the restore replays the fork's ``REC`` writes at the capacity of
+    the run that logged them, not at the restored run's own, so a run
+    with a smaller Hist keeps checkpoints it would have evicted, and one
+    with a larger Hist lacks checkpoints it would have kept.  Runs of one
+    capacity stay exact, and every oracle run uses the default capacity,
+    so the corpus passes; the fork-parity test
+    (``tests/machine/test_fork.py``), which varies the capacity between
+    the snapshot-taking run and restored ones, must catch it.
+    """
+
+    def at_snapshot_capacity(hist, fork):
+        own, hist.capacity = hist.capacity, fork.capacity
+        try:
+            for write in fork.recs:
+                hist.record(*write)
+        finally:
+            hist.capacity = own
+
+    return _regenerated(vars(fastpath), "_replay", at_snapshot_capacity)
+
+
 @contextlib.contextmanager
 def stale_l2_lru() -> Iterator[None]:
     """Run the miss walk without the L2 hit's MRU promotion.
@@ -309,6 +348,8 @@ __all__ = [
     "LateReplayState",
     "SkipHistReadCPU",
     "deferred_store_producer",
+    "fork_aliases_state",
+    "fork_ignores_hist_capacity",
     "front_end_ignoring_max_height",
     "late_flush",
     "late_replay",

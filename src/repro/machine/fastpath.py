@@ -54,6 +54,14 @@ tables, slice cells and trace columns.
 its decision inline, a direct call into the slice's fused traversal,
 and the inherited load rendered from the ``LD`` description.
 
+Fork at the first ``RCMP``.  Until a binary's first ``RCMP`` every
+amnesic run of it under one energy model does the same work, so the
+plan keeps one snapshot per model (:class:`_Fork`), taken by the
+binary's second run at its first ``RCMP`` dispatch, and every later
+run whose budget reaches past it starts from a copy (see
+:func:`_fork`).  Classic runs never fork, and a restored run is held
+to an unforked classic one like any other.
+
 The contract every rendering honours:
 
 * **Semantics** live in :mod:`repro.isa.semantics` and
@@ -783,7 +791,11 @@ def _bound(unit, env, values=None, fns=()):
 
 
 def clear_codegen_caches():
-    """Drop every compiled source, per-pc unit and decode plan (descriptions changed)."""
+    """Drop every compiled source, per-pc unit and decode plan (descriptions changed).
+
+    A plan's forks go with it, so no run resumes from a snapshot that
+    other code took.
+    """
     _compiled_region.cache_clear()
     _compute_description.cache_clear()
     _rcmp_description.cache_clear()
@@ -1312,9 +1324,15 @@ class _Plan:
     capacity, concurrent_offload)``.  A plan holds classes, code
     objects and binding recipes, never a CPU, a trace or a
     :class:`_BatchTable`; each decode binds its own environment.
+
+    The one machine state a plan holds is ``forks``: per energy-model
+    fingerprint, None once an amnesic run of the program has been seen,
+    then the :class:`_Fork` its next run took at its first ``RCMP``
+    (see :func:`_fork`).  It is copied into CPUs, never shared with
+    them, and leaves with the plan.
     """
 
-    __slots__ = ("classes", "analysis", "fused", "slices")
+    __slots__ = ("classes", "analysis", "fused", "slices", "forks")
 
     def __init__(self, program):
         self.classes = [
@@ -1324,6 +1342,7 @@ class _Plan:
         self.analysis = None
         self.fused = {}
         self.slices = {}
+        self.forks = {}
 
     def fused_for(self, program, read_only, names):
         """The fused loops and regions over *read_only*, in install order.
@@ -1864,6 +1883,213 @@ def _categories(program, first, end):
     return tuple(tally.items())
 
 
+# ----------------------------------------------------------------------
+# Forks.
+#
+# Every runtime decision of the amnesic machine sits at an RCMP (paper
+# section 3.3), so until a binary's first RCMP every run of it under one
+# energy model retires the same instructions with the same caches,
+# energy and time: the policy, ``verify``, the SFile capacity and
+# ``concurrent_offload`` act only from there on, and the Hist capacity
+# only through the REC writes the table keeps.  So a binary's first
+# amnesic run under a model only marks its plan; the next one swaps the
+# function of every RCMP pc for a stop that snapshots the machine at the
+# first RCMP dispatch (a :class:`_Fork`) and then runs the RCMP; and
+# every later run whose budget reaches past the fork index starts from
+# a copy of the snapshot instead of pc 0.  A binary that runs once holds
+# no snapshot.
+#
+# The stop is exact and costs the hot loop nothing: no fused region or
+# loop contains an RCMP (the region analyzer admits no amnesic opcode),
+# and fused code calls only its own first or header per-pc function, so
+# every RCMP dispatch is the outer loop's call of ``fns[pc]``, made
+# after the budget check and the pc's count.  A restored run meets the
+# same checks from the fork on.
+# ----------------------------------------------------------------------
+
+#: A plan's fork slot before any run of the binary under a model.
+_UNSEEN = object()
+
+
+class _Fork(NamedTuple):
+    """The machine at a binary's first ``RCMP`` dispatch, before it runs.
+
+    ``index`` instructions retired before it (the fork index) and the
+    ``pc`` of the RCMP; the registers; the ``addresses`` and ``values``
+    of the memory cells that differ from the program's data segment, in
+    insertion order (two tuples hold an mcf fork's 12,416 cells in a
+    third of a dict's memory); both caches' sets in LRU order with dirty
+    bits; the attributes of the counters and accounts :func:`_accounts`
+    names; the table's deferred per-pc and fused counts, less the RCMP's
+    own dispatch; and the ``REC`` writes before it, ``(slice id, leaf
+    id, values)`` in order, made into a Hist of ``capacity`` entries.
+    The SFile, the IBuff and the fired-slice set are untouched before
+    the first RCMP.
+    """
+
+    index: int
+    pc: int
+    registers: tuple
+    addresses: tuple
+    values: tuple
+    sets: tuple
+    state: tuple
+    counts: list
+    fused_counts: list
+    recs: tuple
+    capacity: int
+
+
+def _accounts(cpu):
+    """The counters and accounts a fork copies attribute by attribute."""
+    hierarchy = cpu.hierarchy
+    return (
+        cpu.stats,
+        cpu.account,
+        hierarchy.stats,
+        hierarchy.l1.stats,
+        hierarchy.l2.stats,
+    )
+
+
+def _fork(cpu, table):
+    """Resume *cpu* from its binary's fork, or arrange for this run to take it.
+
+    Only an amnesic run from the machine's initial state forks.  Returns
+    the ``(pc, function)`` pairs a snapshot-taking run displaced from
+    ``table.fns``; the run puts them back however it ends.
+    """
+    if getattr(cpu, "hist", None) is None or cpu._dynamic_index or cpu.pc:
+        return ()
+    forks = _plan(cpu.program).forks
+    key = cpu.model.fingerprint()
+    fork = forks.get(key, _UNSEEN)
+    if fork is _UNSEEN:
+        forks[key] = None
+        return ()
+    if fork is None:
+        return _arm(cpu, table, forks, key)
+    if cpu.max_instructions > fork.index:
+        _restore(fork, cpu, table)
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            # The run's ``execute.amnesic`` span.
+            telemetry.tracer.current().set(restored=fork.index)
+    return ()
+
+
+def _arm(cpu, table, forks, key):
+    """Stop at every ``RCMP`` pc and log every ``REC`` until the first stop."""
+    fns = table.fns
+    entries = cpu.hist._entries
+    displaced = []
+    writes = []
+
+    def stop(pc):
+        forks[key] = _snapshot(cpu, table, pc, writes)
+        for at, fn in displaced:
+            fns[at] = fn
+        return fns[pc]()
+
+    def logged(rec, leaf):
+        def f():
+            pc = rec()
+            writes.append((*leaf, entries[leaf]))
+            return pc
+
+        return f
+
+    for pc, instruction in enumerate(cpu.program.instructions):
+        if instruction.opcode is Opcode.RCMP:
+            displaced.append((pc, fns[pc]))
+            fns[pc] = lambda pc=pc: stop(pc)
+        elif instruction.opcode is Opcode.REC:
+            displaced.append((pc, fns[pc]))
+            fns[pc] = logged(fns[pc], (instruction.slice_id, instruction.leaf_id))
+    return displaced
+
+
+def _snapshot(cpu, table, pc, writes):
+    """The :class:`_Fork` of *cpu* as its loop dispatches the ``RCMP`` at *pc*."""
+    data = cpu.program.data.cells
+    cells = cpu.memory._cells
+    written = tuple(
+        address
+        for address, value in cells.items()
+        if data.get(address, _UNSEEN) is not value
+    )
+    counts = list(table.counts)
+    counts[pc] -= 1
+    hierarchy = cpu.hierarchy
+    return _Fork(
+        index=cpu._dynamic_index,
+        pc=pc,
+        registers=tuple(cpu.registers),
+        addresses=written,
+        values=tuple(map(cells.__getitem__, written)),
+        sets=tuple(
+            tuple(lines.copy() for lines in cache._sets)
+            for cache in (hierarchy.l1, hierarchy.l2)
+        ),
+        state=tuple(
+            {
+                name: dict(value) if isinstance(value, dict) else value
+                for name, value in vars(part).items()
+            }
+            for part in _accounts(cpu)
+        ),
+        counts=counts,
+        fused_counts=list(table.fused_counts),
+        recs=tuple(writes),
+        capacity=cpu.hist.capacity,
+    )
+
+
+def _fresh_sets(sets):
+    """Copies of a fork's cache sets for one restored run to own."""
+    return [lines.copy() for lines in sets]
+
+
+def _replay(hist, fork):
+    """Rebuild *hist* from the fork's ``REC`` writes at its own capacity.
+
+    The values are architectural, so the replay reproduces the entries,
+    their LRU order, ``writes``, ``evictions`` and ``high_water`` of a
+    run that executed the writes; nothing reads the Hist before the
+    first RCMP.
+    """
+    for write in fork.recs:
+        hist.record(*write)
+
+
+def _restore(fork, cpu, table):
+    """Write *fork* into *cpu* and its decode *table*, in place.
+
+    The miss walk (``MemoryHierarchy._walk``), every bound function and
+    outside observers of a run hold these objects by identity, so each
+    is overwritten, never replaced.  The CPU is fresh: its memory is the
+    data segment and its Hist is empty.
+    """
+    cpu.registers[:] = fork.registers
+    cpu.memory._cells.update(zip(fork.addresses, fork.values))
+    hierarchy = cpu.hierarchy
+    for cache, sets in zip((hierarchy.l1, hierarchy.l2), fork.sets):
+        cache._sets[:] = _fresh_sets(sets)
+    for part, saved in zip(_accounts(cpu), fork.state):
+        for name, value in saved.items():
+            own = getattr(part, name)
+            if isinstance(own, dict):
+                own.clear()
+                own.update(value)
+            else:
+                setattr(part, name, value)
+    _replay(cpu.hist, fork)
+    table.counts[:] = fork.counts
+    table.fused_counts[:] = fork.fused_counts
+    cpu._dynamic_index = fork.index
+    cpu.pc = fork.pc
+
+
 class BatchedExecutionMixin:
     """Run on the generated fast path instead of the classic loop.
 
@@ -1874,7 +2100,11 @@ class BatchedExecutionMixin:
     fuses on its own, and in-slice regions stay per-pc.  On amnesic
     machines, slice traversals run fused too (unless a timeline is
     attached), and RCMP renders per pc when :meth:`_rcmp_mechanism`
-    names one.  See the module docstring for the backend contract.
+    names one.  An amnesic run from the initial state forks at its
+    binary's first RCMP (see :func:`_fork`): it resumes from the
+    binary's snapshot when one exists and its budget reaches past it,
+    so the instructions it retires include ones it never executed.  See
+    the module docstring for the backend contract.
     """
 
     def _decoded(self):
@@ -1920,6 +2150,7 @@ class BatchedExecutionMixin:
         fns = table.fns
         counts = table.counts
         max_instructions = self.max_instructions
+        displaced = _fork(self, table)
         pc = self.pc
         try:
             if not self.halted:
@@ -1935,6 +2166,8 @@ class BatchedExecutionMixin:
                     if pc < 0:
                         break
         finally:
+            for at, fn in displaced:
+                fns[at] = fn
             self._flush(table, pc)
         self.finalize()
 

@@ -96,3 +96,22 @@ def test_fingerprint_tracks_machine_config():
     base = make_model()
     paper = EnergyModel(epi=base.epi, config=paper_energy_model().config)
     assert paper.fingerprint() != base.fingerprint()
+
+
+def test_fingerprint_is_memoized_per_model_and_survives_pickling():
+    """Hashed once per instance, kept by value: equal, scaled, round-tripped."""
+    import dataclasses
+    import pickle
+
+    from repro.analysis.sweeps import scaled_memory_config
+
+    base, twin = make_model(), make_model()
+    assert base.fingerprint() is base.fingerprint()
+    assert twin.fingerprint() == base.fingerprint()
+    scaled = dataclasses.replace(
+        base, config=scaled_memory_config(base.config, 2.0)
+    )
+    assert scaled.fingerprint() != base.fingerprint()
+    clone = pickle.loads(pickle.dumps(base))
+    assert clone.fingerprint() == base.fingerprint()
+    assert clone.fingerprint() == clone._digest()
