@@ -19,10 +19,8 @@ import dataclasses
 import enum
 from typing import Iterator, List, Optional, Tuple, Union
 
-from collections import Counter
-
 from ..energy.account import Cost
-from ..isa.opcodes import Category, Opcode
+from ..isa.opcodes import Opcode
 
 Value = Union[int, float]
 
@@ -193,11 +191,3 @@ class RSlice:
             for node in self.root.post_order()
             if any(li.kind.needs_checkpoint for li in node.leaf_inputs)
         ]
-
-    def category_counts(self) -> Counter[Category]:
-        """Instruction mix of the slice, for cost estimation."""
-        counts: Counter[Category] = Counter()
-        for node in self.root.walk():
-            opcode = Opcode.MOV if node.is_checkpoint_load else node.opcode
-            counts[opcode.category] += 1
-        return counts

@@ -76,7 +76,7 @@ class AmnesicCPU(CPU):
 
     def __getstate__(self):
         # Cached telemetry handles belong to this process's session.
-        state = dict(super().__getstate__())
+        state = super().__getstate__()
         state.pop("_rcmp_meters", None)
         return state
 

@@ -7,7 +7,10 @@ reference implementation in :mod:`repro.machine.cpu` /
 :mod:`repro.core.amnesic_cpu`; ``fast-batched`` runs the generated fast
 path of :mod:`repro.machine.fastpath`: per-pc functions, statically
 proven straight-line regions (:mod:`repro.staticcheck.regions`) fused
-into single dispatches, and fused slice traversals.  The fuzz oracle
+into single dispatches, fused slice traversals, and ``RCMP`` decided
+inline for the paper's policies (:data:`PAPER_POLICIES`) from the probe
+depth and fire rule :mod:`repro.core.policies` states for each; any
+other policy keeps the classic scheduler.  The fuzz oracle
 (:func:`repro.fuzz.oracle.check_program` with ``backend=``) holds a
 non-classic backend's plain and amnesic runs to classic runs of the same
 configuration exactly, in the same pass that holds amnesic execution to
@@ -35,14 +38,13 @@ ENV_BACKEND = "REPRO_BACKEND"
 
 DEFAULT_BACKEND = "classic"
 
-#: The paper policies' decisions as generated-code mechanisms (see
-#: :data:`repro.machine.fastpath._MECHANISMS`), by policy class.
-RCMP_MECHANISMS = {
-    CompilerPolicy: "always",
-    FLCPolicy: "l1",
-    LLCPolicy: "l2",
-    OracleDecisionPolicy: "table",
-}
+#: The paper's policies, whose RCMP renders from their probe depth and
+#: fire rule.  The test is by exact class: a subclass may override
+#: ``decide`` (the probe-cost ablation's free-probe LLC does), so it
+#: keeps the classic scheduler.
+PAPER_POLICIES = frozenset(
+    {CompilerPolicy, FLCPolicy, LLCPolicy, OracleDecisionPolicy}
+)
 
 
 class BatchedFastAmnesicCPU(BatchedExecutionMixin, AmnesicCPU):
@@ -50,17 +52,22 @@ class BatchedFastAmnesicCPU(BatchedExecutionMixin, AmnesicCPU):
 
     Straight-line runs between amnesic/control opcodes fuse into single
     dispatches (the region analyzer never batches across RCMP/REC/RTN)
-    and REC runs from its description.  RCMP renders per pc for the
-    run's policy when :data:`RCMP_MECHANISMS` knows its class — the
-    decision inline, a direct call into the slice's fused traversal,
-    the inherited load from the LD description; any other policy, a
-    traced run and a live telemetry session keep the classic scheduler
-    via the handler thunk.  Untraced slice traversals run as
-    register-resident generated functions.
+    and REC runs from its description.  RCMP renders per pc when the
+    run's policy is one of :data:`PAPER_POLICIES`: the policy's
+    decision inline (the load's residence, the tag probes of its
+    ``probe_through`` and each slice's fire table from its
+    ``fires_at``), a direct call into the slice's fused traversal, the
+    inherited load from the LD description.  Any other policy, a traced
+    run and a live telemetry session keep the classic scheduler via the
+    handler thunk.  Untraced slice traversals run as register-resident
+    generated functions.
     """
 
-    def _rcmp_mechanism(self):
-        return RCMP_MECHANISMS.get(type(self.policy))
+    def _rcmp_depth(self):
+        policy = self.policy
+        if type(policy) not in PAPER_POLICIES:
+            return None
+        return (None, Level.L1, Level.L2).index(policy.probe_through)
 
     def _rcmp_fire_table(self, info):
         """Whether a slice fires at each residence (L1, L2, MEM)."""
@@ -111,7 +118,7 @@ __all__ = [
     "BACKEND_NAMES",
     "DEFAULT_BACKEND",
     "ENV_BACKEND",
-    "RCMP_MECHANISMS",
+    "PAPER_POLICIES",
     "Backend",
     "BatchedFastAmnesicCPU",
     "resolve_backend",

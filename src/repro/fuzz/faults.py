@@ -218,22 +218,18 @@ def deferred_store_producer():
 
 
 def unprobed_l2():
-    """Generate the L2-probing RCMP mechanism without its L2 probe count.
+    """Generate the RCMP decision without its depth-2 probe count.
 
     Bug: LLC's generated decision probes L2 on an L1 miss but no longer
     counts the tag probe in ``l2.stats.probes``.  Decisions, values,
     energy and time stay classic-identical; only the probe statistics
     the paper's LLC overhead argument rests on drift.
     """
-    decide, residence, probe = fastpath._MECHANISMS["l2"]
+    probe = (2, "    _l2h.probes += 1")
     return _regenerated(
-        fastpath._MECHANISMS,
-        "l2",
-        (
-            tuple(line for line in decide if line.strip() != "_l2h.probes += 1"),
-            residence,
-            probe,
-        ),
+        vars(fastpath),
+        "_DECISION",
+        tuple(line for line in fastpath._DECISION if line != probe),
     )
 
 
@@ -252,7 +248,7 @@ def plan_by_name():
 
 
 def stale_hist_lru():
-    """Generate fused slices whose inline Hist read skips the LRU promotion.
+    """Generate fused slices without their deferred Hist LRU promotions.
 
     Bug: a recomputation reads its checkpoint but leaves the entry where
     it was in the history table's LRU order, so the next REC into a full
@@ -260,15 +256,7 @@ def stale_hist_lru():
     every counter are unchanged; the entry order diverges at once, and
     under a small Hist the evictions, fallbacks and energy follow.
     """
-    return _regenerated(
-        vars(fastpath),
-        "_HIST_READ",
-        tuple(
-            line
-            for line in fastpath._HIST_READ
-            if not line.startswith("_hent.move_to_end")
-        ),
-    )
+    return _regenerated(vars(fastpath), "_HIST_PROMOTE", ())
 
 
 def fork_aliases_state():

@@ -235,14 +235,3 @@ class SuiteRunner:
         if self.ledger is None:
             return None
         return self.ledger.append(manifest)
-
-    def invalidate(self) -> None:
-        """Drop the in-memory caches (programs included).
-
-        The persistent cache is left alone — its entries are content
-        keyed, so they can only ever be served for a matching model,
-        scale, and policy set; use ``result_cache.clear()`` to actually
-        delete stored results.
-        """
-        self._cache.clear()
-        self._programs.clear()

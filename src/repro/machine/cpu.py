@@ -78,6 +78,12 @@ class CPU:
         #: binds subclass overrides (e.g. the amnesic opcodes).
         self._dispatch = self._build_dispatch()
 
+    def __getstate__(self):
+        # The base of the ``__getstate__`` chain: subclasses drop what
+        # cannot leave the process from this copy.  ``object`` has no
+        # ``__getstate__`` before Python 3.11.
+        return dict(self.__dict__)
+
     def _build_dispatch(self):
         """Opcode -> bound handler, replacing an if/elif chain per dispatch."""
         dispatch = {}

@@ -3,14 +3,14 @@
 :class:`BatchedExecutionMixin` replaces the classic fetch/decode/dispatch
 loop of :class:`~repro.machine.cpu.CPU` with a predecoded program.  Each
 opcode family the fast path handles (compute, ``LD``, ``ST``, branches,
-``JMP``, ``JAL``, ``JR``, ``NOP``, ``REC``, and ``RCMP`` per decision
-mechanism) is *described once*: a tuple
-of Python source lines that mirrors the classic handler statement for
-statement — same value semantics, same fault points and messages, same
-energy charges in the same order, same cache/LRU transitions.  The lines
-are written against placeholders (``$s0`` for the first operand, ``$gl``
-for the load-energy accumulator, ``$tt`` for modeled time, ``$pc`` ...)
-plus four hook lines (``dest``, ``emit``, ``mark``, ``goto``), and one
+``JMP``, ``JAL``, ``JR``, ``NOP``, ``REC``, and ``RCMP`` per probe
+depth) is *described once*: a tuple of Python source lines that mirrors
+the classic handler statement for statement — same value semantics,
+same fault points and messages, same energy charges in the same order,
+same cache/LRU transitions.  The lines are written against
+placeholders (``$s0`` for the first operand, ``$gl`` for the
+load-energy accumulator, ``$tt`` for modeled time, ``$pc`` ...) plus
+four hook lines (``dest``, ``emit``, ``mark``, ``goto``), and one
 description renders five ways:
 
 * **per-pc functions** — one zero-argument function per static
@@ -38,7 +38,10 @@ description renders five ways:
   loop entry and the budget is checked once per pass;
 * **fused slices** — the compute description again, fed by Hist and
   register operands, with scratch registers in locals: one generated
-  function per RSlice.
+  function per RSlice.  Values and charges stay in locals until the
+  last value; a traversal that raises has touched nothing and reruns
+  its slice on the interpreted reference, which faults as classic
+  does.
 
 One plan, one binder.  A program's first untraced decode builds its
 *decode plan* (:class:`_Plan`): each pc classified once (family, opcode,
@@ -50,9 +53,12 @@ the plan to its own CPU through :func:`_bound`, from one environment of
 CPU facts: registers, accounts, model costs, Hist, SFile fit, fire
 tables, slice cells and trace columns.
 
-``RCMP`` renders per pc for the run's policy (see :data:`_MECHANISMS`):
-its decision inline, a direct call into the slice's fused traversal,
-and the inherited load rendered from the ``LD`` description.
+``RCMP`` renders per pc for the run's paper policy by its probe depth:
+the one decision inline (see :data:`_DECISION`: the load's residence,
+the tag probes of the depth, and the slice's fire table, which the
+policy's ``fires_at`` fills), a direct call into the slice's fused
+traversal, and the inherited load rendered from the ``LD``
+description.
 
 Fork at the first ``RCMP``.  Until a binary's first ``RCMP`` every
 amnesic run of it under one energy model does the same work, so the
@@ -85,8 +91,8 @@ The contract every rendering honours:
   construction, so the variant is chosen at decode time; amnesic CPUs
   take none.  ``HALT``, ``RTN``, statically odd instructions, and
   ``RCMP`` under a live telemetry session (per-RCMP decision records)
-  or for a policy without a mechanism run the classic handler, which
-  retires through ``CPU._emit`` into the same columns, in order.
+  or for a policy that is not a paper policy run the classic handler,
+  which retires through ``CPU._emit`` into the same columns, in order.
 
 Instruction counting (``RunStats.dynamic_instructions`` /
 ``by_category``) is deferred to per-pc, per-region and per-loop-pass
@@ -334,68 +340,29 @@ def _read_only_test(ranges):
     return " or ".join(f"{lo} <= _a < {hi}" for lo, hi in ranges) or "False"
 
 
-#: ``MemoryHierarchy.residence(_a)`` below L1, into ``_rl``.
-_RESIDENCE_L2 = (
-    "_ln = _a >> _shift2",
-    "_rl = _L2 if _ln in _l2sets[_ln % _nsets2] else _MEM",
-)
-_RESIDENCE = (
+#: The scheduler's one decision (paper section 3.3.1), from ``_a``: the
+#: load's residence into ``_rl`` (``MemoryHierarchy.residence``), the
+#: tag probes of the policy's depth, and the slice's fire table at that
+#: residence (``_ft1``/``_ft2``/``_ftm``) into ``_f``.  A ``(depth,
+#: line)`` pair is a probe line that depths of at least *depth* keep:
+#: depth 1 probes L1, depth 2 probes L2 too on an L1 miss.  Probes count
+#: in the tag-probe stats and leave LRU state alone.
+_DECISION = (
     "_ln = _a >> _shift",
+    (1, "_l1h.probes += 1"),
     "if _ln in _l1sets[_ln % _nsets]:",
     "    _rl = _L1",
     "else:",
-    *("    " + line for line in _RESIDENCE_L2),
+    (2, "    _l2h.probes += 1"),
+    "    _ln = _a >> _shift2",
+    "    _rl = _L2 if _ln in _l2sets[_ln % _nsets2] else _MEM",
+    "_f = _ft1 if _rl is _L1 else _ft2 if _rl is _L2 else _ftm",
 )
-
-#: The scheduler's decision mechanisms (paper section 3.3.1), each as
-#: ``(decision, residence, probe)``: lines that set ``_f`` (fire?) from
-#: ``_a``; lines that leave ``_rl`` = the load's residence once a slice
-#: fired (a fire implies the probes missed); and the prefix of the probe
-#: cost a fire or a fallback after a fire charges (None: no probe).
-#: Probes count in the tag-probe stats and leave LRU state alone.
-_MECHANISMS = {
-    # Fire on every RCMP.
-    "always": (("_f = True",), _RESIDENCE, None),
-    # Fire on a miss through L1.
-    "l1": (
-        (
-            "_l1h.probes += 1",
-            "_ln = _a >> _shift",
-            "_f = _ln not in _l1sets[_ln % _nsets]",
-        ),
-        _RESIDENCE_L2,
-        "_p1",
-    ),
-    # Fire on a miss through L2.
-    "l2": (
-        (
-            "_l1h.probes += 1",
-            "_ln = _a >> _shift",
-            "if _ln in _l1sets[_ln % _nsets]:",
-            "    _f = False",
-            "else:",
-            "    _l2h.probes += 1",
-            "    _ln = _a >> _shift2",
-            "    _f = _ln not in _l2sets[_ln % _nsets2]",
-        ),
-        ("_rl = _MEM",),
-        "_p2",
-    ),
-    # Fire by the slice's per-residence table (``_ft1``/``_ft2``/``_ftm``).
-    "table": (
-        (
-            *_RESIDENCE,
-            "_f = _ft1 if _rl is _L1 else _ft2 if _rl is _L2 else _ftm",
-        ),
-        (),
-        None,
-    ),
-}
 
 
 @lru_cache(maxsize=None)
-def _rcmp_description(mechanism, verify):
-    """RCMP for one decision mechanism: ``AmnesicCPU._execute_rcmp`` inline.
+def _rcmp_description(depth, verify):
+    """RCMP for one probe depth: ``AmnesicCPU._execute_rcmp`` inline.
 
     Same order as the classic handler: count, address, RCMP charge,
     decision, Hist/SFile readiness (``_ok``: the slice's scratch demand
@@ -403,10 +370,15 @@ def _rcmp_description(mechanism, verify):
     its cell ``_sc``, residence count and ``verify``; otherwise the
     fallback or skip count, the probe charge after a fire, and the
     inherited load — the LD description itself, without its address
-    lines.
+    lines.  A probing paper policy fires only where every probe of its
+    depth missed, so a fire pays the whole probe (``_p1``/``_p2``).
     """
-    decide, residence, probe = _MECHANISMS[mechanism]
-    charge = () if probe is None else (f"$ga += {probe}e", f"$tt += {probe}t")
+    decide = tuple(
+        line if type(line) is str else line[1]
+        for line in _DECISION
+        if type(line) is str or line[0] <= depth
+    )
+    charge = (f"$ga += _p{depth}e", f"$tt += _p{depth}t") if depth else ()
     check = ()
     if verify:
         check = (
@@ -415,7 +387,6 @@ def _rcmp_description(mechanism, verify):
             "    raise _RM($sid, expected=_x, actual=_v, pc=$pc)",
         )
     fired = (
-        *residence,
         "_st.recomputations_fired += 1",
         "_sll[_rl] += 1",
         "_fired.add($sid)",
@@ -667,7 +638,7 @@ def _per_pc_unit(shape, values, names):
     """The per-pc function of one shape, rendered on its first demand.
 
     *shape* is ``(family, variant, boxes, dest, cost, traced, writer,
-    read_only)``: the class's fields (with ``(mechanism, verify)`` as
+    read_only)``: the class's fields (with ``(probe depth, verify)`` as
     the variant of RCMP), whether the function appends trace columns,
     whether it appends to its destination's writers, and the number of
     read-only ranges a store checks.  Its recipe binds the operand and
@@ -718,8 +689,8 @@ def _per_pc_unit(shape, values, names):
     if variant is None:
         label = family
     elif family == "rcmp":
-        mechanism, verify = variant
-        label = f"rcmp-{mechanism}" + ("-verify" if verify else "")
+        depth, verify = variant
+        label = f"rcmp{depth}" + ("-verify" if verify else "")
     else:
         label = variant.value
     unit = _SHAPES[shape] = _planned(
@@ -988,7 +959,6 @@ def _environment(cpu, table):
         env.update(
             _rec=hist.record,
             _hent=hist._entries,
-            _hr=hist.read,
             _hst=hist.stats,
             _fired=cpu.fired_slice_ids,
             _sfs=cpu.sfile.stats,
@@ -1010,9 +980,9 @@ def _decode(cpu):
     """Bind *cpu*'s program plan into a :class:`_BatchTable`.
 
     Each pc the plan classified binds the per-pc unit of its shape; a
-    ``REC`` on a CPU without a Hist, an ``RCMP`` under a policy without
-    a mechanism or a live telemetry session, ``HALT`` and every pc the
-    plan left unclassified run the classic handler.  ``fns`` ends in
+    ``REC`` on a CPU without a Hist, an ``RCMP`` under a policy that is
+    not a paper policy or a live telemetry session, ``HALT`` and every
+    pc the plan left unclassified run the classic handler.  ``fns`` ends in
     one sentinel entry (index ``len(program)``) raising the classic
     "ran off the end" fault, so the hot loop needs no bounds check; its
     category slot is ``None`` and its hit count is never flushed into
@@ -1027,10 +997,10 @@ def _decode(cpu):
     metered = get_telemetry().enabled
     table = _BatchTable(len(instructions) + 1, metered)
     env = _environment(cpu, table)
-    # How RCMP decides on this run (see :data:`_MECHANISMS`); None
+    # How deep RCMP probes on this run (see :data:`_DECISION`); None
     # leaves RCMP on the classic handler, which live telemetry sessions
     # (per-RCMP decision records) need.
-    mechanism = None if metered else cpu._rcmp_mechanism()
+    depth = None if metered else cpu._rcmp_depth()
     # Stores compare against the read-only ranges (bound per CPU as one
     # flat tuple); with none configured the check renders away.
     read_only = len(cpu.memory._read_only)
@@ -1040,9 +1010,7 @@ def _decode(cpu):
         if family is None or family == "rec" and "_rec" not in env:
             values = None
         elif family == "rcmp":
-            values = None if mechanism is None else _rcmp_values(
-                cpu, table, found, pc, mechanism
-            )
+            values = None if depth is None else _rcmp_values(cpu, table, found, pc)
         else:
             values = found.consts
         if values is None:
@@ -1056,7 +1024,7 @@ def _decode(cpu):
                 values["_wra"] = writers.append
         shape = (
             family,
-            (mechanism, cpu.verify) if family == "rcmp" else found.variant,
+            (depth, cpu.verify) if family == "rcmp" else found.variant,
             found.boxes,
             found.dest,
             found.cost,
@@ -1084,13 +1052,13 @@ def _decode(cpu):
     return table
 
 
-def _rcmp_values(cpu, table, found, pc, mechanism):
+def _rcmp_values(cpu, table, found, pc):
     """An RCMP's own values on *cpu*, or None when its binary has no such slice.
 
     Its slice's checkpoint keys ``_hk``, whether its scratch demand
     fits the SFile (``_ok``), the cell ``_sc`` it calls the slice
-    through and, for the table mechanism, whether the slice fires at
-    each residence (``_ft1``/``_ft2``/``_ftm``).
+    through and whether the slice fires at each residence
+    (``_ft1``/``_ft2``/``_ftm``).
     """
     try:
         info = cpu.binary.info_for(found.consts["_sid"])
@@ -1104,8 +1072,7 @@ def _rcmp_values(cpu, table, found, pc, mechanism):
         _ok=info.sreg_demand <= cpu.sfile.capacity,
         _sc=_slice_cell(cpu, table, info, pc),
     )
-    if mechanism == "table":
-        values["_ft1"], values["_ft2"], values["_ftm"] = cpu._rcmp_fire_table(info)
+    values["_ft1"], values["_ft2"], values["_ftm"] = cpu._rcmp_fire_table(info)
     return values
 
 
@@ -1124,15 +1091,9 @@ def _thunk(cpu, pc, instruction):
 
     Covers the amnesic control opcodes, slice-region pcs, and any
     statically odd instruction whose classic handler should fault at
-    runtime.
+    runtime.  ``CPU._build_dispatch`` maps every opcode.
     """
-    handler = cpu._dispatch.get(instruction.opcode)
-    if handler is None:
-        def f(cpu=cpu, pc=pc, instruction=instruction):
-            cpu.pc = pc
-            raise MachineFault(f"undecodable instruction {instruction}", pc=pc)
-
-        return f
+    handler = cpu._dispatch[instruction.opcode]
 
     def f(cpu=cpu, pc=pc, handler=handler, instruction=instruction):
         cpu.pc = pc
@@ -1225,10 +1186,10 @@ class _BatchTable:
     ``fault_pc`` is how a fused function reports the faulting element's
     pc to the outer loop (whose local ``pc`` still holds the entry pc
     when the function raises).  ``env`` is the CPU environment every
-    function binds (see :func:`_environment`); ``slices`` caches fused
-    slice traversals (None: not expressible); ``metered`` records
-    whether a telemetry session was live at decode (RCMP then stays on
-    the classic handler).
+    function binds (see :func:`_environment`); ``slices`` holds the slice
+    traversal each RCMP pc runs (see :func:`_slice_traversal`);
+    ``metered`` records whether a telemetry session was live at decode
+    (RCMP then stays on the classic handler).
     """
 
     __slots__ = (
@@ -1636,17 +1597,21 @@ def _render_loop(scope, loop, rid):
     )
 
 
-#: One checkpointed operand read, inlined from ``HistoryTable.read``: a
-#: present entry counts and moves to the MRU end; a missing one calls
-#: the method, which counts the miss and raises its ``KeyError``.
+#: One checkpointed operand read, inlined from ``HistoryTable.read``
+#: and the scheduler's Hist charge; a missing entry raises ``KeyError``.
+#: Its LRU promotion waits for the slice's last value
+#: (:data:`_HIST_PROMOTE`).
 _HIST_READ = (
-    "_he = _hent.get($key)",
-    "if _he is None:",
-    "    _hr($sid, $leaf, $slot)",
+    "$out = _hent[$key][$slot]",
     "$hrd += 1",
-    "_hent.move_to_end($key)",
-    "$out = _he[$slot]",
+    "$gh += _hce",
+    ("time", "$tt += _hct"),
+    "$hn += 1",
 )
+
+#: A Hist read's LRU promotion, run with the slice's IBuff fetches once
+#: every value is computed.
+_HIST_PROMOTE = ("_hent.move_to_end($key)",)
 
 #: One slice-instruction fetch, inlined from ``InstructionBuffer.fetch``
 #: on a hit; a miss calls the method, which fills and may evict.
@@ -1678,14 +1643,14 @@ def _render_slice(program, slice_id, capacity, offload, names):
     (``_v<n>``), so the Renamer and SFile see no call at all: every
     traversal starts and ends with them reset, and their counters only
     depend on the slice's static read/write sequence, so they are added
-    as constants on exit.  IBuff fetches and Hist reads run inline in classic order,
-    LRU promotions included.  On a fault, ``_p`` names the fault point
-    (a Hist read or an element's compute), whose static prefix gives
-    what the interpreter had counted by then (count-before-execute, so
-    the faulting element too); accumulators are written back on both
-    exits.  An evaluator fault leaves tagged with the element's pc; the
-    scheduler discards it either way.  *capacity* is the SFile's and
-    *offload* the CPU's ``concurrent_offload``; costs bind per CPU.
+    as constants on exit.  Values and charges stay in locals until the
+    last value is computed; only then do the IBuff fetches and Hist LRU
+    promotions run, in classic order, and the locals write back.  A
+    traversal that raises has therefore touched nothing, and it hands
+    the slice to ``_ref``, the reference traversal from the RCMP's pc,
+    which faults exactly as classic does (see :func:`_slice_traversal`).
+    *capacity* is the SFile's and *offload* the CPU's
+    ``concurrent_offload``; costs bind per CPU.
 
     Returns ``None`` for slices the generator cannot express — among
     them a slice that reads a scratch register before writing it, or
@@ -1695,21 +1660,16 @@ def _render_slice(program, slice_id, capacity, offload, names):
     region = program.slices[slice_id]
     start, end = region.start, region.end
     length = end - 1 - start
-    recipe = {}
+    recipe = {"_ref": ("pc", "_ref")}
     recipe["_hce"], recipe["_hct"] = _cost("hist_read_cost")
     flags = () if offload else ("time",)
 
     lines = []
+    commits = []
     tally = {}
-    points = []
     written = set()
-    # Renamer requests, SFile reads, SFile writes so far.
+    # Renamer requests, SFile reads, SFile writes.
     requests = reads = writes = 0
-
-    def mark(j, counted):
-        points.append((j, counted, requests, reads, writes, len(written)))
-        lines.append(f"_p = {len(points) - 1}")
-
     for j, pc in enumerate(range(start, end - 1)):
         instruction = program.instruction_at(pc)
         evaluator = _EVALUATORS.get(instruction.opcode)
@@ -1718,8 +1678,7 @@ def _render_slice(program, slice_id, capacity, offload, names):
             return None
         category = instruction.category
         tally[category] = tally.get(category, 0) + 1
-        counted = tuple(tally.items())
-        lines += _render(_IBUFF_FETCH, dict(_HOISTED, pc=str(pc)), (), {})
+        commits += _render(_IBUFF_FETCH, dict(_HOISTED, pc=str(pc)), (), {})
         recipe[f"_e{j}"], recipe[f"_t{j}"] = _cost("slice_instruction_cost", category)
         subs = dict(_HOISTED, pc=str(pc), e=f"_e{j}", t=f"_t{j}", ev=f"_ev{j}")
         kinds = []
@@ -1732,22 +1691,13 @@ def _render_slice(program, slice_id, capacity, offload, names):
                 reads += 1
                 subs[f"s{n}"] = f"_v{src.index}"
             elif isinstance(src, HistRef):
-                name = subs[f"s{n}"] = f"_a{j}_{n}"
-                mark(j, counted)
-                lines += _render(
-                    _HIST_READ,
-                    dict(
-                        _HOISTED, key=repr((slice_id, src.leaf_id)),
-                        sid=str(slice_id), leaf=str(src.leaf_id),
-                        slot=str(src.slot), out=name,
-                    ),
-                    (),
-                    {},
+                read = dict(
+                    _HOISTED, key=repr((slice_id, src.leaf_id)),
+                    slot=str(src.slot), out=f"_a{j}_{n}",
                 )
-                lines.append("_gh += _hce")
-                if not offload:
-                    lines.append("_tt += _hct")
-                lines.append("_hn += 1")
+                subs[f"s{n}"] = read["out"]
+                lines += _render(_HIST_READ, read, flags, {})
+                commits += _render(_HIST_PROMOTE, read, (), {})
             elif isinstance(src, Reg) and src.index:
                 subs[f"s{n}"] = f"_r[{src.index}]"
             elif isinstance(src, Reg):
@@ -1758,7 +1708,6 @@ def _render_slice(program, slice_id, capacity, offload, names):
                 kinds[-1] = _const_kind(src.value)
             else:
                 return None
-        mark(j, counted)
         hooks = {"dest": lambda value, d=dest.index: [f"_v{d} = {value}"]}
         items = _compute_description(instruction.opcode, tuple(kinds))
         if "ev" in _formats(items)[1]:
@@ -1781,35 +1730,25 @@ def _render_slice(program, slice_id, capacity, offload, names):
     requests += 1
     reads += 1
     recipe["_re"], recipe["_rt"] = _cost("rtn_cost")
-    recipe["_pref"] = ("value", tuple(points))
     tally[rtn.category] = tally.get(rtn.category, 0) + 1
-    success_counts = []
+    counts = []
     for i, (category, count) in enumerate(
         sorted(tally.items(), key=lambda item: item[0].name)
     ):
         recipe[f"_cat{i}"] = ("value", category)
-        success_counts.append(f"_bc[_cat{i}] += {count}")
+        counts.append(f"_bc[_cat{i}] += {count}")
 
     prologue, writeback = _hoist(("tt", "gn", "ga", "gh", "hn", "hrd", "ih"))
-    fault = [
-        "_j, _cats, _rq, _rd, _wr, _al = _pref[_p]",
-        "_st.dynamic_instructions += _j + 1",
-        "_st.slice_instructions_executed += _j + 1",
-        "for _cat, _n in _cats:",
-        "    _bc[_cat] += _n",
-        "_sfs.rename_requests += _rq",
-        "_sfs.reads += _rd",
-        "_sfs.writes += _wr",
-        "if _sfs.high_water < _al:",
-        "    _sfs.high_water = _al",
-        *writeback,
-        "_cpu._dynamic_index += _j",
-        "raise",
-    ]
-    success = [
+    source = [
+        *prologue,
+        "try:",
+        *("    " + line for line in lines),
+        "except Exception:",
+        "    return _ref()",
+        *commits,
         f"_st.dynamic_instructions += {length + 1}",
         f"_st.slice_instructions_executed += {length}",
-        *success_counts,
+        *counts,
         f"_sfs.rename_requests += {requests}",
         f"_sfs.reads += {reads}",
         f"_sfs.writes += {writes}",
@@ -1821,49 +1760,47 @@ def _render_slice(program, slice_id, capacity, offload, names):
         f"_cpu._dynamic_index += {length + 1}",
         f"return _v{result.index}",
     ]
-    source = [
-        "    _p = 0",
-        *("    " + line for line in prologue),
-        "    try:",
-        *("        " + line for line in lines),
-        "    except BaseException:",
-        *("        " + line for line in fault),
-        *("    " + line for line in success),
-    ]
     return _planned(
-        "_slice", source, recipe, f"<slice {program.name}:{slice_id}>", names
+        "_slice", ["    " + line for line in source], recipe,
+        f"<slice {program.name}:{slice_id}>", names,
     )
 
 
-def _slice_traversal(cpu, table, slice_id):
-    """The fused traversal of one slice, bound once per decode."""
+def _slice_traversal(cpu, table, info, pc):
+    """The traversal the ``RCMP`` at *pc* runs, bound once per decode.
+
+    The slice's fused function when the generator can express it, else
+    the reference itself: ``AmnesicCPU._traverse_slice`` from the
+    RCMP's pc, which a fused traversal that raises hands its slice to.
+    """
     try:
-        return table.slices[slice_id]
+        return table.slices[pc]
     except KeyError:
-        env = table.env
-        unit = _plan(cpu.program).slice_for(
-            cpu.program, slice_id, cpu.sfile.capacity, cpu.concurrent_offload, env
-        )
-        fused = table.slices[slice_id] = None if unit is None else _bound(unit, env)
-        return fused
+        pass
+
+    def reference():
+        cpu.pc = pc
+        return super(BatchedExecutionMixin, cpu)._traverse_slice(info)
+
+    unit = _plan(cpu.program).slice_for(
+        cpu.program, info.slice_id, cpu.sfile.capacity, cpu.concurrent_offload,
+        table.env,
+    )
+    traverse = table.slices[pc] = (
+        reference if unit is None else _bound(unit, table.env, {"_ref": reference})
+    )
+    return traverse
 
 
 def _slice_cell(cpu, table, info, pc):
     """The one-slot cell an RCMP function calls its slice through.
 
-    The slice fuses on its first fire, so slices that never fire cost
-    no code generation; one the generator cannot express runs the
-    interpreted reference, which reads the RCMP's pc for its faults.
+    The traversal binds on the slice's first fire, so slices that never
+    fire cost no code generation.
     """
 
     def first():
-        traverse = _slice_traversal(cpu, table, info.slice_id)
-        if traverse is None:
-            def traverse():
-                cpu.pc = pc
-                return cpu._traverse_slice(info)
-
-        cell[0] = traverse
+        traverse = cell[0] = _slice_traversal(cpu, table, info, pc)
         return traverse()
 
     cell = [first]
@@ -2099,8 +2036,8 @@ class BatchedExecutionMixin:
     self-loops fuse whole, every other batchable region outside a slice
     fuses on its own, and in-slice regions stay per-pc.  On amnesic
     machines, slice traversals run fused too (unless a timeline is
-    attached), and RCMP renders per pc when :meth:`_rcmp_mechanism`
-    names one.  An amnesic run from the initial state forks at its
+    attached), and RCMP renders per pc when :meth:`_rcmp_depth` gives
+    a probe depth.  An amnesic run from the initial state forks at its
     binary's first RCMP (see :func:`_fork`): it resumes from the
     binary's snapshot when one exists and its budget reaches past it,
     so the instructions it retires include ones it never executed.  See
@@ -2124,21 +2061,22 @@ class BatchedExecutionMixin:
         # it; _decoded() rebuilds on demand.  Chained through super() so
         # cooperating bases (AmnesicCPU's telemetry handles) get to drop
         # their own state too.
-        state = dict(super().__getstate__())
+        state = super().__getstate__()
         state.pop("_batch_decode", None)
         return state
 
-    def _rcmp_mechanism(self):
-        """The :data:`_MECHANISMS` key RCMP decides by (None: classic)."""
+    def _rcmp_depth(self):
+        """How deep RCMP probes when it renders per pc (None: classic).
+
+        See :data:`_DECISION`.
+        """
         return None
 
     def _traverse_slice(self, info):
         if self._timeline is None:
             # Nothing on the interpreted path emits an observable event
             # without a timeline, so the fused traversal is exact.
-            fused = _slice_traversal(self, self._decoded(), info.slice_id)
-            if fused is not None:
-                return fused()
+            return _slice_traversal(self, self._decoded(), info, self.pc)()
         return super()._traverse_slice(info)
 
     def _run_loop(self) -> None:

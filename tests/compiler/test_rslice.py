@@ -7,7 +7,7 @@ from repro.compiler.rslice import (
     TemplateNode,
 )
 from repro.energy import Cost
-from repro.isa import Category, Opcode
+from repro.isa import Opcode
 
 
 def leaf(pc, reg=None, const=None):
@@ -99,15 +99,6 @@ def test_nonrecomputable_detection():
     a.leaf_inputs[0].kind = LeafInputKind.LIVE_REG
     assert not rslice.has_nonrecomputable_inputs
     assert rslice.hist_leaves() == []
-
-
-def test_category_counts_uses_mov_for_checkpoint_loads():
-    node = TemplateNode(pc=1, opcode=Opcode.MUL, is_checkpoint_load=True,
-                        leaf_inputs=[LeafInput.register(0, 3)])
-    rslice = make_rslice(node)
-    counts = rslice.category_counts()
-    assert counts[Category.MOVE] == 1
-    assert Category.INT_MUL not in counts
 
 
 def test_leaf_input_kinds():

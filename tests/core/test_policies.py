@@ -38,6 +38,50 @@ def make_context(address=0x100, traversal_energy=2.0, warm=False):
                        hierarchy=hierarchy, model=model)
 
 
+LEVELS = (Level.L1, Level.L2, Level.MEM)
+
+
+@pytest.mark.parametrize(
+    ("policy", "through", "fires"),
+    [
+        (CompilerPolicy(), None, (True, True, True)),
+        (FLCPolicy(), Level.L1, (False, True, True)),
+        (LLCPolicy(), Level.L2, (False, False, True)),
+        # A 2 nJ slice: dearer than an L1 load, cheaper than L2 or MEM.
+        (OracleDecisionPolicy(), None, (False, True, True)),
+        (OracleDecisionPolicy("Oracle"), None, (False, True, True)),
+    ],
+    ids=lambda value: getattr(value, "name", None),
+)
+def test_paper_policy_is_a_probe_depth_and_a_fire_rule(policy, through, fires):
+    context = make_context(traversal_energy=2.0)
+    assert policy.probe_through is through
+    assert (
+        tuple(
+            policy.fires_at(level, context.slice_info, context.model)
+            for level in LEVELS
+        )
+        == fires
+    )
+
+
+@pytest.mark.parametrize("warmth", ("L1", "L2", "MEM"))
+@pytest.mark.parametrize(
+    "policy", (CompilerPolicy(), FLCPolicy(), LLCPolicy(), OracleDecisionPolicy()),
+    ids=lambda policy: policy.name,
+)
+def test_decide_fires_by_the_rule_at_the_residence(policy, warmth):
+    context = make_context(warm=warmth != "MEM")
+    if warmth == "L2":
+        for index in range(1, 5):
+            context.hierarchy.load(context.address + index * 8)
+    level = context.hierarchy.residence(context.address)
+    assert level.value == warmth
+    decision = policy.decide(context)
+    assert decision.fire == policy.fires_at(level, context.slice_info, context.model)
+    assert (decision.probe_cost is None) == (policy.probe_through is None)
+
+
 def test_compiler_always_fires():
     decision = CompilerPolicy().decide(make_context(warm=True))
     assert decision.fire

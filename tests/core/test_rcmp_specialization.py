@@ -1,9 +1,11 @@
 """Per-policy RCMP on ``fast-batched``: what stays classic, what gets caught.
 
-``fast-batched`` renders each RCMP for the run's policy mechanism; a
-live telemetry session keeps the classic scheduler so per-RCMP decision
-records and ``rcmp.*``/``policy.*`` metrics are the classic ones, and an
-unmetered run never enters the classic handler at all.  The broken
+``fast-batched`` renders each RCMP of a paper policy from its probe
+depth and fire rule, so policies of one depth share the RCMP code; a
+live telemetry session and any other policy (a paper policy's subclass
+included) keep the classic scheduler, so per-RCMP decision records and
+``rcmp.*``/``policy.*`` metrics are the classic ones, and an unmetered
+paper-policy run never enters the classic handler at all.  The broken
 RCMP twins of :mod:`repro.fuzz.faults` must be caught both by the
 backend-equivalence oracle on a committed corpus entry and by the
 kernel parity comparison.
@@ -11,14 +13,15 @@ kernel parity comparison.
 
 import copy
 import dataclasses
+import operator
 from pathlib import Path
 
 import pytest
 
 from repro.core.amnesic_cpu import AmnesicCPU
-from repro.core.backend import BACKENDS
+from repro.core.backend import BACKENDS, BatchedFastAmnesicCPU
 from repro.core.execution import prepare_evaluation, run_amnesic
-from repro.core.policies import POLICY_NAMES, make_policy
+from repro.core.policies import POLICY_NAMES, LLCPolicy, make_policy
 from repro.energy import paper_energy_model
 from repro.errors import RecomputationMismatch
 from repro.fuzz import (
@@ -30,7 +33,7 @@ from repro.fuzz import (
 from repro.fuzz.corpus import corpus_paths
 from repro.fuzz.faults import stale_hist_lru, unprobed_l2
 from repro.fuzz.oracle import _observable
-from repro.isa import Imm
+from repro.isa import Imm, Opcode
 from repro.telemetry.runtime import telemetry_session
 from repro.telemetry.sink import ListSink
 from repro.workloads.suite import get
@@ -90,6 +93,59 @@ def test_unmetered_run_never_enters_the_classic_scheduler(mcf, monkeypatch):
         assert entered == [], policy
     run_amnesic(setup.compilation_for("FLC"), "FLC", model, backend="classic")
     assert entered, "the patched handler is not the one classic calls"
+
+
+def test_policies_of_one_probe_depth_bind_one_rcmp_code(mcf):
+    model, setup = mcf
+    binary = setup.compilation_for("Compiler").binary
+    rcmps = [
+        pc
+        for pc, instruction in enumerate(binary.program.instructions)
+        if instruction.opcode is Opcode.RCMP
+    ]
+    assert rcmps
+    codes = {}
+    for policy in ("Compiler", "C-Oracle", "FLC"):
+        cpu = BatchedFastAmnesicCPU(binary, model, make_policy(policy))
+        cpu.run()
+        fns = cpu._decoded().fns
+        codes[policy] = [fns[pc].__code__ for pc in rcmps]
+        assert cpu._rcmp_depth() == (1 if policy == "FLC" else 0)
+    assert all(map(operator.is_, codes["Compiler"], codes["C-Oracle"]))
+    assert not any(map(operator.is_, codes["Compiler"], codes["FLC"]))
+
+
+class FreeProbeLLC(LLCPolicy):
+    """LLC that decides for itself: its probes cost nothing."""
+
+    name = "LLC-free-probe"
+
+    def decide(self, context):
+        return dataclasses.replace(super().decide(context), probe_cost=None)
+
+
+def test_subclass_that_overrides_decide_keeps_the_classic_scheduler(
+    mcf, monkeypatch
+):
+    model, setup = mcf
+    compilation = setup.compilation_for("LLC")
+    entered = []
+    handler = AmnesicCPU._execute_rcmp
+
+    def counting(self, instruction):
+        entered.append(type(self).__name__)
+        return handler(self, instruction)
+
+    monkeypatch.setattr(AmnesicCPU, "_execute_rcmp", counting)
+    reference, fast = (
+        run_amnesic(compilation, FreeProbeLLC(), model, backend=backend).cpu
+        for backend in ("classic", "fast-batched")
+    )
+    assert fast._rcmp_depth() is None
+    assert entered.count("BatchedFastAmnesicCPU") == fast.stats.rcmp_encountered > 0
+    assert _observable(fast) == _observable(reference)
+    llc = run_amnesic(compilation, "LLC", model, backend="fast-batched").cpu
+    assert llc.account.snapshot() != fast.account.snapshot()
 
 
 @pytest.mark.parametrize("capacity", (1, 2))

@@ -170,7 +170,7 @@ def test_fault_parity_counterexamples_are_banked(tmp_path):
 
 
 def test_banked_entries_keep_the_campaigns_policies_and_budget(tmp_path):
-    # The L2-probe twin is a fast-path mechanism regenerated in place, so
+    # The L2-probe twin is a fast-path decision regenerated in place, so
     # the campaign names plain fast-batched; LLC alone exercises it.
     model = default_fuzz_model()
     corpus_dir = str(tmp_path / "corpus")

@@ -289,6 +289,39 @@ def test_repeated_runs_flush_clean():
     assert first == classic.stats.dynamic_instructions
 
 
+def test_getstate_chain_ends_at_cpu():
+    # ``object.__getstate__`` exists only from Python 3.11, so the chain
+    # every CPU pickles through must end at CPU's own.
+    from repro.core.backend import BatchedFastAmnesicCPU
+
+    *bases, root = BatchedFastAmnesicCPU.__mro__
+    assert root is object
+    defining = [cls for cls in bases if "__getstate__" in vars(cls)]
+    assert defining[-1] is CPU
+    cpu = CPU(hot_region_kernel(iterations=2), make_model())
+    state = cpu.__getstate__()
+    assert state == cpu.__dict__ and state is not cpu.__dict__
+
+
+def test_pickle_round_trip_of_a_fast_amnesic_cpu():
+    from repro.compiler.amnesic_pass import compile_amnesic
+    from repro.core.backend import BatchedFastAmnesicCPU
+    from repro.core.policies import make_policy
+    from repro.fuzz.oracle import _observable
+
+    from ..conftest import build_spill_kernel
+
+    model = make_model()
+    binary = compile_amnesic(build_spill_kernel(), model).binary
+    cpu = BatchedFastAmnesicCPU(binary, model, make_policy("FLC"))
+    cpu.run()
+    assert cpu.stats.recomputations_fired > 0
+    assert "_batch_decode" in cpu.__dict__
+    clone = pickle.loads(pickle.dumps(cpu))
+    assert "_batch_decode" not in clone.__dict__
+    assert _observable(clone) == _observable(cpu)
+
+
 def test_pickle_drops_the_batched_decode_cache():
     program = hot_region_kernel(iterations=2)
     cpu = BatchedFastCPU(program, make_model())
@@ -398,6 +431,43 @@ def test_slice_abort_parity_across_backends(kernel, position):
             ), (name, structure)
         assert cpu.hist.entries() == reference.hist.entries(), name
         assert cpu.ibuff.entries() == reference.ibuff.entries(), name
+
+
+@pytest.mark.parametrize("kernel", ["bfs", "cg", "sx"])
+def test_fused_slice_reruns_the_reference_once_per_abort(kernel, monkeypatch):
+    # A fused slice that raises leaves the machine untouched and hands
+    # the slice to the reference traversal, which faults as classic
+    # does; a slice that does not raise never reaches it.
+    from repro.compiler.amnesic_pass import compile_amnesic
+    from repro.core.amnesic_cpu import AmnesicCPU
+    from repro.core.backend import BatchedFastAmnesicCPU
+    from repro.core.policies import make_policy
+    from repro.energy import paper_energy_model
+    from repro.workloads import SCALE_SMALL, get
+
+    calls = []
+    reference = AmnesicCPU._traverse_slice
+
+    def spy(self, info):
+        calls.append(info.slice_id)
+        return reference(self, info)
+
+    monkeypatch.setattr(AmnesicCPU, "_traverse_slice", spy)
+    model = paper_energy_model()
+    compilation = compile_amnesic(get(kernel).instantiate(SCALE_SMALL), model)
+    for position in (None, "first", "last"):
+        binary = (
+            compilation.binary
+            if position is None
+            else poisoned_binary(compilation, position)
+        )
+        cpu = BatchedFastAmnesicCPU(binary, model, make_policy("Compiler"))
+        cpu.run()
+        assert cpu.stats.recomputations_fired > 0
+        aborts = cpu.stats.recomputation_aborts
+        assert (aborts > 0) == (position is not None)
+        assert calls == [0] * aborts, position
+        calls.clear()
 
 
 # ----------------------------------------------------------------------

@@ -103,7 +103,11 @@ LRU_PROBE = MachineConfig(
 # One reported failure, not a group, and one explicit example that
 # needs the L2 promotion: the twin test expects an AssertionError under
 # every Hypothesis profile, random search or not.
-@settings(max_examples=150, deadline=None, report_multiple_bugs=False)
+@settings(
+    max_examples=settings.default.max_examples * 3 // 2,
+    deadline=None,
+    report_multiple_bugs=False,
+)
 @given(configs(), streams)
 @example(LRU_PROBE, [(0, False), (1, False), (0, False), (2, False), (0, False)])
 def test_walk_matches_composed_reference(config, stream):

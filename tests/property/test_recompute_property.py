@@ -84,7 +84,7 @@ def kernel_programs(draw):
 
 
 @settings(
-    max_examples=25,
+    max_examples=settings.default.max_examples // 4,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -101,7 +101,7 @@ def test_amnesic_execution_is_invisible(program):
 
 
 @settings(
-    max_examples=10,
+    max_examples=settings.default.max_examples // 10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )

@@ -143,7 +143,7 @@ def assert_same_dynamic_footprint(program, max_instructions):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=25)
+@settings(max_examples=settings.default.max_examples // 4)
 def test_regions_partition_generated_programs(seed):
     program = generated_program(seed)
     assume(program is not None)
@@ -152,7 +152,7 @@ def test_regions_partition_generated_programs(seed):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=25)
+@settings(max_examples=settings.default.max_examples // 4)
 def test_reported_loops_have_the_claimed_shape(seed):
     program = generated_program(seed)
     assume(program is not None)
@@ -163,7 +163,7 @@ def test_reported_loops_have_the_claimed_shape(seed):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     budget=st.one_of(st.none(), st.integers(min_value=1, max_value=200)),
 )
-@settings(max_examples=25)
+@settings(max_examples=settings.default.max_examples // 4)
 def test_batched_visits_classic_pcs_on_generated_programs(seed, budget):
     # ``budget=None`` exercises clean completion (or the program's own
     # classic fault); small budgets land the limit at arbitrary region

@@ -18,7 +18,7 @@ hist_ops = st.lists(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=settings.default.max_examples * 4 // 5, deadline=None)
 @given(hist_ops, st.integers(min_value=1, max_value=6))
 def test_hist_matches_reference_lru_model(operations, capacity):
     hist = HistoryTable(capacity=capacity)
@@ -57,7 +57,7 @@ sfile_ops = st.lists(
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=settings.default.max_examples * 4 // 5, deadline=None)
 @given(sfile_ops)
 def test_renamer_matches_reference_dict(operations):
     sfile = SFile(capacity=16)

@@ -23,7 +23,7 @@ MODEL = default_fuzz_model()
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     budget=st.one_of(st.none(), st.integers(min_value=1, max_value=300)),
 )
-@settings(max_examples=25)
+@settings(max_examples=settings.default.max_examples // 4)
 def test_traced_fast_path_builds_classic_columns(seed, budget):
     try:
         program = materialize(random_spec(seed))
