@@ -7,10 +7,11 @@ program that exercises the broken path, the oracle flags the
 divergence, and the shrinker reduces it to a minimal counterexample.
 They are shipped in the package (not buried in tests) so future
 scheduler/backend work can re-run the same mutation check against new
-policies.  Five break what is computed once and reused (the compiler's
-front-end memo, fast-path decode plans, the one-call miss walk, and the
-fork every later run of a binary resumes from); the oracle cannot see
-most of them, so each names the test that does.
+policies.  Six break what is computed once and reused (the compiler's
+front-end memo, fast-path decode plans, fused code shared by shape, the
+one-call miss walk, and the fork every later run of a binary resumes
+from); the oracle cannot see most of them, so each names the test that
+does.
 """
 
 from __future__ import annotations
@@ -259,6 +260,29 @@ def stale_hist_lru():
     return _regenerated(vars(fastpath), "_HIST_PROMOTE", ())
 
 
+def shape_key_drops_literal():
+    """Write int immediates into fused code as literals its shape key leaves out.
+
+    Bug: fused regions, loops and slices compile once per shape, and
+    each binds its immediates as parameters of its own, so the shape
+    key records where an immediate is read, not its value.  This edit
+    writes an int immediate into the rendered source instead, as fused
+    code did when it was compiled per program, while the key still
+    leaves the value out: two programs whose units differ only in that
+    immediate share the code rendered for whichever decoded first, and
+    the second computes with the first one's literal.  A program alone
+    stays exact; the fast-batched replay of the committed corpus, whose
+    entries share shapes, must catch it.
+    """
+    immediate = fastpath._immediate
+
+    def literal(unit, value):
+        part, text = immediate(unit, value)
+        return part, repr(value) if type(value) is int else text
+
+    return _regenerated(vars(fastpath), "_immediate", literal)
+
+
 def fork_aliases_state():
     """Resume forked runs in the snapshot's own cache sets, not copies.
 
@@ -343,6 +367,7 @@ __all__ = [
     "late_replay",
     "loop_budget_late",
     "plan_by_name",
+    "shape_key_drops_literal",
     "stale_hist_lru",
     "stale_l2_lru",
     "stale_load_lru",

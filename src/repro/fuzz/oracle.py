@@ -328,6 +328,19 @@ def _hold_to_classic(
     return tested_error
 
 
+def _fields(stats) -> dict:
+    """A stats object's fields by name, each mapping as a plain ``dict``.
+
+    A plain copy keeps the comparison exact (a zero count on one side
+    only differs, which ``Counter`` equality forgives) and prints as the
+    counts themselves.
+    """
+    return {
+        name: dict(value) if isinstance(value, dict) else value
+        for name, value in vars(stats).items()
+    }
+
+
 def _observable(cpu: CPU) -> dict:
     """Everything two backends must agree on after a run, by name."""
     state = {
@@ -335,14 +348,14 @@ def _observable(cpu: CPU) -> dict:
         "memory": cpu.memory.snapshot(),
         "pc": cpu.pc,
         "dynamic instructions": cpu.dynamic_count,
-        "run stats": dataclasses.asdict(cpu.stats),
-        "hierarchy stats": dataclasses.asdict(cpu.hierarchy.stats),
+        "run stats": _fields(cpu.stats),
+        "hierarchy stats": _fields(cpu.hierarchy.stats),
     }
     for name in ("l1", "l2"):
         cache = getattr(cpu.hierarchy, name)
         state[f"{name} state"] = cache.observe()
         # Tag probes and LRU order: what the RCMP decisions touch.
-        state[f"{name} stats"] = dataclasses.asdict(cache.stats)
+        state[f"{name} stats"] = _fields(cache.stats)
         state[f"{name} lines"] = list(cache.resident_lines().items())
     state["energy breakdown"] = cpu.account.breakdown()
     state["modeled time"] = cpu.account.total_time_ns

@@ -43,15 +43,21 @@ description renders five ways:
   its slice on the interpreted reference, which faults as classic
   does.
 
-One plan, one binder.  A program's first untraced decode builds its
-*decode plan* (:class:`_Plan`): each pc classified once (family, opcode,
-operands, branch target, evaluator, slice ids) and, rendered from that
-and the read-only ranges on first demand, each fused region, loop and
-slice as a code object with a recipe naming what each parameter binds
-to.  Per-pc code is planned by shape the same way.  Every decode binds
-the plan to its own CPU through :func:`_bound`, from one environment of
-CPU facts: registers, accounts, model costs, Hist, SFile fit, fire
-tables, slice cells and trace columns.
+One plan, one binder, code by shape.  A program's first untraced decode
+builds its *decode plan* (:class:`_Plan`): each pc classified once
+(family, opcode, operands, branch target, evaluator, slice ids) and,
+planned from that and the read-only ranges on first demand, each fused
+region, loop and slice.  All generated code is planned by shape: a
+structural key, taken before anything renders (per element its family,
+opcode, operand kinds and the pattern of its registers and immediates),
+picks the code, which renders and compiles once per process
+(:data:`_SHAPES`).  Everything a program owns (pcs, register numbers,
+immediates, read-only bounds, Hist keys, IBuff pcs) binds as a
+parameter, so code objects name no program, and a fused unit's start
+pc is its ``_s`` default.  Every decode binds the plan to its own CPU
+through :func:`_bound`, from one environment of CPU facts: registers,
+accounts, model costs, Hist, SFile fit, fire tables, slice cells and
+trace columns.
 
 ``RCMP`` renders per pc for the run's paper policy by its probe depth:
 the one decision inline (see :data:`_DECISION`: the load's residence,
@@ -106,6 +112,7 @@ from __future__ import annotations
 import builtins
 import re
 import weakref
+from collections import OrderedDict
 from functools import lru_cache
 from types import CodeType, FunctionType
 from typing import NamedTuple, Optional
@@ -630,8 +637,28 @@ def _column_emit(writer):
     return emit
 
 
-#: Per-pc units by shape (see :func:`_per_pc_unit`).
-_SHAPES = {}
+#: Compiled code by shape key, per-pc and fused alike (see
+#: :func:`_shaped`), least recently used first.
+_SHAPES = OrderedDict()
+
+#: How many shapes :data:`_SHAPES` keeps.
+_SHAPE_LIMIT = 2048
+
+
+def _shaped(key, render):
+    """The :class:`_Shape` of *key*, rendered and compiled on its first demand.
+
+    *render* returns it; the key must determine everything the rendered
+    source reads, so every unit of the shape can bind it.
+    """
+    shape = _SHAPES.get(key)
+    if shape is None:
+        shape = _SHAPES[key] = render()
+        if len(_SHAPES) > _SHAPE_LIMIT:
+            _SHAPES.popitem(last=False)
+    else:
+        _SHAPES.move_to_end(key)
+    return shape
 
 
 def _per_pc_unit(shape, values, names):
@@ -647,9 +674,10 @@ def _per_pc_unit(shape, values, names):
     from the CPU environment (*names*); every pc of one shape has the
     same values by name, so the unit serves them all.
     """
-    unit = _SHAPES.get(shape)
-    if unit is not None:
-        return unit
+    return _shaped(shape, lambda: _render_per_pc(shape, values, names))
+
+
+def _render_per_pc(shape, values, names):
     family, variant, boxes, dest, cost, traced, writer, read_only = shape
     arity = len(boxes)
     subs = dict(_AT_HOME)
@@ -678,7 +706,7 @@ def _per_pc_unit(shape, values, names):
     )
     if family in _FALLTHROUGH:
         lines.append("return _nx")
-    recipe = {name: ("pc", name) for name in values}
+    recipe = {name: ("own", name) for name in values}
     for n, box in enumerate(boxes):
         if box is not None:
             recipe[f"_b{n}"] = ("name", box)
@@ -693,59 +721,41 @@ def _per_pc_unit(shape, values, names):
         label = f"rcmp{depth}" + ("-verify" if verify else "")
     else:
         label = variant.value
-    unit = _SHAPES[shape] = _planned(
+    return _planned(
         "_f", ["    " + line for line in lines], recipe,
         f"<fastpath {label}/{arity}>", names,
     )
-    return unit
 
 
-@lru_cache(maxsize=2048)
-def _compiled_region(source, filename):
-    """Compile one generated source, cached by source.
-
-    The source embeds only pcs, opcodes, operand indices and the
-    read-only ranges; every run-dependent value (registers, accounts,
-    costs) binds through default parameters (see :func:`_bound`).  Equal
-    shapes and equal programs, such as one kernel instantiated afresh
-    for every run, share one ``compile``.
-    """
-    return compile(source, filename, "exec")
-
-
-def _function_code(name, lines, params, filename):
-    """The code of ``def name(...)`` over indented *lines*.
-
-    Every name in *params* (sorted) is a parameter defaulting to itself,
-    so what a CPU binds to it is a fast local.
-    """
-    signature = ", ".join(f"{key}={key}" for key in params)
-    source = f"def {name}({signature}):\n" + "\n".join(lines) + "\n"
-    module = _compiled_region(source, filename)
-    return next(code for code in module.co_consts if isinstance(code, CodeType))
+#: The globals of every bound function: builtins, and the constants only
+#: its fault and overflow paths read.  Everything else it reads is a
+#: parameter, a fast local.
+_GLOBALS = {
+    "__builtins__": builtins,
+    "_MF": MachineFault,
+    "_MemF": MemoryFault,
+    "_AF": ArithmeticFault,
+    "_RM": RecomputationMismatch,
+    "_wi": wrap_int64,
+}
 
 
-#: The globals of every bound function: it reads parameters and
-#: builtins only.
-_GLOBALS = {"__builtins__": builtins}
-
-
-def _bound(unit, env, values=None, fns=()):
-    """Instantiate a planned function over one CPU's environment *env*.
+def _bound(shape, env, values=None, fns=()):
+    """Instantiate the code of *shape* over one CPU's environment *env*.
 
     Each parameter's recipe entry names where its value comes from:
-    ``("name", key)`` the environment's *key*; ``("pc", key)`` the
-    bound pc's own value *key* in *values*; ``("cost", (method, args,
-    field))`` a cost of the CPU's energy model, priced once per
-    environment (the price is kept in it under the entry); ``("fn",
-    pc)`` the per-pc function ``fns[pc]``; ``("value", v)`` the constant
-    *v*.
+    ``("name", key)`` the environment's *key*; ``("own", key)`` the
+    unit's own value *key* in *values* (a pc's, or a fused unit's);
+    ``("cost", (method, args, field))`` a cost of the CPU's energy
+    model, priced once per environment (the price is kept in it under
+    the entry); ``("fn", key)`` the per-pc function at the pc
+    ``values[key]``; ``("value", v)`` the constant *v*.
     """
     defaults = []
-    for kind, arg in unit.recipe:
+    for kind, arg in shape.recipe:
         if kind == "name":
             defaults.append(env[arg])
-        elif kind == "pc":
+        elif kind == "own":
             defaults.append(values[arg])
         elif kind == "cost":
             cost = env.get(arg)
@@ -755,19 +765,18 @@ def _bound(unit, env, values=None, fns=()):
                 cost = env[arg] = getattr(getattr(model, method)(*args), field)
             defaults.append(cost)
         elif kind == "fn":
-            defaults.append(fns[arg])
+            defaults.append(fns[values[arg]])
         else:
             defaults.append(arg)
-    return FunctionType(unit.code, _GLOBALS, unit.code.co_name, tuple(defaults))
+    return FunctionType(shape.code, _GLOBALS, shape.code.co_name, tuple(defaults))
 
 
 def clear_codegen_caches():
-    """Drop every compiled source, per-pc unit and decode plan (descriptions changed).
+    """Drop every compiled shape and decode plan (descriptions changed).
 
     A plan's forks go with it, so no run resumes from a snapshot that
     other code took.
     """
-    _compiled_region.cache_clear()
     _compute_description.cache_clear()
     _rcmp_description.cache_clear()
     _SHAPES.clear()
@@ -878,8 +887,8 @@ def _environment(cpu, table):
 
     Registers and the r0 sink, memory, caches and the miss walk, the
     accounts and stats, the energy model and its load and store costs,
-    the table's count arrays and partial flush, the fault and level
-    constants, and, on an amnesic CPU, its Hist, SFile and IBuff; on a
+    the table's count arrays and fault recorder, the energy-group and
+    level constants, and, on an amnesic CPU, its Hist, SFile and IBuff; on a
     traced CPU, the tracker's append side.  Every environment binds
     every name a fused region or loop reads, and every amnesic one every
     name a slice reads, so a plan rendered for one CPU's names binds on
@@ -910,8 +919,7 @@ def _environment(cpu, table):
         "_model": cpu.model,
         "_counts": table.counts,
         "_fc": table.fused_counts,
-        "_tbl": table,
-        "_flush": _partial_flush,
+        "_fault": table.fault,
         "_cells": memory._cells,
         "_ro": tuple(bound for pair in memory._read_only for bound in pair),
         "_l1sets": l1._sets,
@@ -939,10 +947,6 @@ def _environment(cpu, table):
         "_p1t": probe1.latency_ns,
         "_p2e": probe2.energy_nj,
         "_p2t": probe2.latency_ns,
-        "_MF": MachineFault,
-        "_MemF": MemoryFault,
-        "_AF": ArithmeticFault,
-        "_RM": RecomputationMismatch,
         "_GN": GROUP_NONMEM,
         "_GL": GROUP_LOAD,
         "_GS": GROUP_STORE,
@@ -951,7 +955,6 @@ def _environment(cpu, table):
         "_L1": Level.L1,
         "_L2": Level.L2,
         "_MEM": Level.MEM,
-        "_wi": wrap_int64,
     }
     hist = getattr(cpu, "hist", None)
     if hist is not None:
@@ -1162,13 +1165,15 @@ def _off_end(pc):
 #   fused code; every other pc, a loop body start included, keeps its
 #   per-pc function, so a JR into a region or loop body runs per pc.
 #
-# Each program is analysed and rendered once, into its decode plan
+# Each program is analysed and planned once, into its decode plan
 # (:class:`_Plan`), and every decode of that program binds the plan to
-# its own CPU.  Plans are keyed by program identity, so what fuses
-# depends on that program alone, and a copy of a program never runs its
-# original's code.  A program is therefore never edited in place once
-# it has run on fast-batched: code that derives a variant (a poisoned
-# slice, a moved REC) edits a copy.
+# its own CPU.  A unit's code is its shape's, rendered once per process
+# for every program of that shape; the unit binds its own pcs,
+# registers and immediates.  Plans are keyed by program identity, so
+# what fuses depends on that program alone, and a copy of a program
+# never runs its original's units.  A program is therefore never
+# edited in place once it has run on fast-batched: code that derives a
+# variant (a poisoned slice, a moved REC) edits a copy.
 # ----------------------------------------------------------------------
 
 
@@ -1185,11 +1190,12 @@ class _BatchTable:
     and ``loops`` each fused loop's ``(header, loop-back)`` pcs.
     ``fault_pc`` is how a fused function reports the faulting element's
     pc to the outer loop (whose local ``pc`` still holds the entry pc
-    when the function raises).  ``env`` is the CPU environment every
-    function binds (see :func:`_environment`); ``slices`` holds the slice
-    traversal each RCMP pc runs (see :func:`_slice_traversal`);
-    ``metered`` records whether a telemetry session was live at decode
-    (RCMP then stays on the classic handler).
+    when the function raises; see :meth:`fault`).  ``env`` is the CPU
+    environment every function binds (see :func:`_environment`);
+    ``slices`` holds the slice traversal each RCMP pc runs (see
+    :func:`_slice_traversal`); ``metered`` records whether a telemetry
+    session was live at decode (RCMP then stays on the classic
+    handler).
     """
 
     __slots__ = (
@@ -1219,6 +1225,16 @@ class _BatchTable:
         self.slices = {}
         self.metered = metered
 
+    def fault(self, start, completed):
+        """Record a fault in the fused function at *start* after *completed* elements.
+
+        The outer loop reads the faulting element's pc from
+        ``fault_pc``, and :func:`_partial_flush` counts the elements
+        classic counted.
+        """
+        self.fault_pc = start + completed
+        _partial_flush(self.counts, start, completed)
+
     def install(self, unit):
         """Bind one planned fused region or loop (see :meth:`_Plan.fused_for`).
 
@@ -1228,37 +1244,51 @@ class _BatchTable:
         """
         self.fused_counts.append(0)
         self.fused_tails.append(unit.tail)
-        self.fns[unit.at] = _bound(unit, self.env, fns=self.fns)
+        self.fns[unit.at] = _bound(unit.shape, self.env, unit.values, self.fns)
         self.region_spans.append(unit.span)
         if unit.loop is not None:
             self.loops.append(unit.loop)
 
 
-class _Fused(NamedTuple):
-    """One planned function: its code and how a CPU binds it.
+class _Shape(NamedTuple):
+    """One compiled shape: code every unit of the shape binds.
 
     ``recipe`` holds one ``(kind, arg)`` entry per parameter, in
-    parameter order (see :func:`_bound`).  A fused region or loop also
-    names the pc whose function it replaces (``at``), the ``(first,
-    end, categories)`` its deferred count expands to (``tail``), its
-    straight-line span and, for a loop, its ``(header, loop-back)``
-    pcs; a per-pc function or a fused slice leaves them None.
+    parameter order (see :func:`_bound`); ``source`` is what was
+    compiled.
     """
 
     code: CodeType
     recipe: tuple
+    source: str
+
+
+class _Fused(NamedTuple):
+    """One program's fused region, loop or slice: a shape and its own values.
+
+    ``values`` holds what the unit binds for itself by parameter name
+    (pcs, register numbers, immediates, Hist keys; see :class:`_Unit`).
+    A fused region or loop also names the pc whose function it replaces
+    (``at``), the ``(first, end, categories)`` its deferred count
+    expands to (``tail``), its straight-line span and, for a loop, its
+    ``(header, loop-back)`` pcs; a fused slice leaves them None.
+    """
+
+    shape: _Shape
+    values: dict
     at: Optional[int] = None
     tail: Optional[tuple] = None
     span: Optional[tuple] = None
     loop: Optional[tuple] = None
 
 
-def _planned(name, lines, recipe, filename, names, **where):
-    """A :class:`_Fused` for ``def name`` over *lines*.
+def _planned(name, lines, recipe, filename, names):
+    """The :class:`_Shape` of ``def name`` over *lines*.
 
     Its parameters are the names the lines read that *recipe* binds or,
-    failing that, the CPU environment does (*names*: its keys); the
-    lines' other names are their own locals.
+    failing that, the CPU environment does (*names*: its keys), sorted;
+    each defaults to itself, so what a CPU binds to it is a fast local.
+    The lines' other names are their own locals.
     """
     bound = {}
     for token in set("\n".join(lines).translate(_SEPARATORS).split()):
@@ -1268,8 +1298,11 @@ def _planned(name, lines, recipe, filename, names, **where):
         elif found in names:
             bound[found] = ("name", found)
     params = sorted(bound)
-    code = _function_code(name, lines, params, filename)
-    return _Fused(code, tuple(bound[param] for param in params), **where)
+    signature = ", ".join(f"{key}={key}" for key in params)
+    source = f"def {name}({signature}):\n" + "\n".join(lines) + "\n"
+    module = compile(source, filename, "exec")
+    code = next(code for code in module.co_consts if isinstance(code, CodeType))
+    return _Shape(code, tuple(bound[param] for param in params), source)
 
 
 class _Plan:
@@ -1278,13 +1311,13 @@ class _Plan:
     Each pc's :class:`_Class`, made once by the program's first
     untraced decode (a traced decode reuses them, or classifies for
     itself); the region analysis (proven self-loops and batchable
-    regions), made by its first untraced decode; and, rendered on
-    first demand from the classes and the instructions, every fused
-    function: regions and loops per set of read-only ranges (the only
-    CPU input their source reads), slices per ``(slice id, SFile
-    capacity, concurrent_offload)``.  A plan holds classes, code
-    objects and binding recipes, never a CPU, a trace or a
-    :class:`_BatchTable`; each decode binds its own environment.
+    regions), made by its first untraced decode; and, planned on first
+    demand from the classes and the instructions, every fused unit
+    (:class:`_Fused`: its shape's code and its own values): regions and
+    loops per set of read-only ranges (the only CPU input they read),
+    slices per ``(slice id, SFile capacity, concurrent_offload)``.  A
+    plan holds classes, units and binding recipes, never a CPU, a trace
+    or a :class:`_BatchTable`; each decode binds its own environment.
 
     The one machine state a plan holds is ``forks``: per energy-model
     fingerprint, None once an amnesic run of the program has been seen,
@@ -1391,73 +1424,165 @@ class _Scope(NamedTuple):
     names: object
 
 
-def _fused_lines(scope, pc, recipe, families, hooks):
-    """Source lines of the instruction at *pc* inside a fused function.
+class _Unit:
+    """One fused unit while its shape is taken, before anything renders.
 
-    Registers read ``_r[n]`` directly; int immediates render as
-    literals, and other constants, costs and evaluators bind per pc
-    through *recipe*.  *hooks* renders the instruction's fault point and
-    control transfer.  Returns ``(lines, placeholders)``, or None when
-    the instruction is not of one of *families* or cannot be rendered
-    (odd operands, missing evaluator).
+    ``values`` holds what the unit binds for itself by parameter name
+    (:meth:`own`), and ``recipe`` every parameter's entry (see
+    :func:`_bound`), its own values included.  A named value gets its
+    name at first use, the prefix and how many names the prefix already
+    has, and keeps it, so a repeated value reads its first name and two
+    units that use their values in the same pattern name them alike:
+    the names are part of the shape key, the values are not.  Entries
+    the shape determines (costs per category, evaluators per opcode,
+    categories) are named the same way (:meth:`shared`).
     """
-    instruction = scope.program.instructions[pc]
+
+    __slots__ = ("values", "recipe", "_names", "_counts")
+
+    def __init__(self, recipe=(), **values):
+        self.values = {}
+        self.recipe = dict(recipe)
+        self._names = {}
+        self._counts = {}
+        for name, value in values.items():
+            self.bind(name, value)
+
+    def bind(self, name, value):
+        """Bind *value* under a fixed *name* that every unit of the shape reads."""
+        self.values[name] = value
+        self.recipe[name] = ("own", name)
+
+    def _name(self, prefix, identity):
+        key = (prefix, identity)
+        name = self._names.get(key)
+        if name is None:
+            count = self._counts.get(prefix, 0)
+            self._counts[prefix] = count + 1
+            name = self._names[key] = f"{prefix}{count}"
+        return name
+
+    def own(self, prefix, value, identity=None):
+        """The parameter binding *value*, this unit's own (*identity*: its equality)."""
+        name = self._name(prefix, value if identity is None else identity)
+        if name not in self.values:
+            self.bind(name, value)
+        return name
+
+    def shared(self, prefix, entry):
+        """The parameter of a recipe *entry* that the shape determines."""
+        name = self._name(prefix, entry)
+        self.recipe[name] = entry
+        return name
+
+    def costs(self, method, *args):
+        """The parameters of a model cost's energy and time."""
+        energy, time = _cost(method, *args)
+        return self.shared("_e", energy), self.shared("_t", time)
+
+
+def _immediate(unit, value):
+    """An immediate operand: ``(shape-key part, source text)``.
+
+    Both are one parameter bound to *value*; equal values of one type
+    share it (``repr`` tells ``0.0`` from ``-0.0``).
+    """
+    name = unit.own("_k", value, (type(value), repr(value)))
+    return name, name
+
+
+def _element(scope, unit, pc, offset, families):
+    """Take the shape of the instruction at *pc*, element *offset* of a fused unit.
+
+    Registers read and write ``_r[<name>]``, immediates read a name
+    (:func:`_immediate`), and a fault names its pc as the unit's start
+    ``_s`` plus *offset*; costs bind per category and evaluators per
+    opcode.  Returns ``(part, items, subs)``: what the shape key keeps of
+    the element (family, opcode, operand kinds, and the names its
+    operands and destination read), its description, and the texts its
+    placeholders render as.  None when the instruction is not of one of
+    *families* or cannot be rendered (odd operands, missing evaluator).
+    """
     found = scope.classes[pc]
     if found is None or found.family not in families:
         return None
     family = found.family
+    instruction = scope.program.instructions[pc]
+    opcode = instruction.opcode
+    # A fused goto is a hook that ignores its target (``break``, or the
+    # next pass), so no target enters the source.
     subs = dict(
-        _HOISTED, pc=str(pc), nx=str(pc + 1),
-        cmp=_BRANCH_OPS.get(instruction.opcode, ""),
-        ro=_read_only_test(scope.read_only),
+        _HOISTED, pc=f"_s + {offset}" if offset else "_s",
+        cmp=_BRANCH_OPS.get(opcode, ""), tg="",
     )
-    if "_tg" in found.consts:
-        subs["tg"] = str(found.consts["_tg"])
     kinds = []
+    refs = []
     for n, src in enumerate(instruction.srcs):
         if isinstance(src, Reg):
-            subs[f"s{n}"] = f"_r[{src.index}]"
             kinds.append("rt")
+            ref = unit.own("_g", src.index)
+            subs[f"s{n}"] = f"_r[{ref}]"
         else:
             kinds.append(_const_kind(src.value))
-            if kinds[-1] in ("int", "big"):
-                subs[f"s{n}"] = repr(src.value)
-            else:
-                subs[f"s{n}"] = f"_k{pc}_{n}"
-                recipe[f"_k{pc}_{n}"] = ("value", src.value)
+            ref, subs[f"s{n}"] = _immediate(unit, src.value)
+        refs.append(ref)
     # r0 writes are dropped (classic ``write_register`` discards them).
     dest = instruction.dest.index if family in _WRITES_DEST else 0
-    hooks = dict(
-        hooks, dest=lambda value: [f"_r[{dest}] = {value}"] if dest else []
-    )
-    items = _description(family, instruction.opcode, tuple(kinds))
+    refs.append(unit.own("_g", dest) if dest else None)
+    items = _description(family, opcode, tuple(kinds))
     placeholders = _formats(items)[1]
     if "e" in placeholders:
-        subs["e"], subs["t"] = f"_e{pc}", f"_t{pc}"
-        recipe[subs["e"]], recipe[subs["t"]] = _cost(*found.cost)
+        subs["e"], subs["t"] = unit.costs(*found.cost)
     if "ev" in placeholders:
-        subs["ev"] = f"_ev{pc}"
-        recipe[subs["ev"]] = ("value", found.consts["_ev"])
-    flags = {"time", "ea", "ro"} if scope.read_only else {"time", "ea"}
-    return _render(items, subs, flags, hooks), placeholders
+        subs["ev"] = unit.shared("_ev", ("value", found.consts["_ev"]))
+    return (family, opcode, tuple(kinds), tuple(refs)), items, subs
 
 
-def _fused_body(scope, start, end, recipe, keys, first_mark):
-    """Lines of the fusable run ``[start, end)``; None if one won't render.
-
-    Each element that can fault marks its fault point as ``_n``,
-    counted from *first_mark* at ``start``.
-    """
-    lines = []
+def _elements(scope, unit, start, end, families):
+    """The shapes of ``[start, end)`` inside a unit starting at ``_s``; None if one won't render."""
+    shaped = []
     for pc in range(start, end):
-        mark = f"_n = {pc - start + first_mark}"
-        rendered = _fused_lines(
-            scope, pc, recipe, _FUSABLE, {"mark": lambda _, m=mark: [m]}
-        )
-        if rendered is None:
+        element = _element(scope, unit, pc, pc - unit.values["_s"], families)
+        if element is None:
             return None
-        lines += rendered[0]
-        keys |= rendered[1]
+        shaped.append(element)
+    return shaped
+
+
+def _read_only_bounds(scope, unit, elements):
+    """Bind the read-only bounds when a store checks them; returns their count.
+
+    A unit without a store checks none, so its shape leaves them out.
+    """
+    if not any(part[0] == "st" for part, _, _ in elements):
+        return 0
+    for k, (lo, hi) in enumerate(scope.read_only):
+        unit.bind(f"_lo{k}", lo)
+        unit.bind(f"_hi{k}", hi)
+    return len(scope.read_only)
+
+
+def _rendered(elements, first, read_only, keys, hooks=None):
+    """Source lines of shaped *elements*, the first at offset *first*.
+
+    Each element that can fault marks its offset as ``_n``; *hooks*
+    renders control transfers.  Adds the accumulators they charge to
+    *keys*.
+    """
+    ro = _read_only_test((f"_lo{k}", f"_hi{k}") for k in range(read_only))
+    flags = {"time", "ea", "ro"} if read_only else {"time", "ea"}
+    lines = []
+    for offset, ((_, _, _, refs), items, subs) in enumerate(elements, first):
+        dest = refs[-1]
+        lines += _render(
+            items, dict(subs, ro=ro), flags,
+            dict(
+                hooks or {},
+                mark=lambda _, mark=f"_n = {offset}": [mark],
+                dest=lambda value, d=dest: [f"_r[{d}] = {value}"] if d else [],
+            ),
+        )
+        keys |= _formats(items)[1]
     return lines
 
 
@@ -1479,9 +1604,11 @@ _LOOP_BACK_EXIT = "_i0 + {length} > _mx"
 
 
 def _render_region(scope, region, rid):
-    """Render the single-dispatch function of one batchable region.
+    """Plan the single-dispatch function of one batchable region.
 
-    *rid* is its deferred-count slot.  Entered with less budget than its
+    Its code is that of the region's shape; it binds its start ``_s``,
+    end ``_end`` and deferred-count slot ``_rid`` (*rid*) with its
+    registers and immediates.  Entered with less budget than its
     length, it runs only its first element's per-pc function.  Returns
     None when an element cannot be rendered (odd operands, missing
     evaluator) — the region then simply stays per-pc.
@@ -1489,41 +1616,50 @@ def _render_region(scope, region, rid):
     program = scope.program
     start, end = region.start, region.end
     length = end - start
-    recipe = {"_first": ("fn", start)}
-    keys = set()
-    lines = _fused_body(scope, start, end, recipe, keys, 0)
-    if lines is None:
+    unit = _Unit({"_first": ("fn", "_s")}, _s=start, _end=end, _rid=rid)
+    elements = _elements(scope, unit, start, end, _FUSABLE)
+    if elements is None:
         return None
+    read_only = _read_only_bounds(scope, unit, elements)
 
-    # Accumulators live in locals for the fused body and are written
-    # back on every exit — success *and* fault.  This is bit-identical
-    # to charging element by element: the float additions happen in the
-    # same order on the same running values (``_service_miss`` never
-    # touches the energy groups or the time account), and a faulting
-    # element raises before any of its charge lines run.
-    prologue, writeback = _hoist(keys)
-    source = [
-        "    _i0 = _cpu._dynamic_index",
-        f"    if _i0 + {length} > _cpu.max_instructions:",
-        "        return _first()",
-        "    _n = 0",
-        *("    " + line for line in prologue),
-        "    try:",
-        *("        " + line for line in lines),
-        "    except BaseException:",
-        *("        " + line for line in writeback),
-        "        _cpu._dynamic_index = _i0 + _n",
-        f"        _tbl.fault_pc = {start} + _n",
-        f"        _flush(_counts, {start}, _n)",
-        "        raise",
-        *("    " + line for line in writeback),
-        f"    _cpu._dynamic_index = _i0 + {length}",
-        f"    _fc[{rid}] += 1",
-        f"    return {end}",
-    ]
-    return _planned(
-        "_region", source, recipe, f"<region {program.name}:{start}-{end}>",
-        scope.names,
+    def render():
+        # Accumulators live in locals for the fused body and are written
+        # back on every exit — success *and* fault.  This is
+        # bit-identical to charging element by element: the float
+        # additions happen in the same order on the same running values
+        # (``_service_miss`` never touches the energy groups or the time
+        # account), and a faulting element raises before any of its
+        # charge lines run.
+        keys = set()
+        lines = _rendered(elements, 0, read_only, keys)
+        prologue, writeback = _hoist(keys)
+        source = [
+            "_i0 = _cpu._dynamic_index",
+            f"if _i0 + {length} > _cpu.max_instructions:",
+            "    return _first()",
+            "_n = 0",
+            *prologue,
+            "try:",
+            *("    " + line for line in lines),
+            "except BaseException:",
+            *("    " + line for line in writeback),
+            "    _cpu._dynamic_index = _i0 + _n",
+            "    _fault(_s, _n)",
+            "    raise",
+            *writeback,
+            f"_cpu._dynamic_index = _i0 + {length}",
+            "_fc[_rid] += 1",
+            "return _end",
+        ]
+        return _planned(
+            "_region", ["    " + line for line in source], unit.recipe,
+            f"<fastpath region/{length}>", scope.names,
+        )
+
+    key = ("region", read_only, tuple(part for part, _, _ in elements))
+    return _Fused(
+        _shaped(key, render),
+        unit.values,
         at=start,
         tail=(start + 1, end, _categories(program, start + 1, end)),
         span=(start, end),
@@ -1531,65 +1667,78 @@ def _render_region(scope, region, rid):
 
 
 def _render_loop(scope, loop, rid):
-    """Render the one-dispatch function of one self-loop at its header.
+    """Plan the one-dispatch function of one self-loop at its header.
 
     One pass is the header, the body region and the loop-back ``JMP``,
     rendered from their descriptions: the header's taken ``goto``
     leaves the ``while`` loop and the loop-back's falls into the next
-    pass unless :data:`_LOOP_BACK_EXIT` holds.  Entered with less than a
-    pass left, it runs only the header's per-pc function; the body start
-    keeps its per-pc function.  *rid* is its deferred-count slot.
-    Returns None when an element cannot be rendered: the body region
-    then fuses on its own.
+    pass unless :data:`_LOOP_BACK_EXIT` holds.  Its code is that of the
+    loop's shape; it binds its header ``_s``, the header's exit target
+    ``_out`` and deferred-count slot ``_rid`` (*rid*) with its
+    registers and immediates.  Entered with less than a pass left, it
+    runs only the header's per-pc function; the body start keeps its
+    per-pc function.  Returns None when an element cannot be rendered:
+    the body region then fuses on its own.
     """
     program = scope.program
     header, back, length = loop.header, loop.back, loop.length
-    recipe = {"_hdr": ("fn", header)}
-    keys = set()
-    head = _fused_lines(
-        scope, header, recipe, {"branch"}, {"goto": lambda _: ["break"]}
-    )
-    body = _fused_body(scope, header + 1, back, recipe, keys, 1)
-    jump = _fused_lines(scope, back, recipe, {"jmp"}, {"goto": lambda _: []})
+    unit = _Unit({"_hdr": ("fn", "_s")}, _s=header, _rid=rid)
+    head = _elements(scope, unit, header, header + 1, {"branch"})
+    body = _elements(scope, unit, header + 1, back, _FUSABLE)
+    jump = _elements(scope, unit, back, back + 1, {"jmp"})
     if head is None or body is None or jump is None:
         return None
-    target = scope.classes[header].consts["_tg"]  # where the header exits to
-    keys |= head[1] | jump[1]
-    prologue, writeback = _hoist(keys)
-    source = [
-        "    _i0 = _cpu._dynamic_index",
-        "    _mx = _cpu.max_instructions",
-        f"    if _i0 + {length} > _mx:",
-        "        return _hdr()",
-        "    _p = 0",
-        "    _n = 0",
-        *("    " + line for line in prologue),
-        "    try:",
-        "        while True:",
-        *("            " + line for line in head[0] + body + jump[0]),
-        "            _p += 1",
-        f"            _i0 += {length}",
-        "            if " + _LOOP_BACK_EXIT.format(length=length) + ":",
-        *("                " + line for line in writeback),
-        "                _cpu._dynamic_index = _i0",
-        f"                _fc[{rid}] += _p",
-        f"                _counts[{header}] -= 1",
-        f"                return {header}",
-        "    except BaseException:",
-        *("        " + line for line in writeback),
-        "        _cpu._dynamic_index = _i0 + _n",
-        f"        _tbl.fault_pc = {header} + _n",
-        f"        _fc[{rid}] += _p",
-        f"        _flush(_counts, {header}, _n)",
-        "        raise",
-        *("    " + line for line in writeback),
-        "    _cpu._dynamic_index = _i0 + 1",
-        f"    _fc[{rid}] += _p",
-        f"    return {target}",
-    ]
-    return _planned(
-        "_loop", source, recipe, f"<loop {program.name}:{header}-{back}>",
-        scope.names,
+    unit.bind("_out", scope.classes[header].consts["_tg"])
+    elements = head + body + jump
+    read_only = _read_only_bounds(scope, unit, elements)
+
+    def render():
+        keys = set()
+        lines = (
+            _rendered(head, 0, read_only, keys, {"goto": lambda _: ["break"]})
+            + _rendered(body, 1, read_only, keys)
+            + _rendered(jump, length - 1, read_only, keys, {"goto": lambda _: []})
+        )
+        prologue, writeback = _hoist(keys)
+        source = [
+            "_i0 = _cpu._dynamic_index",
+            "_mx = _cpu.max_instructions",
+            f"if _i0 + {length} > _mx:",
+            "    return _hdr()",
+            "_p = 0",
+            "_n = 0",
+            *prologue,
+            "try:",
+            "    while True:",
+            *("        " + line for line in lines),
+            "        _p += 1",
+            f"        _i0 += {length}",
+            "        if " + _LOOP_BACK_EXIT.format(length=length) + ":",
+            *("            " + line for line in writeback),
+            "            _cpu._dynamic_index = _i0",
+            "            _fc[_rid] += _p",
+            "            _counts[_s] -= 1",
+            "            return _s",
+            "except BaseException:",
+            *("    " + line for line in writeback),
+            "    _cpu._dynamic_index = _i0 + _n",
+            "    _fc[_rid] += _p",
+            "    _fault(_s, _n)",
+            "    raise",
+            *writeback,
+            "_cpu._dynamic_index = _i0 + 1",
+            "_fc[_rid] += _p",
+            "return _out",
+        ]
+        return _planned(
+            "_loop", ["    " + line for line in source], unit.recipe,
+            f"<fastpath loop/{length}>", scope.names,
+        )
+
+    key = ("loop", read_only, tuple(part for part, _, _ in elements))
+    return _Fused(
+        _shaped(key, render),
+        unit.values,
         at=header,
         tail=(header, back + 1, _categories(program, header, back + 1)),
         span=(header + 1, back),
@@ -1633,24 +1782,26 @@ def _cost(method, *args):
 
 
 def _render_slice(program, slice_id, capacity, offload, names):
-    """Render one slice as a single register-resident traversal.
+    """Plan one slice as a single register-resident traversal.
 
     Slices are straight-line regions by construction (formation never
     admits control flow), so recomputation renders the compute
-    description too: one generated function per slice replays what
-    :meth:`repro.core.amnesic_cpu.AmnesicCPU._traverse_slice` does for
-    a run without a timeline.  Scratch registers live in locals
-    (``_v<n>``), so the Renamer and SFile see no call at all: every
-    traversal starts and ends with them reset, and their counters only
-    depend on the slice's static read/write sequence, so they are added
-    as constants on exit.  Values and charges stay in locals until the
-    last value is computed; only then do the IBuff fetches and Hist LRU
-    promotions run, in classic order, and the locals write back.  A
-    traversal that raises has therefore touched nothing, and it hands
-    the slice to ``_ref``, the reference traversal from the RCMP's pc,
-    which faults exactly as classic does (see :func:`_slice_traversal`).
-    *capacity* is the SFile's and *offload* the CPU's
-    ``concurrent_offload``; costs bind per CPU.
+    description too: one generated function per slice shape replays
+    what :meth:`repro.core.amnesic_cpu.AmnesicCPU._traverse_slice` does
+    for a run without a timeline.  Scratch registers live in locals
+    (``_v<n>``, numbered by first write), so the Renamer and SFile see
+    no call at all: every traversal starts and ends with them reset,
+    and their counters only depend on the slice's static read/write
+    sequence, so they are added as constants on exit.  Values and
+    charges stay in locals until the last value is computed; only then
+    do the IBuff fetches and Hist LRU promotions run, in classic order,
+    and the locals write back.  A traversal that raises has therefore
+    touched nothing, and it hands the slice to ``_ref``, the reference
+    traversal from the RCMP's pc, which faults exactly as classic does
+    (see :func:`_slice_traversal`).  The unit binds its elements' pcs
+    (``_pc<j>``, what the IBuff fetches), its Hist keys, registers and
+    immediates; costs bind per category.  *capacity* is the SFile's
+    and *offload* the CPU's ``concurrent_offload``.
 
     Returns ``None`` for slices the generator cannot express — among
     them a slice that reads a scratch register before writing it, or
@@ -1660,14 +1811,11 @@ def _render_slice(program, slice_id, capacity, offload, names):
     region = program.slices[slice_id]
     start, end = region.start, region.end
     length = end - 1 - start
-    recipe = {"_ref": ("pc", "_ref")}
-    recipe["_hce"], recipe["_hct"] = _cost("hist_read_cost")
-    flags = () if offload else ("time",)
-
-    lines = []
-    commits = []
+    unit = _Unit({"_ref": ("own", "_ref")})
+    unit.recipe["_hce"], unit.recipe["_hct"] = _cost("hist_read_cost")
+    elements = []
+    scratch = {}  # scratch register -> the local holding it
     tally = {}
-    written = set()
     # Renamer requests, SFile reads, SFile writes.
     requests = reads = writes = 0
     for j, pc in enumerate(range(start, end - 1)):
@@ -1678,92 +1826,105 @@ def _render_slice(program, slice_id, capacity, offload, names):
             return None
         category = instruction.category
         tally[category] = tally.get(category, 0) + 1
-        commits += _render(_IBUFF_FETCH, dict(_HOISTED, pc=str(pc)), (), {})
-        recipe[f"_e{j}"], recipe[f"_t{j}"] = _cost("slice_instruction_cost", category)
-        subs = dict(_HOISTED, pc=str(pc), e=f"_e{j}", t=f"_t{j}", ev=f"_ev{j}")
+        e, t = unit.costs("slice_instruction_cost", category)
+        subs = dict(_HOISTED, pc=unit.own("_pc", pc), e=e, t=t)
         kinds = []
+        refs = []
+        hist = []
         for n, src in enumerate(instruction.srcs):
-            kinds.append("rt")
+            kind = "rt"
             if isinstance(src, SReg):
-                if src.index not in written:
+                if src.index not in scratch:
                     return None
                 requests += 1
                 reads += 1
-                subs[f"s{n}"] = f"_v{src.index}"
+                ref = text = f"_v{scratch[src.index]}"
             elif isinstance(src, HistRef):
-                read = dict(
-                    _HOISTED, key=repr((slice_id, src.leaf_id)),
-                    slot=str(src.slot), out=f"_a{j}_{n}",
-                )
-                subs[f"s{n}"] = read["out"]
-                lines += _render(_HIST_READ, read, flags, {})
-                commits += _render(_HIST_PROMOTE, read, (), {})
+                ref = (unit.own("_key", (slice_id, src.leaf_id)), src.slot)
+                text = f"_a{j}_{n}"
+                hist.append(dict(_HOISTED, key=ref[0], slot=str(src.slot), out=text))
             elif isinstance(src, Reg) and src.index:
-                subs[f"s{n}"] = f"_r[{src.index}]"
+                ref = unit.own("_g", src.index)
+                text = f"_r[{ref}]"
             elif isinstance(src, Reg):
-                subs[f"s{n}"], kinds[-1] = "0", "int"
+                ref = text = "0"
+                kind = "int"
             elif isinstance(src, Imm):
-                subs[f"s{n}"] = f"_c{j}_{n}"
-                recipe[f"_c{j}_{n}"] = ("value", src.value)
-                kinds[-1] = _const_kind(src.value)
+                kind = _const_kind(src.value)
+                ref, text = _immediate(unit, src.value)
             else:
                 return None
-        hooks = {"dest": lambda value, d=dest.index: [f"_v{d} = {value}"]}
+            kinds.append(kind)
+            refs.append(ref)
+            subs[f"s{n}"] = text
         items = _compute_description(instruction.opcode, tuple(kinds))
         if "ev" in _formats(items)[1]:
-            recipe[f"_ev{j}"] = ("value", evaluator)
-        lines += _render(items, subs, flags, hooks)
+            subs["ev"] = unit.shared("_ev", ("value", evaluator))
         requests += 1
         writes += 1
-        written.add(dest.index)
-        if len(written) > capacity:
+        local = scratch.setdefault(dest.index, len(scratch))
+        if len(scratch) > capacity:
             return None
+        part = (instruction.opcode, tuple(kinds), tuple(refs), local)
+        elements.append((part, items, subs, hist))
 
     rtn = program.instruction_at(end - 1)
     result = rtn.dest
     if (
         rtn.opcode is not Opcode.RTN
         or not isinstance(result, SReg)
-        or result.index not in written
+        or result.index not in scratch
     ):
         return None
     requests += 1
     reads += 1
-    recipe["_re"], recipe["_rt"] = _cost("rtn_cost")
+    unit.recipe["_re"], unit.recipe["_rt"] = _cost("rtn_cost")
     tally[rtn.category] = tally.get(rtn.category, 0) + 1
     counts = []
-    for i, (category, count) in enumerate(
-        sorted(tally.items(), key=lambda item: item[0].name)
-    ):
-        recipe[f"_cat{i}"] = ("value", category)
-        counts.append(f"_bc[_cat{i}] += {count}")
+    for category, count in sorted(tally.items(), key=lambda item: item[0].name):
+        counts.append(f"_bc[{unit.shared('_cat', ('value', category))}] += {count}")
+    result = scratch[result.index]
 
-    prologue, writeback = _hoist(("tt", "gn", "ga", "gh", "hn", "hrd", "ih"))
-    source = [
-        *prologue,
-        "try:",
-        *("    " + line for line in lines),
-        "except Exception:",
-        "    return _ref()",
-        *commits,
-        f"_st.dynamic_instructions += {length + 1}",
-        f"_st.slice_instructions_executed += {length}",
-        *counts,
-        f"_sfs.rename_requests += {requests}",
-        f"_sfs.reads += {reads}",
-        f"_sfs.writes += {writes}",
-        f"if _sfs.high_water < {len(written)}:",
-        f"    _sfs.high_water = {len(written)}",
-        "_ga += _re",
-        *([] if offload else ["_tt += _rt"]),
-        *writeback,
-        f"_cpu._dynamic_index += {length + 1}",
-        f"return _v{result.index}",
-    ]
-    return _planned(
-        "_slice", ["    " + line for line in source], recipe,
-        f"<slice {program.name}:{slice_id}>", names,
-    )
+    def render():
+        flags = () if offload else ("time",)
+        lines = []
+        commits = []
+        for (_, _, _, local), items, subs, hist in elements:
+            commits += _render(_IBUFF_FETCH, subs, (), {})
+            for read in hist:
+                lines += _render(_HIST_READ, read, flags, {})
+                commits += _render(_HIST_PROMOTE, read, (), {})
+            hooks = {"dest": lambda value, d=local: [f"_v{d} = {value}"]}
+            lines += _render(items, subs, flags, hooks)
+        prologue, writeback = _hoist(("tt", "gn", "ga", "gh", "hn", "hrd", "ih"))
+        source = [
+            *prologue,
+            "try:",
+            *("    " + line for line in lines),
+            "except Exception:",
+            "    return _ref()",
+            *commits,
+            f"_st.dynamic_instructions += {length + 1}",
+            f"_st.slice_instructions_executed += {length}",
+            *counts,
+            f"_sfs.rename_requests += {requests}",
+            f"_sfs.reads += {reads}",
+            f"_sfs.writes += {writes}",
+            f"if _sfs.high_water < {len(scratch)}:",
+            f"    _sfs.high_water = {len(scratch)}",
+            "_ga += _re",
+            *([] if offload else ["_tt += _rt"]),
+            *writeback,
+            f"_cpu._dynamic_index += {length + 1}",
+            f"return _v{result}",
+        ]
+        return _planned(
+            "_slice", ["    " + line for line in source], unit.recipe,
+            f"<fastpath slice/{length}>", names,
+        )
+
+    key = ("slice", offload, tuple(part for part, _, _, _ in elements), result)
+    return _Fused(_shaped(key, render), unit.values)
 
 
 def _slice_traversal(cpu, table, info, pc):
@@ -1787,7 +1948,9 @@ def _slice_traversal(cpu, table, info, pc):
         table.env,
     )
     traverse = table.slices[pc] = (
-        reference if unit is None else _bound(unit, table.env, {"_ref": reference})
+        reference
+        if unit is None
+        else _bound(unit.shape, table.env, dict(unit.values, _ref=reference))
     )
     return traverse
 

@@ -20,6 +20,7 @@ from repro.fuzz import (
 from repro.fuzz import oracle
 from repro.fuzz.faults import EAGER_FIRE, SKIP_HIST_READ
 from repro.fuzz.spec import Gap
+from repro.isa.opcodes import Category
 from repro.machine.cpu import CPU
 
 
@@ -194,3 +195,35 @@ def test_clean_cpu_on_the_same_specs_stays_clean(model):
     """The bug tests above prove detection; this proves specificity."""
     verdict = check_spec(hist_leaf_spec(), model=model)
     assert verdict.ok, verdict.summary()
+
+
+def run_stats_failures(model, edit):
+    """``_compare_state`` of two identical classic runs after *edit* of the second's stats."""
+    program = materialize(hist_leaf_spec())
+    reference, tested = CPU(program, model), CPU(program, model)
+    reference.run()
+    tested.run()
+    edit(tested.stats)
+    verdict = oracle.OracleVerdict(spec=hist_leaf_spec(), policies=())
+    oracle._compare_state(verdict, "classic", "fast-batched", reference, tested)
+    return [failure.message for failure in verdict.failures]
+
+
+def test_a_stats_divergence_prints_the_counts(model):
+    def count_one_more(stats):
+        stats.by_category[Category.INT_ALU] += 1
+
+    (message,) = run_stats_failures(model, count_one_more)
+    assert message.startswith("run stats diverged")
+    assert "Counter(" not in message
+    assert "<Category.INT_ALU: 'int_alu'>: " in message
+
+
+def test_a_zero_count_on_one_side_only_differs(model):
+    # ``Counter`` equality treats a missing key as zero; the snapshot
+    # must not.
+    def count_zero(stats):
+        stats.by_category[Category.FP_DIV] = 0
+
+    (message,) = run_stats_failures(model, count_zero)
+    assert "<Category.FP_DIV: 'fp_div'>: 0" in message

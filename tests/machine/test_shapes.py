@@ -1,0 +1,248 @@
+"""Fused code by shape: one compile per shape, bound per program.
+
+A fused region, loop or slice compiles once per *shape key*, computed
+before anything renders, and binds what is its program's own (its pcs,
+register numbers, immediates, read-only bounds and Hist keys) as
+parameters.  So the key must determine the source: a unit rendered from
+an empty cache must read exactly the source of the code it binds from a
+warm one, with the same own values.  Two programs that differ only in
+pcs, registers and immediates bind the same code objects with their own
+values and each still matches classic exactly; and
+``shape_key_drops_literal()``, which writes an immediate into the
+source while the key leaves it out, must be caught by the fast-batched
+corpus replay.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from repro.compiler.amnesic_pass import compile_amnesic
+from repro.core.amnesic_cpu import AmnesicCPU
+from repro.core.backend import BatchedFastAmnesicCPU
+from repro.core.execution import prepare_evaluation
+from repro.core.policies import make_policy
+from repro.energy import paper_energy_model
+from repro.errors import ReproError
+from repro.fuzz import (
+    Produce,
+    default_fuzz_model,
+    load_corpus,
+    load_entry,
+    materialize,
+)
+from repro.fuzz.faults import shape_key_drops_literal
+from repro.fuzz.oracle import _observable
+from repro.fuzz.runner import replay_corpus
+from repro.isa import Instruction, Opcode, Reg
+from repro.isa.program import Program
+from repro.machine import fastpath
+from repro.workloads import all_specs
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+#: The kernels' binaries are planned, not run, so a small scale serves.
+SCALE = 0.1
+
+
+def planned_units(binary, model):
+    """Every fused region, loop and slice of *binary*, planned as a CPU decodes it.
+
+    Each slice is planned with and without ``concurrent_offload``.
+    """
+    cpu = BatchedFastAmnesicCPU(binary, model, make_policy("FLC"))
+    table = cpu._decoded()
+    program = binary.program
+    plan = fastpath._plan(program)
+    units = list(plan.fused_for(program, cpu.memory._read_only, table.env))
+    for slice_id in sorted(program.slices):
+        for offload in (False, True):
+            unit = plan.slice_for(
+                program, slice_id, cpu.sfile.capacity, offload, table.env
+            )
+            if unit is not None:
+                units.append(unit)
+    return units
+
+
+def corpus_binaries(model):
+    for entry in load_corpus(str(CORPUS_DIR)):
+        try:
+            result = compile_amnesic(materialize(entry.spec), model)
+        except ReproError:
+            continue
+        yield result.binary
+
+
+@pytest.fixture(scope="module")
+def binaries():
+    """The probabilistic and Oracle binaries of every kernel, and every corpus entry's."""
+    model = paper_energy_model()
+    found = []
+    for spec in all_specs():
+        setup = prepare_evaluation(spec.instantiate(SCALE), model, backend="fast-batched")
+        found += [(setup.compilation_for(policy).binary, model) for policy in ("FLC", "Oracle")]
+    fuzz_model = default_fuzz_model()
+    found += [(binary, fuzz_model) for binary in corpus_binaries(fuzz_model)]
+    return found
+
+
+def test_the_shape_key_determines_the_source(binaries, monkeypatch):
+    fastpath.clear_codegen_caches()
+    warm = [planned_units(binary, model) for binary, model in binaries]
+    shapes = {id(unit.shape) for units in warm for unit in units}
+    assert len(shapes) < sum(map(len, warm)), "no two units share a shape"
+    kinds = {unit.shape.code.co_name for units in warm for unit in units}
+    assert kinds == {"_region", "_loop", "_slice"}
+    # From here every unit renders its own code, as from an empty cache.
+    monkeypatch.setattr(fastpath, "_shaped", lambda key, render: render())
+    for (binary, model), units in zip(binaries, warm):
+        fastpath.clear_codegen_caches()
+        cold = planned_units(binary, model)
+        assert [unit.shape.source for unit in cold] == [
+            unit.shape.source for unit in units
+        ], binary.program.name
+        assert [unit.values for unit in cold] == [unit.values for unit in units]
+
+
+def test_code_objects_name_no_program(binaries):
+    for binary, model in binaries[:4]:
+        for unit in planned_units(binary, model):
+            code = unit.shape.code
+            assert binary.program.name not in code.co_filename
+            assert code.co_filename.startswith(f"<fastpath {code.co_name[1:]}/")
+
+
+def bumped(spec, by):
+    """*spec* with every chain immediate raised by *by*."""
+
+    def bump(statement):
+        chain = getattr(statement, "chain", ())
+        if not chain:
+            return statement
+        return dataclasses.replace(
+            statement, chain=tuple((op, imm + by) for op, imm in chain)
+        )
+
+    return dataclasses.replace(
+        spec, statements=tuple(bump(statement) for statement in spec.statements)
+    )
+
+
+def moved(program):
+    """*program* one pc later (behind a leading jump), with its registers rotated."""
+    used = sorted(
+        {
+            operand.index
+            for instruction in program.instructions
+            for operand in (instruction.dest, *instruction.srcs)
+            if isinstance(operand, Reg) and operand.index
+        }
+    )
+    rename = dict(zip(used, used[1:] + used[:1]))
+
+    def reg(operand):
+        if isinstance(operand, Reg) and operand.index:
+            return Reg(rename[operand.index])
+        return operand
+
+    out = Program(program.name + "-moved")
+    out.data = program.data
+    out.append(Instruction(Opcode.JMP, target="moved"))
+    out.add_label("moved")
+    for label, pc in program.labels.items():
+        out.add_label(label, pc + 1)
+    for instruction in program.instructions:
+        out.append(
+            dataclasses.replace(
+                instruction,
+                dest=reg(instruction.dest),
+                srcs=tuple(map(reg, instruction.srcs)),
+            )
+        )
+    return out
+
+
+def fused_functions(cpu):
+    """The bound fused functions of a decoded CPU: regions and loops by pc, then slices."""
+    table = cpu._decoded()
+    starts = sorted({start for start, _ in table.region_spans} | dict(table.loops).keys())
+    fused = [
+        table.fns[pc]
+        for pc in starts
+        if table.fns[pc].__code__.co_name in ("_region", "_loop")
+    ]
+    return fused + [table.slices[pc] for pc in sorted(table.slices)]
+
+
+def own_values(function):
+    """A bound function's parameters by name."""
+    code = function.__code__
+    return dict(zip(code.co_varnames[: code.co_argcount], function.__defaults__))
+
+
+def test_programs_differing_in_pcs_registers_and_immediates_share_code():
+    model = default_fuzz_model()
+    # The loop-carried entry, with a two-op chain so that its immediates
+    # land in a fused region.
+    spec = load_entry(CORPUS_DIR / "loop-carried-010886bb84ad.json").spec
+    spec = dataclasses.replace(
+        spec,
+        statements=(
+            Produce("t0", chain=(("mul", 7), ("add", 5))),
+            *spec.statements[1:],
+        ),
+    )
+    programs = (materialize(spec), moved(materialize(bumped(spec, 2))))
+    fastpath.clear_codegen_caches()
+    runs = []
+    for program in programs:
+        binary = compile_amnesic(program, model).binary
+        fast = BatchedFastAmnesicCPU(binary, model, make_policy("Compiler"))
+        fast.run()
+        reference = AmnesicCPU(binary, model, make_policy("Compiler"))
+        reference.run()
+        assert reference.stats.recomputations_fired > 0
+        assert _observable(fast) == _observable(reference), program.name
+        runs.append(fused_functions(fast))
+    first, second = runs
+    assert {f.__code__.co_name for f in first} == {"_region", "_loop", "_slice"}
+    assert len(first) == len(second)
+    for one, other in zip(first, second):
+        assert one.__code__ is other.__code__
+        mine, theirs = own_values(one), own_values(other)
+        assert mine.keys() == theirs.keys()
+        if "_s" in mine:
+            assert theirs["_s"] == mine["_s"] + 1
+        registers = sorted(name for name in mine if name.startswith("_g"))
+        assert [mine[name] for name in registers] != [
+            theirs[name] for name in registers
+        ] or not registers
+    # The bumped chain immediates bind as different values of one code.
+    assert any(
+        value != own_values(other)[name]
+        for one, other in zip(first, second)
+        for name, value in own_values(one).items()
+        if name.startswith("_k")
+    )
+
+
+def test_corpus_replay_catches_shape_key_drops_literal():
+    model = default_fuzz_model()
+    assert replay_corpus(str(CORPUS_DIR), model=model, backend="fast-batched").ok
+    with shape_key_drops_literal():
+        assert not replay_corpus(
+            str(CORPUS_DIR), model=model, backend="fast-batched"
+        ).ok
+    assert replay_corpus(str(CORPUS_DIR), model=model, backend="fast-batched").ok
+
+
+def test_the_shape_cache_is_bounded_and_cleared(binaries, monkeypatch):
+    fastpath.clear_codegen_caches()
+    monkeypatch.setattr(fastpath, "_SHAPE_LIMIT", 5)
+    for binary, model in binaries[:6]:
+        planned_units(binary, model)
+        assert len(fastpath._SHAPES) <= 5
+    fastpath.clear_codegen_caches()
+    assert not fastpath._SHAPES
