@@ -38,13 +38,6 @@ class StorageBounds:
     #: IBuff bound: max#inst_per_RSlice.
     ibuff_entries: int
 
-    def summarise(self) -> str:
-        return (
-            f"{self.slice_count} slices, longest {self.max_instructions_per_slice} "
-            f"instructions -> bounds: SFile<={self.sfile_entries}, "
-            f"Hist<={self.hist_entries}, IBuff<={self.ibuff_entries}"
-        )
-
 
 def storage_bounds(binary: AmnesicBinary) -> StorageBounds:
     """Evaluate the section 3.4 formulas over *binary*."""

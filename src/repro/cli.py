@@ -1048,6 +1048,7 @@ def cmd_bench(args) -> int:
 def cmd_fuzz(args) -> int:
     """Run a differential fuzz campaign (or replay the corpus)."""
     from .core.backend import resolve_backend
+    from .errors import FuzzError
     from .fuzz import FuzzConfig, materialize, replay_corpus, run_fuzz
     from .fuzz.runner import entry_satisfied
 
@@ -1070,9 +1071,13 @@ def cmd_fuzz(args) -> int:
         if not args.corpus_dir:
             print("--replay requires --corpus-dir", file=sys.stderr)
             return 2
-        report = replay_corpus(
-            args.corpus_dir, policies=policies, backend=backend
-        )
+        try:
+            report = replay_corpus(
+                args.corpus_dir, policies=policies, backend=backend
+            )
+        except FuzzError as error:
+            print(error, file=sys.stderr)
+            return 2
         if args.format == "json":
             payload = {
                 "entries": len(report.verdicts),

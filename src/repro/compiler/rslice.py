@@ -114,10 +114,6 @@ class TemplateNode:
             return 0
         return 1 + max(child.height for child in self.children)
 
-    def leaves(self) -> List["TemplateNode"]:
-        """All leaf nodes of the subtree, left to right."""
-        return [node for node in self.walk() if node.is_leaf]
-
     def structural_signature(self) -> Tuple:
         """A hashable shape fingerprint used for template stability checks.
 

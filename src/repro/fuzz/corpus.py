@@ -68,26 +68,35 @@ class CorpusEntry:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "CorpusEntry":
+    def from_json(cls, payload: object) -> "CorpusEntry":
+        if not isinstance(payload, dict):
+            raise FuzzError(f"corpus entry is a JSON {type(payload).__name__}")
         version = payload.get("format")
         if version != CORPUS_FORMAT_VERSION:
             raise FuzzError(
                 f"unsupported corpus format {version!r} "
                 f"(expected {CORPUS_FORMAT_VERSION})"
             )
+        if "spec" not in payload:
+            raise FuzzError("corpus entry has no 'spec' field")
         policies = payload.get("policies")
         expect = str(payload.get("expect", EXPECT_OK))
         if expect not in (EXPECT_OK, EXPECT_CLASSIC_FAULT):
             raise FuzzError(f"unknown corpus expectation {expect!r}")
         max_instructions = payload.get("max_instructions")
+        try:
+            policies = tuple(map(str, policies)) if policies else None
+            max_instructions = (
+                int(max_instructions) if max_instructions is not None else None
+            )
+        except (TypeError, ValueError) as error:
+            raise FuzzError(f"bad corpus entry field: {error}") from None
         return cls(
             spec=ProgramSpec.from_json(payload["spec"]),
             description=str(payload.get("description", "")),
             source=str(payload.get("source", "")),
-            policies=tuple(policies) if policies else None,
-            max_instructions=(
-                int(max_instructions) if max_instructions is not None else None
-            ),
+            policies=policies,
+            max_instructions=max_instructions,
             expect=expect,
         )
 
@@ -124,7 +133,10 @@ def load_entry(path: Union[str, Path]) -> CorpusEntry:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as error:
         raise FuzzError(f"unreadable corpus entry {path}: {error}") from None
-    return CorpusEntry.from_json(payload)
+    try:
+        return CorpusEntry.from_json(payload)
+    except FuzzError as error:
+        raise FuzzError(f"malformed corpus entry {path}: {error}") from None
 
 
 def corpus_paths(directory: Union[str, Path]) -> List[Path]:

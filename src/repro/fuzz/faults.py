@@ -261,24 +261,38 @@ def stale_hist_lru():
 
 
 def shape_key_drops_literal():
-    """Write int immediates into fused code as literals its shape key leaves out.
+    """Write int immediates into generated code as literals its shape key leaves out.
 
-    Bug: fused regions, loops and slices compile once per shape, and
-    each binds its immediates as parameters of its own, so the shape
-    key records where an immediate is read, not its value.  This edit
-    writes an int immediate into the rendered source instead, as fused
-    code did when it was compiled per program, while the key still
-    leaves the value out: two programs whose units differ only in that
-    immediate share the code rendered for whichever decoded first, and
-    the second computes with the first one's literal.  A program alone
-    stays exact; the fast-batched replay of the committed corpus, whose
-    entries share shapes, must catch it.
+    Bug: per-pc functions and fused regions, loops and slices compile
+    once per shape, and each binds its immediates as parameters of its
+    own, so the shape key records an immediate's name, not its value.
+    This edit names an int immediate with a string that equals its name
+    in the key but renders as the value's literal, as generated code
+    was when it was compiled per program: two programs whose code
+    differs only in that immediate share the code rendered for
+    whichever decoded first, and the second computes with the first
+    one's literal.  A program alone stays exact; the fast-batched replay
+    of the committed corpus, whose entries share shapes, and a pair of
+    programs whose only differing immediate is a branch's outside any
+    loop must catch it.
     """
     immediate = fastpath._immediate
 
+    class Literal(str):
+        """An immediate's name that renders as its value."""
+
+        __slots__ = ("literal",)
+
+        def __str__(self):
+            return self.literal
+
     def literal(unit, value):
-        part, text = immediate(unit, value)
-        return part, repr(value) if type(value) is int else text
+        name = immediate(unit, value)
+        if type(value) is not int:
+            return name
+        named = Literal(name)
+        named.literal = repr(value)
+        return named
 
     return _regenerated(vars(fastpath), "_immediate", literal)
 

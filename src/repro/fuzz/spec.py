@@ -223,22 +223,33 @@ class ProgramSpec:
         }
 
     @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "ProgramSpec":
+    def from_json(cls, payload: object) -> "ProgramSpec":
+        if not isinstance(payload, dict):
+            raise FuzzError(f"spec is a JSON {type(payload).__name__}")
         version = payload.get("format")
         if version != SPEC_FORMAT_VERSION:
             raise FuzzError(
                 f"unsupported spec format {version!r} "
                 f"(expected {SPEC_FORMAT_VERSION})"
             )
+        try:
+            name = str(payload["name"])
+            iterations = int(payload["iterations"])
+            slot_words = int(payload["slot_words"])
+            statements = payload["statements"]
+        except KeyError as error:
+            raise FuzzError(f"spec has no {error.args[0]!r} field") from None
+        except (TypeError, ValueError) as error:
+            raise FuzzError(f"bad spec field: {error}") from None
+        if not isinstance(statements, list):
+            raise FuzzError("spec statements are not a JSON list")
         return cls(
-            name=str(payload["name"]),
-            iterations=int(payload["iterations"]),
-            slot_words=int(payload["slot_words"]),
+            name=name,
+            iterations=iterations,
+            slot_words=slot_words,
             emit_output=bool(payload.get("emit_output", True)),
             seed=payload.get("seed"),
-            statements=tuple(
-                _statement_from_json(s) for s in payload["statements"]
-            ),
+            statements=tuple(_statement_from_json(s) for s in statements),
         )
 
     def digest(self) -> str:
@@ -265,18 +276,20 @@ def _statement_to_json(statement: Statement) -> Dict[str, object]:
     return payload
 
 
-def _statement_from_json(payload: Dict[str, object]) -> Statement:
+def _statement_from_json(payload: object) -> Statement:
+    if not isinstance(payload, dict):
+        raise FuzzError(f"statement is a JSON {type(payload).__name__}")
     data = dict(payload)
     kind = data.pop("kind", None)
     try:
         statement_type = _STATEMENT_TYPES[kind]
-    except KeyError:
+    except (KeyError, TypeError):
         raise FuzzError(f"unknown statement kind {kind!r}") from None
-    if statement_type is Produce and "chain" in data:
-        data["chain"] = tuple((str(op), int(imm)) for op, imm in data["chain"])
     try:
+        if statement_type is Produce and "chain" in data:
+            data["chain"] = tuple((str(op), int(imm)) for op, imm in data["chain"])
         return statement_type(**data)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:
         raise FuzzError(f"bad {kind} statement: {error}") from None
 
 

@@ -117,14 +117,8 @@ class ProgramBuilder:
     def fadd(self, dest: Reg, a, b) -> int:
         return self.op(Opcode.FADD, dest, a, b)
 
-    def fsub(self, dest: Reg, a, b) -> int:
-        return self.op(Opcode.FSUB, dest, a, b)
-
     def fmul(self, dest: Reg, a, b) -> int:
         return self.op(Opcode.FMUL, dest, a, b)
-
-    def fma(self, dest: Reg, a, b, c) -> int:
-        return self.op(Opcode.FMA, dest, a, b, c)
 
     def ld(self, dest: Reg, base: Operand, offset: Union[int, Imm] = 0,
            comment: str = "") -> int:

@@ -3,9 +3,9 @@
 :class:`BatchedExecutionMixin` replaces the classic fetch/decode/dispatch
 loop of :class:`~repro.machine.cpu.CPU` with a predecoded program.  Each
 opcode family the fast path handles (compute, ``LD``, ``ST``, branches,
-``JMP``, ``JAL``, ``JR``, ``NOP``, ``REC``, and ``RCMP`` per probe
-depth) is *described once*: a tuple of Python source lines that mirrors
-the classic handler statement for statement — same value semantics,
+``JMP``, ``JAL``, ``JR``, ``NOP``, ``REC``, ``HALT``, and ``RCMP`` per
+probe depth) is *described once*: a tuple of Python source lines that
+mirrors the classic handler statement for statement — same value semantics,
 same fault points and messages, same energy charges in the same order,
 same cache/LRU transitions.  The lines are written against
 placeholders (``$s0`` for the first operand, ``$gl`` for the
@@ -15,10 +15,10 @@ description renders five ways:
 
 * **per-pc functions** — one zero-argument function per static
   instruction that returns the next pc (``-1`` after ``HALT``), so a
-  straight-line stretch runs with no branch/halt checks.  Each binds
-  the code of its opcode shape, compiled once per process; the pc,
-  operand boxes, costs and targets bind per pc as default parameters,
-  and accumulators are charged where they live;
+  straight-line stretch runs with no branch/halt checks.  Each is a
+  one-element unit: its pc ``_s``, fall-through pc ``_nx``, registers,
+  immediates and target bind as default parameters, and accumulators
+  are charged where they live;
 * **traced per-pc functions** — the same lines, where the ``emit`` hook
   and the ``traced`` lines append the instruction's own dependence-trace
   columns (pc, result, its pc's instances, its destination's writers;
@@ -44,20 +44,22 @@ description renders five ways:
   does.
 
 One plan, one binder, code by shape.  A program's first untraced decode
-builds its *decode plan* (:class:`_Plan`): each pc classified once
-(family, opcode, operands, branch target, evaluator, slice ids) and,
-planned from that and the read-only ranges on first demand, each fused
-region, loop and slice.  All generated code is planned by shape: a
-structural key, taken before anything renders (per element its family,
-opcode, operand kinds and the pattern of its registers and immediates),
-picks the code, which renders and compiles once per process
-(:data:`_SHAPES`).  Everything a program owns (pcs, register numbers,
-immediates, read-only bounds, Hist keys, IBuff pcs) binds as a
-parameter, so code objects name no program, and a fused unit's start
-pc is its ``_s`` default.  Every decode binds the plan to its own CPU
-through :func:`_bound`, from one environment of CPU facts: registers,
-accounts, model costs, Hist, SFile fit, fire tables, slice cells and
-trace columns.
+builds its *decode plan* (:class:`_Plan`): each pc planned once as a
+one-element unit, kept as its key part and own values (see
+:func:`_element`), and, on first demand, each fused region, loop and
+slice, whose elements come from the same :func:`_element`.  All
+generated code is planned by shape: a structural key, taken before
+anything renders (per element its family, variant, operand kinds and
+the pattern of its registers, immediates and target; per pc also what
+varies per CPU: traced or not, an ``RCMP``'s probe depth and
+``verify``), picks the code, which renders and compiles once per
+process (:data:`_SHAPES`).  Everything a program owns (pcs, register
+numbers, immediates, targets, read-only bounds, Hist keys, IBuff pcs)
+binds as a parameter, so code objects name no program, and a unit's
+start pc is its ``_s`` default wherever its source reads it.  Every
+decode binds the plan to its own CPU through :func:`_bound`, from one
+environment of CPU facts: registers, accounts, model costs, Hist, SFile
+fit, fire tables, slice cells and trace columns.
 
 ``RCMP`` renders per pc for the run's paper policy by its probe depth:
 the one decision inline (see :data:`_DECISION`: the load's residence,
@@ -95,7 +97,7 @@ The contract every rendering honours:
   runs its program once, so compiling fused regions for it costs more
   than it saves (see ``_decode``).  The tracer is fixed at CPU
   construction, so the variant is chosen at decode time; amnesic CPUs
-  take none.  ``HALT``, ``RTN``, statically odd instructions, and
+  take none.  ``RTN``, statically odd instructions, and
   ``RCMP`` under a live telemetry session (per-RCMP decision records)
   or for a policy that is not a paper policy run the classic handler,
   which retires through ``CPU._emit`` into the same columns, in order.
@@ -113,7 +115,7 @@ import builtins
 import re
 import weakref
 from collections import OrderedDict
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import CodeType, FunctionType
 from typing import NamedTuple, Optional
 
@@ -209,11 +211,6 @@ def _address(base, offset):
     )
 
 
-def _load_address(base, offset):
-    """The address lines of LD/ST, tagged ``ea``: RCMP computes its own."""
-    return tuple(("ea", line) for line in _address(base, offset))
-
-
 #: ``Memory.read`` of ``_a`` into ``_x``.
 _READ = (
     "try:",
@@ -237,7 +234,7 @@ _L1_SET = ("_ln = _a >> _shift", "_cs = _l1sets[_ln % _nsets]", "if _ln in _cs:"
 _FAMILIES = {
     "ld": (
         ("mark", ""),
-        *_load_address("$s0", "$s1"),
+        *_address("$s0", "$s1"),
         *_READ,
         *_L1_SET,
         "    $h1 += 1",
@@ -261,7 +258,7 @@ _FAMILIES = {
     "st": (
         ("mark", ""),
         "_x = $s0",
-        *_load_address("$s1", "$s2"),
+        *_address("$s1", "$s2"),
         ("ro", "if $ro:"),
         ("ro", "    raise _MemF(f'write to read-only address {_a:#x}')"),
         "_cells[_a] = _x",
@@ -330,13 +327,19 @@ _FAMILIES = {
         "$tt += $t",
         ("emit", ""),
     ),
+    "halt": (
+        ("emit", ""),
+        "_cpu.pc = $pc",
+        "_cpu.halted = True",
+        ("goto", "-1"),
+    ),
 }
 
 #: Families whose per-pc function falls through to ``pc + 1``.
 _FALLTHROUGH = frozenset({"compute", "ld", "st", "branch", "nop", "rec", "rcmp"})
 
 #: Operand counts the fixed-shape families read.
-_ARITY = {"ld": 2, "st": 3, "branch": 2, "jr": 1, "rcmp": 2}
+_ARITY = {"ld": 2, "st": 3, "branch": 2, "jr": 1, "rcmp": 2, "halt": 0}
 
 #: Families whose ``dest`` hook writes an architectural register.
 _WRITES_DEST = frozenset({"compute", "ld", "jal", "rcmp"})
@@ -380,6 +383,7 @@ def _rcmp_description(depth, verify):
     lines.  A probing paper policy fires only where every probe of its
     depth missed, so a fire pays the whole probe (``_p1``/``_p2``).
     """
+    address = _address("$s0", "$s1")
     decide = tuple(
         line if type(line) is str else line[1]
         for line in _DECISION
@@ -401,7 +405,7 @@ def _rcmp_description(depth, verify):
     )
     return (
         "_st.rcmp_encountered += 1",
-        *_address("$s0", "$s1"),
+        *address,
         "$ga += _rce",
         "$tt += _rct",
         *decide,
@@ -421,7 +425,7 @@ def _rcmp_description(depth, verify):
         *("    " + line for line in charge),
         "else:",
         "    _st.recomputations_skipped += 1",
-        *_FAMILIES["ld"],
+        *(line for line in _FAMILIES["ld"] if line not in address),
     )
 
 #: Families a fused region may contain (the region analyzer admits no
@@ -435,9 +439,10 @@ def _compute_description(opcode, kinds):
 
     A kind is ``"rt"`` for a value known only at run time (read once
     into ``_y<n>`` and type-guarded) or the kind of a constant operand
-    (see :func:`_const_kind`), which stays a literal.  The inline form
-    runs when its guard holds and the evaluator otherwise; the charge
-    is tagged ``time`` so concurrent-offload slices can hide latency.
+    (see :func:`_const_kind`), which reads its name unguarded.  The
+    inline form runs when its guard holds and the evaluator otherwise;
+    the charge is tagged ``time`` so concurrent-offload slices can hide
+    latency.
     A trapping opcode leads with its fault ``mark``, as ``LD``/``ST`` do.
     """
     args = [f"_y{n}" if kind == "rt" else f"$s{n}" for n, kind in enumerate(kinds)]
@@ -624,7 +629,7 @@ def _column_emit(writer):
             "_cpu._dynamic_index = _ix + 1",
             "if not _inst:",
             "    _lrn()",
-            "_tpc(_pc)",
+            "_tpc(_s)",
             f"_tres({result or 'None'})",
             "_ina(_ix)",
         ]
@@ -636,6 +641,241 @@ def _column_emit(writer):
 
     return emit
 
+
+# ----------------------------------------------------------------------
+# Elements: what a unit's shape is taken from.
+# ----------------------------------------------------------------------
+
+def _family(opcode):
+    """The family that describes *opcode*, None when none does."""
+    category = _OPCODE_CATEGORY[opcode]
+    if category.is_compute:
+        return "compute" if opcode in _EVALUATORS else None
+    if category is Category.BRANCH:
+        return "branch" if opcode in _BRANCH_OPS else None
+    if opcode is Opcode.RCMP:
+        return "rcmp"
+    return opcode.value if opcode.value in _FAMILIES else None
+
+
+#: Each opcode's family (see :func:`_family`).
+_FAMILY_OF = {opcode: _family(opcode) for opcode in Opcode}
+
+#: Families a per-pc function may run: every described one.
+_DESCRIBED = frozenset(family for family in _FAMILY_OF.values() if family)
+
+#: Families whose ``goto`` names a label.
+_TARGETED = frozenset({"branch", "jmp", "jal"})
+
+
+class _Unit:
+    """One unit's own values, named while its shape is taken.
+
+    ``values`` holds what the unit binds for itself by parameter name.
+    A value named through :meth:`own` gets its name at first use, the
+    prefix and how many names the prefix already has, and keeps it, so
+    a repeated value reads its first name and two units that use their
+    values in the same pattern name them alike: the names are part of
+    the shape key, the values are not.  As a shape renders, a fresh
+    unit names the recipe entries the shape determines (costs per
+    category) the same way (see :func:`_recipe`).
+    """
+
+    __slots__ = ("values", "_names", "_counts")
+
+    def __init__(self, **values):
+        self.values = values
+        self._names = {}
+        self._counts = {}
+
+    def own(self, prefix, value, identity=None):
+        """The parameter binding *value*, this unit's own (*identity*: its equality)."""
+        key = (prefix, value if identity is None else identity)
+        name = self._names.get(key)
+        if name is None:
+            count = self._counts.get(prefix, 0)
+            self._counts[prefix] = count + 1
+            name = self._names[key] = f"{prefix}{count}"
+            self.values[name] = value
+        return name
+
+
+def _immediate(unit, value):
+    """An immediate operand's name: one parameter bound to *value*.
+
+    Equal values of one type share it (``repr`` tells ``0.0`` from
+    ``-0.0``).
+    """
+    return unit.own("_k", value, (type(value), repr(value)))
+
+
+def _element(unit, program, pc, families):
+    """Take the shape of the instruction at *pc* as an element of *unit*.
+
+    Binds what the element reads of its own: registers as ``_g<n>``,
+    immediates through :func:`_immediate`, a branch or jump target as
+    ``_tg<n>``, a store's read-only bounds ``_lo<k>``/``_hi<k>`` from
+    the program's data segment (which ``Memory`` only copies), the
+    slice and leaf ids of ``REC`` and ``RCMP``, and a ``JR``'s
+    instruction (its fault message names it).  Returns the element's
+    key part, ``(family, variant, operand kinds, names)``: the variant
+    is the opcode, or for a store the number of read-only ranges it
+    checks; the names are those its operands, its destination (None:
+    none, or r0, whose writes classic drops) and its target read.
+    Texts, descriptions, costs and evaluators come from the part when a
+    shape renders (:func:`_rendered`).  None when the instruction is not
+    of one of *families* or is statically odd (an undefined label, a
+    non-register destination, an operand that is neither a register nor
+    an immediate), which leaves it on the classic handler, faulting at
+    run time exactly as classic does.
+    """
+    instruction = program.instructions[pc]
+    opcode = instruction.opcode
+    family = _FAMILY_OF[opcode]
+    srcs = instruction.srcs
+    if family not in families or len(srcs) != _ARITY.get(family, len(srcs)):
+        return None
+    compute = family == "compute"
+    kinds = []
+    refs = []
+    for src in srcs:
+        if isinstance(src, Reg):
+            # r0 is never written, so its slot reads the hardwired zero.
+            kinds.append("rt")
+            refs.append(unit.own("_g", src.index))
+        elif isinstance(src, Imm):
+            # Only the compute description reads a constant's kind.
+            kinds.append(_const_kind(src.value) if compute else "k")
+            refs.append(_immediate(unit, src.value))
+        else:
+            return None
+    dest = None
+    if family in _WRITES_DEST:
+        if not isinstance(instruction.dest, Reg):
+            return None
+        if instruction.dest.index:
+            dest = unit.own("_g", instruction.dest.index)
+    refs.append(dest)
+    variant = opcode
+    values = unit.values
+    if family in _TARGETED:
+        target = program.labels.get(instruction.target)
+        if target is None:
+            return None
+        refs.append(unit.own("_tg", target))
+    elif family == "st":
+        variant = len(program.data.read_only)
+        for k, (lo, hi) in enumerate(program.data.read_only):
+            values[f"_lo{k}"] = lo
+            values[f"_hi{k}"] = hi
+    elif family == "rec":
+        values["_sid"] = instruction.slice_id
+        values["_lid"] = instruction.leaf_id
+    elif family == "rcmp":
+        values["_sid"] = instruction.slice_id
+    elif family == "jr":
+        values["_ins"] = instruction
+    return family, variant, tuple(kinds), tuple(refs)
+
+
+def _elements(unit, program, start, end, families):
+    """The key parts of pcs ``[start, end)`` in *unit*; None if one won't render."""
+    parts = []
+    for pc in range(start, end):
+        part = _element(unit, program, pc, families)
+        if part is None:
+            return None
+        parts.append(part)
+    return parts
+
+
+def _cost(method, *args):
+    """Recipe entries binding a model cost's energy and time."""
+    return (
+        ("cost", (method, args, "energy_nj")),
+        ("cost", (method, args, "time_ns")),
+    )
+
+
+def _costs(shared, method, *args):
+    """The parameters of a model cost's energy and time, named in *shared*."""
+    energy, time = _cost(method, *args)
+    return shared.own("_e", energy), shared.own("_t", time)
+
+
+def _recipe(values, shared, **entries):
+    """A shape's binding recipe (see :func:`_bound`), made as it renders.
+
+    A unit's own *values* bind by name, then the entries its elements
+    named in *shared* (a :class:`_Unit` whose values are recipe
+    entries), then *entries*.
+    """
+    recipe = {name: ("own", name) for name in values}
+    recipe.update(shared.values)
+    recipe.update(entries)
+    return recipe
+
+
+def _rendered(parts, first, shared, keys, hooks=None, home=False, traced=False):
+    """Source lines of elements by their key *parts*, the first at offset *first*.
+
+    Descriptions and texts are made from the parts here, when a shape
+    renders, and so are the entries the shape determines, named in
+    *shared*: costs per category and an evaluator per opcode
+    (``_ev_<opcode>``).  A fault names its pc as the unit's start ``_s``
+    plus the offset.  Elements of a fused unit charge hoisted
+    accumulators and mark each fault point as ``_n``; the one element of
+    a per-pc function (*home*) charges the accumulators where they live
+    and keeps its description's ``traced`` lines when *traced*.  *hooks*
+    renders control transfers and retirement.  Adds the placeholders
+    the elements use to *keys* (the accumulators to hoist).
+    """
+    lines = []
+    for offset, (family, variant, kinds, refs) in enumerate(parts, first):
+        items = _description(family, variant, kinds)
+        placeholders = _formats(items)[1]
+        arity = len(kinds)
+        subs = dict(
+            _AT_HOME if home else _HOISTED,
+            pc=f"_s + {offset}" if offset else "_s",
+            nx="_nx", sid="_sid", lid="_lid",
+            cmp=_BRANCH_OPS.get(variant, ""),
+            tg=refs[arity + 1] if len(refs) > arity + 1 else "",
+        )
+        for n, (kind, ref) in enumerate(zip(kinds, refs)):
+            subs[f"s{n}"] = f"_r[{ref}]" if kind == "rt" else ref
+        flags = {"time", "traced"} if traced else {"time"}
+        if "ro" in placeholders:
+            subs["ro"] = _read_only_test(
+                (f"_lo{k}", f"_hi{k}") for k in range(variant)
+            )
+            if variant:
+                flags.add("ro")
+        if "srcs" in placeholders:
+            subs["srcs"] = "".join(f"{subs[f's{n}']}, " for n in range(arity))
+        if "e" in placeholders:
+            cost = ("rec_cost",) if family == "rec" else (
+                "compute_cost", _OPCODE_CATEGORY[variant]
+            )
+            subs["e"], subs["t"] = _costs(shared, *cost)
+        if "ev" in placeholders:
+            subs["ev"] = name = f"_ev_{variant.value}"
+            shared.values[name] = ("value", _EVALUATORS[variant])
+        dest = refs[arity]
+        element = dict(
+            hooks or {},
+            dest=lambda value, d=dest: [f"_r[{d}] = {value}"] if d else [],
+        )
+        if not home:
+            element["mark"] = lambda _, mark=f"_n = {offset}": [mark]
+        lines += _render(items, subs, flags, element)
+        keys |= placeholders
+    return lines
+
+
+# ----------------------------------------------------------------------
+# Shapes.
+# ----------------------------------------------------------------------
 
 #: Compiled code by shape key, per-pc and fused alike (see
 #: :func:`_shaped`), least recently used first.
@@ -661,69 +901,37 @@ def _shaped(key, render):
     return shape
 
 
-def _per_pc_unit(shape, values, names):
-    """The per-pc function of one shape, rendered on its first demand.
+def _render_pc(key, values, names):
+    """The per-pc function of one shape: a one-element unit.
 
-    *shape* is ``(family, variant, boxes, dest, cost, traced, writer,
-    read_only)``: the class's fields (with ``(probe depth, verify)`` as
-    the variant of RCMP), whether the function appends trace columns,
-    whether it appends to its destination's writers, and the number of
-    read-only ranges a store checks.  Its recipe binds the operand and
-    destination boxes the shape names, the costs, the names in
-    *values* (the pc's own values) per pc and every other name it reads
-    from the CPU environment (*names*); every pc of one shape has the
-    same values by name, so the unit serves them all.
+    *key* is ``("pc", part, traced, writer)``: the element's key part
+    (see :func:`_element`; a decoded ``RCMP``'s variant is its ``(probe
+    depth, verify)``), whether the function appends trace columns, and
+    whether it appends to its destination's writers.  It charges the
+    accumulators where they live, marks no fault, returns its ``goto``
+    target and, falling through, ``_nx``.  Its recipe binds the names
+    in *values* (the pc's own, every pc of the shape has the same) per
+    pc, costs per category, evaluators per opcode and every other name
+    it reads from the CPU environment (*names*).
     """
-    return _shaped(shape, lambda: _render_per_pc(shape, values, names))
-
-
-def _render_per_pc(shape, values, names):
-    family, variant, boxes, dest, cost, traced, writer, read_only = shape
-    arity = len(boxes)
-    subs = dict(_AT_HOME)
-    subs.update(
-        pc="_pc", nx="_nx", tg="_tg", e="_e", t="_t", ev="_ev",
-        sid="_sid", lid="_lid", cmp=_BRANCH_OPS.get(variant, ""),
-        srcs="".join(f"_b{n}[_i{n}], " for n in range(arity)),
-        ro=_read_only_test(
-            (f"_ro[{2 * k}]", f"_ro[{2 * k + 1}]") for k in range(read_only)
-        ),
-    )
-    for n in range(arity):
-        subs[f"s{n}"] = f"_b{n}[_i{n}]"
-    flags = {"time"} if family == "rcmp" else {"time", "ea"}
-    if traced:
-        flags.add("traced")
-    if read_only:
-        flags.add("ro")
+    _, part, traced, writer = key
+    family, variant, kinds, _ = part
+    shared = _Unit()
     hooks = {
-        "dest": lambda value: [f"_db[_di] = {value}"],
         "emit": _column_emit(writer) if traced else _counted_emit,
         "goto": lambda target: [f"return {target}"],
     }
-    lines = _render(
-        _description(family, variant, ("rt",) * arity), subs, flags, hooks
-    )
+    lines = _rendered([part], 0, shared, set(), hooks, home=True, traced=traced)
     if family in _FALLTHROUGH:
         lines.append("return _nx")
-    recipe = {name: ("own", name) for name in values}
-    for n, box in enumerate(boxes):
-        if box is not None:
-            recipe[f"_b{n}"] = ("name", box)
-    if dest is not None:
-        recipe["_db"] = ("name", dest)
-    if cost is not None:
-        recipe["_e"], recipe["_t"] = _cost(*cost)
-    if variant is None:
-        label = family
-    elif family == "rcmp":
+    if family == "rcmp":
         depth, verify = variant
         label = f"rcmp{depth}" + ("-verify" if verify else "")
     else:
-        label = variant.value
+        label = variant.value if family in ("compute", "branch") else family
     return _planned(
-        "_f", ["    " + line for line in lines], recipe,
-        f"<fastpath {label}/{arity}>", names,
+        "_f", ["    " + line for line in lines], _recipe(values, shared),
+        f"<fastpath {label}/{len(kinds)}>", names,
     )
 
 
@@ -787,108 +995,13 @@ def clear_codegen_caches():
 # Per-pc decode.
 # ----------------------------------------------------------------------
 
-class _Class(NamedTuple):
-    """What the fast path knows of one pc before any CPU runs it.
-
-    ``family`` and ``variant`` (the opcode of a compute or branch
-    family, else None) pick the description.  ``boxes`` names, for each
-    source operand, the environment's registers (``"_r"``) as its box,
-    or None when its box is a one-slot constant of the pc's own; and
-    ``dest`` a written destination's box: the registers or the r0 sink
-    (``"_sink"``; None: the family writes none).  ``cost`` is the model
-    cost ``$e``/``$t`` charge as ``(method, *args)``, if any.
-    ``consts`` holds the pc's own values by the name its code reads:
-    pc, next pc, branch target, evaluator, slice and leaf ids, operand
-    indices and constant boxes, and a ``JR``'s instruction.
-    """
-
-    family: str
-    variant: object
-    boxes: tuple
-    dest: Optional[str]
-    cost: Optional[tuple]
-    consts: dict
-
-
-def _classify(program, pc, instruction):
-    """The :class:`_Class` of a described instruction, else None.
-
-    None leaves the pc on the classic handler, which keeps every
-    statically odd case (an undefined label, a non-register
-    destination, an opcode without value semantics, a scratch or Hist
-    operand outside a slice) faulting at run time exactly as classic
-    does.  Whether a CPU can run a ``REC`` or ``RCMP`` (its Hist, its
-    policy, its binary's slice table) is the decode's to say.
-    """
-    opcode = instruction.opcode
-    category = _OPCODE_CATEGORY[opcode]
-    consts = {"_pc": pc, "_nx": pc + 1}
-    variant = None
-    cost = ("compute_cost", category)
-    if category.is_compute:
-        family = "compute"
-        variant = opcode
-        consts["_ev"] = _EVALUATORS.get(opcode)
-        if consts["_ev"] is None:
-            return None
-    elif category is Category.BRANCH:
-        family = "branch"
-        variant = opcode
-        if opcode not in _BRANCH_OPS:
-            return None
-    elif opcode is Opcode.RCMP:
-        family = "rcmp"
-    else:
-        family = opcode.value
-        if family not in _FAMILIES:
-            return None
-        if family == "jr":
-            consts["_ins"] = instruction  # its fault message names it
-    arity = len(instruction.srcs)
-    if arity != _ARITY.get(family, arity):
-        return None
-    dest = instruction.dest
-    if family in _WRITES_DEST and not isinstance(dest, Reg):
-        return None
-    if family in ("branch", "jmp", "jal"):
-        consts["_tg"] = program.labels.get(instruction.target)
-        if consts["_tg"] is None:
-            return None
-    if family == "rec":
-        cost = ("rec_cost",)
-        consts.update(_sid=instruction.slice_id, _lid=instruction.leaf_id)
-    elif family == "rcmp":
-        cost = None
-        consts["_sid"] = instruction.slice_id
-    elif family in ("ld", "st"):
-        cost = None
-    boxes = []
-    for n, src in enumerate(instruction.srcs):
-        if isinstance(src, Reg):
-            # r0 is never written (destination r0 writes go to a sink),
-            # so reading the backing slot is the classic hardwired zero.
-            boxes.append("_r")
-            consts[f"_i{n}"] = src.index
-        elif isinstance(src, Imm):
-            boxes.append(None)
-            consts[f"_b{n}"], consts[f"_i{n}"] = (src.value,), 0
-        else:
-            return None
-    if family in _WRITES_DEST:
-        consts["_di"] = dest.index
-        dest = "_r" if dest.index else "_sink"
-    else:
-        dest = None
-    return _Class(family, variant, tuple(boxes), dest, cost, consts)
-
-
 def _environment(cpu, table):
     """What generated code binds by name from *cpu* and its *table*.
 
-    Registers and the r0 sink, memory, caches and the miss walk, the
-    accounts and stats, the energy model and its load and store costs,
-    the table's count arrays and fault recorder, the energy-group and
-    level constants, and, on an amnesic CPU, its Hist, SFile and IBuff; on a
+    Registers, memory, caches and the miss walk, the accounts and
+    stats, the energy model and its load and store costs, the table's
+    count arrays and fault recorder, the energy-group and level
+    constants, and, on an amnesic CPU, its Hist, SFile and IBuff; on a
     traced CPU, the tracker's append side.  Every environment binds
     every name a fused region or loop reads, and every amnesic one every
     name a slice reads, so a plan rendered for one CPU's names binds on
@@ -910,7 +1023,6 @@ def _environment(cpu, table):
     stats = cpu.stats
     env = {
         "_r": cpu.registers,
-        "_sink": [0],
         "_eg": cpu.account._energy_by_group,
         "_ac": cpu.account,
         "_st": stats,
@@ -921,7 +1033,6 @@ def _environment(cpu, table):
         "_fc": table.fused_counts,
         "_fault": table.fault,
         "_cells": memory._cells,
-        "_ro": tuple(bound for pair in memory._read_only for bound in pair),
         "_l1sets": l1._sets,
         "_shift": l1._line_shift,
         "_nsets": l1._nsets,
@@ -982,15 +1093,16 @@ def _environment(cpu, table):
 def _decode(cpu):
     """Bind *cpu*'s program plan into a :class:`_BatchTable`.
 
-    Each pc the plan classified binds the per-pc unit of its shape; a
+    Each pc with a per-pc unit in the plan binds the code of its shape,
+    picked by the unit's key part and what varies per CPU: whether it
+    is traced and, for an ``RCMP``, the probe depth and ``verify``.  A
     ``REC`` on a CPU without a Hist, an ``RCMP`` under a policy that is
-    not a paper policy or a live telemetry session, ``HALT`` and every
-    pc the plan left unclassified run the classic handler.  ``fns`` ends in
-    one sentinel entry (index ``len(program)``) raising the classic
-    "ran off the end" fault, so the hot loop needs no bounds check; its
-    category slot is ``None`` and its hit count is never flushed into
-    RunStats — the classic loop faults on fetch *before* counting, and
-    so do we.
+    not a paper policy or a live telemetry session, and every pc without
+    a unit run the classic handler.  ``fns`` ends in one sentinel
+    entry (index ``len(program)``) raising the classic "ran off the
+    end" fault, so the hot loop needs no bounds check; its category
+    slot is ``None`` and its hit count is never flushed into RunStats —
+    the classic loop faults on fetch *before* counting, and so do we.
     """
     program = cpu.program
     instructions = program.instructions
@@ -1004,38 +1116,30 @@ def _decode(cpu):
     # leaves RCMP on the classic handler, which live telemetry sessions
     # (per-RCMP decision records) need.
     depth = None if metered else cpu._rcmp_depth()
-    # Stores compare against the read-only ranges (bound per CPU as one
-    # flat tuple); with none configured the check renders away.
-    read_only = len(cpu.memory._read_only)
     fns = table.fns
-    for pc, (instruction, found) in enumerate(zip(instructions, plan.classes)):
-        family = None if found is None else found.family
-        if family is None or family == "rec" and "_rec" not in env:
-            values = None
-        elif family == "rcmp":
-            values = None if depth is None else _rcmp_values(cpu, table, found, pc)
-        else:
-            values = found.consts
+    for pc, planned in enumerate(plan.pcs):
+        values = None
+        if planned is not None:
+            part, values = planned
+            if part[0] == "rcmp":
+                values = None if depth is None else _rcmp_values(cpu, table, values, pc)
+                if values is not None:
+                    part = ("rcmp", (depth, cpu.verify), *part[2:])
+            elif part[0] == "rec" and "_rec" not in env:
+                values = None
         if values is None:
-            halts = instruction.opcode is Opcode.HALT
-            fns.append((_halt if halts else _thunk)(cpu, pc, instruction))
+            fns.append(_thunk(cpu, pc, instructions[pc]))
             continue
+        writer = False
         if traced:
-            learn, instances, writers = tracer.pc_columns(pc, instruction)
+            learn, instances, writers = tracer.pc_columns(pc, instructions[pc])
             values = dict(values, _lrn=learn, _inst=instances, _ina=instances.append)
             if writers is not None:
                 values["_wra"] = writers.append
-        shape = (
-            family,
-            (depth, cpu.verify) if family == "rcmp" else found.variant,
-            found.boxes,
-            found.dest,
-            found.cost,
-            traced,
-            "_wra" in values,
-            read_only if family == "st" else 0,
-        )
-        fns.append(_bound(_per_pc_unit(shape, values, env), env, values))
+                writer = True
+        key = ("pc", part, traced, writer)
+        shape = _shaped(key, partial(_render_pc, key, values, env))
+        fns.append(_bound(shape, env, values))
     table.cats.extend(_OPCODE_CATEGORY[ins.opcode] for ins in instructions)
     fns.append(_off_end(len(fns)))
     table.cats.append(None)
@@ -1050,12 +1154,12 @@ def _decode(cpu):
         # table keeps no environment: the environment holds the table.
         return table
     table.env = env
-    for unit in plan.fused_for(program, cpu.memory._read_only, env):
+    for unit in plan.fused_for(program, env):
         table.install(unit)
     return table
 
 
-def _rcmp_values(cpu, table, found, pc):
+def _rcmp_values(cpu, table, values, pc):
     """An RCMP's own values on *cpu*, or None when its binary has no such slice.
 
     Its slice's checkpoint keys ``_hk``, whether its scratch demand
@@ -1064,12 +1168,12 @@ def _rcmp_values(cpu, table, found, pc):
     (``_ft1``/``_ft2``/``_ftm``).
     """
     try:
-        info = cpu.binary.info_for(found.consts["_sid"])
+        info = cpu.binary.info_for(values["_sid"])
     except KeyError:
         return None
     sid = info.slice_id
     values = dict(
-        found.consts,
+        values,
         _sid=sid,
         _hk=frozenset((sid, leaf) for leaf in info.hist_leaf_ids),
         _ok=info.sreg_demand <= cpu.sfile.capacity,
@@ -1077,16 +1181,6 @@ def _rcmp_values(cpu, table, found, pc):
     )
     values["_ft1"], values["_ft2"], values["_ftm"] = cpu._rcmp_fire_table(info)
     return values
-
-
-def _halt(cpu, pc, instruction):
-    def f(cpu=cpu, pc=pc, instruction=instruction):
-        cpu.pc = pc
-        cpu._emit(instruction)
-        cpu.halted = True
-        return -1
-
-    return f
 
 
 def _thunk(cpu, pc, instruction):
@@ -1308,16 +1402,17 @@ def _planned(name, lines, recipe, filename, names):
 class _Plan:
     """What decoding one program yields that no CPU state enters.
 
-    Each pc's :class:`_Class`, made once by the program's first
-    untraced decode (a traced decode reuses them, or classifies for
-    itself); the region analysis (proven self-loops and batchable
-    regions), made by its first untraced decode; and, planned on first
-    demand from the classes and the instructions, every fused unit
-    (:class:`_Fused`: its shape's code and its own values): regions and
-    loops per set of read-only ranges (the only CPU input they read),
-    slices per ``(slice id, SFile capacity, concurrent_offload)``.  A
-    plan holds classes, units and binding recipes, never a CPU, a trace
-    or a :class:`_BatchTable`; each decode binds its own environment.
+    Per pc, its per-pc unit as the program's first untraced decode
+    planned it (:func:`_per_pc`: a one-element unit's key part and own
+    values, None for a pc the classic handler runs); a traced decode
+    reuses them or plans for itself.  The region analysis (proven
+    self-loops and batchable regions), made by the first untraced
+    decode; and, planned on first demand, every fused unit
+    (:class:`_Fused`: its shape's code and its own values): the regions
+    and loops once, slices per ``(slice id, SFile capacity,
+    concurrent_offload)``.  A plan holds key parts, own values and
+    units, never a program, a CPU, a trace or an environment; each
+    decode binds its own.
 
     The one machine state a plan holds is ``forks``: per energy-model
     fingerprint, None once an amnesic run of the program has been seen,
@@ -1326,30 +1421,26 @@ class _Plan:
     them, and leaves with the plan.
     """
 
-    __slots__ = ("classes", "analysis", "fused", "slices", "forks")
+    __slots__ = ("pcs", "analysis", "fused", "slices", "forks")
 
     def __init__(self, program):
-        self.classes = [
-            _classify(program, pc, instruction)
-            for pc, instruction in enumerate(program.instructions)
-        ]
+        self.pcs = [_per_pc(program, pc) for pc in range(len(program.instructions))]
         self.analysis = None
-        self.fused = {}
+        self.fused = None
         self.slices = {}
         self.forks = {}
 
-    def fused_for(self, program, read_only, names):
-        """The fused loops and regions over *read_only*, in install order.
+    def fused_for(self, program, names):
+        """The fused loops and regions, in install order.
 
         *names* are the keys of the CPU environment that binds them;
         every environment binds every name fused code reads.
         """
-        units = self.fused.get(read_only)
-        if units is None:
-            units = self.fused[read_only] = self._render(program, read_only, names)
-        return units
+        if self.fused is None:
+            self.fused = self._render(program, names)
+        return self.fused
 
-    def _render(self, program, read_only, names):
+    def _render(self, program, names):
         # Proven self-loops fuse whole; every other batchable region
         # outside a slice fuses on its own, and in-slice regions stay
         # per pc.  A unit's index is its deferred-count slot.
@@ -1359,17 +1450,16 @@ class _Plan:
             from ..staticcheck.regions import analyze_regions
 
             self.analysis = analyze_regions(program)
-        scope = _Scope(program, self.classes, read_only, names)
         units = []
         looped = set()
         for loop in self.analysis.loops:
-            unit = _render_loop(scope, loop, len(units))
+            unit = _render_loop(program, loop, len(units), names)
             if unit is not None:
                 units.append(unit)
                 looped.add(loop.body)
         for region in self.analysis.batchable_regions:
             if region not in looped and not region.in_slice:
-                unit = _render_region(scope, region, len(units))
+                unit = _render_region(program, region, len(units), names)
                 if unit is not None:
                     units.append(unit)
         return tuple(units)
@@ -1399,8 +1489,8 @@ def _plan(program, register=True):
     Held weakly: the entry leaves when the program dies, and
     :func:`clear_codegen_caches` drops every plan.  A traced decode
     passes *register* false: it uses the program's plan if one exists
-    and otherwise classifies into one it keeps to itself, so a program
-    that is only profiled holds no plan.
+    and otherwise plans into one it keeps to itself, so a program that
+    is only profiled holds no plan.
     """
     key = _plan_key(program)
     entry = _PLANS.get(key)
@@ -1415,175 +1505,16 @@ def _plan(program, register=True):
     return plan
 
 
-class _Scope(NamedTuple):
-    """What a plan renders fused regions and loops from."""
+def _per_pc(program, pc):
+    """The per-pc unit of *pc*: ``(key part, own values)``, or None.
 
-    program: object
-    classes: list
-    read_only: tuple
-    names: object
-
-
-class _Unit:
-    """One fused unit while its shape is taken, before anything renders.
-
-    ``values`` holds what the unit binds for itself by parameter name
-    (:meth:`own`), and ``recipe`` every parameter's entry (see
-    :func:`_bound`), its own values included.  A named value gets its
-    name at first use, the prefix and how many names the prefix already
-    has, and keeps it, so a repeated value reads its first name and two
-    units that use their values in the same pattern name them alike:
-    the names are part of the shape key, the values are not.  Entries
-    the shape determines (costs per category, evaluators per opcode,
-    categories) are named the same way (:meth:`shared`).
+    A one-element unit (see :func:`_element`) whose pc is ``_s`` and
+    whose fall-through pc is ``_nx``; None leaves the pc on the classic
+    handler.
     """
-
-    __slots__ = ("values", "recipe", "_names", "_counts")
-
-    def __init__(self, recipe=(), **values):
-        self.values = {}
-        self.recipe = dict(recipe)
-        self._names = {}
-        self._counts = {}
-        for name, value in values.items():
-            self.bind(name, value)
-
-    def bind(self, name, value):
-        """Bind *value* under a fixed *name* that every unit of the shape reads."""
-        self.values[name] = value
-        self.recipe[name] = ("own", name)
-
-    def _name(self, prefix, identity):
-        key = (prefix, identity)
-        name = self._names.get(key)
-        if name is None:
-            count = self._counts.get(prefix, 0)
-            self._counts[prefix] = count + 1
-            name = self._names[key] = f"{prefix}{count}"
-        return name
-
-    def own(self, prefix, value, identity=None):
-        """The parameter binding *value*, this unit's own (*identity*: its equality)."""
-        name = self._name(prefix, value if identity is None else identity)
-        if name not in self.values:
-            self.bind(name, value)
-        return name
-
-    def shared(self, prefix, entry):
-        """The parameter of a recipe *entry* that the shape determines."""
-        name = self._name(prefix, entry)
-        self.recipe[name] = entry
-        return name
-
-    def costs(self, method, *args):
-        """The parameters of a model cost's energy and time."""
-        energy, time = _cost(method, *args)
-        return self.shared("_e", energy), self.shared("_t", time)
-
-
-def _immediate(unit, value):
-    """An immediate operand: ``(shape-key part, source text)``.
-
-    Both are one parameter bound to *value*; equal values of one type
-    share it (``repr`` tells ``0.0`` from ``-0.0``).
-    """
-    name = unit.own("_k", value, (type(value), repr(value)))
-    return name, name
-
-
-def _element(scope, unit, pc, offset, families):
-    """Take the shape of the instruction at *pc*, element *offset* of a fused unit.
-
-    Registers read and write ``_r[<name>]``, immediates read a name
-    (:func:`_immediate`), and a fault names its pc as the unit's start
-    ``_s`` plus *offset*; costs bind per category and evaluators per
-    opcode.  Returns ``(part, items, subs)``: what the shape key keeps of
-    the element (family, opcode, operand kinds, and the names its
-    operands and destination read), its description, and the texts its
-    placeholders render as.  None when the instruction is not of one of
-    *families* or cannot be rendered (odd operands, missing evaluator).
-    """
-    found = scope.classes[pc]
-    if found is None or found.family not in families:
-        return None
-    family = found.family
-    instruction = scope.program.instructions[pc]
-    opcode = instruction.opcode
-    # A fused goto is a hook that ignores its target (``break``, or the
-    # next pass), so no target enters the source.
-    subs = dict(
-        _HOISTED, pc=f"_s + {offset}" if offset else "_s",
-        cmp=_BRANCH_OPS.get(opcode, ""), tg="",
-    )
-    kinds = []
-    refs = []
-    for n, src in enumerate(instruction.srcs):
-        if isinstance(src, Reg):
-            kinds.append("rt")
-            ref = unit.own("_g", src.index)
-            subs[f"s{n}"] = f"_r[{ref}]"
-        else:
-            kinds.append(_const_kind(src.value))
-            ref, subs[f"s{n}"] = _immediate(unit, src.value)
-        refs.append(ref)
-    # r0 writes are dropped (classic ``write_register`` discards them).
-    dest = instruction.dest.index if family in _WRITES_DEST else 0
-    refs.append(unit.own("_g", dest) if dest else None)
-    items = _description(family, opcode, tuple(kinds))
-    placeholders = _formats(items)[1]
-    if "e" in placeholders:
-        subs["e"], subs["t"] = unit.costs(*found.cost)
-    if "ev" in placeholders:
-        subs["ev"] = unit.shared("_ev", ("value", found.consts["_ev"]))
-    return (family, opcode, tuple(kinds), tuple(refs)), items, subs
-
-
-def _elements(scope, unit, start, end, families):
-    """The shapes of ``[start, end)`` inside a unit starting at ``_s``; None if one won't render."""
-    shaped = []
-    for pc in range(start, end):
-        element = _element(scope, unit, pc, pc - unit.values["_s"], families)
-        if element is None:
-            return None
-        shaped.append(element)
-    return shaped
-
-
-def _read_only_bounds(scope, unit, elements):
-    """Bind the read-only bounds when a store checks them; returns their count.
-
-    A unit without a store checks none, so its shape leaves them out.
-    """
-    if not any(part[0] == "st" for part, _, _ in elements):
-        return 0
-    for k, (lo, hi) in enumerate(scope.read_only):
-        unit.bind(f"_lo{k}", lo)
-        unit.bind(f"_hi{k}", hi)
-    return len(scope.read_only)
-
-
-def _rendered(elements, first, read_only, keys, hooks=None):
-    """Source lines of shaped *elements*, the first at offset *first*.
-
-    Each element that can fault marks its offset as ``_n``; *hooks*
-    renders control transfers.  Adds the accumulators they charge to
-    *keys*.
-    """
-    ro = _read_only_test((f"_lo{k}", f"_hi{k}") for k in range(read_only))
-    flags = {"time", "ea", "ro"} if read_only else {"time", "ea"}
-    lines = []
-    for offset, ((_, _, _, refs), items, subs) in enumerate(elements, first):
-        dest = refs[-1]
-        lines += _render(
-            items, dict(subs, ro=ro), flags,
-            dict(
-                hooks or {},
-                mark=lambda _, mark=f"_n = {offset}": [mark],
-                dest=lambda value, d=dest: [f"_r[{d}] = {value}"] if d else [],
-            ),
-        )
-        keys |= _formats(items)[1]
-    return lines
+    unit = _Unit(_s=pc, _nx=pc + 1)
+    part = _element(unit, program, pc, _DESCRIBED)
+    return None if part is None else (part, unit.values)
 
 
 def _partial_flush(counts, start, completed):
@@ -1603,24 +1534,22 @@ def _partial_flush(counts, start, completed):
 _LOOP_BACK_EXIT = "_i0 + {length} > _mx"
 
 
-def _render_region(scope, region, rid):
+def _render_region(program, region, rid, names):
     """Plan the single-dispatch function of one batchable region.
 
     Its code is that of the region's shape; it binds its start ``_s``,
     end ``_end`` and deferred-count slot ``_rid`` (*rid*) with its
-    registers and immediates.  Entered with less budget than its
-    length, it runs only its first element's per-pc function.  Returns
-    None when an element cannot be rendered (odd operands, missing
-    evaluator) — the region then simply stays per-pc.
+    elements' own values.  Entered with less budget than its length, it
+    runs only its first element's per-pc function.  Returns None when
+    an element cannot be rendered (odd operands, missing evaluator) —
+    the region then simply stays per-pc.
     """
-    program = scope.program
     start, end = region.start, region.end
     length = end - start
-    unit = _Unit({"_first": ("fn", "_s")}, _s=start, _end=end, _rid=rid)
-    elements = _elements(scope, unit, start, end, _FUSABLE)
-    if elements is None:
+    unit = _Unit(_s=start, _end=end, _rid=rid)
+    parts = _elements(unit, program, start, end, _FUSABLE)
+    if parts is None:
         return None
-    read_only = _read_only_bounds(scope, unit, elements)
 
     def render():
         # Accumulators live in locals for the fused body and are written
@@ -1630,8 +1559,9 @@ def _render_region(scope, region, rid):
         # (``_service_miss`` never touches the energy groups or the time
         # account), and a faulting element raises before any of its
         # charge lines run.
+        shared = _Unit()
         keys = set()
-        lines = _rendered(elements, 0, read_only, keys)
+        lines = _rendered(parts, 0, shared, keys)
         prologue, writeback = _hoist(keys)
         source = [
             "_i0 = _cpu._dynamic_index",
@@ -1652,13 +1582,13 @@ def _render_region(scope, region, rid):
             "return _end",
         ]
         return _planned(
-            "_region", ["    " + line for line in source], unit.recipe,
-            f"<fastpath region/{length}>", scope.names,
+            "_region", ["    " + line for line in source],
+            _recipe(unit.values, shared, _first=("fn", "_s")),
+            f"<fastpath region/{length}>", names,
         )
 
-    key = ("region", read_only, tuple(part for part, _, _ in elements))
     return _Fused(
-        _shaped(key, render),
+        _shaped(("region", tuple(parts)), render),
         unit.values,
         at=start,
         tail=(start + 1, end, _categories(program, start + 1, end)),
@@ -1666,38 +1596,36 @@ def _render_region(scope, region, rid):
     )
 
 
-def _render_loop(scope, loop, rid):
+def _render_loop(program, loop, rid, names):
     """Plan the one-dispatch function of one self-loop at its header.
 
     One pass is the header, the body region and the loop-back ``JMP``,
     rendered from their descriptions: the header's taken ``goto``
     leaves the ``while`` loop and the loop-back's falls into the next
     pass unless :data:`_LOOP_BACK_EXIT` holds.  Its code is that of the
-    loop's shape; it binds its header ``_s``, the header's exit target
-    ``_out`` and deferred-count slot ``_rid`` (*rid*) with its
-    registers and immediates.  Entered with less than a pass left, it
-    runs only the header's per-pc function; the body start keeps its
-    per-pc function.  Returns None when an element cannot be rendered:
-    the body region then fuses on its own.
+    loop's shape; it binds its header ``_s`` and deferred-count slot
+    ``_rid`` (*rid*) with its elements' own values, the header's taken
+    target (the loop's exit) among them.  Entered with less than a pass
+    left, it runs only the header's per-pc function; the body start
+    keeps its per-pc function.  Returns None when an element cannot be
+    rendered: the body region then fuses on its own.
     """
-    program = scope.program
     header, back, length = loop.header, loop.back, loop.length
-    unit = _Unit({"_hdr": ("fn", "_s")}, _s=header, _rid=rid)
-    head = _elements(scope, unit, header, header + 1, {"branch"})
-    body = _elements(scope, unit, header + 1, back, _FUSABLE)
-    jump = _elements(scope, unit, back, back + 1, {"jmp"})
+    unit = _Unit(_s=header, _rid=rid)
+    head = _elements(unit, program, header, header + 1, {"branch"})
+    body = _elements(unit, program, header + 1, back, _FUSABLE)
+    jump = _elements(unit, program, back, back + 1, {"jmp"})
     if head is None or body is None or jump is None:
         return None
-    unit.bind("_out", scope.classes[header].consts["_tg"])
-    elements = head + body + jump
-    read_only = _read_only_bounds(scope, unit, elements)
+    out = head[0][3][-1]  # the header's target, the loop's exit
 
     def render():
+        shared = _Unit()
         keys = set()
         lines = (
-            _rendered(head, 0, read_only, keys, {"goto": lambda _: ["break"]})
-            + _rendered(body, 1, read_only, keys)
-            + _rendered(jump, length - 1, read_only, keys, {"goto": lambda _: []})
+            _rendered(head, 0, shared, keys, {"goto": lambda _: ["break"]})
+            + _rendered(body, 1, shared, keys)
+            + _rendered(jump, length - 1, shared, keys, {"goto": lambda _: []})
         )
         prologue, writeback = _hoist(keys)
         source = [
@@ -1728,16 +1656,16 @@ def _render_loop(scope, loop, rid):
             *writeback,
             "_cpu._dynamic_index = _i0 + 1",
             "_fc[_rid] += _p",
-            "return _out",
+            f"return {out}",
         ]
         return _planned(
-            "_loop", ["    " + line for line in source], unit.recipe,
-            f"<fastpath loop/{length}>", scope.names,
+            "_loop", ["    " + line for line in source],
+            _recipe(unit.values, shared, _hdr=("fn", "_s")),
+            f"<fastpath loop/{length}>", names,
         )
 
-    key = ("loop", read_only, tuple(part for part, _, _ in elements))
     return _Fused(
-        _shaped(key, render),
+        _shaped(("loop", tuple(head + body + jump)), render),
         unit.values,
         at=header,
         tail=(header, back + 1, _categories(program, header, back + 1)),
@@ -1773,14 +1701,6 @@ _IBUFF_FETCH = (
 )
 
 
-def _cost(method, *args):
-    """Recipe entries binding a model cost's energy and time."""
-    return (
-        ("cost", (method, args, "energy_nj")),
-        ("cost", (method, args, "time_ns")),
-    )
-
-
 def _render_slice(program, slice_id, capacity, offload, names):
     """Plan one slice as a single register-resident traversal.
 
@@ -1800,8 +1720,9 @@ def _render_slice(program, slice_id, capacity, offload, names):
     traversal from the RCMP's pc, which faults exactly as classic does
     (see :func:`_slice_traversal`).  The unit binds its elements' pcs
     (``_pc<j>``, what the IBuff fetches), its Hist keys, registers and
-    immediates; costs bind per category.  *capacity* is the SFile's
-    and *offload* the CPU's ``concurrent_offload``.
+    immediates; costs and categories bind per category and evaluators
+    per opcode as the shape renders.  *capacity* is the SFile's and
+    *offload* the CPU's ``concurrent_offload``.
 
     Returns ``None`` for slices the generator cannot express — among
     them a slice that reads a scratch register before writing it, or
@@ -1811,8 +1732,7 @@ def _render_slice(program, slice_id, capacity, offload, names):
     region = program.slices[slice_id]
     start, end = region.start, region.end
     length = end - 1 - start
-    unit = _Unit({"_ref": ("own", "_ref")})
-    unit.recipe["_hce"], unit.recipe["_hct"] = _cost("hist_read_cost")
+    unit = _Unit()
     elements = []
     scratch = {}  # scratch register -> the local holding it
     tally = {}
@@ -1820,14 +1740,12 @@ def _render_slice(program, slice_id, capacity, offload, names):
     requests = reads = writes = 0
     for j, pc in enumerate(range(start, end - 1)):
         instruction = program.instruction_at(pc)
-        evaluator = _EVALUATORS.get(instruction.opcode)
+        opcode = instruction.opcode
         dest = instruction.dest
-        if evaluator is None or not isinstance(dest, SReg):
+        if opcode not in _EVALUATORS or not isinstance(dest, SReg):
             return None
-        category = instruction.category
-        tally[category] = tally.get(category, 0) + 1
-        e, t = unit.costs("slice_instruction_cost", category)
-        subs = dict(_HOISTED, pc=unit.own("_pc", pc), e=e, t=t)
+        tally[instruction.category] = tally.get(instruction.category, 0) + 1
+        subs = dict(_HOISTED, pc=unit.own("_pc", pc))
         kinds = []
         refs = []
         hist = []
@@ -1851,22 +1769,19 @@ def _render_slice(program, slice_id, capacity, offload, names):
                 kind = "int"
             elif isinstance(src, Imm):
                 kind = _const_kind(src.value)
-                ref, text = _immediate(unit, src.value)
+                ref = text = _immediate(unit, src.value)
             else:
                 return None
             kinds.append(kind)
             refs.append(ref)
             subs[f"s{n}"] = text
-        items = _compute_description(instruction.opcode, tuple(kinds))
-        if "ev" in _formats(items)[1]:
-            subs["ev"] = unit.shared("_ev", ("value", evaluator))
         requests += 1
         writes += 1
         local = scratch.setdefault(dest.index, len(scratch))
         if len(scratch) > capacity:
             return None
-        part = (instruction.opcode, tuple(kinds), tuple(refs), local)
-        elements.append((part, items, subs, hist))
+        part = (opcode, tuple(kinds), tuple(refs), local)
+        elements.append((part, subs, hist))
 
     rtn = program.instruction_at(end - 1)
     result = rtn.dest
@@ -1878,24 +1793,34 @@ def _render_slice(program, slice_id, capacity, offload, names):
         return None
     requests += 1
     reads += 1
-    unit.recipe["_re"], unit.recipe["_rt"] = _cost("rtn_cost")
     tally[rtn.category] = tally.get(rtn.category, 0) + 1
-    counts = []
-    for category, count in sorted(tally.items(), key=lambda item: item[0].name):
-        counts.append(f"_bc[{unit.shared('_cat', ('value', category))}] += {count}")
+    tally = sorted(tally.items(), key=lambda item: item[0].name)
     result = scratch[result.index]
 
     def render():
         flags = () if offload else ("time",)
+        shared = _Unit()
         lines = []
         commits = []
-        for (_, _, _, local), items, subs, hist in elements:
+        for (opcode, kinds, _, local), subs, hist in elements:
+            items = _compute_description(opcode, kinds)
+            subs = dict(subs)
+            subs["e"], subs["t"] = _costs(
+                shared, "slice_instruction_cost", _OPCODE_CATEGORY[opcode]
+            )
+            if "ev" in _formats(items)[1]:
+                subs["ev"] = name = f"_ev_{opcode.value}"
+                shared.values[name] = ("value", _EVALUATORS[opcode])
             commits += _render(_IBUFF_FETCH, subs, (), {})
             for read in hist:
                 lines += _render(_HIST_READ, read, flags, {})
                 commits += _render(_HIST_PROMOTE, read, (), {})
             hooks = {"dest": lambda value, d=local: [f"_v{d} = {value}"]}
             lines += _render(items, subs, flags, hooks)
+        counts = [
+            f"_bc[{shared.own('_cat', ('value', category))}] += {count}"
+            for category, count in tally
+        ]
         prologue, writeback = _hoist(("tt", "gn", "ga", "gh", "hn", "hrd", "ih"))
         source = [
             *prologue,
@@ -1918,12 +1843,18 @@ def _render_slice(program, slice_id, capacity, offload, names):
             f"_cpu._dynamic_index += {length + 1}",
             f"return _v{result}",
         ]
+        hce, hct = _cost("hist_read_cost")
+        rte, rtt = _cost("rtn_cost")
+        recipe = _recipe(
+            unit.values, shared,
+            _ref=("own", "_ref"), _hce=hce, _hct=hct, _re=rte, _rt=rtt,
+        )
         return _planned(
-            "_slice", ["    " + line for line in source], unit.recipe,
+            "_slice", ["    " + line for line in source], recipe,
             f"<fastpath slice/{length}>", names,
         )
 
-    key = ("slice", offload, tuple(part for part, _, _, _ in elements), result)
+    key = ("slice", offload, tuple(part for part, _, _ in elements), result)
     return _Fused(_shaped(key, render), unit.values)
 
 
@@ -2194,7 +2125,7 @@ class BatchedExecutionMixin:
     """Run on the generated fast path instead of the classic loop.
 
     Mix in ahead of :class:`CPU` (or a subclass).  At predecode, a CPU
-    binds its program's decode plan (:class:`_Plan`): each classified
+    binds its program's decode plan (:class:`_Plan`): each planned
     pc's per-pc function and, untraced, the fused code — proven
     self-loops fuse whole, every other batchable region outside a slice
     fuses on its own, and in-slice regions stay per-pc.  On amnesic

@@ -61,27 +61,6 @@ class RunStats:
             level: self.swapped_load_levels.get(level, 0) / total for level in Level
         }
 
-    def merge(self, other: "RunStats") -> None:
-        """Accumulate *other* into this stats object (multi-run sweeps).
-
-        Driven by :func:`dataclasses.fields` so a newly added counter is
-        merged automatically instead of being silently dropped; a field
-        of an unmergeable type fails loudly here (and in the test suite)
-        rather than corrupting sweep totals.
-        """
-        for field in dataclasses.fields(self):
-            mine = getattr(self, field.name)
-            theirs = getattr(other, field.name)
-            if isinstance(mine, Counter):
-                mine.update(theirs)
-            elif isinstance(mine, int):
-                setattr(self, field.name, mine + theirs)
-            else:
-                raise TypeError(
-                    f"RunStats.merge does not know how to combine field "
-                    f"{field.name!r} of type {type(mine).__name__}"
-                )
-
     def publish(self, registry, **labels) -> None:
         """Register every counter with a telemetry metrics registry.
 

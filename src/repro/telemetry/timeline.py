@@ -67,11 +67,12 @@ class WindowSample:
 class TimelineTrack:
     """Windowed sample stream for one interpreter run.
 
-    The CPU retire path calls :meth:`tick`; everything else (snapshot
-    polling, delta computation, event emission) happens at window
-    boundaries only.  ``label`` identifies the run (``classic#0``,
-    ``amnesic#2``...), and ``attrs`` carries run context such as the
-    scheduler policy.
+    The CPU retire path (``CPU._emit``) compares the retired count with
+    ``next_capture`` and calls :meth:`capture` at a window boundary, the
+    test :meth:`tick` states; everything else (snapshot polling, delta
+    computation, event emission) happens at window boundaries only.
+    ``label`` identifies the run (``classic#0``, ``amnesic#2``...), and
+    ``attrs`` carries run context such as the scheduler policy.
     """
 
     __slots__ = (
@@ -103,10 +104,10 @@ class TimelineTrack:
         self._closed = False
 
     # ------------------------------------------------------------------
-    # The hot-path entry point.
+    # The window-boundary test (``CPU._emit`` inlines it).
     # ------------------------------------------------------------------
     def tick(self, retired: int) -> None:
-        """Called per retired instruction; captures at window boundaries."""
+        """Capture at a window boundary: the test ``CPU._emit`` inlines."""
         if retired >= self.next_capture:
             self.capture(retired)
 

@@ -57,4 +57,3 @@ def test_empty_binary_bounds():
     bounds = storage_bounds(AmnesicBinary(program=Program(), slices={}))
     assert bounds.slice_count == 0
     assert bounds.sfile_entries == 0
-    assert bounds.summarise().startswith("0 slices")

@@ -94,6 +94,14 @@ def test_fuzz_replay_corpus(tmp_path, capsys):
     assert payload == {"entries": 2, "failures": []}
 
 
+@pytest.mark.parametrize("payload", ([], {"format": 1}, {"format": 1, "spec": {"format": 1}}))
+def test_fuzz_replay_reports_a_malformed_entry(tmp_path, capsys, payload):
+    (tmp_path / "wrong.json").write_text(json.dumps(payload), encoding="utf-8")
+    code, _, err = run_cli(capsys, "fuzz", "--replay", "--corpus-dir", str(tmp_path))
+    assert code == 2
+    assert "malformed corpus entry" in err and "wrong.json" in err
+
+
 def test_fuzz_banks_counterexamples_nowhere_on_clean_run(tmp_path, capsys):
     corpus_dir = tmp_path / "corpus"
     code, _, _ = run_cli(

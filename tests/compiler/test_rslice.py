@@ -52,11 +52,6 @@ def test_size_and_height():
     assert a.height == 0
 
 
-def test_leaves():
-    root, a, b, c = tree()
-    assert {n.pc for n in root.leaves()} == {2, 4}
-
-
 def test_signature_distinguishes_structure():
     first, *_ = tree()
     second, *_ = tree()

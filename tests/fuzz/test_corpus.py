@@ -56,6 +56,19 @@ def test_malformed_entry_raises_instead_of_skipping(tmp_path, entry):
         load_corpus(tmp_path)
 
 
+#: Valid JSON of the wrong shape: a list, an entry without a spec, and
+#: a spec without its fields.
+WRONG_SHAPES = ([], {"format": 1}, {"format": 1, "spec": {"format": 1}})
+
+
+@pytest.mark.parametrize("payload", WRONG_SHAPES, ids=("list", "no-spec", "bare-spec"))
+def test_wrong_shaped_entry_raises_fuzz_error_naming_the_file(tmp_path, payload):
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(FuzzError, match="wrong.json"):
+        load_entry(path)
+
+
 def test_unknown_corpus_format_is_rejected(tmp_path, entry):
     path = save_entry(tmp_path, entry)
     payload = json.loads(path.read_text(encoding="utf-8"))

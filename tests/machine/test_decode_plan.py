@@ -1,10 +1,11 @@
 """Decode plans: each program is analysed and rendered once, bound per CPU.
 
 The first untraced fast-batched decode of a program builds its plan:
-each pc's classification, the region analysis and every fused region,
-loop and slice as a code object with a binding recipe.  Every later
-decode of the same program binds that plan to its own CPU, so each pc
-is classified once per program whatever its CPUs differ in; a program
+each pc's per-pc unit (its key part and own values), the region
+analysis and every fused region, loop and slice as a code object with
+a binding recipe.  Every later decode of the same program binds that
+plan to its own CPU, so each pc is planned once per program whatever
+its CPUs differ in; a program
 that is only profiled keeps no plan.  A CPU that reuses a plan built
 under another policy, ``verify`` setting, SFile or Hist size must run
 exactly like one decoded from scratch; a copy of a program must never
@@ -95,13 +96,13 @@ def test_each_pc_is_classified_once_per_program(prepared, monkeypatch):
     binary = setup.compilation_for("FLC").binary
     fastpath.clear_codegen_caches()
     classified = []
-    classify = fastpath._classify
+    plan_pc = fastpath._per_pc
 
-    def counted(program, pc, instruction):
+    def counted(program, pc):
         classified.append(pc)
-        return classify(program, pc, instruction)
+        return plan_pc(program, pc)
 
-    monkeypatch.setattr(fastpath, "_classify", counted)
+    monkeypatch.setattr(fastpath, "_per_pc", counted)
     for policy, verify, hist in (("FLC", True, 600), ("LLC", False, 1), ("Compiler", True, 2)):
         cpu = BatchedFastAmnesicCPU(
             binary, model, make_policy(policy), verify=verify, hist_capacity=hist

@@ -1,16 +1,19 @@
-"""Fused code by shape: one compile per shape, bound per program.
+"""Generated code by shape: one compile per shape, bound per program.
 
-A fused region, loop or slice compiles once per *shape key*, computed
-before anything renders, and binds what is its program's own (its pcs,
-register numbers, immediates, read-only bounds and Hist keys) as
-parameters.  So the key must determine the source: a unit rendered from
-an empty cache must read exactly the source of the code it binds from a
-warm one, with the same own values.  Two programs that differ only in
-pcs, registers and immediates bind the same code objects with their own
-values and each still matches classic exactly; and
+A per-pc function, a fused region, loop or slice compiles once per
+*shape key*, computed before anything renders, and binds what is its
+program's own (its pcs, register numbers, immediates, targets,
+read-only bounds and Hist keys) as parameters.  So the key must
+determine the source: a unit rendered from an empty cache must read
+exactly the source of the code it binds from a warm one, with the same
+own values; and a per-pc key holds only what the source reads, so no
+two per-pc keys render the same source.  Two programs that differ only
+in pcs, registers and immediates bind the same code objects with their
+own values and each still matches classic exactly; and
 ``shape_key_drops_literal()``, which writes an immediate into the
 source while the key leaves it out, must be caught by the fast-batched
-corpus replay.
+corpus replay, and on a pair of programs whose only differing immediate
+sits in per-pc code.
 """
 
 import dataclasses
@@ -35,9 +38,10 @@ from repro.fuzz import (
 from repro.fuzz.faults import shape_key_drops_literal
 from repro.fuzz.oracle import _observable
 from repro.fuzz.runner import replay_corpus
-from repro.isa import Instruction, Opcode, Reg
+from repro.isa import Instruction, Opcode, ProgramBuilder, Reg
 from repro.isa.program import Program
-from repro.machine import fastpath
+from repro.machine import CPU, BatchedFastCPU, fastpath
+from repro.trace import DependenceTracker
 from repro.workloads import all_specs
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -55,7 +59,7 @@ def planned_units(binary, model):
     table = cpu._decoded()
     program = binary.program
     plan = fastpath._plan(program)
-    units = list(plan.fused_for(program, cpu.memory._read_only, table.env))
+    units = list(plan.fused_for(program, table.env))
     for slice_id in sorted(program.slices):
         for offload in (False, True):
             unit = plan.slice_for(
@@ -64,6 +68,45 @@ def planned_units(binary, model):
             if unit is not None:
                 units.append(unit)
     return units
+
+
+#: Per-pc own values that each decode makes for itself: an RCMP's slice
+#: cell and a traced pc's trace-column appends.
+PER_DECODE = {"_sc", "_lrn", "_inst", "_ina", "_wra"}
+
+
+def decode_every_per_pc_variant(binary, model):
+    """Decode *binary* untraced under each RCMP probe depth and ``verify``, and traced.
+
+    Compiler, FLC and LLC probe to depths 0, 1 and 2.
+    """
+    for name in ("Compiler", "FLC", "LLC"):
+        for verify in (False, True):
+            policy = make_policy(name)
+            BatchedFastAmnesicCPU(binary, model, policy, verify=verify)._decoded()
+    BatchedFastCPU(binary.program, model, tracer=DependenceTracker())._decoded()
+
+
+def per_pc_units(binary, model, monkeypatch):
+    """``(source, own values)`` of every per-pc function *binary*'s decodes bind.
+
+    The decodes are :func:`decode_every_per_pc_variant`'s, in order.
+    """
+    bound = []
+    original = fastpath._bound
+
+    def recording(shape, env, values=None, fns=()):
+        if shape.code.co_name == "_f":
+            own = {
+                name: value for name, value in values.items() if name not in PER_DECODE
+            }
+            bound.append((shape.source, own))
+        return original(shape, env, values, fns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fastpath, "_bound", recording)
+        decode_every_per_pc_variant(binary, model)
+    return bound
 
 
 def corpus_binaries(model):
@@ -90,20 +133,56 @@ def binaries():
 
 def test_the_shape_key_determines_the_source(binaries, monkeypatch):
     fastpath.clear_codegen_caches()
-    warm = [planned_units(binary, model) for binary, model in binaries]
-    shapes = {id(unit.shape) for units in warm for unit in units}
-    assert len(shapes) < sum(map(len, warm)), "no two units share a shape"
-    kinds = {unit.shape.code.co_name for units in warm for unit in units}
+    per_pc_sources = {}
+    shaped = fastpath._shaped
+
+    def recording(key, render):
+        shape = shaped(key, render)
+        if key[0] == "pc":
+            per_pc_sources[key] = shape.source
+        return shape
+
+    monkeypatch.setattr(fastpath, "_shaped", recording)
+    warm = [
+        (planned_units(binary, model), per_pc_units(binary, model, monkeypatch))
+        for binary, model in binaries
+    ]
+    shapes = {id(unit.shape) for units, _ in warm for unit in units}
+    assert len(shapes) < sum(len(units) for units, _ in warm), (
+        "no two units share a shape"
+    )
+    kinds = {unit.shape.code.co_name for units, _ in warm for unit in units}
     assert kinds == {"_region", "_loop", "_slice"}
-    # From here every unit renders its own code, as from an empty cache.
+    variants = {(key[1][0], key[2]) for key in per_pc_sources}
+    assert {("rcmp", False), ("ld", True), ("halt", True)} <= variants
+    assert {key[1][1] for key in per_pc_sources if key[1][0] == "rcmp"} == {
+        (depth, verify) for depth in (0, 1, 2) for verify in (False, True)
+    }
+    assert len(set(per_pc_sources.values())) == len(per_pc_sources), (
+        "two per-pc keys render the same source"
+    )
+    # From here every unit renders its own code, as from an empty cache:
+    # a per-pc unit once, however many decodes of its binary bind it.
     monkeypatch.setattr(fastpath, "_shaped", lambda key, render: render())
-    for (binary, model), units in zip(binaries, warm):
+    render_pc = fastpath._render_pc
+    rendered = {}
+
+    def once_per_unit(key, values, names):
+        unit = (key, values["_s"])
+        if unit not in rendered:
+            rendered[unit] = render_pc(key, values, names)
+        return rendered[unit]
+
+    monkeypatch.setattr(fastpath, "_render_pc", once_per_unit)
+    for (binary, model), (units, per_pc) in zip(binaries, warm):
         fastpath.clear_codegen_caches()
+        rendered.clear()
         cold = planned_units(binary, model)
         assert [unit.shape.source for unit in cold] == [
             unit.shape.source for unit in units
         ], binary.program.name
         assert [unit.values for unit in cold] == [unit.values for unit in units]
+        assert per_pc_units(binary, model, monkeypatch) == per_pc, binary.program.name
 
 
 def test_code_objects_name_no_program(binaries):
@@ -112,6 +191,12 @@ def test_code_objects_name_no_program(binaries):
             code = unit.shape.code
             assert binary.program.name not in code.co_filename
             assert code.co_filename.startswith(f"<fastpath {code.co_name[1:]}/")
+        cpu = BatchedFastAmnesicCPU(binary, model, make_policy("FLC"))
+        per_pc = [f.__code__ for f in per_pc_functions(cpu).values()]
+        assert per_pc
+        for code in per_pc:
+            assert binary.program.name not in code.co_filename
+            assert code.co_filename.startswith("<fastpath ")
 
 
 def bumped(spec, by):
@@ -176,6 +261,15 @@ def fused_functions(cpu):
     return fused + [table.slices[pc] for pc in sorted(table.slices)]
 
 
+def per_pc_functions(cpu):
+    """The bound per-pc functions of a decoded CPU, by pc."""
+    return {
+        pc: function
+        for pc, function in enumerate(cpu._decoded().fns)
+        if function.__code__.co_name == "_f"
+    }
+
+
 def own_values(function):
     """A bound function's parameters by name."""
     code = function.__code__
@@ -205,8 +299,8 @@ def test_programs_differing_in_pcs_registers_and_immediates_share_code():
         reference.run()
         assert reference.stats.recomputations_fired > 0
         assert _observable(fast) == _observable(reference), program.name
-        runs.append(fused_functions(fast))
-    first, second = runs
+        runs.append((fused_functions(fast), per_pc_functions(fast)))
+    first, second = (fused for fused, _ in runs)
     assert {f.__code__.co_name for f in first} == {"_region", "_loop", "_slice"}
     assert len(first) == len(second)
     for one, other in zip(first, second):
@@ -226,6 +320,54 @@ def test_programs_differing_in_pcs_registers_and_immediates_share_code():
         for name, value in own_values(one).items()
         if name.startswith("_k")
     )
+    # Per-pc code too, one pc later behind the leading jump.
+    first, second = (per_pc for _, per_pc in runs)
+    assert first and {pc + 1 for pc in first} == second.keys() - {0}
+    for pc, one in first.items():
+        other = second[pc + 1]
+        assert one.__code__ is other.__code__
+        mine, theirs = own_values(one), own_values(other)
+        assert mine.keys() == theirs.keys()
+        for name in ("_s", "_nx", "_tg0"):
+            if name in mine:
+                assert theirs[name] == mine[name] + 1
+
+
+def branch_program(bound):
+    """``y`` stays 0 when 5 < *bound*, else becomes 1: a branch outside any loop."""
+    b = ProgramBuilder(f"branch-below-{bound}")
+    x, y = b.regs("x", "y")
+    b.li(x, 5)
+    b.br(Opcode.BLT, x, bound, "small")
+    b.li(y, 1)
+    b.label("small")
+    b.halt()
+    return b.build()
+
+
+def registers(cls, program, model):
+    cpu = cls(program, model)
+    cpu.run()
+    return cpu.registers
+
+
+def test_per_pc_immediates_bind_per_program_and_the_twin_is_caught():
+    model = default_fuzz_model()
+    programs = [branch_program(3), branch_program(10)]
+    fastpath.clear_codegen_caches()
+    branches = []
+    for program in programs:
+        cpu = BatchedFastCPU(program, model)
+        cpu.run()
+        assert cpu.registers == registers(CPU, program, model), program.name
+        assert not cpu._decoded().region_spans
+        branches.append(per_pc_functions(cpu)[1])
+    one, other = branches
+    assert one.__code__ is other.__code__
+    assert (own_values(one)["_k0"], own_values(other)["_k0"]) == (3, 10)
+    with shape_key_drops_literal():
+        fast = [registers(BatchedFastCPU, program, model) for program in programs]
+    assert fast != [registers(CPU, program, model) for program in programs]
 
 
 def test_corpus_replay_catches_shape_key_drops_literal():
