@@ -7,11 +7,11 @@ program that exercises the broken path, the oracle flags the
 divergence, and the shrinker reduces it to a minimal counterexample.
 They are shipped in the package (not buried in tests) so future
 scheduler/backend work can re-run the same mutation check against new
-policies.  Six break what is computed once and reused (the compiler's
-front-end memo, fast-path decode plans, fused code shared by shape, the
-one-call miss walk, and the fork every later run of a binary resumes
-from); the oracle cannot see most of them, so each names the test that
-does.
+policies.  Seven break what is computed once and reused (the compiler's
+front-end memo, fast-path decode plans, fused code shared by shape, a
+traced decode's trace columns, the one-call miss walk, and the fork
+every later run of a binary resumes from); the oracle cannot see most
+of them, so each names the test that does.
 """
 
 from __future__ import annotations
@@ -149,9 +149,9 @@ def stale_load_lru():
     and energy of the hit itself are unchanged; the divergence appears
     only at a later eviction (hit/miss counts, levels, charges, and the
     cache contents).  Because every fast-path rendering — per-pc
-    functions, traced per-pc functions, fused regions, and the load an
-    RCMP falls back to — is generated from the one description, this
-    single edit must break all of them.
+    functions and fused loops, traced or not, fused regions, and the
+    load an RCMP falls back to — is generated from the one description,
+    this single edit must break all of them.
     """
     lines = fastpath._FAMILIES["ld"]
     return _regenerated(
@@ -216,6 +216,27 @@ def deferred_store_producer():
         "st",
         tuple(queued if line == store else line for line in fastpath._FAMILIES["st"]),
     )
+
+
+def split_trace_columns():
+    """Give a traced decode's fused loops trace columns of their own.
+
+    Bug: a traced decode asks the tracker again for the columns of each
+    pc a fused loop holds, instead of sharing those the pc's per-pc
+    function appends to.  Before a pc retires, each ask builds a fresh
+    static entry, so a loop pc that retires both ways (per pc when a
+    pass no longer fits the budget, fused otherwise) enters the static
+    table twice, and the second entry replaces the first with its
+    instances.  A run that only ever retires a loop's pcs fused stays
+    exact; column parity on budgets that trip inside a loop (the
+    ``batch-budget-edge`` corpus entry, mcf at 777 instructions) must
+    catch it.
+    """
+
+    def unshared(tracer, program):
+        return lambda pc: tracer.pc_columns(pc, program.instructions[pc])
+
+    return _regenerated(vars(fastpath), "_trace_columns", unshared)
 
 
 def unprobed_l2():
@@ -382,6 +403,7 @@ __all__ = [
     "loop_budget_late",
     "plan_by_name",
     "shape_key_drops_literal",
+    "split_trace_columns",
     "stale_hist_lru",
     "stale_l2_lru",
     "stale_load_lru",

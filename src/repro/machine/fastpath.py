@@ -1,4 +1,4 @@
-"""The fast execution backend: one description per opcode, five renderings.
+"""The fast execution backend: one description per opcode, six renderings.
 
 :class:`BatchedExecutionMixin` replaces the classic fetch/decode/dispatch
 loop of :class:`~repro.machine.cpu.CPU` with a predecoded program.  Each
@@ -11,7 +11,7 @@ same cache/LRU transitions.  The lines are written against
 placeholders (``$s0`` for the first operand, ``$gl`` for the
 load-energy accumulator, ``$tt`` for modeled time, ``$pc`` ...) plus
 four hook lines (``dest``, ``emit``, ``mark``, ``goto``), and one
-description renders five ways:
+description renders six ways:
 
 * **per-pc functions** — one zero-argument function per static
   instruction that returns the next pc (``-1`` after ``HALT``), so a
@@ -36,6 +36,10 @@ description renders five ways:
   rendered as one pass inside a ``while`` loop, where the header's
   taken ``goto`` leaves the loop; accumulators are hoisted once per
   loop entry and the budget is checked once per pass;
+* **traced fused loops** — the same loops, where each element keeps its
+  ``traced`` lines and its ``emit`` hook appends its columns as a
+  traced per-pc function does, into the same columns, at trace index
+  ``_i0`` plus its offset;
 * **fused slices** — the compute description again, fed by Hist and
   register operands, with scratch registers in locals: one generated
   function per RSlice.  Values and charges stay in locals until the
@@ -93,14 +97,16 @@ The contract every rendering honours:
   the hot-loop profiler uses the classic profiled loop.  A traced run
   (a classic CPU profiling into a
   :class:`~repro.trace.dependence.DependenceTracker`) keeps the
-  predecoded loop with traced per-pc functions, never fused: a profile
-  runs its program once, so compiling fused regions for it costs more
-  than it saves (see ``_decode``).  The tracer is fixed at CPU
-  construction, so the variant is chosen at decode time; amnesic CPUs
-  take none.  ``RTN``, statically odd instructions, and
-  ``RCMP`` under a live telemetry session (per-RCMP decision records)
-  or for a policy that is not a paper policy run the classic handler,
-  which retires through ``CPU._emit`` into the same columns, in order.
+  predecoded loop with traced per-pc functions and fuses only its
+  proven self-loops, which retire nearly all of a profile's
+  instructions; straight-line regions, run too few times in one
+  profile to repay their compiles, stay per pc (see
+  :meth:`_Plan.fused_for`).  The tracer is fixed at CPU construction,
+  so the variant is chosen at decode time; amnesic CPUs take none.
+  ``RTN``, statically odd instructions, and ``RCMP`` under a live
+  telemetry session (per-RCMP decision records) or for a policy that
+  is not a paper policy run the classic handler, which retires through
+  ``CPU._emit`` into the same columns, in order.
 
 Instruction counting (``RunStats.dynamic_instructions`` /
 ``by_category``) is deferred to per-pc, per-region and per-loop-pass
@@ -612,7 +618,7 @@ def _counted_emit(*fields):
     return ["_cpu._dynamic_index += 1"]
 
 
-def _column_emit(writer):
+def _column_emit(writer, offset=None):
     """The traced ``emit`` hook: append the instruction's trace columns.
 
     Mirrors ``DependenceTracker.retire`` for one pc: enter the
@@ -620,21 +626,31 @@ def _column_emit(writer):
     result, the index to the pc's instances and, when *writer*, to its
     destination register's writers, and for a memory access the index,
     address and level (the description's ``traced`` lines append the
-    producing store).
+    producing store).  A per-pc function (*offset* None) takes its trace
+    index from ``_dynamic_index`` and advances it; the element of a
+    fused loop at *offset* retires pc ``_s + offset`` at trace index
+    ``_i0 + offset``, leaves ``_dynamic_index`` to the loop's exits and
+    appends through its own ``_lrn<offset>``, ``_inst<offset>``,
+    ``_ina<offset>`` and ``_wra<offset>``.
     """
+    if offset is None:
+        index = ["_ix = _cpu._dynamic_index", "_cpu._dynamic_index = _ix + 1"]
+        pc, own = "_s", ""
+    else:
+        index = [f"_ix = _i0 + {offset}" if offset else "_ix = _i0"]
+        pc, own = (f"_s + {offset}" if offset else "_s"), offset
 
     def emit(result, address=None, level=None):
         lines = [
-            "_ix = _cpu._dynamic_index",
-            "_cpu._dynamic_index = _ix + 1",
-            "if not _inst:",
-            "    _lrn()",
-            "_tpc(_s)",
+            *index,
+            f"if not _inst{own}:",
+            f"    _lrn{own}()",
+            f"_tpc({pc})",
             f"_tres({result or 'None'})",
-            "_ina(_ix)",
+            f"_ina{own}(_ix)",
         ]
         if writer:
-            lines.append("_wra(_ix)")
+            lines.append(f"_wra{own}(_ix)")
         if address is not None:
             lines += ["_tmi(_ix)", f"_tma({address})", f"_tml({level})"]
         return lines
@@ -816,7 +832,7 @@ def _recipe(values, shared, **entries):
     return recipe
 
 
-def _rendered(parts, first, shared, keys, hooks=None, home=False, traced=False):
+def _rendered(parts, first, shared, keys, hooks=None, home=False, writers=None):
     """Source lines of elements by their key *parts*, the first at offset *first*.
 
     Descriptions and texts are made from the parts here, when a shape
@@ -825,10 +841,13 @@ def _rendered(parts, first, shared, keys, hooks=None, home=False, traced=False):
     (``_ev_<opcode>``).  A fault names its pc as the unit's start ``_s``
     plus the offset.  Elements of a fused unit charge hoisted
     accumulators and mark each fault point as ``_n``; the one element of
-    a per-pc function (*home*) charges the accumulators where they live
-    and keeps its description's ``traced`` lines when *traced*.  *hooks*
-    renders control transfers and retirement.  Adds the placeholders
-    the elements use to *keys* (the accumulators to hoist).
+    a per-pc function (*home*) charges the accumulators where they live.
+    *hooks* renders control transfers and, untraced, retirement.  Traced
+    code passes *writers*, per offset whether that element appends to
+    its destination's writers: each element keeps its description's
+    ``traced`` lines and retires through its own column ``emit`` hook
+    (see :func:`_column_emit`).  Adds the placeholders the elements use
+    to *keys* (the accumulators to hoist).
     """
     lines = []
     for offset, (family, variant, kinds, refs) in enumerate(parts, first):
@@ -844,7 +863,7 @@ def _rendered(parts, first, shared, keys, hooks=None, home=False, traced=False):
         )
         for n, (kind, ref) in enumerate(zip(kinds, refs)):
             subs[f"s{n}"] = f"_r[{ref}]" if kind == "rt" else ref
-        flags = {"time", "traced"} if traced else {"time"}
+        flags = {"time"} if writers is None else {"time", "traced"}
         if "ro" in placeholders:
             subs["ro"] = _read_only_test(
                 (f"_lo{k}", f"_hi{k}") for k in range(variant)
@@ -868,6 +887,8 @@ def _rendered(parts, first, shared, keys, hooks=None, home=False, traced=False):
         )
         if not home:
             element["mark"] = lambda _, mark=f"_n = {offset}": [mark]
+        if writers is not None:
+            element["emit"] = _column_emit(writers[offset], None if home else offset)
         lines += _render(items, subs, flags, element)
         keys |= placeholders
     return lines
@@ -917,11 +938,9 @@ def _render_pc(key, values, names):
     _, part, traced, writer = key
     family, variant, kinds, _ = part
     shared = _Unit()
-    hooks = {
-        "emit": _column_emit(writer) if traced else _counted_emit,
-        "goto": lambda target: [f"return {target}"],
-    }
-    lines = _rendered([part], 0, shared, set(), hooks, home=True, traced=traced)
+    hooks = {"emit": _counted_emit, "goto": lambda target: [f"return {target}"]}
+    writers = (writer,) if traced else None
+    lines = _rendered([part], 0, shared, set(), hooks, home=True, writers=writers)
     if family in _FALLTHROUGH:
         lines.append("return _nx")
     if family == "rcmp":
@@ -1098,11 +1117,14 @@ def _decode(cpu):
     is traced and, for an ``RCMP``, the probe depth and ``verify``.  A
     ``REC`` on a CPU without a Hist, an ``RCMP`` under a policy that is
     not a paper policy or a live telemetry session, and every pc without
-    a unit run the classic handler.  ``fns`` ends in one sentinel
-    entry (index ``len(program)``) raising the classic "ran off the
-    end" fault, so the hot loop needs no bounds check; its category
-    slot is ``None`` and its hit count is never flushed into RunStats —
-    the classic loop faults on fetch *before* counting, and so do we.
+    a unit run the classic handler.  ``fns`` ends in one sentinel entry
+    (index ``len(program)``) raising the classic "ran off the end"
+    fault, so the hot loop needs no bounds check; its category slot is
+    ``None`` and its hit count is never flushed into RunStats — the
+    classic loop faults on fetch *before* counting, and so do we.  Then
+    the fused code installs: untraced, the plan's loops and regions;
+    traced, loops only, each pc appending to the columns its per-pc
+    function appends to (see :func:`_trace_columns`).
     """
     program = cpu.program
     instructions = program.instructions
@@ -1116,6 +1138,7 @@ def _decode(cpu):
     # leaves RCMP on the classic handler, which live telemetry sessions
     # (per-RCMP decision records) need.
     depth = None if metered else cpu._rcmp_depth()
+    columns = _trace_columns(tracer, program) if traced else None
     fns = table.fns
     for pc, planned in enumerate(plan.pcs):
         values = None
@@ -1132,31 +1155,59 @@ def _decode(cpu):
             continue
         writer = False
         if traced:
-            learn, instances, writers = tracer.pc_columns(pc, instructions[pc])
-            values = dict(values, _lrn=learn, _inst=instances, _ina=instances.append)
-            if writers is not None:
-                values["_wra"] = writers.append
-                writer = True
+            values = dict(values)
+            writer = _column_values(values, columns(pc))
         key = ("pc", part, traced, writer)
         shape = _shaped(key, partial(_render_pc, key, values, env))
         fns.append(_bound(shape, env, values))
     table.cats.extend(_OPCODE_CATEGORY[ins.opcode] for ins in instructions)
     fns.append(_off_end(len(fns)))
     table.cats.append(None)
-    if traced:
-        # Traced runs stay per pc.  A profile runs its program once, so
-        # compiling fused regions for it never pays for itself:
-        # profiling the 33 kernels at scale 1.0 (1.12M instructions)
-        # took 1.6-1.9 s of CPU per pc against 2.3-2.7 s with traced
-        # regions fused, on a 2-vCPU Xeon host.  The fused code also
-        # kept the trace alive until a full collection, raising
-        # lint-suite peak RSS by 25-31%.  For the same reason a traced
-        # table keeps no environment: the environment holds the table.
-        return table
-    table.env = env
-    for unit in plan.fused_for(program, env):
-        table.install(unit)
+    if not traced:
+        # A traced table keeps no environment: the environment holds the
+        # table, and the trace must leave with its run (see _run_loop).
+        table.env = env
+    for unit in plan.fused_for(program, env, columns):
+        table.install(unit, env)
     return table
+
+
+def _trace_columns(tracer, program):
+    """One traced decode's trace columns by pc, taken once per pc.
+
+    Returns a function from a pc to its ``(learn, instances, writers)``
+    (:meth:`~repro.trace.dependence.DependenceTracker.pc_columns`).  A
+    pc's per-pc function and the fused loop that holds it must append
+    to the same columns: asked twice before the pc retires, the tracker
+    hands out two static entries, and the second one learned replaces
+    the first, instances and all.
+    """
+    instructions = program.instructions
+    taken = {}
+
+    def columns(pc):
+        found = taken.get(pc)
+        if found is None:
+            found = taken[pc] = tracer.pc_columns(pc, instructions[pc])
+        return found
+
+    return columns
+
+
+def _column_values(values, columns, own=""):
+    """Bind one pc's trace *columns* into *values*, the names suffixed *own*.
+
+    The names are those :func:`_column_emit` appends through.  Returns
+    whether the pc appends to its destination's writers.
+    """
+    learn, instances, writers = columns
+    values[f"_lrn{own}"] = learn
+    values[f"_inst{own}"] = instances
+    values[f"_ina{own}"] = instances.append
+    if writers is None:
+        return False
+    values[f"_wra{own}"] = writers.append
+    return True
 
 
 def _rcmp_values(cpu, table, values, pc):
@@ -1253,8 +1304,11 @@ def _off_end(pc):
 #   counted the first header, and each pass's hit stands for the next
 #   one, so the budget exit (which hands that header back to the outer
 #   loop) takes one header count back.
-# * **Traced/timeline/profiled runs** — traced runs decode per-pc only;
-#   timeline and profiled runs take the classic loops.
+# * **Traced/timeline/profiled runs** — traced runs fuse loops only,
+#   each element appending to the trace columns its per-pc function
+#   appends to (one ``pc_columns`` call per pc per decode) at trace
+#   index ``_i0 + offset``; timeline and profiled runs take the classic
+#   loops.
 # * **Entry by JR** — only a region start or loop header dispatches
 #   fused code; every other pc, a loop body start included, keeps its
 #   per-pc function, so a JR into a region or loop body runs per pc.
@@ -1329,16 +1383,16 @@ class _BatchTable:
         self.fault_pc = start + completed
         _partial_flush(self.counts, start, completed)
 
-    def install(self, unit):
+    def install(self, unit, env):
         """Bind one planned fused region or loop (see :meth:`_Plan.fused_for`).
 
-        Its deferred-count slot is the next one, which is the slot its
-        source counts into: a plan's units bind in the order they
-        rendered.
+        *env* is the CPU environment (see :func:`_environment`).  Its
+        deferred-count slot is the next one, which is the slot its source
+        counts into: a plan's units bind in the order they rendered.
         """
         self.fused_counts.append(0)
         self.fused_tails.append(unit.tail)
-        self.fns[unit.at] = _bound(unit.shape, self.env, unit.values, self.fns)
+        self.fns[unit.at] = _bound(unit.shape, env, unit.values, self.fns)
         self.region_spans.append(unit.span)
         if unit.loop is not None:
             self.loops.append(unit.loop)
@@ -1406,13 +1460,14 @@ class _Plan:
     planned it (:func:`_per_pc`: a one-element unit's key part and own
     values, None for a pc the classic handler runs); a traced decode
     reuses them or plans for itself.  The region analysis (proven
-    self-loops and batchable regions), made by the first untraced
-    decode; and, planned on first demand, every fused unit
+    self-loops and batchable regions), made by the first decode that
+    fuses; and, planned on first demand, every fused unit
     (:class:`_Fused`: its shape's code and its own values): the regions
     and loops once, slices per ``(slice id, SFile capacity,
-    concurrent_offload)``.  A plan holds key parts, own values and
-    units, never a program, a CPU, a trace or an environment; each
-    decode binds its own.
+    concurrent_offload)``.  A traced decode's loops bind its trace, so
+    each traced decode plans its own and the plan keeps none.  A plan
+    holds key parts, own values and units, never a program, a CPU, a
+    trace or an environment; each decode binds its own.
 
     The one machine state a plan holds is ``forks``: per energy-model
     fingerprint, None once an amnesic run of the program has been seen,
@@ -1430,20 +1485,28 @@ class _Plan:
         self.slices = {}
         self.forks = {}
 
-    def fused_for(self, program, names):
+    def fused_for(self, program, names, columns=None):
         """The fused loops and regions, in install order.
 
         *names* are the keys of the CPU environment that binds them;
-        every environment binds every name fused code reads.
+        every environment binds every name fused code reads.  A traced
+        decode passes its trace *columns* (see :func:`_trace_columns`)
+        and gets traced loops of its own, which the plan does not keep.
         """
+        if columns is not None:
+            return self._render(program, names, columns)
         if self.fused is None:
             self.fused = self._render(program, names)
         return self.fused
 
-    def _render(self, program, names):
-        # Proven self-loops fuse whole; every other batchable region
-        # outside a slice fuses on its own, and in-slice regions stay
-        # per pc.  A unit's index is its deferred-count slot.
+    def _render(self, program, names, columns=None):
+        # Proven self-loops fuse whole.  Untraced, every other batchable
+        # region outside a slice fuses on its own, and in-slice regions
+        # stay per pc.  Traced, straight-line regions stay per pc: a
+        # profile runs its program once, and over the 33 kernels at
+        # scale 1.0 loop pcs retire 98% of the traced instructions and
+        # the other regions 2%, too few to repay compiling them.  A
+        # unit's index is its deferred-count slot.
         if self.analysis is None:
             # Imported lazily: the staticcheck package sits above the
             # machine layer.
@@ -1453,15 +1516,16 @@ class _Plan:
         units = []
         looped = set()
         for loop in self.analysis.loops:
-            unit = _render_loop(program, loop, len(units), names)
+            unit = _render_loop(program, loop, len(units), names, columns)
             if unit is not None:
                 units.append(unit)
                 looped.add(loop.body)
-        for region in self.analysis.batchable_regions:
-            if region not in looped and not region.in_slice:
-                unit = _render_region(program, region, len(units), names)
-                if unit is not None:
-                    units.append(unit)
+        if columns is None:
+            for region in self.analysis.batchable_regions:
+                if region not in looped and not region.in_slice:
+                    unit = _render_region(program, region, len(units), names)
+                    if unit is not None:
+                        units.append(unit)
         return tuple(units)
 
     def slice_for(self, program, slice_id, capacity, offload, names):
@@ -1596,7 +1660,7 @@ def _render_region(program, region, rid, names):
     )
 
 
-def _render_loop(program, loop, rid, names):
+def _render_loop(program, loop, rid, names, columns=None):
     """Plan the one-dispatch function of one self-loop at its header.
 
     One pass is the header, the body region and the loop-back ``JMP``,
@@ -1608,7 +1672,15 @@ def _render_loop(program, loop, rid, names):
     target (the loop's exit) among them.  Entered with less than a pass
     left, it runs only the header's per-pc function; the body start
     keeps its per-pc function.  Returns None when an element cannot be
-    rendered: the body region then fuses on its own.
+    rendered: the body region then fuses on its own (untraced) or runs
+    per pc (traced).
+
+    A traced decode passes its trace *columns* (see
+    :func:`_trace_columns`): each element then retires into the columns
+    its per-pc function appends to, bound as its own values, and the
+    shape key adds the trace flag and each element's writer flag, which
+    the columns give (an instruction may name a destination its family
+    ignores, and the trace still counts it as a writer).
     """
     header, back, length = loop.header, loop.back, loop.length
     unit = _Unit(_s=header, _rid=rid)
@@ -1618,14 +1690,26 @@ def _render_loop(program, loop, rid, names):
     if head is None or body is None or jump is None:
         return None
     out = head[0][3][-1]  # the header's target, the loop's exit
+    key = ("loop", tuple(head + body + jump))
+    writers = None
+    if columns is not None:
+        writers = tuple(
+            _column_values(unit.values, columns(header + offset), offset)
+            for offset in range(length)
+        )
+        key += (True, writers)
 
     def render():
         shared = _Unit()
         keys = set()
         lines = (
-            _rendered(head, 0, shared, keys, {"goto": lambda _: ["break"]})
-            + _rendered(body, 1, shared, keys)
-            + _rendered(jump, length - 1, shared, keys, {"goto": lambda _: []})
+            _rendered(
+                head, 0, shared, keys, {"goto": lambda _: ["break"]}, writers=writers
+            )
+            + _rendered(body, 1, shared, keys, writers=writers)
+            + _rendered(
+                jump, length - 1, shared, keys, {"goto": lambda _: []}, writers=writers
+            )
         )
         prologue, writeback = _hoist(keys)
         source = [
@@ -1665,7 +1749,7 @@ def _render_loop(program, loop, rid, names):
         )
 
     return _Fused(
-        _shaped(("loop", tuple(head + body + jump)), render),
+        _shaped(key, render),
         unit.values,
         at=header,
         tail=(header, back + 1, _categories(program, header, back + 1)),
@@ -2126,9 +2210,9 @@ class BatchedExecutionMixin:
 
     Mix in ahead of :class:`CPU` (or a subclass).  At predecode, a CPU
     binds its program's decode plan (:class:`_Plan`): each planned
-    pc's per-pc function and, untraced, the fused code — proven
-    self-loops fuse whole, every other batchable region outside a slice
-    fuses on its own, and in-slice regions stay per-pc.  On amnesic
+    pc's per-pc function and the fused code — proven self-loops fuse
+    whole and, untraced, every other batchable region outside a slice
+    fuses on its own; in-slice regions stay per-pc.  On amnesic
     machines, slice traversals run fused too (unless a timeline is
     attached), and RCMP renders per pc when :meth:`_rcmp_depth` gives
     a probe depth.  An amnesic run from the initial state forks at its
@@ -2201,6 +2285,12 @@ class BatchedExecutionMixin:
             for at, fn in displaced:
                 fns[at] = fn
             self._flush(table, pc)
+            if self.tracer is not None:
+                # A traced table is this run's alone (see _decoded), and
+                # its fused loops bind its fault recorder: emptied, it and
+                # the trace columns its code appends to leave with the
+                # run instead of waiting for a cyclic collection.
+                fns.clear()
         self.finalize()
 
     def _flush(self, table, pc) -> None:

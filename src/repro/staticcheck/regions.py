@@ -20,8 +20,9 @@ the straight-line run ``[h, j]``: it leaves only through the header
 (taken) or a fault in the body.
 
 The batched backend runs :func:`analyze_regions` on every binary it
-decodes and fuses its regions and loops from that fresh analysis;
-``repro lint`` reports the same analysis as the REG400 summary.
+decodes and fuses its regions and loops from that fresh analysis (a
+traced decode, its loops only); ``repro lint`` reports the same
+analysis as the REG400 summary.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ Columns fill two ways.  The classic CPU hands the tracker each retired
 instruction's fields through :meth:`DependenceTracker.retire`, and
 :func:`~repro.trace.io.load_trace` replays each stored record through
 the same method.  Generated code that retires instructions itself (the
-fast backend's traced per-pc functions) appends each instruction's own
-columns instead, through :meth:`DependenceTracker.columns` and
+fast backend's traced per-pc functions and fused loops) appends each
+instruction's own columns instead, through
+:meth:`DependenceTracker.columns` and
 :meth:`DependenceTracker.pc_columns`; both ways build the same tracker.
 """
 
@@ -174,7 +175,14 @@ class Columns(NamedTuple):
 
 
 class DependenceTracker:
-    """Tracer building the dynamic dependence graph of a classic run."""
+    """Tracer building the dynamic dependence graph of a classic run.
+
+    Filled one :meth:`retire` call per instruction by the classic CPU,
+    or through its append side (:meth:`columns`, :meth:`pc_columns`) by
+    the fast backend's traced code, where a pc's per-pc function and
+    the fused loop that holds it append to the one set of columns its
+    single :meth:`pc_columns` call gave.
+    """
 
     def __init__(self) -> None:
         self._static: Dict[int, PcInfo] = {}
@@ -268,7 +276,10 @@ class DependenceTracker:
         it as the pc's first instance retires, while *instances* is
         still empty, so that :meth:`static_pcs` keeps first-retirement
         order and :meth:`pc_info` stays None for a pc that never
-        retires.  A pc that already retired keeps its entry.
+        retires.  A pc that already retired keeps its entry.  Ask once
+        per pc and share the answer among all the code that retires the
+        pc: before the pc retires, every call builds a fresh entry, and
+        learning a second one replaces the first, instances and all.
         """
         info = self._static.get(pc) or PcInfo.of(pc, instruction)
         writers = None

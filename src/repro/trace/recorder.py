@@ -72,9 +72,10 @@ def profile_program(
     resolves from the environment).  Backends are trace-equivalent by
     contract: the classic CPU fills the tracker through one
     :meth:`~repro.trace.dependence.DependenceTracker.retire` call per
-    instruction, and the fast backend's traced per-pc functions append
-    the identical columns directly.  The profile, and everything
-    compiled from it, is the same whichever backend gathers it.
+    instruction, and the fast backend's traced per-pc functions and
+    fused loops append the identical columns directly, charging the CPU
+    exactly as classic does.  The profile, and everything compiled from
+    it, is the same whichever backend gathers it.
     """
     from ..core.backend import resolve_backend
     from ..machine.cpu import DEFAULT_MAX_INSTRUCTIONS

@@ -127,22 +127,29 @@ def build_accumulator_kernel(iterations: int = 16, name: str = "acc_kernel"):
     return b.build()
 
 
-def traced_run(cpu_cls, program, model, max_instructions):
-    """Run *program* under a fresh dependence tracker.
+def traced_cpu(cpu_cls, program, model, max_instructions):
+    """Run *program* under a fresh dependence tracker, ``cpu.tracer``.
 
-    Returns ``(tracker, fault)``: the fault the run ended on as
+    Returns ``(cpu, fault)``: the fault the run ended on as
     ``(type name, message, pc)``, or None when it halted.
     """
     from repro.errors import ReproError
     from repro.trace import DependenceTracker
 
-    tracker = DependenceTracker()
-    cpu = cpu_cls(program, model, tracer=tracker, max_instructions=max_instructions)
+    cpu = cpu_cls(
+        program, model, tracer=DependenceTracker(), max_instructions=max_instructions
+    )
     try:
         cpu.run()
     except ReproError as caught:
-        return tracker, (type(caught).__name__, str(caught), caught.pc)
-    return tracker, None
+        return cpu, (type(caught).__name__, str(caught), caught.pc)
+    return cpu, None
+
+
+def traced_run(cpu_cls, program, model, max_instructions):
+    """``(tracker, fault)`` of a :func:`traced_cpu` run."""
+    cpu, fault = traced_cpu(cpu_cls, program, model, max_instructions)
+    return cpu.tracer, fault
 
 
 def trace_divergence(expected, actual, program):

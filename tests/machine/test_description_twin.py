@@ -1,12 +1,13 @@
 """One broken description breaks every fast-path rendering.
 
 The fast path describes each opcode family once and renders per-pc
-functions, traced per-pc functions and fused regions from that one
-description.  :func:`repro.fuzz.faults.stale_load_lru` removes a single
-statement — the L1-hit LRU promotion — from the LD description, so the
-suite must see all three renderings diverge from the hand-written
-classic interpreter, and the backend-equivalence oracle must report the
-divergence on a committed corpus entry.
+functions, fused regions and loops, and their traced forms (per-pc
+functions and fused loops) from that one description.
+:func:`repro.fuzz.faults.stale_load_lru` removes a single statement —
+the L1-hit LRU promotion — from the LD description, so the suite must
+see every rendering diverge from the hand-written classic interpreter,
+and the backend-equivalence oracle must report the divergence on a
+committed corpus entry.
 """
 
 import dataclasses
@@ -36,22 +37,32 @@ def make_model():
     return EnergyModel(epi=EPITable.default(), config=tiny_config())
 
 
-def lru_program(fused):
+def lru_program(fused, looped=False):
     """Load lines A, B, A, C, A of one two-way L1 set (tiny hierarchy).
 
     With the promotion, C evicts B and the last load of A hits; without
     it, C evicts A.  *fused* keeps the loads in one straight-line region;
     otherwise every load sits alone between jumps and dispatches per pc.
+    *looped* puts the fused loads in the body of a one-pass loop.
     """
-    b = ProgramBuilder("lru-fused" if fused else "lru-per-pc")
+    name = "lru-looped" if looped else "lru-fused" if fused else "lru-per-pc"
+    b = ProgramBuilder(name)
     arr = b.data(list(range(24)))
     base, x = b.regs("base", "x")
     b.li(base, arr)
-    for k, offset in enumerate((0, 8, 0, 16, 0)):  # two lines apart
-        if not fused:
-            b.jmp(f"load{k}")
-            b.label(f"load{k}")
-        b.ld(x, base, offset)
+
+    def loads():
+        for k, offset in enumerate((0, 8, 0, 16, 0)):  # two lines apart
+            if not fused:
+                b.jmp(f"load{k}")
+                b.label(f"load{k}")
+            b.ld(x, base, offset)
+
+    if looped:
+        with b.loop("i", 0, 1):
+            loads()
+    else:
+        loads()
     b.halt()
     return b.build()
 
@@ -99,12 +110,23 @@ def service_levels(tracker):
 
 
 def test_twin_breaks_traced_functions():
-    for program in (lru_program(fused=True), lru_program(fused=False)):
+    programs = (
+        lru_program(fused=True),
+        lru_program(fused=False),
+        lru_program(fused=True, looped=True),
+    )
+    for program in programs:
         classic_trace, broken_trace = DependenceTracker(), DependenceTracker()
         classic = run(CPU, program, classic_trace)
         with stale_load_lru():
             broken = run(BatchedFastCPU, program, broken_trace)
-        assert broken._decoded().region_spans == []
+            # The traced decode fuses the untraced decode's loops and no
+            # straight-line region.
+            traced = broken._decoded()
+            untraced = BatchedFastCPU(program, make_model())._decoded()
+        assert traced.loops == untraced.loops
+        assert traced.region_spans == [(h + 1, back) for h, back in traced.loops]
+        assert bool(traced.loops) == (program.name == "lru-looped")
         # The last load of A misses where classic hits: the level column.
         assert service_levels(broken_trace) != service_levels(classic_trace)
         assert cache_outcome(broken) != cache_outcome(classic)

@@ -115,8 +115,13 @@ def test_traced_runs_build_identical_trace_columns():
     )
     assert_state_equal(classic, fast)
     assert trace_divergence(ct, ft, program) is None
-    # Traced runs stay per-pc: nothing fused.
-    assert fast._decoded().region_spans == []
+    # A traced run fuses the untraced run's loops and no straight-line
+    # region: the only spans it installs are those loops' bodies.
+    traced = fast._decoded()
+    untraced = BatchedFastCPU(program, make_model())._decoded()
+    assert traced.loops and traced.loops == untraced.loops
+    assert traced.region_spans == [(h + 1, back) for h, back in traced.loops]
+    assert set(untraced.region_spans) > set(traced.region_spans)
 
 
 def test_jr_one_past_the_end_fault_parity():

@@ -6,8 +6,9 @@ program's own (its pcs, register numbers, immediates, targets,
 read-only bounds and Hist keys) as parameters.  So the key must
 determine the source: a unit rendered from an empty cache must read
 exactly the source of the code it binds from a warm one, with the same
-own values; and a per-pc key holds only what the source reads, so no
-two per-pc keys render the same source.  Two programs that differ only
+own values, traced loops included (their key adds the trace flag and a
+writer flag per element); and a per-pc key holds only what the source
+reads, so no two per-pc keys render the same source.  Two programs that differ only
 in pcs, registers and immediates bind the same code objects with their
 own values and each still matches classic exactly; and
 ``shape_key_drops_literal()``, which writes an immediate into the
@@ -17,6 +18,7 @@ sits in per-pc code.
 """
 
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -70,15 +72,16 @@ def planned_units(binary, model):
     return units
 
 
-#: Per-pc own values that each decode makes for itself: an RCMP's slice
-#: cell and a traced pc's trace-column appends.
-PER_DECODE = {"_sc", "_lrn", "_inst", "_ina", "_wra"}
+#: Own values that each decode makes for itself: an RCMP's slice cell
+#: and the trace-column appends of a traced pc or traced loop element.
+PER_DECODE = re.compile(r"_sc|_(lrn|inst|ina|wra)\d*")
 
 
 def decode_every_per_pc_variant(binary, model):
     """Decode *binary* untraced under each RCMP probe depth and ``verify``, and traced.
 
-    Compiler, FLC and LLC probe to depths 0, 1 and 2.
+    Compiler, FLC and LLC probe to depths 0, 1 and 2; the traced decode
+    fuses the program's loops, traced.
     """
     for name in ("Compiler", "FLC", "LLC"):
         for verify in (False, True):
@@ -87,8 +90,8 @@ def decode_every_per_pc_variant(binary, model):
     BatchedFastCPU(binary.program, model, tracer=DependenceTracker())._decoded()
 
 
-def per_pc_units(binary, model, monkeypatch):
-    """``(source, own values)`` of every per-pc function *binary*'s decodes bind.
+def decoded_units(binary, model, monkeypatch):
+    """``(source, own values)`` of every per-pc function and loop *binary*'s decodes bind.
 
     The decodes are :func:`decode_every_per_pc_variant`'s, in order.
     """
@@ -96,9 +99,11 @@ def per_pc_units(binary, model, monkeypatch):
     original = fastpath._bound
 
     def recording(shape, env, values=None, fns=()):
-        if shape.code.co_name == "_f":
+        if shape.code.co_name in ("_f", "_loop"):
             own = {
-                name: value for name, value in values.items() if name not in PER_DECODE
+                name: value
+                for name, value in values.items()
+                if not PER_DECODE.fullmatch(name)
             }
             bound.append((shape.source, own))
         return original(shape, env, values, fns)
@@ -134,17 +139,20 @@ def binaries():
 def test_the_shape_key_determines_the_source(binaries, monkeypatch):
     fastpath.clear_codegen_caches()
     per_pc_sources = {}
+    traced_loops = {}
     shaped = fastpath._shaped
 
     def recording(key, render):
         shape = shaped(key, render)
         if key[0] == "pc":
             per_pc_sources[key] = shape.source
+        elif key[0] == "loop" and len(key) > 2:
+            traced_loops[key] = shape.source
         return shape
 
     monkeypatch.setattr(fastpath, "_shaped", recording)
     warm = [
-        (planned_units(binary, model), per_pc_units(binary, model, monkeypatch))
+        (planned_units(binary, model), decoded_units(binary, model, monkeypatch))
         for binary, model in binaries
     ]
     shapes = {id(unit.shape) for units, _ in warm for unit in units}
@@ -161,6 +169,13 @@ def test_the_shape_key_determines_the_source(binaries, monkeypatch):
     assert len(set(per_pc_sources.values())) == len(per_pc_sources), (
         "two per-pc keys render the same source"
     )
+    # A traced loop's key is the untraced loop key, the trace flag and a
+    # writer flag per element.
+    assert traced_loops
+    for (_, parts, traced, writers), source in traced_loops.items():
+        assert traced is True and len(writers) == len(parts)
+        assert "_lrn0()" in source and "_ina0(_ix)" in source
+        assert all(("_wra%d(_ix)" % n in source) == w for n, w in enumerate(writers))
     # From here every unit renders its own code, as from an empty cache:
     # a per-pc unit once, however many decodes of its binary bind it.
     monkeypatch.setattr(fastpath, "_shaped", lambda key, render: render())
@@ -182,10 +197,11 @@ def test_the_shape_key_determines_the_source(binaries, monkeypatch):
             unit.shape.source for unit in units
         ], binary.program.name
         assert [unit.values for unit in cold] == [unit.values for unit in units]
-        assert per_pc_units(binary, model, monkeypatch) == per_pc, binary.program.name
+        assert decoded_units(binary, model, monkeypatch) == per_pc, binary.program.name
 
 
 def test_code_objects_name_no_program(binaries):
+    traced_loops = 0
     for binary, model in binaries[:4]:
         for unit in planned_units(binary, model):
             code = unit.shape.code
@@ -194,9 +210,15 @@ def test_code_objects_name_no_program(binaries):
         cpu = BatchedFastAmnesicCPU(binary, model, make_policy("FLC"))
         per_pc = [f.__code__ for f in per_pc_functions(cpu).values()]
         assert per_pc
-        for code in per_pc:
+        traced = BatchedFastCPU(binary.program, model, tracer=DependenceTracker())
+        table = traced._decoded()
+        loops = [table.fns[header].__code__ for header, _ in table.loops]
+        traced_loops += len(loops)
+        for code in per_pc + loops:
             assert binary.program.name not in code.co_filename
             assert code.co_filename.startswith("<fastpath ")
+        assert all(code.co_filename.startswith("<fastpath loop/") for code in loops)
+    assert traced_loops
 
 
 def bumped(spec, by):
