@@ -25,7 +25,7 @@ from ..compiler.annotate import AmnesicBinary, SliceInfo
 from ..energy.account import GROUP_AMNESIC, GROUP_HIST, GROUP_LOAD, GROUP_NONMEM
 from ..errors import ArithmeticFault, MachineFault, RecomputationMismatch
 from ..isa.instructions import Instruction
-from ..isa.opcodes import Opcode
+from ..isa.opcodes import _OPCODE_CATEGORY, Opcode
 from ..isa.operands import HistRef, Imm, Reg, SReg
 from ..isa.semantics import evaluate
 from ..machine.cpu import DEFAULT_MAX_INSTRUCTIONS, CPU
@@ -104,17 +104,27 @@ class AmnesicCPU(CPU):
     # ------------------------------------------------------------------
     # Amnesic opcode dispatch.
     # ------------------------------------------------------------------
-    def _execute_amnesic(self, instruction: Instruction) -> None:
-        if instruction.opcode is Opcode.REC:
-            self._execute_rec(instruction)
-        elif instruction.opcode is Opcode.RCMP:
-            self._execute_rcmp(instruction)
-        else:  # RTN outside a slice traversal is a control-flow bug
-            raise MachineFault("RTN reached outside recomputation", pc=self.pc)
+    def _build_dispatch(self):
+        """The classic table, with each amnesic opcode's own handler."""
+        dispatch = super()._build_dispatch()
+        dispatch[Opcode.REC] = self._execute_rec
+        dispatch[Opcode.RCMP] = self._execute_rcmp
+        dispatch[Opcode.RTN] = self._execute_rtn
+        return dispatch
+
+    def _execute_rtn(self, instruction: Instruction) -> None:
+        # RTN outside a slice traversal is a control-flow bug.
+        raise MachineFault("RTN reached outside recomputation", pc=self.pc)
 
     def _execute_rec(self, instruction: Instruction) -> None:
-        values = tuple(self.resolve(src) for src in instruction.srcs)
-        self.hist.record(instruction.slice_id, instruction.leaf_id, values)
+        registers = self.registers
+        values = []
+        for src in instruction.srcs:
+            if type(src) is Reg:
+                values.append(registers[src.index] if src.index else 0)
+            else:
+                values.append(self.resolve(src))
+        self.hist.record(instruction.slice_id, instruction.leaf_id, tuple(values))
         self.stats.hist_writes += 1
         self.account.charge(GROUP_AMNESIC, self.model.rec_cost())
         self._emit(instruction)
@@ -129,12 +139,7 @@ class AmnesicCPU(CPU):
         self.account.charge(GROUP_AMNESIC, self.model.rcmp_cost())
 
         decision = self.policy.decide(
-            RcmpContext(
-                address=address,
-                slice_info=info,
-                hierarchy=self.hierarchy,
-                model=self.model,
-            )
+            RcmpContext(address, info, self.hierarchy, self.model)
         )
         if decision.fire and self._slice_ready(info):
             fired = self._fire_recomputation(instruction, info, address, decision)
@@ -353,7 +358,7 @@ class AmnesicCPU(CPU):
                     f"slice {info.slice_id} does not end in RTN", pc=region.end - 1
                 )
             result = self.renamer.read(rtn_instruction.dest)
-            self.stats.count_instruction(rtn_instruction.category)
+            self.stats.count_instruction(_OPCODE_CATEGORY[rtn_instruction.opcode])
             self._charge_traversal(GROUP_AMNESIC, self.model.rtn_cost())
             self._emit(rtn_instruction)
             return result
@@ -364,7 +369,8 @@ class AmnesicCPU(CPU):
     def _execute_slice_instruction(
         self, instruction: Instruction, info: SliceInfo
     ) -> None:
-        self.stats.count_instruction(instruction.category)
+        category = _OPCODE_CATEGORY[instruction.opcode]
+        self.stats.count_instruction(category)
         self.stats.slice_instructions_executed += 1
         operands = []
         for src in instruction.srcs:
@@ -390,6 +396,6 @@ class AmnesicCPU(CPU):
             )
         self.renamer.write(instruction.dest, result)
         self._charge_traversal(
-            GROUP_NONMEM, self.model.slice_instruction_cost(instruction.category)
+            GROUP_NONMEM, self.model.slice_instruction_cost(category)
         )
         self._emit(instruction)

@@ -86,6 +86,9 @@ class EnergyModel:
         ``slice_instruction_cost`` per recomputed one) then skip the
         dict lookups and ``Cost`` construction.  ``Cost`` is frozen
         too, so sharing one instance across call sites is safe.
+        :meth:`compute_cost`, priced once per retired compute
+        instruction, looks its key up before it calls this, so its hit is
+        one dict lookup and builds no closure.
         """
         cache = self.__dict__.get("_cost_memo")
         if cache is None:
@@ -103,13 +106,16 @@ class EnergyModel:
         take their classic multi-cycle latencies (see
         :data:`repro.energy.epi.LATENCY_CYCLES`).
         """
-        return self._memo(
-            category,
-            lambda: Cost(
-                self.epi.epi(category),
-                LATENCY_CYCLES.get(category, 1) * self.config.cycle_ns,
-            ),
-        )
+        try:
+            return self.__dict__["_cost_memo"][category]
+        except KeyError:
+            return self._memo(
+                category,
+                lambda: Cost(
+                    self.epi.epi(category),
+                    LATENCY_CYCLES.get(category, 1) * self.config.cycle_ns,
+                ),
+            )
 
     def access_cost(self, access: Access) -> Cost:
         """Cost of a performed load/store as priced by the hierarchy."""

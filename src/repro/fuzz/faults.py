@@ -7,11 +7,12 @@ program that exercises the broken path, the oracle flags the
 divergence, and the shrinker reduces it to a minimal counterexample.
 They are shipped in the package (not buried in tests) so future
 scheduler/backend work can re-run the same mutation check against new
-policies.  Seven break what is computed once and reused (the compiler's
-front-end memo, fast-path decode plans, fused code shared by shape, a
-traced decode's trace columns, the one-call miss walk, and the fork
-every later run of a binary resumes from); the oracle cannot see most
-of them, so each names the test that does.
+policies.  One breaks the classic reference's own inlined run loop,
+which no other backend shares.  Seven break what is computed once and
+reused (the compiler's front-end memo, fast-path decode plans, fused
+code shared by shape, a traced decode's trace columns, the one-call
+miss walk, and the fork every later run of a binary resumes from); the
+oracle cannot see most of them, so each names the test that does.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from ..compiler import amnesic_pass, leaves
 from ..core.amnesic_cpu import AmnesicCPU
 from ..core.backend import Backend
 from ..core.hist import HistoryTable
+from ..errors import MachineFault
+from ..isa.opcodes import _OPCODE_CATEGORY
 from ..machine import fastpath, hierarchy
 from ..machine.cpu import CPU
 
@@ -76,6 +79,49 @@ class EagerFireCPU(AmnesicCPU):
 #: The broken schedulers as backends the oracle holds to classic.
 SKIP_HIST_READ = Backend("skip-hist-read", CPU, SkipHistReadCPU)
 EAGER_FIRE = Backend("eager-fire", CPU, EagerFireCPU)
+
+
+class _LateCount:
+    """Bug: the plain run loop counts each instruction after its handler returns.
+
+    Classic counts an instruction before executing it, so a faulting
+    instruction is counted; this loop counts only instructions whose
+    handler returned, so ``dynamic_instructions`` and ``by_category``
+    come up one short on every fault raised inside a handler (an
+    arithmetic trap, an unmapped read) while registers, memory, the
+    fault and every budget trip stay classic-identical.  ``step()`` is
+    untouched, so the stepping-parity test
+    (``tests/machine/test_stepping_parity.py``) and the oracle on the
+    ``batch-pure-trap`` corpus entry must catch it.
+    """
+
+    def _run_loop(self) -> None:
+        instructions = self.program.instructions
+        dispatch = self._dispatch
+        stats = self.stats
+        while not self.halted:
+            self._check_budget()
+            try:
+                instruction = instructions[self.pc]
+            except IndexError:
+                raise MachineFault(
+                    "pc ran off the end of the program", pc=self.pc
+                ) from None
+            dispatch[instruction.opcode](instruction)
+            stats.count_instruction(_OPCODE_CATEGORY[instruction.opcode])
+        self.finalize()
+
+
+class LateCountCPU(_LateCount, CPU):
+    """The classic CPU on the late-counting run loop."""
+
+
+class LateCountAmnesicCPU(_LateCount, AmnesicCPU):
+    """The amnesic CPU on the late-counting run loop."""
+
+
+#: The late-counting run loop as a backend the oracle holds to classic.
+LATE_COUNT = Backend("late-count", LateCountCPU, LateCountAmnesicCPU)
 
 
 class LateReplayState(leaves._ReplayState):
@@ -390,8 +436,11 @@ def stale_l2_lru() -> Iterator[None]:
 
 __all__ = [
     "EAGER_FIRE",
+    "LATE_COUNT",
     "SKIP_HIST_READ",
     "EagerFireCPU",
+    "LateCountAmnesicCPU",
+    "LateCountCPU",
     "LateReplayState",
     "SkipHistReadCPU",
     "deferred_store_producer",

@@ -8,6 +8,13 @@ correctness invariant of amnesic execution.
 Integer results wrap to 64-bit two's complement, matching the 64-bit
 datapath the paper assumes (Table 1 compares 64-bit loads against 64-bit
 FMAs).  Floating point uses the host ``float`` (IEEE-754 double).
+
+Conversions between the two never fault, as on the paper's x86
+platform: a float converts to an integer by truncation (``cvttsd2si``),
+and NaN and ±inf, which no integer represents, convert to the
+integer-indefinite value ``-2**63``; an integer converts to the nearest
+double, and one beyond the double range rounds to ±inf (IEEE-754
+round-to-nearest).
 """
 
 from __future__ import annotations
@@ -23,6 +30,10 @@ Value = Union[int, float]
 _INT64_MASK = (1 << 64) - 1
 _INT64_SIGN = 1 << 63
 
+#: What a NaN or infinite float converts to: x86's integer-indefinite
+#: value, the one ``cvttsd2si`` returns for them.
+_INT64_INDEFINITE = -(1 << 63)
+
 
 def wrap_int64(value: int) -> int:
     """Wrap an unbounded Python int to signed 64-bit two's complement."""
@@ -34,12 +45,17 @@ def wrap_int64(value: int) -> int:
 
 def _to_int(value: Value) -> int:
     if isinstance(value, float):
+        if not math.isfinite(value):
+            return _INT64_INDEFINITE
         return wrap_int64(int(value))
     return wrap_int64(value)
 
 
 def _to_float(value: Value) -> float:
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond the double range
+        return math.inf if value > 0 else -math.inf
 
 
 def _int_div(a: int, b: int) -> int:

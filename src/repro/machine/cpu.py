@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # avoid a circular import: energy.model depends on machine
     from ..energy.model import EnergyModel
 from ..errors import ExecutionLimitExceeded, MachineFault
 from ..isa.instructions import Instruction
-from ..isa.opcodes import Category, Opcode
+from ..isa.opcodes import _OPCODE_CATEGORY, Category, Opcode
 from ..isa.operands import Imm, Operand, Reg
 from ..isa.program import Program
 from ..isa.semantics import branch_taken, evaluate
@@ -77,6 +77,11 @@ class CPU:
         #: Per-opcode dispatch table of bound handlers; building it here
         #: binds subclass overrides (e.g. the amnesic opcodes).
         self._dispatch = self._build_dispatch()
+        #: The control instructions' prices, fixed for the model's
+        #: lifetime: looked up once per CPU, not once per instruction.
+        self._branch_cost = model.compute_cost(Category.BRANCH)
+        self._jump_cost = model.compute_cost(Category.JUMP)
+        self._nop_cost = model.compute_cost(Category.NOP)
 
     def __getstate__(self):
         # The base of the ``__getstate__`` chain: subclasses drop what
@@ -116,6 +121,10 @@ class CPU:
 
     # ------------------------------------------------------------------
     # Operand plumbing.
+    #
+    # The hot handlers read their operands inline: a register reads
+    # ``registers[index]`` (r0 reads 0), an immediate its value, and any
+    # other kind goes through :meth:`resolve`, which faults on it.
     # ------------------------------------------------------------------
     def resolve(self, operand: Operand) -> Value:
         """Resolve an operand to its current value."""
@@ -134,8 +143,17 @@ class CPU:
 
     def effective_address(self, base: Operand, offset: Operand) -> int:
         """Compute and validate an effective word address."""
-        base_value = self.resolve(base)
-        offset_value = self.resolve(offset)
+        registers = self.registers
+        if type(base) is Reg:
+            base_value = registers[base.index] if base.index else 0
+        else:
+            base_value = self.resolve(base)
+        if type(offset) is Imm:
+            offset_value = offset.value
+        elif type(offset) is Reg:
+            offset_value = registers[offset.index] if offset.index else 0
+        else:
+            offset_value = self.resolve(offset)
         address = base_value + offset_value
         if isinstance(address, float):
             if not address.is_integer():
@@ -191,9 +209,41 @@ class CPU:
         return self.stats
 
     def _run_loop(self) -> None:
-        """The plain dispatch loop (no profiler attached)."""
+        """The plain dispatch loop (no profiler attached).
+
+        :meth:`step` inlined: the budget check, the fetch with its
+        off-end fault, the count before execute and the dispatch run in
+        the loop, over the program's instructions, the dispatch table and
+        the stats bound once per run, so each retired instruction costs
+        one call, its handler.
+        """
+        instructions = self.program.instructions
+        dispatch = self._dispatch
+        stats = self.stats
+        by_category = stats.by_category
+        max_instructions = self.max_instructions
         while not self.halted:
-            self.step()
+            pc = self.pc
+            if self._dynamic_index >= max_instructions:
+                raise ExecutionLimitExceeded(
+                    f"exceeded {max_instructions} dynamic instructions", pc=pc
+                )
+            try:
+                instruction = instructions[pc]
+            except IndexError:
+                raise MachineFault(
+                    "pc ran off the end of the program", pc=pc
+                ) from None
+            opcode = instruction.opcode
+            stats.dynamic_instructions += 1
+            by_category[_OPCODE_CATEGORY[opcode]] += 1
+            try:
+                handler = dispatch[opcode]
+            except KeyError:  # pragma: no cover - the table is exhaustive
+                raise MachineFault(
+                    f"undecodable instruction {instruction}", pc=pc
+                ) from None
+            handler(instruction)
         self.finalize()
 
     def _run_loop_profiled(self, profiler) -> None:
@@ -259,9 +309,9 @@ class CPU:
     def _check_budget(self) -> None:
         """Raise once the dynamic-instruction budget is exhausted.
 
-        Shared by every dispatch loop *and* :meth:`step`, so
-        single-stepping callers and alternative backends enforce the same
-        livelock limit as ``run()``.
+        :meth:`step` and the profiled loop call it, and the plain loop
+        inlines the same test, so single-stepping callers enforce the
+        same livelock limit as ``run()``.
         """
         if self._dynamic_index >= self.max_instructions:
             raise ExecutionLimitExceeded(
@@ -290,7 +340,7 @@ class CPU:
     # ------------------------------------------------------------------
     def execute(self, instruction: Instruction) -> None:
         """Execute *instruction*, advance pc, account, and trace."""
-        self.stats.count_instruction(instruction.opcode.category)
+        self.stats.count_instruction(_OPCODE_CATEGORY[instruction.opcode])
         handler = self._dispatch.get(instruction.opcode)
         if handler is None:  # pragma: no cover - the table is exhaustive
             raise MachineFault(f"undecodable instruction {instruction}", pc=self.pc)
@@ -298,15 +348,15 @@ class CPU:
 
     def _execute_jmp(self, instruction: Instruction) -> None:
         self._emit(instruction)
-        self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.JUMP))
+        self.account.charge(GROUP_NONMEM, self._jump_cost)
         self.pc = self.program.pc_of(instruction.target)
 
     def _execute_jal(self, instruction: Instruction) -> None:
         # Call: store the return pc in the link register, then jump.
         return_pc = self.pc + 1
         self.write_register(instruction.dest, return_pc)
-        self._emit(instruction, result=return_pc)
-        self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.JUMP))
+        self._emit(instruction, return_pc)
+        self.account.charge(GROUP_NONMEM, self._jump_cost)
         self.pc = self.program.pc_of(instruction.target)
 
     def _execute_jr(self, instruction: Instruction) -> None:
@@ -322,12 +372,12 @@ class CPU:
                 pc=self.pc,
             )
         self._emit(instruction)
-        self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.JUMP))
+        self.account.charge(GROUP_NONMEM, self._jump_cost)
         self.pc = target
 
     def _execute_nop(self, instruction: Instruction) -> None:
         self._emit(instruction)
-        self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.NOP))
+        self.account.charge(GROUP_NONMEM, self._nop_cost)
         self.pc += 1
 
     def _execute_halt(self, instruction: Instruction) -> None:
@@ -335,48 +385,76 @@ class CPU:
         self.halted = True
 
     def _execute_compute(self, instruction: Instruction) -> None:
-        values = tuple(self.resolve(src) for src in instruction.srcs)
+        registers = self.registers
+        values = []
+        for src in instruction.srcs:
+            if type(src) is Reg:
+                values.append(registers[src.index] if src.index else 0)
+            elif type(src) is Imm:
+                values.append(src.value)
+            else:
+                values.append(self.resolve(src))
+        opcode = instruction.opcode
         try:
-            result = evaluate(instruction.opcode, values)
+            result = evaluate(opcode, values)
         except MachineFault as fault:
             raise type(fault)(str(fault), pc=self.pc) from None
-        if not isinstance(instruction.dest, Reg):
+        dest = instruction.dest
+        if not isinstance(dest, Reg):
             raise MachineFault(
                 f"compute instruction without register destination: {instruction}",
                 pc=self.pc,
             )
-        self.write_register(instruction.dest, result)
-        self.account.charge(GROUP_NONMEM, self.model.compute_cost(instruction.category))
-        self._emit(instruction, result=result)
+        if dest.index:
+            registers[dest.index] = result
+        self.account.charge(
+            GROUP_NONMEM, self.model.compute_cost(_OPCODE_CATEGORY[opcode])
+        )
+        self._emit(instruction, result)
         self.pc += 1
 
     def _execute_load(self, instruction: Instruction) -> None:
-        address = self.effective_address(instruction.srcs[0], instruction.srcs[1])
+        base, offset = instruction.srcs
+        address = self.effective_address(base, offset)
         value = self.memory.read(address)
         access = self.hierarchy.load(address)
         self.account.charge(GROUP_LOAD, self.model.access_cost(access))
         self.stats.loads_performed += 1
-        self.write_register(instruction.dest, value)
-        self._emit(
-            instruction, result=value, address=address, level=access.level
-        )
+        dest = instruction.dest
+        if dest.index:
+            self.registers[dest.index] = value
+        self._emit(instruction, value, address, access.level)
         self.pc += 1
 
     def _execute_store(self, instruction: Instruction) -> None:
-        value = self.resolve(instruction.srcs[0])
-        address = self.effective_address(instruction.srcs[1], instruction.srcs[2])
+        src, base, offset = instruction.srcs
+        if type(src) is Reg:
+            value = self.registers[src.index] if src.index else 0
+        else:
+            value = self.resolve(src)
+        address = self.effective_address(base, offset)
         self.memory.write(address, value)
         access = self.hierarchy.store(address)
         self.account.charge(GROUP_STORE, self.model.access_cost(access))
         self.stats.stores_performed += 1
-        self._emit(instruction, address=address, level=access.level)
+        self._emit(instruction, None, address, access.level)
         self.pc += 1
 
     def _execute_branch(self, instruction: Instruction) -> None:
-        a = self.resolve(instruction.srcs[0])
-        b = self.resolve(instruction.srcs[1])
+        registers = self.registers
+        a, b = instruction.srcs
+        if type(a) is Reg:
+            a = registers[a.index] if a.index else 0
+        else:
+            a = self.resolve(a)
+        if type(b) is Reg:
+            b = registers[b.index] if b.index else 0
+        elif type(b) is Imm:
+            b = b.value
+        else:
+            b = self.resolve(b)
         taken = branch_taken(instruction.opcode, a, b)
-        self.account.charge(GROUP_NONMEM, self.model.compute_cost(Category.BRANCH))
+        self.account.charge(GROUP_NONMEM, self._branch_cost)
         self._emit(instruction)
         if taken:
             self.stats.branches_taken += 1

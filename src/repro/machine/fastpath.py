@@ -1402,13 +1402,12 @@ class _Shape(NamedTuple):
     """One compiled shape: code every unit of the shape binds.
 
     ``recipe`` holds one ``(kind, arg)`` entry per parameter, in
-    parameter order (see :func:`_bound`); ``source`` is what was
-    compiled.
+    parameter order (see :func:`_bound`).  The source it was compiled
+    from is dropped once compiled.
     """
 
     code: CodeType
     recipe: tuple
-    source: str
 
 
 class _Fused(NamedTuple):
@@ -1450,7 +1449,7 @@ def _planned(name, lines, recipe, filename, names):
     source = f"def {name}({signature}):\n" + "\n".join(lines) + "\n"
     module = compile(source, filename, "exec")
     code = next(code for code in module.co_consts if isinstance(code, CodeType))
-    return _Shape(code, tuple(bound[param] for param in params), source)
+    return _Shape(code, tuple(bound[param] for param in params))
 
 
 class _Plan:

@@ -23,6 +23,10 @@ from repro.fuzz import (
     run_fuzz,
 )
 from repro.fuzz.faults import stale_load_lru, unprobed_l2
+from repro.fuzz.oracle import _observable
+from repro.isa import Imm, Opcode, Reg, alu, halt
+from repro.isa.program import Program
+from repro.machine import CPU, BatchedFastCPU
 
 #: Fixed seed so CI failures reproduce locally from the same specs.
 BACKEND_FUZZ_SEED = 0xA32E51AC
@@ -104,6 +108,48 @@ def test_backend_check_reports_fault_divergence_kind(model):
     assert not verdict.failures  # both backends faulted identically
     assert verdict.invalid  # classic faulted; parity was still checked
     assert "jump-register" in (verdict.invalid_reason or "")
+
+
+def conversion_program(name, *instructions):
+    program = Program(name)
+    for instruction in (*instructions, halt()):
+        program.append(instruction)
+    return program
+
+
+def conversion_programs():
+    """Programs whose values leave what the other number type can hold."""
+    r1, r2, r3, r4 = (Reg(index) for index in (1, 2, 3, 4))
+    return [
+        conversion_program(
+            "inf-to-int",
+            alu(Opcode.LI, r1, Imm(1e308)),
+            alu(Opcode.LI, r2, Imm(1e308)),
+            alu(Opcode.FMUL, r3, r1, r2),
+            alu(Opcode.CVTFI, r4, r3),
+            alu(Opcode.ADD, r4, r4, Imm(1)),
+        ),
+        conversion_program(
+            "big-int-to-float",
+            alu(Opcode.LI, r1, Imm(10 ** 400)),
+            alu(Opcode.FADD, r2, r1, Imm(1.0)),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("program", conversion_programs(), ids=lambda p: p.name)
+def test_value_conversions_never_escape_as_python_errors(program, model):
+    # NaN and +-inf convert to the integer-indefinite value and an int
+    # beyond the double range to +-inf, on both backends alike.
+    states = []
+    for cls in (CPU, BatchedFastCPU):
+        cpu = cls(program, model)
+        cpu.run()
+        assert cpu.halted
+        states.append(_observable(cpu))
+    assert states[0] == states[1]
+    assert check_program(program, model=model, backend="fast-batched").ok
+    assert check_program(program, model=model, backend="classic").ok
 
 
 @pytest.mark.parametrize(

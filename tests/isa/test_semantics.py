@@ -1,5 +1,7 @@
 """Value semantics: checked against Python arithmetic, incl. 64-bit wrap."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,6 +88,34 @@ def test_mov_and_li_are_identity():
 def test_cvt_roundtrip():
     assert evaluate(Opcode.CVTIF, (7,)) == 7.0
     assert evaluate(Opcode.CVTFI, (7.9,)) == 7
+
+
+INDEFINITE = -(2 ** 63)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_convert_to_the_integer_indefinite(value):
+    # As x86's cvttsd2si: no integer represents them.
+    assert evaluate(Opcode.CVTFI, (value,)) == INDEFINITE
+    assert evaluate(Opcode.ADD, (value, 1)) == INDEFINITE + 1
+    assert evaluate(Opcode.MIN, (value, 0)) == INDEFINITE
+    assert evaluate(Opcode.CVTIF, (value,)) == float(INDEFINITE)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_ints_beyond_the_double_range_convert_to_infinity(sign):
+    # IEEE-754 round-to-nearest overflows to a signed infinity.
+    big = sign * 10 ** 400
+    assert evaluate(Opcode.FADD, (big, 1.0)) == sign * math.inf
+    assert evaluate(Opcode.FMUL, (big, 2)) == sign * math.inf
+    assert evaluate(Opcode.FABS, (big,)) == math.inf
+    assert evaluate(Opcode.FADD, (sign * 2 ** 1023, 0.0)) == sign * 2.0 ** 1023
+
+
+def test_finite_conversions_are_unchanged():
+    assert evaluate(Opcode.CVTFI, (-7.9,)) == -7
+    assert evaluate(Opcode.CVTFI, (2.0 ** 64 + 2.0 ** 12,)) == 2 ** 12
+    assert evaluate(Opcode.FADD, (2 ** 53 + 1, 0.0)) == 2.0 ** 53
 
 
 @given(int64s, int64s)

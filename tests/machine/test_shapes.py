@@ -20,6 +20,7 @@ sits in per-pc code.
 import dataclasses
 import re
 from pathlib import Path
+from types import CodeType
 
 import pytest
 
@@ -50,6 +51,29 @@ CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 
 #: The kernels' binaries are planned, not run, so a small scale serves.
 SCALE = 0.1
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """The source of every shape compiled while the test runs, by code object.
+
+    A compiled shape keeps only its code; this shadows the builtin
+    ``compile`` in the code generator's module (as perfbench's layer
+    timer does) and records what each compile was handed.  Code objects
+    compare by content, so two that compare equal came from the same
+    source up to layout.
+    """
+    compiled = {}
+
+    def recording(source, filename, mode):
+        module = compile(source, filename, mode)
+        for code in module.co_consts:
+            if isinstance(code, CodeType):
+                compiled[code] = source
+        return module
+
+    monkeypatch.setattr(fastpath, "compile", recording, raising=False)
+    return compiled
 
 
 def planned_units(binary, model):
@@ -90,10 +114,11 @@ def decode_every_per_pc_variant(binary, model):
     BatchedFastCPU(binary.program, model, tracer=DependenceTracker())._decoded()
 
 
-def decoded_units(binary, model, monkeypatch):
+def decoded_units(binary, model, monkeypatch, sources):
     """``(source, own values)`` of every per-pc function and loop *binary*'s decodes bind.
 
-    The decodes are :func:`decode_every_per_pc_variant`'s, in order.
+    The decodes are :func:`decode_every_per_pc_variant`'s, in order;
+    *sources* is the :func:`sources` fixture's record.
     """
     bound = []
     original = fastpath._bound
@@ -105,7 +130,7 @@ def decoded_units(binary, model, monkeypatch):
                 for name, value in values.items()
                 if not PER_DECODE.fullmatch(name)
             }
-            bound.append((shape.source, own))
+            bound.append((sources[shape.code], own))
         return original(shape, env, values, fns)
 
     with monkeypatch.context() as patch:
@@ -136,7 +161,7 @@ def binaries():
     return found
 
 
-def test_the_shape_key_determines_the_source(binaries, monkeypatch):
+def test_the_shape_key_determines_the_source(binaries, monkeypatch, sources):
     fastpath.clear_codegen_caches()
     per_pc_sources = {}
     traced_loops = {}
@@ -145,14 +170,17 @@ def test_the_shape_key_determines_the_source(binaries, monkeypatch):
     def recording(key, render):
         shape = shaped(key, render)
         if key[0] == "pc":
-            per_pc_sources[key] = shape.source
+            per_pc_sources[key] = sources[shape.code]
         elif key[0] == "loop" and len(key) > 2:
-            traced_loops[key] = shape.source
+            traced_loops[key] = sources[shape.code]
         return shape
 
     monkeypatch.setattr(fastpath, "_shaped", recording)
     warm = [
-        (planned_units(binary, model), decoded_units(binary, model, monkeypatch))
+        (
+            planned_units(binary, model),
+            decoded_units(binary, model, monkeypatch, sources),
+        )
         for binary, model in binaries
     ]
     shapes = {id(unit.shape) for units, _ in warm for unit in units}
@@ -193,11 +221,13 @@ def test_the_shape_key_determines_the_source(binaries, monkeypatch):
         fastpath.clear_codegen_caches()
         rendered.clear()
         cold = planned_units(binary, model)
-        assert [unit.shape.source for unit in cold] == [
-            unit.shape.source for unit in units
+        assert [sources[unit.shape.code] for unit in cold] == [
+            sources[unit.shape.code] for unit in units
         ], binary.program.name
         assert [unit.values for unit in cold] == [unit.values for unit in units]
-        assert decoded_units(binary, model, monkeypatch) == per_pc, binary.program.name
+        assert (
+            decoded_units(binary, model, monkeypatch, sources) == per_pc
+        ), binary.program.name
 
 
 def test_code_objects_name_no_program(binaries):
