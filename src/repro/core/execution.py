@@ -210,10 +210,10 @@ class EvaluationSetup:
 
     Splitting :func:`evaluate_policies` into *prepare* (classic baseline
     + compiled binaries) and *measure* (one amnesic run per policy)
-    gives the parallel engine a work unit that survives pickling: every
-    field is plain data, so a worker process can prepare a setup once
-    and measure any number of policies against it — or the whole setup
-    can cross a process boundary inside a result envelope.
+    gives a work unit that survives pickling: every field is plain
+    data, so a worker process can prepare a setup once and measure any
+    number of policies against it.  The parallel engine's result
+    envelopes carry only the comparisons, never the setup.
     """
 
     program: Program

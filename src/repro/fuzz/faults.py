@@ -8,11 +8,12 @@ divergence, and the shrinker reduces it to a minimal counterexample.
 They are shipped in the package (not buried in tests) so future
 scheduler/backend work can re-run the same mutation check against new
 policies.  One breaks the classic reference's own inlined run loop,
-which no other backend shares.  Seven break what is computed once and
-reused (the compiler's front-end memo, fast-path decode plans, fused
-code shared by shape, a traced decode's trace columns, the one-call
-miss walk, and the fork every later run of a binary resumes from); the
-oracle cannot see most of them, so each names the test that does.
+which every classic run takes, profiled or not.  Seven break what is
+computed once and reused (the compiler's front-end memo, fast-path
+decode plans, fused code shared by shape, a traced decode's trace
+columns, the one-call miss walk, and the fork every later run of a
+binary resumes from); the oracle cannot see most of them, so each names
+the test that does.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..compiler import amnesic_pass, leaves
 from ..core.amnesic_cpu import AmnesicCPU
 from ..core.backend import Backend
 from ..core.hist import HistoryTable
-from ..errors import MachineFault
+from ..errors import ExecutionLimitExceeded, MachineFault
 from ..isa.opcodes import _OPCODE_CATEGORY
 from ..machine import fastpath, hierarchy
 from ..machine.cpu import CPU
@@ -82,17 +83,18 @@ EAGER_FIRE = Backend("eager-fire", CPU, EagerFireCPU)
 
 
 class _LateCount:
-    """Bug: the plain run loop counts each instruction after its handler returns.
+    """Bug: the run loop counts each instruction after its handler returns.
 
     Classic counts an instruction before executing it, so a faulting
     instruction is counted; this loop counts only instructions whose
     handler returned, so ``dynamic_instructions`` and ``by_category``
     come up one short on every fault raised inside a handler (an
     arithmetic trap, an unmapped read) while registers, memory, the
-    fault and every budget trip stay classic-identical.  ``step()`` is
-    untouched, so the stepping-parity test
-    (``tests/machine/test_stepping_parity.py``) and the oracle on the
-    ``batch-pure-trap`` corpus entry must catch it.
+    fault and every budget trip stay classic-identical.  Every run,
+    profiled or not, takes it; ``step()`` is untouched, so the
+    stepping-parity test (``tests/machine/test_stepping_parity.py``,
+    under a profiler too) and the oracle on the ``batch-pure-trap``
+    corpus entry must catch it.
     """
 
     def _run_loop(self) -> None:
@@ -100,7 +102,11 @@ class _LateCount:
         dispatch = self._dispatch
         stats = self.stats
         while not self.halted:
-            self._check_budget()
+            if self._dynamic_index >= self.max_instructions:
+                raise ExecutionLimitExceeded(
+                    f"exceeded {self.max_instructions} dynamic instructions",
+                    pc=self.pc,
+                )
             try:
                 instruction = instructions[self.pc]
             except IndexError:
@@ -109,7 +115,6 @@ class _LateCount:
                 ) from None
             dispatch[instruction.opcode](instruction)
             stats.count_instruction(_OPCODE_CATEGORY[instruction.opcode])
-        self.finalize()
 
 
 class LateCountCPU(_LateCount, CPU):

@@ -32,7 +32,7 @@ from ..isa.opcodes import _OPCODE_CATEGORY, Category, Opcode
 from ..isa.operands import Imm, Operand, Reg
 from ..isa.program import Program
 from ..isa.semantics import branch_taken, evaluate
-from ..telemetry.profiler import TAIL_KEY
+from ..telemetry.profiler import RunSampler
 from ..telemetry.runtime import get_telemetry
 from .hierarchy import MemoryHierarchy
 from .memory import Memory
@@ -154,7 +154,12 @@ class CPU:
             offset_value = registers[offset.index] if offset.index else 0
         else:
             offset_value = self.resolve(offset)
-        address = base_value + offset_value
+        try:
+            address = base_value + offset_value
+        except OverflowError:
+            # A float meets an int beyond the double range, which
+            # converts to +-inf (see isa.semantics): FADD's sum.
+            address = evaluate(Opcode.FADD, (base_value, offset_value))
         if isinstance(address, float):
             if not address.is_integer():
                 raise MachineFault(
@@ -167,14 +172,22 @@ class CPU:
     # Execution loop.
     # ------------------------------------------------------------------
     def run(self) -> RunStats:
-        """Execute until HALT; return the run statistics."""
+        """Execute until HALT; return the run statistics.
+
+        Every run, profiled or not, retires through :meth:`_run_loop`
+        and then finalizes once.  Under a hot-loop profiler the run
+        swaps in, for itself only, a dispatch table whose handlers
+        sample (see :class:`~repro.telemetry.profiler.RunSampler`), so a
+        profiled run executes the loop that stepping parity and the
+        oracle check.
+        """
         telemetry = get_telemetry()
         profiler = telemetry.active_profiler()
         self._timeline = telemetry.open_timeline(self)
         # Instrumented runs (dependence tracing, timeline sampling,
-        # hot-loop profiling) take per-instruction fallback loops; the
-        # ``mode`` attribute lets trace readers tell their spans apart
-        # from untraced execution.
+        # hot-loop profiling) may take slower paths; the ``mode``
+        # attribute lets trace readers tell their spans apart from
+        # untraced execution.
         traced = (
             profiler is not None
             or self.tracer is not None
@@ -184,15 +197,20 @@ class CPU:
             f"execute.{self.TELEMETRY_LABEL}",
             mode="traced" if traced else "untraced",
         ) as span:
+            sampler = None if profiler is None else RunSampler(profiler, self)
             try:
-                if profiler is None:
-                    self._run_loop()
-                else:
-                    self._run_loop_profiled(profiler)
+                self._run_loop()
             finally:
+                if sampler is not None:
+                    sampler.detach()
                 if self._timeline is not None:
                     self._timeline.close(self._dynamic_index)
                     self._timeline = None
+            if sampler is not None:
+                sampler.tail()
+            self.finalize()
+            if sampler is not None:
+                sampler.finalized()
             span.set(
                 instructions=self._dynamic_index,
                 energy_nj=round(self.account.total_energy_nj, 3),
@@ -209,13 +227,13 @@ class CPU:
         return self.stats
 
     def _run_loop(self) -> None:
-        """The plain dispatch loop (no profiler attached).
+        """The run loop: :meth:`step` inlined until ``HALT``.
 
-        :meth:`step` inlined: the budget check, the fetch with its
-        off-end fault, the count before execute and the dispatch run in
-        the loop, over the program's instructions, the dispatch table and
-        the stats bound once per run, so each retired instruction costs
-        one call, its handler.
+        The budget check, the fetch with its off-end fault, the count
+        before execute and the dispatch run in the loop, over the
+        program's instructions, the dispatch table and the stats bound
+        once per run, so each retired instruction costs one call, its
+        handler.  :meth:`run` finalizes.
         """
         instructions = self.program.instructions
         dispatch = self._dispatch
@@ -244,89 +262,28 @@ class CPU:
                     f"undecodable instruction {instruction}", pc=pc
                 ) from None
             handler(instruction)
-        self.finalize()
-
-    def _run_loop_profiled(self, profiler) -> None:
-        """Dispatch loop with per-opcode wall/instruction/energy sampling.
-
-        Records at every ``sample_every``-th dispatch; the recorded
-        deltas telescope, so profile totals stay exact at any stride
-        (see :mod:`repro.telemetry.profiler`).
-        """
-        profiler.runs += 1
-        clock = profiler.clock
-        label = self.TELEMETRY_LABEL
-        stride = profiler.sample_every
-        pending = stride
-        account = self.account
-        last_t = clock()
-        last_d = self._dynamic_index
-        last_e = account.total_energy_nj
-        opcode_name = None
-        while not self.halted:
-            self._check_budget()
-            try:
-                instruction = self.program.instruction_at(self.pc)
-            except IndexError:
-                raise MachineFault(
-                    "pc ran off the end of the program", pc=self.pc
-                ) from None
-            opcode_name = instruction.opcode.value
-            self.execute(instruction)
-            pending -= 1
-            if pending == 0:
-                pending = stride
-                now = clock()
-                energy = account.total_energy_nj
-                profiler.record(
-                    label,
-                    opcode_name,
-                    now - last_t,
-                    self._dynamic_index - last_d,
-                    energy - last_e,
-                )
-                last_t, last_d, last_e = now, self._dynamic_index, energy
-        if pending != stride and opcode_name is not None:
-            # Flush the partial tail so instruction/energy totals stay
-            # exact.  The window covers up to stride-1 *different*
-            # opcodes, so attributing it to the last dispatched one would
-            # skew per-opcode shares at large strides; it gets its own
-            # synthetic row instead.
-            now = clock()
-            energy = account.total_energy_nj
-            profiler.record(
-                label, TAIL_KEY, now - last_t,
-                self._dynamic_index - last_d, energy - last_e,
-            )
-            last_t, last_e = now, energy
-        before = account.total_energy_nj
-        start = clock()
-        self.finalize()
-        profiler.record_finalize(
-            label, clock() - start, account.total_energy_nj - before
-        )
-
-    def _check_budget(self) -> None:
-        """Raise once the dynamic-instruction budget is exhausted.
-
-        :meth:`step` and the profiled loop call it, and the plain loop
-        inlines the same test, so single-stepping callers enforce the
-        same livelock limit as ``run()``.
-        """
-        if self._dynamic_index >= self.max_instructions:
-            raise ExecutionLimitExceeded(
-                f"exceeded {self.max_instructions} dynamic instructions",
-                pc=self.pc,
-            )
 
     def step(self) -> None:
-        """Execute one instruction at the current pc."""
-        self._check_budget()
+        """Execute one instruction at the current pc: the single-step API.
+
+        The budget check, the fetch, the count before execute and the
+        dispatch, as :meth:`_run_loop` makes them per instruction.
+        """
+        pc = self.pc
+        if self._dynamic_index >= self.max_instructions:
+            raise ExecutionLimitExceeded(
+                f"exceeded {self.max_instructions} dynamic instructions", pc=pc
+            )
         try:
-            instruction = self.program.instruction_at(self.pc)
+            instruction = self.program.instructions[pc]
         except IndexError:
-            raise MachineFault("pc ran off the end of the program", pc=self.pc) from None
-        self.execute(instruction)
+            raise MachineFault("pc ran off the end of the program", pc=pc) from None
+        opcode = instruction.opcode
+        self.stats.count_instruction(_OPCODE_CATEGORY[opcode])
+        handler = self._dispatch.get(opcode)
+        if handler is None:  # pragma: no cover - the table is exhaustive
+            raise MachineFault(f"undecodable instruction {instruction}", pc=pc)
+        handler(instruction)
 
     def finalize(self) -> None:
         """Charge deferred costs (dirty write-backs) once, idempotently."""
@@ -338,14 +295,6 @@ class CPU:
     # ------------------------------------------------------------------
     # Dispatch.
     # ------------------------------------------------------------------
-    def execute(self, instruction: Instruction) -> None:
-        """Execute *instruction*, advance pc, account, and trace."""
-        self.stats.count_instruction(_OPCODE_CATEGORY[instruction.opcode])
-        handler = self._dispatch.get(instruction.opcode)
-        if handler is None:  # pragma: no cover - the table is exhaustive
-            raise MachineFault(f"undecodable instruction {instruction}", pc=self.pc)
-        handler(instruction)
-
     def _execute_jmp(self, instruction: Instruction) -> None:
         self._emit(instruction)
         self.account.charge(GROUP_NONMEM, self._jump_cost)

@@ -28,9 +28,11 @@ description renders six ways:
   point the classic handler calls ``_emit``, so no event is built;
 * **fused regions** — every statically proven straight-line run outside
   a slice (see :mod:`repro.staticcheck.regions`) concatenated into one
-  generated function, with accumulators hoisted into locals; the
-  ``mark`` of each element that can fault (``LD``, ``ST``, trapping
-  compute) records its offset for the fault path;
+  generated function, with accumulators hoisted into locals and
+  written back by the function's one ``finally`` (see
+  :func:`_fused_frame`); the ``mark`` of each element that can fault
+  (``LD``, ``ST``, trapping compute) records its offset for the fault
+  path;
 * **fused loops** — statically proven self-loops (a branch header, one
   batchable body region, a ``JMP`` back): header, body and loop-back
   rendered as one pass inside a ``while`` loop, where the header's
@@ -63,14 +65,14 @@ binds as a parameter, so code objects name no program, and a unit's
 start pc is its ``_s`` default wherever its source reads it.  Every
 decode binds the plan to its own CPU through :func:`_bound`, from one
 environment of CPU facts: registers, accounts, model costs, Hist, SFile
-fit, fire tables, slice cells and trace columns.
+fit, fire tables, slice traversals and trace columns.
 
 ``RCMP`` renders per pc for the run's paper policy by its probe depth:
 the one decision inline (see :data:`_DECISION`: the load's residence,
 the tag probes of the depth, and the slice's fire table, which the
-policy's ``fires_at`` fills), a direct call into the slice's fused
-traversal, and the inherited load rendered from the ``LD``
-description.
+policy's ``fires_at`` fills), a direct call into the slice's
+traversal, bound at decode, and the inherited load rendered from the
+``LD`` description.
 
 Fork at the first ``RCMP``.  Until a binary's first ``RCMP`` every
 amnesic run of it under one energy model does the same work, so the
@@ -92,9 +94,10 @@ The contract every rendering honours:
   :meth:`~repro.machine.hierarchy.MemoryHierarchy._service_miss`, the
   classic walk itself, so hit/miss/eviction/write-back accounting
   cannot diverge.
-* **Observability**: a run with a timeline attached uses the classic
-  loop (timelines sample mid-run state per instruction); a run under
-  the hot-loop profiler uses the classic profiled loop.  A traced run
+* **Observability**: a run with a timeline attached or under the
+  hot-loop profiler uses the classic loop (timelines sample mid-run
+  state per instruction; the profiler samples the classic dispatch),
+  one check in :meth:`BatchedExecutionMixin._run_loop`.  A traced run
   (a classic CPU profiling into a
   :class:`~repro.trace.dependence.DependenceTracker`) keeps the
   predecoded loop with traced per-pc functions and fuses only its
@@ -207,9 +210,16 @@ _FAULTABLE_COMPUTE = frozenset(
 
 
 def _address(base, offset):
-    """Lines computing the effective address ``_a`` (``effective_address``)."""
+    """Lines computing the effective address ``_a`` (``effective_address``).
+
+    A float meeting an int beyond the double range takes FADD's sum: the
+    int converts to +-inf (see :mod:`repro.isa.semantics`).
+    """
     return (
-        f"_a = {base} + {offset}",
+        "try:",
+        f"    _a = {base} + {offset}",
+        "except OverflowError:",
+        f"    _a = _fadd({base}, {offset})",
         "if isinstance(_a, float):",
         "    if not _a.is_integer():",
         "        raise _MF(f'non-integer effective address {_a}', pc=$pc)",
@@ -382,14 +392,16 @@ def _rcmp_description(depth, verify):
 
     Same order as the classic handler: count, address, RCMP charge,
     decision, Hist/SFile readiness (``_ok``: the slice's scratch demand
-    fits; ``_hk``: its checkpoint keys), probe charge, the slice through
-    its cell ``_sc``, residence count and ``verify``; otherwise the
+    fits; ``_hk``: its checkpoint keys), probe charge, the slice's
+    traversal ``_sc``, residence count and ``verify``; otherwise the
     fallback or skip count, the probe charge after a fire, and the
-    inherited load — the LD description itself, without its address
-    lines.  A probing paper policy fires only where every probe of its
-    depth missed, so a fire pays the whole probe (``_p1``/``_p2``).
+    inherited load — the LD description itself after its mark and
+    address lines.  A probing paper policy fires only where every probe
+    of its depth missed, so a fire pays the whole probe
+    (``_p1``/``_p2``).
     """
     address = _address("$s0", "$s1")
+    load = _FAMILIES["ld"]
     decide = tuple(
         line if type(line) is str else line[1]
         for line in _DECISION
@@ -419,7 +431,7 @@ def _rcmp_description(depth, verify):
         "    if _ok and _hent.keys() >= _hk:",
         *("        " + line for line in charge),
         "        try:",
-        "            _v = _sc[0]()",
+        "            _v = _sc()",
         "        except _AF:",
         "            _st.recomputation_aborts += 1",
         "        else:",
@@ -431,7 +443,8 @@ def _rcmp_description(depth, verify):
         *("    " + line for line in charge),
         "else:",
         "    _st.recomputations_skipped += 1",
-        *(line for line in _FAMILIES["ld"] if line not in address),
+        # By position: the address block and the read both hold "try:".
+        *load[1 + len(address):],
     )
 
 #: Families a fused region may contain (the region analyzer admits no
@@ -955,8 +968,9 @@ def _render_pc(key, values, names):
 
 
 #: The globals of every bound function: builtins, and the constants only
-#: its fault and overflow paths read.  Everything else it reads is a
-#: parameter, a fast local.
+#: its fault and overflow paths read (``_fadd`` sums an effective address
+#: that overflows).  Everything else it reads is a parameter, a fast
+#: local.
 _GLOBALS = {
     "__builtins__": builtins,
     "_MF": MachineFault,
@@ -964,6 +978,7 @@ _GLOBALS = {
     "_AF": ArithmeticFault,
     "_RM": RecomputationMismatch,
     "_wi": wrap_int64,
+    "_fadd": _EVALUATORS[Opcode.FADD],
 }
 
 
@@ -1134,6 +1149,11 @@ def _decode(cpu):
     metered = get_telemetry().enabled
     table = _BatchTable(len(instructions) + 1, metered)
     env = _environment(cpu, table)
+    if not traced:
+        # A traced table keeps no environment: the environment holds the
+        # table, and the trace must leave with its run (see _run_loop).
+        # An RCMP binds its slice's traversal through this one.
+        table.env = env
     # How deep RCMP probes on this run (see :data:`_DECISION`); None
     # leaves RCMP on the classic handler, which live telemetry sessions
     # (per-RCMP decision records) need.
@@ -1163,10 +1183,6 @@ def _decode(cpu):
     table.cats.extend(_OPCODE_CATEGORY[ins.opcode] for ins in instructions)
     fns.append(_off_end(len(fns)))
     table.cats.append(None)
-    if not traced:
-        # A traced table keeps no environment: the environment holds the
-        # table, and the trace must leave with its run (see _run_loop).
-        table.env = env
     for unit in plan.fused_for(program, env, columns):
         table.install(unit, env)
     return table
@@ -1214,9 +1230,9 @@ def _rcmp_values(cpu, table, values, pc):
     """An RCMP's own values on *cpu*, or None when its binary has no such slice.
 
     Its slice's checkpoint keys ``_hk``, whether its scratch demand
-    fits the SFile (``_ok``), the cell ``_sc`` it calls the slice
-    through and whether the slice fires at each residence
-    (``_ft1``/``_ft2``/``_ftm``).
+    fits the SFile (``_ok``), the slice's traversal ``_sc`` (see
+    :func:`_slice_traversal`) and whether the slice fires at each
+    residence (``_ft1``/``_ft2``/``_ftm``).
     """
     try:
         info = cpu.binary.info_for(values["_sid"])
@@ -1228,7 +1244,7 @@ def _rcmp_values(cpu, table, values, pc):
         _sid=sid,
         _hk=frozenset((sid, leaf) for leaf in info.hist_leaf_ids),
         _ok=info.sreg_demand <= cpu.sfile.capacity,
-        _sc=_slice_cell(cpu, table, info, pc),
+        _sc=_slice_traversal(cpu, table, info, pc),
     )
     values["_ft1"], values["_ft2"], values["_ftm"] = cpu._rcmp_fire_table(info)
     return values
@@ -1239,13 +1255,14 @@ def _thunk(cpu, pc, instruction):
 
     Covers the amnesic control opcodes, slice-region pcs, and any
     statically odd instruction whose classic handler should fault at
-    runtime.  ``CPU._build_dispatch`` maps every opcode.
+    runtime.  ``CPU._build_dispatch`` maps every opcode.  The handler is
+    looked up per call, so a decode made during a profiled run (a slice
+    traversal's) keeps none of that run's sampling handlers.
     """
-    handler = cpu._dispatch[instruction.opcode]
 
-    def f(cpu=cpu, pc=pc, handler=handler, instruction=instruction):
+    def f(cpu=cpu, pc=pc, opcode=instruction.opcode, instruction=instruction):
         cpu.pc = pc
-        handler(instruction)
+        cpu._dispatch[opcode](instruction)
         return cpu.pc
 
     return f
@@ -1277,13 +1294,19 @@ def _off_end(pc):
 #
 # The hazards a fused region or loop must keep byte-identical:
 #
+# * **One exit** — every fused function leaves through one frame (see
+#   :func:`_fused_frame`): each way out sets ``_n``, the elements
+#   retired since ``_i0``, and ``_p``, the deferred counts to add, and
+#   the frame's one ``finally`` writes the hoisted accumulators back,
+#   sets ``_dynamic_index`` to ``_i0 + _n`` and adds ``_p`` to the
+#   unit's slot.  An edit to that bookkeeping reaches every exit.
 # * **Faults mid-region** — every element that can fault (``LD``,
 #   ``ST``, trapping compute) marks its offset in ``_n`` first; on any
-#   exception the fused function writes its accumulators back, restores
-#   ``_dynamic_index`` to the number of *completed* elements, counts the
-#   elements classic would have counted (count-before-execute includes
-#   the faulting one), records the faulting pc for the outer loop, and
-#   re-raises.  A loop pass is a region ``[h, j]`` whose element 0 is
+#   exception the fused function counts the elements classic would
+#   have counted (count-before-execute includes the faulting one),
+#   records the faulting pc for the outer loop and re-raises, and the
+#   ``finally`` leaves ``_dynamic_index`` at the number of *completed*
+#   elements.  A loop pass is a region ``[h, j]`` whose element 0 is
 #   the header, so a fault in pass ``p`` takes the same path after the
 #   ``p - 1`` completed passes.
 # * **Budget exhaustion** — a fused region runs only after a hoisted
@@ -1292,23 +1315,23 @@ def _off_end(pc):
 #   region runs per pc under the outer loop's classic per-instruction
 #   check.  A loop checks its budget once per pass: it enters only when
 #   a whole pass fits, and when the next pass would cross the budget it
-#   writes back and returns ``h``; entered with less than a pass left,
+#   returns ``h`` with ``_n = 0``; entered with less than a pass left,
 #   it runs only the header's per-pc function.  Either way the outer
 #   loop's check raises at the classic pc with classic counts.
-# * **Loop exits** — the header taken returns its target; the pass
-#   budget and faults exit as above.  Accumulators are hoisted once per
-#   loop entry and written back on every exit.
+# * **Loop exits** — the header taken returns its target with
+#   ``_n = 1``; the pass budget and faults exit as above.  Accumulators
+#   are hoisted once per loop entry.
 # * **Deferred counts** — a fused function adds one hit per region run
 #   or loop pass; ``_flush`` expands hits into per-pc and per-category
-#   counts.  A loop pass counts its whole ``[h, j]``: the outer loop
-#   counted the first header, and each pass's hit stands for the next
-#   one, so the budget exit (which hands that header back to the outer
-#   loop) takes one header count back.
+#   counts from each installed unit's ``tail``.  A loop pass counts its
+#   whole ``[h, j]``: the outer loop counted the first header, and each
+#   pass's hit stands for the next one, so the budget exit (which hands
+#   that header back to the outer loop) takes one header count back.
 # * **Traced/timeline/profiled runs** — traced runs fuse loops only,
 #   each element appending to the trace columns its per-pc function
 #   appends to (one ``pc_columns`` call per pc per decode) at trace
 #   index ``_i0 + offset``; timeline and profiled runs take the classic
-#   loops.
+#   loop.
 # * **Entry by JR** — only a region start or loop header dispatches
 #   fused code; every other pc, a loop body start included, keeps its
 #   per-pc function, so a JR into a region or loop body runs per pc.
@@ -1330,12 +1353,9 @@ class _BatchTable:
 
     The count arrays live on the table (not the run loop) because the
     fused functions bind them at decode time; the flush zeroes them so a
-    later ``run()`` starts clean.  ``fused_counts`` holds one slot per
-    fused function (a region run or a loop pass per hit), and
-    ``fused_tails`` the ``(first, end, categories)`` of the pcs one hit
-    retires beyond the outer loop's count.  ``region_spans`` lists the
-    straight-line spans compiled into fused code (loop bodies included)
-    and ``loops`` each fused loop's ``(header, loop-back)`` pcs.
+    later ``run()`` starts clean.  ``units`` holds the fused regions and
+    loops installed (:class:`_Fused`), and ``fused_counts`` one slot per
+    unit, at the unit's index (a region run or a loop pass per hit).
     ``fault_pc`` is how a fused function reports the faulting element's
     pc to the outer loop (whose local ``pc`` still holds the entry pc
     when the function raises; see :meth:`fault`).  ``env`` is the CPU
@@ -1351,9 +1371,7 @@ class _BatchTable:
         "cats",
         "counts",
         "fused_counts",
-        "fused_tails",
-        "region_spans",
-        "loops",
+        "units",
         "fault_pc",
         "env",
         "slices",
@@ -1365,9 +1383,7 @@ class _BatchTable:
         self.cats = []
         self.counts = [0] * size
         self.fused_counts = []
-        self.fused_tails = []
-        self.region_spans = []
-        self.loops = []
+        self.units = []
         self.fault_pc = -1
         self.env = None
         self.slices = {}
@@ -1391,11 +1407,8 @@ class _BatchTable:
         counts into: a plan's units bind in the order they rendered.
         """
         self.fused_counts.append(0)
-        self.fused_tails.append(unit.tail)
+        self.units.append(unit)
         self.fns[unit.at] = _bound(unit.shape, env, unit.values, self.fns)
-        self.region_spans.append(unit.span)
-        if unit.loop is not None:
-            self.loops.append(unit.loop)
 
 
 class _Shape(NamedTuple):
@@ -1597,6 +1610,45 @@ def _partial_flush(counts, start, completed):
 _LOOP_BACK_EXIT = "_i0 + {length} > _mx"
 
 
+def _fused_frame(first, length, keys, body):
+    """The source lines of a fused region's or loop's function: one frame, one exit.
+
+    Entered with less budget than *length* (``_mx``), it runs only the
+    per-pc function *first* and returns.  Otherwise it hoists the
+    accumulators in *keys* into locals and runs *body*, whose every
+    return sets ``_n`` (elements retired since ``_i0``) and ``_p``
+    (deferred counts to add); a fault leaves ``_n`` at its element's
+    mark, records it and re-raises.  Every exit — return *and* fault —
+    then passes the one ``finally``, which writes the accumulators
+    back, sets ``_dynamic_index`` to ``_i0 + _n`` and adds ``_p`` to
+    the unit's deferred count.  This is bit-identical to charging
+    element by element: the float additions happen in the same order on
+    the same running values (``_service_miss`` never touches the energy
+    groups or the time account), and a faulting element raises before
+    any of its charge lines run.
+    """
+    prologue, writeback = _hoist(keys)
+    source = [
+        "_i0 = _cpu._dynamic_index",
+        "_mx = _cpu.max_instructions",
+        f"if _i0 + {length} > _mx:",
+        f"    return {first}()",
+        "_n = 0",
+        "_p = 0",
+        *prologue,
+        "try:",
+        *("    " + line for line in body),
+        "except BaseException:",
+        "    _fault(_s, _n)",
+        "    raise",
+        "finally:",
+        *("    " + line for line in writeback),
+        "    _cpu._dynamic_index = _i0 + _n",
+        "    _fc[_rid] += _p",
+    ]
+    return ["    " + line for line in source]
+
+
 def _render_region(program, region, rid, names):
     """Plan the single-dispatch function of one batchable region.
 
@@ -1615,37 +1667,14 @@ def _render_region(program, region, rid, names):
         return None
 
     def render():
-        # Accumulators live in locals for the fused body and are written
-        # back on every exit — success *and* fault.  This is
-        # bit-identical to charging element by element: the float
-        # additions happen in the same order on the same running values
-        # (``_service_miss`` never touches the energy groups or the time
-        # account), and a faulting element raises before any of its
-        # charge lines run.
         shared = _Unit()
         keys = set()
         lines = _rendered(parts, 0, shared, keys)
-        prologue, writeback = _hoist(keys)
-        source = [
-            "_i0 = _cpu._dynamic_index",
-            f"if _i0 + {length} > _cpu.max_instructions:",
-            "    return _first()",
-            "_n = 0",
-            *prologue,
-            "try:",
-            *("    " + line for line in lines),
-            "except BaseException:",
-            *("    " + line for line in writeback),
-            "    _cpu._dynamic_index = _i0 + _n",
-            "    _fault(_s, _n)",
-            "    raise",
-            *writeback,
-            f"_cpu._dynamic_index = _i0 + {length}",
-            "_fc[_rid] += 1",
-            "return _end",
-        ]
+        source = _fused_frame(
+            "_first", length, keys, [*lines, f"_n = {length}", "_p = 1", "return _end"]
+        )
         return _planned(
-            "_region", ["    " + line for line in source],
+            "_region", source,
             _recipe(unit.values, shared, _first=("fn", "_s")),
             f"<fastpath region/{length}>", names,
         )
@@ -1710,39 +1739,20 @@ def _render_loop(program, loop, rid, names, columns=None):
                 jump, length - 1, shared, keys, {"goto": lambda _: []}, writers=writers
             )
         )
-        prologue, writeback = _hoist(keys)
         source = [
-            "_i0 = _cpu._dynamic_index",
-            "_mx = _cpu.max_instructions",
-            f"if _i0 + {length} > _mx:",
-            "    return _hdr()",
-            "_p = 0",
-            "_n = 0",
-            *prologue,
-            "try:",
-            "    while True:",
-            *("        " + line for line in lines),
-            "        _p += 1",
-            f"        _i0 += {length}",
-            "        if " + _LOOP_BACK_EXIT.format(length=length) + ":",
-            *("            " + line for line in writeback),
-            "            _cpu._dynamic_index = _i0",
-            "            _fc[_rid] += _p",
-            "            _counts[_s] -= 1",
-            "            return _s",
-            "except BaseException:",
-            *("    " + line for line in writeback),
-            "    _cpu._dynamic_index = _i0 + _n",
-            "    _fc[_rid] += _p",
-            "    _fault(_s, _n)",
-            "    raise",
-            *writeback,
-            "_cpu._dynamic_index = _i0 + 1",
-            "_fc[_rid] += _p",
+            "while True:",
+            *("    " + line for line in lines),
+            "    _p += 1",
+            f"    _i0 += {length}",
+            "    if " + _LOOP_BACK_EXIT.format(length=length) + ":",
+            "        _n = 0",
+            "        _counts[_s] -= 1",
+            "        return _s",
+            "_n = 1",
             f"return {out}",
         ]
         return _planned(
-            "_loop", ["    " + line for line in source],
+            "_loop", _fused_frame("_hdr", length, keys, source),
             _recipe(unit.values, shared, _hdr=("fn", "_s")),
             f"<fastpath loop/{length}>", names,
         )
@@ -1947,6 +1957,10 @@ def _slice_traversal(cpu, table, info, pc):
     The slice's fused function when the generator can express it, else
     the reference itself: ``AmnesicCPU._traverse_slice`` from the
     RCMP's pc, which a fused traversal that raises hands its slice to.
+    A rendered RCMP binds it at decode and calls it directly (``_sc``);
+    one the classic handler runs reaches it through
+    :meth:`BatchedExecutionMixin._traverse_slice`.  Both read this
+    decode's per-pc cache.
     """
     try:
         return table.slices[pc]
@@ -1967,21 +1981,6 @@ def _slice_traversal(cpu, table, info, pc):
         else _bound(unit.shape, table.env, dict(unit.values, _ref=reference))
     )
     return traverse
-
-
-def _slice_cell(cpu, table, info, pc):
-    """The one-slot cell an RCMP function calls its slice through.
-
-    The traversal binds on the slice's first fire, so slices that never
-    fire cost no code generation.
-    """
-
-    def first():
-        traverse = cell[0] = _slice_traversal(cpu, table, info, pc)
-        return traverse()
-
-    cell = [first]
-    return cell
 
 
 def _categories(program, first, end):
@@ -2257,9 +2256,10 @@ class BatchedExecutionMixin:
         return super()._traverse_slice(info)
 
     def _run_loop(self) -> None:
-        if self._timeline is not None:
-            # Timelines capture mid-run state per retired instruction:
-            # the classic loop keeps them exact.
+        if self._timeline is not None or get_telemetry().active_profiler() is not None:
+            # Timelines capture mid-run state per retired instruction and
+            # the profiler samples the classic dispatch: the classic loop
+            # keeps both exact.
             return super()._run_loop()
         table = self._decoded()
         fns = table.fns
@@ -2290,7 +2290,6 @@ class BatchedExecutionMixin:
                 # the trace columns its code appends to leave with the
                 # run instead of waiting for a cyclic collection.
                 fns.clear()
-        self.finalize()
 
     def _flush(self, table, pc) -> None:
         stats = self.stats
@@ -2309,7 +2308,7 @@ class BatchedExecutionMixin:
         fused_counts = table.fused_counts
         for rid, hits in enumerate(fused_counts):
             if hits:
-                first, end, categories = table.fused_tails[rid]
+                first, end, categories = table.units[rid].tail
                 for category, per_pass in categories:
                     by_category[category] += per_pass * hits
                 flushed += (end - first) * hits

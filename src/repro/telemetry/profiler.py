@@ -1,12 +1,13 @@
 """The hot-loop profiler: per-opcode wall-clock and energy attribution.
 
-The interpreter dispatch loop in :meth:`repro.machine.cpu.CPU.run` is
-where the whole suite's host wall clock goes; this module answers
+The interpreter dispatch loop (:meth:`repro.machine.cpu.CPU._run_loop`)
+is where the whole suite's host wall clock goes; this module answers
 *which opcode handlers* burn it, and how much modeled energy each
 accounts for.  A :class:`HotLoopProfiler` is installed on the telemetry
-session (``telemetry.profiler``); every CPU run started while it is
-installed switches to an instrumented dispatch loop that records, at
-each sample point:
+session (``telemetry.profiler``).  Every CPU run started while it is
+installed runs the plain loop over a dispatch table of its own for that
+run (:class:`RunSampler`), whose handlers call the CPU's and record, at
+every ``sample_every``-th dispatch:
 
 * the dispatched opcode and the run label (``classic``/``amnesic``);
 * the host wall-clock elapsed since the previous sample point;
@@ -20,13 +21,16 @@ and attribution is per-instruction-precise.  With a larger stride
 (*sampling* mode, the cheap default for ``repro profile``) the elapsed
 wall/instructions/energy since the last sample are attributed to the
 sampled opcode — statistically fair for the dominant handlers at a
-fraction of the overhead.  Either way the deltas telescope, so the
+fraction of the overhead.  A run that halts records its partial last
+window as :data:`TAIL_KEY` and its deferred write-backs as
+:data:`FINALIZE_KEY`.  Either way the deltas telescope, so the
 profile's **totals are exact**: summed instructions equal the runs'
 ``RunStats.dynamic_instructions`` and summed energy equals the energy
 accounts, which is the reconciliation ``repro profile`` prints.
 
-When no profiler is installed the CPU uses its plain loop; the feature
-costs nothing when off.
+When no profiler is installed the CPU keeps its own dispatch table; the
+feature costs nothing when off.  The fast backend hands a profiled run
+to the classic loop.
 """
 
 from __future__ import annotations
@@ -152,6 +156,73 @@ class HotLoopProfiler:
             "rows": [dataclasses.asdict(row) for row in self.rows()],
             "totals": dataclasses.asdict(totals),
         }
+
+
+class RunSampler:
+    """One CPU run under a profiler: a dispatch table whose handlers sample.
+
+    Made as the run starts, it swaps the CPU's dispatch table, for that
+    run only, for one whose handler per opcode calls the CPU's own and
+    then, every ``sample_every``-th call of the run, records the opcode
+    and the wall time, instructions (``_dynamic_index``) and energy
+    since the last sample.  The CPU's run loop is unchanged.  It reads
+    nothing of the CPU but its dispatch table, ``_dynamic_index``,
+    energy account and telemetry label.
+    """
+
+    def __init__(self, profiler: HotLoopProfiler, cpu):
+        profiler.runs += 1
+        self.profiler = profiler
+        self.cpu = cpu
+        self.label = cpu.TELEMETRY_LABEL
+        self.pending = profiler.sample_every
+        self.last = self._now()
+        self.handlers = cpu._dispatch
+        cpu._dispatch = {
+            opcode: self._sampled(opcode.value, handler)
+            for opcode, handler in self.handlers.items()
+        }
+
+    def _now(self) -> Tuple[float, int, float]:
+        cpu = self.cpu
+        return self.profiler.clock(), cpu._dynamic_index, cpu.account.total_energy_nj
+
+    def _since(self) -> Tuple[float, int, float]:
+        """Wall time, instructions and energy since the last mark, marking now."""
+        now = self._now()
+        last, self.last = self.last, now
+        return now[0] - last[0], now[1] - last[1], now[2] - last[2]
+
+    def _sampled(self, opcode: str, handler):
+        def sampled(instruction):
+            handler(instruction)
+            self.pending -= 1
+            if not self.pending:
+                self.pending = self.profiler.sample_every
+                self.profiler.record(self.label, opcode, *self._since())
+
+        return sampled
+
+    def detach(self) -> None:
+        """Give the CPU its own dispatch table back, however the run ended."""
+        self.cpu._dispatch = self.handlers
+
+    def tail(self) -> None:
+        """Record the partial last window of a run that halted.
+
+        The window covers up to ``sample_every - 1`` dispatches of
+        *different* opcodes, so attributing it to the last one would
+        skew per-opcode shares at large strides; it gets its own row
+        instead, and the next window (finalization) starts now.
+        """
+        since = self._since()
+        if self.pending != self.profiler.sample_every:
+            self.profiler.record(self.label, TAIL_KEY, *since)
+
+    def finalized(self) -> None:
+        """Record the run's finalization, the window since :meth:`tail`."""
+        wall, _, energy = self._since()
+        self.profiler.record_finalize(self.label, wall, energy)
 
 
 def reconcile(

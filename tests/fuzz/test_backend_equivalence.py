@@ -13,7 +13,7 @@ of :mod:`repro.fuzz.faults`.
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import MachineFault, ReproError
 from repro.fuzz import (
     FuzzConfig,
     check_program,
@@ -24,7 +24,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.faults import stale_load_lru, unprobed_l2
 from repro.fuzz.oracle import _observable
-from repro.isa import Imm, Opcode, Reg, alu, halt
+from repro.isa import Imm, Opcode, Reg, alu, halt, load, store
 from repro.isa.program import Program
 from repro.machine import CPU, BatchedFastCPU
 
@@ -134,22 +134,50 @@ def conversion_programs():
             alu(Opcode.LI, r1, Imm(10 ** 400)),
             alu(Opcode.FADD, r2, r1, Imm(1.0)),
         ),
+        conversion_program(
+            "big-int-address",
+            alu(Opcode.LI, r1, Imm(10 ** 400)),
+            load(r2, r1, Imm(1.0)),
+        ),
+        conversion_program(
+            "big-negative-int-address",
+            alu(Opcode.LI, r1, Imm(-(10 ** 400))),
+            store(r2, r1, Imm(1.0)),
+        ),
     ]
+
+
+#: The fault a conversion program ends with; the others halt.
+CONVERSION_FAULTS = {
+    "big-int-address": "non-integer effective address inf (pc=1)",
+    "big-negative-int-address": "non-integer effective address -inf (pc=1)",
+}
 
 
 @pytest.mark.parametrize("program", conversion_programs(), ids=lambda p: p.name)
 def test_value_conversions_never_escape_as_python_errors(program, model):
     # NaN and +-inf convert to the integer-indefinite value and an int
-    # beyond the double range to +-inf, on both backends alike.
-    states = []
+    # beyond the double range to +-inf, on both backends alike; an
+    # effective address that converts to +-inf is not an integer.
+    outcomes = []
     for cls in (CPU, BatchedFastCPU):
         cpu = cls(program, model)
-        cpu.run()
-        assert cpu.halted
-        states.append(_observable(cpu))
-    assert states[0] == states[1]
-    assert check_program(program, model=model, backend="fast-batched").ok
-    assert check_program(program, model=model, backend="classic").ok
+        try:
+            cpu.run()
+        except MachineFault as fault:
+            outcomes.append((_observable(cpu), type(fault), str(fault)))
+        else:
+            assert cpu.halted
+            outcomes.append((_observable(cpu), None, None))
+    assert outcomes[0] == outcomes[1]
+    expected = CONVERSION_FAULTS.get(program.name)
+    assert outcomes[0][2] == expected
+    for backend in ("fast-batched", "classic"):
+        verdict = check_program(program, model=model, backend=backend)
+        if expected is None:
+            assert verdict.ok, verdict.summary()
+        else:
+            assert verdict.invalid and not verdict.failures, verdict.summary()
 
 
 @pytest.mark.parametrize(

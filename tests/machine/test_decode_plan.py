@@ -61,7 +61,7 @@ def has_plan(program):
 
 def outcome(cpu, fault):
     table = cpu._decoded() if isinstance(cpu, BatchedFastAmnesicCPU) else None
-    fused = None if table is None else (table.region_spans, table.loops)
+    fused = None if table is None else [(unit.span, unit.loop) for unit in table.units]
     return fused, fault, _observable(cpu)
 
 
@@ -107,7 +107,7 @@ def test_each_pc_is_classified_once_per_program(prepared, monkeypatch):
         cpu = BatchedFastAmnesicCPU(
             binary, model, make_policy(policy), verify=verify, hist_capacity=hist
         )
-        assert cpu._decoded().region_spans
+        assert cpu._decoded().units
     assert classified == list(range(len(binary.program.instructions)))
 
 
@@ -157,7 +157,9 @@ def poisoned_copy_runs_classic_exact(model, setup):
     original, fault = run(BatchedFastAmnesicCPU, binary, model, "Compiler")
     assert fault is None and has_plan(binary.program)
     poisoned = poisoned_copy(
-        binary, original._batch_visit_counts, original._decoded().region_spans
+        binary,
+        original._batch_visit_counts,
+        [unit.span for unit in original._decoded().units],
     )
     reference = run(AmnesicCPU, poisoned, model, "Compiler")
     assert reference[1] is not None and reference[1][0] == "ArithmeticFault"
@@ -199,5 +201,7 @@ def test_decoded_cpu_pickles_without_its_decode(prepared):
     assert "_batch_decode" not in clone.__dict__
     # The clone's program is a new object: it gets a plan of its own.
     assert not has_plan(clone.program)
-    assert clone._decoded().region_spans == cpu._decoded().region_spans
+    assert [unit.span for unit in clone._decoded().units] == [
+        unit.span for unit in cpu._decoded().units
+    ]
     assert has_plan(clone.program)

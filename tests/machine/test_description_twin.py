@@ -88,7 +88,7 @@ def fused_load_pcs(cpu):
         for pc, instruction in enumerate(cpu.program.instructions)
         if instruction.opcode is Opcode.LD
     ]
-    spans = cpu._decoded().region_spans
+    spans = [unit.span for unit in cpu._decoded().units]
     return [pc for pc in loads if any(s <= pc < e for s, e in spans)], loads
 
 
@@ -124,9 +124,12 @@ def test_twin_breaks_traced_functions():
             # straight-line region.
             traced = broken._decoded()
             untraced = BatchedFastCPU(program, make_model())._decoded()
-        assert traced.loops == untraced.loops
-        assert traced.region_spans == [(h + 1, back) for h, back in traced.loops]
-        assert bool(traced.loops) == (program.name == "lru-looped")
+        loops = [unit.loop for unit in traced.units]
+        assert loops == [unit.loop for unit in untraced.units if unit.loop]
+        assert [unit.span for unit in traced.units] == [
+            (h + 1, back) for h, back in loops
+        ]
+        assert bool(loops) == (program.name == "lru-looped")
         # The last load of A misses where classic hits: the level column.
         assert service_levels(broken_trace) != service_levels(classic_trace)
         assert cache_outcome(broken) != cache_outcome(classic)

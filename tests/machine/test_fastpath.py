@@ -117,11 +117,12 @@ def test_traced_runs_build_identical_trace_columns():
     assert trace_divergence(ct, ft, program) is None
     # A traced run fuses the untraced run's loops and no straight-line
     # region: the only spans it installs are those loops' bodies.
-    traced = fast._decoded()
-    untraced = BatchedFastCPU(program, make_model())._decoded()
-    assert traced.loops and traced.loops == untraced.loops
-    assert traced.region_spans == [(h + 1, back) for h, back in traced.loops]
-    assert set(untraced.region_spans) > set(traced.region_spans)
+    traced = fast._decoded().units
+    untraced = BatchedFastCPU(program, make_model())._decoded().units
+    loops = [unit.loop for unit in traced]
+    assert loops and loops == [unit.loop for unit in untraced if unit.loop]
+    assert [unit.span for unit in traced] == [(h + 1, back) for h, back in loops]
+    assert {unit.span for unit in untraced} > {unit.span for unit in traced}
 
 
 def test_jr_one_past_the_end_fault_parity():
@@ -204,7 +205,7 @@ def test_read_only_store_fault_parity(fused):
         cpus.append(cpu)
         errors.append(caught.value)
     classic, fast = cpus
-    spans = fast._decoded().region_spans
+    spans = [unit.span for unit in fast._decoded().units]
     assert any(start <= store_pc < end for start, end in spans) == fused
     assert str(errors[0]) == str(errors[1])
     assert "write to read-only address" in str(errors[1])

@@ -99,12 +99,12 @@ def assert_state_equal(classic, batched):
 
 def fused_spans(cpu):
     """Straight-line spans compiled into fused code (loop bodies too)."""
-    return list(cpu._decoded().region_spans)
+    return [unit.span for unit in cpu._decoded().units]
 
 
 def fused_loops(cpu):
     """``(header, loop-back)`` pcs of each loop fused into one dispatch."""
-    return list(cpu._decoded().loops)
+    return [unit.loop for unit in cpu._decoded().units if unit.loop]
 
 
 # ----------------------------------------------------------------------

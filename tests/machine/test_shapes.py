@@ -14,7 +14,9 @@ own values and each still matches classic exactly; and
 ``shape_key_drops_literal()``, which writes an immediate into the
 source while the key leaves it out, must be caught by the fast-batched
 corpus replay, and on a pair of programs whose only differing immediate
-sits in per-pc code.
+sits in per-pc code.  Every fused region and loop source, traced or
+not, leaves through one frame: one ``finally:`` that writes each
+hoisted accumulator back once.
 """
 
 import dataclasses
@@ -139,6 +141,25 @@ def decoded_units(binary, model, monkeypatch, sources):
     return bound
 
 
+def assert_one_exit(source):
+    """*source*, a fused region or loop, leaves through one ``finally:``.
+
+    It writes back, once, each accumulator its prologue hoisted, and
+    sets ``_dynamic_index`` and adds its deferred count once.
+    """
+    lines = [line.strip() for line in source.splitlines()]
+    assert lines.count("finally:") == 1, source
+    assert lines.count("_cpu._dynamic_index = _i0 + _n") == 1, source
+    assert lines.count("_fc[_rid] += _p") == 1, source
+    hoisted = 0
+    for home, local, counts in fastpath._ACCUMULATORS.values():
+        prologue = f"{local} = 0" if counts else f"{local} = {home}"
+        writeback = f"{home} += {local}" if counts else f"{home} = {local}"
+        assert lines.count(writeback) == lines.count(prologue) <= 1, source
+        hoisted += lines.count(prologue)
+    assert hoisted, source
+
+
 def corpus_binaries(model):
     for entry in load_corpus(str(CORPUS_DIR)):
         try:
@@ -183,6 +204,14 @@ def test_the_shape_key_determines_the_source(binaries, monkeypatch, sources):
         )
         for binary, model in binaries
     ]
+    fused = [
+        source
+        for code, source in sources.items()
+        if code.co_name in ("_region", "_loop")
+    ]
+    assert len(fused) > len(traced_loops) > 0
+    for source in fused:
+        assert_one_exit(source)
     shapes = {id(unit.shape) for units, _ in warm for unit in units}
     assert len(shapes) < sum(len(units) for units, _ in warm), (
         "no two units share a shape"
@@ -242,7 +271,7 @@ def test_code_objects_name_no_program(binaries):
         assert per_pc
         traced = BatchedFastCPU(binary.program, model, tracer=DependenceTracker())
         table = traced._decoded()
-        loops = [table.fns[header].__code__ for header, _ in table.loops]
+        loops = [table.fns[unit.at].__code__ for unit in table.units]
         traced_loops += len(loops)
         for code in per_pc + loops:
             assert binary.program.name not in code.co_filename
@@ -304,12 +333,7 @@ def moved(program):
 def fused_functions(cpu):
     """The bound fused functions of a decoded CPU: regions and loops by pc, then slices."""
     table = cpu._decoded()
-    starts = sorted({start for start, _ in table.region_spans} | dict(table.loops).keys())
-    fused = [
-        table.fns[pc]
-        for pc in starts
-        if table.fns[pc].__code__.co_name in ("_region", "_loop")
-    ]
+    fused = [table.fns[pc] for pc in sorted(unit.at for unit in table.units)]
     return fused + [table.slices[pc] for pc in sorted(table.slices)]
 
 
@@ -412,7 +436,7 @@ def test_per_pc_immediates_bind_per_program_and_the_twin_is_caught():
         cpu = BatchedFastCPU(program, model)
         cpu.run()
         assert cpu.registers == registers(CPU, program, model), program.name
-        assert not cpu._decoded().region_spans
+        assert not cpu._decoded().units
         branches.append(per_pc_functions(cpu)[1])
     one, other = branches
     assert one.__code__ is other.__code__

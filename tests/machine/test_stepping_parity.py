@@ -19,9 +19,17 @@ state and the same fault (type, message and pc), on
   opcode on the classic CPU);
 * generated programs, with and without a small budget.
 
+A profiled run takes the same loop over a dispatch table that samples,
+so every corpus entry's program and binaries also run under a
+:class:`~repro.telemetry.profiler.HotLoopProfiler` at strides 1 and 7,
+on both backends (the fast one hands profiled runs to the classic
+loop), and end as the stepped CPU does; a halted profiled run's rows
+add up to its instructions.
+
 ``LATE_COUNT`` (:mod:`repro.fuzz.faults`), a run loop that counts each
 instruction after its handler returns, must fail this check on a
-faulting program, and the oracle on the ``batch-pure-trap`` entry.
+faulting program, profiled or not, and the oracle on the
+``batch-pure-trap`` entry.
 """
 
 from pathlib import Path
@@ -31,6 +39,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.amnesic_cpu import AmnesicCPU
+from repro.core.backend import BatchedFastAmnesicCPU
 from repro.core.execution import prepare_evaluation
 from repro.core.policies import POLICY_NAMES, make_policy
 from repro.energy import paper_energy_model
@@ -42,7 +51,9 @@ from repro.fuzz.oracle import DEFAULT_MAX_INSTRUCTIONS, _observable
 from repro.fuzz.runner import entry_satisfied, replay_entry
 from repro.isa import Imm, Instruction, Opcode, Reg, SReg, alu, halt, load, rec, store
 from repro.isa.program import Program
-from repro.machine import CPU
+from repro.machine import CPU, BatchedFastCPU
+from repro.telemetry.profiler import HotLoopProfiler
+from repro.telemetry.runtime import telemetry_session
 from repro.workloads.suite import get
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -68,18 +79,38 @@ def outcome(cpu, drive):
     return _observable(cpu), fault
 
 
-def divergence(make):
-    """What a ``run()``-driven CPU from *make* ends with that a stepped one does not."""
+def run(cpu):
+    cpu.run()
+
+
+def profiled(stride):
+    """Drive a CPU by ``run()`` under a profiler sampling every *stride* dispatches.
+
+    A run that halts must reconcile: its rows add up to its instructions.
+    """
+
+    def drive(cpu):
+        profiler = HotLoopProfiler(sample_every=stride)
+        with telemetry_session(profiler=profiler):
+            cpu.run()
+        assert profiler.runs == 1
+        assert profiler.totals().instructions == cpu.dynamic_count
+
+    return drive
+
+
+def divergence(make, drive=run):
+    """What a *drive*-driven CPU from *make* ends with that a stepped one does not."""
     expected, expected_fault = outcome(make(), stepped)
-    actual, actual_fault = outcome(make(), lambda cpu: cpu.run())
+    actual, actual_fault = outcome(make(), drive)
     found = [what for what, value in expected.items() if actual[what] != value]
     if actual_fault != expected_fault:
         found.append(f"fault: stepped {expected_fault}, run {actual_fault}")
     return found
 
 
-def assert_parity(make):
-    assert divergence(make) == []
+def assert_parity(make, drive=run):
+    assert divergence(make, drive) == []
 
 
 def plain(program, model, budget, cls=CPU):
@@ -112,18 +143,40 @@ def fault_index(make):
     return cpu.dynamic_count
 
 
-@pytest.mark.parametrize("path", corpus_paths(CORPUS_DIR), ids=entry_ids())
-def test_corpus_programs_and_binaries_step_as_they_run(path):
+def entry_cpus(path, backends):
+    """Makers of CPUs running a corpus entry's program and its binaries.
+
+    One per ``(classic, amnesic)`` class pair in *backends*: the plain
+    program on the classic class and, when it compiles, each policy's
+    binary on the amnesic one.
+    """
     entry = load_entry(path)
     program = materialize(entry.spec)
     budget = entry.max_instructions or DEFAULT_MAX_INSTRUCTIONS
-    assert_parity(plain(program, FUZZ_MODEL, budget))
+    makers = [plain(program, FUZZ_MODEL, budget, cls) for cls, _ in backends]
     try:
         compiled = binaries(program, FUZZ_MODEL, budget)
     except ReproError:
-        return  # the classic run faults: nothing compiles
+        return makers  # the classic run faults: nothing compiles
     for policy, binary in compiled.items():
-        assert_parity(amnesic(binary, FUZZ_MODEL, policy, budget))
+        makers += [
+            amnesic(binary, FUZZ_MODEL, policy, budget, cls) for _, cls in backends
+        ]
+    return makers
+
+
+@pytest.mark.parametrize("path", corpus_paths(CORPUS_DIR), ids=entry_ids())
+def test_corpus_programs_and_binaries_step_as_they_run(path):
+    for make in entry_cpus(path, [(CPU, AmnesicCPU)]):
+        assert_parity(make)
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("path", corpus_paths(CORPUS_DIR), ids=entry_ids())
+def test_corpus_programs_and_binaries_step_as_they_run_profiled(path, stride):
+    backends = [(CPU, AmnesicCPU), (BatchedFastCPU, BatchedFastAmnesicCPU)]
+    for make in entry_cpus(path, backends):
+        assert_parity(make, profiled(stride))
 
 
 @pytest.mark.parametrize("kernel", ["mcf", "is", "bfs"])
@@ -214,6 +267,17 @@ def test_late_count_fails_stepping_parity_on_a_fault_only():
     assert divergence(late) == ["run stats"]
     # A budget trip raises before the fetch, so counting late is exact.
     assert divergence(plain(program, FUZZ_MODEL, k, LATE_COUNT.cpu_cls)) == []
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_late_count_fails_profiled_stepping_parity_on_a_fault_only(stride):
+    # A profiled run takes the loop the twin breaks.
+    program = trap_program()
+    k = fault_index(plain(program, FUZZ_MODEL, DEFAULT_MAX_INSTRUCTIONS))
+    late = plain(program, FUZZ_MODEL, DEFAULT_MAX_INSTRUCTIONS, LATE_COUNT.cpu_cls)
+    assert divergence(late, profiled(stride)) == ["run stats"]
+    budget = plain(program, FUZZ_MODEL, k, LATE_COUNT.cpu_cls)
+    assert divergence(budget, profiled(stride)) == []
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import pytest
 
 from repro.compiler import compile_amnesic
 from repro.core import AmnesicCPU, make_policy
+from repro.errors import ExecutionLimitExceeded
 from repro.machine import CPU
 from repro.telemetry.profiler import (
     FINALIZE_KEY,
@@ -202,3 +203,18 @@ def test_no_profiler_when_telemetry_disabled(program, model):
     cpu = CPU(program, model)
     cpu.run()  # plain loop, nothing to assert beyond not crashing
     assert cpu.stats.dynamic_instructions > 0
+
+
+@pytest.mark.parametrize("budget", [None, 10], ids=["halts", "faults"])
+def test_the_sampling_dispatch_table_is_the_runs_alone(program, model, budget):
+    # A profiled run swaps in its sampling table for itself only: the
+    # CPU has its own handlers back however the run ends.
+    cpu = CPU(program, model, max_instructions=budget or 5_000_000)
+    own = cpu._dispatch
+    with telemetry_session(profiler=HotLoopProfiler(sample_every=3)):
+        try:
+            cpu.run()
+        except ExecutionLimitExceeded:
+            assert budget
+    assert cpu.halted == (budget is None)
+    assert cpu._dispatch is own

@@ -113,7 +113,8 @@ def test_fault_columns_match_classic():
 
 def traced_loops(program, model):
     """The ``(header, loop-back)`` pcs a traced fast-batched decode fuses."""
-    return BatchedFastCPU(program, model, tracer=DependenceTracker())._decoded().loops
+    table = BatchedFastCPU(program, model, tracer=DependenceTracker())._decoded()
+    return [unit.loop for unit in table.units]
 
 
 def test_fault_in_a_fused_loop_columns_match_classic():
